@@ -7,7 +7,7 @@
 //! continuous-admission lane engine at three offered loads. For each
 //! point we record p50/p99 end-to-end simulated latency (queue wait +
 //! solve) and the occupied-lane-cycle ratio; at the gate load every
-//! completed solve is also checked bit-identical to an independent
+//! completed solve is also checked bit-identical to a one-shot
 //! [`Gmres`] run (the serving parity contract). The whole gate-load
 //! scenario then reruns in the same context: a warm service must serve
 //! every admission and cycle graph from the replay cache — the gate
@@ -40,7 +40,7 @@ struct GateRecord {
     /// Payload buffers allocated by warm request waves on a recycled
     /// service (must be 0: pooled rhs/x0 carriers and outcome buffers).
     serving_warm_payload_allocs_delta: f64,
-    /// Every completed solve bit-identical to an independent `Gmres`.
+    /// Every completed solve bit-identical to a one-shot `Gmres`.
     serving_parity_ok: bool,
     /// Deadline misses under EDF at subcritical load (must be 0).
     serving_qos_subcritical_deadline_misses: f64,
@@ -138,7 +138,7 @@ fn summary(_c: &mut Criterion) {
                 .zip(&x)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
     }
-    assert!(parity_ok, "served solves must match independent Gmres");
+    assert!(parity_ok, "served solves must match one-shot Gmres");
 
     // Replay economics: rerun the gate scenario in the warmed context —
     // every admission/cycle graph must replay, allocating nothing.

@@ -19,7 +19,9 @@
 //! - the serving admission replay hit-rate must stay at 1.0 (a warm
 //!   `SolverService` rerun allocates zero graph nodes and serves every
 //!   admission/cycle graph from cache), every served solve must stay
-//!   bit-identical to an independent `Gmres`, and the hit-rate must not
+//!   bit-identical to a one-shot solve of the same request (the
+//!   single-RHS `Gmres` front; the test suites hold that driver to an
+//!   independent textbook oracle), and the hit-rate must not
 //!   regress against the committed baseline;
 //! - the sharded backend's charged halo traffic must match the
 //!   machine-independent analytic model exactly, the per-shard pieces

@@ -33,16 +33,28 @@
 //! construction (pinned in `stream_parity.rs`) and the serial
 //! accounting is unchanged — only `overlap_ratio()` improves.
 //!
+//! # One driver
+//!
+//! This module is the crate's only GMRES(m) driver: the cycle, restart,
+//! Belos loss-of-accuracy and deflation policy live here and nowhere
+//! else. The single-RHS [`Gmres`] is a one-lane front over it, and
+//! `GmresIr`, `GmresIr3` and the serving engine run its lanes directly.
+//! The loss-of-accuracy restart rule that compressed-basis solves lean
+//! on (Aliaga et al., arXiv:2009.12101) therefore has one home.
+//!
 //! # Determinism contract
 //!
 //! Because every batched kernel preserves the per-column operation order
 //! of its single-vector counterpart (see `mpgmres-backend`'s multi-RHS
 //! contract), each column's solution, iteration history, and terminal
-//! status are **bit-for-bit identical** to an independent [`Gmres`]
+//! status are **bit-for-bit identical** to an independent single-RHS
 //! solve of that column, on every backend and at every pipeline depth.
-//! With `k = 1` the simulated timing report is also bit-identical to
-//! [`Gmres`] (every block cost collapses to the single-vector cost at
-//! width 1).
+//! The test suites hold this contract against a textbook GMRES(m)
+//! oracle written on plain slices (`tests/common/oracle.rs`), not
+//! against a second driver. At width 1 every block cost collapses to the
+//! single-vector cost; `block_parity.rs` pins the simulated timing
+//! report of fixed one-lane solves (serial seconds and per-category
+//! calls, bytes and seconds) so driver edits cannot move it silently.
 //!
 //! # Deflation
 //!
@@ -433,25 +445,34 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
     /// Run a validated single-RHS request to completion on this solver.
     fn serve_one(&self, ctx: &mut GpuContext, req: &SolveRequest<'_, '_, S>) -> SolveOutcome<S> {
-        let n = self.a.n();
-        let mut b = MultiVec::<S>::zeros(n, 1);
-        b.col_mut(0).copy_from_slice(req.rhs);
-        let mut x = MultiVec::<S>::zeros(n, 1);
-        if let Some(x0) = req.x0 {
-            x.col_mut(0).copy_from_slice(x0);
-        }
+        let mut x = req
+            .x0
+            .map(|x0| x0.to_vec())
+            .unwrap_or_else(|| vec![S::zero(); self.a.n()]);
         let start = ctx.elapsed();
-        let mut results = self.solve(ctx, &b, &mut x);
+        let result = self.solve_one(ctx, req.rhs, &mut x);
         SolveOutcome {
             id: RequestId(0),
-            x: x.col(0).to_vec(),
-            result: Some(results.pop().expect("one column solved")),
+            x,
+            result: Some(result),
             disposition: Disposition::Completed,
             degraded: None,
             queued_seconds: 0.0,
             solve_seconds: ctx.elapsed() - start,
         }
     }
+
+    /// One-lane solve over plain slices: `b` and the initial guess in
+    /// `x` ride a width-1 block, and the solution is written back into
+    /// `x`. This is the whole single-RHS [`Gmres`] driver.
+    pub(crate) fn solve_one(&self, ctx: &mut GpuContext, b: &[S], x: &mut [S]) -> SolveResult {
+        let bb = MultiVec::from_columns(&[b]);
+        let mut xb = MultiVec::from_columns(&[&*x]);
+        let result = self.solve(ctx, &bb, &mut xb).pop();
+        x.copy_from_slice(xb.col(0));
+        result.expect("one column solved")
+    }
+
     /// The configuration in use.
     pub fn config(&self) -> &GmresConfig {
         &self.cfg
@@ -702,7 +723,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     }
 
     /// Columns still solving, in lane order; lanes at the iteration cap
-    /// are resolved here (mirror of `Gmres`'s outer-loop-top check).
+    /// are resolved here (the cycle-top iteration-cap check).
     fn collect_cycle(
         &self,
         lanes: &mut [Lane<S>],
@@ -910,8 +931,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         st.sync();
     }
 
-    /// Per-lane status resolution (the tail of `Gmres`'s outer loop);
-    /// terminal lanes are deflated.
+    /// Per-lane status resolution at the cycle barrier — explicit
+    /// residual, breakdown, convergence, Belos loss of accuracy, and the
+    /// iteration cap; terminal lanes are deflated.
     fn resolve_cycle(
         &self,
         lanes: &mut [Lane<S>],

@@ -57,8 +57,9 @@ pub struct GmresConfig {
     /// independent of the next iteration's device kernels, so the
     /// simulated timeline hides the host latency behind device work
     /// (the paper's launch-latency hiding). Results are bit-identical
-    /// to depth 0 by construction — only the timeline changes. Ignored
-    /// by the single-RHS [`crate::Gmres`] driver.
+    /// to depth 0 by construction — only the timeline changes. The
+    /// single-RHS [`crate::Gmres`] front honours it too (as a one-lane
+    /// pipelined solve).
     pub pipeline_depth: usize,
     /// Krylov-basis storage path (see [`BasisPolicy`]). `Native` (the
     /// default) reproduces the pre-storage-path drivers bit for bit;

@@ -1175,27 +1175,10 @@ impl GpuContext {
         S::view(&*self.backend).basis_gemv_n_add(v, ncols, h, y);
     }
 
-    /// Fused basis extension `col_j = alpha * src` (read the source,
-    /// write the stored column, demotion fused into the store). Charged
-    /// once under [`KernelClass::Scal`]; at native width the charge is
-    /// bit-identical to the copy-then-[`GpuContext::scal`] pair it
-    /// replaces (the copy was uncharged).
-    pub fn basis_scal_copy<S: BackendScalar>(
-        &mut self,
-        v: &mut BasisStore<S>,
-        j: usize,
-        alpha: S,
-        src: &[S],
-    ) {
-        assert_eq!(src.len(), v.n(), "basis_scal_copy: length mismatch");
-        let (t, bytes) = self.basis_scal_copy_spec::<S>(v.n(), 1, v.elem_bytes());
-        self.profiler.charge(KernelClass::Scal, t, bytes);
-        S::view(&*self.backend).basis_scal_copy(v, j, alpha, src);
-    }
-
     /// Fused per-lane basis extension `vs[c][:, j] = alpha[c] * srcs[c]`
-    /// — the batched form of [`GpuContext::basis_scal_copy`] over a lane
-    /// set with one storage precision. Bit-identical in charge and
+    /// (read the source, write the stored column, demotion fused into
+    /// the store) over a lane set with one storage precision. Charged
+    /// once under [`KernelClass::Scal`]; bit-identical in charge and
     /// result to [`GpuContext::lane_scal_copy`] when every lane is
     /// native.
     pub fn basis_lane_scal_copy<S: BackendScalar>(

@@ -10,59 +10,34 @@
 //!   iteration; explicit residual recomputed at each restart.
 //! - Belos-style "loss of accuracy" detection when the two disagree
 //!   (§V-F).
+//!
+//! [`Gmres`] is the single-RHS front of the one GMRES driver: every
+//! solve runs as a one-lane [`BlockGmres`] solve, so the cycle, restart,
+//! loss-of-accuracy and deflation policy lives only in `block_gmres.rs`.
+//! Independent checking is the job of the test suites' textbook oracle
+//! (`crates/core/tests/common/oracle.rs`), not of a second driver.
 
 use crate::block_gmres::BlockGmres;
-use crate::config::{GmresConfig, OrthoMethod, StorePath};
+use crate::config::GmresConfig;
 use crate::context::{GpuContext, GpuMatrix};
 use crate::precond::Preconditioner;
-use crate::service::{
-    Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
-};
-use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-use crate::stream::{region, RegionKey};
+use crate::service::{SolveError, SolveOutcome, SolveRequest, Solver};
+use crate::status::SolveResult;
 use mpgmres_backend::BackendScalar;
-use mpgmres_la::givens::GivensLsq;
 
 /// Restarted GMRES(m) in a single working precision `S`.
 pub struct Gmres<'a, S: BackendScalar> {
-    a: &'a GpuMatrix<S>,
-    precond: &'a dyn Preconditioner<S>,
-    cfg: GmresConfig,
+    inner: BlockGmres<'a, S>,
 }
 
 impl<'a, S: BackendScalar> Solver<'a, S> for Gmres<'a, S> {
-    /// Serve one [`SolveRequest`]. A plain native-path matrix operand
-    /// runs this single-RHS driver directly; packed-storage requests
-    /// route through the one-lane block driver, whose columns are
-    /// bit-identical to this driver by the block parity contract — the
-    /// outcome does not depend on the route.
+    /// Serve one [`SolveRequest`]: the one-lane block driver serves every
+    /// operand and storage path.
     fn serve(
         ctx: &mut GpuContext,
         req: &SolveRequest<'a, '_, S>,
     ) -> Result<SolveOutcome<S>, SolveError> {
-        req.validate()?;
-        match (req.operator, req.store) {
-            (Operator::Matrix(a), StorePath::Native) => {
-                let solver = Self::try_new(a, req.precond, req.config)?;
-                let n = a.n();
-                let mut x = req
-                    .x0
-                    .map(|x| x.to_vec())
-                    .unwrap_or_else(|| vec![S::zero(); n]);
-                let start = ctx.elapsed();
-                let result = solver.solve(ctx, req.rhs, &mut x);
-                Ok(SolveOutcome {
-                    id: RequestId(0),
-                    x,
-                    result: Some(result),
-                    disposition: Disposition::Completed,
-                    degraded: None,
-                    queued_seconds: 0.0,
-                    solve_seconds: ctx.elapsed() - start,
-                })
-            }
-            _ => BlockGmres::serve(ctx, req),
-        }
+        BlockGmres::serve(ctx, req)
     }
 }
 
@@ -81,322 +56,29 @@ impl<'a, S: BackendScalar> Gmres<'a, S> {
         precond: &'a dyn Preconditioner<S>,
         cfg: GmresConfig,
     ) -> Result<Self, SolveError> {
-        cfg.validate()?;
-        Ok(Gmres { a, precond, cfg })
+        Ok(Gmres {
+            inner: BlockGmres::try_new(a, precond, cfg)?,
+        })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &GmresConfig {
-        &self.cfg
+        self.inner.config()
     }
 
     /// Solve `A x = b` starting from the initial guess in `x`; the
     /// solution is written back into `x`.
     pub fn solve(&self, ctx: &mut GpuContext, b: &[S], x: &mut [S]) -> SolveResult {
-        let n = self.a.n();
-        // The request surface reports these as SolveError::DimensionMismatch;
-        // callers reaching the raw driver keep the debug-build guard.
-        debug_assert_eq!(b.len(), n, "rhs length mismatch");
-        debug_assert_eq!(x.len(), n, "solution length mismatch");
-        let m = self.cfg.m;
-
-        let mut history: Vec<HistoryPoint> = Vec::new();
-        // Basis storage path: Native is the classic full-width
-        // MultiVector (bit-identical to the pre-BasisStore driver);
-        // Compressed stores columns narrow and promotes on read. The
-        // region tag is salted with the storage code so each path
-        // replays its own recorded stream.
-        let mut v = self.cfg.basis.store::<S>(n, m + 1);
-        let basis_tag = v.code() << 5;
-        // Scratch for promoting a compressed basis column before the
-        // SpMV (a native basis borrows the column in place).
-        let mut vj = vec![S::zero(); if v.is_native() { 0 } else { n }];
-        let mut r = vec![S::zero(); n];
-        let mut w = vec![S::zero(); n];
-        let mut z = vec![S::zero(); n];
-        let mut u = vec![S::zero(); n];
-        let mut h1 = vec![S::zero(); m];
-        let mut h2 = vec![S::zero(); m];
-        let mut hcol = vec![S::zero(); m + 2];
-
-        // Initial residual r0 = b - A x0 and reference norm (paper
-        // normalizes by ||r0||; with the standard x0 = 0 this is ||b||).
-        ctx.residual_as(mpgmres_gpusim::KernelClass::SpMV, self.a, b, x, &mut r);
-        let mut gamma = ctx.norm2(&r);
-        let r0_norm = gamma.to_f64();
-        if !r0_norm.is_finite() {
-            return SolveResult {
-                status: SolveStatus::Breakdown,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: f64::NAN,
-                history,
-            };
-        }
-        if r0_norm == 0.0 {
-            return SolveResult {
-                status: SolveStatus::Converged,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 0.0,
-                history,
-            };
-        }
-        let scale = r0_norm;
-        let mut total_iters = 0usize;
-        let mut restarts = 0usize;
-        if self.cfg.record_history {
-            history.push(HistoryPoint {
-                iteration: 0,
-                relative_residual: 1.0,
-                kind: HistoryKind::Explicit,
-            });
-        }
-        if self.cfg.rtol >= 1.0 {
-            return SolveResult {
-                status: SolveStatus::Converged,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 1.0,
-                history,
-            };
-        }
-
-        let mut status: Option<SolveStatus> = None;
-        let mut final_rel = 1.0f64;
-
-        'outer: loop {
-            if total_iters >= self.cfg.max_iters {
-                status = Some(SolveStatus::MaxIters);
-                break;
-            }
-
-            // Start a cycle: v1 = r / gamma.
-            let inv_gamma = S::from_f64(1.0 / gamma.to_f64());
-            ctx.basis_scal_copy(&mut v, 0, inv_gamma, &r);
-            let mut lsq = GivensLsq::new(m, gamma);
-            let mut j = 0usize;
-            let mut implicit_claims_convergence = false;
-            let mut lucky = false;
-
-            while j < m && total_iters < self.cfg.max_iters {
-                // Direction for w = A M^{-1} v_j (preconditioner
-                // applications stay eager — they run their own kernels).
-                // A native basis lends the column in place — the exact
-                // pre-BasisStore path; a compressed basis promotes the
-                // narrow column into scratch first (a charged cast).
-                let dir: &[S] = match v.as_native() {
-                    Some(nv) if self.precond.is_identity() => nv.col(j),
-                    Some(nv) => {
-                        self.precond.apply(ctx, Some(self.a), nv.col(j), &mut z);
-                        &z
-                    }
-                    None => {
-                        ctx.basis_promote_col(&v, j, &mut vj);
-                        if self.precond.is_identity() {
-                            &vj
-                        } else {
-                            self.precond.apply(ctx, Some(self.a), &vj, &mut z);
-                            &z
-                        }
-                    }
-                };
-
-                // SpMV + orthogonalization of w against V_{j+1}. The
-                // CGS passes form one recorded region: the ops chain
-                // through w/h, so the DAG reproduces eager order (and
-                // eager timing) exactly — this region is the parity
-                // anchor for recorded single-RHS execution. The op
-                // sequence is shape-stable in (n, ncols, ortho), so the
-                // region records once per shape and replays the cached
-                // graph on every later cycle (the steady-state GMRES(m)
-                // iteration re-derives nothing).
-                let ncols = j + 1;
-                let mut hj1 = S::zero();
-                match self.cfg.ortho {
-                    OrthoMethod::Cgs2 => {
-                        // Two classical passes: 2x (GEMV-T + GEMV-N).
-                        let key = RegionKey::new(region::GMRES_CGS, n)
-                            .with_ncols(ncols)
-                            .with_k(2)
-                            .with_tag(basis_tag);
-                        let mut st = ctx.stream_for(key);
-                        let ah = st.matrix(self.a);
-                        let dh = st.slice(dir);
-                        let vh = st.basis(&v);
-                        let wh = st.slice_mut(&mut w);
-                        let h1h = st.slice_mut(&mut h1);
-                        let h2h = st.slice_mut(&mut h2);
-                        let nh = st.val_mut(&mut hj1);
-                        st.spmv(ah, dh, wh);
-                        st.gemv_t(vh, ncols, wh.read(), h1h);
-                        st.gemv_n_sub(vh, ncols, h1h.read(), wh);
-                        st.gemv_t(vh, ncols, wh.read(), h2h);
-                        st.gemv_n_sub(vh, ncols, h2h.read(), wh);
-                        st.norm2_into(wh.read(), nh);
-                        st.sync();
-                        for i in 0..ncols {
-                            hcol[i] = h1[i] + h2[i];
-                        }
-                    }
-                    OrthoMethod::Cgs1 => {
-                        let key = RegionKey::new(region::GMRES_CGS, n)
-                            .with_ncols(ncols)
-                            .with_k(1)
-                            .with_tag(basis_tag);
-                        let mut st = ctx.stream_for(key);
-                        let ah = st.matrix(self.a);
-                        let dh = st.slice(dir);
-                        let vh = st.basis(&v);
-                        let wh = st.slice_mut(&mut w);
-                        let h1h = st.slice_mut(&mut h1);
-                        let nh = st.val_mut(&mut hj1);
-                        st.spmv(ah, dh, wh);
-                        st.gemv_t(vh, ncols, wh.read(), h1h);
-                        st.gemv_n_sub(vh, ncols, h1h.read(), wh);
-                        st.norm2_into(wh.read(), nh);
-                        st.sync();
-                        hcol[..ncols].copy_from_slice(&h1[..ncols]);
-                    }
-                    OrthoMethod::Mgs => {
-                        // 2j skinny kernels: stable, launch-heavy, and
-                        // each dot feeds the next host decision — nothing
-                        // to record.
-                        // MGS reads columns through S-typed views, so it
-                        // is native-only (validate() rejects the combo).
-                        let nv = v.expect_native();
-                        ctx.spmv(self.a, dir, &mut w);
-                        for i in 0..ncols {
-                            let hi = ctx.dot(nv.col(i), &w);
-                            ctx.axpy(-hi, nv.col(i), &mut w);
-                            hcol[i] = hi;
-                        }
-                        hj1 = ctx.norm2(&w);
-                    }
-                }
-                hcol[ncols] = hj1;
-                total_iters += 1;
-                ctx.charge_iteration_host(j);
-
-                if !hj1.is_finite() {
-                    // Overflow/NaN (a real risk in fp16): stop absorbing
-                    // columns and fall through to the update with what we
-                    // have.
-                    status = Some(SolveStatus::Breakdown);
-                    break;
-                }
-
-                let implicit = lsq.push_column(&hcol[..ncols + 1]);
-                let implicit_rel = implicit.to_f64() / scale;
-                j += 1;
-
-                if self.cfg.record_history {
-                    history.push(HistoryPoint {
-                        iteration: total_iters,
-                        relative_residual: implicit_rel,
-                        kind: HistoryKind::Implicit,
-                    });
-                }
-
-                // Lucky breakdown: the Krylov space is invariant; the
-                // least-squares solution over the current columns is exact.
-                if hj1.to_f64() <= scale * f64::from(f32::MIN_POSITIVE) * f64::EPSILON {
-                    lucky = true;
-                    implicit_claims_convergence = true;
-                    break;
-                }
-                // v_{j+1} = w / h_{j+1,j}.
-                let inv = S::from_f64(1.0 / hj1.to_f64());
-                ctx.basis_scal_copy(&mut v, j, inv, &w);
-
-                if self.cfg.monitor_implicit && implicit_rel <= self.cfg.rtol {
-                    implicit_claims_convergence = true;
-                    break;
-                }
-            }
-
-            // Assemble the update x += M^{-1} V_k y.
-            let k = lsq.ncols();
-            if k > 0 {
-                if lsq.is_degenerate() {
-                    status = Some(SolveStatus::Breakdown);
-                } else {
-                    let y = lsq.solve(k);
-                    ctx.charge_restart_host(k);
-                    for ui in u.iter_mut() {
-                        *ui = S::zero();
-                    }
-                    ctx.basis_gemv_n_add(&v, k, &y, &mut u);
-                    if self.precond.is_identity() {
-                        ctx.axpy(S::one(), &u, x);
-                    } else {
-                        self.precond.apply(ctx, Some(self.a), &u, &mut z);
-                        ctx.axpy(S::one(), &z, x);
-                    }
-                }
-            }
-            restarts += 1;
-
-            // Explicit residual check (every restart, as in Belos).
-            ctx.residual_as(mpgmres_gpusim::KernelClass::SpMV, self.a, b, x, &mut r);
-            gamma = ctx.norm2(&r);
-            let explicit_rel = gamma.to_f64() / scale;
-            final_rel = explicit_rel;
-            if self.cfg.record_history {
-                history.push(HistoryPoint {
-                    iteration: total_iters,
-                    relative_residual: explicit_rel,
-                    kind: HistoryKind::Explicit,
-                });
-            }
-
-            if let Some(s) = status {
-                // Breakdown paths: report convergence if the explicit
-                // residual happens to clear the tolerance (lucky breakdown
-                // usually does).
-                if explicit_rel <= self.cfg.rtol {
-                    status = Some(SolveStatus::Converged);
-                } else {
-                    status = Some(s);
-                }
-                break 'outer;
-            }
-            if !explicit_rel.is_finite() {
-                status = Some(SolveStatus::Breakdown);
-                break 'outer;
-            }
-            if explicit_rel <= self.cfg.rtol {
-                status = Some(SolveStatus::Converged);
-                break 'outer;
-            }
-            if (implicit_claims_convergence || lucky)
-                && explicit_rel > self.cfg.loa_factor * self.cfg.rtol
-            {
-                // The implicit recurrence says "done" but the true
-                // residual disagrees: Belos's loss-of-accuracy signal.
-                status = Some(SolveStatus::LossOfAccuracy);
-                break 'outer;
-            }
-            if total_iters >= self.cfg.max_iters {
-                status = Some(SolveStatus::MaxIters);
-                break 'outer;
-            }
-        }
-
-        SolveResult {
-            status: status.unwrap_or(SolveStatus::MaxIters),
-            iterations: total_iters,
-            restarts,
-            final_relative_residual: final_rel,
-            history,
-        }
+        self.inner.solve_one(ctx, b, x)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OrthoMethod;
     use crate::precond::Identity;
+    use crate::status::{HistoryKind, SolveStatus};
     use mpgmres_gpusim::DeviceModel;
     use mpgmres_la::coo::Coo;
     use mpgmres_la::csr::Csr;

@@ -14,7 +14,8 @@
 //! `A X = B` for an `n x k` block ([`MultiVec`]) of right-hand sides by
 //! running `k` independent GMRES(m) state machines in lockstep (SpMM
 //! instead of SpMV, blocked CGS2, per-column deflation); each column is
-//! bit-identical to an independent [`Gmres`] solve.
+//! bit-identical to an independent single-RHS solve. It is the crate's
+//! one GMRES driver: [`Gmres`] is its one-lane front.
 //!
 //! Preconditioners (paper §III-D): [`precond::poly::PolyPreconditioner`]
 //! (GMRES polynomial with harmonic Ritz roots and modified Leja

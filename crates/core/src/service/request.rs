@@ -263,8 +263,8 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
     }
 
     /// Check everything the drivers used to `assert!` at the boundary:
-    /// dimensions, configuration, and operand/preconditioner
-    /// compatibility.
+    /// dimensions, finite inputs, configuration, and
+    /// operand/preconditioner compatibility.
     pub fn validate(&self) -> Result<(), SolveError> {
         self.config.validate()?;
         let n = self.operator.n();
@@ -282,6 +282,11 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
                     expected: n,
                     got: x0.len(),
                 });
+            }
+        }
+        for (what, v) in [("rhs", Some(self.rhs)), ("initial guess", self.x0)] {
+            if let Some(index) = v.and_then(|v| v.iter().position(|e| !e.is_finite())) {
+                return Err(SolveError::NonFinite { what, index });
             }
         }
         let packed =
@@ -319,9 +324,9 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
 /// [`SolveRequest`] through this one trait, so call sites pick a
 /// driver by *type* and keep a single signature.
 ///
-/// Implemented by [`crate::Gmres`] (single-RHS, routes packed paths
-/// through the one-lane block driver), [`crate::BlockGmres`] (k = 1
-/// block serve), [`crate::GmresIr`] (two-precision iterative
+/// Implemented by [`crate::Gmres`] (the single-RHS front, which
+/// forwards to the block serve), [`crate::BlockGmres`] (k = 1 block
+/// serve), [`crate::GmresIr`] (two-precision iterative
 /// refinement), and [`crate::GmresIr3`] (the three-precision ladder).
 /// Exported from `mpgmres::prelude`, so `Driver::serve(&mut ctx, &req)`
 /// resolves wherever the prelude is in scope.
@@ -429,6 +434,15 @@ pub enum SolveError {
         /// What was handed in.
         got: usize,
     },
+    /// The right-hand side or initial guess holds a NaN or infinity.
+    /// Rejected at the surface: a poisoned vector would otherwise be
+    /// admitted and come back as a `Breakdown` result.
+    NonFinite {
+        /// Which buffer.
+        what: &'static str,
+        /// Index of the first non-finite entry.
+        index: usize,
+    },
     /// The [`GmresConfig`] is out of range (restart length 0, pipeline
     /// depth > 1, non-finite tolerance, ...).
     InvalidConfig(String),
@@ -472,6 +486,9 @@ impl core::fmt::Display for SolveError {
                 got,
             } => {
                 write!(f, "{what} mismatch: expected {expected}, got {got}")
+            }
+            SolveError::NonFinite { what, index } => {
+                write!(f, "{what} holds a non-finite value at index {index}")
             }
             SolveError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             SolveError::UnsupportedCombination(msg) => {
@@ -540,6 +557,54 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_non_finite_inputs() {
+        let a = laplace1d(8);
+        let clean = vec![1.0f64; 8];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = clean.clone();
+            poisoned[5] = bad;
+            let err = SolveRequest::new(Operator::Matrix(&a), &poisoned)
+                .validate()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SolveError::NonFinite {
+                    what: "rhs",
+                    index: 5
+                },
+                "{bad}"
+            );
+            let err = SolveRequest::new(Operator::Matrix(&a), &clean)
+                .with_x0(&poisoned)
+                .validate()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SolveError::NonFinite {
+                    what: "initial guess",
+                    index: 5
+                },
+                "{bad}"
+            );
+        }
+        // A wrong length is still reported as a dimension mismatch.
+        let short = vec![f64::NAN; 7];
+        let err = SolveRequest::new(Operator::Matrix(&a), &short)
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, SolveError::DimensionMismatch { .. }));
+        // The one-shot drivers reject it too.
+        let mut ctx = crate::context::GpuContext::new(mpgmres_gpusim::DeviceModel::v100_belos());
+        let mut poisoned = clean.clone();
+        poisoned[0] = f64::NAN;
+        let req = SolveRequest::new(Operator::Matrix(&a), &poisoned);
+        assert!(matches!(
+            crate::Gmres::serve(&mut ctx, &req),
+            Err(SolveError::NonFinite { .. })
+        ));
+    }
+
+    #[test]
     fn validate_catches_bad_config() {
         let a = laplace1d(8);
         let b = vec![1.0f64; 8];
@@ -603,11 +668,17 @@ mod tests {
             }
             .to_string(),
             SolveError::DeadlineExceeded { id: RequestId(8) }.to_string(),
+            SolveError::NonFinite {
+                what: "rhs",
+                index: 2,
+            }
+            .to_string(),
         ];
         assert!(msgs[0].contains("expected 4"));
         assert!(msgs[3].contains("req#7"));
         assert!(msgs[4].contains("9 pending") && msgs[4].contains('3'));
         assert!(msgs[5].contains("req#8") && msgs[5].contains("deadline"));
+        assert!(msgs[6].contains("rhs") && msgs[6].contains("index 2"));
     }
 
     #[test]

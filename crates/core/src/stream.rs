@@ -83,7 +83,10 @@ use crate::context::{GpuContext, GpuMatrix, GpuStore, ShardedMatOp};
 /// Well-known region ids for [`RegionKey`]. Solvers pick one id per
 /// textual recording region; the rest of the key carries the shape.
 pub mod region {
-    /// `Gmres` CGS1/CGS2 SpMV + orthogonalization region.
+    /// Single-RHS CGS1/CGS2 SpMV + orthogonalization region. The solvers
+    /// record the block ids below (`Gmres` runs as a one-lane
+    /// `BlockGmres`); this id keys hand-recorded single-RHS regions
+    /// such as the layer benchmarks'.
     pub const GMRES_CGS: u32 = 1;
     /// `BlockGmres` initial residuals + fused norm region.
     pub const BLOCK_INIT: u32 = 2;

@@ -4,7 +4,8 @@
 //!
 //! The invariant under chaos is the serving contract from
 //! `service`'s module docs: every *completed* request is bit-identical
-//! to an independent [`Gmres`] solve with the same stopping parameters,
+//! to an independent solve with the same stopping parameters — the
+//! textbook oracle in `common/oracle.rs` on the native path —
 //! no matter how lanes were shared, when the request was admitted, or
 //! which requests around it were cancelled. Cancelled requests leave
 //! with the iterate of the last completed cycle barrier.
@@ -12,6 +13,9 @@
 use mpgmres::prelude::*;
 use mpgmres_la::coo::Coo;
 use mpgmres_la::vec_ops::ReductionOrder;
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 fn laplace1d(n: usize) -> GpuMatrix<f64> {
     let mut coo = Coo::new(n, n);
@@ -119,22 +123,29 @@ fn run_scenario(
     outcomes
 }
 
+/// The oracle solve of `rhs` under the services' reduction order.
+fn oracle_solve(a: &GpuMatrix<f64>, rhs: &[f64], cfg: &GmresConfig) -> (SolveResult, Vec<f64>) {
+    let mut x = vec![0.0f64; a.n()];
+    let res = oracle::gmres(
+        a.csr(),
+        oracle::identity,
+        rhs,
+        &mut x,
+        cfg,
+        ReductionOrder::Sequential,
+    );
+    (res, x)
+}
+
 /// Bitwise comparison of a completed serving outcome against an
-/// independent single-RHS `Gmres` solve with identical stopping
-/// parameters (the serving parity contract).
-fn assert_matches_independent(
-    ctx: &mut GpuContext,
-    a: &GpuMatrix<f64>,
-    arr: &Arrival,
-    out: &SolveOutcome<f64>,
-) {
+/// independent textbook solve with identical stopping parameters (the
+/// serving parity contract).
+fn assert_matches_independent(a: &GpuMatrix<f64>, arr: &Arrival, out: &SolveOutcome<f64>) {
     let cfg = GmresConfig::default()
         .with_m(arr.m)
         .with_rtol(arr.rtol)
         .with_max_iters(arr.max_iters);
-    let solo = Gmres::new(a, &Identity, cfg);
-    let mut x = vec![0.0f64; a.n()];
-    let want = solo.solve(ctx, &arr.rhs, &mut x);
+    let (want, x) = oracle_solve(a, &arr.rhs, &cfg);
     let got = out.result.as_ref().expect("completed outcome has result");
     assert_eq!(got.status, want.status, "{}: status", out.id);
     assert_eq!(got.iterations, want.iterations, "{}: iterations", out.id);
@@ -162,11 +173,10 @@ fn bursty_admission_matches_independent_gmres_bitwise() {
     let traffic = arrivals(0xb00b5, n, 12, &[10]);
     let mut ctx = ctx_with(BackendKind::Reference, true);
     let outcomes = run_scenario(&mut ctx, &a, &traffic, 3, None);
-    let mut solo_ctx = ctx_with(BackendKind::Reference, true);
     for out in &outcomes {
         assert_eq!(out.disposition, Disposition::Completed);
         let arr = &traffic[out.id.0 as usize - 1];
-        assert_matches_independent(&mut solo_ctx, &a, arr, out);
+        assert_matches_independent(&a, arr, out);
         assert!(out.queued_seconds >= 0.0 && out.solve_seconds >= 0.0);
     }
 }
@@ -218,13 +228,12 @@ fn cancellation_chaos_never_perturbs_surviving_solves() {
         .count();
     assert!(cancelled > 0, "chaos schedule must actually cancel");
     assert!(cancelled < outcomes.len(), "and must let some complete");
-    let mut solo_ctx = ctx_with(BackendKind::Reference, true);
     for out in &outcomes {
         match out.disposition {
             // Survivors are untouched by their neighbours' removal.
             Disposition::Completed => {
                 let arr = &traffic[out.id.0 as usize - 1];
-                assert_matches_independent(&mut solo_ctx, &a, arr, out);
+                assert_matches_independent(&a, arr, out);
             }
             // Cancelled lanes leave with the last barrier iterate:
             // always finite, never a poisoned slot.
@@ -238,6 +247,82 @@ fn cancellation_chaos_never_perturbs_surviving_solves() {
     }
 }
 
+/// Fail closed: a submit whose rhs or initial guess holds a NaN or
+/// infinity is rejected with a typed error and never enters a queue, so
+/// the clean requests around it keep their ids and come back bitwise
+/// unchanged — solution, result, and simulated timings.
+#[test]
+fn rejected_non_finite_submits_leave_other_requests_unchanged() {
+    let n = 40;
+    let a = laplace1d(n);
+    let traffic = arrivals(0x0bad, n, 6, &[10]);
+    let run = |poison: bool| {
+        let mut ctx = ctx_with(BackendKind::Reference, true);
+        let mut service = SolverService::new(ServiceConfig::default().with_lanes(2));
+        for (i, arr) in traffic.iter().enumerate() {
+            let cfg = GmresConfig::default()
+                .with_m(arr.m)
+                .with_rtol(arr.rtol)
+                .with_max_iters(arr.max_iters);
+            if poison {
+                let mut bad = arr.rhs.clone();
+                bad[(7 * i) % n] = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
+                let req = SolveRequest::new(Operator::Matrix(&a), &bad).with_config(cfg);
+                assert_eq!(
+                    service.submit(&ctx, &req),
+                    Err(SolveError::NonFinite {
+                        what: "rhs",
+                        index: (7 * i) % n
+                    })
+                );
+                let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs)
+                    .with_x0(&bad)
+                    .with_config(cfg);
+                assert!(matches!(
+                    service.submit(&ctx, &req),
+                    Err(SolveError::NonFinite {
+                        what: "initial guess",
+                        ..
+                    })
+                ));
+            }
+            let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs).with_config(cfg);
+            service.submit(&ctx, &req).expect("clean request");
+            service.step(&mut ctx);
+        }
+        while service.pending() + service.in_flight() > 0 {
+            service.step(&mut ctx);
+        }
+        let mut outcomes = service.drain_outcomes();
+        outcomes.sort_by_key(|o| o.id.0);
+        (outcomes, ctx.report().total_seconds)
+    };
+    let (clean, clean_seconds) = run(false);
+    let (poisoned, poisoned_seconds) = run(true);
+    assert_eq!(clean.len(), traffic.len());
+    assert_eq!(poisoned.len(), traffic.len(), "rejects never resolve");
+    for (c, p) in clean.iter().zip(&poisoned) {
+        assert_eq!(c.id, p.id, "rejects consume no request id");
+        assert_eq!(c.disposition, Disposition::Completed, "{}", c.id);
+        assert_eq!(p.disposition, c.disposition, "{}", c.id);
+        let (rc, rp) = (c.result.as_ref().unwrap(), p.result.as_ref().unwrap());
+        assert_eq!(rp.status, rc.status, "{}", c.id);
+        assert_eq!(rp.iterations, rc.iterations, "{}", c.id);
+        assert_eq!(
+            rp.final_relative_residual.to_bits(),
+            rc.final_relative_residual.to_bits(),
+            "{}",
+            c.id
+        );
+        for (xp, xc) in p.x.iter().zip(&c.x) {
+            assert_eq!(xp.to_bits(), xc.to_bits(), "{}: x", c.id);
+        }
+        assert_eq!(p.solve_seconds.to_bits(), c.solve_seconds.to_bits());
+        assert_eq!(p.queued_seconds.to_bits(), c.queued_seconds.to_bits());
+    }
+    assert_eq!(poisoned_seconds.to_bits(), clean_seconds.to_bits());
+}
+
 #[test]
 fn mixed_restart_lengths_split_groups_and_keep_parity() {
     let n = 40;
@@ -245,10 +330,9 @@ fn mixed_restart_lengths_split_groups_and_keep_parity() {
     let traffic = arrivals(0xfeed, n, 10, &[8, 12]);
     let mut ctx = ctx_with(BackendKind::Reference, true);
     let outcomes = run_scenario(&mut ctx, &a, &traffic, 2, None);
-    let mut solo_ctx = ctx_with(BackendKind::Reference, true);
     for out in &outcomes {
         let arr = &traffic[out.id.0 as usize - 1];
-        assert_matches_independent(&mut solo_ctx, &a, arr, out);
+        assert_matches_independent(&a, arr, out);
     }
 }
 
@@ -307,8 +391,19 @@ fn admitted_lanes_inherit_group_basis_policy() {
     for out in &outcomes {
         let (rhs, basis) = &traffic[out.id.0 as usize - 1];
         assert_eq!(out.disposition, Disposition::Completed, "{}", out.id);
-        let mut x = vec![0.0f64; n];
-        let want = Gmres::new(&a, &Identity, cfg_for(*basis)).solve(&mut solo_ctx, rhs, &mut x);
+        // Native lanes answer to the oracle; compressed lanes to the
+        // library's compressed-basis solve.
+        let (want, x) = match basis {
+            BasisPolicy::Native => oracle_solve(&a, rhs, &cfg_for(*basis)),
+            _ => {
+                let mut x = vec![0.0f64; n];
+                let cfg = cfg_for(*basis);
+                (
+                    Gmres::new(&a, &Identity, cfg).solve(&mut solo_ctx, rhs, &mut x),
+                    x,
+                )
+            }
+        };
         let got = out.result.as_ref().expect("completed outcome has result");
         assert!(
             got.status.is_converged(),
@@ -368,11 +463,10 @@ fn edf_never_misses_deadlines_at_subcritical_load() {
     let outcomes = service.drain_outcomes();
     assert_eq!(outcomes.len(), traffic.len());
     assert_eq!(service.stats().deadline_misses, 0, "subcritical: no misses");
-    let mut solo_ctx = ctx_with(BackendKind::Reference, true);
     for out in &outcomes {
         assert_eq!(out.disposition, Disposition::Completed, "{}", out.id);
         let arr = &traffic[out.id.0 as usize - 1];
-        assert_matches_independent(&mut solo_ctx, &a, arr, out);
+        assert_matches_independent(&a, arr, out);
     }
 }
 
@@ -494,10 +588,9 @@ fn priority_order_respected_with_parity() {
     let mut sorted = completion_prios.clone();
     sorted.sort_unstable_by(|x, y| y.cmp(x));
     assert_eq!(completion_prios, sorted, "highest priority first");
-    let mut solo_ctx = ctx_with(BackendKind::Reference, true);
     for out in &outcomes {
         let arr = &traffic[out.id.0 as usize - 1];
-        assert_matches_independent(&mut solo_ctx, &a, arr, out);
+        assert_matches_independent(&a, arr, out);
     }
 }
 
