@@ -17,7 +17,7 @@ use mpgmres_la::csr::Csr;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::store::MatrixStore;
-use mpgmres_la::vec_ops::ReductionOrder;
+use mpgmres_la::vec_ops::{dot_ordered, ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::{ulp_diff_f64, Half, Precision};
 use proptest::prelude::*;
 
@@ -520,6 +520,45 @@ proptest! {
             ScalarBackend::<f64>::gemv_t(&reference, &v, cols, &x, &mut ha, order);
             ScalarBackend::<f64>::gemv_t(&parallel, &v, cols, &x, &mut hb, order);
             prop_assert_eq!(&ha, &hb);
+        }
+    }
+
+    /// The column-blocked GEMV-T on both backends equals a per-column
+    /// `dot_ordered` bit for bit at n >= PAR_THRESHOLD with >= 2
+    /// workers: ragged column groups (0..=9 columns), n below, equal
+    /// to, a multiple of, and off a multiple of the reduction block, and
+    /// both reduction orders.
+    #[test]
+    fn blocked_gemv_t_equals_per_column_dots(
+        ncols in 0usize..=9,
+        shape in 0usize..4,
+        extra in 1usize..256,
+        threads in 2usize..5,
+        salt in 0u64..1_000,
+    ) {
+        let (n, block) = match shape {
+            0 => (PAR_THRESHOLD + extra, PAR_THRESHOLD + 256),
+            1 => (PAR_THRESHOLD + extra, PAR_THRESHOLD + extra),
+            2 => (PAR_THRESHOLD, 256),
+            _ => (PAR_THRESHOLD + extra, 256),
+        };
+        let reference = ReferenceBackend;
+        let parallel = ParallelBackend::with_threads(threads);
+        let mut v = MultiVector::<f64>::zeros(n, 9);
+        for j in 0..9 {
+            v.col_mut(j).copy_from_slice(&pseudo_vec(n, salt + 10 + j as u64));
+        }
+        let w = pseudo_vec(n, salt);
+        for order in [ReductionOrder::Sequential, ReductionOrder::BlockedTree { block }] {
+            let want: Vec<u64> = (0..ncols)
+                .map(|j| dot_ordered(v.col(j), &w, order).to_bits())
+                .collect();
+            let (mut ha, mut hb) = (vec![f64::NAN; ncols], vec![f64::NAN; ncols]);
+            ScalarBackend::<f64>::gemv_t(&reference, &v, ncols, &w, &mut ha, order);
+            ScalarBackend::<f64>::gemv_t(&parallel, &v, ncols, &w, &mut hb, order);
+            let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(&bits(&ha), &want, "reference n={} {:?}", n, order);
+            prop_assert_eq!(&bits(&hb), &want, "parallel n={} {:?}", n, order);
         }
     }
 

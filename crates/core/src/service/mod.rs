@@ -353,9 +353,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
             // Retry hint: pending depth times the observed cycles per
             // completed solve, spread over the group's lanes.
             let (_, lane_cycles, _) = g.engine.counters();
-            let per_solve = lane_cycles
-                .checked_div(g.served)
-                .map_or(1, |c| c.max(1));
+            let per_solve = lane_cycles.checked_div(g.served).map_or(1, |c| c.max(1));
             let retry_after_cycles = (g.queue.len() * per_solve)
                 .div_ceil(self.cfg.lanes.max(1))
                 .max(1);

@@ -29,7 +29,8 @@
 
 use mpgmres_scalar::{cast, Half, Precision, Scalar};
 
-use crate::multivector::MultiVector;
+use crate::fma;
+use crate::multivector::{gemv_t_cols, MultiVector};
 use crate::vec_ops::{self, ReductionOrder};
 
 /// Column-major `n x max_cols` basis storage at element precision `L`,
@@ -79,9 +80,20 @@ impl<L: Scalar> CompressedBasis<L> {
         assert!(ncols <= self.max_cols, "basis gemv_t: too many columns");
         assert_eq!(w.len(), self.n, "basis gemv_t: vector length mismatch");
         assert!(h.len() >= ncols, "basis gemv_t: output too short");
-        for i in 0..ncols {
-            h[i] = dot_promoted(self.col(i), w, order);
-        }
+        fma::run(|| self.gemv_t_range(0, w, &mut h[..ncols], order));
+    }
+
+    /// GEMV-T over the column range `first..first + h.len()` (see
+    /// [`MultiVector::gemv_t`] for the operation order).
+    #[inline(always)]
+    pub(crate) fn gemv_t_range<S: Scalar>(
+        &self,
+        first: usize,
+        w: &[S],
+        h: &mut [S],
+        order: ReductionOrder,
+    ) {
+        gemv_t_cols(&self.data, first, w, h, order, cast::<L, S>);
     }
 
     /// The shared row-range GEMV No-Trans kernel: for rows
@@ -91,6 +103,7 @@ impl<L: Scalar> CompressedBasis<L> {
     /// [`MultiVector::gemv_n_add`] with one widening per element.
     /// Shared by the sequential kernels below and the row-partitioned
     /// parallel dispatchers in [`crate::par`].
+    #[inline(always)]
     pub(crate) fn gemv_n_rows<S: Scalar>(
         &self,
         ncols: usize,
@@ -113,7 +126,7 @@ impl<L: Scalar> CompressedBasis<L> {
         assert!(ncols <= self.max_cols, "basis gemv_n_sub: too many columns");
         assert_eq!(w.len(), self.n, "basis gemv_n_sub: vector length mismatch");
         assert!(h.len() >= ncols, "basis gemv_n_sub: coefficients too short");
-        self.gemv_n_rows(ncols, h, 0, w, false);
+        fma::run(|| self.gemv_n_rows(ncols, h, 0, w, false));
     }
 
     /// `y += widen(V[:, ..ncols]) h` (GEMV No-Trans, alpha = +1).
@@ -121,7 +134,7 @@ impl<L: Scalar> CompressedBasis<L> {
         assert!(ncols <= self.max_cols, "basis gemv_n_add: too many columns");
         assert_eq!(y.len(), self.n, "basis gemv_n_add: vector length mismatch");
         assert!(h.len() >= ncols, "basis gemv_n_add: coefficients too short");
-        self.gemv_n_rows(ncols, h, 0, y, true);
+        fma::run(|| self.gemv_n_rows(ncols, h, 0, y, true));
     }
 
     /// Overwrite column `j`, rounding each element once into `L`.
@@ -148,37 +161,6 @@ impl<L: Scalar> CompressedBasis<L> {
         assert_eq!(out.len(), self.n, "basis promote_col: length mismatch");
         for (o, &c) in out.iter_mut().zip(self.col(j)) {
             *o = cast::<L, S>(c);
-        }
-    }
-}
-
-/// Strict left-to-right promoted FMA accumulation — the per-block
-/// partial-sum kernel of the compressed basis dots, mirroring
-/// `vec_ops::dot_seq` with one widening per stored element.
-fn dot_seq_promoted<L: Scalar, S: Scalar>(x: &[L], y: &[S]) -> S {
-    let mut acc = S::zero();
-    for (&xi, &yi) in x.iter().zip(y) {
-        acc = cast::<L, S>(xi).mul_add(yi, acc);
-    }
-    acc
-}
-
-/// Promoted inner product `widen(x) . y` under the given reduction
-/// order — the same chunk/tree structure as
-/// [`crate::vec_ops::dot_ordered`], so a compressed dot differs from
-/// the native one only by the per-element rounding of storage.
-pub fn dot_promoted<L: Scalar, S: Scalar>(x: &[L], y: &[S], order: ReductionOrder) -> S {
-    assert_eq!(x.len(), y.len(), "dot_promoted: length mismatch");
-    match order {
-        ReductionOrder::Sequential => dot_seq_promoted(x, y),
-        ReductionOrder::BlockedTree { block } => {
-            let block = block.max(1);
-            let parts: Vec<S> = x
-                .chunks(block)
-                .zip(y.chunks(block))
-                .map(|(xc, yc)| dot_seq_promoted(xc, yc))
-                .collect();
-            vec_ops::tree_sum(parts)
         }
     }
 }
@@ -337,18 +319,20 @@ impl<S: Scalar> BasisStore<S> {
         }
     }
 
-    /// One column's promoted dot product (the unit the column-parallel
-    /// GEMV-Trans dispatcher distributes).
-    pub fn col_dot(&self, j: usize, w: &[S], order: ReductionOrder) -> S {
+    /// GEMV-T over the column range `first..first + h.len()`; the unit
+    /// the column-partitioned parallel dispatcher distributes. Each arm
+    /// runs under [`fma::run`].
+    pub(crate) fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
         match self {
-            BasisStore::Native(v) => vec_ops::dot_ordered(v.col(j), w, order),
-            BasisStore::F32(v) => dot_promoted(v.col(j), w, order),
-            BasisStore::F16(v) => dot_promoted(v.col(j), w, order),
+            BasisStore::Native(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+            BasisStore::F32(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+            BasisStore::F16(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
         }
     }
 
     /// Row-range GEMV No-Trans (see [`CompressedBasis::gemv_n_rows`]);
     /// the unit the row-partitioned parallel dispatcher distributes.
+    /// Each arm runs under [`fma::run`].
     pub(crate) fn gemv_n_rows(
         &self,
         ncols: usize,
@@ -358,17 +342,9 @@ impl<S: Scalar> BasisStore<S> {
         add: bool,
     ) {
         match self {
-            BasisStore::Native(v) => {
-                for i in 0..ncols {
-                    let ci = &v.col(i)[start..start + out.len()];
-                    let hi = if add { h[i] } else { -h[i] };
-                    for (wr, &cr) in out.iter_mut().zip(ci) {
-                        *wr = hi.mul_add(cr, *wr);
-                    }
-                }
-            }
-            BasisStore::F32(v) => v.gemv_n_rows(ncols, h, start, out, add),
-            BasisStore::F16(v) => v.gemv_n_rows(ncols, h, start, out, add),
+            BasisStore::Native(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
+            BasisStore::F32(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
+            BasisStore::F16(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
         }
     }
 

@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpgmres_scalar::{cast, Scalar};
 
+use crate::fma;
+
 static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Sparse matrix in CSR format.
@@ -156,7 +158,7 @@ impl<S: Scalar> Csr<S> {
     /// and the row-partitioned parallel kernel (`crate::par::spmv`)
     /// both call it, which is what makes their results bit-identical by
     /// construction rather than merely by test.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn spmv_row(&self, r: usize, x: &[S]) -> S {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
@@ -169,7 +171,7 @@ impl<S: Scalar> Csr<S> {
 
     /// One row of `y = b - A x` (same sharing contract as
     /// [`Csr::spmv_row`]).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn residual_row(&self, r: usize, b_r: S, x: &[S]) -> S {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
@@ -180,13 +182,31 @@ impl<S: Scalar> Csr<S> {
         acc
     }
 
+    /// Rows `[start, start + y.len())` of `y = A x`: the row loop of
+    /// [`Csr::spmv`] and of each worker of the row-partitioned parallel
+    /// kernels.
+    #[inline(always)]
+    pub(crate) fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            *yr = self.spmv_row(start + i, x);
+        }
+    }
+
+    /// Rows `[start, start + y.len())` of `y = b - A x` (`b` is the
+    /// whole right-hand side).
+    #[inline(always)]
+    pub(crate) fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            let r = start + i;
+            *yr = self.residual_row(r, b[r], x);
+        }
+    }
+
     /// `y = A x`.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.spmv_row(r, x);
-        }
+        fma::run(|| self.spmv_rows(0, x, y));
     }
 
     /// `y = b - A x` (fused residual kernel).
@@ -194,9 +214,7 @@ impl<S: Scalar> Csr<S> {
         assert_eq!(b.len(), self.nrows);
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.residual_row(r, b[r], x);
-        }
+        fma::run(|| self.residual_rows(0, b, x, y));
     }
 
     /// Convert every value to another precision (one rounding per entry).

@@ -11,6 +11,8 @@ use core::fmt;
 
 use mpgmres_scalar::Scalar;
 
+use crate::fma;
+
 /// Column-major dense matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseMat<S> {
@@ -99,26 +101,30 @@ impl<S: Scalar> DenseMat<S> {
         for yi in y.iter_mut() {
             *yi = S::zero();
         }
-        for c in 0..self.ncols {
-            let xc = x[c];
-            for (yi, &m) in y.iter_mut().zip(self.col(c)) {
-                *yi = m.mul_add(xc, *yi);
+        fma::run(|| {
+            for c in 0..self.ncols {
+                let xc = x[c];
+                for (yi, &m) in y.iter_mut().zip(self.col(c)) {
+                    *yi = m.mul_add(xc, *yi);
+                }
             }
-        }
+        });
     }
 
     /// Matrix product `self * rhs` (test/setup utility; O(n^3)).
     pub fn matmul(&self, rhs: &DenseMat<S>) -> DenseMat<S> {
         assert_eq!(self.ncols, rhs.nrows);
         let mut out = DenseMat::zeros(self.nrows, rhs.ncols);
-        for j in 0..rhs.ncols {
-            for k in 0..self.ncols {
-                let b = rhs[(k, j)];
-                for i in 0..self.nrows {
-                    out[(i, j)] = self[(i, k)].mul_add(b, out[(i, j)]);
+        fma::run(|| {
+            for j in 0..rhs.ncols {
+                for k in 0..self.ncols {
+                    let b = rhs[(k, j)];
+                    for i in 0..self.nrows {
+                        out[(i, j)] = self[(i, k)].mul_add(b, out[(i, j)]);
+                    }
                 }
             }
-        }
+        });
         out
     }
 
@@ -191,38 +197,41 @@ impl<S: Scalar> LuFactors<S> {
         let n = a.nrows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Partial pivoting: largest magnitude in column k at/below k.
-            let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
-            for r in k + 1..n {
-                let v = lu[(r, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = r;
+        fma::run(|| {
+            for k in 0..n {
+                // Partial pivoting: largest magnitude in column k at/below k.
+                let mut p = k;
+                let mut pmax = lu[(k, k)].abs();
+                for r in k + 1..n {
+                    let v = lu[(r, k)].abs();
+                    if v > pmax {
+                        pmax = v;
+                        p = r;
+                    }
+                }
+                if !(pmax > S::zero()) || !pmax.is_finite() {
+                    return Err(SingularMatrix { step: k });
+                }
+                if p != k {
+                    piv.swap(k, p);
+                    for c in 0..n {
+                        let tmp = lu[(k, c)];
+                        lu[(k, c)] = lu[(p, c)];
+                        lu[(p, c)] = tmp;
+                    }
+                }
+                let pivot = lu[(k, k)];
+                for r in k + 1..n {
+                    let m = lu[(r, k)] / pivot;
+                    lu[(r, k)] = m;
+                    for c in k + 1..n {
+                        let v = lu[(k, c)];
+                        lu[(r, c)] = (-m).mul_add(v, lu[(r, c)]);
+                    }
                 }
             }
-            if !(pmax > S::zero()) || !pmax.is_finite() {
-                return Err(SingularMatrix { step: k });
-            }
-            if p != k {
-                piv.swap(k, p);
-                for c in 0..n {
-                    let tmp = lu[(k, c)];
-                    lu[(k, c)] = lu[(p, c)];
-                    lu[(p, c)] = tmp;
-                }
-            }
-            let pivot = lu[(k, k)];
-            for r in k + 1..n {
-                let m = lu[(r, k)] / pivot;
-                lu[(r, k)] = m;
-                for c in k + 1..n {
-                    let v = lu[(k, c)];
-                    lu[(r, c)] = (-m).mul_add(v, lu[(r, c)]);
-                }
-            }
-        }
+            Ok(())
+        })?;
         Ok(LuFactors { lu, piv })
     }
 
@@ -238,22 +247,24 @@ impl<S: Scalar> LuFactors<S> {
         // Apply the row permutation.
         let permuted: Vec<S> = self.piv.iter().map(|&p| b[p]).collect();
         b.copy_from_slice(&permuted);
-        // Forward substitution with unit lower triangle.
-        for r in 1..n {
-            let mut acc = b[r];
-            for c in 0..r {
-                acc = (-self.lu[(r, c)]).mul_add(b[c], acc);
+        fma::run(|| {
+            // Forward substitution with unit lower triangle.
+            for r in 1..n {
+                let mut acc = b[r];
+                for c in 0..r {
+                    acc = (-self.lu[(r, c)]).mul_add(b[c], acc);
+                }
+                b[r] = acc;
             }
-            b[r] = acc;
-        }
-        // Back substitution with upper triangle.
-        for r in (0..n).rev() {
-            let mut acc = b[r];
-            for c in r + 1..n {
-                acc = (-self.lu[(r, c)]).mul_add(b[c], acc);
+            // Back substitution with upper triangle.
+            for r in (0..n).rev() {
+                let mut acc = b[r];
+                for c in r + 1..n {
+                    acc = (-self.lu[(r, c)]).mul_add(b[c], acc);
+                }
+                b[r] = acc / self.lu[(r, r)];
             }
-            b[r] = acc / self.lu[(r, r)];
-        }
+        });
     }
 
     /// Solve into a fresh vector.

@@ -7,6 +7,8 @@
 //! ([`par`]) plus GPU-style blocked-tree reductions.
 //!
 //! Modules:
+//! - [`fma`] — the runtime FMA dispatch every `mul_add` kernel runs
+//!   under: hardware FMA when the CPU has it, the same bits either way.
 //! - [`vec_ops`] — axpy/dot/norm/scale over slices, with selectable
 //!   [`vec_ops::ReductionOrder`] (the paper notes GPU reductions make runs
 //!   slightly nondeterministic; we model that by offering both orders).
@@ -47,6 +49,7 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod eig;
+pub mod fma;
 pub mod givens;
 pub mod mtx;
 pub mod multivec;

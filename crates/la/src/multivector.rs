@@ -14,7 +14,11 @@
 
 use mpgmres_scalar::Scalar;
 
-use crate::vec_ops::{dot_ordered, ReductionOrder};
+use crate::fma;
+use crate::vec_ops::{tree_sum, ReductionOrder};
+
+/// Columns a GEMV-T group reads `w` for at once, one accumulator each.
+const GEMV_T_GROUP: usize = 4;
 
 /// Column-major `n x max_cols` storage for Krylov basis vectors.
 #[derive(Clone, Debug)]
@@ -67,14 +71,21 @@ impl<S: Scalar> MultiVector<S> {
 
     /// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans).
     ///
-    /// The reduction order applies within each column dot product.
+    /// The reduction order applies within each column dot product: every
+    /// `h[i]` is bit-identical to
+    /// [`dot_ordered`](crate::vec_ops::dot_ordered)`(col_i, w, order)`.
     pub fn gemv_t(&self, ncols: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
         assert!(ncols <= self.max_cols, "gemv_t: too many columns");
         assert_eq!(w.len(), self.n, "gemv_t: vector length mismatch");
         assert!(h.len() >= ncols, "gemv_t: output too short");
-        for i in 0..ncols {
-            h[i] = dot_ordered(self.col(i), w, order);
-        }
+        fma::run(|| self.gemv_t_range(0, w, &mut h[..ncols], order));
+    }
+
+    /// GEMV-T over the column range `first..first + h.len()` — the body
+    /// shared with the column-partitioned parallel kernel.
+    #[inline(always)]
+    pub(crate) fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
+        gemv_t_cols(&self.data, first, w, h, order, |x| x);
     }
 
     /// `w -= V[:, ..ncols] * h` (GEMV No-Trans with alpha = -1).
@@ -86,13 +97,7 @@ impl<S: Scalar> MultiVector<S> {
         assert!(ncols <= self.max_cols, "gemv_n_sub: too many columns");
         assert_eq!(w.len(), self.n, "gemv_n_sub: vector length mismatch");
         assert!(h.len() >= ncols, "gemv_n_sub: coefficient vector too short");
-        for i in 0..ncols {
-            let ci = self.col(i);
-            let hi = h[i];
-            for (wr, &cr) in w.iter_mut().zip(ci) {
-                *wr = (-hi).mul_add(cr, *wr);
-            }
-        }
+        fma::run(|| self.gemv_n_rows(ncols, h, 0, w, false));
     }
 
     /// `y += V[:, ..ncols] * h` (GEMV No-Trans with alpha = +1), used to
@@ -101,11 +106,27 @@ impl<S: Scalar> MultiVector<S> {
         assert!(ncols <= self.max_cols);
         assert_eq!(y.len(), self.n);
         assert!(h.len() >= ncols);
+        fma::run(|| self.gemv_n_rows(ncols, h, 0, y, true));
+    }
+
+    /// The row-range GEMV No-Trans body: for rows `[start, start +
+    /// out.len())`, accumulate `±h[i] * col_i` into `out` column by
+    /// column. Shared by the sequential kernels, the native basis store
+    /// and the row-partitioned parallel kernels.
+    #[inline(always)]
+    pub(crate) fn gemv_n_rows(
+        &self,
+        ncols: usize,
+        h: &[S],
+        start: usize,
+        out: &mut [S],
+        add: bool,
+    ) {
         for i in 0..ncols {
-            let ci = self.col(i);
-            let hi = h[i];
-            for (yr, &cr) in y.iter_mut().zip(ci) {
-                *yr = hi.mul_add(cr, *yr);
+            let ci = &self.col(i)[start..start + out.len()];
+            let hi = if add { h[i] } else { -h[i] };
+            for (wr, &cr) in out.iter_mut().zip(ci) {
+                *wr = hi.mul_add(cr, *wr);
             }
         }
     }
@@ -114,6 +135,87 @@ impl<S: Scalar> MultiVector<S> {
     pub fn set_col(&mut self, j: usize, v: &[S]) {
         assert_eq!(v.len(), self.n);
         self.col_mut(j).copy_from_slice(v);
+    }
+}
+
+/// `h[i] = widen(col(first + i)) . w` for every `i < h.len()`, where
+/// `data` holds `w.len()`-long columns back to back — the GEMV-T body of
+/// the native and the compressed basis.
+///
+/// Runs [`GEMV_T_GROUP`] columns at a time, so `w` streams once per
+/// group. Each column keeps its own accumulator and the exact
+/// left-to-right `mul_add` chain of `vec_ops::dot_seq` over each
+/// reduction block, and its block partials feed the same `tree_sum`, so
+/// every `h[i]` is bit-identical to a per-column `dot_ordered`. One
+/// partials buffer serves the whole call.
+#[inline(always)]
+pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
+    data: &[L],
+    first: usize,
+    w: &[S],
+    h: &mut [S],
+    order: ReductionOrder,
+    widen: impl Fn(L) -> S + Copy,
+) {
+    let n = w.len();
+    // Sequential order is one block spanning the column: its single
+    // partial passes through `tree_sum` unchanged.
+    let block = match order {
+        ReductionOrder::Sequential => n.max(1),
+        ReductionOrder::BlockedTree { block } => block.max(1),
+    };
+    let nblocks = n.div_ceil(block);
+    let mut parts = vec![S::zero(); GEMV_T_GROUP * nblocks];
+    let col = |j: usize| &data[j * n..(j + 1) * n];
+    for (g, hg) in h.chunks_mut(GEMV_T_GROUP).enumerate() {
+        let c = first + g * GEMV_T_GROUP;
+        match hg.len() {
+            1 => group_partials([col(c)], w, block, &mut parts, widen),
+            2 => group_partials([col(c), col(c + 1)], w, block, &mut parts, widen),
+            3 => group_partials(
+                [col(c), col(c + 1), col(c + 2)],
+                w,
+                block,
+                &mut parts,
+                widen,
+            ),
+            _ => group_partials(
+                [col(c), col(c + 1), col(c + 2), col(c + 3)],
+                w,
+                block,
+                &mut parts,
+                widen,
+            ),
+        }
+        for (k, hk) in hg.iter_mut().enumerate() {
+            *hk = tree_sum(&mut parts[k * nblocks..(k + 1) * nblocks]);
+        }
+    }
+}
+
+/// Block partials of `G` columns against `w`: `parts[k * nblocks + b]`
+/// is column `k`'s left-to-right `mul_add` chain over block `b`.
+#[inline(always)]
+fn group_partials<L: Copy, S: Scalar, const G: usize>(
+    cols: [&[L]; G],
+    w: &[S],
+    block: usize,
+    parts: &mut [S],
+    widen: impl Fn(L) -> S,
+) {
+    let nblocks = parts.len() / GEMV_T_GROUP;
+    for (b, wb) in w.chunks(block).enumerate() {
+        let lo = b * block;
+        let cb = cols.map(|c| &c[lo..lo + wb.len()]);
+        let mut acc = [S::zero(); G];
+        for (i, &wi) in wb.iter().enumerate() {
+            for k in 0..G {
+                acc[k] = widen(cb[k][i]).mul_add(wi, acc[k]);
+            }
+        }
+        for k in 0..G {
+            parts[k * nblocks + b] = acc[k];
+        }
     }
 }
 

@@ -30,11 +30,15 @@
 //! [`SPMV_PAR_THRESHOLD`] nonzeros for matrix kernels) the kernels fall
 //! back to the sequential path so small problems never pay dispatch
 //! overhead.
+//!
+//! Every chunk closure that runs a `mul_add` chain wraps its body in
+//! [`fma::run`], so it executes on hardware FMA when the CPU has it.
 
 use mpgmres_scalar::Scalar;
 
 use crate::basis::BasisStore;
 use crate::csr::Csr;
+use crate::fma;
 use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
 use crate::pool::{Executor, ScopedSpawn};
@@ -280,9 +284,7 @@ pub fn spmv<S: Scalar>(threads: usize, a: &Csr<S>, x: &[S], y: &mut [S]) {
         return;
     }
     for_each_chunk_mut(threads, y, |start, chunk| {
-        for (i, yr) in chunk.iter_mut().enumerate() {
-            *yr = a.spmv_row(start + i, x);
-        }
+        fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
@@ -304,9 +306,7 @@ pub fn spmv_parts_on<S: Scalar>(
     assert_eq!(x.len(), a.ncols(), "spmv: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "spmv: y length mismatch");
     for_each_part_mut_on(exec, parts, y, |start, chunk| {
-        for (i, yr) in chunk.iter_mut().enumerate() {
-            *yr = a.spmv_row(start + i, x);
-        }
+        fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
@@ -335,10 +335,7 @@ pub fn residual_parts_on<S: Scalar>(
     assert_eq!(x.len(), a.ncols(), "residual: x length mismatch");
     assert_eq!(r.len(), a.nrows(), "residual: r length mismatch");
     for_each_part_mut_on(exec, parts, r, |start, chunk| {
-        for (i, rr) in chunk.iter_mut().enumerate() {
-            let row = start + i;
-            *rr = a.residual_row(row, b[row], x);
-        }
+        fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
@@ -414,7 +411,8 @@ pub fn spmm_parts_on<S: Scalar>(
 /// `k` accumulators per stored entry; each accumulator follows the exact
 /// left-to-right `mul_add` order of [`Csr::spmv`]. Common small widths
 /// dispatch to a const-generic body so the accumulators live in
-/// registers instead of a heap buffer.
+/// registers instead of a heap buffer; each body runs under
+/// [`fma::run`].
 pub(crate) fn spmm_rows<S: Scalar>(
     a: &Csr<S>,
     xcols: &[&[S]],
@@ -423,18 +421,19 @@ pub(crate) fn spmm_rows<S: Scalar>(
     out: &mut [&mut [S]],
 ) {
     match xcols.len() {
-        1 => spmm_rows_fixed::<S, 1>(a, xcols, lo, hi, out),
-        2 => spmm_rows_fixed::<S, 2>(a, xcols, lo, hi, out),
-        3 => spmm_rows_fixed::<S, 3>(a, xcols, lo, hi, out),
-        4 => spmm_rows_fixed::<S, 4>(a, xcols, lo, hi, out),
-        5 => spmm_rows_fixed::<S, 5>(a, xcols, lo, hi, out),
-        6 => spmm_rows_fixed::<S, 6>(a, xcols, lo, hi, out),
-        7 => spmm_rows_fixed::<S, 7>(a, xcols, lo, hi, out),
-        8 => spmm_rows_fixed::<S, 8>(a, xcols, lo, hi, out),
-        _ => spmm_rows_dyn(a, xcols, lo, hi, out),
+        1 => fma::run(|| spmm_rows_fixed::<S, 1>(a, xcols, lo, hi, out)),
+        2 => fma::run(|| spmm_rows_fixed::<S, 2>(a, xcols, lo, hi, out)),
+        3 => fma::run(|| spmm_rows_fixed::<S, 3>(a, xcols, lo, hi, out)),
+        4 => fma::run(|| spmm_rows_fixed::<S, 4>(a, xcols, lo, hi, out)),
+        5 => fma::run(|| spmm_rows_fixed::<S, 5>(a, xcols, lo, hi, out)),
+        6 => fma::run(|| spmm_rows_fixed::<S, 6>(a, xcols, lo, hi, out)),
+        7 => fma::run(|| spmm_rows_fixed::<S, 7>(a, xcols, lo, hi, out)),
+        8 => fma::run(|| spmm_rows_fixed::<S, 8>(a, xcols, lo, hi, out)),
+        _ => fma::run(|| spmm_rows_dyn(a, xcols, lo, hi, out)),
     }
 }
 
+#[inline(always)]
 fn spmm_rows_fixed<S: Scalar, const K: usize>(
     a: &Csr<S>,
     xcols: &[&[S]],
@@ -462,6 +461,7 @@ fn spmm_rows_fixed<S: Scalar, const K: usize>(
     }
 }
 
+#[inline(always)]
 fn spmm_rows_dyn<S: Scalar>(
     a: &Csr<S>,
     xcols: &[&[S]],
@@ -504,9 +504,7 @@ pub fn store_spmv_parts_on<S: Scalar>(
     assert_eq!(x.len(), a.ncols(), "store spmv: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "store spmv: y length mismatch");
     for_each_part_mut_on(exec, parts, y, |start, chunk| {
-        for (i, yr) in chunk.iter_mut().enumerate() {
-            *yr = a.spmv_row(start + i, x);
-        }
+        fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
@@ -524,10 +522,7 @@ pub fn store_residual_parts_on<S: Scalar>(
     assert_eq!(x.len(), a.ncols(), "store residual: x length mismatch");
     assert_eq!(r.len(), a.nrows(), "store residual: r length mismatch");
     for_each_part_mut_on(exec, parts, r, |start, chunk| {
-        for (i, rr) in chunk.iter_mut().enumerate() {
-            let row = start + i;
-            *rr = a.residual_row(row, b[row], x);
-        }
+        fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
@@ -586,17 +581,14 @@ pub fn residual<S: Scalar>(threads: usize, a: &Csr<S>, b: &[S], x: &[S], r: &mut
         return;
     }
     for_each_chunk_mut(threads, r, |start, chunk| {
-        for (i, rr) in chunk.iter_mut().enumerate() {
-            let row = start + i;
-            *rr = a.residual_row(row, b[row], x);
-        }
+        fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
 /// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans), columns
 /// partitioned across threads.
 ///
-/// Each column's dot product uses [`vec_ops::dot_ordered`], so per-column
+/// Each chunk runs the reference column-blocked body, so per-column
 /// results are bit-identical to [`MultiVector::gemv_t`].
 pub fn gemv_t<S: Scalar>(
     threads: usize,
@@ -626,9 +618,7 @@ pub fn gemv_t_on<S: Scalar>(
         return;
     }
     for_each_chunk_mut_on(exec, &mut h[..ncols], |start, chunk| {
-        for (i, hi) in chunk.iter_mut().enumerate() {
-            *hi = vec_ops::dot_ordered(v.col(start + i), w, order);
-        }
+        fma::run(|| v.gemv_t_range(start, w, chunk, order))
     });
 }
 
@@ -663,13 +653,7 @@ pub fn gemv_n_sub_on<S: Scalar>(
         return;
     }
     for_each_chunk_mut_on(exec, w, |start, chunk| {
-        for i in 0..ncols {
-            let ci = &v.col(i)[start..start + chunk.len()];
-            let hi = h[i];
-            for (wr, &cr) in chunk.iter_mut().zip(ci) {
-                *wr = (-hi).mul_add(cr, *wr);
-            }
-        }
+        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, false))
     });
 }
 
@@ -701,13 +685,7 @@ pub fn gemv_n_add_on<S: Scalar>(
         return;
     }
     for_each_chunk_mut_on(exec, y, |start, chunk| {
-        for i in 0..ncols {
-            let ci = &v.col(i)[start..start + chunk.len()];
-            let hi = h[i];
-            for (yr, &cr) in chunk.iter_mut().zip(ci) {
-                *yr = hi.mul_add(cr, *yr);
-            }
-        }
+        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, true))
     });
 }
 
@@ -715,10 +693,10 @@ pub fn gemv_n_add_on<S: Scalar>(
 /// [`BasisStore`], columns partitioned across threads — [`gemv_t_on`]
 /// generalized to the basis storage policy.
 ///
-/// Per-column dots go through [`BasisStore::col_dot`], which is the
-/// exact kernel the sequential [`BasisStore::gemv_t`] runs per column,
-/// so results are bit-identical to the reference on every storage path
-/// (on [`BasisStore::Native`] this *is* [`gemv_t_on`]'s computation).
+/// Each chunk runs the column-range body the sequential
+/// [`BasisStore::gemv_t`] runs, so results are bit-identical to the
+/// reference on every storage path (on [`BasisStore::Native`] this *is*
+/// [`gemv_t_on`]'s computation).
 pub fn basis_gemv_t_on<S: Scalar>(
     exec: &dyn Executor,
     v: &BasisStore<S>,
@@ -735,9 +713,7 @@ pub fn basis_gemv_t_on<S: Scalar>(
         return;
     }
     for_each_chunk_mut_on(exec, &mut h[..ncols], |start, chunk| {
-        for (i, hi) in chunk.iter_mut().enumerate() {
-            *hi = v.col_dot(start + i, w, order);
-        }
+        v.gemv_t_range(start, w, chunk, order);
     });
 }
 
@@ -809,14 +785,16 @@ pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: Reduction
             }
             let mut parts = vec![S::zero(); nblocks];
             for_each_chunk_mut_on(exec, &mut parts, |start, chunk| {
-                for (i, p) in chunk.iter_mut().enumerate() {
-                    let b = start + i;
-                    let lo = b * block;
-                    let hi = ((b + 1) * block).min(x.len());
-                    *p = vec_ops::dot_ordered(&x[lo..hi], &y[lo..hi], ReductionOrder::Sequential);
-                }
+                fma::run(|| {
+                    for (i, p) in chunk.iter_mut().enumerate() {
+                        let b = start + i;
+                        let lo = b * block;
+                        let hi = ((b + 1) * block).min(x.len());
+                        *p = vec_ops::dot_seq(&x[lo..hi], &y[lo..hi]);
+                    }
+                })
             });
-            vec_ops::tree_sum(parts)
+            vec_ops::tree_sum(&mut parts)
         }
     }
 }
@@ -845,9 +823,11 @@ pub fn axpy_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
         return;
     }
     for_each_chunk_mut_on(exec, y, |start, chunk| {
-        for (i, yi) in chunk.iter_mut().enumerate() {
-            *yi = alpha.mul_add(x[start + i], *yi);
-        }
+        fma::run(|| {
+            for (i, yi) in chunk.iter_mut().enumerate() {
+                *yi = alpha.mul_add(x[start + i], *yi);
+            }
+        })
     });
 }
 

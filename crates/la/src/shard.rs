@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use mpgmres_scalar::Scalar;
 
 use crate::csr::Csr;
+use crate::fma;
 use crate::par;
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder};
@@ -299,13 +300,15 @@ pub fn spmv_rows_local<S: Scalar>(
     y: &mut [S],
 ) {
     let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
-    for r in r0..r1 {
-        let mut acc = S::zero();
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            acc = vals[k].mul_add(x_owned[col_idx[k] as usize - lo], acc);
+    fma::run(|| {
+        for r in r0..r1 {
+            let mut acc = S::zero();
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                acc = vals[k].mul_add(x_owned[col_idx[k] as usize - lo], acc);
+            }
+            y[r - r0] = acc;
         }
-        y[r - r0] = acc;
-    }
+    });
 }
 
 /// Boundary rows `[r0, r1)` of `y = A x`, fetching each column from the
@@ -322,19 +325,21 @@ pub fn spmv_rows_ghost<S: Scalar>(
 ) {
     let (row_ptr, vals) = (a.row_ptr(), a.vals());
     let base = row_ptr[r0];
-    for r in r0..r1 {
-        let mut acc = S::zero();
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            let g = ghost[k - base];
-            let xv = if g & GHOST_HALO != 0 {
-                halo[(g & !GHOST_HALO) as usize]
-            } else {
-                x_owned[g as usize]
-            };
-            acc = vals[k].mul_add(xv, acc);
+    fma::run(|| {
+        for r in r0..r1 {
+            let mut acc = S::zero();
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let g = ghost[k - base];
+                let xv = if g & GHOST_HALO != 0 {
+                    halo[(g & !GHOST_HALO) as usize]
+                } else {
+                    x_owned[g as usize]
+                };
+                acc = vals[k].mul_add(xv, acc);
+            }
+            y[r - r0] = acc;
         }
-        y[r - r0] = acc;
-    }
+    });
 }
 
 /// Interior rows `[r0, r1)` of the fused residual `y = b - A x`
@@ -349,13 +354,15 @@ pub fn residual_rows_local<S: Scalar>(
     y: &mut [S],
 ) {
     let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
-    for r in r0..r1 {
-        let mut acc = b_rows[r - r0];
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            acc = (-vals[k]).mul_add(x_owned[col_idx[k] as usize - lo], acc);
+    fma::run(|| {
+        for r in r0..r1 {
+            let mut acc = b_rows[r - r0];
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                acc = (-vals[k]).mul_add(x_owned[col_idx[k] as usize - lo], acc);
+            }
+            y[r - r0] = acc;
         }
-        y[r - r0] = acc;
-    }
+    });
 }
 
 /// Boundary rows `[r0, r1)` of the fused residual `y = b - A x`.
@@ -372,28 +379,32 @@ pub fn residual_rows_ghost<S: Scalar>(
 ) {
     let (row_ptr, vals) = (a.row_ptr(), a.vals());
     let base = row_ptr[r0];
-    for r in r0..r1 {
-        let mut acc = b_rows[r - r0];
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            let g = ghost[k - base];
-            let xv = if g & GHOST_HALO != 0 {
-                halo[(g & !GHOST_HALO) as usize]
-            } else {
-                x_owned[g as usize]
-            };
-            acc = (-vals[k]).mul_add(xv, acc);
+    fma::run(|| {
+        for r in r0..r1 {
+            let mut acc = b_rows[r - r0];
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let g = ghost[k - base];
+                let xv = if g & GHOST_HALO != 0 {
+                    halo[(g & !GHOST_HALO) as usize]
+                } else {
+                    x_owned[g as usize]
+                };
+                acc = (-vals[k]).mul_add(xv, acc);
+            }
+            y[r - r0] = acc;
         }
-        y[r - r0] = acc;
-    }
+    });
 }
 
 /// Rows `[r0, r1)` of a [`MatrixStore`] SpMV — the shard-local kernel
 /// for the low-precision storage paths (the store row kernels read the
 /// full `x`; only the plain-CSR path models the halo explicitly).
 pub fn store_spmv_rows<S: Scalar>(a: &MatrixStore<S>, r0: usize, r1: usize, x: &[S], y: &mut [S]) {
-    for r in r0..r1 {
-        y[r - r0] = a.spmv_row(r, x);
-    }
+    fma::run(|| {
+        for r in r0..r1 {
+            y[r - r0] = a.spmv_row(r, x);
+        }
+    });
 }
 
 /// Rows `[r0, r1)` of a [`MatrixStore`] fused residual (`b_rows` holds
@@ -406,9 +417,11 @@ pub fn store_residual_rows<S: Scalar>(
     x: &[S],
     y: &mut [S],
 ) {
-    for r in r0..r1 {
-        y[r - r0] = a.residual_row(r, b_rows[r - r0], x);
-    }
+    fma::run(|| {
+        for r in r0..r1 {
+            y[r - r0] = a.residual_row(r, b_rows[r - r0], x);
+        }
+    });
 }
 
 /// Rows `[lo, hi)` of a [`MatrixStore`] SpMM over `xcols`, writing into
@@ -443,11 +456,13 @@ pub fn dot_partials<S: Scalar>(
     // Blocks start at multiples of `block`; the first one this shard
     // owns is the first multiple >= c0.
     let mut b = c0.div_ceil(block) * block;
-    while b < c1 {
-        let end = (b + block).min(x.len());
-        parts.push(vec_ops::dot_seq(&x[b..end], &y[b..end]));
-        b += block;
-    }
+    fma::run(|| {
+        while b < c1 {
+            let end = (b + block).min(x.len());
+            parts.push(vec_ops::dot_seq(&x[b..end], &y[b..end]));
+            b += block;
+        }
+    });
 }
 
 /// The even contiguous split of `[0, n)` into (at most) `shards`
@@ -475,14 +490,14 @@ pub fn dot_sharded<S: Scalar>(
 ) -> S {
     assert_eq!(x.len(), y.len(), "sharded dot: length mismatch");
     match order {
-        ReductionOrder::Sequential => vec_ops::dot_seq(x, y),
+        ReductionOrder::Sequential => fma::run(|| vec_ops::dot_seq(x, y)),
         ReductionOrder::BlockedTree { block } => {
             let block = block.max(1);
             let mut parts = Vec::with_capacity(x.len().div_ceil(block));
             for (c0, c1) in ranges {
                 dot_partials(x, y, block, c0, c1, &mut parts);
             }
-            vec_ops::tree_sum(parts)
+            vec_ops::tree_sum(&mut parts)
         }
     }
 }

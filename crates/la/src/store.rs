@@ -27,6 +27,7 @@
 use mpgmres_scalar::{cast, Half, Precision, PrecisionTag, Scalar};
 
 use crate::csr::Csr;
+use crate::fma;
 use crate::multivec::MultiVec;
 use crate::split_csr::SplitCsr;
 
@@ -151,7 +152,7 @@ impl<S: Scalar> MatrixStore<S> {
     }
 
     /// One row of `y = A x` (see the module-level kernel contract).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn spmv_row(&self, r: usize, x: &[S]) -> S {
         match self {
             // Delegates to THE per-row kernel: bit-identical to Csr::spmv.
@@ -167,7 +168,7 @@ impl<S: Scalar> MatrixStore<S> {
 
     /// One row of `y = b - A x` (same sharing contract as
     /// [`MatrixStore::spmv_row`]).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn residual_row(&self, r: usize, b_r: S, x: &[S]) -> S {
         match self {
             MatrixStore::Plain(a) => a.residual_row(r, b_r, x),
@@ -180,13 +181,30 @@ impl<S: Scalar> MatrixStore<S> {
         }
     }
 
+    /// Rows `[start, start + y.len())` of `y = A x` (the row loop shared
+    /// with the row-partitioned parallel kernels).
+    #[inline(always)]
+    pub(crate) fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            *yr = self.spmv_row(start + i, x);
+        }
+    }
+
+    /// Rows `[start, start + y.len())` of `y = b - A x` (`b` is the
+    /// whole right-hand side).
+    #[inline(always)]
+    pub(crate) fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            let r = start + i;
+            *yr = self.residual_row(r, b[r], x);
+        }
+    }
+
     /// `y = A x`, computed in `S` over the stored values.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols(), "store spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows(), "store spmv: y length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.spmv_row(r, x);
-        }
+        fma::run(|| self.spmv_rows(0, x, y));
     }
 
     /// `y = b - A x` (fused residual), computed in `S`.
@@ -194,9 +212,7 @@ impl<S: Scalar> MatrixStore<S> {
         assert_eq!(b.len(), self.nrows(), "store residual: b length mismatch");
         assert_eq!(x.len(), self.ncols(), "store residual: x length mismatch");
         assert_eq!(y.len(), self.nrows(), "store residual: y length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.residual_row(r, b[r], x);
-        }
+        fma::run(|| self.residual_rows(0, b, x, y));
     }
 
     /// Fused SpMM `Y = A X` over the leading `k` columns: one pass over
@@ -218,21 +234,22 @@ impl<S: Scalar> MatrixStore<S> {
 
     /// The per-worker SpMM loop over rows `[lo, hi)` — shared by the
     /// sequential [`MatrixStore::spmm`] and the row-partitioned
-    /// parallel kernel (`crate::par::store_spmm_parts_on`).
+    /// parallel kernel (`crate::par::store_spmm_parts_on`). Each arm
+    /// runs under [`fma::run`].
     pub(crate) fn spmm_rows(&self, xcols: &[&[S]], lo: usize, hi: usize, out: &mut [&mut [S]]) {
         match self {
             // Shares the plain SpMM row loop: bit-identical to par::spmm.
             MatrixStore::Plain(a) => crate::par::spmm_rows(a, xcols, lo, hi, out),
-            MatrixStore::ShadowF32(a) => spmm_rows_cast(a, xcols, lo, hi, out),
-            MatrixStore::ShadowF16(a) => spmm_rows_cast(a, xcols, lo, hi, out),
-            MatrixStore::Split(s) => spmm_rows_split(s, xcols, lo, hi, out),
+            MatrixStore::ShadowF32(a) => fma::run(|| spmm_rows_cast(a, xcols, lo, hi, out)),
+            MatrixStore::ShadowF16(a) => fma::run(|| spmm_rows_cast(a, xcols, lo, hi, out)),
+            MatrixStore::Split(s) => fma::run(|| spmm_rows_split(s, xcols, lo, hi, out)),
         }
     }
 }
 
 /// Continue a row accumulation over `a`'s row `r`: one exact widening
 /// `L -> S` and one `mul_add` in `S` per stored entry, left to right.
-#[inline]
+#[inline(always)]
 fn acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S) -> S {
     let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     for k in row_ptr[r]..row_ptr[r + 1] {
@@ -242,7 +259,7 @@ fn acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S)
 }
 
 /// Residual flavor of [`acc_row_cast`]: `acc -= v * x` per entry.
-#[inline]
+#[inline(always)]
 fn neg_acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S) -> S {
     let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     for k in row_ptr[r]..row_ptr[r + 1] {
@@ -254,6 +271,7 @@ fn neg_acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc
 /// Mixed-precision SpMM row loop: stream rows of `a` once, widening
 /// each stored value into `S` once and updating all `k` accumulators
 /// with it — per column the exact order of [`acc_row_cast`].
+#[inline(always)]
 fn spmm_rows_cast<L: Scalar, S: Scalar>(
     a: &Csr<L>,
     xcols: &[&[S]],
@@ -283,6 +301,7 @@ fn spmm_rows_cast<L: Scalar, S: Scalar>(
 /// Split-store SpMM row loop: per row, the hi bucket's entries
 /// accumulate first, then the lo bucket's — per column the exact order
 /// of the split [`MatrixStore::spmv_row`].
+#[inline(always)]
 fn spmm_rows_split<S: Scalar>(
     s: &SplitCsr<S, f32>,
     xcols: &[&[S]],

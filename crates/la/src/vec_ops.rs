@@ -15,6 +15,8 @@
 
 use mpgmres_scalar::Scalar;
 
+use crate::fma;
+
 /// Below this length the parallel kernels in [`crate::par`] fall back to
 /// the sequential path (thread spawn would dominate). Chosen so
 /// unit-test-sized problems never pay thread overhead.
@@ -44,17 +46,21 @@ impl ReductionOrder {
 /// `y += alpha * x`.
 pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(xi, *yi);
-    }
+    fma::run(|| {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = alpha.mul_add(xi, *yi);
+        }
+    });
 }
 
 /// `y = alpha * x + beta * y` (general vector update).
 pub fn axpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(xi, beta * *yi);
-    }
+    fma::run(|| {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = alpha.mul_add(xi, beta * *yi);
+        }
+    });
 }
 
 /// `x *= alpha`.
@@ -81,6 +87,7 @@ pub fn fill<S: Scalar>(x: &mut [S], value: S) {
 /// every per-block partial sum is built from, in both the sequential
 /// reference and the parallel backend (so block partials are
 /// bit-identical across backends).
+#[inline(always)]
 pub(crate) fn dot_seq<S: Scalar>(x: &[S], y: &[S]) -> S {
     let mut acc = S::zero();
     for (&xi, &yi) in x.iter().zip(y) {
@@ -89,21 +96,23 @@ pub(crate) fn dot_seq<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
-/// Pairwise tree reduction over per-block partial sums. Shared with
-/// [`crate::par`] so the combine order is identical across backends.
-pub(crate) fn tree_sum<S: Scalar>(mut parts: Vec<S>) -> S {
-    if parts.is_empty() {
+/// Pairwise tree reduction over per-block partial sums, in place
+/// (`parts` is scratch afterwards). Shared with [`crate::par`] so the
+/// combine order is identical across backends.
+pub(crate) fn tree_sum<S: Scalar>(parts: &mut [S]) -> S {
+    let mut len = parts.len();
+    if len == 0 {
         return S::zero();
     }
-    while parts.len() > 1 {
-        let half = parts.len().div_ceil(2);
-        for i in 0..parts.len() / 2 {
+    while len > 1 {
+        let half = len.div_ceil(2);
+        for i in 0..len / 2 {
             parts[i] = parts[2 * i] + parts[2 * i + 1];
         }
-        if parts.len() % 2 == 1 {
-            parts[half - 1] = parts[parts.len() - 1];
+        if len % 2 == 1 {
+            parts[half - 1] = parts[len - 1];
         }
-        parts.truncate(half);
+        len = half;
     }
     parts[0]
 }
@@ -111,18 +120,18 @@ pub(crate) fn tree_sum<S: Scalar>(mut parts: Vec<S>) -> S {
 /// Inner product `x . y` under the given reduction order.
 pub fn dot_ordered<S: Scalar>(x: &[S], y: &[S], order: ReductionOrder) -> S {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    match order {
+    fma::run(|| match order {
         ReductionOrder::Sequential => dot_seq(x, y),
         ReductionOrder::BlockedTree { block } => {
             let block = block.max(1);
-            let parts: Vec<S> = x
+            let mut parts: Vec<S> = x
                 .chunks(block)
                 .zip(y.chunks(block))
                 .map(|(xc, yc)| dot_seq(xc, yc))
                 .collect();
-            tree_sum(parts)
+            tree_sum(&mut parts)
         }
-    }
+    })
 }
 
 /// Inner product with the default sequential order.

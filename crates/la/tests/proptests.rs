@@ -5,6 +5,7 @@ use mpgmres_la::{
     csr::Csr,
     dense::{DenseMat, LuFactors},
     givens::GivensLsq,
+    multivector::MultiVector,
     rcm::{bandwidth, rcm},
     vec_ops::{dot_ordered, norm2, ReductionOrder},
 };
@@ -172,6 +173,45 @@ proptest! {
         let permuted = a.permute_sym(&p);
         prop_assert!(bandwidth(&permuted) <= bandwidth(&a));
         prop_assert_eq!(bandwidth(&permuted), 1, "path graph must recover bandwidth 1");
+    }
+
+    /// The column-blocked GEMV-T equals a per-column `dot_ordered` bit
+    /// for bit: ragged column groups (0..=9 columns), `n` below, equal
+    /// to, a multiple of, and off a multiple of the reduction block, and
+    /// both reduction orders.
+    #[test]
+    fn gemv_t_bitwise_equals_per_column_dots(
+        ncols in 0usize..=9,
+        block in 1usize..40,
+        shape in 0usize..4,
+        extra in 1usize..40,
+        salt in 0u64..1000,
+    ) {
+        let n = match shape {
+            0 => block - 1,
+            1 => block,
+            2 => 3 * block,
+            _ => 3 * block + extra % block.max(2),
+        };
+        let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let mut v = MultiVector::<f64>::zeros(n, 9);
+        for j in 0..9 {
+            let col: Vec<f64> = (0..n).map(|_| next()).collect();
+            v.set_col(j, &col);
+        }
+        let w: Vec<f64> = (0..n).map(|_| next()).collect();
+        for order in [ReductionOrder::Sequential, ReductionOrder::BlockedTree { block }] {
+            let mut h = vec![f64::NAN; ncols];
+            v.gemv_t(ncols, &w, &mut h, order);
+            for (j, hj) in h.iter().enumerate() {
+                let want = dot_ordered(v.col(j), &w, order);
+                prop_assert_eq!(hj.to_bits(), want.to_bits(), "col {} of {} at n={} {:?}", j, ncols, n, order);
+            }
+        }
     }
 
     /// COO assembly sums duplicates exactly like a dense accumulation.

@@ -57,7 +57,12 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused/contracted `self * a + b` (may be two roundings in software).
+    /// Fused `self * a + b`.
+    ///
+    /// `f64` and `f32` round exactly once, whether the CPU's FMA
+    /// instruction or libm's software `fma` computes it, so kernels give
+    /// the same bits on either path. `Half` rounds twice: an f32 FMA,
+    /// then one rounding to binary16.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `true` when neither NaN nor infinite.
     fn is_finite(self) -> bool;
@@ -106,7 +111,7 @@ impl Scalar for f64 {
     fn sqrt(self) -> Self {
         f64::sqrt(self)
     }
-    #[inline]
+    #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
         f64::mul_add(self, a, b)
     }
@@ -147,7 +152,7 @@ impl Scalar for f32 {
     fn sqrt(self) -> Self {
         f32::sqrt(self)
     }
-    #[inline]
+    #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
         f32::mul_add(self, a, b)
     }
@@ -198,7 +203,7 @@ impl Scalar for Half {
     fn sqrt(self) -> Self {
         Half::sqrt(self)
     }
-    #[inline]
+    #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
         // Emulated with an f32 FMA and one rounding back to half.
         Half::from_f32(self.to_f32().mul_add(a.to_f32(), b.to_f32()))
