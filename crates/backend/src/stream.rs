@@ -2,26 +2,20 @@
 //! per-submit payload bindings, and deferred batch submission.
 //!
 //! Real GPU GMRES implementations hide launch latency by recording
-//! kernels into streams/graphs and letting the driver overlap
-//! independent work; CUDA Graphs goes one step further and *replays* a
-//! captured graph every iteration instead of re-recording it. This
-//! module is the workspace's equivalent, split the same way CUDA splits
-//! it:
+//! kernels into streams and letting the driver overlap independent
+//! work. This module is the workspace's equivalent, split into the
+//! graph and its payloads:
 //!
 //! - [`OpGraph`] is the **payload-free graph**: one [`OpShape`] per
 //!   recorded kernel (a label plus the buffer-handle byte [`Span`]s it
 //!   reads and writes), the dependency edges derived from span overlap
 //!   at push time, and — after [`OpGraph::finalize`] — the topological
-//!   wavefront batches. Nothing in the graph points at memory, so a
-//!   graph can be cached and replayed across iterations whose op
-//!   sequence is shape-stable (the recorder in `mpgmres::Stream` does
-//!   exactly that, keyed by region/shape).
+//!   wavefront batches. Nothing in the graph points at memory.
 //! - [`BoundOp`] is the **per-submit payload binding**: a monomorphized
 //!   kernel-launch function pointer plus a plain-data [`OpArgs`]
 //!   describing the op's operands as handles into a
-//!   [`BufferArena`]. Bindings are plain
-//!   `Copy` data — no boxed closures — so a replayed iteration performs
-//!   no graph-node or payload allocation at all.
+//!   [`BufferArena`]. Bindings are plain `Copy` data — no boxed
+//!   closures.
 //! - [`submit`] walks the finalized wavefronts in order, handing each
 //!   batch of mutually independent ready ops to
 //!   [`Backend::execute_batch`] as a [`Batch`] view.
@@ -121,9 +115,7 @@ pub enum OpKind {
 /// The shape of one recorded kernel: a label for diagnostics, the op's
 /// [`OpKind`], plus the buffer spans it reads and writes. The spans are
 /// the *entire* dependency interface — the DAG builder never looks
-/// inside the op — and the shape is the *entire* replay-verification
-/// interface: a cached graph accepts a re-recorded op iff its shape
-/// matches.
+/// inside the op.
 #[derive(Clone, Debug)]
 pub struct OpShape {
     /// Kernel name for diagnostics (`"spmv"`, `"gemv_t"`, ...).
@@ -150,8 +142,7 @@ pub fn conflicts(earlier: &OpShape, later: &OpShape) -> bool {
 /// point from each op to the earlier ops it must wait for, derived
 /// purely from span conflicts at [`OpGraph::push`] time; after
 /// [`OpGraph::finalize`] the graph also carries its wavefront batches,
-/// ready to be replayed against fresh payload bindings any number of
-/// times.
+/// ready to submit against the region's payload bindings.
 #[derive(Debug, Default)]
 pub struct OpGraph {
     nodes: Vec<OpShape>,
@@ -179,6 +170,14 @@ impl OpGraph {
     /// Whether no ops have been recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Remove every op, keeping the allocations for the next region.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.preds.clear();
+        self.order.clear();
+        self.bounds.clear();
     }
 
     /// Record a device op shape, deriving its dependencies on every
@@ -212,26 +211,6 @@ impl OpGraph {
         self.order.clear();
         self.bounds.clear();
         self.nodes.len() - 1
-    }
-
-    /// The shape of the op at `index`.
-    pub fn node(&self, index: usize) -> &OpShape {
-        &self.nodes[index]
-    }
-
-    /// Whether the op at `index` has exactly this shape — the replay
-    /// check a cached graph runs per re-recorded op (O(spans), not the
-    /// O(ops) conflict scan of a fresh [`OpGraph::push`]).
-    pub fn matches(
-        &self,
-        index: usize,
-        label: &str,
-        kind: OpKind,
-        reads: &[Span],
-        writes: &[Span],
-    ) -> bool {
-        let n = &self.nodes[index];
-        n.label == label && n.kind == kind && n.reads == reads && n.writes == writes
     }
 
     /// Indices of the ops `index` must wait for.
@@ -363,8 +342,8 @@ pub struct OpArgs {
 }
 
 /// One op's per-submit payload binding: the launch function plus its
-/// operand description. `Copy` plain data — rebinding a cached graph
-/// refills a reused `Vec<BoundOp>` without allocating.
+/// operand description. `Copy` plain data, so a region refills a
+/// reused `Vec<BoundOp>` without allocating.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundOp {
     /// The kernel launch.
@@ -425,8 +404,7 @@ impl<'a> Batch<'a> {
 /// Submit a finalized graph: walk the wavefront batches in order,
 /// running each batch's host ops on the submitting thread and handing
 /// its device ops to `backend.execute_batch`. `ops[i]` must hold op
-/// `i`'s binding; a replayed (cached) graph is submitted against fresh
-/// bindings each iteration.
+/// `i`'s binding.
 pub fn submit(graph: &OpGraph, ops: &[BoundOp], arena: &BufferArena, backend: &dyn Backend) {
     assert_eq!(ops.len(), graph.len(), "submit: binding count mismatch");
     for b in 0..graph.num_batches() {
@@ -517,21 +495,6 @@ mod tests {
         assert_eq!(g.preds(2), &[0, 1]);
     }
 
-    #[test]
-    fn shape_matching_is_exact() {
-        let mut g = OpGraph::new();
-        push(&mut g, "a", &[span(0, 0, 8)], &[span(1, 0, 8)]);
-        let d = OpKind::Device;
-        assert!(g.matches(0, "a", d, &[span(0, 0, 8)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "b", d, &[span(0, 0, 8)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "a", d, &[span(0, 0, 9)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "a", d, &[span(0, 0, 8)], &[]));
-        assert!(
-            !g.matches(0, "a", OpKind::Host, &[span(0, 0, 8)], &[span(1, 0, 8)]),
-            "a host op never matches a cached device node"
-        );
-    }
-
     /// Host ops run on the submitting thread, ordered by the same DAG:
     /// a host op reading a device-produced span waits for it, and two
     /// independent host/device ops share a wavefront (host sub-group
@@ -565,6 +528,12 @@ mod tests {
         assert_eq!(g.batches(), first);
         push(&mut g, "b", &[span(0, 0, 8)], &[span(1, 0, 8)]);
         assert_eq!(g.batches(), vec![vec![0], vec![1]]);
+        // A cleared graph starts the next region from scratch.
+        g.clear();
+        assert!(g.is_empty());
+        push(&mut g, "c", &[span(1, 0, 8)], &[span(2, 0, 8)]);
+        assert_eq!(g.preds(0), &[] as &[usize]);
+        assert_eq!(g.batches(), vec![vec![0]]);
     }
 
     /// Submitted bindings execute in a batch order that respects the

@@ -2,8 +2,8 @@
 //! must never reorder dependent ops, for any random read/write span
 //! sets, on any backend (including the parallel backend's concurrent
 //! batch execution) — and the wavefront schedule must be a pure
-//! function of the op *shapes*, so replaying a cached graph against
-//! rebound buffers can never change the partitioning.
+//! function of the op *shapes*, so the buffer values a region binds can
+//! never change the partitioning.
 
 use std::sync::Mutex;
 
@@ -158,35 +158,21 @@ proptest! {
         }
     }
 
-    /// Replay invariance: the graph (edges AND wavefront partitioning)
-    /// is a pure function of the op shapes — rebinding the payloads to
-    /// different buffer values between submits can never change it, and
-    /// the per-op shape verification a replay runs accepts exactly the
-    /// recorded sequence.
+    /// The graph (edges AND wavefront partitioning) is a pure function
+    /// of the op shapes: recording the same shapes again, against
+    /// whatever buffers the next region binds, derives the same DAG.
     #[test]
-    fn rebinding_never_changes_wavefront_partitioning(
+    fn same_shapes_derive_the_same_wavefront_partitioning(
         masks in proptest::collection::vec((0u32..(1 << NBUF), 0u32..(1 << NBUF)), 1..24),
-        perturb in 0usize..24,
     ) {
         let ops: Vec<SynthOp> = masks.iter().map(|&(r, w)| decode(r, w)).collect();
         let mut first = build_graph(&ops);
-        let mut second = build_graph(&ops); // "rebound" iteration: same shapes
+        let mut second = build_graph(&ops);
         prop_assert_eq!(first.len(), second.len());
         for i in 0..ops.len() {
             prop_assert_eq!(first.preds(i), second.preds(i));
-            // The replay check accepts the identical shape...
-            let s = to_shape(&ops[i]);
-            prop_assert!(first.matches(i, s.label, s.kind, &s.reads, &s.writes));
         }
         prop_assert_eq!(first.batches(), second.batches());
-        // ...and rejects a perturbed one (extra write span)...
-        let i = perturb % ops.len();
-        let s = to_shape(&ops[i]);
-        let mut writes = s.writes.clone();
-        writes.push(Span::new(NBUF as u32 + 1, 0, 64));
-        prop_assert!(!first.matches(i, s.label, s.kind, &s.reads, &writes));
-        // ...and one whose kind flipped to a deferred host op.
-        prop_assert!(!first.matches(i, s.label, OpKind::Host, &s.reads, &s.writes));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Serving bench: latency and occupancy of [`SolverService`] vs offered
-//! load under the simulated V100 clock, plus the admission replay
-//! economics the CI gate pins.
+//! load under the simulated V100 clock, plus the parity, pooling and
+//! QoS properties the CI gate pins.
 //!
 //! An open-loop arrival stream (deterministic LCG payloads, fractional
 //! credit accrual per cycle barrier) pushes requests through the
@@ -8,10 +8,7 @@
 //! point we record p50/p99 end-to-end simulated latency (queue wait +
 //! solve) and the occupied-lane-cycle ratio; at the gate load every
 //! completed solve is also checked bit-identical to a one-shot
-//! [`Gmres`] run (the serving parity contract). The whole gate-load
-//! scenario then reruns in the same context: a warm service must serve
-//! every admission and cycle graph from the replay cache — the gate
-//! fields pin the hit-rate at 1.0 and the node-allocation delta at 0.
+//! [`Gmres`] run (the serving parity contract).
 //!
 //! Archived as `results/serving.json`; the `gate` object carries the
 //! flat uniquely-named fields the CI perf gate (`perfgate`) checks, so
@@ -33,10 +30,6 @@ struct GateRecord {
     serving_p50_seconds: f64,
     serving_p99_seconds: f64,
     serving_occupancy: f64,
-    /// Replay hits / (hits + misses) across the warm rerun.
-    serving_replay_hit_rate: f64,
-    /// Graph nodes allocated during the warm rerun (must be 0).
-    serving_warm_nodes_delta: f64,
     /// Payload buffers allocated by warm request waves on a recycled
     /// service (must be 0: pooled rhs/x0 carriers and outcome buffers).
     serving_warm_payload_allocs_delta: f64,
@@ -57,10 +50,6 @@ struct GateRecord {
     /// Largest per-tenant lane-cycle share under fair-share with two
     /// symmetric tenants (bounded near an even split).
     serving_qos_fairshare_max_share: f64,
-    /// Replay hit-rate of the warm QoS (EDF + degradation) rerun.
-    serving_qos_replay_hit_rate: f64,
-    /// Graph nodes allocated during the warm QoS rerun (must be 0).
-    serving_qos_warm_nodes_delta: f64,
     /// Payload buffers allocated across warm submit-then-cancel waves
     /// (must be 0: queued cancellation returns carriers to the pool).
     serving_qos_cancel_wave_allocs_delta: f64,
@@ -139,21 +128,6 @@ fn summary(_c: &mut Criterion) {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
     }
     assert!(parity_ok, "served solves must match one-shot Gmres");
-
-    // Replay economics: rerun the gate scenario in the warmed context —
-    // every admission/cycle graph must replay, allocating nothing.
-    let warm = ctx.stream_stats();
-    let rerun = drive(&mut ctx, &a, cfg, lanes, &rhs, gate_load);
-    assert_eq!(rerun.outcomes.len(), requests);
-    let after = ctx.stream_stats();
-    let hits = (after.hits - warm.hits) as f64;
-    let misses = (after.misses - warm.misses) as f64;
-    let hit_rate = hits / (hits + misses).max(1.0);
-    let nodes_delta = (after.nodes_allocated - warm.nodes_allocated) as f64;
-    println!(
-        "  warm rerun: {hits} replay hits, {misses} misses (rate {hit_rate:.4}), \
-         {nodes_delta} graph nodes allocated"
-    );
 
     // Zero-copy payloads: a warmed service recycling its outcomes must
     // serve repeated request waves without allocating a single payload
@@ -280,21 +254,6 @@ fn summary(_c: &mut Criterion) {
     );
     assert!(degraded_converged, "degraded solves must meet fp64 rtol");
 
-    // Warm QoS replay: the same scenario rerun in the warmed context
-    // must serve every graph (both rungs included) from the cache.
-    let qos_warm = qos_ctx.stream_stats();
-    let qos_rerun = drive_with(&mut qos_ctx, &a, cfg, lanes, &rhs, gate_load, &qos_opts);
-    assert_eq!(qos_rerun.outcomes.len(), requests);
-    let qos_after = qos_ctx.stream_stats();
-    let qhits = (qos_after.hits - qos_warm.hits) as f64;
-    let qmisses = (qos_after.misses - qos_warm.misses) as f64;
-    let qos_hit_rate = qhits / (qhits + qmisses).max(1.0);
-    let qos_nodes_delta = (qos_after.nodes_allocated - qos_warm.nodes_allocated) as f64;
-    println!(
-        "  qos warm rerun: {qhits} hits, {qmisses} misses (rate {qos_hit_rate:.4}), \
-         {qos_nodes_delta} graph nodes allocated"
-    );
-
     // Fair share with two symmetric tenants: lane-cycle shares must
     // stay near an even split.
     let tenant_of = |i: usize| (i % 2) as u32;
@@ -372,8 +331,6 @@ fn summary(_c: &mut Criterion) {
         serving_p50_seconds: gp.p50_latency_seconds,
         serving_p99_seconds: gp.p99_latency_seconds,
         serving_occupancy: gp.occupancy,
-        serving_replay_hit_rate: hit_rate,
-        serving_warm_nodes_delta: nodes_delta,
         serving_warm_payload_allocs_delta: payload_allocs_delta,
         serving_parity_ok: parity_ok,
         serving_qos_subcritical_deadline_misses: qos_sub_misses,
@@ -383,8 +340,6 @@ fn summary(_c: &mut Criterion) {
         serving_qos_degradations: degradations,
         serving_qos_degraded_converged: degraded_converged,
         serving_qos_fairshare_max_share: fair_max_share,
-        serving_qos_replay_hit_rate: qos_hit_rate,
-        serving_qos_warm_nodes_delta: qos_nodes_delta,
         serving_qos_cancel_wave_allocs_delta: cancel_allocs_delta,
     };
     let artifact = ServingArtifact {

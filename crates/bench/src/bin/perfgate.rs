@@ -11,23 +11,17 @@
 //!   still be bit-identical);
 //! - the recorded `BlockGmres` overlap ratio must stay below 1.0 (the
 //!   chain baseline);
-//! - the graph-replay cache hit-rate pinned by `stream_stats()` must
-//!   not drop (every replay iteration of the bench must hit);
 //! - the fp32 shadow store's k = 1 SpMM must move `< 0.55x` the bytes
 //!   (and simulated time) of the fp64 store at the pinned shape, with
 //!   both end-to-end IR storage paths converged;
-//! - the serving admission replay hit-rate must stay at 1.0 (a warm
-//!   `SolverService` rerun allocates zero graph nodes and serves every
-//!   admission/cycle graph from cache), every served solve must stay
-//!   bit-identical to a one-shot solve of the same request (the
-//!   single-RHS `Gmres` front; the test suites hold that driver to an
-//!   independent textbook oracle), and the hit-rate must not
-//!   regress against the committed baseline;
+//! - every solve the `SolverService` serves must stay bit-identical to
+//!   a one-shot solve of the same request (the single-RHS `Gmres`
+//!   front; the test suites hold that driver to an independent
+//!   textbook oracle);
 //! - the sharded backend's charged halo traffic must match the
 //!   machine-independent analytic model exactly, the per-shard pieces
-//!   must overlap (critical/serial < 1.0 at >= 2 shards), warm sharded
-//!   solves must replay with zero new graph nodes, and every sharded
-//!   solution must stay bit-identical to the reference backend;
+//!   must overlap (critical/serial < 1.0 at >= 2 shards), and every
+//!   sharded solution must stay bit-identical to the reference backend;
 //! - the compressed Krylov basis's charged GEMV bytes must match the
 //!   machine-independent analytic `ncols x n x elem_bytes +
 //!   streams x n x work_bytes` model exactly, the pinned fp32/fp64
@@ -38,9 +32,8 @@
 //!   misses under EDF at the pinned subcritical load, EDF + precision-
 //!   ladder degradation improving p99 over FIFO at the overload point
 //!   with every degraded solve still converged to its fp64 tolerance,
-//!   fair-share tenant occupancy bounded near the even split, the warm
-//!   QoS rerun replaying with zero new graph nodes, and submit-then-
-//!   cancel waves allocating no payload buffers;
+//!   fair-share tenant occupancy bounded near the even split, and
+//!   submit-then-cancel waves allocating no payload buffers;
 //! - the deterministic precision byte ratio must not regress against
 //!   the **committed baseline** `results/BENCH_ci.json` (the per-SHA
 //!   snapshot checked into the repo); the wall-clock-dependent gate
@@ -53,9 +46,9 @@
 //! contents into the combined artifact — every future PR's perf deltas
 //! become one machine-readable, diffable file.
 //!
-//! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (or `replay`, or
-//! `precision`, or `serving`, or `sharding`, or `basis`, or `qos`) to
-//! deliberately corrupt the gated value before checking: CI runs this
+//! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (or `precision`, or
+//! `serving`, or `sharding`, or `basis`, or `qos`) to deliberately
+//! corrupt the gated value before checking: CI runs this
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
 //! masquerade as the real artifact.
@@ -164,23 +157,7 @@ fn main() {
         detail: format!("overlap_ratio {overlap:.6}"),
     };
 
-    // --- gate 3: replay hit-rate pinned by stream_stats() ----------
-    let mut hits = extract_number(&stream, "cache_hits").expect("stream.json cache_hits");
-    let misses = extract_number(&stream, "cache_misses").expect("stream.json cache_misses");
-    let iters = extract_number(&stream, "iterations").expect("stream.json iterations");
-    if inject == "replay" {
-        println!("perfgate: INJECTING replay hit-rate regression (hits = 0)");
-        hits = 0.0;
-    }
-    // The stream bench replays the keyed region 5 x iterations times
-    // after one warming record; every one of them must have hit.
-    let g3 = Gate {
-        name: "replay_hit_rate",
-        ok: hits >= 5.0 * iters && hits / (hits + misses).max(1.0) >= 0.99,
-        detail: format!("hits {hits}, misses {misses}, bench iterations {iters}"),
-    };
-
-    // --- gate 4: fp32 store traffic under the 0.55 bar, IR converged --
+    // --- gate 3: fp32 store traffic under the 0.55 bar, IR converged --
     let mut byte_ratio =
         extract_number(&precision, "fp32_fp64_spmm_byte_ratio").expect("precision.json byte ratio");
     let time_ratio = extract_number(&precision, "fp32_fp64_spmm_time_ratio_k1")
@@ -190,7 +167,7 @@ fn main() {
         byte_ratio += 0.5;
     }
     let ir_converged = extract_bool(&precision, "ir_paths_converged").unwrap_or(false);
-    let g4 = Gate {
+    let g3 = Gate {
         name: "fp32_store_spmm_traffic_below_055",
         ok: byte_ratio < 0.55 && time_ratio < 0.55 && ir_converged,
         detail: format!(
@@ -198,41 +175,23 @@ fn main() {
         ),
     };
 
-    // --- gate 5: serving admission replay economics -------------------
-    let mut serving_hit_rate =
-        extract_number(&serving, "serving_replay_hit_rate").expect("serving.json replay hit rate");
-    let serving_nodes = extract_number(&serving, "serving_warm_nodes_delta")
-        .expect("serving.json warm nodes delta");
+    // --- gate 4: served solves bit-identical to one-shot solves -------
+    let mut serving_parity = extract_bool(&serving, "serving_parity_ok").unwrap_or(false);
     if inject == "serving" {
-        println!("perfgate: INJECTING serving replay hit-rate regression (rate = 0)");
-        serving_hit_rate = 0.0;
+        println!("perfgate: INJECTING serving parity regression (parity = false)");
+        serving_parity = false;
     }
-    let serving_parity = extract_bool(&serving, "serving_parity_ok").unwrap_or(false);
-    // The hit-rate must not regress against the committed baseline
-    // either (it is deterministic: pure graph-cache accounting).
-    let serving_floor = baseline
-        .as_deref()
-        .and_then(|b| extract_number(b, "serving_replay_hit_rate"))
-        .unwrap_or(0.99)
-        .max(0.99);
-    let g5 = Gate {
-        name: "serving_admission_replay",
-        ok: serving_hit_rate >= serving_floor - 1e-9 && serving_nodes == 0.0 && serving_parity,
-        detail: format!(
-            "hit rate {serving_hit_rate:.6} (floor {serving_floor:.6}), warm nodes delta \
-             {serving_nodes}, parity {serving_parity}"
-        ),
+    let g4 = Gate {
+        name: "serving_parity",
+        ok: serving_parity,
+        detail: format!("parity {serving_parity}"),
     };
 
-    // --- gate 6: sharded halo model + overlap + warm replay ----------
+    // --- gate 5: sharded halo model + overlap --------------------------
     let mut halo_model_error = extract_number(&sharding, "sharding_halo_model_error")
         .expect("sharding.json halo model error");
     let sharding_overlap =
         extract_number(&sharding, "sharding_overlap_ratio").expect("sharding.json overlap");
-    let sharding_hit_rate = extract_number(&sharding, "sharding_replay_hit_rate")
-        .expect("sharding.json replay hit rate");
-    let sharding_nodes = extract_number(&sharding, "sharding_warm_nodes_delta")
-        .expect("sharding.json warm nodes delta");
     if inject == "sharding" {
         println!("perfgate: INJECTING sharded halo-model regression (error = 0.5)");
         halo_model_error = 0.5;
@@ -240,21 +199,16 @@ fn main() {
     let sharding_parity = extract_bool(&sharding, "sharding_parity_ok").unwrap_or(false);
     // The halo traffic model is pure accounting (no wall clock), so it
     // hard-gates at zero error on any machine.
-    let g6 = Gate {
+    let g5 = Gate {
         name: "sharded_halo_model_and_overlap",
-        ok: halo_model_error < 1e-9
-            && sharding_overlap < 1.0
-            && sharding_hit_rate >= 0.99
-            && sharding_nodes == 0.0
-            && sharding_parity,
+        ok: halo_model_error < 1e-9 && sharding_overlap < 1.0 && sharding_parity,
         detail: format!(
             "halo model error {halo_model_error:.2e}, overlap {sharding_overlap:.6}, \
-             warm hit rate {sharding_hit_rate:.6}, warm nodes delta {sharding_nodes}, \
              parity {sharding_parity}"
         ),
     };
 
-    // --- gate 7: compressed-basis byte model + end-to-end paths ------
+    // --- gate 6: compressed-basis byte model + end-to-end paths ------
     let mut basis_model_error =
         extract_number(&basis, "basis_model_error").expect("basis.json model error");
     let basis_byte_ratio = extract_number(&basis, "basis_fp32_fp64_byte_ratio")
@@ -272,7 +226,7 @@ fn main() {
         .as_deref()
         .and_then(|b| extract_number(b, "basis_fp32_fp64_byte_ratio"))
         .unwrap_or(112.0 / 216.0);
-    let g7 = Gate {
+    let g6 = Gate {
         name: "basis_byte_model_and_paths",
         ok: basis_model_error < 1e-9
             && basis_byte_ratio <= basis_ratio_floor + 1e-9
@@ -285,7 +239,7 @@ fn main() {
         ),
     };
 
-    // --- gate 8: QoS admission scheduling ----------------------------
+    // --- gate 7: QoS admission scheduling ----------------------------
     let mut qos_misses = extract_number(&serving, "serving_qos_subcritical_deadline_misses")
         .expect("serving.json qos deadline misses");
     let qos_p99_improved = extract_bool(&serving, "serving_qos_p99_improved").unwrap_or(false);
@@ -293,10 +247,6 @@ fn main() {
         extract_bool(&serving, "serving_qos_degraded_converged").unwrap_or(false);
     let qos_fair_share = extract_number(&serving, "serving_qos_fairshare_max_share")
         .expect("serving.json fair-share max share");
-    let qos_hit_rate = extract_number(&serving, "serving_qos_replay_hit_rate")
-        .expect("serving.json qos replay hit rate");
-    let qos_nodes = extract_number(&serving, "serving_qos_warm_nodes_delta")
-        .expect("serving.json qos warm nodes delta");
     let qos_cancel_allocs = extract_number(&serving, "serving_qos_cancel_wave_allocs_delta")
         .expect("serving.json cancel wave allocs delta");
     if inject == "qos" {
@@ -305,44 +255,37 @@ fn main() {
     }
     // Two symmetric tenants: a fair scheduler keeps the larger share
     // near 0.5; 0.65 leaves room for end-of-stream drain effects.
-    let g8 = Gate {
+    let g7 = Gate {
         name: "serving_qos_scheduling",
         ok: qos_misses == 0.0
             && qos_p99_improved
             && qos_degraded_converged
             && qos_fair_share <= 0.65
-            && qos_hit_rate >= 0.99
-            && qos_nodes == 0.0
             && qos_cancel_allocs == 0.0,
         detail: format!(
             "subcritical deadline misses {qos_misses}, p99 improved {qos_p99_improved}, \
              degraded converged {qos_degraded_converged}, fair-share max {qos_fair_share:.4}, \
-             warm hit rate {qos_hit_rate:.6}, warm nodes delta {qos_nodes}, \
              cancel wave allocs {qos_cancel_allocs}"
         ),
     };
 
-    // --- gate 9 + report: diff against the committed baseline ---------
+    // --- gate 8 + report: diff against the committed baseline ---------
     // Only the precision byte ratio is deterministic across machines
     // (pure analytic model), so only it hard-gates; the wall-clock and
     // overlap numbers are diffed for the log and the artifact.
     let diff_keys = [
         "pipelined_overlap_ratio",
         "overlap_ratio",
-        "saved_us_per_region",
         "spawn_overhead_us_per_call",
         "fp32_fp64_spmm_byte_ratio",
         "ir_store_sim_speedup",
         "serving_p50_seconds",
         "serving_p99_seconds",
         "serving_occupancy",
-        "serving_replay_hit_rate",
         "sharding_overlap_ratio",
-        "sharding_replay_hit_rate",
         "basis_fp32_fp64_byte_ratio",
         "serving_qos_fifo_p99_seconds",
         "serving_qos_edf_p99_seconds",
-        "serving_qos_replay_hit_rate",
         "serving_qos_fairshare_max_share",
     ];
     // Same artifact order as the combined file, so a key present in
@@ -385,7 +328,7 @@ fn main() {
     } else {
         println!("perfgate: no committed baseline BENCH_ci.json — skipping the diff");
     }
-    let g9 = match &baseline {
+    let g8 = match &baseline {
         Some(base) => match extract_number(base, "fp32_fp64_spmm_byte_ratio") {
             Some(b) => Gate {
                 name: "precision_ratio_vs_baseline",
@@ -405,7 +348,7 @@ fn main() {
         },
     };
 
-    let gates = [g1, g2, g3, g4, g5, g6, g7, g8, g9];
+    let gates = [g1, g2, g3, g4, g5, g6, g7, g8];
     let mut ok = true;
     for g in &gates {
         println!(
@@ -430,7 +373,7 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 6,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 7,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),

@@ -77,8 +77,7 @@ use crate::service::{
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 use crate::stream::{
-    region, ArgSlice, ArgSliceMut, BasisMut, BlockMut, BlockRef, MatRef, RegionKey, StoreRef,
-    Stream,
+    ArgSlice, ArgSliceMut, BasisMut, BlockMut, BlockRef, MatRef, StoreRef, Stream,
 };
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::basis::BasisStore;
@@ -105,20 +104,6 @@ impl<'a, S: BackendScalar> Operand<'a, S> {
         match self {
             Operand::Plain(a) => a.n(),
             Operand::Store(a) => a.n(),
-        }
-    }
-
-    /// Storage-precision tag for the solver's [`RegionKey`]s: 0 (the
-    /// untagged baseline, preserving the plain path's cache keys) for a
-    /// matrix operand, the store's [`PrecisionTag::code`] otherwise —
-    /// so a solver re-run over a different storage precision records
-    /// distinct cached graphs.
-    ///
-    /// [`PrecisionTag::code`]: mpgmres_scalar::PrecisionTag::code
-    fn tag8(&self) -> u8 {
-        match self {
-            Operand::Plain(_) => 0,
-            Operand::Store(a) => a.tag().code(),
         }
     }
 
@@ -188,10 +173,6 @@ pub struct BlockGmres<'a, S: BackendScalar> {
     a: Operand<'a, S>,
     precond: &'a dyn Preconditioner<S>,
     cfg: GmresConfig,
-    /// Storage code of the basis this config allocates (0 = native) —
-    /// resolved once here because a `Compressed` policy at or above the
-    /// working precision degenerates to native.
-    basis_code: u8,
 }
 
 /// Per-column solver state (one lane per right-hand side).
@@ -231,9 +212,7 @@ pub(crate) struct Lane<S> {
 }
 
 /// Shared lockstep workspaces, sized once for `(n, k, m)` and reused
-/// across cycles — and, in the serving engine, across admission epochs
-/// (reuse is what keeps the recorded regions' buffer registrations
-/// shape-stable between cycles).
+/// across cycles — and, in the serving engine, across admission epochs.
 pub(crate) struct LockstepWs<S> {
     /// Current residual block (n x k), one column per lane slot.
     pub(crate) r: MultiVec<S>,
@@ -311,27 +290,6 @@ fn parity_split<T>(pair: &mut [T; 2], cur: usize) -> (&T, &mut T) {
     }
 }
 
-/// Bitmask of the update-lane set, packed into a `RegionKey` field (the
-/// per-lane update widths live only in payloads, so the mask is the
-/// only remaining shape discriminator of a barrier region).
-fn upds_mask(upds: &[(usize, usize)]) -> u64 {
-    upds.iter().fold(0u64, |m, &(l, _)| m | (1u64 << l))
-}
-
-/// Fold a pipelined region's deferred-work discriminators (the pending
-/// and store lane masks, whose sets shape the drained host/extension
-/// ops but have no dedicated `RegionKey` field) into the spare bits of
-/// the `k` field. Deflation transitions then get their own cache
-/// entries instead of ping-ponging one key between shapes; a hash
-/// collision only costs a verified fallback, never correctness.
-pub(crate) fn pipe_disc(width: usize, masks: [u64; 2]) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the masks
-    for m in masks {
-        h = (h ^ m).wrapping_mul(0x100_0000_01b3);
-    }
-    (width as u64 ^ (h << 8)) as usize
-}
-
 impl<'a, S: BackendScalar> Solver<'a, S> for BlockGmres<'a, S> {
     /// Serve one [`SolveRequest`] through this driver (k = 1). A plain
     /// matrix operand with a non-native [`StorePath`] gets a store
@@ -390,16 +348,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             a: Operand::Plain(a),
             precond,
             cfg,
-            basis_code: cfg.basis.store::<S>(0, 1).code(),
         })
     }
 
     /// Build an unpreconditioned solver over a low-precision storage
     /// path: SpMM/residual kernels read the store's values and
-    /// accumulate in `S`, and every recorded region's [`RegionKey`]
-    /// carries the store's precision tag, so solves over different
-    /// storage precisions replay distinct cached graphs. For
-    /// preconditioned store-path solves see
+    /// accumulate in `S`. For preconditioned store-path solves see
     /// [`BlockGmres::try_over_store`].
     pub fn over_store(a: &'a GpuStore<S>, cfg: GmresConfig) -> Self {
         Self::try_over_store(a, &IDENT, cfg).unwrap_or_else(|e| panic!("{e}"))
@@ -431,16 +385,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             a: Operand::Store(a),
             precond,
             cfg,
-            basis_code: cfg.basis.store::<S>(0, 1).code(),
         })
-    }
-
-    /// Region tag: the operand's storage code in the low bits, the
-    /// basis storage code in bits 5–7. A native basis contributes 0,
-    /// so every pre-BasisStore replay-cache key is preserved; a
-    /// compressed-basis solve replays its own recorded graphs.
-    fn tag8(&self) -> u8 {
-        self.a.tag8() | (self.basis_code << 5)
     }
 
     /// Run a validated single-RHS request to completion on this solver.
@@ -511,8 +456,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     }
 
     /// Initial residuals `R = B - A X`, reference norms, and per-lane
-    /// state (shared by both drivers). The residual region is
-    /// shape-stable in `(n, k)`: cached and replayed across solves.
+    /// state (shared by both drivers).
     fn init_lanes(
         &self,
         ctx: &mut GpuContext,
@@ -521,14 +465,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         r: &mut MultiVec<S>,
         norms: &mut [S],
     ) -> (Vec<Lane<S>>, Vec<Option<SolveResult>>) {
-        let n = self.a.n();
         let k = b.k();
         {
-            let mut st = ctx.stream_for(
-                RegionKey::new(region::BLOCK_INIT, n)
-                    .with_k(k)
-                    .with_tag(self.tag8()),
-            );
+            let mut st = ctx.stream();
             let ah = self.a.register(&mut st);
             let bh = st.block(b);
             let xh = st.block(x);
@@ -555,13 +494,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Initial residuals and reference norms for a set of lanes being
     /// admitted into a running engine: `r[:, l] = b[:, l] - A x[:, l]`
     /// and `norms[l]` for each admitted slot `l`, recorded as one
-    /// [`region::BLOCK_ADMIT`] region. The admitted-slot set rides the
-    /// key's lane mask and `disc` (a hash of the tenant and any other
-    /// admission discriminators) rides the spare `k` bits, exactly how
-    /// deflation masks already key the pipelined regions — so each
-    /// admission-transition shape warms its own cached graph instead of
-    /// ping-ponging one entry. A slot set that does not fit the 64-bit
-    /// mask falls back to an uncached region.
+    /// region.
     pub(crate) fn admit_lanes(
         &self,
         ctx: &mut GpuContext,
@@ -569,19 +502,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         x: &MultiVec<S>,
         ws: &mut LockstepWs<S>,
         admit: &[usize],
-        disc: usize,
     ) {
-        let n = self.a.n();
-        let key = RegionKey::lane_mask(admit).map(|mask| {
-            RegionKey::new(region::BLOCK_ADMIT, n)
-                .with_k(disc)
-                .with_lanes(mask)
-                .with_tag(self.tag8())
-        });
-        let mut st = match key {
-            Some(key) => ctx.stream_for(key),
-            None => ctx.stream(),
-        };
+        let mut st = ctx.stream();
         let ah = self.a.register(&mut st);
         let bh = st.block(b);
         let xh = st.block(x);
@@ -856,9 +778,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     }
 
     /// Per-lane least-squares solves and restart bookkeeping at the
-    /// cycle barrier. Fills each solved lane's width-padded coefficient
-    /// column of `ymat` (zeros beyond `kc`, so the padded GEMV spans
-    /// read defined memory) and zeroes its update-assembly column.
+    /// cycle barrier. Fills the first `kc` entries of each solved lane's
+    /// coefficient column of `ymat` and zeroes its update-assembly
+    /// column.
     /// HostDense charges are the caller's responsibility.
     fn barrier_lsq(
         &self,
@@ -881,11 +803,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     for ui in u.col_mut(l) {
                         *ui = S::zero();
                     }
-                    let ycol = ymat.col_mut(l);
-                    ycol[..kc].copy_from_slice(&y);
-                    for yi in ycol[kc..].iter_mut() {
-                        *yi = S::zero();
-                    }
+                    ymat.col_mut(l)[..kc].copy_from_slice(&y);
                     upds.push((l, kc));
                 }
             }
@@ -896,8 +814,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
     /// Record the barrier's explicit-residual half (residual + fused
     /// norm per cycle lane) — shared by the lockstep and pipelined
-    /// preconditioned barriers so the region shape (and hence the
-    /// replay cache) is common to both.
+    /// preconditioned barriers.
     #[allow(clippy::too_many_arguments)]
     fn barrier_residual_region(
         &self,
@@ -908,17 +825,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         gammas: &mut [S],
         cycle: &[usize],
     ) {
-        let n = self.a.n();
-        let key = RegionKey::lane_mask(cycle).map(|cm| {
-            RegionKey::new(region::BLOCK_BARRIER_RES, n)
-                .with_k(b.k())
-                .with_lanes(cm)
-                .with_tag(self.tag8())
-        });
-        let mut st = match key {
-            Some(key) => ctx.stream_for(key),
-            None => ctx.stream(),
-        };
+        let mut st = ctx.stream();
         let ah = self.a.register(&mut st);
         let bh = st.block(b);
         let xh = st.block(x);
@@ -1034,8 +941,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         x: &mut MultiVec<S>,
         cycle: &[usize],
     ) {
-        let n = self.a.n();
-        let k = b.k();
         let m = self.cfg.m;
         self.start_cycle(ctx, lanes, &ws.r, cycle);
 
@@ -1088,31 +993,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
             // W = A Z (one matrix read for all kc columns) plus the
             // blocked orthogonalization: one recorded region, a
-            // chain through W like the single-RHS CGS region. The
-            // shape is stable in (n, ncols, kc, active lane set),
-            // so steady-state lockstep iterations replay a cached
-            // graph; a lane set that doesn't fit the 64-bit mask
-            // falls back to an uncached (re-derived) region.
+            // chain through W like the single-RHS CGS region.
             match self.cfg.ortho {
                 OrthoMethod::Cgs2 | OrthoMethod::Cgs1 => {
                     let two_pass = self.cfg.ortho == OrthoMethod::Cgs2;
                     let vs: Vec<&BasisStore<S>> = act.iter().map(|&l| &lanes[l].v).collect();
-                    let key = RegionKey::lane_mask(&act).map(|m| {
-                        let id = if two_pass {
-                            region::BLOCK_CGS
-                        } else {
-                            region::BLOCK_CGS1
-                        };
-                        RegionKey::new(id, n)
-                            .with_ncols(ncols)
-                            .with_k(kc)
-                            .with_lanes(m)
-                            .with_tag(self.tag8())
-                    });
-                    let mut st = match key {
-                        Some(key) => ctx.stream_for(key),
-                        None => ctx.stream(),
-                    };
+                    let mut st = ctx.stream();
                     let ah = self.a.register(&mut st);
                     let zh = st.block(&ws.z);
                     let wh = st.block_mut(&mut ws.w);
@@ -1177,7 +1063,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
         // Cycle barrier, phase 1 (host): per-lane least-squares
         // solves and restart bookkeeping; each solved lane queues
-        // its (width-padded) update for the recorded device phase.
+        // its update for the recorded device phase.
         // The shared helper charges nothing; the eager restart
         // charges are emitted here per update lane in the same
         // order (nothing else charges in between), keeping the
@@ -1190,23 +1076,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         // Phase 2 (device): per-lane update chains x += M^{-1} V y
         // and explicit residuals. Each lane's chain (GEMV-N -> axpy
         // -> residual -> norm) is independent of every other lane's,
-        // so the recorded DAG overlaps them. The per-lane update
-        // widths (`kc`) vary lane to lane, but they live only in
-        // the payload: the recorded GEMV reads the full width-padded
-        // coefficient span, so the region is shape-stable and hits
-        // the replay cache (keyed on the cycle/update lane sets).
+        // so the recorded DAG overlaps them.
         if self.precond.is_identity() {
-            let key = RegionKey::lane_mask(cycle).map(|cm| {
-                RegionKey::new(region::BLOCK_BARRIER, n)
-                    .with_ncols(upds_mask(&upds) as usize)
-                    .with_k(k)
-                    .with_lanes(cm)
-                    .with_tag(self.tag8())
-            });
-            let mut st = match key {
-                Some(key) => ctx.stream_for(key),
-                None => ctx.stream(),
-            };
+            let mut st = ctx.stream();
             let ah = self.a.register(&mut st);
             let bh = st.block(b);
             let xh = st.block_mut(&mut *x);
@@ -1216,7 +1088,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             let gh = st.slice_mut(&mut ws.gammas);
             for &(l, kc) in &upds {
                 let vh = st.basis(&lanes[l].v);
-                st.gemv_n_add_padded(vh, kc, yh.col(l), uh.col_mut(l));
+                st.gemv_n_add(vh, kc, yh.col(l), uh.col_mut(l));
                 st.axpy(S::one(), uh.col(l), xh.col_mut(l));
             }
             for &l in cycle {
@@ -1226,22 +1098,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             st.sync();
         } else {
             {
-                let key = RegionKey::lane_mask(cycle).map(|cm| {
-                    RegionKey::new(region::BLOCK_BARRIER_UPD, n)
-                        .with_ncols(upds_mask(&upds) as usize)
-                        .with_k(k)
-                        .with_lanes(cm)
-                        .with_tag(self.tag8())
-                });
-                let mut st = match key {
-                    Some(key) => ctx.stream_for(key),
-                    None => ctx.stream(),
-                };
+                let mut st = ctx.stream();
                 let uh = st.block_mut(&mut ws.u);
                 let yh = st.block(&ws.ymat);
                 for &(l, kc) in &upds {
                     let vh = st.basis(&lanes[l].v);
-                    st.gemv_n_add_padded(vh, kc, yh.col(l), uh.col_mut(l));
+                    st.gemv_n_add(vh, kc, yh.col(l), uh.col_mut(l));
                 }
                 st.sync();
             }
@@ -1349,33 +1211,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     store_lanes.clone()
                 };
                 let ncols_prev = j;
-                let deferred_masks = RegionKey::lane_mask(&pending)
-                    .zip(RegionKey::lane_mask(&store_lanes))
-                    .map(|(pm, sm)| [pm, sm]);
 
                 if identity {
-                    let rid = if two_pass {
-                        region::BLOCK_PIPE_CGS
-                    } else {
-                        region::BLOCK_PIPE_CGS1
-                    };
-                    let key =
-                        RegionKey::lane_mask(&act)
-                            .zip(deferred_masks)
-                            .map(|(mask, masks)| {
-                                RegionKey::new(rid, n)
-                                    .with_ncols(ncols)
-                                    .with_k(pipe_disc(kc, masks))
-                                    .with_lanes(mask)
-                                    .with_tag(self.tag8())
-                            });
                     let (h1_prev, h1_cur) = parity_split(&mut h1, cur);
                     let (h2_prev, h2_cur) = parity_split(&mut h2, cur);
                     let (nr_prev, nr_cur) = parity_split(&mut norms, cur);
-                    let mut st = match key {
-                        Some(key) => ctx.stream_for(key),
-                        None => ctx.stream(),
-                    };
+                    let mut st = ctx.stream();
                     let ah = self.a.register(&mut st);
                     let th = st.slice_mut(&mut tokens);
                     let aph = st.slice(&alphas_buf[..]);
@@ -1444,22 +1285,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     // extended v_j), then the lockstep-shaped CGS region
                     // over the parity buffers.
                     if !pending.is_empty() || !store.is_empty() {
-                        let key = RegionKey::lane_mask(&pending).zip(deferred_masks).map(
-                            |(mask, masks)| {
-                                RegionKey::new(region::BLOCK_PIPE_DRAIN, n)
-                                    .with_ncols(ncols_prev)
-                                    .with_k(pipe_disc(store.len(), masks))
-                                    .with_lanes(mask)
-                                    .with_tag(self.tag8())
-                            },
-                        );
                         let (h1_prev, _) = parity_split(&mut h1, cur);
                         let (h2_prev, _) = parity_split(&mut h2, cur);
                         let (nr_prev, _) = parity_split(&mut norms, cur);
-                        let mut st = match key {
-                            Some(key) => ctx.stream_for(key),
-                            None => ctx.stream(),
-                        };
+                        let mut st = ctx.stream();
                         let th = st.slice_mut(&mut tokens);
                         let aph = st.slice(&alphas_buf[..]);
                         let h1p = st.slice(&h1_prev[..]);
@@ -1492,26 +1321,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                             z.col_mut(c),
                         );
                     }
-                    let rid = if two_pass {
-                        region::BLOCK_PIPE_CGS
-                    } else {
-                        region::BLOCK_PIPE_CGS1
-                    };
-                    let key = RegionKey::lane_mask(&act).map(|mask| {
-                        RegionKey::new(rid, n)
-                            .with_ncols(ncols)
-                            .with_k(kc)
-                            .with_lanes(mask)
-                            .with_tag(self.tag8())
-                    });
                     let (_, h1_cur) = parity_split(&mut h1, cur);
                     let (_, h2_cur) = parity_split(&mut h2, cur);
                     let (_, nr_cur) = parity_split(&mut norms, cur);
                     let vs: Vec<&BasisStore<S>> = act.iter().map(|&l| &lanes[l].v).collect();
-                    let mut st = match key {
-                        Some(key) => ctx.stream_for(key),
-                        None => ctx.stream(),
-                    };
+                    let mut st = ctx.stream();
                     let ah = self.a.register(&mut st);
                     let zh = st.block(&z);
                     let wh = st.block_mut(&mut w);
@@ -1561,9 +1375,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             let p = pending_j % 2;
             let upds = self.barrier_lsq(&mut lanes, &cycle, &mut u, &mut ymat);
             let store_lanes: Vec<usize> = store.iter().map(|&(_, l, _)| l).collect();
-            let deferred_masks = RegionKey::lane_mask(&pending)
-                .zip(RegionKey::lane_mask(&store_lanes))
-                .map(|(pm, sm)| [pm, sm]);
             let reg: Vec<usize> = {
                 // Union of the drained extension's lanes and the update
                 // lanes, ascending (both already are).
@@ -1578,22 +1389,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             };
 
             if identity {
-                let key = RegionKey::lane_mask(&cycle)
-                    .zip(deferred_masks)
-                    .map(|(cm, masks)| {
-                        RegionKey::new(region::BLOCK_PIPE_BARRIER, n)
-                            .with_ncols(upds_mask(&upds) as usize)
-                            .with_k(pipe_disc(drained, masks))
-                            .with_lanes(cm)
-                            .with_tag(self.tag8())
-                    });
                 let (h1_prev, _) = parity_split(&mut h1, 1 - p);
                 let (h2_prev, _) = parity_split(&mut h2, 1 - p);
                 let (nr_prev, _) = parity_split(&mut norms, 1 - p);
-                let mut st = match key {
-                    Some(key) => ctx.stream_for(key),
-                    None => ctx.stream(),
-                };
+                let mut st = ctx.stream();
                 let ah = self.a.register(&mut st);
                 let th = st.slice_mut(&mut tokens);
                 let aph = st.slice(&alphas_buf[..]);
@@ -1635,7 +1434,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 }
                 for &(l, kc) in &upds {
                     let vh = bh_of[l].expect("update lane registered").read();
-                    st.gemv_n_add_padded(vh, kc, ymh.col(l), uh.col_mut(l));
+                    st.gemv_n_add(vh, kc, ymh.col(l), uh.col_mut(l));
                     st.axpy(S::one(), uh.col(l), xh.col_mut(l));
                 }
                 for &l in &cycle {
@@ -1645,27 +1444,14 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 st.sync();
             } else {
                 // Preconditioned barrier: drained host steps + extension
-                // record first, then [per-lane lsq host node + padded
-                // GEMV] chains, then the eager preconditioner applies,
-                // then the shared residual region.
+                // record first, then [per-lane lsq host node + GEMV]
+                // chains, then the eager preconditioner applies, then
+                // the shared residual region.
                 {
-                    let key =
-                        RegionKey::lane_mask(&pending)
-                            .zip(deferred_masks)
-                            .map(|(mask, masks)| {
-                                RegionKey::new(region::BLOCK_PIPE_DRAIN, n)
-                                    .with_ncols(drained)
-                                    .with_k(pipe_disc(store.len(), masks))
-                                    .with_lanes(mask)
-                                    .with_tag(self.tag8())
-                            });
                     let (h1_prev, _) = parity_split(&mut h1, 1 - p);
                     let (h2_prev, _) = parity_split(&mut h2, 1 - p);
                     let (nr_prev, _) = parity_split(&mut norms, 1 - p);
-                    let mut st = match key {
-                        Some(key) => ctx.stream_for(key),
-                        None => ctx.stream(),
-                    };
+                    let mut st = ctx.stream();
                     let th = st.slice_mut(&mut tokens);
                     let aph = st.slice(&alphas_buf[..]);
                     let h1p = st.slice(&h1_prev[..]);
@@ -1689,17 +1475,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     st.sync();
                 }
                 {
-                    let key = RegionKey::lane_mask(&cycle).map(|cm| {
-                        RegionKey::new(region::BLOCK_PIPE_BARRIER, n)
-                            .with_ncols(upds_mask(&upds) as usize)
-                            .with_k(k)
-                            .with_lanes(cm)
-                            .with_tag(self.tag8())
-                    });
-                    let mut st = match key {
-                        Some(key) => ctx.stream_for(key),
-                        None => ctx.stream(),
-                    };
+                    let mut st = ctx.stream();
                     let th = st.slice_mut(&mut tokens);
                     let uh = st.block_mut(&mut u);
                     let ymh = st.block_mut(&mut ymat);
@@ -1708,7 +1484,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     }
                     for &(l, kc) in &upds {
                         let vh = st.basis(&lanes[l].v);
-                        st.gemv_n_add_padded(vh, kc, ymh.col(l), uh.col_mut(l));
+                        st.gemv_n_add(vh, kc, ymh.col(l), uh.col_mut(l));
                     }
                     st.sync();
                 }

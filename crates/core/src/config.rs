@@ -248,19 +248,6 @@ impl BasisPolicy {
             BasisPolicy::Compressed(p) => mpgmres_la::BasisStore::compressed(n, max_cols, p),
         }
     }
-
-    /// Storage code matching [`mpgmres_la::BasisStore::code`]: `Native` is
-    /// 0 so native solves keep their pre-refactor replay-region keys;
-    /// fp16 is 1, fp32 is 2. Drivers salt region tags with
-    /// `code() << 5` so each storage path replays its own stream.
-    pub fn code(self) -> u8 {
-        match self {
-            BasisPolicy::Native => 0,
-            BasisPolicy::Compressed(Precision::Fp16) => 1,
-            BasisPolicy::Compressed(Precision::Fp32) => 2,
-            BasisPolicy::Compressed(Precision::Fp64) => 3,
-        }
-    }
 }
 
 impl Serialize for BasisPolicy {

@@ -13,7 +13,6 @@
 //! `mpgmres-backend`'s determinism contract), so is the convergence
 //! behaviour.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mpgmres_backend::stream::{BoundOp, OpGraph};
@@ -150,7 +149,7 @@ impl<S: Scalar> GpuStore<S> {
         self.stats.bandwidth
     }
 
-    /// The storage-precision tag (keys recorded regions).
+    /// The storage-precision tag.
     pub fn tag(&self) -> PrecisionTag {
         self.store.tag()
     }
@@ -171,13 +170,15 @@ impl<S: Scalar> GpuStore<S> {
     }
 }
 
-/// Reused per-region recording state: the buffer arena, the payload
-/// bindings, and the per-op finish times of the overlap timeline. Lives
-/// on the context (not the stream) so steady-state recording allocates
-/// nothing once the capacities are warm.
+/// Reused per-region recording state: the buffer arena, the region's
+/// op graph, the payload bindings, and the per-op finish times of the
+/// overlap timeline. Lives on the context (not the stream) so the
+/// buffers keep their capacity across regions; everything is cleared
+/// when the next region opens.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
     pub(crate) arena: BufferArena,
+    pub(crate) graph: OpGraph,
     pub(crate) bindings: Vec<BoundOp>,
     pub(crate) finish: Vec<f64>,
 }
@@ -189,9 +190,7 @@ pub(crate) struct StreamScratch {
 ///
 /// - **eager** (each method below): validate, charge the profiler,
 ///   execute — semantically "record one op and sync immediately".
-/// - **recorded**: [`GpuContext::stream`] (or
-///   [`GpuContext::stream_for`], which additionally caches and replays
-///   the derived graph for shape-stable regions) opens a
+/// - **recorded**: [`GpuContext::stream`] opens a
 ///   [`Stream`](crate::Stream) that registers buffers into an arena and
 ///   enqueues ops carrying read/write handle spans; the dependency DAG
 ///   executes in ready batches at sync. Recorded execution is
@@ -210,8 +209,6 @@ pub struct GpuContext {
     reduction: ReductionOrder,
     backend: Arc<dyn Backend>,
     streaming: bool,
-    /// Cached payload-free op graphs, keyed by recording region shape.
-    stream_cache: HashMap<RegionKey, Arc<OpGraph>>,
     scratch: StreamScratch,
     stream_stats: StreamStats,
     /// Shard plans of matrices run under a sharded backend (structure
@@ -256,7 +253,6 @@ impl GpuContext {
             reduction,
             backend,
             streaming: true,
-            stream_cache: HashMap::new(),
             scratch: StreamScratch::default(),
             stream_stats: StreamStats::default(),
             shard_plans: ShardPlanCache::new(),
@@ -332,40 +328,23 @@ impl GpuContext {
         self.streaming = on;
     }
 
-    /// Open an ad-hoc command recorder on this context (no graph
-    /// caching; the DAG is derived for this region instance only). See
-    /// [`Stream`](crate::Stream) for the recording model.
+    /// Open a command recorder on this context; the region derives its
+    /// own DAG at sync. See [`Stream`](crate::Stream) for the recording
+    /// model.
     pub fn stream(&mut self) -> crate::Stream<'_> {
-        crate::Stream::begin(self, None)
+        crate::Stream::begin(self)
     }
 
-    /// Open a command recorder for a shape-stable region: the first
-    /// recording under `key` derives and caches the payload-free op
-    /// graph; later recordings replay it, verifying each op's shape and
-    /// rebinding only the payload (no node allocation, no span scans).
-    /// See [`Stream`](crate::Stream).
-    pub fn stream_for(&mut self, key: RegionKey) -> crate::Stream<'_> {
-        // Salt every keyed region with the backend's shard count: a
-        // sharded backend expands SpMV/SpMM/residual into per-shard op
-        // chains, so its graphs must never collide with single-backend
-        // recordings of the same region shape.
-        let key = key.with_shards(self.backend.shard_count());
-        crate::Stream::begin(self, Some(key))
+    /// Kept only for the standalone `perfbench/` benchmark: the same as
+    /// [`GpuContext::stream`].
+    pub fn stream_for(&mut self, _key: RegionKey) -> crate::Stream<'_> {
+        self.stream()
     }
 
-    /// Graph-cache hit/miss/allocation counters (see [`StreamStats`]).
+    /// Kept only for the standalone `perfbench/` benchmark: recorded
+    /// region and op counts (see [`StreamStats`]).
     pub fn stream_stats(&self) -> StreamStats {
         self.stream_stats
-    }
-
-    /// Number of cached region graphs.
-    pub fn stream_cache_len(&self) -> usize {
-        self.stream_cache.len()
-    }
-
-    /// Drop every cached region graph (counters are kept).
-    pub fn clear_stream_cache(&mut self) {
-        self.stream_cache.clear();
     }
 
     pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
@@ -393,40 +372,25 @@ impl GpuContext {
     /// Reset the per-region recording state (keeps allocations).
     pub(crate) fn scratch_reset(&mut self) {
         self.scratch.arena.clear();
+        self.scratch.graph.clear();
         self.scratch.bindings.clear();
         self.scratch.finish.clear();
         self.halo_used = 0;
     }
 
-    pub(crate) fn cached_graph(&self, key: &RegionKey) -> Option<Arc<OpGraph>> {
-        self.stream_cache.get(key).cloned()
-    }
-
-    pub(crate) fn store_graph(&mut self, key: RegionKey, graph: Arc<OpGraph>) {
-        self.stream_cache.insert(key, graph);
-    }
-
-    pub(crate) fn bump_hits(&mut self) {
-        self.stream_stats.hits += 1;
-    }
-
-    pub(crate) fn bump_misses(&mut self) {
-        self.stream_stats.misses += 1;
-    }
-
-    pub(crate) fn bump_nodes_allocated(&mut self, n: u64) {
-        self.stream_stats.nodes_allocated += n;
-    }
-
-    /// Submit a finalized recorded graph against the current scratch
-    /// bindings and arena.
-    pub(crate) fn submit_recorded(&self, graph: &OpGraph) {
+    /// Finalize the recorded graph and submit it against the current
+    /// scratch bindings and arena.
+    pub(crate) fn submit_recorded(&mut self) {
+        let scratch = &mut self.scratch;
+        scratch.graph.finalize();
         mpgmres_backend::stream::submit(
-            graph,
-            &self.scratch.bindings,
-            &self.scratch.arena,
+            &scratch.graph,
+            &scratch.bindings,
+            &scratch.arena,
             &*self.backend,
         );
+        self.stream_stats.misses += 1;
+        self.stream_stats.nodes_allocated += scratch.graph.len() as u64;
     }
 
     // ----- cost specs -------------------------------------------------

@@ -33,7 +33,6 @@ use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-use crate::stream::{region, RegionKey};
 
 /// GMRES-IR: inner precision `Lo`, outer (residual/solution) precision `Hi`.
 pub struct GmresIr<'a, Lo: BackendScalar, Hi: BackendScalar> {
@@ -182,17 +181,8 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         &self.cfg
     }
 
-    /// Precision-tag code keyed into the outer region: `0` for the
-    /// native path, the store's [`mpgmres_scalar::PrecisionTag`] code
-    /// otherwise — switching storage paths lands on a distinct cached
-    /// outer graph.
-    fn tag8(&self) -> u8 {
-        self.store_lo.as_ref().map_or(0, |s| s.tag().code())
-    }
-
-    /// The fp64 refinement step `r = b - A x`, `||r||`, recorded as the
-    /// [`region::IR_OUTER`] stream region (cold solve records the graph,
-    /// every later refinement replays it).
+    /// The fp64 refinement step `r = b - A x`, `||r||`, recorded as one
+    /// stream region.
     fn outer_residual(
         &self,
         ctx: &mut GpuContext,
@@ -201,8 +191,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         r: &mut [Hi],
         norm: &mut [Hi],
     ) {
-        let n = self.a_hi.n();
-        let mut st = ctx.stream_for(RegionKey::new(region::IR_OUTER, n).with_tag(self.tag8()));
+        let mut st = ctx.stream();
         let ah = st.matrix(self.a_hi);
         let bh = st.slice(b);
         let xh = st.slice(x);
@@ -228,8 +217,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         let mut u_hi = vec![Hi::zero(); n];
         let mut nbuf = vec![Hi::zero(); 1];
 
-        // High-precision initial residual (Algorithm 2, line 1); cold
-        // call records the IR_OUTER region, refinements replay it.
+        // High-precision initial residual (Algorithm 2, line 1).
         self.outer_residual(ctx, b, x, &mut r, &mut nbuf);
         let mut rnorm = nbuf[0].to_f64();
         let r0_norm = rnorm;

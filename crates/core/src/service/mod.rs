@@ -18,8 +18,7 @@
 //! tolerances and iteration caps ride the individual lanes: stopping
 //! parameters steer decisions, never arithmetic, so mixed-tolerance
 //! lanes keep the bit-parity contract. Requests from different tenants
-//! never share a group, and the admission regions fold the tenant into
-//! their replay keys, so cached op graphs stay per-tenant.
+//! never share a group.
 //!
 //! Every completed request is bit-identical to an independent
 //! [`crate::Gmres`] solve with the same configuration — the service
@@ -429,7 +428,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
         self.groups.push(Group {
             key,
             queue: Vec::new(),
-            engine: LaneEngine::new(solver, self.cfg.lanes, tenant),
+            engine: LaneEngine::new(solver, self.cfg.lanes),
             idle_steps: 0,
             op: operator,
             precond,

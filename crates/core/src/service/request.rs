@@ -32,8 +32,7 @@ impl<'a, S: BackendScalar> Operator<'a, S> {
         }
     }
 
-    /// Storage-precision tag code (0 for the plain matrix), matching
-    /// the byte the recorded-region keys carry.
+    /// Storage-precision tag code (0 for the plain matrix).
     pub(crate) fn tag_code(&self) -> u8 {
         match self {
             Operator::Matrix(_) => 0,

@@ -65,7 +65,7 @@ impl<L: Scalar> CompressedBasis<L> {
     }
 
     /// The backing column-major element array (length `n * max_cols`) —
-    /// what the recorded-stream arena registers so replayed reads can
+    /// what the recorded-stream arena registers so recorded reads can
     /// address the exact narrow byte span a kernel streams.
     #[inline]
     pub fn data(&self) -> &[L] {
@@ -247,9 +247,8 @@ impl<S: Scalar> BasisStore<S> {
         self.storage_precision().bytes()
     }
 
-    /// Dense `u8` storage code for region-key salting: 0 = native (so
-    /// native keys are bit-identical to the pre-`BasisStore` keys),
-    /// 1 = fp16, 2 = fp32 — disjoint per storage precision.
+    /// Dense `u8` storage code: 0 = native, 1 = fp16, 2 = fp32 —
+    /// disjoint per storage precision.
     #[inline]
     pub fn code(&self) -> u8 {
         match self {

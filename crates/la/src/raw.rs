@@ -39,8 +39,8 @@
 //!   two live references alias even across worker threads.
 //!
 //! Registration order matters once per buffer, not per op: handles are
-//! dense indices in registration order, which is what lets a replayed
-//! (cached) op graph rebind a new iteration's buffers positionally.
+//! dense indices in registration order, so recorded ops name their
+//! buffers by small integers instead of pointers.
 
 use mpgmres_scalar::Scalar;
 

@@ -77,8 +77,9 @@ impl<S: Scalar> MatrixStore<S> {
     ///
     /// Degenerate thresholds collapse to a single-bucket store: all-hi
     /// becomes [`MatrixStore::Plain`], all-lo becomes
-    /// [`MatrixStore::ShadowF32`] — so downstream region keys see the
-    /// storage that actually exists, not the split that was asked for.
+    /// [`MatrixStore::ShadowF32`] — so downstream tags and cost models
+    /// see the storage that actually exists, not the split that was
+    /// asked for.
     pub fn split_threshold(a: &Csr<S>, threshold: f64) -> Self {
         let s = SplitCsr::split(a, threshold);
         if s.lo().nnz() == 0 {
@@ -125,7 +126,7 @@ impl<S: Scalar> MatrixStore<S> {
         }
     }
 
-    /// Storage-precision tag (what the stream layer keys replay on).
+    /// Storage-precision tag.
     #[inline]
     pub fn tag(&self) -> PrecisionTag {
         match self {

@@ -73,13 +73,11 @@ impl fmt::Display for Precision {
 /// A solver's working precision `S` and the precision its matrix values
 /// are stored in are independent axes (the cuSPARSE fp32-shadow pattern:
 /// compute in fp64, stream fp32 matrix values). `PrecisionTag` names the
-/// storage side so the stream layer can key cached op graphs on it — a
-/// solver that promotes its store mid-run (e.g. IR switching fp32 -> fp64
-/// on stagnation) must land on a *distinct* cached graph, not silently
-/// rebuild or, worse, replay the stale one.
+/// storage side: the cost model prices a store's value stream by it, and
+/// the serving layer groups requests by it.
 ///
 /// [`PrecisionTag::code`] packs the tag into a `u8` for cheap inclusion
-/// in a hashable region key.
+/// in a hashable key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrecisionTag {
     /// All values stored in one precision.
@@ -95,7 +93,7 @@ pub enum PrecisionTag {
 }
 
 impl PrecisionTag {
-    /// Dense `u8` encoding for hashing into region keys.
+    /// Dense `u8` encoding for hashing into keys.
     ///
     /// Uniform tags map to `1 + precision` (1..=3); split tags map to
     /// `16 + 4*hi + lo` so every (hi, lo) pair is distinct from every
