@@ -1,49 +1,17 @@
-//! Kernel dimension contracts, asserted once at the backend boundary.
+//! Kernel dimension contracts of the kernels `GpuContext` dispatches
+//! directly.
 //!
-//! `GpuContext` validates every kernel call here before charging the
-//! profiler and dispatching to the backend, so individual backends can
-//! assume well-shaped inputs and all callers fail with one uniform
-//! message. (The reference kernels in `mpgmres-la` keep their own
+//! `GpuContext`'s direct kernel methods validate their call here before
+//! charging the profiler and dispatching to the backend, so individual
+//! backends can assume well-shaped inputs. Matrix and Krylov-basis ops
+//! run through `mpgmres::Stream`, whose record calls own their own
+//! shape checks. (The reference kernels in `mpgmres-la` keep their own
 //! cheap asserts as defense in depth for direct users of that crate.)
 
-use mpgmres_la::basis::BasisStore;
-use mpgmres_la::csr::Csr;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::store::MatrixStore;
 use mpgmres_scalar::Scalar;
-
-/// `y = A x`: `x` must match the column count, `y` the row count.
-#[inline]
-pub fn spmv<S: Scalar>(a: &Csr<S>, x: &[S], y: &[S]) {
-    assert_eq!(
-        x.len(),
-        a.ncols(),
-        "backend spmv: x has length {} but A has {} columns",
-        x.len(),
-        a.ncols()
-    );
-    assert_eq!(
-        y.len(),
-        a.nrows(),
-        "backend spmv: y has length {} but A has {} rows",
-        y.len(),
-        a.nrows()
-    );
-}
-
-/// `r = b - A x`: SpMV shapes plus `b` matching the row count.
-#[inline]
-pub fn residual<S: Scalar>(a: &Csr<S>, b: &[S], x: &[S], r: &[S]) {
-    spmv(a, x, r);
-    assert_eq!(
-        b.len(),
-        a.nrows(),
-        "backend residual: b has length {} but A has {} rows",
-        b.len(),
-        a.nrows()
-    );
-}
 
 /// GEMV over the first `ncols` basis columns: the column budget, the
 /// vector length, and the coefficient slice must all agree.
@@ -68,59 +36,8 @@ pub fn gemv<S: Scalar>(v: &MultiVector<S>, ncols: usize, vec: &[S], coeff: &[S])
     );
 }
 
-/// GEMV over the first `ncols` columns of a stored basis: identical
-/// shape rules to [`gemv`], independent of the storage precision.
-#[inline]
-pub fn basis_gemv<S: Scalar>(v: &BasisStore<S>, ncols: usize, vec: &[S], coeff: &[S]) {
-    assert!(
-        ncols <= v.max_cols(),
-        "backend basis_gemv: {ncols} columns requested but only {} allocated",
-        v.max_cols()
-    );
-    assert_eq!(
-        vec.len(),
-        v.n(),
-        "backend basis_gemv: vector has length {} but V has {} rows",
-        vec.len(),
-        v.n()
-    );
-    assert!(
-        coeff.len() >= ncols,
-        "backend basis_gemv: coefficient slice has length {} but {ncols} columns requested",
-        coeff.len()
-    );
-}
-
-/// SpMM `Y[:, ..k] = A X[:, ..k]`: row counts must match the matrix,
-/// both blocks must have at least `k` columns, and the block must be
-/// non-empty (width-0 launches are a driver bug, and the SpMM cost
-/// model's `k - 1` extra-column term requires `k >= 1`).
-#[inline]
-pub fn spmm<S: Scalar>(a: &Csr<S>, x: &MultiVec<S>, k: usize, y: &MultiVec<S>) {
-    assert!(k >= 1, "backend spmm: empty block (k = 0)");
-    assert_eq!(
-        x.n(),
-        a.ncols(),
-        "backend spmm: X has {} rows but A has {} columns",
-        x.n(),
-        a.ncols()
-    );
-    assert_eq!(
-        y.n(),
-        a.nrows(),
-        "backend spmm: Y has {} rows but A has {} rows",
-        y.n(),
-        a.nrows()
-    );
-    assert!(
-        k <= x.k() && k <= y.k(),
-        "backend spmm: {k} columns requested but X has {} and Y has {}",
-        x.k(),
-        y.k()
-    );
-}
-
-/// Storage-path `y = A x`: same shape rules as [`spmv`].
+/// Storage-path `y = A x`: `x` must match the column count, `y` the
+/// row count.
 #[inline]
 pub fn store_spmv<S: Scalar>(a: &MatrixStore<S>, x: &[S], y: &[S]) {
     assert_eq!(
@@ -139,144 +56,7 @@ pub fn store_spmv<S: Scalar>(a: &MatrixStore<S>, x: &[S], y: &[S]) {
     );
 }
 
-/// Storage-path `r = b - A x`: [`store_spmv`] shapes plus `b`.
-#[inline]
-pub fn store_residual<S: Scalar>(a: &MatrixStore<S>, b: &[S], x: &[S], r: &[S]) {
-    store_spmv(a, x, r);
-    assert_eq!(
-        b.len(),
-        a.nrows(),
-        "backend store_residual: b has length {} but A has {} rows",
-        b.len(),
-        a.nrows()
-    );
-}
-
-/// Storage-path SpMM: same shape rules as [`spmm`].
-#[inline]
-pub fn store_spmm<S: Scalar>(a: &MatrixStore<S>, x: &MultiVec<S>, k: usize, y: &MultiVec<S>) {
-    assert!(k >= 1, "backend store_spmm: empty block (k = 0)");
-    assert_eq!(
-        x.n(),
-        a.ncols(),
-        "backend store_spmm: X has {} rows but A has {} columns",
-        x.n(),
-        a.ncols()
-    );
-    assert_eq!(
-        y.n(),
-        a.nrows(),
-        "backend store_spmm: Y has {} rows but A has {} rows",
-        y.n(),
-        a.nrows()
-    );
-    assert!(
-        k <= x.k() && k <= y.k(),
-        "backend store_spmm: {k} columns requested but X has {} and Y has {}",
-        x.k(),
-        y.k()
-    );
-}
-
-/// Batched GEMV over one basis per block column: every basis must hold
-/// `ncols` columns of the block's row count, and the packed coefficient
-/// slice must hold `vs.len() * ncols` entries.
-#[inline]
-pub fn block_gemv<S: Scalar>(vs: &[&MultiVector<S>], ncols: usize, w: &MultiVec<S>, coeff: &[S]) {
-    assert!(
-        vs.len() <= w.k(),
-        "backend block_gemv: {} bases but the block has {} columns",
-        vs.len(),
-        w.k()
-    );
-    for (c, v) in vs.iter().enumerate() {
-        assert!(
-            ncols <= v.max_cols(),
-            "backend block_gemv: {ncols} columns requested but basis {c} has {}",
-            v.max_cols()
-        );
-        assert_eq!(
-            v.n(),
-            w.n(),
-            "backend block_gemv: basis {c} has {} rows but the block has {}",
-            v.n(),
-            w.n()
-        );
-    }
-    assert!(
-        coeff.len() >= vs.len() * ncols,
-        "backend block_gemv: coefficient slice has length {} but {} x {ncols} requested",
-        coeff.len(),
-        vs.len()
-    );
-}
-
-/// Batched GEMV over one stored basis per block column: the
-/// [`block_gemv`] shape rules plus a uniform storage precision across
-/// the lane set (one fused launch streams one element width).
-#[inline]
-pub fn basis_block_gemv<S: Scalar>(
-    vs: &[&BasisStore<S>],
-    ncols: usize,
-    w: &MultiVec<S>,
-    coeff: &[S],
-) {
-    assert!(
-        vs.len() <= w.k(),
-        "backend basis_block_gemv: {} bases but the block has {} columns",
-        vs.len(),
-        w.k()
-    );
-    for (c, v) in vs.iter().enumerate() {
-        assert!(
-            ncols <= v.max_cols(),
-            "backend basis_block_gemv: {ncols} columns requested but basis {c} has {}",
-            v.max_cols()
-        );
-        assert_eq!(
-            v.n(),
-            w.n(),
-            "backend basis_block_gemv: basis {c} has {} rows but the block has {}",
-            v.n(),
-            w.n()
-        );
-        assert_eq!(
-            v.elem_bytes(),
-            vs[0].elem_bytes(),
-            "backend basis_block_gemv: basis {c} stores {}-byte elements but basis 0 stores {}",
-            v.elem_bytes(),
-            vs[0].elem_bytes()
-        );
-    }
-    assert!(
-        coeff.len() >= vs.len() * ncols,
-        "backend basis_block_gemv: coefficient slice has length {} but {} x {ncols} requested",
-        coeff.len(),
-        vs.len()
-    );
-}
-
-/// Column-wise kernels over the leading `k` columns of equal-shape
-/// blocks (block_dot, block_axpy, block_copy).
-#[inline]
-pub fn block_pair<S: Scalar>(op: &'static str, x: &MultiVec<S>, y: &MultiVec<S>, k: usize) {
-    assert_eq!(
-        x.n(),
-        y.n(),
-        "backend {op}: row mismatch ({} vs {})",
-        x.n(),
-        y.n()
-    );
-    assert!(
-        k <= x.k() && k <= y.k(),
-        "backend {op}: {k} columns requested but blocks have {} and {}",
-        x.k(),
-        y.k()
-    );
-}
-
-/// A block and a per-column scalar slice (block_norm2, block_scal,
-/// block_axpy coefficients).
+/// A block and a per-column scalar slice (block_norm2).
 #[inline]
 pub fn block_scalars<S: Scalar>(op: &'static str, x: &MultiVec<S>, k: usize, out: &[S]) {
     assert!(
@@ -291,10 +71,9 @@ pub fn block_scalars<S: Scalar>(op: &'static str, x: &MultiVec<S>, k: usize, out
     );
 }
 
-/// Lane-set kernels: matching lane counts, per-lane equal lengths, and
-/// (when present) one scalar per lane.
+/// Lane-set kernels: matching lane counts and per-lane equal lengths.
 #[inline]
-pub fn lanes<S: Scalar>(op: &'static str, alpha: Option<&[S]>, srcs: &[&[S]], dsts: &[&mut [S]]) {
+pub fn lanes<S: Scalar>(op: &'static str, srcs: &[&[S]], dsts: &[&mut [S]]) {
     assert_eq!(
         srcs.len(),
         dsts.len(),
@@ -302,15 +81,6 @@ pub fn lanes<S: Scalar>(op: &'static str, alpha: Option<&[S]>, srcs: &[&[S]], ds
         srcs.len(),
         dsts.len()
     );
-    if let Some(alpha) = alpha {
-        assert_eq!(
-            alpha.len(),
-            srcs.len(),
-            "backend {op}: {} scalars for {} lanes",
-            alpha.len(),
-            srcs.len()
-        );
-    }
     for (c, (s, d)) in srcs.iter().zip(dsts.iter()).enumerate() {
         assert_eq!(
             s.len(),
@@ -331,7 +101,7 @@ pub fn lanes<S: Scalar>(op: &'static str, alpha: Option<&[S]>, srcs: &[&[S]], ds
     }
 }
 
-/// Two equal-length vectors (dot, axpy, copy).
+/// Two equal-length vectors (dot, axpy).
 #[inline]
 pub fn same_len<S: Scalar>(op: &'static str, x: &[S], y: &[S]) {
     assert_eq!(
@@ -349,50 +119,12 @@ mod tests {
 
     #[test]
     fn valid_shapes_pass() {
-        let a = Csr::<f64>::identity(3);
         let v = [0.0; 3];
-        spmv(&a, &v, &v);
-        residual(&a, &v, &v, &v);
         let mv = MultiVector::<f64>::zeros(3, 2);
         gemv(&mv, 2, &v, &[0.0; 2]);
         same_len("dot", &v, &v);
         let block = MultiVec::<f64>::zeros(3, 2);
-        spmm(&a, &block, 2, &block);
-        block_gemv(&[&mv, &mv], 2, &block, &[0.0; 4]);
-        block_pair("block_copy", &block, &block, 2);
         block_scalars("block_norm2", &block, 2, &[0.0; 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend spmm: 3 columns requested")]
-    fn spmm_column_overflow_panics() {
-        let a = Csr::<f64>::identity(3);
-        let block = MultiVec::<f64>::zeros(3, 2);
-        spmm(&a, &block, 3, &block);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend spmm: empty block")]
-    fn spmm_zero_width_panics() {
-        let a = Csr::<f64>::identity(3);
-        let block = MultiVec::<f64>::zeros(3, 2);
-        spmm(&a, &block, 0, &block);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend block_gemv: basis 1 has")]
-    fn block_gemv_row_mismatch_panics() {
-        let ok = MultiVector::<f64>::zeros(3, 2);
-        let bad = MultiVector::<f64>::zeros(4, 2);
-        let block = MultiVec::<f64>::zeros(3, 2);
-        block_gemv(&[&ok, &bad], 2, &block, &[0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend spmv: x has length")]
-    fn spmv_shape_mismatch_panics() {
-        let a = Csr::<f64>::identity(3);
-        spmv(&a, &[0.0; 2], &[0.0; 3]);
     }
 
     #[test]

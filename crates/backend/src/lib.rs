@@ -26,13 +26,13 @@
 //!         (future: GPU backend, ...)
 //! ```
 //!
-//! Kernels can execute *eagerly* (each `GpuContext` method records and
-//! immediately syncs a single op) or through a *recorded stream*
+//! Matrix and Krylov-basis kernels run through a *recorded stream*
 //! (`GpuContext::stream`), which registers buffers into an arena
 //! (`mpgmres_la::raw::BufferArena`), pushes one [`stream::OpShape`] per
 //! kernel (handle + byte-span read/write sets), derives a dependency
 //! DAG from span overlap, and at sync hands wavefronts of independent
-//! ready ops to [`Backend::execute_batch`]. Recorded
+//! ready ops to [`Backend::execute_batch`]. With streaming off, each
+//! op is submitted alone at its record call (eager execution). Recorded
 //! execution is bit-identical to eager execution by construction — the
 //! DAG only relaxes ordering between ops that cannot observe each other
 //! (see [`stream`]).

@@ -7,8 +7,9 @@
 //! - **byte model**: the simulator's charged basis GEMV bytes must
 //!   match the machine-independent analytic form
 //!   `ncols x n x elem_bytes + vec_streams x n x work_bytes` exactly —
-//!   a driven sequence of `basis_gemv_t` / `basis_gemv_n_sub` calls
-//!   over native, fp32, and fp16 stores is summed against the model,
+//!   a driven sequence of recorded `gemv_t` / `gemv_n_sub` stream ops
+//!   (the path the solvers use) over native, fp32, and fp16 stores is
+//!   summed against the model,
 //!   ratio 1.0 (hard-gated: pure accounting, no wall clock in sight);
 //! - **byte ratio**: the fp32/fp64 basis GEMV-T byte ratio at the
 //!   pinned projection width (`ncols = 26`) is exactly `112/216` —
@@ -79,8 +80,8 @@ struct BasisArtifact {
     gate: GateRecord,
 }
 
-/// Drive `basis_gemv_t` + `basis_gemv_n_sub` over every projection
-/// width up to `m` and return (charged GEMV bytes, model bytes).
+/// Record one `gemv_t` + `gemv_n_sub` region per projection width up
+/// to `m` and return (charged GEMV bytes, model bytes).
 fn driven_gemv_bytes(store: &BasisStore<f64>, m: usize) -> (u64, usize) {
     let n = store.n();
     let e = store.elem_bytes();
@@ -90,8 +91,14 @@ fn driven_gemv_bytes(store: &BasisStore<f64>, m: usize) -> (u64, usize) {
     let mut model = 0usize;
     for ncols in 1..=m {
         let mut h = vec![0.0f64; ncols];
-        ctx.basis_gemv_t(store, ncols, &w, &mut h);
-        ctx.basis_gemv_n_sub(store, ncols, &h, &mut wd);
+        let mut st = ctx.stream();
+        let vh = st.basis(store);
+        let wh = st.slice(&w);
+        let hh = st.slice_mut(&mut h);
+        let wdh = st.slice_mut(&mut wd);
+        st.gemv_t(vh, ncols, wh, hh);
+        st.gemv_n_sub(vh, ncols, hh.read(), wdh);
+        st.sync();
         model += analytic::basis_gemv_traffic_bytes(n, ncols, e, 1, Precision::Fp64);
         model += analytic::basis_gemv_traffic_bytes(n, ncols, e, 2, Precision::Fp64);
     }

@@ -127,13 +127,6 @@ impl<'a, S: BackendScalar> Operand<'a, S> {
             Operand::Store(a) => OpRef::Store(st.store(a)),
         }
     }
-
-    fn eager_spmm(&self, ctx: &mut GpuContext, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        match *self {
-            Operand::Plain(a) => ctx.spmm(a, x, k, y),
-            Operand::Store(a) => ctx.store_spmm(a, x, k, y),
-        }
-    }
 }
 
 /// Record the fused residual `r = b - A x` against either operand kind
@@ -1018,8 +1011,16 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 }
                 OrthoMethod::Mgs => {
                     // 2j skinny kernels per lane, each feeding the
-                    // next host decision; nothing to batch or record.
-                    self.a.eager_spmm(ctx, &ws.z, kc, &mut ws.w);
+                    // next host decision; nothing to batch or record,
+                    // so even the SpMM is submitted alone (a serial
+                    // charge in either streaming mode).
+                    {
+                        let mut st = Stream::eager(ctx);
+                        let ah = self.a.register(&mut st);
+                        let zh = st.block(&ws.z);
+                        let wh = st.block_mut(&mut ws.w);
+                        rec_spmm(&mut st, ah, zh, kc, wh);
+                    }
                     for (c, &l) in act.iter().enumerate() {
                         // MGS reads columns through S-typed views, so it
                         // is native-only (validate() rejects the combo).

@@ -186,22 +186,21 @@ pub(crate) struct StreamScratch {
 /// Instrumented kernel executor: charges the profiler, delegates
 /// computation to the configured [`Backend`].
 ///
-/// Kernels run in one of two modes:
+/// Matrix and Krylov-basis ops run through a [`Stream`](crate::Stream)
+/// opened by [`GpuContext::stream`]: it registers buffers into an
+/// arena, records ops carrying read/write handle spans, and submits
+/// the dependency DAG in ready batches at sync. Recorded execution is
+/// bit-identical to submitting each op alone (the DAG only relaxes
+/// ordering between ops that cannot observe each other) and lets the
+/// simulated timeline overlap independent ops (the critical-path
+/// figure of [`TimingReport`]).
 ///
-/// - **eager** (each method below): validate, charge the profiler,
-///   execute — semantically "record one op and sync immediately".
-/// - **recorded**: [`GpuContext::stream`] opens a
-///   [`Stream`](crate::Stream) that registers buffers into an arena and
-///   enqueues ops carrying read/write handle spans; the dependency DAG
-///   executes in ready batches at sync. Recorded execution is
-///   bit-identical to eager (the DAG only relaxes ordering between ops
-///   that cannot observe each other) and lets the simulated timeline
-///   overlap independent ops (the critical-path figure of
-///   [`TimingReport`]).
-///
-/// [`GpuContext::set_streaming`] turns recording off globally (every
-/// stream then degenerates to eager per-op execution) — the switch the
-/// recorded-vs-eager parity suite flips.
+/// [`GpuContext::set_streaming`] turns recording off globally: every
+/// record call then submits its op alone, at the call, as a serial
+/// chain — the switch the recorded-vs-eager parity suite flips.
+/// [`GpuContext::spmv`] and [`GpuContext::residual_as`] are always such
+/// one-op streams. The remaining methods below charge and dispatch
+/// directly.
 #[derive(Debug)]
 pub struct GpuContext {
     device: DeviceModel,
@@ -315,15 +314,15 @@ impl GpuContext {
         self.profiler.reset();
     }
 
-    /// Whether streams record (default) or degenerate to eager per-op
-    /// execution.
+    /// Whether streams record (default) or submit each op alone.
     pub fn streaming(&self) -> bool {
         self.streaming
     }
 
     /// Enable/disable stream recording. With recording off, every
-    /// [`GpuContext::stream`] region executes its ops eagerly in record
-    /// order — the reference behavior the parity suite compares against.
+    /// [`GpuContext::stream`] region submits each op alone at its record
+    /// call, in record order — the reference behavior the parity suite
+    /// compares against.
     pub fn set_streaming(&mut self, on: bool) {
         self.streaming = on;
     }
@@ -381,6 +380,22 @@ impl GpuContext {
     /// Finalize the recorded graph and submit it against the current
     /// scratch bindings and arena.
     pub(crate) fn submit_recorded(&mut self) {
+        self.submit_graph();
+        self.stream_stats.misses += 1;
+        self.stream_stats.nodes_allocated += self.scratch.graph.len() as u64;
+    }
+
+    /// Submit the one op an eager stream just recorded, then drop it
+    /// from the graph. The arena keeps its registrations for the
+    /// region's next op; [`StreamStats`] counts recorded regions only.
+    pub(crate) fn submit_eager_op(&mut self) {
+        self.submit_graph();
+        self.scratch.graph.clear();
+        self.scratch.bindings.clear();
+        self.scratch.finish.clear();
+    }
+
+    fn submit_graph(&mut self) {
         let scratch = &mut self.scratch;
         scratch.graph.finalize();
         mpgmres_backend::stream::submit(
@@ -389,16 +404,13 @@ impl GpuContext {
             &scratch.arena,
             &*self.backend,
         );
-        self.stream_stats.misses += 1;
-        self.stream_stats.nodes_allocated += scratch.graph.len() as u64;
     }
 
     // ----- cost specs -------------------------------------------------
     //
     // One function per kernel shape computing (simulated seconds, modeled
-    // bytes). Both the eager methods below and the recorded Stream path
-    // go through these, so the two modes charge bit-identical costs by
-    // construction.
+    // bytes). Stream ops and the direct methods below price through
+    // these, so every path charges bit-identical costs by construction.
 
     pub(crate) fn spmv_spec<S: Scalar>(&self, a: &GpuMatrix<S>) -> (f64, usize) {
         let t = cost::spmv_time(&self.device, a.n(), a.nnz(), a.bandwidth(), S::PRECISION);
@@ -505,9 +517,10 @@ impl GpuContext {
     // Under a sharded backend every matrix op decomposes into per-shard
     // pieces: a halo exchange (remote x-entries the shard's boundary
     // rows read), an interior kernel over rows touching only owned
-    // columns, and a boundary kernel gated on the exchange. Eager and
-    // recorded modes both walk the SAME piece sequence through the SAME
-    // spec functions, preserving the bitwise charge-parity invariant.
+    // columns, and a boundary kernel gated on the exchange. The one
+    // piece walk is `Stream::record_sharded_matvec`; eager streams
+    // submit its pieces one by one, so both modes charge the same
+    // sequence.
 
     /// The shard plan for `a` under the current backend, or `None` when
     /// the backend is unsharded (every op then takes the plain path).
@@ -575,43 +588,6 @@ impl GpuContext {
         }
     }
 
-    /// Eager-mode decomposed charging for a sharded matrix op: walks the
-    /// identical piece sequence (halo, interior, boundary per shard,
-    /// same skip rules) the recorded path emits as stream nodes, so
-    /// eager and recorded totals stay bit-identical.
-    pub(crate) fn charge_sharded<S: Scalar>(
-        &mut self,
-        class: KernelClass,
-        a: &GpuMatrix<S>,
-        plan: &ShardPlan,
-        k: usize,
-        op: ShardedMatOp,
-    ) {
-        let row_ptr = a.csr().row_ptr();
-        for region in &plan.regions {
-            if region.rows() == 0 {
-                continue;
-            }
-            if region.halo_len() > 0 {
-                let (t, bytes) = self.halo_spec::<S>(region.halo_len(), k);
-                self.profiler.charge(KernelClass::Halo, t, bytes);
-            }
-            if region.ihi > region.ilo {
-                let nnz = row_ptr[region.ihi] - row_ptr[region.ilo];
-                let (t, bytes) =
-                    self.sharded_piece_spec::<S>(a, region.ihi - region.ilo, nnz, k, op);
-                self.profiler.charge(class, t, bytes);
-            }
-            let brows = (region.ilo - region.lo) + (region.hi - region.ihi);
-            if brows > 0 {
-                let bnnz = (row_ptr[region.ilo] - row_ptr[region.lo])
-                    + (row_ptr[region.hi] - row_ptr[region.ihi]);
-                let (t, bytes) = self.sharded_piece_spec::<S>(a, brows, bnnz, k, op);
-                self.profiler.charge(class, t, bytes);
-            }
-        }
-    }
-
     pub(crate) fn gemv_t_spec<S: Scalar>(&self, n: usize, ncols: usize) -> (f64, usize) {
         let t = cost::gemv_t_time(&self.device, n, ncols, S::PRECISION);
         (t, (ncols + 1) * n * S::BYTES)
@@ -620,16 +596,6 @@ impl GpuContext {
     pub(crate) fn gemv_n_spec<S: Scalar>(&self, n: usize, ncols: usize) -> (f64, usize) {
         let t = cost::gemv_n_time(&self.device, n, ncols, S::PRECISION);
         (t, (ncols + 2) * n * S::BYTES)
-    }
-
-    pub(crate) fn gemm_t_spec<S: Scalar>(&self, n: usize, ncols: usize, k: usize) -> (f64, usize) {
-        let t = cost::gemm_t_time(&self.device, n, ncols, k, S::PRECISION);
-        (t, k * (ncols + 1) * n * S::BYTES)
-    }
-
-    pub(crate) fn gemm_n_spec<S: Scalar>(&self, n: usize, ncols: usize, k: usize) -> (f64, usize) {
-        let t = cost::gemm_n_time(&self.device, n, ncols, k, S::PRECISION);
-        (t, k * (ncols + 2) * n * S::BYTES)
     }
 
     pub(crate) fn norm_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
@@ -741,32 +707,16 @@ impl GpuContext {
 
     // ----- instrumented kernels --------------------------------------
 
-    /// `y = A x`, charged to the given class (solvers use
-    /// [`KernelClass::SpMV`]; GMRES-IR's refinement residual uses
-    /// [`KernelClass::ResidualHi`] so it lands in the paper's "Other").
-    pub fn spmv_as<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        a: &GpuMatrix<S>,
-        x: &[S],
-        y: &mut [S],
-    ) {
-        contracts::spmv(a.csr(), x, y);
-        if let Some(plan) = self.shard_plan_for(a) {
-            self.charge_sharded::<S>(class, a, &plan, 1, ShardedMatOp::Spmv);
-        } else {
-            let (t, bytes) = self.spmv_spec::<S>(a);
-            self.profiler.charge(class, t, bytes);
-        }
-        S::view(&*self.backend).spmv(a.csr(), x, y);
-    }
-
-    /// `y = A x` charged as a solver SpMV.
+    /// `y = A x` charged as a solver SpMV: a one-op eager stream.
     pub fn spmv<S: BackendScalar>(&mut self, a: &GpuMatrix<S>, x: &[S], y: &mut [S]) {
-        self.spmv_as(KernelClass::SpMV, a, x, y);
+        let mut st = crate::Stream::eager(self);
+        let (ah, xh, yh) = (st.matrix(a), st.slice(x), st.slice_mut(y));
+        st.spmv(ah, xh, yh);
     }
 
-    /// Fused residual `r = b - A x`.
+    /// Fused residual `r = b - A x`, charged to `class` (GMRES-IR's
+    /// refinement residual uses [`KernelClass::ResidualHi`] so it lands
+    /// in the paper's "Other"): a one-op eager stream.
     pub fn residual_as<S: BackendScalar>(
         &mut self,
         class: KernelClass,
@@ -775,14 +725,10 @@ impl GpuContext {
         x: &[S],
         r: &mut [S],
     ) {
-        contracts::residual(a.csr(), b, x, r);
-        if let Some(plan) = self.shard_plan_for(a) {
-            self.charge_sharded::<S>(class, a, &plan, 1, ShardedMatOp::Residual);
-        } else {
-            let (t, bytes) = self.residual_spec::<S>(a);
-            self.profiler.charge(class, t, bytes);
-        }
-        S::view(&*self.backend).residual(a.csr(), b, x, r);
+        let mut st = crate::Stream::eager(self);
+        let (ah, bh, xh) = (st.matrix(a), st.slice(b), st.slice(x));
+        let rh = st.slice_mut(r);
+        st.residual_as(class, ah, bh, xh, rh);
     }
 
     // ----- storage-path (multiprecision) kernels ----------------------
@@ -794,52 +740,12 @@ impl GpuContext {
     // stream and the generalized x-reuse rule — a `Plain` store charges
     // and computes bit-identically to the `GpuMatrix` calls.
 
-    /// Storage-path `y = A x`, charged to `class`.
-    pub fn store_spmv_as<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        a: &GpuStore<S>,
-        x: &[S],
-        y: &mut [S],
-    ) {
-        contracts::store_spmv(a.store(), x, y);
-        let (t, bytes) = self.store_spmv_spec::<S>(a);
-        self.profiler.charge(class, t, bytes);
-        S::view(&*self.backend).store_spmv(a.store(), x, y);
-    }
-
     /// Storage-path `y = A x` charged as a solver SpMV.
     pub fn store_spmv<S: BackendScalar>(&mut self, a: &GpuStore<S>, x: &[S], y: &mut [S]) {
-        self.store_spmv_as(KernelClass::SpMV, a, x, y);
-    }
-
-    /// Storage-path fused residual `r = b - A x`, charged to `class`.
-    pub fn store_residual_as<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        a: &GpuStore<S>,
-        b: &[S],
-        x: &[S],
-        r: &mut [S],
-    ) {
-        contracts::store_residual(a.store(), b, x, r);
-        let (t, bytes) = self.store_residual_spec::<S>(a);
-        self.profiler.charge(class, t, bytes);
-        S::view(&*self.backend).store_residual(a.store(), b, x, r);
-    }
-
-    /// Storage-path batched SpMM `Y[:, ..k] = A X[:, ..k]`.
-    pub fn store_spmm<S: BackendScalar>(
-        &mut self,
-        a: &GpuStore<S>,
-        x: &MultiVec<S>,
-        k: usize,
-        y: &mut MultiVec<S>,
-    ) {
-        contracts::store_spmm(a.store(), x, k, y);
-        let (t, bytes) = self.store_spmm_spec::<S>(a, k);
+        contracts::store_spmv(a.store(), x, y);
+        let (t, bytes) = self.store_spmv_spec::<S>(a);
         self.profiler.charge(KernelClass::SpMV, t, bytes);
-        S::view(&*self.backend).store_spmm(a.store(), x, k, y);
+        S::view(&*self.backend).store_spmv(a.store(), x, y);
     }
 
     /// `h = V^T w` over the first `ncols` basis columns (GEMV Trans).
@@ -870,31 +776,10 @@ impl GpuContext {
         S::view(&*self.backend).gemv_n_sub(v, ncols, h, w);
     }
 
-    /// `y += V h` (GEMV No-Trans; the solution update `x += V y`).
-    pub fn gemv_n_add<S: BackendScalar>(
-        &mut self,
-        v: &MultiVector<S>,
-        ncols: usize,
-        h: &[S],
-        y: &mut [S],
-    ) {
-        contracts::gemv(v, ncols, y, h);
-        let (t, bytes) = self.gemv_n_spec::<S>(v.n(), ncols);
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).gemv_n_add(v, ncols, h, y);
-    }
-
     /// Euclidean norm with device-to-host result transfer.
     pub fn norm2<S: BackendScalar>(&mut self, x: &[S]) -> S {
-        self.norm2_as(KernelClass::Norm, x)
-    }
-
-    /// Euclidean norm charged to an explicit class (GMRES-IR charges its
-    /// refinement-residual norms to [`KernelClass::ResidualHi`] so they
-    /// land in the paper's "Other" bar, per the Fig. 4 caption).
-    pub fn norm2_as<S: BackendScalar>(&mut self, class: KernelClass, x: &[S]) -> S {
         let (t, bytes) = self.norm_spec::<S>(x.len());
-        self.profiler.charge(class, t, bytes);
+        self.profiler.charge(KernelClass::Norm, t, bytes);
         S::view(&*self.backend).norm2(x, self.reduction)
     }
 
@@ -921,85 +806,12 @@ impl GpuContext {
         S::view(&*self.backend).scal(alpha, x);
     }
 
-    /// Device-resident vector copy (no profiler charge is attached to
-    /// plain copies in the paper's accounting; provided for backends).
-    pub fn copy<S: BackendScalar>(&mut self, src: &[S], dst: &mut [S]) {
-        contracts::same_len("copy", src, dst);
-        S::view(&*self.backend).copy(src, dst);
-    }
-
     // ----- batched multi-RHS (block) kernels --------------------------
     //
-    // The profiler is charged with SpMM/GEMM-shaped costs
-    // (`mpgmres_gpusim::cost::{spmm_time, gemm_t_time, ...}`) under the
-    // SAME kernel classes as the single-vector calls: at k = 1 every
-    // block charge is bit-identical to its single-vector counterpart, so
-    // a width-1 block solve reproduces a single-RHS solve's timing
-    // report exactly, and the category rollup stays comparable across
-    // block widths.
-
-    /// Batched SpMM `Y[:, ..k] = A X[:, ..k]` — one matrix read serves
-    /// all `k` right-hand sides.
-    pub fn spmm<S: BackendScalar>(
-        &mut self,
-        a: &GpuMatrix<S>,
-        x: &MultiVec<S>,
-        k: usize,
-        y: &mut MultiVec<S>,
-    ) {
-        contracts::spmm(a.csr(), x, k, y);
-        if let Some(plan) = self.shard_plan_for(a) {
-            self.charge_sharded::<S>(KernelClass::SpMV, a, &plan, k, ShardedMatOp::Spmm);
-        } else {
-            let (t, bytes) = self.spmm_spec::<S>(a, k);
-            self.profiler.charge(KernelClass::SpMV, t, bytes);
-        }
-        S::view(&*self.backend).spmm(a.csr(), x, k, y);
-    }
-
-    /// Batched GEMV-Trans (GEMM shape): `h_c = V_c^T w_c` for each of
-    /// the block's columns, one basis per column, coefficients packed
-    /// with stride `ncols`.
-    pub fn block_gemv_t<S: BackendScalar>(
-        &mut self,
-        vs: &[&MultiVector<S>],
-        ncols: usize,
-        w: &MultiVec<S>,
-        h: &mut [S],
-    ) {
-        contracts::block_gemv(vs, ncols, w, h);
-        let (t, bytes) = self.gemm_t_spec::<S>(w.n(), ncols, vs.len());
-        self.profiler.charge(KernelClass::GemvT, t, bytes);
-        S::view(&*self.backend).block_gemv_t(vs, ncols, w, h, self.reduction);
-    }
-
-    /// Batched GEMV-NoTrans (GEMM shape): `w_c -= V_c h_c`.
-    pub fn block_gemv_n_sub<S: BackendScalar>(
-        &mut self,
-        vs: &[&MultiVector<S>],
-        ncols: usize,
-        h: &[S],
-        w: &mut MultiVec<S>,
-    ) {
-        contracts::block_gemv(vs, ncols, w, h);
-        let (t, bytes) = self.gemm_n_spec::<S>(w.n(), ncols, vs.len());
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).block_gemv_n_sub(vs, ncols, h, w);
-    }
-
-    /// Batched GEMV-NoTrans (GEMM shape): `y_c += V_c h_c`.
-    pub fn block_gemv_n_add<S: BackendScalar>(
-        &mut self,
-        vs: &[&MultiVector<S>],
-        ncols: usize,
-        h: &[S],
-        y: &mut MultiVec<S>,
-    ) {
-        contracts::block_gemv(vs, ncols, y, h);
-        let (t, bytes) = self.gemm_n_spec::<S>(y.n(), ncols, vs.len());
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).block_gemv_n_add(vs, ncols, h, y);
-    }
+    // Charged with GEMM-shaped costs under the SAME kernel classes as the
+    // single-vector calls: at k = 1 every block charge is bit-identical
+    // to its single-vector counterpart, so a width-1 block solve
+    // reproduces a single-RHS solve's timing report exactly.
 
     /// Fused column norms with one device-to-host result transfer.
     pub fn block_norm2<S: BackendScalar>(&mut self, x: &MultiVec<S>, k: usize, out: &mut [S]) {
@@ -1009,82 +821,12 @@ impl GpuContext {
         S::view(&*self.backend).block_norm2(x, k, out, self.reduction);
     }
 
-    /// Fused column inner products with one result transfer.
-    pub fn block_dot<S: BackendScalar>(
-        &mut self,
-        x: &MultiVec<S>,
-        y: &MultiVec<S>,
-        k: usize,
-        out: &mut [S],
-    ) {
-        contracts::block_pair("block_dot", x, y, k);
-        contracts::block_scalars("block_dot", x, k, out);
-        let t = cost::block_dot_time(&self.device, x.n(), k, S::PRECISION);
-        self.profiler
-            .charge(KernelClass::Dot, t, 2 * k * x.n() * S::BYTES);
-        S::view(&*self.backend).block_dot(x, y, k, out, self.reduction);
-    }
-
-    /// Fused column updates `y_c += alpha_c x_c`.
-    pub fn block_axpy<S: BackendScalar>(
-        &mut self,
-        alpha: &[S],
-        x: &MultiVec<S>,
-        k: usize,
-        y: &mut MultiVec<S>,
-    ) {
-        contracts::block_pair("block_axpy", x, y, k);
-        contracts::block_scalars("block_axpy", x, k, alpha);
-        let t = cost::block_axpy_time(&self.device, x.n(), k, S::PRECISION);
-        self.profiler
-            .charge(KernelClass::Axpy, t, 3 * k * x.n() * S::BYTES);
-        S::view(&*self.backend).block_axpy(alpha, x, k, y);
-    }
-
-    /// Fused column scalings `x_c *= alpha_c`.
-    pub fn block_scal<S: BackendScalar>(&mut self, alpha: &[S], x: &mut MultiVec<S>, k: usize) {
-        contracts::block_scalars("block_scal", x, k, alpha);
-        let (t, bytes) = self.block_scal_spec::<S>(x.n(), k);
-        self.profiler.charge(KernelClass::Scal, t, bytes);
-        S::view(&*self.backend).block_scal(alpha, x, k);
-    }
-
-    /// Block copy (uncharged, like [`GpuContext::copy`]).
-    pub fn block_copy<S: BackendScalar>(
-        &mut self,
-        src: &MultiVec<S>,
-        k: usize,
-        dst: &mut MultiVec<S>,
-    ) {
-        contracts::block_pair("block_copy", src, dst, k);
-        S::view(&*self.backend).block_copy(src, k, dst);
-    }
-
     /// Fused per-lane copy `dsts[c] = srcs[c]` over a lane set (the
     /// batched form of `BlockGmres`'s per-lane direction gathers).
-    /// Uncharged, like [`GpuContext::copy`].
+    /// Uncharged: the paper's accounting attaches no cost to copies.
     pub fn lane_copy<S: BackendScalar>(&mut self, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        contracts::lanes("lane_copy", None, srcs, dsts);
+        contracts::lanes("lane_copy", srcs, dsts);
         S::view(&*self.backend).lane_copy(srcs, dsts);
-    }
-
-    /// Fused per-lane normalize-and-store `dsts[c] = alpha[c] * srcs[c]`
-    /// (the batched form of the copy-then-scal pair that extends each
-    /// lane's Krylov basis). Charged like a width-`k` block scaling —
-    /// bit-identical to a single [`GpuContext::scal`] at `k = 1`.
-    pub fn lane_scal_copy<S: BackendScalar>(
-        &mut self,
-        alpha: &[S],
-        srcs: &[&[S]],
-        dsts: &mut [&mut [S]],
-    ) {
-        contracts::lanes("lane_scal_copy", Some(alpha), srcs, dsts);
-        if srcs.is_empty() {
-            return;
-        }
-        let (t, bytes) = self.block_scal_spec::<S>(srcs[0].len(), srcs.len());
-        self.profiler.charge(KernelClass::Scal, t, bytes);
-        S::view(&*self.backend).lane_scal_copy(alpha, srcs, dsts);
     }
 
     // ----- basis-store kernels ----------------------------------------
@@ -1096,54 +838,11 @@ impl GpuContext {
     // width: a `Native` store charges and computes bit-identically to
     // the `MultiVector` calls above.
 
-    /// `h = V^T w` over the first `ncols` stored basis columns.
-    pub fn basis_gemv_t<S: BackendScalar>(
-        &mut self,
-        v: &BasisStore<S>,
-        ncols: usize,
-        w: &[S],
-        h: &mut [S],
-    ) {
-        contracts::basis_gemv(v, ncols, w, h);
-        let (t, bytes) = self.basis_gemv_t_spec::<S>(v.n(), ncols, v.elem_bytes());
-        self.profiler.charge(KernelClass::GemvT, t, bytes);
-        S::view(&*self.backend).basis_gemv_t(v, ncols, w, h, self.reduction);
-    }
-
-    /// `w -= widen(V[:, ..ncols]) h` over a stored basis.
-    pub fn basis_gemv_n_sub<S: BackendScalar>(
-        &mut self,
-        v: &BasisStore<S>,
-        ncols: usize,
-        h: &[S],
-        w: &mut [S],
-    ) {
-        contracts::basis_gemv(v, ncols, w, h);
-        let (t, bytes) = self.basis_gemv_n_spec::<S>(v.n(), ncols, v.elem_bytes());
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).basis_gemv_n_sub(v, ncols, h, w);
-    }
-
-    /// `y += widen(V[:, ..ncols]) h` over a stored basis (the solution
-    /// update `x += V y`).
-    pub fn basis_gemv_n_add<S: BackendScalar>(
-        &mut self,
-        v: &BasisStore<S>,
-        ncols: usize,
-        h: &[S],
-        y: &mut [S],
-    ) {
-        contracts::basis_gemv(v, ncols, y, h);
-        let (t, bytes) = self.basis_gemv_n_spec::<S>(v.n(), ncols, v.elem_bytes());
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).basis_gemv_n_add(v, ncols, h, y);
-    }
-
     /// Fused per-lane basis extension `vs[c][:, j] = alpha[c] * srcs[c]`
     /// (read the source, write the stored column, demotion fused into
     /// the store) over a lane set with one storage precision. Charged
     /// once under [`KernelClass::Scal`]; bit-identical in charge and
-    /// result to [`GpuContext::lane_scal_copy`] when every lane is
+    /// result to the stream's `lane_scal_copy` when every lane is
     /// native.
     pub fn basis_lane_scal_copy<S: BackendScalar>(
         &mut self,
@@ -1187,7 +886,7 @@ impl GpuContext {
     }
 
     /// Promote stored basis column `j` into a working-precision buffer.
-    /// Native: a plain device copy, uncharged like [`GpuContext::copy`]
+    /// Native: a plain device copy, uncharged like every copy
     /// (the pre-refactor direction gathers copied columns uncharged);
     /// compressed: a device-resident widening cast, charged like
     /// [`GpuContext::cast_device`] from the storage precision.
@@ -1205,51 +904,6 @@ impl GpuContext {
                 .charge(KernelClass::CastDevice, t, v.n() * (p.bytes() + S::BYTES));
         }
         S::view(&*self.backend).basis_promote_col(v, j, out);
-    }
-
-    /// Batched GEMV-Trans over one stored basis per block column.
-    pub fn basis_block_gemv_t<S: BackendScalar>(
-        &mut self,
-        vs: &[&BasisStore<S>],
-        ncols: usize,
-        w: &MultiVec<S>,
-        h: &mut [S],
-    ) {
-        contracts::basis_block_gemv(vs, ncols, w, h);
-        let e = vs.first().map_or(S::BYTES, |v| v.elem_bytes());
-        let (t, bytes) = self.basis_gemm_t_spec::<S>(w.n(), ncols, vs.len(), e);
-        self.profiler.charge(KernelClass::GemvT, t, bytes);
-        S::view(&*self.backend).basis_block_gemv_t(vs, ncols, w, h, self.reduction);
-    }
-
-    /// Batched GEMV-NoTrans over stored bases: `w_c -= V_c h_c`.
-    pub fn basis_block_gemv_n_sub<S: BackendScalar>(
-        &mut self,
-        vs: &[&BasisStore<S>],
-        ncols: usize,
-        h: &[S],
-        w: &mut MultiVec<S>,
-    ) {
-        contracts::basis_block_gemv(vs, ncols, w, h);
-        let e = vs.first().map_or(S::BYTES, |v| v.elem_bytes());
-        let (t, bytes) = self.basis_gemm_n_spec::<S>(w.n(), ncols, vs.len(), e);
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).basis_block_gemv_n_sub(vs, ncols, h, w);
-    }
-
-    /// Batched GEMV-NoTrans over stored bases: `y_c += V_c h_c`.
-    pub fn basis_block_gemv_n_add<S: BackendScalar>(
-        &mut self,
-        vs: &[&BasisStore<S>],
-        ncols: usize,
-        h: &[S],
-        y: &mut MultiVec<S>,
-    ) {
-        contracts::basis_block_gemv(vs, ncols, y, h);
-        let e = vs.first().map_or(S::BYTES, |v| v.elem_bytes());
-        let (t, bytes) = self.basis_gemm_n_spec::<S>(y.n(), ncols, vs.len(), e);
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).basis_block_gemv_n_add(vs, ncols, h, y);
     }
 
     /// Device-resident precision cast (fp32 preconditioner under an fp64

@@ -32,6 +32,15 @@ impl<'a, S: BackendScalar> Operator<'a, S> {
         }
     }
 
+    /// Column count (equals [`Operator::n`] for the square systems
+    /// `validate` admits).
+    fn ncols(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.csr().ncols(),
+            Operator::Store(a) => a.store().ncols(),
+        }
+    }
+
     /// Storage-precision tag code (0 for the plain matrix).
     pub(crate) fn tag_code(&self) -> u8 {
         match self {
@@ -267,6 +276,13 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
     pub fn validate(&self) -> Result<(), SolveError> {
         self.config.validate()?;
         let n = self.operator.n();
+        if self.operator.ncols() != n {
+            return Err(SolveError::DimensionMismatch {
+                what: "operator columns",
+                expected: n,
+                got: self.operator.ncols(),
+            });
+        }
         if self.rhs.len() != n {
             return Err(SolveError::DimensionMismatch {
                 what: "rhs length",
@@ -553,6 +569,32 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
+    }
+
+    /// A 3x2 operator has as many rows as a length-3 rhs, so only a
+    /// column check keeps it from reaching the kernels.
+    #[test]
+    fn validate_rejects_a_non_square_operator() {
+        let mut coo = Coo::new(3, 2);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 1, 1.0);
+        coo.push(2, 0, 1.0);
+        let a = GpuMatrix::new(coo.into_csr());
+        let b = vec![1.0f64; 3];
+        let want = SolveError::DimensionMismatch {
+            what: "operator columns",
+            expected: 3,
+            got: 2,
+        };
+        let err = SolveRequest::new(Operator::Matrix(&a), &b)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, want);
+        let store = GpuStore::shadow_of(&a, Precision::Fp32);
+        let err = SolveRequest::new(Operator::Store(&store), &b)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, want);
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //! arena, record kernel ops against stable handles, and `sync` derives
 //! the region's dependency DAG and submits it.
 //!
-//! [`Stream`] is the recorded counterpart of [`GpuContext`]'s eager
-//! kernel methods. A region opens a stream, **registers** each buffer
-//! it will touch exactly once (obtaining a `Copy` handle), then records
-//! kernel calls against the handles. Each record call validates shapes
-//! and charges the profiler exactly like its eager twin (the two share
-//! the same cost specs, so the per-class accounting of a recorded run
-//! is bit-identical to an eager run of the same call sequence); the op
-//! itself is a [`Span`]-shaped node in a payload-free graph plus a
+//! [`Stream`] is the one kernel execution path of [`GpuContext`]'s
+//! matrix and Krylov-basis ops. A region opens a stream, **registers**
+//! each buffer it will touch exactly once (obtaining a `Copy` handle),
+//! then records kernel calls against the handles. Each record call
+//! validates shapes, prices the op through the context's cost specs,
+//! and appends a [`Span`]-shaped node to a payload-free graph plus a
 //! plain-data payload binding. At [`Stream::sync`] (or drop) the
 //! graph's wavefronts of mutually independent ready ops go to
 //! [`Backend::execute_batch`](mpgmres_backend::Backend), which may run
@@ -41,12 +39,17 @@
 //!   timelines agree bit-for-bit.
 //!
 //! With [`GpuContext::set_streaming`] turned off, every record call
-//! executes eagerly in place (record + immediate sync), which is the
-//! reference behavior the parity suite compares against. Reading a
-//! result slot (e.g. a [`Stream::norm2_into`] target) is only possible
-//! after `sync` releases the registration borrows, at which point the
-//! value is defined — the type system enforces the old "don't read
-//! before sync" rule too.
+//! submits its op alone, at the record call: the op is charged at the
+//! profiler's current critical time and its one-node graph runs before
+//! the call returns. An eager region is therefore a chain (critical ==
+//! serial), and it is the reference the parity suite compares the
+//! recorded DAG against. The context's direct matrix ops
+//! ([`GpuContext::spmv`], [`GpuContext::residual_as`]) are one-op
+//! eager streams of the same kind. Reading a result slot (e.g. a
+//! [`Stream::norm2_into`] target) is only possible after `sync`
+//! releases the registration borrows, at which point the value is
+//! defined — the type system enforces the old "don't read before sync"
+//! rule too.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -392,16 +395,27 @@ impl<S: Scalar> BlockMut<S> {
 /// one with [`GpuContext::stream`].
 pub struct Stream<'c> {
     ctx: &'c mut GpuContext,
-    /// Streaming disabled: every record call executes in place.
+    /// Streaming disabled: every record call submits its op alone.
     eager: bool,
     base: f64,
 }
 
 impl<'c> Stream<'c> {
     pub(crate) fn begin(ctx: &'c mut GpuContext) -> Self {
+        let eager = !ctx.streaming();
+        Self::open(ctx, eager)
+    }
+
+    /// A stream that submits each op at its record call whatever the
+    /// context's streaming switch says: the context's direct matrix ops
+    /// run through it, so their charges stay a serial chain.
+    pub(crate) fn eager(ctx: &'c mut GpuContext) -> Self {
+        Self::open(ctx, true)
+    }
+
+    fn open(ctx: &'c mut GpuContext, eager: bool) -> Self {
         let base = ctx.profiler().critical_seconds();
         ctx.scratch_reset();
-        let eager = !ctx.streaming();
         Stream { ctx, eager, base }
     }
 
@@ -647,8 +661,54 @@ impl<'c> Stream<'c> {
         }
     }
 
+    /// Shape check of a matrix-vector op on a `(rows, cols)` operator:
+    /// `x` runs over the columns, the output over the rows.
+    fn assert_matvec(label: &str, (rows, cols): (usize, usize), x: u32, y: u32) {
+        assert_eq!(
+            x as usize, cols,
+            "stream {label}: x has length {x} but A has {cols} columns"
+        );
+        assert_eq!(
+            y as usize, rows,
+            "stream {label}: output has length {y} but A has {rows} rows"
+        );
+    }
+
+    /// Shape check of a batched matrix op over the leading `k` columns
+    /// of `x` (rows = operator columns) and `y` (rows = operator rows).
+    /// Width-0 launches are a driver bug, and the SpMM cost model's
+    /// `k - 1` extra-column term needs `k >= 1`.
+    fn assert_matmat<S>(
+        label: &str,
+        (rows, cols): (usize, usize),
+        x: BlockRef<S>,
+        k: u32,
+        y: BlockMut<S>,
+    ) {
+        assert!(k >= 1, "stream {label}: empty block (k = 0)");
+        assert!(
+            k <= x.k && k <= y.k,
+            "stream {label}: {k} columns requested but X has {} and Y has {}",
+            x.k,
+            y.k
+        );
+        assert_eq!(
+            x.n as usize, cols,
+            "stream {label}: X has {} rows but A has {cols} columns",
+            x.n
+        );
+        assert_eq!(
+            y.n as usize, rows,
+            "stream {label}: Y has {} rows but A has {rows} rows",
+            y.n
+        );
+    }
+
     /// Append one op: derive its graph node, charge the profiler at the
-    /// op's DAG-ready time, and bind its payload.
+    /// op's DAG-ready time, and bind its payload. An eager stream
+    /// charges at the profiler's current critical time (exactly
+    /// `Profiler::charge`) and submits the one-node graph at once; the
+    /// arena keeps its registrations for the region's next op.
     fn record(
         &mut self,
         label: &'static str,
@@ -674,8 +734,11 @@ impl<'c> Stream<'c> {
         exec: ExecFn,
         args: OpArgs,
     ) {
-        debug_assert!(!self.eager, "record in eager mode");
-        let mut ready = self.base;
+        let mut ready = if self.eager {
+            self.ctx.profiler().critical_seconds()
+        } else {
+            self.base
+        };
         {
             let scratch = self.ctx.scratch_mut();
             let idx = scratch.graph.push_kind(label, kind, reads, writes);
@@ -692,12 +755,15 @@ impl<'c> Stream<'c> {
         let scratch = self.ctx.scratch_mut();
         scratch.finish.push(fin);
         scratch.bindings.push(BoundOp { exec, args });
+        if self.eager {
+            self.ctx.submit_eager_op();
+        }
     }
 
-    /// Submit the recorded graph. An empty region sets up, submits and
-    /// charges nothing.
+    /// Submit the recorded graph. An empty region (every eager stream's
+    /// graph is empty here) sets up, submits and charges nothing.
     fn finish(&mut self) {
-        if !self.eager && !self.ctx.scratch().graph.is_empty() {
+        if !self.ctx.scratch().graph.is_empty() {
             self.ctx.submit_recorded();
         }
     }
@@ -714,20 +780,8 @@ impl<'c> Stream<'c> {
     pub fn spmv<S: BackendScalar>(&mut self, a: MatRef<S>, x: ArgSlice<S>, y: ArgSliceMut<S>) {
         // SAFETY: registered borrows are live for the stream's lifetime.
         let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
-        assert_eq!(x.len as usize, am.n(), "stream spmv: x length");
-        assert_eq!(y.len as usize, am.n(), "stream spmv: y length");
+        Self::assert_matvec("spmv", (am.n(), am.csr().ncols()), x.len, y.len);
         Self::assert_noalias("spmv", &[x.span()], &[y.span()]);
-        if self.eager {
-            // SAFETY: as above; no other view of y exists during the call.
-            let (xs, ys) = unsafe {
-                (
-                    self.arena().slice::<S>(x.buf, x.off, x.len),
-                    self.arena().slice_mut::<S>(y.buf, y.off, y.len),
-                )
-            };
-            self.ctx.spmv(am, xs, ys);
-            return;
-        }
         if let Some(plan) = self.ctx.shard_plan_for(am) {
             self.record_sharded_matvec::<S>(
                 KernelClass::SpMV,
@@ -765,11 +819,10 @@ impl<'c> Stream<'c> {
     /// interior kernel over rows reading only owned columns (no edge to
     /// the exchange — it overlaps the comm on the timeline), and a
     /// boundary kernel gated on the halo buffer by a real RAW span
-    /// dependency. The piece sequence and its skip rules mirror the
-    /// eager `GpuContext::charge_sharded` walk exactly, so eager and
-    /// recorded charge sequences stay bit-identical; execution order
-    /// within and across shards is free to overlap because every node
-    /// declares exact element spans.
+    /// dependency. This is the only sharded piece walk: an eager stream
+    /// submits the same pieces one by one (a serial charge chain), a
+    /// recording one lets them overlap, since every node declares
+    /// exact element spans.
     ///
     /// `x`/`y` are `(buffer, base element offset, column stride)` —
     /// stride 0 for single vectors, the block's row count for
@@ -939,22 +992,9 @@ impl<'c> Stream<'c> {
     ) {
         // SAFETY: registered borrows are live for the stream's lifetime.
         let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
+        Self::assert_matvec("residual", (am.n(), am.csr().ncols()), x.len, r.len);
         assert_eq!(b.len as usize, am.n(), "stream residual: b length");
-        assert_eq!(x.len as usize, am.n(), "stream residual: x length");
-        assert_eq!(r.len as usize, am.n(), "stream residual: r length");
         Self::assert_noalias("residual", &[b.span(), x.span()], &[r.span()]);
-        if self.eager {
-            // SAFETY: as above.
-            let (bs, xs, rs) = unsafe {
-                (
-                    self.arena().slice::<S>(b.buf, b.off, b.len),
-                    self.arena().slice::<S>(x.buf, x.off, x.len),
-                    self.arena().slice_mut::<S>(r.buf, r.off, r.len),
-                )
-            };
-            self.ctx.residual_as(class, am, bs, xs, rs);
-            return;
-        }
         if let Some(plan) = self.ctx.shard_plan_for(am) {
             self.record_sharded_matvec::<S>(
                 class,
@@ -998,22 +1038,10 @@ impl<'c> Stream<'c> {
     ) {
         // SAFETY: registered borrows are live for the stream's lifetime.
         let am: &GpuStore<S> = unsafe { self.arena().obj(a.id) };
+        let shape = (am.n(), am.store().ncols());
+        Self::assert_matvec("store_residual", shape, x.len, r.len);
         assert_eq!(b.len as usize, am.n(), "stream store_residual: b length");
-        assert_eq!(x.len as usize, am.n(), "stream store_residual: x length");
-        assert_eq!(r.len as usize, am.n(), "stream store_residual: r length");
         Self::assert_noalias("store_residual", &[b.span(), x.span()], &[r.span()]);
-        if self.eager {
-            // SAFETY: as above.
-            let (bs, xs, rs) = unsafe {
-                (
-                    self.arena().slice::<S>(b.buf, b.off, b.len),
-                    self.arena().slice::<S>(x.buf, x.off, x.len),
-                    self.arena().slice_mut::<S>(r.buf, r.off, r.len),
-                )
-            };
-            self.ctx.store_residual_as(class, am, bs, xs, rs);
-            return;
-        }
         let (t, bytes) = self.ctx.store_residual_spec::<S>(am);
         self.record(
             "store_residual",
@@ -1043,18 +1071,6 @@ impl<'c> Stream<'c> {
         assert_eq!(w.len, v.n, "stream gemv_t: w length");
         assert!(h.len >= nc, "stream gemv_t: h too short");
         Self::assert_noalias("gemv_t", &[w.span()], &[h.prefix_span(nc)]);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (vm, ws, hs) = unsafe {
-                (
-                    self.arena().obj::<BasisStore<S>>(v.id),
-                    self.arena().slice::<S>(w.buf, w.off, w.len),
-                    self.arena().slice_mut::<S>(h.buf, h.off, h.len),
-                )
-            };
-            self.ctx.basis_gemv_t(vm, ncols, ws, hs);
-            return;
-        }
         let (t, bytes) = self
             .ctx
             .basis_gemv_t_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
@@ -1118,22 +1134,6 @@ impl<'c> Stream<'c> {
             };
             Self::assert_noalias("gemv_n", &[h_read.span()], &[w.span()]);
         }
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (vm, hs, ws) = unsafe {
-                (
-                    self.arena().obj::<BasisStore<S>>(v.id),
-                    self.arena().slice::<S>(h.buf, h.off, h.len),
-                    self.arena().slice_mut::<S>(w.buf, w.off, w.len),
-                )
-            };
-            if add {
-                self.ctx.basis_gemv_n_add(vm, ncols, hs, ws);
-            } else {
-                self.ctx.basis_gemv_n_sub(vm, ncols, hs, ws);
-            }
-            return;
-        }
         let (t, bytes) = self
             .ctx
             .basis_gemv_n_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
@@ -1167,17 +1167,6 @@ impl<'c> Stream<'c> {
     pub fn axpy<S: BackendScalar>(&mut self, alpha: S, x: ArgSlice<S>, y: ArgSliceMut<S>) {
         assert_eq!(x.len, y.len, "stream axpy: length mismatch");
         Self::assert_noalias("axpy", &[x.span()], &[y.span()]);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (xs, ys) = unsafe {
-                (
-                    self.arena().slice::<S>(x.buf, x.off, x.len),
-                    self.arena().slice_mut::<S>(y.buf, y.off, y.len),
-                )
-            };
-            self.ctx.axpy(alpha, xs, ys);
-            return;
-        }
         let (t, bytes) = self.ctx.axpy_spec::<S>(x.len as usize);
         self.record(
             "axpy",
@@ -1197,12 +1186,6 @@ impl<'c> Stream<'c> {
 
     /// Record `x *= alpha`.
     pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: ArgSliceMut<S>) {
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let xs = unsafe { self.arena().slice_mut::<S>(x.buf, x.off, x.len) };
-            self.ctx.scal(alpha, xs);
-            return;
-        }
         let (t, bytes) = self.ctx.scal_spec::<S>(x.len as usize);
         self.record(
             "scal",
@@ -1220,22 +1203,12 @@ impl<'c> Stream<'c> {
         );
     }
 
-    /// Record a device-resident copy (uncharged, like
-    /// [`GpuContext::copy`]; still a DAG node so dependent ops order).
+    /// Record a device-resident copy (uncharged: the paper's accounting
+    /// attaches no cost to plain copies; still a DAG node so dependent
+    /// ops order).
     pub fn copy<S: BackendScalar>(&mut self, src: ArgSlice<S>, dst: ArgSliceMut<S>) {
         assert_eq!(src.len, dst.len, "stream copy: length mismatch");
         Self::assert_noalias("copy", &[src.span()], &[dst.span()]);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (ss, ds) = unsafe {
-                (
-                    self.arena().slice::<S>(src.buf, src.off, src.len),
-                    self.arena().slice_mut::<S>(dst.buf, dst.off, dst.len),
-                )
-            };
-            self.ctx.copy(ss, ds);
-            return;
-        }
         self.record(
             "copy",
             &[src.span()],
@@ -1259,8 +1232,7 @@ impl<'c> Stream<'c> {
 
     /// As [`Stream::norm2_into`], charged to `class` (the IR outer loop
     /// books its convergence-check norms under
-    /// [`KernelClass::ResidualHi`], matching the eager
-    /// [`GpuContext::norm2_as`]).
+    /// [`KernelClass::ResidualHi`]).
     pub fn norm2_into_as<S: BackendScalar>(
         &mut self,
         class: KernelClass,
@@ -1268,17 +1240,6 @@ impl<'c> Stream<'c> {
         out: ArgValMut<S>,
     ) {
         Self::assert_noalias("norm2", &[x.span()], &[out.span()]);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (xs, os) = unsafe {
-                (
-                    self.arena().slice::<S>(x.buf, x.off, x.len),
-                    self.arena().value_mut::<S>(out.buf, out.off),
-                )
-            };
-            *os = self.ctx.norm2_as(class, xs);
-            return;
-        }
         let (t, bytes) = self.ctx.norm_spec::<S>(x.len as usize);
         self.record(
             "norm2",
@@ -1347,14 +1308,6 @@ impl<'c> Stream<'c> {
     ) {
         let read_spans: Vec<Span> = reads.iter().map(|r| r.span()).collect();
         Self::assert_noalias(label, &read_spans, writes);
-        if self.eager {
-            // The arithmetic already happened on the host; only the
-            // charge remains, serialized like every eager charge.
-            self.ctx
-                .profiler_mut()
-                .charge(KernelClass::HostDense, seconds, 0);
-            return;
-        }
         self.record_kind(
             label,
             OpKind::Host,
@@ -1369,9 +1322,8 @@ impl<'c> Stream<'c> {
     // ----- fused lane-set kernels (recorded forms) -------------------
 
     /// Record the fused per-lane normalize-and-store
-    /// `dsts[c] = alphas[c] * srcs[c]` (the recorded twin of
-    /// [`GpuContext::lane_scal_copy`], charged identically as a
-    /// width-`k` block scaling). `alphas` must be a registered view
+    /// `dsts[c] = alphas[c] * srcs[c]`, charged as a width-`k` block
+    /// scaling (a single scal at `k = 1`). `alphas` must be a registered view
     /// holding one coefficient per lane; sources and destinations are
     /// arbitrary registered column views of one shared length.
     pub fn lane_scal_copy<S: BackendScalar>(
@@ -1425,28 +1377,6 @@ impl<'c> Stream<'c> {
             writes.push(d.span());
         }
         Self::assert_noalias(label, &reads, &writes);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's
-            // lifetime; each dst is the sole live view of its span.
-            unsafe {
-                let ss: Vec<&[S]> = srcs
-                    .iter()
-                    .map(|s| self.arena().slice::<S>(s.buf, s.off, s.len))
-                    .collect();
-                let mut ds: Vec<&mut [S]> = dsts
-                    .iter()
-                    .map(|d| self.arena().slice_mut::<S>(d.buf, d.off, d.len))
-                    .collect();
-                match alphas {
-                    Some((a, _)) => {
-                        let al = self.arena().slice::<S>(a.buf, a.off, a.len);
-                        self.ctx.lane_scal_copy(&al[..k], &ss, &mut ds);
-                    }
-                    None => self.ctx.lane_copy(&ss, &mut ds),
-                }
-            }
-            return;
-        }
         let quads: Vec<u32> = srcs
             .iter()
             .zip(dsts)
@@ -1487,21 +1417,8 @@ impl<'c> Stream<'c> {
         // SAFETY: registered borrows are live for the stream's lifetime.
         let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
         let kk = u32::try_from(k).expect("block width");
-        assert!(kk >= 1 && kk <= x.k && kk <= y.k, "stream spmm: width");
-        assert_eq!(x.n as usize, am.n(), "stream spmm: X rows");
-        assert_eq!(y.n as usize, am.n(), "stream spmm: Y rows");
+        Self::assert_matmat("spmm", (am.n(), am.csr().ncols()), x, kk, y);
         Self::assert_noalias("spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
-        if self.eager {
-            // SAFETY: as above; y's sole view during the call.
-            let (xm, ym) = unsafe {
-                (
-                    self.arena().obj::<MultiVec<S>>(x.id),
-                    self.arena().obj_mut::<MultiVec<S>>(y.id),
-                )
-            };
-            self.ctx.spmm(am, xm, k, ym);
-            return;
-        }
         if let Some(plan) = self.ctx.shard_plan_for(am) {
             // Column stride of a MultiVec is its row count; per-column
             // element spans keep the per-shard hazard tracking exact.
@@ -1545,24 +1462,9 @@ impl<'c> Stream<'c> {
         // SAFETY: registered borrows are live for the stream's lifetime.
         let am: &GpuStore<S> = unsafe { self.arena().obj(a.id) };
         let kk = u32::try_from(k).expect("block width");
-        assert!(
-            kk >= 1 && kk <= x.k && kk <= y.k,
-            "stream store_spmm: width"
-        );
-        assert_eq!(x.n as usize, am.n(), "stream store_spmm: X rows");
-        assert_eq!(y.n as usize, am.n(), "stream store_spmm: Y rows");
+        let shape = (am.n(), am.store().ncols());
+        Self::assert_matmat("store_spmm", shape, x, kk, y);
         Self::assert_noalias("store_spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
-        if self.eager {
-            // SAFETY: as above; y's sole view during the call.
-            let (xm, ym) = unsafe {
-                (
-                    self.arena().obj::<MultiVec<S>>(x.id),
-                    self.arena().obj_mut::<MultiVec<S>>(y.id),
-                )
-            };
-            self.ctx.store_spmm(am, xm, k, ym);
-            return;
-        }
         let (t, bytes) = self.ctx.store_spmm_spec::<S>(am, k);
         self.record(
             "store_spmm",
@@ -1597,10 +1499,6 @@ impl<'c> Stream<'c> {
             &[Span::whole(w.id)],
             &[h.prefix_span(k * nc)],
         );
-        if self.eager {
-            self.eager_block_gemv(vs, ncols, h, w.id, BlockGemvKind::T);
-            return;
-        }
         let (t, bytes) =
             self.ctx
                 .basis_gemm_t_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
@@ -1647,16 +1545,6 @@ impl<'c> Stream<'c> {
             };
             Self::assert_noalias("block_gemv_n", &[h_read.span()], &[Span::whole(w.id)]);
         }
-        if self.eager {
-            let hm = ArgSliceMut::<S> {
-                buf: h.buf,
-                off: h.off,
-                len: h.len,
-                _s: PhantomData,
-            };
-            self.eager_block_gemv(vs, ncols, hm, w.id, BlockGemvKind::NSub);
-            return;
-        }
         let (t, bytes) =
             self.ctx
                 .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
@@ -1697,17 +1585,6 @@ impl<'c> Stream<'c> {
         assert!(kk >= 1 && kk <= x.k, "stream block_norm2: width");
         assert!(out.len >= kk, "stream block_norm2: out too short");
         Self::assert_noalias("block_norm2", &[Span::whole(x.id)], &[out.prefix_span(kk)]);
-        if self.eager {
-            // SAFETY: registered borrows are live for the stream's lifetime.
-            let (xm, os) = unsafe {
-                (
-                    self.arena().obj::<MultiVec<S>>(x.id),
-                    self.arena().slice_mut::<S>(out.buf, out.off, out.len),
-                )
-            };
-            self.ctx.block_norm2(xm, k, os);
-            return;
-        }
         let (t, bytes) = self.ctx.block_norm_spec::<S>(x.n as usize, k);
         self.record(
             "block_norm2",
@@ -1743,42 +1620,6 @@ impl<'c> Stream<'c> {
             })
             .collect()
     }
-
-    fn eager_block_gemv<S: BackendScalar>(
-        &mut self,
-        vs: BasisList<S>,
-        ncols: usize,
-        h: ArgSliceMut<S>,
-        w_id: u32,
-        kind: BlockGemvKind,
-    ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        unsafe {
-            let bases: Vec<&BasisStore<S>> = self
-                .arena()
-                .list(vs.start, vs.len)
-                .iter()
-                .map(|&id| self.arena().obj::<BasisStore<S>>(id))
-                .collect();
-            match kind {
-                BlockGemvKind::T => {
-                    let wm = self.arena().obj::<MultiVec<S>>(w_id);
-                    let hs = self.arena().slice_mut::<S>(h.buf, h.off, h.len);
-                    self.ctx.basis_block_gemv_t(&bases, ncols, wm, hs);
-                }
-                BlockGemvKind::NSub => {
-                    let hs = self.arena().slice::<S>(h.buf, h.off, h.len);
-                    let wm = self.arena().obj_mut::<MultiVec<S>>(w_id);
-                    self.ctx.basis_block_gemv_n_sub(&bases, ncols, hs, wm);
-                }
-            }
-        }
-    }
-}
-
-enum BlockGemvKind {
-    T,
-    NSub,
 }
 
 impl Drop for Stream<'_> {
@@ -2489,11 +2330,13 @@ mod tests {
             }
         }
         // Eager and recorded sharded runs charge the same decomposed
-        // piece sequence — serial totals agree bit-for-bit.
+        // piece sequence — serial totals agree bit-for-bit — and the
+        // eager pieces, submitted one by one, stay a chain.
         let (y_rec, _, t_rec, _, halo_rec) = run(BackendKind::Sharded { shards: 3 }, true);
-        let (y_eag, _, t_eag, _, halo_eag) = run(BackendKind::Sharded { shards: 3 }, false);
+        let (y_eag, _, t_eag, c_eag, halo_eag) = run(BackendKind::Sharded { shards: 3 }, false);
         assert_eq!(y_rec, y_eag);
         assert_eq!(t_rec.to_bits(), t_eag.to_bits());
+        assert_eq!(c_eag.to_bits(), t_eag.to_bits());
         assert_eq!(halo_rec.bytes, halo_eag.bytes);
     }
 
@@ -2573,5 +2416,107 @@ mod tests {
         // more boundaries.
         assert!(halo_one.bytes > 0);
         assert!(halo_more.bytes > halo_one.bytes);
+    }
+
+    // ----- shape checks ------------------------------------------------
+
+    /// A 3x2 operator: as many rows as a length-3 vector, so only a
+    /// column check can reject `x`.
+    fn tall_matrix() -> GpuMatrix<f64> {
+        let mut coo = Coo::new(3, 2);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 1, 1.0);
+        coo.push(2, 0, 1.0);
+        GpuMatrix::new(coo.into_csr())
+    }
+
+    #[test]
+    #[should_panic(expected = "stream spmv: x has length 3 but A has 2 columns")]
+    fn spmv_shape_mismatch_panics() {
+        let a = tall_matrix();
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = [1.0f64; 3];
+        let mut y = [0.0f64; 3];
+        ctx.spmv(&a, &x, &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream residual: x has length 3 but A has 2 columns")]
+    fn residual_shape_mismatch_panics() {
+        let a = tall_matrix();
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
+        let mut r = [0.0f64; 3];
+        ctx.residual_as(KernelClass::SpMV, &a, &b, &x, &mut r);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream store_residual: x has length 3 but A has 2 columns")]
+    fn store_residual_shape_mismatch_panics() {
+        let a = GpuStore::plain_of(&tall_matrix());
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
+        let mut r = [0.0f64; 3];
+        let mut st = ctx.stream();
+        let (ah, bh, xh) = (st.store(&a), st.slice(&b), st.slice(&x));
+        let rh = st.slice_mut(&mut r);
+        st.store_residual_as(KernelClass::SpMV, ah, bh, xh, rh);
+    }
+
+    fn spmm_with_width(a: &GpuMatrix<f64>, xn: usize, k: usize) {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = MultiVec::<f64>::zeros(xn, 2);
+        let mut y = MultiVec::<f64>::zeros(a.n(), 2);
+        let mut st = ctx.stream();
+        let ah = st.matrix(a);
+        let xh = st.block(&x);
+        let yh = st.block_mut(&mut y);
+        st.spmm(ah, xh, k, yh);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream spmm: empty block (k = 0)")]
+    fn spmm_zero_width_panics() {
+        spmm_with_width(&small_matrix(), 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream spmm: 3 columns requested but X has 2 and Y has 2")]
+    fn spmm_column_overflow_panics() {
+        spmm_with_width(&small_matrix(), 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream spmm: X has 3 rows but A has 2 columns")]
+    fn spmm_row_mismatch_panics() {
+        spmm_with_width(&tall_matrix(), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream store_spmm: X has 3 rows but A has 2 columns")]
+    fn store_spmm_row_mismatch_panics() {
+        let a = GpuStore::plain_of(&tall_matrix());
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = MultiVec::<f64>::zeros(3, 1);
+        let mut y = MultiVec::<f64>::zeros(3, 1);
+        let mut st = ctx.stream();
+        let ah = st.store(&a);
+        let xh = st.block(&x);
+        let yh = st.block_mut(&mut y);
+        st.store_spmm(ah, xh, 1, yh);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream block_gemv_t: basis/block rows")]
+    fn block_gemv_row_mismatch_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let v = BasisStore::<f64>::native(4, 2);
+        let w = MultiVec::<f64>::zeros(3, 1);
+        let mut h = [0.0f64; 2];
+        let mut st = ctx.stream();
+        let vs = st.bases(&[&v]);
+        let wh = st.block(&w);
+        let hh = st.slice_mut(&mut h);
+        st.block_gemv_t(vs, 2, wh, hh);
     }
 }

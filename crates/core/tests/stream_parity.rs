@@ -23,10 +23,12 @@
 use std::sync::Arc;
 
 use mpgmres::precond::block_jacobi::BlockJacobi;
+use mpgmres::precond::poly::PolyPreconditioner;
 use mpgmres::precond::{Identity, Preconditioner};
 use mpgmres::{
-    Backend, BasisPolicy, BlockGmres, Gmres, GmresConfig, GmresIr, GpuContext, GpuMatrix, IrConfig,
-    MultiVec, OrthoMethod, ParallelBackend, Precision, ReferenceBackend, SolveResult, StorePath,
+    Backend, BackendKind, BasisPolicy, BlockGmres, Gmres, GmresConfig, GmresIr, GpuContext,
+    GpuMatrix, IrConfig, MultiVec, OrthoMethod, ParallelBackend, Precision, ReferenceBackend,
+    SolveResult, StorePath,
 };
 use mpgmres_gpusim::{DeviceModel, PaperCategory};
 use mpgmres_la::coo::Coo;
@@ -302,6 +304,63 @@ fn block_gmres_recorded_matches_eager_and_overlaps() {
         // The contract is only `critical < serial`; no lower bound — a
         // future change that overlaps more must not fail this suite.
         assert!(rep_r.overlap_ratio() < 1.0 && rep_r.overlap_ratio() > 0.0);
+    }
+}
+
+/// Under a sharded backend every matrix op decomposes into per-shard
+/// halo/interior/boundary pieces, and streaming off submits them one by
+/// one. The serial report must match the recorded run bit for bit and
+/// every eager run must stay a chain. The cases cover a
+/// poly-preconditioned single-RHS solve (its `ctx.spmv` applies are
+/// one-op eager streams in both modes), a k = 3 block solve, and a
+/// k = 2 MGS block solve (whose SpMM is always submitted alone).
+#[test]
+fn sharded_recorded_matches_eager_serial_reports() {
+    let backend = BackendKind::Sharded { shards: 3 }.create();
+    let a = laplace2d_matrix(16);
+    let n = a.n();
+    let cols_data: Vec<Vec<f64>> = (0..3).map(|l| rhs(n, 30 + l)).collect();
+    let cols: Vec<&[f64]> = cols_data.iter().map(|c| c.as_slice()).collect();
+    let cfg = GmresConfig::default().with_m(20).with_max_iters(5_000);
+    for name in ["poly", "block k=3", "mgs k=2"] {
+        let run = |streaming: bool| {
+            let mut ctx = ctx_on(backend.clone(), streaming);
+            let (x, res) = if name == "poly" {
+                let poly = PolyPreconditioner::build_auto_seed(&mut ctx, &a, 8).expect("poly");
+                let mut x = vec![0.0f64; n];
+                let res = Gmres::new(&a, &poly, cfg).solve(&mut ctx, cols[0], &mut x);
+                (x, vec![res])
+            } else {
+                let (k, ortho) = if name == "mgs k=2" {
+                    (2, OrthoMethod::Mgs)
+                } else {
+                    (3, OrthoMethod::Cgs2)
+                };
+                let bb = MultiVec::from_columns(&cols[..k]);
+                let mut x = MultiVec::<f64>::zeros(n, k);
+                let res = BlockGmres::new(&a, &Identity, cfg.with_ortho(ortho))
+                    .solve(&mut ctx, &bb, &mut x);
+                (x.data().to_vec(), res)
+            };
+            (ctx, x, res)
+        };
+        let (ctx_r, x_r, res_r) = run(true);
+        let (ctx_e, x_e, res_e) = run(false);
+        for (l, (rr, re)) in res_r.iter().zip(&res_e).enumerate() {
+            let what = format!("sharded {name}: col {l}");
+            assert!(re.status.is_converged(), "{what}: converged");
+            assert_results_identical(rr, re, &what);
+        }
+        for (xr, xe) in x_r.iter().zip(&x_e) {
+            assert_eq!(xr.to_bits(), xe.to_bits(), "sharded {name}: solution");
+        }
+        assert_serial_reports_identical(&ctx_r, &ctx_e, &format!("sharded {name}"));
+        let rep_e = ctx_e.report();
+        assert_eq!(
+            rep_e.critical_path_seconds.to_bits(),
+            rep_e.total_seconds.to_bits(),
+            "sharded {name}: eager ops stay a chain"
+        );
     }
 }
 
