@@ -67,6 +67,7 @@ use std::sync::{Arc, Mutex};
 
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
+use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::par;
@@ -98,6 +99,7 @@ use stream::Batch;
 /// - `gemv_n_sub`/`gemv_n_add`: `ncols <= v.max_cols()`,
 ///   `w.len() == v.n()`, `h.len() >= ncols`
 /// - `dot`/`axpy`/`copy`: equal slice lengths
+/// - `block_lu_solve`: `x.len() == y.len() == f.n()`
 pub trait ScalarBackend<S: Scalar> {
     /// `y = A x`.
     fn spmv(&self, a: &Csr<S>, x: &[S], y: &mut [S]);
@@ -226,6 +228,12 @@ pub trait ScalarBackend<S: Scalar> {
     // the same shared per-row kernels, so every backend is bit-identical
     // on every storage path by construction (the same contract as the
     // plain matrix kernels).
+
+    /// `y = M^{-1} x` for packed block-diagonal LU factors (block
+    /// Jacobi's batched triangular solves).
+    fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
+        f.solve(x, y);
+    }
 
     /// `y = A x` over a low-precision matrix store.
     fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
@@ -439,8 +447,8 @@ pub trait Backend:
     fn name(&self) -> &'static str;
 
     /// Worker count callers may use for their own independent-output
-    /// loops (e.g. block Jacobi's batched solves): 1 for sequential
-    /// backends, the thread count for parallel ones.
+    /// loops: 1 for sequential backends, the thread count for parallel
+    /// ones.
     fn parallelism(&self) -> usize {
         1
     }

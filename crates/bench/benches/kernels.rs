@@ -4,6 +4,8 @@
 //! the GPU).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mpgmres_la::csr::Csr;
+use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::vec_ops::{dot_ordered, norm2, ReductionOrder};
 use mpgmres_matgen::galeri;
@@ -76,6 +78,40 @@ fn bench_reductions(c: &mut Criterion) {
     g.finish();
 }
 
+/// Block Jacobi's apply at the stretched-bj shape (n = 9216, 576
+/// diagonal blocks of 16): one batched solve over the packed factors,
+/// next to the per-block LU solves it replaces.
+fn bench_block_lu_solve(c: &mut Criterion) {
+    fn run<S: Scalar>(c: &mut Criterion, a: &Csr<S>, bs: usize) {
+        let n = a.nrows();
+        let block = |s: usize, m: usize| DenseMat::from_col_major(m, m, a.diag_block(s, m));
+        let packed = BlockLu::factor(n, bs, 1, block);
+        let per_block: Vec<LuFactors<S>> = (0..n)
+            .step_by(bs)
+            .map(|s| LuFactors::factor(&block(s, bs.min(n - s))).expect("nonsingular"))
+            .collect();
+        let x: Vec<S> = (0..n).map(|i| S::from_f64((i % 11) as f64 - 5.0)).collect();
+        let mut y = vec![S::zero(); n];
+        let mut g = c.benchmark_group("block_lu_solve");
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("packed", S::NAME), &n, |b, _| {
+            b.iter(|| packed.solve(&x, &mut y))
+        });
+        g.bench_with_input(BenchmarkId::new("per_block", S::NAME), &n, |b, _| {
+            b.iter(|| {
+                y.copy_from_slice(&x);
+                for (lu, yb) in per_block.iter().zip(y.chunks_mut(bs)) {
+                    lu.solve_in_place(yb);
+                }
+            })
+        });
+        g.finish();
+    }
+    let a64 = galeri::laplace2d(96, 96);
+    run(c, &a64, 16);
+    run(c, &a64.convert::<f32>(), 16);
+}
+
 fn bench_cache_sim(c: &mut Criterion) {
     // Throughput of the L2 simulator itself (it must stay cheap enough to
     // replay multi-million-nnz streams).
@@ -99,6 +135,6 @@ fn bench_cache_sim(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_spmv, bench_gemv, bench_reductions, bench_cache_sim
+    targets = bench_spmv, bench_gemv, bench_reductions, bench_block_lu_solve, bench_cache_sim
 }
 criterion_main!(kernels);

@@ -71,7 +71,7 @@
 
 use crate::config::{GmresConfig, OrthoMethod, StorePath};
 use crate::context::{GpuContext, GpuMatrix, GpuStore};
-use crate::precond::{Identity, Preconditioner};
+use crate::precond::{self, Identity, Preconditioner};
 use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
@@ -337,6 +337,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         cfg: GmresConfig,
     ) -> Result<Self, SolveError> {
         cfg.validate()?;
+        precond::check_dim(precond, a.n())?;
         Ok(BlockGmres {
             a: Operand::Plain(a),
             precond,
@@ -366,6 +367,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         cfg: GmresConfig,
     ) -> Result<Self, SolveError> {
         cfg.validate()?;
+        precond::check_dim(precond, a.n())?;
         if precond.needs_matrix() {
             return Err(SolveError::UnsupportedCombination(format!(
                 "preconditioner '{}' needs the plain matrix, which a packed \

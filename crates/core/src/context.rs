@@ -588,6 +588,16 @@ impl GpuContext {
         }
     }
 
+    /// Batched dense triangular solves of block Jacobi: `n / bs` blocks
+    /// of size `bs`, streaming the factors and the vector.
+    pub(crate) fn block_solve_spec<S: Scalar>(&self, n: usize, bs: usize) -> (f64, usize) {
+        let factor_bytes = n * bs * S::BYTES; // ~ n/bs blocks x bs^2 entries
+        let bytes = factor_bytes + 2 * n * S::BYTES;
+        let t = self.device.launch_overhead
+            + bytes as f64 / (self.device.dram_bw * self.device.eff_spmv.get(S::PRECISION));
+        (t, bytes)
+    }
+
     pub(crate) fn gemv_t_spec<S: Scalar>(&self, n: usize, ncols: usize) -> (f64, usize) {
         let t = cost::gemv_t_time(&self.device, n, ncols, S::PRECISION);
         (t, (ncols + 1) * n * S::BYTES)
@@ -925,16 +935,6 @@ impl GpuContext {
         self.profiler
             .charge(KernelClass::CastHost, t, src.len() * (S::BYTES + T::BYTES));
         mpgmres_scalar::cast_into(src, dst);
-    }
-
-    /// Batched dense triangular solves of block Jacobi: `nblocks` blocks
-    /// of size `bs`, streaming the factors and the vector.
-    pub fn block_solve_charge<S: Scalar>(&mut self, n: usize, bs: usize) {
-        let factor_bytes = n * bs * S::BYTES; // ~ n/bs blocks x bs^2 entries
-        let bytes = factor_bytes + 2 * n * S::BYTES;
-        let t = self.device.launch_overhead
-            + bytes as f64 / (self.device.dram_bw * self.device.eff_spmv.get(S::PRECISION));
-        self.profiler.charge(KernelClass::SpMV, t, bytes);
     }
 
     /// Simulated seconds of one iteration's host bookkeeping (Givens

@@ -114,6 +114,24 @@ mod tests {
         );
     }
 
+    /// A preconditioner built for another size is a typed error at
+    /// construction, not a panic inside the first apply.
+    #[test]
+    fn try_new_rejects_a_preconditioner_of_another_size() {
+        let a = laplace1d(6);
+        let bj = crate::precond::block_jacobi::BlockJacobi::build(&laplace1d(8), 2);
+        let want = Some(SolveError::DimensionMismatch {
+            what: "preconditioner dimension",
+            expected: 6,
+            got: 8,
+        });
+        let cfg = GmresConfig::default();
+        assert_eq!(Gmres::try_new(&a, &bj, cfg).err(), want);
+        assert_eq!(BlockGmres::try_new(&a, &bj, cfg).err(), want);
+        let store = crate::GpuStore::shadow_of(&a, mpgmres_scalar::Precision::Fp32);
+        assert_eq!(BlockGmres::try_over_store(&store, &bj, cfg).err(), want);
+    }
+
     #[test]
     fn identity_system_converges_immediately() {
         let a = GpuMatrix::new(Csr::<f64>::identity(10));

@@ -72,6 +72,10 @@ impl<Hi: Scalar, Lo: Scalar, P: Preconditioner<Lo>> Preconditioner<Hi>
     fn spmvs_per_apply(&self) -> usize {
         self.inner.spmvs_per_apply()
     }
+
+    fn dim(&self) -> Option<usize> {
+        Some(self.a_lo.n())
+    }
 }
 
 #[cfg(test)]

@@ -56,6 +56,31 @@ pub trait Preconditioner<S: Scalar>: Send + Sync {
     fn spmvs_per_apply(&self) -> usize {
         0
     }
+
+    /// The vector length `apply` was built for, when it is fixed at
+    /// build time (block Jacobi's factors, a cast wrapper's matrix
+    /// copy); `None` when any length works. Solver entry points reject
+    /// a mismatch with [`crate::SolveError::DimensionMismatch`] before
+    /// anything runs.
+    fn dim(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// Reject a preconditioner built for another vector length than the
+/// `n`-row operator it is paired with.
+pub(crate) fn check_dim<S: Scalar>(
+    precond: &dyn Preconditioner<S>,
+    n: usize,
+) -> Result<(), crate::SolveError> {
+    match precond.dim() {
+        Some(got) if got != n => Err(crate::SolveError::DimensionMismatch {
+            what: "preconditioner dimension",
+            expected: n,
+            got,
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// No preconditioning.

@@ -299,6 +299,7 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
                 });
             }
         }
+        crate::precond::check_dim(self.precond, n)?;
         for (what, v) in [("rhs", Some(self.rhs)), ("initial guess", self.x0)] {
             if let Some(index) = v.and_then(|v| v.iter().position(|e| !e.is_finite())) {
                 return Err(SolveError::NonFinite { what, index });
@@ -569,6 +570,41 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
+    }
+
+    /// A preconditioner built for another size passes no other check;
+    /// without the dimension check its apply panics mid-solve.
+    #[test]
+    fn validate_rejects_a_preconditioner_of_another_size() {
+        let a = laplace1d(6);
+        let b = vec![1.0f64; 6];
+        let want = SolveError::DimensionMismatch {
+            what: "preconditioner dimension",
+            expected: 6,
+            got: 8,
+        };
+        let bj = BlockJacobi::build(&laplace1d(8), 2);
+        let cast = crate::precond::mixed::CastPreconditioner::<f64, f32, _>::new(
+            laplace1d(8).convert::<f32>(),
+            Identity,
+        );
+        let store = GpuStore::shadow_of(&a, Precision::Fp32);
+        for p in [&bj as &dyn Preconditioner<f64>, &cast] {
+            for op in [Operator::Matrix(&a), Operator::Store(&store)] {
+                let err = SolveRequest::new(op, &b)
+                    .with_precond(p)
+                    .validate()
+                    .unwrap_err();
+                assert_eq!(err, want);
+            }
+        }
+        let fits = BlockJacobi::build(&a, 4);
+        assert_eq!(
+            SolveRequest::new(Operator::Matrix(&a), &b)
+                .with_precond(&fits)
+                .validate(),
+            Ok(())
+        );
     }
 
     /// A 3x2 operator has as many rows as a length-3 rhs, so only a

@@ -45,7 +45,8 @@
 //! serial), and it is the reference the parity suite compares the
 //! recorded DAG against. The context's direct matrix ops
 //! ([`GpuContext::spmv`], [`GpuContext::residual_as`]) are one-op
-//! eager streams of the same kind. Reading a result slot (e.g. a
+//! eager streams of the same kind, and so is block Jacobi's apply
+//! ([`Stream::block_lu_solve`]). Reading a result slot (e.g. a
 //! [`Stream::norm2_into`] target) is only possible after `sync`
 //! releases the registration borrows, at which point the value is
 //! defined — the type system enforces the old "don't read before sync"
@@ -58,6 +59,7 @@ use mpgmres_backend::stream::{BoundOp, ExecFn, OpArgs, OpKind, Span};
 use mpgmres_backend::{Backend, BackendScalar};
 use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
+use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::raw::BufferArena;
 use mpgmres_la::shard::{self, ShardPlan};
@@ -116,6 +118,14 @@ pub struct StreamStats {
 /// Handle of a registered [`GpuMatrix`].
 #[derive(Clone, Copy, Debug)]
 pub struct MatRef<S> {
+    id: u32,
+    _s: PhantomData<fn() -> S>,
+}
+
+/// Handle of registered block-diagonal LU factors ([`BlockLu`], block
+/// Jacobi's packed factors).
+#[derive(Clone, Copy, Debug)]
+pub struct LuRef<S> {
     id: u32,
     _s: PhantomData<fn() -> S>,
 }
@@ -440,6 +450,16 @@ impl<'c> Stream<'c> {
         // SAFETY: `a` stays borrowed until the stream's sync/drop.
         let id = unsafe { self.ctx.arena_mut().register_obj(a as *const GpuMatrix<S>) };
         MatRef {
+            id,
+            _s: PhantomData,
+        }
+    }
+
+    /// Register packed block LU factors (read-only).
+    pub fn block_lu<S: Scalar>(&mut self, f: &'c BlockLu<S>) -> LuRef<S> {
+        // SAFETY: `f` stays borrowed until the stream's sync/drop.
+        let id = unsafe { self.ctx.arena_mut().register_obj(f as *const BlockLu<S>) };
+        LuRef {
             id,
             _s: PhantomData,
         }
@@ -805,6 +825,35 @@ impl<'c> Stream<'c> {
             exec_spmv::<S>,
             OpArgs {
                 bufs: [a.id, x.buf, y.buf, 0],
+                offs: [0, x.off, y.off, 0],
+                lens: [0, x.len, y.len, 0],
+                ..OpArgs::default()
+            },
+        );
+    }
+
+    /// Record `y = M^{-1} x` for packed block LU factors: every
+    /// diagonal block's triangular solves as one batched kernel (block
+    /// Jacobi's apply, charged as a solver SpMV).
+    pub fn block_lu_solve<S: BackendScalar>(
+        &mut self,
+        f: LuRef<S>,
+        x: ArgSlice<S>,
+        y: ArgSliceMut<S>,
+    ) {
+        // SAFETY: registered borrows are live for the stream's lifetime.
+        let lu: &BlockLu<S> = unsafe { self.arena().obj(f.id) };
+        Self::assert_matvec("block_lu_solve", (lu.n(), lu.n()), x.len, y.len);
+        Self::assert_noalias("block_lu_solve", &[x.span()], &[y.span()]);
+        let (t, bytes) = self.ctx.block_solve_spec::<S>(lu.n(), lu.block_size());
+        self.record(
+            "block_lu_solve",
+            &[x.span()],
+            &[y.span()],
+            Some((KernelClass::SpMV, t, bytes)),
+            exec_block_lu_solve::<S>,
+            OpArgs {
+                bufs: [f.id, x.buf, y.buf, 0],
                 offs: [0, x.off, y.off, 0],
                 lens: [0, x.len, y.len, 0],
                 ..OpArgs::default()
@@ -1651,6 +1700,16 @@ fn exec_spmv<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs)
         let x = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
         let y = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
         S::view(b).spmv(m.csr(), x, y);
+    }
+}
+
+fn exec_block_lu_solve<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+    // SAFETY: arena contract.
+    unsafe {
+        let f: &BlockLu<S> = arena.obj(a.bufs[0]);
+        let x = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
+        let y = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
+        S::view(b).block_lu_solve(f, x, y);
     }
 }
 

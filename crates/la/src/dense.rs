@@ -193,9 +193,13 @@ pub struct LuFactors<S> {
 impl<S: Scalar> LuFactors<S> {
     /// Factor a square matrix. Returns an error on a zero pivot column.
     pub fn factor(a: &DenseMat<S>) -> Result<Self, SingularMatrix> {
-        assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
-        let n = a.nrows();
-        let mut lu = a.clone();
+        Self::factor_owned(a.clone())
+    }
+
+    /// [`LuFactors::factor`], overwriting `lu` instead of a copy.
+    fn factor_owned(mut lu: DenseMat<S>) -> Result<Self, SingularMatrix> {
+        assert_eq!(lu.nrows(), lu.ncols(), "LU requires a square matrix");
+        let n = lu.nrows();
         let mut piv: Vec<usize> = (0..n).collect();
         fma::run(|| {
             for k in 0..n {
@@ -296,6 +300,254 @@ impl<S: Scalar> LuFactors<S> {
     }
 }
 
+/// Blocks per packed group of [`BlockLu`]: a group's blocks are solved
+/// side by side, one dependent FMA chain per block.
+const LU_LANES: usize = 16;
+
+/// The LU factors of every diagonal block of a block-diagonal matrix,
+/// packed for one batched solve (block Jacobi's apply).
+///
+/// **Layout.** Blocks have `bs` rows except a smaller last one. The
+/// full blocks are stored in groups of `LU_LANES` (16) consecutive
+/// blocks, interleaved as `[group][row][col][lane]`, so one row step
+/// of a group reads one contiguous `[S; 16]` per column. The leftover
+/// full blocks and the ragged last block (the *tail*) are stored one
+/// after another, each `[row][col]`. Within a block:
+///
+/// - off-diagonal entries (the unit-lower `L` below the diagonal, `U`
+///   above it) are stored negated;
+/// - the diagonal holds `U`'s diagonal as is;
+/// - the row pivots are folded into one absolute `u32` gather index
+///   per row of the whole vector.
+///
+/// **Bits.** Every block's chain performs exactly the operations of
+/// [`LuFactors::solve_in_place`], in the same order: negation is exact,
+/// so `l.mul_add(t, acc)` on a stored `l = -lu` rounds like
+/// `(-lu).mul_add(t, acc)`, and each row is divided by its diagonal,
+/// never multiplied by a reciprocal. Lanes never mix, so the packed
+/// solve is bit-identical to a per-block `solve_in_place`.
+#[derive(Clone, Debug)]
+pub struct BlockLu<S> {
+    n: usize,
+    bs: usize,
+    /// Full groups, `bs * bs` lane vectors each.
+    groups: Vec<[S; LU_LANES]>,
+    /// The tail blocks, `m * m` entries each for a block of `m` rows.
+    tail: Vec<[S; 1]>,
+    /// `perm[s + r] = s + piv[r]` for the block starting at row `s`.
+    perm: Vec<u32>,
+    singular: usize,
+}
+
+/// One work item of [`BlockLu::factor`]: a group or one tail block.
+enum Slot<'a, S> {
+    Group(&'a mut [[S; LU_LANES]], &'a mut [u32]),
+    Tail(&'a mut [[S; 1]], &'a mut [u32]),
+}
+
+impl<S: Scalar> BlockLu<S> {
+    /// Factor the diagonal blocks of an `n`-row matrix, `bs` rows per
+    /// block (the last block may be smaller), and pack them.
+    /// `block(start, size)` returns the `size x size` diagonal block at
+    /// row `start`. Groups factor independently on `threads` scoped
+    /// threads; the result does not depend on `threads`. A singular
+    /// block is packed as the identity and counted in
+    /// [`BlockLu::singular_blocks`].
+    ///
+    /// # Panics
+    /// Panics if `bs == 0` or `n` does not fit in `u32`.
+    pub fn factor(
+        n: usize,
+        bs: usize,
+        threads: usize,
+        block: impl Fn(usize, usize) -> DenseMat<S> + Sync,
+    ) -> Self {
+        assert!(bs >= 1, "block size must be >= 1");
+        assert!(u32::try_from(n).is_ok(), "BlockLu: n must fit in u32");
+        let ngroups = n / bs / LU_LANES;
+        let wide_rows = ngroups * LU_LANES * bs;
+        let tail_len: usize = Self::tail_sizes(n, bs, wide_rows).map(|m| m * m).sum();
+        let mut groups = vec![[S::zero(); LU_LANES]; ngroups * bs * bs];
+        let mut tail = vec![[S::zero(); 1]; tail_len];
+        let mut perm = vec![0u32; n];
+        let (perm_wide, mut perm_tail) = perm.split_at_mut(wide_rows);
+        let mut slots: Vec<(usize, Slot<'_, S>, usize)> = Vec::new();
+        for (g, (f, p)) in groups
+            .chunks_exact_mut(bs * bs)
+            .zip(perm_wide.chunks_exact_mut(LU_LANES * bs))
+            .enumerate()
+        {
+            slots.push((g * LU_LANES * bs, Slot::Group(f, p), 0));
+        }
+        let mut rest = tail.as_mut_slice();
+        let mut start = wide_rows;
+        for m in Self::tail_sizes(n, bs, wide_rows) {
+            let (f, r) = rest.split_at_mut(m * m);
+            let (p, pr) = perm_tail.split_at_mut(m);
+            slots.push((start, Slot::Tail(f, p), 0));
+            (rest, perm_tail) = (r, pr);
+            start += m;
+        }
+        crate::par::for_each_slot_mut(threads, &mut slots, |_, (start, slot, singular)| {
+            *singular = match slot {
+                Slot::Group(f, p) => pack(f, p, *start, bs, &block),
+                Slot::Tail(f, p) => pack(f, p, *start, p.len(), &block),
+            };
+        });
+        let singular = slots.iter().map(|(_, _, s)| s).sum();
+        BlockLu {
+            n,
+            bs,
+            groups,
+            tail,
+            perm,
+            singular,
+        }
+    }
+
+    /// Row counts of the tail blocks, in order.
+    fn tail_sizes(n: usize, bs: usize, wide_rows: usize) -> impl Iterator<Item = usize> {
+        (wide_rows..n).step_by(bs).map(move |s| bs.min(n - s))
+    }
+
+    /// Rows of the whole matrix.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Rows per block (the last block may be smaller).
+    pub fn block_size(&self) -> usize {
+        self.bs
+    }
+
+    /// Number of diagonal blocks.
+    pub fn nblocks(&self) -> usize {
+        self.n.div_ceil(self.bs)
+    }
+
+    /// Blocks that were singular and packed as the identity.
+    pub fn singular_blocks(&self) -> usize {
+        self.singular
+    }
+
+    /// `y = M^{-1} x`, every block solved by its own LU factors, in
+    /// one FMA frame and without allocating per block.
+    ///
+    /// # Panics
+    /// Panics unless `x.len() == y.len() == self.n()`.
+    pub fn solve(&self, x: &[S], y: &mut [S]) {
+        assert_eq!(x.len(), self.n, "BlockLu::solve: x length");
+        assert_eq!(y.len(), self.n, "BlockLu::solve: y length");
+        let bs = self.bs;
+        let wide_rows = self.groups.len() / (bs * bs) * LU_LANES * bs;
+        let (perm_wide, perm_tail) = self.perm.split_at(wide_rows);
+        let (y_wide, y_tail) = y.split_at_mut(wide_rows);
+        fma::run(
+            #[inline(always)]
+            || {
+                let mut t = vec![[S::zero(); LU_LANES]; bs];
+                for ((f, p), yg) in self
+                    .groups
+                    .chunks_exact(bs * bs)
+                    .zip(perm_wide.chunks_exact(LU_LANES * bs))
+                    .zip(y_wide.chunks_exact_mut(LU_LANES * bs))
+                {
+                    solve_lanes(f, p, x, yg, &mut t);
+                }
+                let mut t = vec![[S::zero(); 1]; bs];
+                let (mut f, mut p, mut yt) = (self.tail.as_slice(), perm_tail, y_tail);
+                while !p.is_empty() {
+                    let m = bs.min(p.len());
+                    let (fb, fr) = f.split_at(m * m);
+                    let (pb, pr) = p.split_at(m);
+                    let (yb, yr) = yt.split_at_mut(m);
+                    solve_lanes(fb, pb, x, yb, &mut t[..m]);
+                    (f, p, yt) = (fr, pr, yr);
+                }
+            },
+        );
+    }
+}
+
+/// Factor the `L` consecutive `m`-row blocks starting at row `start`
+/// into `f`/`perm` (the [`BlockLu`] layout with `L` lanes); returns how
+/// many were singular.
+fn pack<S: Scalar, const L: usize>(
+    f: &mut [[S; L]],
+    perm: &mut [u32],
+    start: usize,
+    m: usize,
+    block: &impl Fn(usize, usize) -> DenseMat<S>,
+) -> usize {
+    let mut singular = 0;
+    for l in 0..L {
+        let s = start + l * m;
+        let lu = LuFactors::factor_owned(block(s, m)).unwrap_or_else(|_| {
+            singular += 1;
+            LuFactors::factor(&DenseMat::identity(m)).expect("identity always factors")
+        });
+        for r in 0..m {
+            perm[l * m + r] = (s + lu.piv[r]) as u32;
+            for c in 0..m {
+                let v = lu.lu[(r, c)];
+                f[r * m + c][l] = if r == c { v } else { -v };
+            }
+        }
+    }
+    singular
+}
+
+/// Solve the `L` blocks of one packed group in lockstep: gather `x`
+/// through `perm`, forward then back substitution with one chain per
+/// lane, scatter into `y` (the group's `L * m` rows). `t` holds `m`
+/// rows of lane values. Inlines into [`BlockLu::solve`]'s FMA frame.
+#[inline(always)]
+fn solve_lanes<S: Scalar, const L: usize>(
+    f: &[[S; L]],
+    perm: &[u32],
+    x: &[S],
+    y: &mut [S],
+    t: &mut [[S; L]],
+) {
+    let m = t.len();
+    for (l, p) in perm.chunks_exact(m).enumerate() {
+        for (tr, &pr) in t.iter_mut().zip(p) {
+            tr[l] = x[pr as usize];
+        }
+    }
+    // Forward substitution with the unit lower triangle.
+    for r in 1..m {
+        let (done, rest) = t.split_at_mut(r);
+        let mut acc = rest[0];
+        for (lc, tc) in f[r * m..r * m + r].iter().zip(done.iter()) {
+            for l in 0..L {
+                acc[l] = lc[l].mul_add(tc[l], acc[l]);
+            }
+        }
+        rest[0] = acc;
+    }
+    // Back substitution with the upper triangle.
+    for r in (0..m).rev() {
+        let (head, done) = t.split_at_mut(r + 1);
+        let mut acc = head[r];
+        for (uc, tc) in f[r * m + r + 1..(r + 1) * m].iter().zip(done.iter()) {
+            for l in 0..L {
+                acc[l] = uc[l].mul_add(tc[l], acc[l]);
+            }
+        }
+        let d = f[r * m + r];
+        for l in 0..L {
+            acc[l] /= d[l];
+        }
+        head[r] = acc;
+    }
+    for (l, yl) in y.chunks_exact_mut(m).enumerate() {
+        for (yr, tr) in yl.iter_mut().zip(t.iter()) {
+            *yr = tr[l];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +638,118 @@ mod tests {
         bad[(2, 2)] = 1e-12;
         let lub = LuFactors::factor(&bad).unwrap();
         assert!(lub.cond_estimate(&bad) > 1e10);
+    }
+
+    /// Entry `(r, c)` of a test block matrix: seeded values in [-1, 1)
+    /// with ±0 and ± `tiny` (a subnormal) mixed in. Even blocks get a
+    /// dominant diagonal; odd blocks do not, so they pivot.
+    fn entry<S: Scalar>(r: usize, c: usize, bs: usize, tiny: S) -> S {
+        let h = ((r * 7919 + c * 104_729) as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(17);
+        let v = match h % 23 {
+            3 => S::zero(),
+            5 => -S::zero(),
+            7 => tiny,
+            11 => -tiny,
+            _ => S::from_f64((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0),
+        };
+        if r == c && (r / bs).is_multiple_of(2) {
+            v + S::from_f64(4.0)
+        } else {
+            v
+        }
+    }
+
+    /// `n` seeded inputs; with `specials`, ±0, ± `tiny`, ±Inf and NaN
+    /// at fixed positions.
+    fn inputs<S: Scalar>(n: usize, tiny: S, specials: bool) -> Vec<S> {
+        (0..n)
+            .map(|i| match i % 13 {
+                1 if specials => S::zero(),
+                2 if specials => -S::zero(),
+                4 if specials => tiny,
+                6 if specials => -tiny,
+                8 if specials => S::from_f64(f64::INFINITY),
+                10 if specials => S::from_f64(f64::NEG_INFINITY),
+                12 if specials => S::from_f64(f64::NAN),
+                _ => S::from_f64(((i * 37) % 17) as f64 / 8.0 - 1.0),
+            })
+            .collect()
+    }
+
+    /// Bit patterns (exact widening to f64), every NaN folded to one —
+    /// the rule of the FMA dispatch tests.
+    fn bits<S: Scalar>(xs: &[S]) -> Vec<u64> {
+        xs.iter()
+            .map(|x| x.to_f64())
+            .map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
+            .collect()
+    }
+
+    /// `BlockLu::solve` against the independent per-block path:
+    /// `LuFactors::factor` (identity on failure) and `solve_in_place`
+    /// on each block's slice of `x`, bit for bit.
+    fn block_lu_matches_per_block<S: Scalar>(tiny: S) {
+        let k = LU_LANES;
+        let shapes = [
+            (2 * k * 4 + 3 * 4, 4), // two groups + 3 leftover blocks
+            (2 * k * 3 + 2, 3),     // two groups + a ragged block
+            (k * 5 + 7, 5),         // one group + 1 leftover + ragged
+            (k * 4 * 2, 4),         // whole groups only
+            (2 * k + 5, 1),         // bs = 1
+            (9, 9),                 // bs = n
+            (9, 16),                // bs > n
+            (0, 3),                 // empty
+        ];
+        for (n, bs) in shapes {
+            // Every fifth block is all zeros: singular at step 0.
+            let zero_block = |s: usize| (s / bs) % 5 == 2;
+            let block = |s: usize, m: usize| {
+                if zero_block(s) {
+                    DenseMat::zeros(m, m)
+                } else {
+                    DenseMat::from_fn(m, m, |r, c| entry(s + r, s + c, bs, tiny))
+                }
+            };
+            for threads in [1, 3] {
+                let packed = BlockLu::factor(n, bs, threads, block);
+                assert_eq!(packed.n(), n);
+                assert_eq!(packed.nblocks(), n.div_ceil(bs));
+                for specials in [false, true] {
+                    let x = inputs::<S>(n, tiny, specials);
+                    let mut y = vec![S::from_f64(99.0); n];
+                    packed.solve(&x, &mut y);
+                    let mut want = x.clone();
+                    let mut singular = 0;
+                    for s in (0..n).step_by(bs) {
+                        let m = bs.min(n - s);
+                        let lu = LuFactors::factor(&block(s, m)).unwrap_or_else(|_| {
+                            singular += 1;
+                            LuFactors::factor(&DenseMat::identity(m)).unwrap()
+                        });
+                        lu.solve_in_place(&mut want[s..s + m]);
+                    }
+                    assert_eq!(
+                        bits(&y),
+                        bits(&want),
+                        "{} n={n} bs={bs} threads={threads} specials={specials}",
+                        S::NAME
+                    );
+                    assert_eq!(packed.singular_blocks(), singular);
+                    if n.div_ceil(bs) > 2 {
+                        assert!(singular > 0, "the identity fallback must be exercised");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_lu_is_bitwise_per_block_lu() {
+        block_lu_matches_per_block::<f64>(f64::from_bits(0x000a_bcde_f012_3456));
+        block_lu_matches_per_block::<f32>(f32::from_bits(0x0012_3456));
+        block_lu_matches_per_block::<mpgmres_scalar::Half>(mpgmres_scalar::Half::from_bits(0x0123));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mpgmres_scalar::{Half, Precision, Scalar};
 
 use crate::basis::BasisStore;
 use crate::csr::Csr;
-use crate::dense::{DenseMat, LuFactors};
+use crate::dense::{BlockLu, DenseMat, LuFactors};
 use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
 use crate::par;
@@ -403,6 +403,47 @@ fn dense<S: Elem>() {
         if let Ok(lu) = LuFactors::factor(&a) {
             check("LuFactors::solve_in_place", || lu.solve(&x));
         }
+    }
+    // 37 full blocks of 4 (whole lane groups plus leftovers) and a
+    // ragged block of 3; even blocks pivot-free, odd ones pivoting.
+    let (n, bs) = (4 * 37 + 3, 4);
+    for specials in [false, true] {
+        let vals = values::<S>(n * bs, 8, specials);
+        let block = |s: usize, m: usize| {
+            DenseMat::from_fn(m, m, |r, c| {
+                let v = vals[(s + r) * bs + c];
+                if r == c && (s / bs).is_multiple_of(2) {
+                    v + S::from_f64(4.0)
+                } else {
+                    v
+                }
+            })
+        };
+        // As for `LuFactors::factor`: solving unit vectors on one fixed
+        // path reads every packed entry.
+        check("BlockLu::factor", || {
+            let lu = BlockLu::factor(n, bs, 1, block);
+            portable(|| {
+                (0..bs)
+                    .flat_map(|j| {
+                        let e: Vec<S> = (0..n)
+                            .map(|i| if i % bs == j { S::one() } else { S::zero() })
+                            .collect();
+                        let mut y = vec![S::zero(); n];
+                        lu.solve(&e, &mut y);
+                        y
+                    })
+                    .chain([S::from_usize(lu.singular_blocks())])
+                    .collect()
+            })
+        });
+        let lu = BlockLu::factor(n, bs, 1, block);
+        let x = values::<S>(n, 9, specials);
+        check("BlockLu::solve", || {
+            let mut y = vec![S::zero(); n];
+            lu.solve(&x, &mut y);
+            y
+        });
     }
 }
 

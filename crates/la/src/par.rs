@@ -164,7 +164,7 @@ where
 
 /// Run `f(i, &mut data[i])` for every element, elements partitioned in
 /// contiguous runs across scoped threads. For batches of independent
-/// work items (e.g. factoring the diagonal blocks of block Jacobi);
+/// work items (e.g. factoring block Jacobi's groups of diagonal blocks);
 /// results are position-deterministic, so parallelism never changes an
 /// outcome.
 pub fn for_each_slot_mut<T: Send, F>(threads: usize, data: &mut [T], f: F)
@@ -180,57 +180,6 @@ where
     for_each_chunk_mut(threads, data, |start, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             f(start + i, slot);
-        }
-    });
-}
-
-/// Split `data` at the ascending `ends` boundaries (last entry must be
-/// `data.len()`) and run `f(i, chunk_i)` for each variable-length chunk,
-/// chunks distributed across scoped threads. Chunks are independent
-/// outputs, so execution order cannot affect results (block Jacobi's
-/// batched triangular solves).
-pub fn for_each_partition_mut<S: Send, F>(threads: usize, data: &mut [S], ends: &[usize], f: F)
-where
-    F: Fn(usize, &mut [S]) + Sync,
-{
-    assert_eq!(
-        ends.last().copied().unwrap_or(0),
-        data.len(),
-        "partition must cover data"
-    );
-    if threads <= 1 || ends.len() <= 1 {
-        let mut rest = data;
-        let mut prev = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(end - prev);
-            f(i, head);
-            rest = tail;
-            prev = end;
-        }
-        return;
-    }
-    // Carve the per-chunk mutable slices up front, then hand contiguous
-    // runs of chunks to scoped threads.
-    let mut slices: Vec<(usize, &mut [S])> = Vec::with_capacity(ends.len());
-    let mut rest = data;
-    let mut prev = 0usize;
-    for (i, &end) in ends.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(end - prev);
-        slices.push((i, head));
-        rest = tail;
-        prev = end;
-    }
-    let per_thread = slices.len().div_ceil(threads.max(1));
-    std::thread::scope(|scope| {
-        let f = &f;
-        while !slices.is_empty() {
-            let take = per_thread.min(slices.len());
-            let batch: Vec<(usize, &mut [S])> = slices.drain(..take).collect();
-            scope.spawn(move || {
-                for (i, chunk) in batch {
-                    f(i, chunk);
-                }
-            });
         }
     });
 }
