@@ -1182,8 +1182,7 @@ mod tests {
     }
 
     /// Arrow matrix (dense first row + column over a diagonal): the
-    /// skew that makes even row splits pathological. Sized above the
-    /// parallel threshold so batch ops take the partitioned path.
+    /// skew that makes even row splits pathological.
     fn arrow_matrix(n: usize) -> Csr<f64> {
         let mut coo = mpgmres_la::coo::Coo::new(n, n);
         for i in 0..n {
@@ -1194,6 +1193,15 @@ mod tests {
             }
         }
         coo.into_csr()
+    }
+
+    /// An [`arrow_matrix`] (3 entries per row but the first) sized just
+    /// above `SPMV_PAR_THRESHOLD`, so batch ops take the partitioned
+    /// path.
+    fn par_arrow() -> Csr<f64> {
+        let a = arrow_matrix(par::SPMV_PAR_THRESHOLD / 3 + 1_000);
+        assert!(a.nnz() >= par::SPMV_PAR_THRESHOLD, "{} nnz", a.nnz());
+        a
     }
 
     fn worker_nnz(a: &Csr<f64>, parts: &[(usize, usize)]) -> Vec<usize> {
@@ -1208,8 +1216,7 @@ mod tests {
     /// even split.
     #[test]
     fn lease_backend_inherits_nnz_strategy() {
-        let a = arrow_matrix(12_000);
-        assert!(a.nnz() >= par::SPMV_PAR_THRESHOLD);
+        let a = par_arrow();
         let outer = ParallelBackend::with_threads(4).with_strategy(PartitionStrategy::NnzBalanced);
         let inner = LeaseBackend {
             lease: outer.pool().lease(0, 2),
@@ -1247,7 +1254,7 @@ mod tests {
     fn batch_ops_use_nnz_partitions_through_execute_batch() {
         use stream::{BoundOp, OpArgs, OpGraph, Span};
 
-        let a = arrow_matrix(12_000);
+        let a = par_arrow();
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
         let mut y1 = vec![0.0f64; n];

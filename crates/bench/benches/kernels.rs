@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mpgmres_la::csr::Csr;
 use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivector::MultiVector;
-use mpgmres_la::vec_ops::{dot_ordered, norm2, ReductionOrder};
+use mpgmres_la::vec_ops::{dot_ordered, norm2, norm2_ordered, ReductionOrder};
 use mpgmres_matgen::galeri;
 use mpgmres_scalar::Scalar;
 
@@ -32,10 +32,12 @@ fn bench_spmv(c: &mut Criterion) {
     g.finish();
 }
 
+/// CGS2's two GEMV shapes over 1, 7, 8, 9 and 25 basis columns: under,
+/// at and past one 8-column GEMV-T group, and a typical mid-cycle width.
 fn bench_gemv(c: &mut Criterion) {
     let mut g = c.benchmark_group("cgs2_gemv");
     let n = 1 << 16;
-    let cols = 25;
+    let max_cols = 25;
     fn setup<S: Scalar>(n: usize, cols: usize) -> (MultiVector<S>, Vec<S>, Vec<S>) {
         let mut v = MultiVector::<S>::zeros(n, cols);
         for j in 0..cols {
@@ -45,22 +47,23 @@ fn bench_gemv(c: &mut Criterion) {
         }
         (v, vec![S::from_f64(1.0); n], vec![S::from_f64(0.0); cols])
     }
-    let (v64, w64, mut h64) = setup::<f64>(n, cols);
-    g.bench_function("gemv_t/fp64", |b| {
-        b.iter(|| v64.gemv_t(cols, &w64, &mut h64, ReductionOrder::Sequential))
-    });
-    let (v32, w32, mut h32) = setup::<f32>(n, cols);
-    g.bench_function("gemv_t/fp32", |b| {
-        b.iter(|| v32.gemv_t(cols, &w32, &mut h32, ReductionOrder::Sequential))
-    });
-    let mut wm64 = w64.clone();
-    g.bench_function("gemv_n_sub/fp64", |b| {
-        b.iter(|| v64.gemv_n_sub(cols, &h64, &mut wm64))
-    });
-    let mut wm32 = w32.clone();
-    g.bench_function("gemv_n_sub/fp32", |b| {
-        b.iter(|| v32.gemv_n_sub(cols, &h32, &mut wm32))
-    });
+    let (v64, w64, mut h64) = setup::<f64>(n, max_cols);
+    let (v32, w32, mut h32) = setup::<f32>(n, max_cols);
+    let (mut wm64, mut wm32) = (w64.clone(), w32.clone());
+    for cols in [1usize, 7, 8, 9, 25] {
+        g.bench_with_input(BenchmarkId::new("gemv_t/fp64", cols), &cols, |b, &k| {
+            b.iter(|| v64.gemv_t(k, &w64, &mut h64, ReductionOrder::Sequential))
+        });
+        g.bench_with_input(BenchmarkId::new("gemv_t/fp32", cols), &cols, |b, &k| {
+            b.iter(|| v32.gemv_t(k, &w32, &mut h32, ReductionOrder::Sequential))
+        });
+        g.bench_with_input(BenchmarkId::new("gemv_n_sub/fp64", cols), &cols, |b, &k| {
+            b.iter(|| v64.gemv_n_sub(k, &h64, &mut wm64))
+        });
+        g.bench_with_input(BenchmarkId::new("gemv_n_sub/fp32", cols), &cols, |b, &k| {
+            b.iter(|| v32.gemv_n_sub(k, &h32, &mut wm32))
+        });
+    }
     g.finish();
 }
 
@@ -75,6 +78,15 @@ fn bench_reductions(c: &mut Criterion) {
         b.iter(|| dot_ordered(&x, &x, ReductionOrder::GPU_LIKE))
     });
     g.bench_function("norm2", |b| b.iter(|| norm2(&x)));
+    // The stretched-bj shape (n = 9216): the per-iteration norm of the
+    // GPU-like solve, 36 reduction blocks.
+    let small = vec![0.5f64; 9216];
+    g.bench_function("dot/gpu_like_tree/9216", |b| {
+        b.iter(|| dot_ordered(&small, &small, ReductionOrder::GPU_LIKE))
+    });
+    g.bench_function("norm2/gpu_like_tree/9216", |b| {
+        b.iter(|| norm2_ordered(&small, ReductionOrder::GPU_LIKE))
+    });
     g.finish();
 }
 

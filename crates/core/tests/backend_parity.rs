@@ -16,7 +16,8 @@ use mpgmres::{
 };
 use mpgmres_gpusim::{DeviceModel, PaperCategory, TimingReport};
 use mpgmres_la::coo::Coo;
-use mpgmres_la::vec_ops::ReductionOrder;
+use mpgmres_la::par::SPMV_PAR_THRESHOLD;
+use mpgmres_la::vec_ops::{ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::Half;
 
 fn laplace1d(n: usize) -> GpuMatrix<f64> {
@@ -193,8 +194,9 @@ fn gmres_parity_on_large_problem_exercises_parallel_kernels() {
     // backend is forced to 4 workers, so the row/column/block
     // partitioned kernels in `mpgmres_la::par` genuinely execute (the
     // small-problem tests above all take the sequential fallback).
-    let n = 40_000;
+    let n = SPMV_PAR_THRESHOLD / 3 + 1_000;
     let a = laplace1d(n);
+    assert!(n >= PAR_THRESHOLD && a.nnz() >= SPMV_PAR_THRESHOLD);
     let b = vec![1.0f64; n];
     let cfg = GmresConfig::default().with_m(20).with_max_iters(100);
     let run = |backend: Arc<dyn Backend>| {

@@ -30,7 +30,7 @@
 use mpgmres_scalar::{cast, Half, Precision, Scalar};
 
 use crate::fma;
-use crate::multivector::{gemv_t_cols, MultiVector};
+use crate::multivector::{gemv_n_cols, gemv_t_cols, MultiVector};
 use crate::vec_ops::{self, ReductionOrder};
 
 /// Column-major `n x max_cols` basis storage at element precision `L`,
@@ -96,13 +96,10 @@ impl<L: Scalar> CompressedBasis<L> {
         gemv_t_cols(&self.data, first, w, h, order, cast::<L, S>);
     }
 
-    /// The shared row-range GEMV No-Trans kernel: for rows
-    /// `[start, start + out.len())`, accumulate `sign * h[i] *
-    /// widen(col_i)` into `out` column by column — the exact per-row
-    /// operation order of [`MultiVector::gemv_n_sub`] /
-    /// [`MultiVector::gemv_n_add`] with one widening per element.
-    /// Shared by the sequential kernels below and the row-partitioned
-    /// parallel dispatchers in [`crate::par`].
+    /// GEMV No-Trans over rows `[start, start + out.len())`, one
+    /// widening per element (see [`MultiVector::gemv_n_sub`] for the
+    /// operation order) — shared with the row-partitioned parallel
+    /// dispatchers in [`crate::par`].
     #[inline(always)]
     pub(crate) fn gemv_n_rows<S: Scalar>(
         &self,
@@ -112,13 +109,15 @@ impl<L: Scalar> CompressedBasis<L> {
         out: &mut [S],
         add: bool,
     ) {
-        for i in 0..ncols {
-            let ci = &self.col(i)[start..start + out.len()];
-            let hi = if add { h[i] } else { -h[i] };
-            for (wr, &cr) in out.iter_mut().zip(ci) {
-                *wr = hi.mul_add(cast::<L, S>(cr), *wr);
-            }
-        }
+        gemv_n_cols(
+            &self.data,
+            self.n,
+            &h[..ncols],
+            start,
+            out,
+            add,
+            cast::<L, S>,
+        );
     }
 
     /// `w -= widen(V[:, ..ncols]) h` (GEMV No-Trans, alpha = -1).

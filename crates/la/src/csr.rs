@@ -144,12 +144,18 @@ impl<S: Scalar> Csr<S> {
     /// The `(col, val)` pairs of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, S)> + '_ {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .map(|&c| c as usize)
-            .zip(self.vals[lo..hi].iter().copied())
+        let (vals, cols) = self.row_slices(r);
+        cols.iter().map(|&c| c as usize).zip(vals.iter().copied())
+    }
+
+    /// Row `r`'s stored values and column indices, two slices of equal
+    /// length. Every per-nonzero kernel loop walks them zipped, so the
+    /// bounds are checked once per row instead of once per entry; only
+    /// the `x[col]` read stays checked.
+    #[inline(always)]
+    pub(crate) fn row_slices(&self, r: usize) -> (&[S], &[u32]) {
+        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        (&self.vals[lo..hi], &self.col_idx[lo..hi])
     }
 
     /// One row of `y = A x`: strict left-to-right fused multiply-add.
@@ -160,11 +166,10 @@ impl<S: Scalar> Csr<S> {
     /// construction rather than merely by test.
     #[inline(always)]
     pub(crate) fn spmv_row(&self, r: usize, x: &[S]) -> S {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
+        let (vals, cols) = self.row_slices(r);
         let mut acc = S::zero();
-        for k in lo..hi {
-            acc = self.vals[k].mul_add(x[self.col_idx[k] as usize], acc);
+        for (&v, &c) in vals.iter().zip(cols) {
+            acc = v.mul_add(x[c as usize], acc);
         }
         acc
     }
@@ -173,11 +178,10 @@ impl<S: Scalar> Csr<S> {
     /// [`Csr::spmv_row`]).
     #[inline(always)]
     pub(crate) fn residual_row(&self, r: usize, b_r: S, x: &[S]) -> S {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
+        let (vals, cols) = self.row_slices(r);
         let mut acc = b_r;
-        for k in lo..hi {
-            acc = (-self.vals[k]).mul_add(x[self.col_idx[k] as usize], acc);
+        for (&v, &c) in vals.iter().zip(cols) {
+            acc = (-v).mul_add(x[c as usize], acc);
         }
         acc
     }

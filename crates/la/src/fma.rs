@@ -20,6 +20,21 @@
 //! **Where to wrap.** Wrap a kernel at its outermost loop, so the
 //! per-row and per-block helpers it calls inline into the FMA-compiled
 //! frame. Each body is written once; nothing is kept in sync by hand.
+//! Code the frame *calls* instead of inlining is compiled without the
+//! feature and silently runs on the software `fma`, so:
+//!
+//! - mark a body closure `#[inline(always)]` when it is more than a
+//!   line or two, or the frame may tail-jump to an out-of-line
+//!   `{{closure}}`;
+//! - helpers the body calls are `#[inline(always)]` functions;
+//! - no iterator adaptor whose closure does a `mul_add` may run inside
+//!   a frame: `.map(..).collect()` compiles its loop into an outlined
+//!   `Vec::from_iter`. Write the loop out, as `vec_ops::block_partials`
+//!   does.
+//!
+//! `scripts/check_fma_frames.py` disassembles a binary and fails on any
+//! call or tail jump from a frame to a closure, a `from_iter` or
+//! `fma`/`fmaf`; CI runs it on the release test binary of this crate.
 
 /// Run `body`, compiled for hardware FMA when the CPU has it.
 ///

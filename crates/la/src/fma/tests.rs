@@ -195,10 +195,6 @@ fn sparse<S: Elem>() {
         };
         check("Csr::spmv", || out(&|y| a.spmv(&x, y)));
         check("Csr::residual", || out(&|y| a.residual(&b, &x, y)));
-        check("par::spmv", || out(&|y| par::spmv(2, &a, &x, y)));
-        check("par::residual", || {
-            out(&|y| par::residual(2, &a, &b, &x, y))
-        });
         check("par::spmv_parts_on", || {
             out(&|y| par::spmv_parts_on(&exec, &parts, &a, &x, y))
         });
@@ -252,9 +248,42 @@ fn sparse<S: Elem>() {
     }
 }
 
+/// Basis widths for the GEMV checks: 0 through 17 reaches every
+/// remainder of an 8-column GEMV-T group.
+#[cfg(not(miri))]
+const NCOLS: std::ops::RangeInclusive<usize> = 0..=17;
+/// Miri interprets every flop, so it checks one width past a group.
+#[cfg(miri)]
+const NCOLS: std::ops::RangeInclusive<usize> = 9..=9;
+
+/// `par::spmv`/`par::residual` above `SPMV_PAR_THRESHOLD` nonzeros, so
+/// they split the rows (below it they run `Csr::spmv`, checked above).
+#[cfg(not(miri))]
+fn thresholded_sparse<S: Elem>() {
+    let n = par::SPMV_PAR_THRESHOLD / 5 + 37;
+    let a = banded::<S>(n, true);
+    assert!(a.nnz() >= par::SPMV_PAR_THRESHOLD);
+    let x = values::<S>(n, 4, true);
+    let b = values::<S>(n, 5, true);
+    let out = |f: &dyn Fn(&mut [S])| {
+        let mut y = vec![S::zero(); n];
+        f(&mut y);
+        y
+    };
+    check("par::spmv", || out(&|y| par::spmv(2, &a, &x, y)));
+    check("par::residual", || {
+        out(&|y| par::residual(2, &a, &b, &x, y))
+    });
+}
+
 fn gemv<S: Elem>() {
+    for cols in NCOLS {
+        gemv_cols::<S>(cols);
+    }
+}
+
+fn gemv_cols<S: Elem>(cols: usize) {
     let exec = ScopedSpawn(2);
-    let cols = 9;
     for (n, specials) in SHAPES {
         let w = values::<S>(n, 8, specials);
         let h = values::<S>(cols, 9, false);
@@ -459,6 +488,14 @@ fn sparse_kernels_match_portable() {
     sparse::<f64>();
     sparse::<f32>();
     sparse::<Half>();
+}
+
+#[cfg(not(miri))]
+#[test]
+fn thresholded_sparse_kernels_match_portable() {
+    thresholded_sparse::<f64>();
+    thresholded_sparse::<f32>();
+    thresholded_sparse::<Half>();
 }
 
 #[test]

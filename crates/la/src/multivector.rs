@@ -18,7 +18,11 @@ use crate::fma;
 use crate::vec_ops::{tree_sum, ReductionOrder};
 
 /// Columns a GEMV-T group reads `w` for at once, one accumulator each.
-const GEMV_T_GROUP: usize = 4;
+const GEMV_T_GROUP: usize = 8;
+
+/// Rows of `w` a GEMV-N tile spans (4 KiB of fp64): every column
+/// updates the tile while it stays in L1.
+const GEMV_N_TILE: usize = 512;
 
 /// Column-major `n x max_cols` storage for Krylov basis vectors.
 #[derive(Clone, Debug)]
@@ -90,9 +94,9 @@ impl<S: Scalar> MultiVector<S> {
 
     /// `w -= V[:, ..ncols] * h` (GEMV No-Trans with alpha = -1).
     ///
-    /// Column-major accumulation order (one column at a time), which the
-    /// parallel backend reproduces per row chunk so results stay
-    /// bit-identical across backends.
+    /// Every row accumulates the columns in order, one `mul_add` each,
+    /// which the parallel backend reproduces per row chunk so results
+    /// stay bit-identical across backends.
     pub fn gemv_n_sub(&self, ncols: usize, h: &[S], w: &mut [S]) {
         assert!(ncols <= self.max_cols, "gemv_n_sub: too many columns");
         assert_eq!(w.len(), self.n, "gemv_n_sub: vector length mismatch");
@@ -109,10 +113,9 @@ impl<S: Scalar> MultiVector<S> {
         fma::run(|| self.gemv_n_rows(ncols, h, 0, y, true));
     }
 
-    /// The row-range GEMV No-Trans body: for rows `[start, start +
-    /// out.len())`, accumulate `±h[i] * col_i` into `out` column by
-    /// column. Shared by the sequential kernels, the native basis store
-    /// and the row-partitioned parallel kernels.
+    /// GEMV No-Trans over rows `[start, start + out.len())` — the body
+    /// shared with the native basis store and the row-partitioned
+    /// parallel kernels.
     #[inline(always)]
     pub(crate) fn gemv_n_rows(
         &self,
@@ -122,13 +125,7 @@ impl<S: Scalar> MultiVector<S> {
         out: &mut [S],
         add: bool,
     ) {
-        for i in 0..ncols {
-            let ci = &self.col(i)[start..start + out.len()];
-            let hi = if add { h[i] } else { -h[i] };
-            for (wr, &cr) in out.iter_mut().zip(ci) {
-                *wr = hi.mul_add(cr, *wr);
-            }
-        }
+        gemv_n_cols(&self.data, self.n, &h[..ncols], start, out, add, |x| x);
     }
 
     /// Overwrite column `j` from a slice.
@@ -169,26 +166,70 @@ pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
     let col = |j: usize| &data[j * n..(j + 1) * n];
     for (g, hg) in h.chunks_mut(GEMV_T_GROUP).enumerate() {
         let c = first + g * GEMV_T_GROUP;
+        macro_rules! group {
+            ($($k:literal)+) => {
+                group_partials([$(col(c + $k)),+], w, block, &mut parts, widen)
+            };
+        }
         match hg.len() {
-            1 => group_partials([col(c)], w, block, &mut parts, widen),
-            2 => group_partials([col(c), col(c + 1)], w, block, &mut parts, widen),
-            3 => group_partials(
-                [col(c), col(c + 1), col(c + 2)],
-                w,
-                block,
-                &mut parts,
-                widen,
-            ),
-            _ => group_partials(
-                [col(c), col(c + 1), col(c + 2), col(c + 3)],
-                w,
-                block,
-                &mut parts,
-                widen,
-            ),
+            1 => group!(0),
+            2 => group!(0 1),
+            3 => group!(0 1 2),
+            4 => group!(0 1 2 3),
+            5 => group!(0 1 2 3 4),
+            6 => group!(0 1 2 3 4 5),
+            7 => group!(0 1 2 3 4 5 6),
+            _ => group!(0 1 2 3 4 5 6 7),
         }
         for (k, hk) in hg.iter_mut().enumerate() {
             *hk = tree_sum(&mut parts[k * nblocks..(k + 1) * nblocks]);
+        }
+    }
+}
+
+/// `out[i] ±= sum_j h[j] * widen(col(j)[start + i])`, where `data` holds
+/// `n`-long columns back to back — the GEMV No-Trans body of the native
+/// and the compressed basis (`+` when `add`).
+///
+/// Walks [`GEMV_N_TILE`]-row tiles of `out` and applies every column to
+/// a tile before moving on, so the tile stays in L1 while the columns
+/// stream past; within a tile the columns go four to a pass, so each
+/// row is loaded and stored once per four columns. Each row still takes
+/// the columns in order, one `mul_add` each, so the result is
+/// bit-identical to applying the columns one full pass at a time.
+#[inline(always)]
+pub(crate) fn gemv_n_cols<L: Copy, S: Scalar>(
+    data: &[L],
+    n: usize,
+    h: &[S],
+    start: usize,
+    out: &mut [S],
+    add: bool,
+    widen: impl Fn(L) -> S,
+) {
+    debug_assert!(start + out.len() <= n);
+    let sign = |hj: S| if add { hj } else { -hj };
+    for (t, tile) in out.chunks_mut(GEMV_N_TILE).enumerate() {
+        let (lo, len) = (start + t * GEMV_N_TILE, tile.len());
+        let col = |j: usize| &data[j * n + lo..][..len];
+        let quads = h.len() / 4 * 4;
+        for (q, hq) in h[..quads].chunks_exact(4).enumerate() {
+            let j = 4 * q;
+            let (h0, h1, h2, h3) = (sign(hq[0]), sign(hq[1]), sign(hq[2]), sign(hq[3]));
+            let (c0, c1, c2, c3) = (col(j), col(j + 1), col(j + 2), col(j + 3));
+            for i in 0..len {
+                let mut acc = tile[i];
+                acc = h0.mul_add(widen(c0[i]), acc);
+                acc = h1.mul_add(widen(c1[i]), acc);
+                acc = h2.mul_add(widen(c2[i]), acc);
+                tile[i] = h3.mul_add(widen(c3[i]), acc);
+            }
+        }
+        for (j, &hj) in h.iter().enumerate().skip(quads) {
+            let hj = sign(hj);
+            for (wr, &cr) in tile.iter_mut().zip(col(j)) {
+                *wr = hj.mul_add(widen(cr), *wr);
+            }
         }
     }
 }
@@ -205,10 +246,17 @@ fn group_partials<L: Copy, S: Scalar, const G: usize>(
 ) {
     let nblocks = parts.len() / GEMV_T_GROUP;
     for (b, wb) in w.chunks(block).enumerate() {
-        let lo = b * block;
-        let cb = cols.map(|c| &c[lo..lo + wb.len()]);
+        let (lo, len) = (b * block, wb.len());
+        // Re-cut in place rather than with `cols.map`: the compiler then
+        // sees every column slice is `len` long and drops the
+        // per-element bounds checks of the loop below.
+        let mut cb = cols;
+        for c in cb.iter_mut() {
+            *c = &c[lo..lo + len];
+        }
         let mut acc = [S::zero(); G];
-        for (i, &wi) in wb.iter().enumerate() {
+        for i in 0..len {
+            let wi = wb[i];
             for k in 0..G {
                 acc[k] = widen(cb[k][i]).mul_add(wi, acc[k]);
             }

@@ -33,6 +33,20 @@
 //!
 //! Every chunk closure that runs a `mul_add` chain wraps its body in
 //! [`fma::run`], so it executes on hardware FMA when the CPU has it.
+//!
+//! **Where the thresholds sit.** A pool dispatch costs tens of
+//! microseconds, and a serial SpMV with its bounds checks hoisted out of
+//! the row loop streams a cache-resident matrix at two to three cycles
+//! per nonzero, so the pool only pays once the matrix outgrows the private
+//! caches (compare Ioannidis et al., arXiv:1906.04051: parallel GMRES
+//! kernels pay off only past cache). The `spmv_crossover` group of
+//! `crates/bench/benches/backends.rs` times the serial SpMV against the
+//! pool's on laplace2d grids from 20k to 5.2M nonzeros. On a 2-vCPU
+//! x86-64 host (4 MiB L2 per core) the pool lost or broke even up to
+//! about 400k nonzeros, won in most runs from about 500k and won
+//! clearly (1.5–2x) at 5.2M, so [`SPMV_PAR_THRESHOLD`] sits at 2^19.
+//! It is a constant, not a tuned knob: which path runs must not depend
+//! on the machine's load, or traced counts would stop reproducing.
 
 use mpgmres_scalar::Scalar;
 
@@ -46,8 +60,10 @@ use crate::raw::{RawSlice, RawSliceMut};
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
 
-/// Minimum stored nonzeros before SpMV/residual go parallel.
-pub const SPMV_PAR_THRESHOLD: usize = 1 << 15;
+/// Minimum stored nonzeros before SpMV/residual/SpMM go parallel: the
+/// crossover of the serial and the pooled SpMV in the `spmv_crossover`
+/// sweep (see the module docs).
+pub const SPMV_PAR_THRESHOLD: usize = 1 << 19;
 
 /// Split `[0, len)` into at most `threads` contiguous `(start, end)`
 /// ranges — the row partition every row-parallel kernel uses. Exposed so
@@ -370,7 +386,8 @@ pub(crate) fn spmm_rows<S: Scalar>(
     out: &mut [&mut [S]],
 ) {
     match xcols.len() {
-        1 => fma::run(|| spmm_rows_fixed::<S, 1>(a, xcols, lo, hi, out)),
+        // One column is an SpMV: the same chain, row for row.
+        1 => fma::run(|| a.spmv_rows(lo, xcols[0], &mut out[0][..hi - lo])),
         2 => fma::run(|| spmm_rows_fixed::<S, 2>(a, xcols, lo, hi, out)),
         3 => fma::run(|| spmm_rows_fixed::<S, 3>(a, xcols, lo, hi, out)),
         4 => fma::run(|| spmm_rows_fixed::<S, 4>(a, xcols, lo, hi, out)),
@@ -391,15 +408,12 @@ fn spmm_rows_fixed<S: Scalar, const K: usize>(
     out: &mut [&mut [S]],
 ) {
     debug_assert_eq!(xcols.len(), K);
-    let xc: &[&[S]; K] = xcols.try_into().expect("width checked by dispatch");
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let vals = a.vals();
+    let xc: [&[S]; K] = xcols.try_into().expect("width checked by dispatch");
     for r in lo..hi {
+        let (vals, cols) = a.row_slices(r);
         let mut acc = [S::zero(); K];
-        for idx in row_ptr[r]..row_ptr[r + 1] {
-            let c = col_idx[idx] as usize;
-            let v = vals[idx];
+        for (&v, &c) in vals.iter().zip(cols) {
+            let c = c as usize;
             for j in 0..K {
                 acc[j] = v.mul_add(xc[j][c], acc[j]);
             }
@@ -418,19 +432,14 @@ fn spmm_rows_dyn<S: Scalar>(
     hi: usize,
     out: &mut [&mut [S]],
 ) {
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let vals = a.vals();
     let mut acc = vec![S::zero(); xcols.len()];
     for r in lo..hi {
-        for a_j in acc.iter_mut() {
-            *a_j = S::zero();
-        }
-        for idx in row_ptr[r]..row_ptr[r + 1] {
-            let c = col_idx[idx] as usize;
-            let v = vals[idx];
-            for (j, xc) in xcols.iter().enumerate() {
-                acc[j] = v.mul_add(xc[c], acc[j]);
+        acc.fill(S::zero());
+        let (vals, cols) = a.row_slices(r);
+        for (&v, &c) in vals.iter().zip(cols) {
+            let c = c as usize;
+            for (a_j, xc) in acc.iter_mut().zip(xcols) {
+                *a_j = v.mul_add(xc[c], *a_j);
             }
         }
         for (j, a_j) in acc.iter().enumerate() {
@@ -734,14 +743,12 @@ pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: Reduction
             }
             let mut parts = vec![S::zero(); nblocks];
             for_each_chunk_mut_on(exec, &mut parts, |start, chunk| {
-                fma::run(|| {
-                    for (i, p) in chunk.iter_mut().enumerate() {
-                        let b = start + i;
-                        let lo = b * block;
-                        let hi = ((b + 1) * block).min(x.len());
-                        *p = vec_ops::dot_seq(&x[lo..hi], &y[lo..hi]);
-                    }
-                })
+                let lo = start * block;
+                let hi = ((start + chunk.len()) * block).min(x.len());
+                fma::run(
+                    #[inline(always)]
+                    || vec_ops::block_partials(&x[lo..hi], &y[lo..hi], block, chunk),
+                )
             });
             vec_ops::tree_sum(&mut parts)
         }
@@ -944,10 +951,22 @@ mod tests {
             .collect()
     }
 
+    /// Rows of a [`big_laplace`] (3 entries per interior row) whose
+    /// nonzeros clear [`SPMV_PAR_THRESHOLD`], so the thresholded matrix
+    /// kernels split the rows.
+    const PAR_N: usize = SPMV_PAR_THRESHOLD / 3 + 1_000;
+
+    /// [`big_laplace`] at [`PAR_N`] rows, checked to clear the threshold.
+    fn par_laplace() -> Csr<f64> {
+        let a = big_laplace(PAR_N);
+        assert!(a.nnz() >= SPMV_PAR_THRESHOLD, "{} nnz", a.nnz());
+        a
+    }
+
     #[test]
     fn spmv_bit_identical_to_reference() {
-        let n = 50_000; // nnz ~ 150k > threshold
-        let a = big_laplace(n);
+        let n = PAR_N;
+        let a = par_laplace();
         let x = pseudo(n, 1);
         let mut y_seq = vec![0.0; n];
         let mut y_par = vec![0.0; n];
@@ -958,8 +977,8 @@ mod tests {
 
     #[test]
     fn pooled_kernels_bit_identical_to_scoped() {
-        let n = 50_000;
-        let a = big_laplace(n);
+        let n = PAR_N;
+        let a = par_laplace();
         let x = pseudo(n, 11);
         let pool = WorkerPool::new(4);
         let parts = row_partition(n, 4);
@@ -994,8 +1013,8 @@ mod tests {
 
     #[test]
     fn residual_bit_identical_to_reference() {
-        let n = 50_000;
-        let a = big_laplace(n);
+        let n = PAR_N;
+        let a = par_laplace();
         let x = pseudo(n, 2);
         let b = pseudo(n, 3);
         let mut r_seq = vec![0.0; n];
@@ -1064,7 +1083,7 @@ mod tests {
 
     #[test]
     fn spmm_bit_identical_to_column_spmvs() {
-        for n in [64usize, 50_000] {
+        for n in [64usize, PAR_N] {
             let a = big_laplace(n);
             let k = 5;
             let mut x = MultiVec::<f64>::zeros(n, k);

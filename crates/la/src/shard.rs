@@ -299,14 +299,14 @@ pub fn spmv_rows_local<S: Scalar>(
     x_owned: &[S],
     y: &mut [S],
 ) {
-    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     fma::run(|| {
-        for r in r0..r1 {
+        for (r, yr) in (r0..r1).zip(&mut y[..r1 - r0]) {
+            let (vals, cols) = a.row_slices(r);
             let mut acc = S::zero();
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                acc = vals[k].mul_add(x_owned[col_idx[k] as usize - lo], acc);
+            for (&v, &c) in vals.iter().zip(cols) {
+                acc = v.mul_add(x_owned[c as usize - lo], acc);
             }
-            y[r - r0] = acc;
+            *yr = acc;
         }
     });
 }
@@ -323,21 +323,13 @@ pub fn spmv_rows_ghost<S: Scalar>(
     halo: &[S],
     y: &mut [S],
 ) {
-    let (row_ptr, vals) = (a.row_ptr(), a.vals());
-    let base = row_ptr[r0];
     fma::run(|| {
-        for r in r0..r1 {
+        for (r, yr) in (r0..r1).zip(&mut y[..r1 - r0]) {
             let mut acc = S::zero();
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let g = ghost[k - base];
-                let xv = if g & GHOST_HALO != 0 {
-                    halo[(g & !GHOST_HALO) as usize]
-                } else {
-                    x_owned[g as usize]
-                };
-                acc = vals[k].mul_add(xv, acc);
+            for (&v, &g) in ghost_row(a, r0, r, ghost) {
+                acc = v.mul_add(ghost_read(g, x_owned, halo), acc);
             }
-            y[r - r0] = acc;
+            *yr = acc;
         }
     });
 }
@@ -353,14 +345,14 @@ pub fn residual_rows_local<S: Scalar>(
     x_owned: &[S],
     y: &mut [S],
 ) {
-    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     fma::run(|| {
-        for r in r0..r1 {
-            let mut acc = b_rows[r - r0];
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                acc = (-vals[k]).mul_add(x_owned[col_idx[k] as usize - lo], acc);
+        for ((r, yr), &b_r) in (r0..r1).zip(&mut y[..r1 - r0]).zip(&b_rows[..r1 - r0]) {
+            let (vals, cols) = a.row_slices(r);
+            let mut acc = b_r;
+            for (&v, &c) in vals.iter().zip(cols) {
+                acc = (-v).mul_add(x_owned[c as usize - lo], acc);
             }
-            y[r - r0] = acc;
+            *yr = acc;
         }
     });
 }
@@ -377,23 +369,39 @@ pub fn residual_rows_ghost<S: Scalar>(
     halo: &[S],
     y: &mut [S],
 ) {
-    let (row_ptr, vals) = (a.row_ptr(), a.vals());
-    let base = row_ptr[r0];
     fma::run(|| {
-        for r in r0..r1 {
-            let mut acc = b_rows[r - r0];
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let g = ghost[k - base];
-                let xv = if g & GHOST_HALO != 0 {
-                    halo[(g & !GHOST_HALO) as usize]
-                } else {
-                    x_owned[g as usize]
-                };
-                acc = (-vals[k]).mul_add(xv, acc);
+        for ((r, yr), &b_r) in (r0..r1).zip(&mut y[..r1 - r0]).zip(&b_rows[..r1 - r0]) {
+            let mut acc = b_r;
+            for (&v, &g) in ghost_row(a, r0, r, ghost) {
+                acc = (-v).mul_add(ghost_read(g, x_owned, halo), acc);
             }
-            y[r - r0] = acc;
+            *yr = acc;
         }
     });
+}
+
+/// Row `r`'s stored values zipped with their ghost indices, where
+/// `ghost` holds the entries of the rows from `r0` on.
+#[inline(always)]
+fn ghost_row<'a, S: Scalar>(
+    a: &'a Csr<S>,
+    r0: usize,
+    r: usize,
+    ghost: &'a [u32],
+) -> impl Iterator<Item = (&'a S, &'a u32)> {
+    let row_ptr = a.row_ptr();
+    let (base, lo, hi) = (row_ptr[r0], row_ptr[r], row_ptr[r + 1]);
+    a.row_slices(r).0.iter().zip(&ghost[lo - base..hi - base])
+}
+
+/// The `x` entry a ghost index names: an owned column or a halo slot.
+#[inline(always)]
+fn ghost_read<S: Scalar>(g: u32, x_owned: &[S], halo: &[S]) -> S {
+    if g & GHOST_HALO != 0 {
+        halo[(g & !GHOST_HALO) as usize]
+    } else {
+        x_owned[g as usize]
+    }
 }
 
 /// Rows `[r0, r1)` of a [`MatrixStore`] SpMV — the shard-local kernel
@@ -455,14 +463,19 @@ pub fn dot_partials<S: Scalar>(
     let block = block.max(1);
     // Blocks start at multiples of `block`; the first one this shard
     // owns is the first multiple >= c0.
-    let mut b = c0.div_ceil(block) * block;
-    fma::run(|| {
-        while b < c1 {
-            let end = (b + block).min(x.len());
-            parts.push(vec_ops::dot_seq(&x[b..end], &y[b..end]));
-            b += block;
-        }
-    });
+    let b0 = c0.div_ceil(block) * block;
+    if b0 >= c1 {
+        return;
+    }
+    let count = (c1 - b0).div_ceil(block);
+    let end = (b0 + count * block).min(x.len());
+    let at = parts.len();
+    parts.resize(at + count, S::zero());
+    let out = &mut parts[at..];
+    fma::run(
+        #[inline(always)]
+        || vec_ops::block_partials(&x[b0..end], &y[b0..end], block, out),
+    );
 }
 
 /// The even contiguous split of `[0, n)` into (at most) `shards`

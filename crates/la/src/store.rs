@@ -252,9 +252,9 @@ impl<S: Scalar> MatrixStore<S> {
 /// `L -> S` and one `mul_add` in `S` per stored entry, left to right.
 #[inline(always)]
 fn acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S) -> S {
-    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
-    for k in row_ptr[r]..row_ptr[r + 1] {
-        acc = cast::<L, S>(vals[k]).mul_add(x[col_idx[k] as usize], acc);
+    let (vals, cols) = a.row_slices(r);
+    for (&v, &c) in vals.iter().zip(cols) {
+        acc = cast::<L, S>(v).mul_add(x[c as usize], acc);
     }
     acc
 }
@@ -262,9 +262,9 @@ fn acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S)
 /// Residual flavor of [`acc_row_cast`]: `acc -= v * x` per entry.
 #[inline(always)]
 fn neg_acc_row_cast<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, x: &[S], mut acc: S) -> S {
-    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
-    for k in row_ptr[r]..row_ptr[r + 1] {
-        acc = (-cast::<L, S>(vals[k])).mul_add(x[col_idx[k] as usize], acc);
+    let (vals, cols) = a.row_slices(r);
+    for (&v, &c) in vals.iter().zip(cols) {
+        acc = (-cast::<L, S>(v)).mul_add(x[c as usize], acc);
     }
     acc
 }
@@ -280,19 +280,10 @@ fn spmm_rows_cast<L: Scalar, S: Scalar>(
     hi: usize,
     out: &mut [&mut [S]],
 ) {
-    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
     let mut acc = vec![S::zero(); xcols.len()];
     for r in lo..hi {
-        for a_j in acc.iter_mut() {
-            *a_j = S::zero();
-        }
-        for idx in row_ptr[r]..row_ptr[r + 1] {
-            let c = col_idx[idx] as usize;
-            let v = cast::<L, S>(vals[idx]);
-            for (j, xc) in xcols.iter().enumerate() {
-                acc[j] = v.mul_add(xc[c], acc[j]);
-            }
-        }
+        acc.fill(S::zero());
+        acc_row_cols(a, r, xcols, &mut acc);
         for (j, a_j) in acc.iter().enumerate() {
             out[j][r - lo] = *a_j;
         }
@@ -310,29 +301,27 @@ fn spmm_rows_split<S: Scalar>(
     hi: usize,
     out: &mut [&mut [S]],
 ) {
-    let (hp, hc, hv) = (s.hi().row_ptr(), s.hi().col_idx(), s.hi().vals());
-    let (lp, lc, lv) = (s.lo().row_ptr(), s.lo().col_idx(), s.lo().vals());
     let mut acc = vec![S::zero(); xcols.len()];
     for r in lo..hi {
-        for a_j in acc.iter_mut() {
-            *a_j = S::zero();
-        }
-        for idx in hp[r]..hp[r + 1] {
-            let c = hc[idx] as usize;
-            let v = cast::<S, S>(hv[idx]);
-            for (j, xc) in xcols.iter().enumerate() {
-                acc[j] = v.mul_add(xc[c], acc[j]);
-            }
-        }
-        for idx in lp[r]..lp[r + 1] {
-            let c = lc[idx] as usize;
-            let v = cast::<f32, S>(lv[idx]);
-            for (j, xc) in xcols.iter().enumerate() {
-                acc[j] = v.mul_add(xc[c], acc[j]);
-            }
-        }
+        acc.fill(S::zero());
+        acc_row_cols(s.hi(), r, xcols, &mut acc);
+        acc_row_cols(s.lo(), r, xcols, &mut acc);
         for (j, a_j) in acc.iter().enumerate() {
             out[j][r - lo] = *a_j;
+        }
+    }
+}
+
+/// Continue `xcols.len()` row accumulations over `a`'s row `r`: each
+/// stored value widens into `S` once and updates every column's
+/// accumulator, per column the exact order of [`acc_row_cast`].
+#[inline(always)]
+fn acc_row_cols<L: Scalar, S: Scalar>(a: &Csr<L>, r: usize, xcols: &[&[S]], acc: &mut [S]) {
+    let (vals, cols) = a.row_slices(r);
+    for (&v, &c) in vals.iter().zip(cols) {
+        let (v, c) = (cast::<L, S>(v), c as usize);
+        for (a_j, xc) in acc.iter_mut().zip(xcols) {
+            *a_j = v.mul_add(xc[c], *a_j);
         }
     }
 }

@@ -117,21 +117,73 @@ pub(crate) fn tree_sum<S: Scalar>(parts: &mut [S]) -> S {
     parts[0]
 }
 
+/// Per-block partial sums of `x . y`: `parts[b]` is the left-to-right
+/// [`dot_seq`] chain over `x[b * block..]` and `y[b * block..]` (the last
+/// block clipped at the end), for `parts.len() == x.len().div_ceil(block)`.
+///
+/// Four blocks run in lockstep, so their independent chains overlap in
+/// the FMA pipeline; each block still accumulates alone and
+/// left to right, so every partial is bit-identical to a `dot_seq` over
+/// its block. A plain loop on purpose: an iterator adaptor collecting
+/// the partials would compile out of line, outside the caller's
+/// [`fma::run`] frame (see [`crate::fma`]).
+#[inline(always)]
+pub(crate) fn block_partials<S: Scalar>(x: &[S], y: &[S], block: usize, parts: &mut [S]) {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert_eq!(parts.len(), x.len().div_ceil(block));
+    let wide = x.len() / (4 * block) * 4;
+    let (parts_wide, parts_tail) = parts.split_at_mut(wide);
+    let (x_wide, x_tail) = x.split_at(wide * block);
+    let (y_wide, y_tail) = y.split_at(wide * block);
+    for ((pg, xg), yg) in parts_wide
+        .chunks_exact_mut(4)
+        .zip(x_wide.chunks_exact(4 * block))
+        .zip(y_wide.chunks_exact(4 * block))
+    {
+        let (x0, x1, x2, x3) = quarters(xg, block);
+        let (y0, y1, y2, y3) = quarters(yg, block);
+        let mut acc = [S::zero(); 4];
+        for i in 0..block {
+            acc[0] = x0[i].mul_add(y0[i], acc[0]);
+            acc[1] = x1[i].mul_add(y1[i], acc[1]);
+            acc[2] = x2[i].mul_add(y2[i], acc[2]);
+            acc[3] = x3[i].mul_add(y3[i], acc[3]);
+        }
+        pg.copy_from_slice(&acc);
+    }
+    for ((p, xb), yb) in parts_tail
+        .iter_mut()
+        .zip(x_tail.chunks(block))
+        .zip(y_tail.chunks(block))
+    {
+        *p = dot_seq(xb, yb);
+    }
+}
+
+/// The four `block`-long blocks of a `4 * block` slice.
+#[inline(always)]
+fn quarters<S>(s: &[S], block: usize) -> (&[S], &[S], &[S], &[S]) {
+    let (a, rest) = s.split_at(block);
+    let (b, rest) = rest.split_at(block);
+    let (c, d) = rest.split_at(block);
+    (a, b, c, &d[..block])
+}
+
 /// Inner product `x . y` under the given reduction order.
 pub fn dot_ordered<S: Scalar>(x: &[S], y: &[S], order: ReductionOrder) -> S {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    fma::run(|| match order {
-        ReductionOrder::Sequential => dot_seq(x, y),
-        ReductionOrder::BlockedTree { block } => {
-            let block = block.max(1);
-            let mut parts: Vec<S> = x
-                .chunks(block)
-                .zip(y.chunks(block))
-                .map(|(xc, yc)| dot_seq(xc, yc))
-                .collect();
-            tree_sum(&mut parts)
-        }
-    })
+    fma::run(
+        #[inline(always)]
+        || match order {
+            ReductionOrder::Sequential => dot_seq(x, y),
+            ReductionOrder::BlockedTree { block } => {
+                let block = block.max(1);
+                let mut parts = vec![S::zero(); x.len().div_ceil(block)];
+                block_partials(x, y, block, &mut parts);
+                tree_sum(&mut parts)
+            }
+        },
+    )
 }
 
 /// Inner product with the default sequential order.
