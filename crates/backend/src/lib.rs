@@ -21,8 +21,8 @@
 //!         v  ScalarBackend<S> dispatch (BackendScalar)        v
 //! Backend trait object                            Backend::execute_batch
 //!    ├── ReferenceBackend   sequential, bit-deterministic (mpgmres-la)
-//!    └── ParallelBackend    persistent pinned worker pool, cached
-//!         row/nnz partitions, fused SpMM, concurrent ready-op batches
+//!    └── ParallelBackend    persistent pinned worker pool joined by the
+//!         calling thread, cached row/nnz partitions, fused SpMM
 //!         (future: GPU backend, ...)
 //! ```
 //!
@@ -31,11 +31,12 @@
 //! (`mpgmres_la::raw::BufferArena`), pushes one [`stream::OpShape`] per
 //! kernel (handle + byte-span read/write sets), derives a dependency
 //! DAG from span overlap, and at sync hands wavefronts of independent
-//! ready ops to [`Backend::execute_batch`]. With streaming off, each
-//! op is submitted alone at its record call (eager execution). Recorded
-//! execution is bit-identical to eager execution by construction — the
-//! DAG only relaxes ordering between ops that cannot observe each other
-//! (see [`stream`]).
+//! ready ops to [`Backend::execute_batch`], which runs them in record
+//! order. With streaming off, each op is submitted alone at its record
+//! call (eager execution). Recorded execution is bit-identical to eager
+//! execution by construction (see [`stream`]); on the wall clock the DAG
+//! fixes an order, and on the simulated timeline it prices the overlap
+//! of independent ops.
 //!
 //! # Determinism contract
 //!
@@ -71,7 +72,7 @@ use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::par;
-use mpgmres_la::pool::{Lease, WorkerPool};
+use mpgmres_la::pool::WorkerPool;
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder};
 use mpgmres_scalar::{Half, Scalar};
@@ -463,11 +464,11 @@ pub trait Backend:
 
     /// Execute one wavefront of a recorded kernel stream: a batch of
     /// mutually independent ready ops (no read/write span conflicts —
-    /// see [`stream`]). Sequential backends run the batch in record
-    /// order ([`stream::Batch::run_serial`]); parallel backends may run
-    /// the ops concurrently, which is safe because batched ops touch
-    /// disjoint memory, and bit-deterministic because every op is
-    /// executed by a bit-compatible kernel implementation.
+    /// see [`stream`]). Every workspace backend runs the batch in record
+    /// order ([`stream::Batch::run_serial`]); a parallel backend spreads
+    /// each op's kernels over its own threads instead of running ops
+    /// side by side. Results are bit-identical to eager execution either
+    /// way, because batched ops touch disjoint memory.
     fn execute_batch(&self, batch: Batch<'_>);
 }
 
@@ -607,11 +608,7 @@ impl PartitionCache {
 }
 
 /// The cached row partition for a matrix under the given strategy and
-/// worker count — shared by [`ParallelBackend`] and the width-limited
-/// inner [`SpawnBackend`]s its concurrent stream batches run on, so a
-/// batch op on `--backend parallel-nnz` keeps the nnz-balanced split
-/// instead of silently recomputing an even one (the former nested-pool
-/// limitation (b) in ROADMAP.md).
+/// participant count.
 fn strategy_parts<S: Scalar>(
     cache: &PartitionCache,
     strategy: PartitionStrategy,
@@ -652,17 +649,19 @@ fn store_strategy_parts<S: Scalar>(
 }
 
 /// The std-thread parallel backend: row-partitioned SpMV/SpMM/residual,
-/// column-partitioned GEMV-Trans, row-partitioned GEMV-NoTrans, and
-/// block-parallel tree reductions — all bit-identical to
+/// GEMV-Trans split by reduction block (by column under a sequential
+/// order), row-partitioned GEMV-NoTrans, group-partitioned block Jacobi
+/// solves, and block-parallel tree reductions — all bit-identical to
 /// [`ReferenceBackend`] (see the crate docs for the contract).
 ///
-/// Kernels execute on a persistent pinned [`WorkerPool`] (no per-call
-/// thread spawn); row partitions are computed once per matrix shape —
-/// evenly by rows or balanced by nonzeros, per [`PartitionStrategy`] —
-/// and memoized in a shared cache whose ranges are pinned to pool
-/// workers. Recorded-stream batches with more than one ready op run the
-/// ops concurrently, one pool worker per op (see
-/// [`Backend::execute_batch`]).
+/// Kernels execute on a persistent pinned [`WorkerPool`] whose calling
+/// thread takes the first share of every kernel (no per-call thread
+/// spawn); row partitions are computed once per matrix shape — evenly
+/// by rows or balanced by nonzeros, per [`PartitionStrategy`] — and
+/// memoized in a shared cache whose ranges are pinned to pool
+/// participants. Recorded-stream batches run their ops in record order,
+/// each with the whole pool (see [`Backend::execute_batch`]). Each
+/// kernel goes parallel only above its `mpgmres_la::par` threshold.
 #[derive(Clone, Debug)]
 pub struct ParallelBackend {
     threads: usize,
@@ -672,12 +671,13 @@ pub struct ParallelBackend {
 }
 
 impl ParallelBackend {
-    /// Backend using [`mpgmres_la::par::default_threads`] workers.
+    /// Backend using [`mpgmres_la::par::default_threads`] participants.
     pub fn new() -> Self {
         Self::with_threads(par::default_threads())
     }
 
-    /// Backend with an explicit worker count (clamped to >= 1).
+    /// Backend with an explicit participant count (clamped to >= 1): the
+    /// calling thread plus `threads - 1` pool workers.
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         ParallelBackend {
@@ -694,7 +694,7 @@ impl ParallelBackend {
         self
     }
 
-    /// Configured worker count.
+    /// Configured participant count, the calling thread included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -702,11 +702,6 @@ impl ParallelBackend {
     /// The partitioning strategy in use.
     pub fn strategy(&self) -> PartitionStrategy {
         self.strategy
-    }
-
-    /// The persistent worker pool kernels execute on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The cached row partition for the matrix kernels: even rows or
@@ -801,6 +796,9 @@ impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
     fn lane_scal_copy(&self, alpha: &[S], srcs: &[&[S]], dsts: &mut [&mut [S]]) {
         par::lane_scal_copy_on(&*self.pool, alpha, srcs, dsts);
     }
+    fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
+        par::block_lu_solve_on(&*self.pool, f, x, y);
+    }
     fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
         if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
             a.spmv(x, y);
@@ -836,182 +834,10 @@ impl Backend for ParallelBackend {
         self.threads
     }
 
-    /// Multi-op batches run concurrently, each op on its own *leased*
-    /// disjoint subset of the persistent pool's workers
-    /// ([`WorkerPool::leases`]): one scoped coordinator thread per op
-    /// drives the op's kernels, and those kernels parallelize over the
-    /// op's leased workers — no per-kernel scoped spawns, no queueing
-    /// behind sibling ops (each lease submission has its own barrier).
-    /// The per-op lease backends share this backend's partition
-    /// strategy and cache, so batch ops keep nnz-balanced matrix
-    /// splits. By the determinism contract every kernel is
-    /// bit-identical across backends, so the split is unobservable in
-    /// the results. A single ready op keeps the full width of the
-    /// pool-parallel kernels instead.
-    fn execute_batch(&self, batch: Batch<'_>) {
-        if batch.len() <= 1 || self.threads <= 1 {
-            batch.run_serial(self);
-            return;
-        }
-        let leases = self.pool.leases(batch.len());
-        let inners: Vec<LeaseBackend<'_>> = leases
-            .into_iter()
-            .map(|lease| LeaseBackend {
-                lease,
-                strategy: self.strategy,
-                partitions: Arc::clone(&self.partitions),
-            })
-            .collect();
-        let batch = &batch;
-        std::thread::scope(|scope| {
-            for (i, inner) in inners.iter().enumerate() {
-                scope.spawn(move || batch.run(i, inner));
-            }
-        });
-    }
-}
-
-/// The execution context handed to each op of a concurrent stream
-/// batch: kernels parallelize over a leased disjoint worker subset of
-/// the outer backend's persistent pool ([`Lease`]), replacing the old
-/// per-kernel scoped-spawn fallback — pool workers stay warm and
-/// pinned, and concurrent ops never queue behind each other because
-/// their leases are disjoint with independent barriers. A lease
-/// narrower than two workers runs every kernel sequentially. It
-/// inherits the outer backend's [`PartitionStrategy`] and shares its
-/// partition cache, so matrix kernels inside a concurrent batch keep
-/// the nnz-balanced split a `parallel-nnz` backend was configured with
-/// (cached under the lease's own width). Bit-identical to the other
-/// backends by the determinism contract.
-#[derive(Debug)]
-struct LeaseBackend<'p> {
-    lease: Lease<'p>,
-    strategy: PartitionStrategy,
-    partitions: Arc<PartitionCache>,
-}
-
-impl LeaseBackend<'_> {
-    fn width(&self) -> usize {
-        self.lease.count().max(1)
-    }
-
-    /// The cached row partition at this lease's width (even or
-    /// nnz-balanced per the inherited strategy).
-    fn matrix_parts<S: Scalar>(&self, a: &Csr<S>) -> SharedPartition {
-        strategy_parts(&self.partitions, self.strategy, self.width(), a)
-    }
-}
-
-impl<S: Scalar> ScalarBackend<S> for LeaseBackend<'_> {
-    fn spmv(&self, a: &Csr<S>, x: &[S], y: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            a.spmv(x, y);
-            return;
-        }
-        par::spmv_parts_on(&self.lease, &self.matrix_parts(a), a, x, y);
-    }
-    fn residual(&self, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            a.residual(b, x, r);
-            return;
-        }
-        par::residual_parts_on(&self.lease, &self.matrix_parts(a), a, b, x, r);
-    }
-    fn spmm(&self, a: &Csr<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            par::spmm_parts(&[(0, a.nrows())], a, x, k, y);
-            return;
-        }
-        par::spmm_parts_on(&self.lease, &self.matrix_parts(a), a, x, k, y);
-    }
-    fn gemv_t(
-        &self,
-        v: &MultiVector<S>,
-        ncols: usize,
-        w: &[S],
-        h: &mut [S],
-        order: ReductionOrder,
-    ) {
-        par::gemv_t_on(&self.lease, v, ncols, w, h, order);
-    }
-    fn gemv_n_sub(&self, v: &MultiVector<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::gemv_n_sub_on(&self.lease, v, ncols, h, w);
-    }
-    fn gemv_n_add(&self, v: &MultiVector<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::gemv_n_add_on(&self.lease, v, ncols, h, y);
-    }
-    fn basis_gemv_t(
-        &self,
-        v: &BasisStore<S>,
-        ncols: usize,
-        w: &[S],
-        h: &mut [S],
-        order: ReductionOrder,
-    ) {
-        par::basis_gemv_t_on(&self.lease, v, ncols, w, h, order);
-    }
-    fn basis_gemv_n_sub(&self, v: &BasisStore<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::basis_gemv_n_sub_on(&self.lease, v, ncols, h, w);
-    }
-    fn basis_gemv_n_add(&self, v: &BasisStore<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::basis_gemv_n_add_on(&self.lease, v, ncols, h, y);
-    }
-    fn dot(&self, x: &[S], y: &[S], order: ReductionOrder) -> S {
-        par::dot_on(&self.lease, x, y, order)
-    }
-    fn norm2(&self, x: &[S], order: ReductionOrder) -> S {
-        par::norm2_on(&self.lease, x, order)
-    }
-    fn axpy(&self, alpha: S, x: &[S], y: &mut [S]) {
-        par::axpy_on(&self.lease, alpha, x, y);
-    }
-    fn scal(&self, alpha: S, x: &mut [S]) {
-        par::scal_on(&self.lease, alpha, x);
-    }
-    fn copy(&self, src: &[S], dst: &mut [S]) {
-        par::copy_on(&self.lease, src, dst);
-    }
-    fn lane_copy(&self, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_copy_on(&self.lease, srcs, dsts);
-    }
-    fn lane_scal_copy(&self, alpha: &[S], srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_scal_copy_on(&self.lease, alpha, srcs, dsts);
-    }
-    fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            a.spmv(x, y);
-            return;
-        }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.width(), a);
-        par::store_spmv_parts_on(&self.lease, &parts, a, x, y);
-    }
-    fn store_residual(&self, a: &MatrixStore<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            a.residual(b, x, r);
-            return;
-        }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.width(), a);
-        par::store_residual_parts_on(&self.lease, &parts, a, b, x, r);
-    }
-    fn store_spmm(&self, a: &MatrixStore<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.width() <= 1 {
-            a.spmm(x, k, y);
-            return;
-        }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.width(), a);
-        par::store_spmm_parts_on(&self.lease, &parts, a, x, k, y);
-    }
-}
-
-impl Backend for LeaseBackend<'_> {
-    fn name(&self) -> &'static str {
-        "parallel-lease"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.width()
-    }
-
+    /// Ops run one after another in record order, each with the whole
+    /// pool: the ready batches of a recorded region are almost always
+    /// one op wide, and every op's kernels already spread over every
+    /// participant.
     fn execute_batch(&self, batch: Batch<'_>) {
         batch.run_serial(self);
     }
@@ -1196,7 +1022,7 @@ mod tests {
     }
 
     /// An [`arrow_matrix`] (3 entries per row but the first) sized just
-    /// above `SPMV_PAR_THRESHOLD`, so batch ops take the partitioned
+    /// above `SPMV_PAR_THRESHOLD`, so its SpMVs take the partitioned
     /// path.
     fn par_arrow() -> Csr<f64> {
         let a = arrow_matrix(par::SPMV_PAR_THRESHOLD / 3 + 1_000);
@@ -1211,24 +1037,19 @@ mod tests {
             .collect()
     }
 
-    /// The inner lease backend of a concurrent batch must honor the
-    /// outer backend's partition strategy instead of recomputing an
-    /// even split.
+    /// Under `NnzBalanced` the parallel backend's matrix kernels run on
+    /// the nnz-balanced split, cached at the pool's width, instead of
+    /// an even one.
     #[test]
-    fn lease_backend_inherits_nnz_strategy() {
+    fn parallel_backend_uses_the_nnz_strategy() {
         let a = par_arrow();
-        let outer = ParallelBackend::with_threads(4).with_strategy(PartitionStrategy::NnzBalanced);
-        let inner = LeaseBackend {
-            lease: outer.pool().lease(0, 2),
-            strategy: outer.strategy,
-            partitions: Arc::clone(&outer.partitions),
-        };
-        assert_eq!(inner.width(), 2);
-        let parts = inner.matrix_parts(&a);
+        let backend =
+            ParallelBackend::with_threads(2).with_strategy(PartitionStrategy::NnzBalanced);
+        let parts = backend.matrix_parts(&a);
         assert_eq!(&*parts, &par::nnz_partition(&a, 2));
         assert_ne!(&*parts, &par::row_partition(a.nrows(), 2));
-        // Balanced: no worker holds more than ~1.1x the mean nnz; the
-        // even split leaves the arrow head's worker with ~1.33x.
+        // Balanced: no participant holds more than ~1.1x the mean nnz;
+        // the even split leaves the arrow head's with ~1.33x.
         let mean = a.nnz() as f64 / 2.0;
         let max_nnz = *worker_nnz(&a, &parts).iter().max().unwrap() as f64;
         assert!(
@@ -1248,8 +1069,8 @@ mod tests {
     /// End-to-end regression through `execute_batch`: two independent
     /// SpMVs on a skewed matrix under `parallel-nnz` must produce
     /// reference-identical results AND leave the nnz-balanced split (at
-    /// the inner width) in the shared partition cache — proof the inner
-    /// backends did not silently fall back to even rows.
+    /// the pool's full width) in the shared partition cache — proof the
+    /// batch ops did not silently fall back to even rows.
     #[test]
     fn batch_ops_use_nnz_partitions_through_execute_batch() {
         use stream::{BoundOp, OpArgs, OpGraph, Span};
@@ -1306,15 +1127,16 @@ mod tests {
         a.spmv(&x, &mut want);
         assert_eq!(y1, want);
         assert_eq!(y2, want);
-        // 4 workers over a 2-op batch -> inner width 2; the nnz-salted
-        // split must have been cached at that width.
+        // The batch runs its ops one after another on the whole
+        // 4-participant pool; the nnz-salted split must have been cached
+        // at that width, and no even split beside it.
         assert!(
-            backend.partitions.contains((n, 2, a.nnz() as u64)),
-            "inner backends did not use the nnz-balanced partition"
+            backend.partitions.contains((n, 4, a.nnz() as u64)),
+            "batch ops did not use the nnz-balanced partition"
         );
         assert!(
-            !backend.partitions.contains((n, 2, 0)),
-            "inner backends recomputed an even split"
+            !backend.partitions.contains((n, 4, 0)),
+            "batch ops recomputed an even split"
         );
     }
 }

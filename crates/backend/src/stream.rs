@@ -24,8 +24,7 @@
 //!
 //! Two ops land in the same batch only if their spans do not conflict —
 //! they touch disjoint memory (or only share reads) — so *any* execution
-//! order or interleaving of a batch produces bit-identical memory
-//! contents. Dependent ops are always in distinct batches, and batches
+//! order of a batch produces bit-identical memory contents. Dependent ops are always in distinct batches, and batches
 //! execute strictly in sequence. Recorded execution is therefore
 //! bit-identical to eager in-order execution by construction; the DAG
 //! only ever *relaxes* ordering between operations that cannot observe
@@ -222,10 +221,10 @@ impl OpGraph {
     /// every op whose predecessors all sit in batches `< b`, host ops
     /// first, then device ops, each sub-group in record order. Ops
     /// inside one batch are mutually conflict-free (any two conflicting
-    /// ops have an edge, which forces distinct batches), so a backend
-    /// may execute a batch in any order or concurrently — and the host
-    /// sub-group may run on the submitting thread alongside the device
-    /// sub-group without observing it.
+    /// ops have an edge, which forces distinct batches), so the order
+    /// of ops inside a batch is unobservable — and the host sub-group
+    /// may run on the submitting thread before the device sub-group
+    /// without observing it. Backends run each batch in record order.
     pub fn finalize(&mut self) {
         if !self.order.is_empty() || self.nodes.is_empty() {
             return;
@@ -354,8 +353,9 @@ pub struct BoundOp {
 
 /// One wavefront of a submitted graph: a view over the ready ops'
 /// bindings plus the arena they resolve against. Ops in a batch are
-/// mutually conflict-free (see [`OpGraph::finalize`]), so a backend may
-/// run them in any order or concurrently.
+/// mutually conflict-free (see [`OpGraph::finalize`]), so their order
+/// is unobservable; backends run them in record order
+/// ([`Batch::run_serial`]).
 #[derive(Clone, Copy)]
 pub struct Batch<'a> {
     ids: &'a [u32],
@@ -380,23 +380,12 @@ impl<'a> Batch<'a> {
         self.ids.is_empty()
     }
 
-    /// Record-order index of the `i`-th ready op (diagnostics; serial
-    /// backends run batches in `i` order for reproducible logs).
-    pub fn op_index(&self, i: usize) -> usize {
-        self.ids[i] as usize
-    }
-
-    /// Execute the `i`-th ready op of the batch on `backend`.
-    pub fn run(&self, i: usize, backend: &dyn Backend) {
-        let op = &self.ops[self.ids[i] as usize];
-        (op.exec)(backend, self.arena, &op.args);
-    }
-
-    /// Execute the whole batch serially in record order — the baseline
-    /// every sequential [`Backend::execute_batch`] uses.
+    /// Execute the whole batch serially in record order — what every
+    /// workspace [`Backend::execute_batch`] does.
     pub fn run_serial(&self, backend: &dyn Backend) {
-        for i in 0..self.len() {
-            self.run(i, backend);
+        for &i in self.ids {
+            let op = &self.ops[i as usize];
+            (op.exec)(backend, self.arena, &op.args);
         }
     }
 }

@@ -16,26 +16,34 @@ use mpgmres_la::coo::Coo;
 use mpgmres_la::csr::Csr;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::multivector::MultiVector;
-use mpgmres_la::par::SPMV_PAR_THRESHOLD;
+use mpgmres_la::par::{GEMV_PAR_THRESHOLD, SPMV_PAR_THRESHOLD};
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{dot_ordered, ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::{ulp_diff_f64, Half, Precision};
 use proptest::prelude::*;
 
 /// Rows at which [`banded_matrix`] (7 entries per interior row) clears
-/// `SPMV_PAR_THRESHOLD`, so the parallel backend runs its matrix kernels
-/// on the pool ([`large_sizes_clear_the_parallel_thresholds`]).
-const SPMV_PAR_N: usize = SPMV_PAR_THRESHOLD / 7 + 64;
+/// every parallel threshold — `PAR_THRESHOLD` elements,
+/// `GEMV_PAR_THRESHOLD` rows and `SPMV_PAR_THRESHOLD` nonzeros — so the
+/// parallel backend runs every kernel on the pool
+/// ([`large_sizes_clear_the_parallel_thresholds`]).
+const LARGE_N: usize = PAR_THRESHOLD + 64;
 
-/// Sizes straddling the parallel thresholds (`PAR_THRESHOLD` elements,
-/// `SPMV_PAR_THRESHOLD` nnz).
-const SIZES: [usize; 3] = [37, PAR_THRESHOLD, SPMV_PAR_N + 123];
+/// Sizes straddling the parallel thresholds: below all of them, above
+/// the GEMV/SpMV ones but below the level-1 one, and above all.
+const SIZES: [usize; 3] = [37, GEMV_PAR_THRESHOLD + 37, LARGE_N + 123];
 
 #[test]
 fn large_sizes_clear_the_parallel_thresholds() {
-    const { assert!(SPMV_PAR_N >= PAR_THRESHOLD) };
-    let nnz = banded_matrix(SPMV_PAR_N, 0).nnz();
-    assert!(nnz >= SPMV_PAR_THRESHOLD, "{nnz} nnz");
+    const {
+        assert!(SIZES[0] < GEMV_PAR_THRESHOLD);
+        assert!(SIZES[1] >= GEMV_PAR_THRESHOLD && SIZES[1] < PAR_THRESHOLD);
+        assert!(LARGE_N >= PAR_THRESHOLD && LARGE_N >= GEMV_PAR_THRESHOLD);
+    };
+    for n in [SIZES[1], LARGE_N] {
+        let nnz = banded_matrix(n, 0).nnz();
+        assert!(nnz >= SPMV_PAR_THRESHOLD, "n = {n}: {nnz} nnz");
+    }
 }
 
 fn pseudo_vec(n: usize, salt: u64) -> Vec<f64> {
@@ -198,7 +206,7 @@ fn gemv_and_level1_bit_identical_at_all_sizes() {
 fn fp32_and_half_kernels_agree_across_backends() {
     let reference = ReferenceBackend;
     let parallel = ParallelBackend::new();
-    let n = SPMV_PAR_N + 7;
+    let n = LARGE_N + 7;
     let a64 = banded_matrix(n, 9);
     let a32 = a64.convert::<f32>();
     let x32: Vec<f32> = pseudo_vec(n, 10).iter().map(|&v| v as f32).collect();
@@ -237,7 +245,7 @@ fn pseudo_block(n: usize, k: usize, salt: u64) -> MultiVec<f64> {
 /// parallel thresholds).
 #[test]
 fn block_kernels_bit_identical_at_multi_worker_sizes() {
-    let n = SPMV_PAR_N + 61;
+    let n = LARGE_N + 61;
     let k = 4;
     let a = banded_matrix(n, 3);
     assert!(n >= PAR_THRESHOLD && a.nnz() >= SPMV_PAR_THRESHOLD);
@@ -451,7 +459,7 @@ proptest! {
         threads in 2usize..9,
         big in 0usize..2,
     ) {
-        let n = if big == 1 { SPMV_PAR_N + small_n } else { small_n };
+        let n = if big == 1 { LARGE_N + small_n } else { small_n };
         let a = banded_matrix(n, salt);
         let x = pseudo_vec(n, salt + 1);
         let xm = pseudo_block(n, k, salt + 2);
@@ -591,7 +599,7 @@ proptest! {
         big in 0usize..2,
         block in 1usize..300,
     ) {
-        let n = if big == 1 { SPMV_PAR_N + small_n } else { small_n };
+        let n = if big == 1 { LARGE_N + small_n } else { small_n };
         let a = banded_matrix(n, salt);
         let x = pseudo_block(n, k, salt + 40);
         let y = pseudo_block(n, k, salt + 80);

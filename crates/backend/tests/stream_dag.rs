@@ -1,7 +1,7 @@
 //! Property tests for the recorded-stream dependency DAG: the scheduler
 //! must never reorder dependent ops, for any random read/write span
-//! sets, on any backend (including the parallel backend's concurrent
-//! batch execution) — and the wavefront schedule must be a pure
+//! sets, on any backend (the reference backend and the pooled parallel
+//! one) — and the wavefront schedule must be a pure
 //! function of the op *shapes*, so the buffer values a region binds can
 //! never change the partitioning.
 
@@ -108,7 +108,7 @@ proptest! {
 
     /// For random op sequences with random read/write sets, the
     /// scheduler preserves the order of every conflicting pair on both
-    /// the serial and the concurrent (pool) execution path.
+    /// the reference and the parallel (pool) backend.
     #[test]
     fn dependent_ops_never_reorder(
         masks in proptest::collection::vec((0u32..(1 << NBUF), 0u32..(1 << NBUF)), 1..24),
@@ -123,8 +123,7 @@ proptest! {
     }
 
     /// The wavefront batches partition the ops and are internally
-    /// conflict-free (the property that makes concurrent batch
-    /// execution safe).
+    /// conflict-free (the property that lets a batch run in any order).
     #[test]
     fn batches_partition_and_are_conflict_free(
         masks in proptest::collection::vec((0u32..(1 << NBUF), 0u32..(1 << NBUF)), 1..24),
@@ -226,8 +225,8 @@ proptest! {
 
     /// ISSUE 5 satellite: a deferred host op can never be scheduled
     /// before the device op producing its lagged read span — for random
-    /// lane counts and pipeline depths in {0, 1}, on both the serial
-    /// and the concurrent execution path. Host ops are real
+    /// lane counts and pipeline depths in {0, 1}, on both the reference
+    /// and the parallel backend. Host ops are real
     /// [`OpKind::Host`] nodes, so this also pins that running the host
     /// sub-group on the submitting thread preserves every cross-kind
     /// dependency — and that at depth 1 the graph carries NO edge from

@@ -6,19 +6,21 @@
 //! a >= 512x512 Laplace2D problem on a multicore runner; the summary
 //! line printed at the end reports the measured ratio.
 //!
-//! The `spmv_crossover` group sweeps laplace2d sizes with the parallel
-//! side forced onto the worker pool at every size, and prints the
-//! reference/parallel ratio per size: the sweep
-//! `mpgmres_la::par::SPMV_PAR_THRESHOLD` is set from.
+//! The `spmv_crossover` group sweeps laplace2d grids from 16² to 128²
+//! with the parallel side forced onto the worker pool at every size,
+//! and prints the serial/pooled ratio of SpMV, GEMV-T, GEMV-N, the
+//! block Jacobi apply, the norm and axpy per size: the sweep the
+//! thresholds in `mpgmres_la::par` are set from.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpgmres::{Backend, BackendKind, ScalarBackend};
+use mpgmres_la::dense::{BlockLu, DenseMat};
 use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::par;
 use mpgmres_la::pool::WorkerPool;
-use mpgmres_la::vec_ops::ReductionOrder;
+use mpgmres_la::vec_ops::{self, ReductionOrder};
 use mpgmres_matgen::galeri;
 
 fn backends() -> Vec<(&'static str, std::sync::Arc<dyn Backend>)> {
@@ -136,22 +138,28 @@ fn interleaved(mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
     (tf, tg)
 }
 
-/// Reference (serial) SpMV against the pool's row-partitioned SpMV on
-/// laplace2d grids from 4k to 1M rows. The parallel side calls
-/// `par::spmv_parts_on` directly, so it runs on the pool even below
-/// `SPMV_PAR_THRESHOLD`; the summary table is the crossover sweep.
+/// Kernel columns of the crossover sweep, in table order.
+const CROSSOVER_KERNELS: [&str; 6] = ["spmv", "gemv_t", "gemv_n", "bj", "norm", "axpy"];
+
+/// Serial against pooled time of every kernel the parallel backend
+/// splits, on laplace2d grids from 16² to 128²: SpMV, 10-column GEMV-T
+/// and GEMV-N, the block Jacobi apply (16-row blocks), and the GPU-like
+/// norm and axpy. The pooled side calls the `par` split entry points
+/// (`spmv_parts_on`, `*_split_on`), which skip the size thresholds, so
+/// it runs on the pool at every size; the summary table is the
+/// crossover sweep the thresholds in `mpgmres_la::par` are set from.
 fn bench_spmv_crossover(c: &mut Criterion) {
+    const COLS: usize = 10;
+    let order = ReductionOrder::GPU_LIKE;
     let pool = WorkerPool::new(par::default_threads());
     let mut g = c.benchmark_group("spmv_crossover");
     g.sample_size(20);
     let mut rows = Vec::new();
-    for nx in [
-        64usize, 96, 128, 160, 192, 224, 256, 288, 320, 362, 512, 1024,
-    ] {
+    for nx in [16usize, 24, 32, 40, 48, 64, 80, 96, 128] {
         let a = galeri::laplace2d(nx, nx);
         let n = a.nrows();
         let parts = par::row_partition(n, pool.threads());
-        let x = vec![1.0f64; n];
+        let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
         let mut y = vec![0.0f64; n];
         g.throughput(Throughput::Elements(a.nnz() as u64));
         g.bench_with_input(BenchmarkId::new("reference", a.nnz()), &nx, |b, _| {
@@ -160,30 +168,72 @@ fn bench_spmv_crossover(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("parallel", a.nnz()), &nx, |b, _| {
             b.iter(|| par::spmv_parts_on(&pool, &parts, &a, &x, &mut y))
         });
-        let mut y_par = vec![0.0f64; n];
-        let (t_ref, t_par) = interleaved(
-            || a.spmv(&x, &mut y),
-            || par::spmv_parts_on(&pool, &parts, &a, &x, &mut y_par),
-        );
-        rows.push((a.nnz(), t_ref, t_par));
+
+        let mut v = MultiVector::<f64>::zeros(n, COLS);
+        for j in 0..COLS {
+            for (r, e) in v.col_mut(j).iter_mut().enumerate() {
+                *e = ((r * 7 + j) % 13) as f64 / 13.0;
+            }
+        }
+        let hv: Vec<f64> = (0..COLS).map(|j| 1e-3 * (j + 1) as f64).collect();
+        let lu = BlockLu::factor(n, 16, 1, |s, m| {
+            DenseMat::from_col_major(m, m, a.diag_block(s, m))
+        });
+        let (mut y2, mut h, mut h2) = (vec![0.0f64; n], [0.0f64; COLS], [0.0f64; COLS]);
+        let ratio = |(t_ref, t_par): (f64, f64)| t_ref / t_par;
+        let r = [
+            ratio(interleaved(
+                || a.spmv(&x, &mut y),
+                || par::spmv_parts_on(&pool, &parts, &a, &x, &mut y2),
+            )),
+            ratio(interleaved(
+                || v.gemv_t(COLS, &x, &mut h, order),
+                || par::gemv_t_split_on(&pool, &v, COLS, &x, &mut h2, order),
+            )),
+            ratio(interleaved(
+                || v.gemv_n_sub(COLS, &hv, &mut y),
+                || par::gemv_n_split_on(&pool, &v, COLS, &hv, &mut y2, false),
+            )),
+            ratio(interleaved(
+                || lu.solve(&x, &mut y),
+                || par::block_lu_solve_split_on(&pool, &lu, &x, &mut y2),
+            )),
+            ratio(interleaved(
+                || {
+                    std::hint::black_box(vec_ops::norm2_ordered(&x, order));
+                },
+                || {
+                    std::hint::black_box(par::dot_split_on(&pool, &x, &x, order).sqrt());
+                },
+            )),
+            ratio(interleaved(
+                || vec_ops::axpy(1e-9, &x, &mut y),
+                || par::axpy_split_on(&pool, 1e-9, &x, &mut y2),
+            )),
+        ];
+        rows.push((nx, n, a.nnz(), r));
     }
     g.finish();
     println!(
-        "\n[spmv crossover] {} workers; SPMV_PAR_THRESHOLD = {} nnz",
+        "\n[par crossover] {} participants; serial/pooled time (> 1: the pool pays). \
+         Thresholds: SpMV {} nnz, GEMV {} rows, BJ {} rows, norm/axpy {} rows",
         pool.threads(),
-        par::SPMV_PAR_THRESHOLD
+        par::SPMV_PAR_THRESHOLD,
+        par::GEMV_PAR_THRESHOLD,
+        par::BLOCK_LU_PAR_THRESHOLD,
+        vec_ops::PAR_THRESHOLD
     );
-    println!(
-        "{:>10} {:>12} {:>12} {:>9}",
-        "nnz", "ref_us", "par_us", "ref/par"
-    );
-    for (nnz, t_ref, t_par) in rows {
-        println!(
-            "{nnz:>10} {:>12.1} {:>12.1} {:>9.2}",
-            t_ref * 1e6,
-            t_par * 1e6,
-            t_ref / t_par
-        );
+    print!("{:>5} {:>7} {:>7}", "nx", "n", "nnz");
+    for k in CROSSOVER_KERNELS {
+        print!(" {k:>7}");
+    }
+    println!();
+    for (nx, n, nnz, r) in rows {
+        print!("{nx:>5} {n:>7} {nnz:>7}");
+        for v in r {
+            print!(" {v:>7.2}");
+        }
+        println!();
     }
 }
 

@@ -19,6 +19,7 @@ use mpgmres_bench::harness::best_of;
 use mpgmres_bench::output;
 use mpgmres_gpusim::DeviceModel;
 use mpgmres_la::par;
+use mpgmres_la::pool::ScopedSpawn;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_matgen::galeri;
 use serde::Serialize;
@@ -178,7 +179,10 @@ fn per_rhs_summary(_c: &mut Criterion) {
     let x = pseudo_block(n, 1);
     let mut y = vec![0.0f64; n];
     let t_cached = best_of(10, || view.spmv(&a, x.col(0), &mut y));
-    let t_fresh = best_of(10, || par::spmv(threads, &a, x.col(0), &mut y));
+    let t_fresh = best_of(10, || {
+        let parts = par::row_partition(n, threads);
+        par::spmv_parts_on(&ScopedSpawn(threads), &parts, &a, x.col(0), &mut y)
+    });
     println!(
         "  partition cache ({threads} threads): cached {:.3} ms vs recomputed {:.3} ms, \
          speedup {:.3}x",

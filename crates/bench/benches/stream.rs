@@ -1,13 +1,20 @@
 //! Stream/pool bench: persistent-pool vs scoped-spawn kernel dispatch,
 //! and the overlap the recorded DAG buys on the simulated timeline.
 //!
-//! Two summary measurements are printed and archived as
+//! Three summary measurements are printed and archived as
 //! `results/stream.json` so CI can track the perf trajectory:
 //!
 //! - **spawn overhead**: wall time of a mid-size partitioned kernel
 //!   dispatched through per-call `std::thread::scope` spawns vs the
 //!   backend's persistent pinned worker pool (same partition, same
 //!   arithmetic — the delta is pure dispatch cost).
+//! - **pool**: `pool_dispatch_us`, the wall time of an empty two-job run
+//!   on a two-participant pool (the caller plus one spinning worker),
+//!   and `cgs2_par_speedup`, the reference backend's time over the
+//!   parallel backend's for one CGS2 pass (GEMV-T, GEMV-N, GEMV-T,
+//!   GEMV-N) at n = 9216 with 25 basis columns — the stretched-bj
+//!   shape. Perfgate fails when that speedup drops below 1.0 on a
+//!   runner with two or more cores.
 //! - **overlap ratio**: `critical_path / serial` simulated time of a
 //!   recorded `BlockGmres` solve (k independent lanes) vs the chain
 //!   baseline of the matching single-RHS solve (ratio 1.0).
@@ -16,11 +23,17 @@
 //! a multicore runner the overlap ratios tighten further.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
+
 use mpgmres::precond::Identity;
-use mpgmres::{BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec};
+use mpgmres::{
+    Backend, BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec, ParallelBackend,
+    ReferenceBackend, ScalarBackend,
+};
 use mpgmres_bench::harness::best_of;
 use mpgmres_bench::output;
 use mpgmres_gpusim::DeviceModel;
+use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_la::{par, Csr};
@@ -67,9 +80,80 @@ struct OverlapRecord {
 }
 
 #[derive(Serialize)]
+struct PoolRecord {
+    /// Participants of the parallel backend's pool (`par::default_threads`).
+    pool_threads: usize,
+    /// Empty two-job run on a two-participant pool, microseconds.
+    pool_dispatch_us: f64,
+    cgs2_n: usize,
+    cgs2_ncols: usize,
+    cgs2_serial_us: f64,
+    cgs2_pooled_us: f64,
+    /// `cgs2_serial_us / cgs2_pooled_us`.
+    cgs2_par_speedup: f64,
+}
+
+#[derive(Serialize)]
 struct StreamArtifact {
     spawn: SpawnRecord,
     overlap: OverlapRecord,
+    pool: PoolRecord,
+}
+
+/// Microseconds per empty two-job run on a two-participant pool: best
+/// of seven batches of back-to-back runs, so the worker is still
+/// spinning when each run is published.
+fn pool_dispatch_us() -> f64 {
+    let pool = WorkerPool::new(2);
+    let runs = 2_000;
+    best_of(7, || {
+        for _ in 0..runs {
+            pool.run(2, |_| {});
+        }
+    }) / runs as f64
+        * 1e6
+}
+
+/// One CGS2 pass (two rounds of GEMV-T then GEMV-N) at the stretched-bj
+/// shape through `backend`.
+fn cgs2_pass(backend: &dyn Backend, v: &MultiVector<f64>, w: &mut [f64], h: &mut [f64]) {
+    let b: &dyn ScalarBackend<f64> = backend;
+    let ncols = h.len();
+    for _ in 0..2 {
+        b.gemv_t(v, ncols, w, h, ReductionOrder::GPU_LIKE);
+        b.gemv_n_sub(v, ncols, h, w);
+    }
+}
+
+/// Reference-backend over parallel-backend wall time of one CGS2 pass
+/// at n = 9216 with 25 columns: per-pass microseconds of batches of
+/// about a millisecond, alternating between the two backends, best of
+/// fifteen each.
+fn cgs2_speedup(n: usize, ncols: usize) -> (f64, f64) {
+    let mut v = MultiVector::<f64>::zeros(n, ncols);
+    for j in 0..ncols {
+        for (r, e) in v.col_mut(j).iter_mut().enumerate() {
+            *e = (((r * 31 + j * 17) % 101) as f64 - 50.0) / 500.0;
+        }
+    }
+    let w0: Vec<f64> = (0..n).map(|i| ((i % 29) as f64 - 14.0) / 29.0).collect();
+    let (mut w, mut h) = (w0.clone(), vec![0.0f64; ncols]);
+    let parallel = ParallelBackend::new();
+    let reps = 20;
+    let mut batch = |backend: &dyn Backend| {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            w.copy_from_slice(&w0);
+            cgs2_pass(backend, &v, &mut w, &mut h);
+        }
+        t0.elapsed().as_secs_f64() / reps as f64 * 1e6
+    };
+    let (mut serial, mut pooled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..15 {
+        serial = serial.min(batch(&ReferenceBackend));
+        pooled = pooled.min(batch(&parallel));
+    }
+    (serial, pooled)
 }
 
 /// Best-of-5 wall time of `calls` partitioned SpMVs dispatched through
@@ -153,6 +237,18 @@ fn summary(_c: &mut Criterion) {
         "k = {k} lanes must overlap on the recorded timeline"
     );
 
+    // --- pool: empty dispatch and the CGS2 pass at stretched-bj. ---
+    let dispatch_us = pool_dispatch_us();
+    let (cgs2_n, cgs2_ncols) = (9216, 25);
+    let (serial_us, pooled_us) = cgs2_speedup(cgs2_n, cgs2_ncols);
+    let pool_threads = par::default_threads();
+    println!(
+        "  pool ({pool_threads} participants): empty two-job run {dispatch_us:.2} us; \
+         CGS2 pass n={cgs2_n} ncols={cgs2_ncols}: reference {serial_us:.1} us, \
+         parallel {pooled_us:.1} us, speedup {:.2}x",
+        serial_us / pooled_us
+    );
+
     let artifact = StreamArtifact {
         spawn: SpawnRecord {
             threads: THREADS,
@@ -169,6 +265,15 @@ fn summary(_c: &mut Criterion) {
             critical_path_seconds: rep.critical_path_seconds,
             overlap_ratio: rep.overlap_ratio(),
             single_rhs_overlap_ratio: rep1.overlap_ratio(),
+        },
+        pool: PoolRecord {
+            pool_threads,
+            pool_dispatch_us: dispatch_us,
+            cgs2_n,
+            cgs2_ncols,
+            cgs2_serial_us: serial_us,
+            cgs2_pooled_us: pooled_us,
+            cgs2_par_speedup: serial_us / pooled_us,
         },
     };
     let dir = output::results_dir(None);

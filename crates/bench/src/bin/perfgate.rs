@@ -34,6 +34,10 @@
 //!   with every degraded solve still converged to its fp64 tolerance,
 //!   fair-share tenant occupancy bounded near the even split, and
 //!   submit-then-cancel waves allocating no payload buffers;
+//! - the parallel backend must beat the reference backend on one CGS2
+//!   pass at the stretched-bj shape (`cgs2_par_speedup >= 1.0`) when the
+//!   runner has two or more cores — the gate on the worker pool's
+//!   dispatch cost (a 1-core runner reports the figure ungated);
 //! - the deterministic precision byte ratio must not regress against
 //!   the **committed baseline** `results/BENCH_ci.json` (the per-SHA
 //!   snapshot checked into the repo); the wall-clock-dependent gate
@@ -47,7 +51,7 @@
 //! become one machine-readable, diffable file.
 //!
 //! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (or `precision`, or
-//! `serving`, or `sharding`, or `basis`, or `qos`) to deliberately
+//! `serving`, or `sharding`, or `basis`, or `qos`, or `pool`) to deliberately
 //! corrupt the gated value before checking: CI runs this
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
@@ -269,6 +273,26 @@ fn main() {
         ),
     };
 
+    // --- gate 9: the pool pays at the stretched-bj CGS2 shape ----------
+    let mut cgs2_speedup =
+        extract_number(&stream, "cgs2_par_speedup").expect("stream.json cgs2 speedup");
+    let mut pool_threads =
+        extract_number(&stream, "pool_threads").expect("stream.json pool threads");
+    if inject == "pool" {
+        println!("perfgate: INJECTING pool regression (cgs2 speedup = 0.5 on 2 cores)");
+        cgs2_speedup = 0.5;
+        pool_threads = pool_threads.max(2.0);
+    }
+    let pool_dispatch = extract_number(&stream, "pool_dispatch_us").unwrap_or(f64::NAN);
+    let g9 = Gate {
+        name: "pool_cgs2_par_speedup",
+        ok: pool_threads < 2.0 || cgs2_speedup >= 1.0,
+        detail: format!(
+            "cgs2 speedup {cgs2_speedup:.3} on {pool_threads} participants \
+             (gated at >= 1.0 from 2), empty dispatch {pool_dispatch:.2} us"
+        ),
+    };
+
     // --- gate 8 + report: diff against the committed baseline ---------
     // Only the precision byte ratio is deterministic across machines
     // (pure analytic model), so only it hard-gates; the wall-clock and
@@ -277,6 +301,8 @@ fn main() {
         "pipelined_overlap_ratio",
         "overlap_ratio",
         "spawn_overhead_us_per_call",
+        "pool_dispatch_us",
+        "cgs2_par_speedup",
         "fp32_fp64_spmm_byte_ratio",
         "ir_store_sim_speedup",
         "serving_p50_seconds",
@@ -348,7 +374,7 @@ fn main() {
         },
     };
 
-    let gates = [g1, g2, g3, g4, g5, g6, g7, g8];
+    let gates = [g1, g2, g3, g4, g5, g6, g7, g8, g9];
     let mut ok = true;
     for g in &gates {
         println!(
@@ -373,7 +399,7 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 7,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 8,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),

@@ -10,8 +10,8 @@
 //! and appends a [`Span`]-shaped node to a payload-free graph plus a
 //! plain-data payload binding. At [`Stream::sync`] (or drop) the
 //! graph's wavefronts of mutually independent ready ops go to
-//! [`Backend::execute_batch`](mpgmres_backend::Backend), which may run
-//! them concurrently. The graph, arena and bindings live in the
+//! [`Backend::execute_batch`](mpgmres_backend::Backend), which runs them
+//! in record order. The graph, arena and bindings live in the
 //! context's reused scratch and are cleared when the next region opens,
 //! so every region derives its own DAG.
 //!
@@ -32,7 +32,8 @@
 //! bit-identical results are *not* one of them (see the determinism
 //! notes in [`mpgmres_backend::stream`]):
 //!
-//! - independent ops may execute concurrently on a parallel backend;
+//! - ops run in wavefront order, which may differ from record order for
+//!   independent ops;
 //! - the profiler charges each op on the overlap-aware timeline at the
 //!   finish time of its dependencies, so the report's critical path can
 //!   drop below the serial sum. For a chain-shaped region the two

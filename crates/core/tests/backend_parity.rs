@@ -16,7 +16,7 @@ use mpgmres::{
 };
 use mpgmres_gpusim::{DeviceModel, PaperCategory, TimingReport};
 use mpgmres_la::coo::Coo;
-use mpgmres_la::par::SPMV_PAR_THRESHOLD;
+use mpgmres_la::par::{GEMV_PAR_THRESHOLD, SPMV_PAR_THRESHOLD};
 use mpgmres_la::vec_ops::{ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::Half;
 
@@ -190,12 +190,14 @@ fn half_precision_ir_identical_across_backends() {
 
 #[test]
 fn gmres_parity_on_large_problem_exercises_parallel_kernels() {
-    // n and nnz are above PAR_THRESHOLD / SPMV_PAR_THRESHOLD and the
-    // backend is forced to 4 workers, so the row/column/block
-    // partitioned kernels in `mpgmres_la::par` genuinely execute (the
-    // small-problem tests above all take the sequential fallback).
-    let n = SPMV_PAR_THRESHOLD / 3 + 1_000;
+    // n and nnz are above PAR_THRESHOLD, GEMV_PAR_THRESHOLD and
+    // SPMV_PAR_THRESHOLD and the backend is forced to 4 participants,
+    // so the row/column/block partitioned kernels in `mpgmres_la::par`
+    // genuinely execute (the small-problem tests above all take the
+    // sequential fallback).
+    let n = PAR_THRESHOLD + 1_000;
     let a = laplace1d(n);
+    const { assert!(GEMV_PAR_THRESHOLD <= PAR_THRESHOLD) };
     assert!(n >= PAR_THRESHOLD && a.nnz() >= SPMV_PAR_THRESHOLD);
     let b = vec![1.0f64; n];
     let cfg = GmresConfig::default().with_m(20).with_max_iters(100);

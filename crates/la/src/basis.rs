@@ -30,7 +30,7 @@
 use mpgmres_scalar::{cast, Half, Precision, Scalar};
 
 use crate::fma;
-use crate::multivector::{gemv_n_cols, gemv_t_cols, MultiVector};
+use crate::multivector::{gemv_n_cols, gemv_t_block_partials, gemv_t_cols, MultiVector};
 use crate::vec_ops::{self, ReductionOrder};
 
 /// Column-major `n x max_cols` basis storage at element precision `L`,
@@ -94,6 +94,21 @@ impl<L: Scalar> CompressedBasis<L> {
         order: ReductionOrder,
     ) {
         gemv_t_cols(&self.data, first, w, h, order, cast::<L, S>);
+    }
+
+    /// Block partials of columns `0..ncols` over reduction blocks
+    /// starting at block `b0`, one widening per element (see
+    /// [`MultiVector::gemv_t_blocks`]).
+    #[inline(always)]
+    pub(crate) fn gemv_t_blocks<S: Scalar>(
+        &self,
+        ncols: usize,
+        w: &[S],
+        block: usize,
+        b0: usize,
+        parts: &mut [S],
+    ) {
+        gemv_t_block_partials(&self.data, ncols, w, block, b0, parts, cast::<L, S>);
     }
 
     /// GEMV No-Trans over rows `[start, start + out.len())`, one
@@ -325,6 +340,32 @@ impl<S: Scalar> BasisStore<S> {
             BasisStore::Native(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
             BasisStore::F32(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
             BasisStore::F16(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+        }
+    }
+
+    /// Block partials of columns `0..ncols` over reduction blocks
+    /// starting at block `b0`; the unit the block-split parallel GEMV-T
+    /// distributes. Each arm runs under [`fma::run`].
+    pub(crate) fn gemv_t_blocks(
+        &self,
+        ncols: usize,
+        w: &[S],
+        block: usize,
+        b0: usize,
+        parts: &mut [S],
+    ) {
+        macro_rules! arm {
+            ($v:expr) => {
+                fma::run(
+                    #[inline(always)]
+                    || $v.gemv_t_blocks(ncols, w, block, b0, parts),
+                )
+            };
+        }
+        match self {
+            BasisStore::Native(v) => arm!(v),
+            BasisStore::F32(v) => arm!(v),
+            BasisStore::F16(v) => arm!(v),
         }
     }
 

@@ -438,25 +438,44 @@ impl<S: Scalar> BlockLu<S> {
     pub fn solve(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.n, "BlockLu::solve: x length");
         assert_eq!(y.len(), self.n, "BlockLu::solve: y length");
-        let bs = self.bs;
-        let wide_rows = self.groups.len() / (bs * bs) * LU_LANES * bs;
-        let (perm_wide, perm_tail) = self.perm.split_at(wide_rows);
-        let (y_wide, y_tail) = y.split_at_mut(wide_rows);
+        self.solve_rows(0, x, y);
+    }
+
+    /// Rows per packed group.
+    pub(crate) fn group_rows(&self) -> usize {
+        LU_LANES * self.bs
+    }
+
+    /// Rows the packed groups cover; the tail blocks start here.
+    pub(crate) fn wide_rows(&self) -> usize {
+        self.groups.len() / (self.bs * self.bs) * self.group_rows()
+    }
+
+    /// Solve the blocks whose rows `y` holds, the first at row `start`,
+    /// in one FMA frame: whole groups first, then the tail blocks one at
+    /// a time. `start` is a group boundary or [`Self::wide_rows`], and
+    /// `y` ends on a group boundary or at `n` — the body each job of the
+    /// pooled apply runs over its run of groups (or the tail).
+    pub(crate) fn solve_rows(&self, start: usize, x: &[S], y: &mut [S]) {
+        let (bs, gr, wide) = (self.bs, self.group_rows(), self.wide_rows());
+        debug_assert!(start.is_multiple_of(gr) || start == wide);
+        let (y_wide, y_tail) = y.split_at_mut(wide.saturating_sub(start).min(y.len()));
+        let (perm_wide, perm_tail) = self.perm[start..].split_at(y_wide.len());
+        let groups = &self.groups[start.min(wide) / gr * bs * bs..];
         fma::run(
             #[inline(always)]
             || {
                 let mut t = vec![[S::zero(); LU_LANES]; bs];
-                for ((f, p), yg) in self
-                    .groups
+                for ((f, p), yg) in groups
                     .chunks_exact(bs * bs)
-                    .zip(perm_wide.chunks_exact(LU_LANES * bs))
-                    .zip(y_wide.chunks_exact_mut(LU_LANES * bs))
+                    .zip(perm_wide.chunks_exact(gr))
+                    .zip(y_wide.chunks_exact_mut(gr))
                 {
                     solve_lanes(f, p, x, yg, &mut t);
                 }
                 let mut t = vec![[S::zero(); 1]; bs];
                 let (mut f, mut p, mut yt) = (self.tail.as_slice(), perm_tail, y_tail);
-                while !p.is_empty() {
+                while !yt.is_empty() {
                     let m = bs.min(p.len());
                     let (fb, fr) = f.split_at(m * m);
                     let (pb, pr) = p.split_at(m);

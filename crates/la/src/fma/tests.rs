@@ -256,8 +256,9 @@ const NCOLS: std::ops::RangeInclusive<usize> = 0..=17;
 #[cfg(miri)]
 const NCOLS: std::ops::RangeInclusive<usize> = 9..=9;
 
-/// `par::spmv`/`par::residual` above `SPMV_PAR_THRESHOLD` nonzeros, so
-/// they split the rows (below it they run `Csr::spmv`, checked above).
+/// `par::spmv_parts_on`/`par::residual_parts_on` on a two-way row split
+/// of a matrix above `SPMV_PAR_THRESHOLD` nonzeros (the shape the
+/// parallel backend splits).
 #[cfg(not(miri))]
 fn thresholded_sparse<S: Elem>() {
     let n = par::SPMV_PAR_THRESHOLD / 5 + 37;
@@ -270,9 +271,13 @@ fn thresholded_sparse<S: Elem>() {
         f(&mut y);
         y
     };
-    check("par::spmv", || out(&|y| par::spmv(2, &a, &x, y)));
-    check("par::residual", || {
-        out(&|y| par::residual(2, &a, &b, &x, y))
+    let parts = par::row_partition(n, 2);
+    let exec = ScopedSpawn(2);
+    check("par::spmv_parts_on", || {
+        out(&|y| par::spmv_parts_on(&exec, &parts, &a, &x, y))
+    });
+    check("par::residual_parts_on", || {
+        out(&|y| par::residual_parts_on(&exec, &parts, &a, &b, &x, y))
     });
 }
 

@@ -92,6 +92,21 @@ impl<S: Scalar> MultiVector<S> {
         gemv_t_cols(&self.data, first, w, h, order, |x| x);
     }
 
+    /// Block partials of columns `0..ncols` over reduction blocks
+    /// starting at block `b0` — the body the block-split parallel GEMV-T
+    /// distributes (see `gemv_t_block_partials`).
+    #[inline(always)]
+    pub(crate) fn gemv_t_blocks(
+        &self,
+        ncols: usize,
+        w: &[S],
+        block: usize,
+        b0: usize,
+        parts: &mut [S],
+    ) {
+        gemv_t_block_partials(&self.data, ncols, w, block, b0, parts, |x| x);
+    }
+
     /// `w -= V[:, ..ncols] * h` (GEMV No-Trans with alpha = -1).
     ///
     /// Every row accumulates the columns in order, one `mul_add` each,
@@ -139,12 +154,10 @@ impl<S: Scalar> MultiVector<S> {
 /// `data` holds `w.len()`-long columns back to back — the GEMV-T body of
 /// the native and the compressed basis.
 ///
-/// Runs [`GEMV_T_GROUP`] columns at a time, so `w` streams once per
-/// group. Each column keeps its own accumulator and the exact
-/// left-to-right `mul_add` chain of `vec_ops::dot_seq` over each
-/// reduction block, and its block partials feed the same `tree_sum`, so
-/// every `h[i]` is bit-identical to a per-column `dot_ordered`. One
-/// partials buffer serves the whole call.
+/// Every column's block partials come from [`gemv_t_block_partials`]
+/// and feed the same `tree_sum` as `vec_ops::dot_ordered`, so every
+/// `h[i]` is bit-identical to a per-column dot. One partials buffer
+/// serves the whole call.
 #[inline(always)]
 pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
     data: &[L],
@@ -162,16 +175,48 @@ pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
         ReductionOrder::BlockedTree { block } => block.max(1),
     };
     let nblocks = n.div_ceil(block);
-    let mut parts = vec![S::zero(); GEMV_T_GROUP * nblocks];
-    let col = |j: usize| &data[j * n..(j + 1) * n];
-    for (g, hg) in h.chunks_mut(GEMV_T_GROUP).enumerate() {
-        let c = first + g * GEMV_T_GROUP;
+    let mut parts = vec![S::zero(); h.len() * nblocks];
+    gemv_t_block_partials(&data[first * n..], h.len(), w, block, 0, &mut parts, widen);
+    for (k, hk) in h.iter_mut().enumerate() {
+        *hk = tree_sum(&mut parts[k * nblocks..(k + 1) * nblocks]);
+    }
+}
+
+/// Block partials of columns `0..ncols` over the reduction blocks
+/// `b0..b0 + nbl` (`nbl = parts.len() / ncols`): `parts[k * nbl + b]`
+/// is column `k`'s left-to-right `mul_add` chain over block `b0 + b`,
+/// the chain `vec_ops::dot_seq` runs over that block.
+///
+/// Runs [`GEMV_T_GROUP`] columns at a time, so `w` streams once per
+/// group, each column with its own accumulator. The serial GEMV-T runs
+/// it over every block; each job of the block-split parallel GEMV-T
+/// runs it over its own run of blocks.
+#[inline(always)]
+pub(crate) fn gemv_t_block_partials<L: Copy, S: Scalar>(
+    data: &[L],
+    ncols: usize,
+    w: &[S],
+    block: usize,
+    b0: usize,
+    parts: &mut [S],
+    widen: impl Fn(L) -> S + Copy,
+) {
+    if ncols == 0 {
+        return;
+    }
+    let n = w.len();
+    let nbl = parts.len() / ncols;
+    let (lo, hi) = (b0 * block, ((b0 + nbl) * block).min(n));
+    let w = &w[lo..hi];
+    let col = |j: usize| &data[j * n + lo..j * n + hi];
+    for c in (0..ncols).step_by(GEMV_T_GROUP) {
+        let out = &mut parts[c * nbl..];
         macro_rules! group {
             ($($k:literal)+) => {
-                group_partials([$(col(c + $k)),+], w, block, &mut parts, widen)
+                group_partials([$(col(c + $k)),+], w, block, out, nbl, widen)
             };
         }
-        match hg.len() {
+        match ncols - c {
             1 => group!(0),
             2 => group!(0 1),
             3 => group!(0 1 2),
@@ -180,9 +225,6 @@ pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
             6 => group!(0 1 2 3 4 5),
             7 => group!(0 1 2 3 4 5 6),
             _ => group!(0 1 2 3 4 5 6 7),
-        }
-        for (k, hk) in hg.iter_mut().enumerate() {
-            *hk = tree_sum(&mut parts[k * nblocks..(k + 1) * nblocks]);
         }
     }
 }
@@ -234,7 +276,7 @@ pub(crate) fn gemv_n_cols<L: Copy, S: Scalar>(
     }
 }
 
-/// Block partials of `G` columns against `w`: `parts[k * nblocks + b]`
+/// Block partials of `G` columns against `w`: `parts[k * stride + b]`
 /// is column `k`'s left-to-right `mul_add` chain over block `b`.
 #[inline(always)]
 fn group_partials<L: Copy, S: Scalar, const G: usize>(
@@ -242,9 +284,9 @@ fn group_partials<L: Copy, S: Scalar, const G: usize>(
     w: &[S],
     block: usize,
     parts: &mut [S],
+    stride: usize,
     widen: impl Fn(L) -> S,
 ) {
-    let nblocks = parts.len() / GEMV_T_GROUP;
     for (b, wb) in w.chunks(block).enumerate() {
         let (lo, len) = (b * block, wb.len());
         // Re-cut in place rather than with `cols.map`: the compiler then
@@ -262,7 +304,7 @@ fn group_partials<L: Copy, S: Scalar, const G: usize>(
             }
         }
         for k in 0..G {
-            parts[k * nblocks + b] = acc[k];
+            parts[k * stride + b] = acc[k];
         }
     }
 }

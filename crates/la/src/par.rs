@@ -9,9 +9,15 @@
 //! sequential reference in [`crate::vec_ops`], [`crate::csr`], and
 //! [`crate::multivector`]. Consequences:
 //!
-//! - SpMV, residual, GEMV (both shapes), axpy, scal, copy, and the
-//!   lane-set kernels are bit-identical to the reference for *any*
-//!   [`ReductionOrder`].
+//! - SpMV, residual, GEMV (both shapes), axpy, scal, copy, the block
+//!   Jacobi apply and the lane-set kernels are bit-identical to the
+//!   reference for *any* [`ReductionOrder`].
+//! - GEMV-T under [`ReductionOrder::BlockedTree`] splits by reduction
+//!   block: each job computes every column's block partials over its
+//!   rows, and the caller combines each column's partials with the
+//!   shared tree — so a job reads the same rows of the basis as in
+//!   GEMV-N and SpMV. Under [`ReductionOrder::Sequential`] each column
+//!   is one chain and GEMV-T splits by column instead.
 //! - `dot`/`norm2` under [`ReductionOrder::BlockedTree`] are
 //!   bit-identical too: block partial sums are independent and the
 //!   pairwise combine tree is shared with the reference
@@ -21,49 +27,74 @@
 //!   sequentially here as well — bit-determinism is the contract, and a
 //!   parallel sum would break it.
 //!
-//! Every kernel comes in two flavors: the classic `threads: usize`
-//! entry points spawn scoped threads per call (`std::thread::scope`),
-//! and the `_on` variants take any [`Executor`] — in particular the
-//! persistent pinned [`WorkerPool`](crate::pool::WorkerPool), which
-//! skips the per-call spawn. Execution style never affects results;
-//! below [`crate::vec_ops::PAR_THRESHOLD`] elements (or
-//! [`SPMV_PAR_THRESHOLD`] nonzeros for matrix kernels) the kernels fall
-//! back to the sequential path so small problems never pay dispatch
-//! overhead.
+//! The `_on` kernels take any [`Executor`]: the persistent pinned
+//! [`WorkerPool`](crate::pool::WorkerPool) the parallel backend runs
+//! on, or per-call scoped spawns ([`ScopedSpawn`]). Execution style
+//! never affects results. Below each kernel's threshold (next paragraph
+//! but one) the kernels run the sequential path so small problems
+//! never pay dispatch overhead; the `_parts_on` and `_split_on` entry
+//! points skip the threshold.
 //!
 //! Every chunk closure that runs a `mul_add` chain wraps its body in
 //! [`fma::run`], so it executes on hardware FMA when the CPU has it.
 //!
-//! **Where the thresholds sit.** A pool dispatch costs tens of
-//! microseconds, and a serial SpMV with its bounds checks hoisted out of
-//! the row loop streams a cache-resident matrix at two to three cycles
-//! per nonzero, so the pool only pays once the matrix outgrows the private
-//! caches (compare Ioannidis et al., arXiv:1906.04051: parallel GMRES
-//! kernels pay off only past cache). The `spmv_crossover` group of
-//! `crates/bench/benches/backends.rs` times the serial SpMV against the
-//! pool's on laplace2d grids from 20k to 5.2M nonzeros. On a 2-vCPU
-//! x86-64 host (4 MiB L2 per core) the pool lost or broke even up to
-//! about 400k nonzeros, won in most runs from about 500k and won
-//! clearly (1.5–2x) at 5.2M, so [`SPMV_PAR_THRESHOLD`] sits at 2^19.
-//! It is a constant, not a tuned knob: which path runs must not depend
-//! on the machine's load, or traced counts would stop reproducing.
+//! **Where the thresholds sit.** An empty two-job run on the pool costs
+//! about a microsecond while the worker is still spinning from the
+//! previous kernel (see [`crate::pool`]), so a kernel goes parallel once
+//! half of it is worth more than that. The `spmv_crossover` group of
+//! `crates/bench/benches/backends.rs` times each kernel serially and
+//! forced onto the pool (the `_parts_on`/`_split_on` entry points) on
+//! laplace2d grids from 16² to 128², and prints serial over pooled time
+//! per size. Three runs on a 2-vCPU x86-64 host (4 MiB L2 per core,
+//! noisy shared host) read:
+//!
+//! - SpMV paid from about 7.8k nonzeros (1.2–1.6x there; mixed from
+//!   2.8k to 5k), so [`SPMV_PAR_THRESHOLD`] sits at 2^13 nonzeros, for
+//!   the plain and store SpMV, SpMM and residual alike;
+//! - a 10-column GEMV-T paid from about 1.6k rows (1.03–1.14x there,
+//!   1.1–1.7x from 6k) and the block Jacobi apply from about 1.6k rows
+//!   (1.2x, up to 2.1x at 16k), so [`GEMV_PAR_THRESHOLD`] and
+//!   [`BLOCK_LU_PAR_THRESHOLD`] sit at 2^11 rows. GEMV-N shares the GEMV
+//!   constant although it paid only from about 4k rows (0.6–0.8x at
+//!   2.3k): neither gated workload has n between 2^11 and 2^12;
+//! - the norm paid only from about 9k–16k rows (at most 1.35x) and axpy
+//!   never did (at most 0.45x), so the level-1 kernels (dot, norm, axpy,
+//!   scal, copy) and the lane kernels keep [`vec_ops::PAR_THRESHOLD`]
+//!   (2^14).
+//!
+//! These are constants, not tuned knobs: which path runs must not
+//! depend on the machine's load, or traced counts would stop
+//! reproducing. Compare Ioannidis et al. (arXiv:1906.04051): below cache
+//! size, dispatch and synchronisation decide whether a parallel GMRES
+//! kernel pays, which is why the pool's dispatch cost sets the bar.
 
 use mpgmres_scalar::Scalar;
 
 use crate::basis::BasisStore;
 use crate::csr::Csr;
+use crate::dense::BlockLu;
 use crate::fma;
 use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
 use crate::pool::{Executor, ScopedSpawn};
-use crate::raw::{RawSlice, RawSliceMut};
+use crate::raw::RawSliceMut;
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
 
-/// Minimum stored nonzeros before SpMV/residual/SpMM go parallel: the
-/// crossover of the serial and the pooled SpMV in the `spmv_crossover`
+/// Minimum stored nonzeros before SpMV/residual/SpMM (plain and store)
+/// go parallel: the serial/pooled crossover of the `spmv_crossover`
 /// sweep (see the module docs).
-pub const SPMV_PAR_THRESHOLD: usize = 1 << 19;
+pub const SPMV_PAR_THRESHOLD: usize = 1 << 13;
+
+/// Minimum rows before GEMV-T and GEMV-N (plain and basis) go parallel:
+/// the crossover of the 10-column GEMV rows of the `spmv_crossover`
+/// sweep (see the module docs).
+pub const GEMV_PAR_THRESHOLD: usize = 1 << 11;
+
+/// Minimum rows before the block Jacobi apply ([`block_lu_solve_on`])
+/// splits its groups over the pool: the crossover of the BJ rows of the
+/// `spmv_crossover` sweep (see the module docs).
+pub const BLOCK_LU_PAR_THRESHOLD: usize = 1 << 11;
 
 /// Split `[0, len)` into at most `threads` contiguous `(start, end)`
 /// ranges — the row partition every row-parallel kernel uses. Exposed so
@@ -138,9 +169,19 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The executor a kernel over `len` rows runs on: `exec` from
+/// `threshold` rows up, the calling thread alone below it.
+fn above(exec: &dyn Executor, len: usize, threshold: usize) -> &dyn Executor {
+    if len < threshold {
+        &ScopedSpawn(1)
+    } else {
+        exec
+    }
+}
+
 /// Split `[0, len)` into at most `exec.width()` contiguous chunks and
 /// run `f(start, chunk)` for each chunk of `data` as one executor job.
-fn for_each_chunk_mut_on<S: Send, F>(exec: &dyn Executor, data: &mut [S], f: F)
+pub(crate) fn for_each_chunk_mut_on<S: Send, F>(exec: &dyn Executor, data: &mut [S], f: F)
 where
     F: Fn(usize, &mut [S]) + Sync,
 {
@@ -170,14 +211,6 @@ where
     });
 }
 
-/// Scoped-spawn convenience wrapper around [`for_each_chunk_mut_on`].
-fn for_each_chunk_mut<S: Send, F>(threads: usize, data: &mut [S], f: F)
-where
-    F: Fn(usize, &mut [S]) + Sync,
-{
-    for_each_chunk_mut_on(&ScopedSpawn(threads), data, f);
-}
-
 /// Run `f(i, &mut data[i])` for every element, elements partitioned in
 /// contiguous runs across scoped threads. For batches of independent
 /// work items (e.g. factoring block Jacobi's groups of diagonal blocks);
@@ -193,7 +226,7 @@ where
         }
         return;
     }
-    for_each_chunk_mut(threads, data, |start, chunk| {
+    for_each_chunk_mut_on(&ScopedSpawn(threads), data, |start, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             f(start + i, slot);
         }
@@ -238,29 +271,9 @@ fn for_each_part_mut_on<S: Send, F>(
     });
 }
 
-/// `y = A x`, rows partitioned across threads.
-///
-/// Bit-identical to [`Csr::spmv`] (same per-row accumulation order).
-pub fn spmv<S: Scalar>(threads: usize, a: &Csr<S>, x: &[S], y: &mut [S]) {
-    assert_eq!(x.len(), a.ncols(), "spmv: x length mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv: y length mismatch");
-    if a.nnz() < SPMV_PAR_THRESHOLD || threads <= 1 {
-        a.spmv(x, y);
-        return;
-    }
-    for_each_chunk_mut(threads, y, |start, chunk| {
-        fma::run(|| a.spmv_rows(start, x, chunk))
-    });
-}
-
-/// `y = A x` over a precomputed row partition (no threshold check; the
-/// caller decides when going parallel pays). Bit-identical to
-/// [`Csr::spmv`].
-pub fn spmv_parts<S: Scalar>(parts: &[(usize, usize)], a: &Csr<S>, x: &[S], y: &mut [S]) {
-    spmv_parts_on(&ScopedSpawn(parts.len()), parts, a, x, y);
-}
-
-/// [`spmv_parts`] on an explicit executor (e.g. a persistent pool).
+/// `y = A x` over a precomputed row partition, one executor job per
+/// range (no threshold check; the caller decides when going parallel
+/// pays). Bit-identical to [`Csr::spmv`].
 pub fn spmv_parts_on<S: Scalar>(
     exec: &dyn Executor,
     parts: &[(usize, usize)],
@@ -275,19 +288,8 @@ pub fn spmv_parts_on<S: Scalar>(
     });
 }
 
-/// `r = b - A x` over a precomputed row partition. Bit-identical to
-/// [`Csr::residual`].
-pub fn residual_parts<S: Scalar>(
-    parts: &[(usize, usize)],
-    a: &Csr<S>,
-    b: &[S],
-    x: &[S],
-    r: &mut [S],
-) {
-    residual_parts_on(&ScopedSpawn(parts.len()), parts, a, b, x, r);
-}
-
-/// [`residual_parts`] on an explicit executor.
+/// `r = b - A x` over a precomputed row partition (no threshold check).
+/// Bit-identical to [`Csr::residual`].
 pub fn residual_parts_on<S: Scalar>(
     exec: &dyn Executor,
     parts: &[(usize, usize)],
@@ -304,22 +306,12 @@ pub fn residual_parts_on<S: Scalar>(
     });
 }
 
-/// Fused SpMM `Y = A X` over the leading `k` columns: one pass over the
-/// CSR rows serves all `k` right-hand sides (the matrix values and
-/// indices are read once per block instead of once per column).
-///
-/// Per output column this accumulates in exactly the order of
-/// [`Csr::spmv`]'s per-row kernel, so the result is bit-identical to `k`
-/// independent SpMV calls — the multi-RHS determinism contract.
-pub fn spmm<S: Scalar>(threads: usize, a: &Csr<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-    if a.nnz() < SPMV_PAR_THRESHOLD || threads <= 1 {
-        spmm_parts(&[(0, a.nrows())], a, x, k, y);
-        return;
-    }
-    spmm_parts(&row_partition(a.nrows(), threads), a, x, k, y);
-}
-
-/// Fused SpMM over a precomputed row partition (see [`spmm`]).
+/// Fused SpMM `Y = A X` over the leading `k` columns and a precomputed
+/// row partition, one scoped thread per range: one pass over the CSR
+/// rows serves all `k` right-hand sides. Per output column this
+/// accumulates in exactly the order of [`Csr::spmv`]'s per-row kernel,
+/// so the result is bit-identical to `k` independent SpMV calls — the
+/// multi-RHS determinism contract.
 pub fn spmm_parts<S: Scalar>(
     parts: &[(usize, usize)],
     a: &Csr<S>,
@@ -344,31 +336,10 @@ pub fn spmm_parts_on<S: Scalar>(
     assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
     let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
     let mut slots = y.partition_rows_mut(k, parts);
-    if parts.len() <= 1 {
-        if let (Some(&(lo, hi)), Some(cols)) = (parts.first(), slots.first_mut()) {
+    for_each_chunk_mut_on(exec, &mut slots, |first, chunk| {
+        for (cols, &(lo, hi)) in chunk.iter_mut().zip(&parts[first..]) {
             spmm_rows(a, &xcols, lo, hi, cols);
         }
-        return;
-    }
-    /// One SpMM job: a row range plus raw views of its per-column
-    /// output slices.
-    type SpmmJob<S> = (usize, usize, Vec<RawSliceMut<S>>);
-    let jobs: Vec<SpmmJob<S>> = parts
-        .iter()
-        .zip(slots.iter_mut())
-        .map(|(&(lo, hi), cols)| {
-            let raw = cols.iter_mut().map(|c| RawSliceMut::new(c)).collect();
-            (lo, hi, raw)
-        })
-        .collect();
-    let xcols = &xcols;
-    exec.run_jobs(jobs.len(), &|i| {
-        let (lo, hi, cols) = &jobs[i];
-        // SAFETY: `partition_rows_mut` produced disjoint row slices of
-        // every column; each job owns one row range (see
-        // for_each_chunk_mut_on for the barrier argument).
-        let mut slices: Vec<&mut [S]> = cols.iter().map(|p| unsafe { p.get() }).collect();
-        spmm_rows(a, xcols, *lo, *hi, &mut slices);
     });
 }
 
@@ -501,66 +472,42 @@ pub fn store_spmm_parts_on<S: Scalar>(
     assert!(k <= x.k() && k <= y.k(), "store spmm: too many columns");
     let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
     let mut slots = y.partition_rows_mut(k, parts);
-    if parts.len() <= 1 {
-        if let (Some(&(lo, hi)), Some(cols)) = (parts.first(), slots.first_mut()) {
+    for_each_chunk_mut_on(exec, &mut slots, |first, chunk| {
+        for (cols, &(lo, hi)) in chunk.iter_mut().zip(&parts[first..]) {
             a.spmm_rows(&xcols, lo, hi, cols);
         }
-        return;
-    }
-    type SpmmJob<S> = (usize, usize, Vec<RawSliceMut<S>>);
-    let jobs: Vec<SpmmJob<S>> = parts
-        .iter()
-        .zip(slots.iter_mut())
-        .map(|(&(lo, hi), cols)| {
-            let raw = cols.iter_mut().map(|c| RawSliceMut::new(c)).collect();
-            (lo, hi, raw)
-        })
-        .collect();
-    let xcols = &xcols;
-    exec.run_jobs(jobs.len(), &|i| {
-        let (lo, hi, cols) = &jobs[i];
-        // SAFETY: `partition_rows_mut` produced disjoint row slices of
-        // every column; each job owns one row range (see
-        // for_each_chunk_mut_on for the barrier argument).
-        let mut slices: Vec<&mut [S]> = cols.iter().map(|p| unsafe { p.get() }).collect();
-        a.spmm_rows(xcols, *lo, *hi, &mut slices);
     });
 }
 
-/// `r = b - A x` (fused residual), rows partitioned across threads.
+/// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans), split over the
+/// executor from [`GEMV_PAR_THRESHOLD`] rows: by reduction block under
+/// [`ReductionOrder::BlockedTree`], by column under
+/// [`ReductionOrder::Sequential`].
 ///
-/// Bit-identical to [`Csr::residual`].
-pub fn residual<S: Scalar>(threads: usize, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
-    assert_eq!(b.len(), a.nrows(), "residual: b length mismatch");
-    assert_eq!(x.len(), a.ncols(), "residual: x length mismatch");
-    assert_eq!(r.len(), a.nrows(), "residual: r length mismatch");
-    if a.nnz() < SPMV_PAR_THRESHOLD || threads <= 1 {
-        a.residual(b, x, r);
-        return;
-    }
-    for_each_chunk_mut(threads, r, |start, chunk| {
-        fma::run(|| a.residual_rows(start, b, x, chunk))
-    });
-}
-
-/// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans), columns
-/// partitioned across threads.
-///
-/// Each chunk runs the reference column-blocked body, so per-column
-/// results are bit-identical to [`MultiVector::gemv_t`].
-pub fn gemv_t<S: Scalar>(
-    threads: usize,
+/// Every column's partials and combine tree are those of the reference,
+/// so per-column results are bit-identical to [`MultiVector::gemv_t`].
+pub fn gemv_t_on<S: Scalar>(
+    exec: &dyn Executor,
     v: &MultiVector<S>,
     ncols: usize,
     w: &[S],
     h: &mut [S],
     order: ReductionOrder,
 ) {
-    gemv_t_on(&ScopedSpawn(threads), v, ncols, w, h, order);
+    gemv_t_split_on(
+        above(exec, v.n(), GEMV_PAR_THRESHOLD),
+        v,
+        ncols,
+        w,
+        h,
+        order,
+    );
 }
 
-/// [`gemv_t`] on an explicit executor.
-pub fn gemv_t_on<S: Scalar>(
+/// [`gemv_t_on`] without the size threshold: splits whenever the
+/// executor has two or more participants (the pooled side of the
+/// crossover sweep).
+pub fn gemv_t_split_on<S: Scalar>(
     exec: &dyn Executor,
     v: &MultiVector<S>,
     ncols: usize,
@@ -571,7 +518,20 @@ pub fn gemv_t_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "gemv_t: too many columns");
     assert_eq!(w.len(), v.n(), "gemv_t: vector length mismatch");
     assert!(h.len() >= ncols, "gemv_t: output too short");
-    if v.n() < PAR_THRESHOLD || ncols <= 1 || exec.width() <= 1 {
+    if ncols == 0 || exec.width() <= 1 {
+        v.gemv_t(ncols, w, h, order);
+        return;
+    }
+    if let Some(block) = split_blocks(v.n(), order) {
+        gemv_t_blocks_on(exec, v.n(), block, &mut h[..ncols], |b0, parts| {
+            fma::run(
+                #[inline(always)]
+                || v.gemv_t_blocks(ncols, w, block, b0, parts),
+            )
+        });
+        return;
+    }
+    if ncols == 1 {
         v.gemv_t(ncols, w, h, order);
         return;
     }
@@ -580,22 +540,55 @@ pub fn gemv_t_on<S: Scalar>(
     });
 }
 
-/// `w -= V[:, ..ncols] h` (GEMV No-Trans, alpha = -1), rows partitioned
-/// across threads.
-///
-/// Within each row, columns accumulate in the same order as
-/// [`MultiVector::gemv_n_sub`], so results are bit-identical.
-pub fn gemv_n_sub<S: Scalar>(
-    threads: usize,
-    v: &MultiVector<S>,
-    ncols: usize,
-    h: &[S],
-    w: &mut [S],
-) {
-    gemv_n_sub_on(&ScopedSpawn(threads), v, ncols, h, w);
+/// The reduction block a GEMV-T of `n` rows splits by: `Some` under a
+/// blocked tree with at least two blocks, `None` when it splits by
+/// column.
+fn split_blocks(n: usize, order: ReductionOrder) -> Option<usize> {
+    match order {
+        ReductionOrder::BlockedTree { block } if n > block.max(1) => Some(block.max(1)),
+        _ => None,
+    }
 }
 
-/// [`gemv_n_sub`] on an explicit executor.
+/// The block-split GEMV-T: jobs take contiguous runs of the `n`-row
+/// vector's reduction blocks, and `partials(b0, parts)` fills every
+/// column's partials over the run starting at block `b0`
+/// (`parts[k * nbl + b]`, the layout of
+/// `multivector::gemv_t_block_partials`). The caller then sums each
+/// column's partials in block order with the reference tree into `h`.
+fn gemv_t_blocks_on<S: Scalar>(
+    exec: &dyn Executor,
+    n: usize,
+    block: usize,
+    h: &mut [S],
+    partials: impl Fn(usize, &mut [S]) + Sync,
+) {
+    let ncols = h.len();
+    let nblocks = n.div_ceil(block);
+    let runs = row_partition(nblocks, exec.width());
+    let slices: Vec<(usize, usize)> = runs
+        .iter()
+        .map(|&(b0, b1)| (b0 * ncols, b1 * ncols))
+        .collect();
+    let mut parts = vec![S::zero(); nblocks * ncols];
+    for_each_part_mut_on(exec, &slices, &mut parts, |start, chunk| {
+        partials(start / ncols, chunk)
+    });
+    let mut col = vec![S::zero(); nblocks];
+    for (k, hk) in h.iter_mut().enumerate() {
+        for &(b0, b1) in &runs {
+            let nbl = b1 - b0;
+            let run = &parts[b0 * ncols + k * nbl..][..nbl];
+            col[b0..b1].copy_from_slice(run);
+        }
+        *hk = vec_ops::tree_sum(&mut col);
+    }
+}
+
+/// `w -= V[:, ..ncols] h` (GEMV No-Trans, alpha = -1), rows split over
+/// the executor from [`GEMV_PAR_THRESHOLD`] rows. Within each row,
+/// columns accumulate in the order of [`MultiVector::gemv_n_sub`], so
+/// results are bit-identical.
 pub fn gemv_n_sub_on<S: Scalar>(
     exec: &dyn Executor,
     v: &MultiVector<S>,
@@ -603,31 +596,39 @@ pub fn gemv_n_sub_on<S: Scalar>(
     h: &[S],
     w: &mut [S],
 ) {
-    assert!(ncols <= v.max_cols(), "gemv_n_sub: too many columns");
-    assert_eq!(w.len(), v.n(), "gemv_n_sub: vector length mismatch");
-    assert!(h.len() >= ncols, "gemv_n_sub: coefficient vector too short");
-    if v.n() < PAR_THRESHOLD || exec.width() <= 1 {
-        v.gemv_n_sub(ncols, h, w);
-        return;
-    }
-    for_each_chunk_mut_on(exec, w, |start, chunk| {
-        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, false))
-    });
+    gemv_n_split_on(
+        above(exec, v.n(), GEMV_PAR_THRESHOLD),
+        v,
+        ncols,
+        h,
+        w,
+        false,
+    );
 }
 
-/// `y += V[:, ..ncols] h` (GEMV No-Trans, alpha = +1), rows partitioned
-/// across threads. Bit-identical to [`MultiVector::gemv_n_add`].
-pub fn gemv_n_add<S: Scalar>(
-    threads: usize,
+/// `w ±= V[:, ..ncols] h` (`+` when `add`) without the size threshold:
+/// rows split whenever the executor has two or more participants (the
+/// pooled side of the crossover sweep). Bit-identical to
+/// [`MultiVector::gemv_n_sub`] / [`MultiVector::gemv_n_add`].
+pub fn gemv_n_split_on<S: Scalar>(
+    exec: &dyn Executor,
     v: &MultiVector<S>,
     ncols: usize,
     h: &[S],
-    y: &mut [S],
+    w: &mut [S],
+    add: bool,
 ) {
-    gemv_n_add_on(&ScopedSpawn(threads), v, ncols, h, y);
+    assert!(ncols <= v.max_cols(), "gemv_n: too many columns");
+    assert_eq!(w.len(), v.n(), "gemv_n: vector length mismatch");
+    assert!(h.len() >= ncols, "gemv_n: coefficient vector too short");
+    for_each_chunk_mut_on(exec, w, |start, chunk| {
+        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, add))
+    });
 }
 
-/// [`gemv_n_add`] on an explicit executor.
+/// `y += V[:, ..ncols] h` (GEMV No-Trans, alpha = +1), rows split over
+/// the executor from [`GEMV_PAR_THRESHOLD`] rows. Bit-identical to
+/// [`MultiVector::gemv_n_add`].
 pub fn gemv_n_add_on<S: Scalar>(
     exec: &dyn Executor,
     v: &MultiVector<S>,
@@ -635,24 +636,15 @@ pub fn gemv_n_add_on<S: Scalar>(
     h: &[S],
     y: &mut [S],
 ) {
-    assert!(ncols <= v.max_cols(), "gemv_n_add: too many columns");
-    assert_eq!(y.len(), v.n(), "gemv_n_add: vector length mismatch");
-    assert!(h.len() >= ncols, "gemv_n_add: coefficient vector too short");
-    if v.n() < PAR_THRESHOLD || exec.width() <= 1 {
-        v.gemv_n_add(ncols, h, y);
-        return;
-    }
-    for_each_chunk_mut_on(exec, y, |start, chunk| {
-        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, true))
-    });
+    gemv_n_split_on(above(exec, v.n(), GEMV_PAR_THRESHOLD), v, ncols, h, y, true);
 }
 
 /// `h[i] = widen(col_i) . w` over the first `ncols` columns of a
-/// [`BasisStore`], columns partitioned across threads — [`gemv_t_on`]
-/// generalized to the basis storage policy.
+/// [`BasisStore`] — [`gemv_t_on`] generalized to the basis storage
+/// policy, with the same block and column splits.
 ///
-/// Each chunk runs the column-range body the sequential
-/// [`BasisStore::gemv_t`] runs, so results are bit-identical to the
+/// Each job runs the body the sequential [`BasisStore::gemv_t`] runs
+/// over its blocks or columns, so results are bit-identical to the
 /// reference on every storage path (on [`BasisStore::Native`] this *is*
 /// [`gemv_t_on`]'s computation).
 pub fn basis_gemv_t_on<S: Scalar>(
@@ -666,7 +658,17 @@ pub fn basis_gemv_t_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_t: too many columns");
     assert_eq!(w.len(), v.n(), "basis_gemv_t: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_t: output too short");
-    if v.n() < PAR_THRESHOLD || ncols <= 1 || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || ncols == 0 || exec.width() <= 1 {
+        v.gemv_t(ncols, w, h, order);
+        return;
+    }
+    if let Some(block) = split_blocks(v.n(), order) {
+        gemv_t_blocks_on(exec, v.n(), block, &mut h[..ncols], |b0, parts| {
+            v.gemv_t_blocks(ncols, w, block, b0, parts)
+        });
+        return;
+    }
+    if ncols == 1 {
         v.gemv_t(ncols, w, h, order);
         return;
     }
@@ -689,7 +691,7 @@ pub fn basis_gemv_n_sub_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_n_sub: too many columns");
     assert_eq!(w.len(), v.n(), "basis_gemv_n_sub: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_n_sub: coefficients too short");
-    if v.n() < PAR_THRESHOLD || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || exec.width() <= 1 {
         v.gemv_n_sub(ncols, h, w);
         return;
     }
@@ -711,7 +713,7 @@ pub fn basis_gemv_n_add_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_n_add: too many columns");
     assert_eq!(y.len(), v.n(), "basis_gemv_n_add: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_n_add: coefficients too short");
-    if v.n() < PAR_THRESHOLD || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || exec.width() <= 1 {
         v.gemv_n_add(ncols, h, y);
         return;
     }
@@ -720,25 +722,70 @@ pub fn basis_gemv_n_add_on<S: Scalar>(
     });
 }
 
+/// `y = M^{-1} x` for packed block-diagonal LU factors (block Jacobi's
+/// apply), the 16-block groups split over the executor.
+///
+/// Jobs take contiguous runs of groups, one run per participant; the
+/// tail blocks after the last full group are one more job, which lands
+/// on the caller when every participant has a run. Every block is
+/// solved by the body [`BlockLu::solve`] runs, so the result is
+/// bit-identical to it.
+pub fn block_lu_solve_on<S: Scalar>(exec: &dyn Executor, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
+    block_lu_solve_split_on(above(exec, f.n(), BLOCK_LU_PAR_THRESHOLD), f, x, y);
+}
+
+/// [`block_lu_solve_on`] without the size threshold: splits whenever
+/// the executor has two or more participants and there are two or more
+/// groups (the pooled side of the crossover sweep).
+pub fn block_lu_solve_split_on<S: Scalar>(
+    exec: &dyn Executor,
+    f: &BlockLu<S>,
+    x: &[S],
+    y: &mut [S],
+) {
+    assert_eq!(x.len(), f.n(), "block_lu_solve: x length");
+    assert_eq!(y.len(), f.n(), "block_lu_solve: y length");
+    let (gr, wide) = (f.group_rows(), f.wide_rows());
+    let ngroups = wide / gr;
+    if exec.width() <= 1 || ngroups < 2 {
+        f.solve(x, y);
+        return;
+    }
+    let mut parts: Vec<(usize, usize)> = row_partition(ngroups, exec.width())
+        .into_iter()
+        .map(|(g0, g1)| (g0 * gr, g1 * gr))
+        .collect();
+    if wide < f.n() {
+        parts.push((wide, f.n()));
+    }
+    for_each_part_mut_on(exec, &parts, y, |start, chunk| {
+        f.solve_rows(start, x, chunk)
+    });
+}
+
 /// Inner product under the given reduction order.
 ///
 /// [`ReductionOrder::Sequential`] runs serially (a single dependency
 /// chain — see module docs); [`ReductionOrder::BlockedTree`] computes
-/// block partials in parallel and combines them with the shared
-/// pairwise tree, bit-identical to the reference.
-pub fn dot<S: Scalar>(threads: usize, x: &[S], y: &[S], order: ReductionOrder) -> S {
-    dot_on(&ScopedSpawn(threads), x, y, order)
+/// block partials on the executor from
+/// [`PAR_THRESHOLD`] elements and
+/// combines them with the shared pairwise tree, bit-identical to the
+/// reference.
+pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: ReductionOrder) -> S {
+    dot_split_on(above(exec, x.len(), PAR_THRESHOLD), x, y, order)
 }
 
-/// [`dot`] on an explicit executor.
-pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: ReductionOrder) -> S {
+/// [`dot_on`] without the size threshold: the blocked tree's partials
+/// split whenever the executor has two or more participants (the pooled
+/// side of the crossover sweep).
+pub fn dot_split_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: ReductionOrder) -> S {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     match order {
         ReductionOrder::Sequential => vec_ops::dot_ordered(x, y, order),
         ReductionOrder::BlockedTree { block } => {
             let block = block.max(1);
             let nblocks = x.len().div_ceil(block);
-            if x.len() < PAR_THRESHOLD || exec.width() <= 1 || nblocks <= 1 {
+            if exec.width() <= 1 || nblocks <= 1 {
                 return vec_ops::dot_ordered(x, y, order);
             }
             let mut parts = vec![S::zero(); nblocks];
@@ -755,26 +802,24 @@ pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: Reduction
     }
 }
 
-/// Euclidean norm under the given reduction order (see [`dot`]).
-pub fn norm2<S: Scalar>(threads: usize, x: &[S], order: ReductionOrder) -> S {
-    dot(threads, x, x, order).sqrt()
-}
-
-/// [`norm2`] on an explicit executor.
+/// Euclidean norm under the given reduction order (see [`dot_on`]).
 pub fn norm2_on<S: Scalar>(exec: &dyn Executor, x: &[S], order: ReductionOrder) -> S {
     dot_on(exec, x, x, order).sqrt()
 }
 
-/// `y += alpha x`, elementwise partitioned. Bit-identical to
-/// [`vec_ops::axpy`].
-pub fn axpy<S: Scalar>(threads: usize, alpha: S, x: &[S], y: &mut [S]) {
-    axpy_on(&ScopedSpawn(threads), alpha, x, y);
+/// `y += alpha x`, elementwise split from
+/// [`PAR_THRESHOLD`] elements.
+/// Bit-identical to [`vec_ops::axpy`].
+pub fn axpy_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
+    axpy_split_on(above(exec, x.len(), PAR_THRESHOLD), alpha, x, y);
 }
 
-/// [`axpy`] on an explicit executor.
-pub fn axpy_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
+/// [`axpy_on`] without the size threshold: splits whenever the executor
+/// has two or more participants (the pooled side of the crossover
+/// sweep).
+pub fn axpy_split_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if x.len() < PAR_THRESHOLD || exec.width() <= 1 {
+    if exec.width() <= 1 {
         vec_ops::axpy(alpha, x, y);
         return;
     }
@@ -787,40 +832,22 @@ pub fn axpy_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
     });
 }
 
-/// `x *= alpha`, elementwise partitioned. Bit-identical to
-/// [`vec_ops::scale`].
-pub fn scal<S: Scalar>(threads: usize, alpha: S, x: &mut [S]) {
-    scal_on(&ScopedSpawn(threads), alpha, x);
-}
-
-/// [`scal`] on an explicit executor.
+/// `x *= alpha`, elementwise split from [`PAR_THRESHOLD`] elements.
+/// Bit-identical to [`vec_ops::scale`].
 pub fn scal_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &mut [S]) {
-    if x.len() < PAR_THRESHOLD || exec.width() <= 1 {
-        vec_ops::scale(alpha, x);
-        return;
-    }
-    for_each_chunk_mut_on(exec, x, |_, chunk| {
-        for xi in chunk {
-            *xi *= alpha;
-        }
+    for_each_chunk_mut_on(above(exec, x.len(), PAR_THRESHOLD), x, |_, chunk| {
+        vec_ops::scale(alpha, chunk)
     });
 }
 
-/// Copy `src` into `dst`, partitioned.
-pub fn copy<S: Scalar>(threads: usize, src: &[S], dst: &mut [S]) {
-    copy_on(&ScopedSpawn(threads), src, dst);
-}
-
-/// [`copy`] on an explicit executor.
+/// Copy `src` into `dst`, split from [`PAR_THRESHOLD`] elements.
 pub fn copy_on<S: Scalar>(exec: &dyn Executor, src: &[S], dst: &mut [S]) {
     assert_eq!(src.len(), dst.len(), "copy: length mismatch");
-    if src.len() < PAR_THRESHOLD || exec.width() <= 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    for_each_chunk_mut_on(exec, dst, |start, chunk| {
-        chunk.copy_from_slice(&src[start..start + chunk.len()]);
-    });
+    for_each_chunk_mut_on(
+        above(exec, src.len(), PAR_THRESHOLD),
+        dst,
+        |start, chunk| chunk.copy_from_slice(&src[start..start + chunk.len()]),
+    );
 }
 
 // ----- batched lane-set kernels ---------------------------------------
@@ -843,24 +870,11 @@ fn lane_shapes<S>(op: &str, srcs: &[&[S]], dsts: &[&mut [S]]) {
 /// Bit-identical to `k` independent copies by construction.
 pub fn lane_copy_on<S: Scalar>(exec: &dyn Executor, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
     lane_shapes("lane_copy", srcs, dsts);
-    let k = srcs.len();
-    let n = srcs.first().map(|s| s.len()).unwrap_or(0);
-    if exec.width() <= 1 || k <= 1 || n < PAR_THRESHOLD {
-        for (s, d) in srcs.iter().zip(dsts.iter_mut()) {
+    let n = srcs.first().map_or(0, |s| s.len());
+    for_each_chunk_mut_on(above(exec, n, PAR_THRESHOLD), dsts, |first, chunk| {
+        for (d, s) in chunk.iter_mut().zip(&srcs[first..]) {
             d.copy_from_slice(s);
         }
-        return;
-    }
-    let jobs: Vec<(RawSlice<S>, RawSliceMut<S>)> = srcs
-        .iter()
-        .zip(dsts.iter_mut())
-        .map(|(s, d)| (RawSlice::new(s), RawSliceMut::new(d)))
-        .collect();
-    exec.run_jobs(k, &|c| {
-        let (s, d) = &jobs[c];
-        // SAFETY: lanes write disjoint destination slices; one job per
-        // lane; `run_jobs` barriers before the borrows end.
-        unsafe { d.get().copy_from_slice(s.get()) };
     });
 }
 
@@ -877,28 +891,12 @@ pub fn lane_scal_copy_on<S: Scalar>(
 ) {
     lane_shapes("lane_scal_copy", srcs, dsts);
     assert_eq!(alpha.len(), srcs.len(), "lane_scal_copy: alpha count");
-    let k = srcs.len();
-    let n = srcs.first().map(|s| s.len()).unwrap_or(0);
-    if exec.width() <= 1 || k <= 1 || n < PAR_THRESHOLD {
-        for ((&a, s), d) in alpha.iter().zip(srcs).zip(dsts.iter_mut()) {
+    let n = srcs.first().map_or(0, |s| s.len());
+    for_each_chunk_mut_on(above(exec, n, PAR_THRESHOLD), dsts, |first, chunk| {
+        for ((d, s), &a) in chunk.iter_mut().zip(&srcs[first..]).zip(&alpha[first..]) {
             for (di, &si) in d.iter_mut().zip(s.iter()) {
                 *di = si * a;
             }
-        }
-        return;
-    }
-    let jobs: Vec<(S, RawSlice<S>, RawSliceMut<S>)> = alpha
-        .iter()
-        .zip(srcs.iter())
-        .zip(dsts.iter_mut())
-        .map(|((&a, s), d)| (a, RawSlice::new(s), RawSliceMut::new(d)))
-        .collect();
-    exec.run_jobs(k, &|c| {
-        let (a, s, d) = &jobs[c];
-        // SAFETY: see lane_copy_on.
-        let (src, dst) = unsafe { (s.get(), d.get()) };
-        for (di, &si) in dst.iter_mut().zip(src.iter()) {
-            *di = si * *a;
         }
     });
 }
@@ -953,7 +951,7 @@ mod tests {
 
     /// Rows of a [`big_laplace`] (3 entries per interior row) whose
     /// nonzeros clear [`SPMV_PAR_THRESHOLD`], so the thresholded matrix
-    /// kernels split the rows.
+    /// kernels split the rows (asserted in [`par_laplace`]).
     const PAR_N: usize = SPMV_PAR_THRESHOLD / 3 + 1_000;
 
     /// [`big_laplace`] at [`PAR_N`] rows, checked to clear the threshold.
@@ -971,7 +969,7 @@ mod tests {
         let mut y_seq = vec![0.0; n];
         let mut y_par = vec![0.0; n];
         a.spmv(&x, &mut y_seq);
-        spmv(8, &a, &x, &mut y_par);
+        spmv_parts_on(&ScopedSpawn(8), &row_partition(n, 8), &a, &x, &mut y_par);
         assert_eq!(y_seq, y_par);
     }
 
@@ -983,30 +981,30 @@ mod tests {
         let pool = WorkerPool::new(4);
         let parts = row_partition(n, 4);
         let (mut y_scoped, mut y_pool) = (vec![0.0; n], vec![0.0; n]);
-        spmv_parts(&parts, &a, &x, &mut y_scoped);
+        spmv_parts_on(&ScopedSpawn(4), &parts, &a, &x, &mut y_scoped);
         spmv_parts_on(&pool, &parts, &a, &x, &mut y_pool);
         assert_eq!(y_scoped, y_pool);
 
         let b = pseudo(n, 12);
         let (mut r_scoped, mut r_pool) = (vec![0.0; n], vec![0.0; n]);
-        residual_parts(&parts, &a, &b, &x, &mut r_scoped);
+        residual_parts_on(&ScopedSpawn(4), &parts, &a, &b, &x, &mut r_scoped);
         residual_parts_on(&pool, &parts, &a, &b, &x, &mut r_pool);
         assert_eq!(r_scoped, r_pool);
 
         let order = ReductionOrder::GPU_LIKE;
-        let d_scoped = dot(4, &x, &b, order);
+        let d_scoped = dot_on(&ScopedSpawn(4), &x, &b, order);
         let d_pool = dot_on(&pool, &x, &b, order);
         assert_eq!(d_scoped.to_bits(), d_pool.to_bits());
 
         let (mut ys, mut yp) = (b.clone(), b.clone());
-        axpy(4, 1.5, &x, &mut ys);
+        axpy_on(&ScopedSpawn(4), 1.5, &x, &mut ys);
         axpy_on(&pool, 1.5, &x, &mut yp);
         assert_eq!(ys, yp);
-        scal(4, 0.75, &mut ys);
+        scal_on(&ScopedSpawn(4), 0.75, &mut ys);
         scal_on(&pool, 0.75, &mut yp);
         assert_eq!(ys, yp);
         let (mut cs, mut cp) = (vec![0.0; n], vec![0.0; n]);
-        copy(4, &ys, &mut cs);
+        copy_on(&ScopedSpawn(4), &ys, &mut cs);
         copy_on(&pool, &yp, &mut cp);
         assert_eq!(cs, cp);
     }
@@ -1020,7 +1018,14 @@ mod tests {
         let mut r_seq = vec![0.0; n];
         let mut r_par = vec![0.0; n];
         a.residual(&b, &x, &mut r_seq);
-        residual(8, &a, &b, &x, &mut r_par);
+        residual_parts_on(
+            &ScopedSpawn(8),
+            &row_partition(n, 8),
+            &a,
+            &b,
+            &x,
+            &mut r_par,
+        );
         assert_eq!(r_seq, r_par);
     }
 
@@ -1032,14 +1037,15 @@ mod tests {
         for block in [1usize, 7, 256, 1024] {
             let order = ReductionOrder::BlockedTree { block };
             let seq = vec_ops::dot_ordered(&x, &y, order);
-            let par = dot(8, &x, &y, order);
+            let par = dot_on(&ScopedSpawn(8), &x, &y, order);
             assert_eq!(seq.to_bits(), par.to_bits(), "block {block}");
         }
     }
 
     #[test]
     fn gemv_kernels_bit_identical() {
-        let n = PAR_THRESHOLD + 31;
+        let n = GEMV_PAR_THRESHOLD + 31;
+        const { assert!(GEMV_PAR_THRESHOLD + 31 < PAR_THRESHOLD) };
         let cols = 5;
         let mut v = MultiVector::<f64>::zeros(n, cols);
         for j in 0..cols {
@@ -1049,18 +1055,21 @@ mod tests {
         let w = pseudo(n, 99);
         let mut h_seq = vec![0.0; cols];
         let mut h_par = vec![0.0; cols];
-        v.gemv_t(cols, &w, &mut h_seq, ReductionOrder::GPU_LIKE);
-        gemv_t(8, &v, cols, &w, &mut h_par, ReductionOrder::GPU_LIKE);
-        assert_eq!(h_seq, h_par);
+        // The column split, then the block split.
+        for order in [ReductionOrder::Sequential, ReductionOrder::GPU_LIKE] {
+            v.gemv_t(cols, &w, &mut h_seq, order);
+            gemv_t_on(&ScopedSpawn(8), &v, cols, &w, &mut h_par, order);
+            assert_eq!(h_seq, h_par, "{order:?}");
+        }
 
         let mut w_seq = w.clone();
         let mut w_par = w.clone();
         v.gemv_n_sub(cols, &h_seq, &mut w_seq);
-        gemv_n_sub(8, &v, cols, &h_par, &mut w_par);
+        gemv_n_sub_on(&ScopedSpawn(8), &v, cols, &h_par, &mut w_par);
         assert_eq!(w_seq, w_par);
 
         v.gemv_n_add(cols, &h_seq, &mut w_seq);
-        gemv_n_add(8, &v, cols, &h_par, &mut w_par);
+        gemv_n_add_on(&ScopedSpawn(8), &v, cols, &h_par, &mut w_par);
         assert_eq!(w_seq, w_par);
     }
 
@@ -1071,13 +1080,13 @@ mod tests {
         let mut y_seq = pseudo(n, 7);
         let mut y_par = y_seq.clone();
         vec_ops::axpy(1.25, &x, &mut y_seq);
-        axpy(8, 1.25, &x, &mut y_par);
+        axpy_on(&ScopedSpawn(8), 1.25, &x, &mut y_par);
         assert_eq!(y_seq, y_par);
         vec_ops::scale(0.75, &mut y_seq);
-        scal(8, 0.75, &mut y_par);
+        scal_on(&ScopedSpawn(8), 0.75, &mut y_par);
         assert_eq!(y_seq, y_par);
         let mut dst = vec![0.0; n];
-        copy(8, &y_par, &mut dst);
+        copy_on(&ScopedSpawn(8), &y_par, &mut dst);
         assert_eq!(dst, y_par);
     }
 
@@ -1092,7 +1101,7 @@ mod tests {
                 x.col_mut(j).copy_from_slice(&c);
             }
             let mut y = MultiVec::<f64>::zeros(n, k);
-            spmm(8, &a, &x, k, &mut y);
+            spmm_parts(&row_partition(n, 8), &a, &x, k, &mut y);
             for j in 0..k {
                 let mut y_ref = vec![0.0; n];
                 a.spmv(x.col(j), &mut y_ref);
@@ -1116,7 +1125,7 @@ mod tests {
         let mut y = MultiVec::<f64>::zeros(n, k);
         spmm_parts(&parts, &a, &x, k, &mut y);
         let mut y1 = vec![0.0; n];
-        spmv_parts(&parts, &a, x.col(1), &mut y1);
+        spmv_parts_on(&ScopedSpawn(4), &parts, &a, x.col(1), &mut y1);
         assert_eq!(y.col(1), &y1[..]);
         let mut y_ref = vec![0.0; n];
         a.spmv(x.col(1), &mut y_ref);
@@ -1125,7 +1134,7 @@ mod tests {
         let b = pseudo(n, 21);
         let (mut r_seq, mut r_par) = (vec![0.0; n], vec![0.0; n]);
         a.residual(&b, x.col(0), &mut r_seq);
-        residual_parts(&parts, &a, &b, x.col(0), &mut r_par);
+        residual_parts_on(&ScopedSpawn(4), &parts, &a, &b, x.col(0), &mut r_par);
         assert_eq!(r_seq, r_par);
         // and the pooled SpMM path.
         let pool = WorkerPool::new(4);
@@ -1188,7 +1197,7 @@ mod tests {
         let x = pseudo(n, 9);
         let (mut y_ref, mut y_bal) = (vec![0.0; n], vec![0.0; n]);
         a.spmv(&x, &mut y_ref);
-        spmv_parts(&balanced_parts, &a, &x, &mut y_bal);
+        spmv_parts_on(&ScopedSpawn(4), &balanced_parts, &a, &x, &mut y_bal);
         assert_eq!(y_ref, y_bal);
     }
 
@@ -1254,13 +1263,18 @@ mod tests {
 
     #[test]
     fn small_inputs_take_sequential_path() {
-        let a = big_laplace(16);
+        // Below every threshold the `_on` kernels run the reference body
+        // on the calling thread; results must match it.
+        let exec = ScopedSpawn(8);
         let x = pseudo(16, 8);
-        let mut y = vec![0.0; 16];
-        spmv(8, &a, &x, &mut y); // must not panic, must match
-        let mut y_ref = vec![0.0; 16];
-        a.spmv(&x, &mut y_ref);
+        let mut y = pseudo(16, 9);
+        let mut y_ref = y.clone();
+        axpy_on(&exec, 0.5, &x, &mut y);
+        vec_ops::axpy(0.5, &x, &mut y_ref);
         assert_eq!(y, y_ref);
+        let order = ReductionOrder::GPU_LIKE;
+        let d = dot_on(&exec, &x, &y, order);
+        assert_eq!(d.to_bits(), vec_ops::dot_ordered(&x, &y, order).to_bits());
         assert!(default_threads() >= 1);
     }
 }

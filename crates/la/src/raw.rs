@@ -2,7 +2,7 @@
 //!
 //! Two related facilities live here, both Miri-clean by construction:
 //!
-//! 1. [`RawSlice`]/[`RawSliceMut`] — the `Send`-able chunk views the
+//! 1. [`RawSliceMut`] — the `Send`-able chunk view the
 //!    parallel kernel dispatchers in [`crate::par`] hand to pool jobs.
 //!    Each view is derived from a *disjoint* `split_at_mut` chunk and
 //!    the dispatcher blocks until every job finishes, so the erased
@@ -43,34 +43,6 @@
 //! buffers by small integers instead of pointers.
 
 use mpgmres_scalar::Scalar;
-
-/// Raw view of an immutable slice.
-pub struct RawSlice<T> {
-    ptr: *const T,
-    len: usize,
-}
-
-impl<T> RawSlice<T> {
-    /// Capture a slice.
-    pub fn new(s: &[T]) -> Self {
-        RawSlice {
-            ptr: s.as_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// Rematerialize the slice.
-    ///
-    /// # Safety
-    /// The captured buffer must still be alive and not mutably aliased
-    /// for the duration of the returned borrow.
-    pub unsafe fn get<'a>(&self) -> &'a [T] {
-        std::slice::from_raw_parts(self.ptr, self.len)
-    }
-}
-
-unsafe impl<T: Sync> Send for RawSlice<T> {}
-unsafe impl<T: Sync> Sync for RawSlice<T> {}
 
 /// Raw view of a mutable slice.
 pub struct RawSliceMut<T> {
@@ -349,9 +321,6 @@ mod tests {
 
     #[test]
     fn raw_views_round_trip() {
-        let xs = [1.0f64, 2.0, 3.0];
-        let r = RawSlice::new(&xs);
-        assert_eq!(unsafe { r.get() }, &xs[..]);
         let mut ys = [0.0f64; 2];
         let w = RawSliceMut::new(&mut ys);
         unsafe { w.get()[1] = 7.0 };

@@ -18,9 +18,10 @@
 
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
+use mpgmres_la::dense::{BlockLu, DenseMat};
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::par;
-use mpgmres_la::pool::ScopedSpawn;
+use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
 use mpgmres_la::shard::{self, ShardPlan};
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
@@ -205,6 +206,55 @@ fn oracle_gemv_n<S: Scalar>(v: &BasisStore<S>, h: &[S], w: &[S], add: bool) -> V
         }
     }
     out
+}
+
+/// Textbook LU with partial pivoting of one `m x m` block (first
+/// largest magnitude wins, rows swapped whole, `l = a / pivot`, then
+/// `a -= l * u` as one `mul_add`), then forward and back substitution of
+/// the permuted `x`. A block whose pivot column is zero or not finite is
+/// factored as the identity (and still substituted: `-0 * Inf` is NaN).
+/// Returns the block's solution.
+fn oracle_block_solve<S: Scalar>(mut a: Vec<Vec<S>>, x: &[S]) -> Vec<S> {
+    let m = a.len();
+    let mut piv: Vec<usize> = (0..m).collect();
+    for k in 0..m {
+        let mut p = k;
+        for r in k + 1..m {
+            if a[r][k].abs() > a[p][k].abs() {
+                p = r;
+            }
+        }
+        let pmax = a[p][k].abs();
+        if !(pmax > S::zero()) || !pmax.is_finite() {
+            a = (0..m)
+                .map(|r| (0..m).map(|c| S::from_usize(usize::from(r == c))).collect())
+                .collect();
+            piv = (0..m).collect();
+            break;
+        }
+        a.swap(k, p);
+        piv.swap(k, p);
+        for r in k + 1..m {
+            let l = a[r][k] / a[k][k];
+            a[r][k] = l;
+            for c in k + 1..m {
+                a[r][c] = (-l).mul_add(a[k][c], a[r][c]);
+            }
+        }
+    }
+    let mut t: Vec<S> = piv.iter().map(|&p| x[p]).collect();
+    for r in 1..m {
+        for c in 0..r {
+            t[r] = (-a[r][c]).mul_add(t[c], t[r]);
+        }
+    }
+    for r in (0..m).rev() {
+        for c in r + 1..m {
+            t[r] = (-a[r][c]).mul_add(t[c], t[r]);
+        }
+        t[r] /= a[r][r];
+    }
+    t
 }
 
 // ---- checks ----------------------------------------------------------
@@ -534,6 +584,122 @@ fn gemv_n<S: Elem>(v: &BasisStore<S>, h: &[S], w: &[S], exec: &ScopedSpawn, tag:
             &add,
         );
     }
+}
+
+/// Sizes above `GEMV_PAR_THRESHOLD`, not multiples of 256, whose
+/// 256-row reduction blocks (9 and 11) split unevenly over both 2 and 4
+/// participants.
+const SPLIT_NS: [usize; 2] = [par::GEMV_PAR_THRESHOLD + 37, 10 * 256 + 100];
+
+/// The pooled GEMV-T (block split under a blocked tree, column split
+/// under the sequential order) on 2- and 4-participant pools, 0 to 17
+/// columns, every basis storage path.
+fn pooled_gemv_t<S: Elem>() {
+    let pools = [WorkerPool::new(2), WorkerPool::new(4)];
+    for n in SPLIT_NS {
+        assert!(n >= par::GEMV_PAR_THRESHOLD && n % 256 != 0, "n = {n}");
+        let max_cols = 17;
+        let w = values::<S>(n, 18, true);
+        let columns: Vec<Vec<S>> = (0..max_cols)
+            .map(|j| values(n, 60 + j as u64, j % 4 == 1))
+            .collect();
+        let bases = [Precision::Fp64, Precision::Fp32, Precision::Fp16].map(|p| {
+            let mut s = BasisStore::<S>::compressed(n, max_cols, p);
+            for (j, c) in columns.iter().enumerate() {
+                s.set_col(j, c);
+            }
+            s
+        });
+        for v in &bases {
+            for order in orders() {
+                let want: Vec<S> = (0..max_cols)
+                    .map(|j| oracle_dot(&basis_col(v, j), &w, order))
+                    .collect();
+                for pool in &pools {
+                    for ncols in 0..=max_cols {
+                        let p = v.storage_precision();
+                        let tag = format!(
+                            "{p:?} n={n} ncols={ncols} {order:?} threads={}",
+                            pool.threads()
+                        );
+                        let mut h = vec![S::zero(); ncols];
+                        par::basis_gemv_t_on(pool, v, ncols, &w, &mut h, order);
+                        same(&format!("par::basis_gemv_t_on {tag}"), &h, &want[..ncols]);
+                        if let Some(mv) = v.as_native() {
+                            par::gemv_t_on(pool, mv, ncols, &w, &mut h, order);
+                            same(&format!("par::gemv_t_on {tag}"), &h, &want[..ncols]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The pooled block Jacobi apply, against a per-block textbook LU solve:
+/// group runs that split unevenly over 2 and 4 participants, and a tail
+/// of whole blocks plus a ragged one that is not a full 16-block group.
+fn pooled_block_lu<S: Elem>() {
+    let pools = [WorkerPool::new(2), WorkerPool::new(4)];
+    let n = par::BLOCK_LU_PAR_THRESHOLD + 87;
+    // 16-row blocks: 8 groups and a tail of 5 blocks plus 7 rows;
+    // 5-row blocks: 26 groups and a tail of 11 blocks.
+    for bs in [16usize, 5] {
+        assert!(
+            !n.is_multiple_of(16 * bs),
+            "bs = {bs}: the tail must not be a full group"
+        );
+        for specials in [false, true] {
+            let vals = values::<S>(n * bs, 21 + bs as u64, specials);
+            let entry = |s: usize, r: usize, c: usize| {
+                let v = vals[(s + r) * bs + c];
+                if r == c && (s / bs) % 3 != 1 {
+                    v + S::from_f64(4.0)
+                } else {
+                    v
+                }
+            };
+            let lu = BlockLu::factor(n, bs, 1, |s, m| {
+                DenseMat::from_fn(m, m, |r, c| entry(s, r, c))
+            });
+            let x = values::<S>(n, 22, specials);
+            let mut want = Vec::with_capacity(n);
+            for s in (0..n).step_by(bs) {
+                let m = bs.min(n - s);
+                let a = (0..m)
+                    .map(|r| (0..m).map(|c| entry(s, r, c)).collect())
+                    .collect();
+                want.extend(oracle_block_solve(a, &x[s..s + m]));
+            }
+            let tag = format!("n={n} bs={bs} specials={specials}");
+            let mut y = vec![S::zero(); n];
+            lu.solve(&x, &mut y);
+            same(&format!("BlockLu::solve {tag}"), &y, &want);
+            for pool in &pools {
+                let mut y = vec![S::zero(); n];
+                par::block_lu_solve_on(pool, &lu, &x, &mut y);
+                same(
+                    &format!("par::block_lu_solve_on {tag} threads={}", pool.threads()),
+                    &y,
+                    &want,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pooled_gemv_t_matches_oracle() {
+    pooled_gemv_t::<f64>();
+    pooled_gemv_t::<f32>();
+    pooled_gemv_t::<Half>();
+}
+
+#[test]
+fn pooled_block_lu_solve_matches_oracle() {
+    pooled_block_lu::<f64>();
+    pooled_block_lu::<f32>();
+    pooled_block_lu::<Half>();
 }
 
 #[test]
