@@ -2,10 +2,10 @@
 //!
 //! The paper's core finding is that GMRES performance is decided by the
 //! kernel implementations executing SpMV/GEMV/dot — not by the solver
-//! logic. This crate makes the kernel layer swappable: solvers talk to
-//! an instrumented context (`mpgmres::GpuContext`), the context charges
-//! the simulated-device profiler and then delegates *computation* to a
-//! [`Backend`] trait object. Swapping backends changes wall-clock
+//! logic. This crate makes the kernel layer swappable: solvers record
+//! every kernel on a stream of an instrumented context
+//! (`mpgmres::GpuContext`), which charges the simulated-device profiler
+//! and then delegates *computation* to a [`Backend`] trait object. Swapping backends changes wall-clock
 //! execution only; simulated V100 timings and (under the determinism
 //! contract below) every floating-point result stay identical.
 //!
@@ -59,8 +59,11 @@
 //!
 //! # Dimension contracts
 //!
-//! Kernel argument shapes are asserted once at the backend boundary via
-//! [`contracts`]; implementations may assume validated inputs.
+//! Every kernel reaches a backend through a `mpgmres::Stream` record
+//! call, which asserts the argument shapes before anything is charged
+//! or executed; implementations may assume validated inputs. (The
+//! reference kernels in `mpgmres-la` keep their own cheap asserts as
+//! defense in depth for direct users of that crate.)
 
 use core::fmt;
 use std::collections::HashMap;
@@ -77,7 +80,6 @@ use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder};
 use mpgmres_scalar::{Half, Scalar};
 
-pub mod contracts;
 pub mod sharded;
 pub mod stream;
 
@@ -86,12 +88,12 @@ use stream::Batch;
 
 /// The kernel call surface for one working precision `S`.
 ///
-/// These are exactly the operations the solvers and preconditioners
-/// issue through `GpuContext`: SpMV and the fused residual, the two
+/// These are the operations the solvers and preconditioners record on
+/// `GpuContext` streams: SpMV and the fused residual, the two
 /// CGS2 GEMV shapes, reductions, and the level-1 vector updates.
 ///
-/// Shape contracts (asserted by the caller via [`contracts`], listed
-/// here as documentation):
+/// Shape contracts (asserted by the caller — `mpgmres::Stream`'s record
+/// calls — listed here as documentation):
 ///
 /// - `spmv`: `x.len() == a.ncols()`, `y.len() == a.nrows()`
 /// - `residual`: additionally `b.len() == a.nrows()`
@@ -476,8 +478,8 @@ pub trait Backend:
 /// [`ScalarBackend`] view of a [`Backend`] trait object.
 ///
 /// Implemented for every supported precision via trait upcasting; this
-/// is what lets `GpuContext` keep fully generic kernel methods while
-/// holding a single `Arc<dyn Backend>`.
+/// is what lets `mpgmres::Stream` keep fully generic kernel launches
+/// while the context holds a single `Arc<dyn Backend>`.
 pub trait BackendScalar: Scalar {
     /// The `ScalarBackend<Self>` view of `backend`.
     fn view(backend: &dyn Backend) -> &dyn ScalarBackend<Self>;

@@ -16,13 +16,17 @@
 //!   are bit-identical numerically and every simulated second saved is
 //!   pure value-stream traffic.
 //!
-//! A small criterion group also times the host-side `store_spmv`
-//! kernels (plain vs shadow) — the shadow path demotes on the fly, so
-//! this documents the CPU cost of the narrower stream, not a win.
+//! A small criterion group also times the backend's host-side
+//! `store_spmv` kernel (plain vs shadow), called directly through
+//! `BackendScalar::view` with nothing charged — the shadow path demotes
+//! on the fly, so this documents the CPU cost of the narrower stream,
+//! not a win.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpgmres::precond::Identity;
-use mpgmres::{GmresIr, GpuContext, GpuMatrix, GpuStore, IrConfig, Precision, StorePath};
+use mpgmres::{
+    BackendScalar, GmresIr, GpuContext, GpuMatrix, GpuStore, IrConfig, Precision, StorePath,
+};
 use mpgmres_bench::output;
 use mpgmres_gpusim::{analytic, cost, DeviceModel};
 use mpgmres_la::vec_ops::ReductionOrder;
@@ -71,12 +75,13 @@ fn bench_store_spmv(c: &mut Criterion) {
     let n = a.n();
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];
-    let mut ctx = GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::GPU_LIKE);
+    let ctx = GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::GPU_LIKE);
+    let backend = f64::view(ctx.backend());
     g.bench_function("plain_fp64", |b| {
-        b.iter(|| ctx.store_spmv(&plain, &x, &mut y))
+        b.iter(|| backend.store_spmv(plain.store(), &x, &mut y))
     });
     g.bench_function("shadow_fp32", |b| {
-        b.iter(|| ctx.store_spmv(&shadow, &x, &mut y))
+        b.iter(|| backend.store_spmv(shadow.store(), &x, &mut y))
     });
     g.finish();
 }

@@ -272,6 +272,15 @@ fn lane_vs_mut<'l, S: BackendScalar>(
     out
 }
 
+/// `x += z` on an eager stream: a preconditioned lane's solution
+/// update, between the eager apply that produced `z` and the barrier's
+/// residual region.
+fn add_update<S: BackendScalar>(ctx: &mut GpuContext, z: &[S], x: &mut [S]) {
+    let mut st = Stream::eager(ctx);
+    let (zh, xh) = (st.slice(z), st.slice_mut(x));
+    st.axpy(S::one(), zh, xh);
+}
+
 /// Split a parity pair into `(previous, current)` for iteration parity
 /// `cur` — the ping-pong buffers of the pipelined driver.
 fn parity_split<T>(pair: &mut [T; 2], cur: usize) -> (&T, &mut T) {
@@ -692,18 +701,19 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     ) {
         let m = self.cfg.m;
         let mut alphas: Vec<S> = Vec::with_capacity(cycle.len());
-        let mut srcs: Vec<&[S]> = Vec::with_capacity(cycle.len());
         for &l in cycle {
             let lane = &mut lanes[l];
             alphas.push(S::from_f64(1.0 / lane.gamma.to_f64()));
-            srcs.push(r.col(l));
             lane.lsq = Some(GivensLsq::new(m, lane.gamma));
             lane.in_cycle = true;
             lane.implicit_claims_convergence = false;
             lane.lucky = false;
         }
-        let mut vs = lane_vs_mut(lanes, cycle);
-        ctx.basis_lane_scal_copy(&alphas, &srcs, &mut vs, 0);
+        let mut st = Stream::eager(ctx);
+        let (ah, rh) = (st.slice(&alphas), st.block(r));
+        let srcs: Vec<ArgSlice<S>> = cycle.iter().map(|&l| rh.col(l)).collect();
+        let vs = st.bases_mut(lane_vs_mut(lanes, cycle));
+        st.basis_lane_scal_copy(ah, &srcs, &vs, 0);
     }
 
     /// One lane's host step after iteration `j`'s device results are
@@ -961,16 +971,19 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             // narrow columns first (each promotion a charged cast).
             let all_native = act.iter().all(|&l| lanes[l].v.is_native());
             if self.precond.is_identity() {
+                let mut st = Stream::eager(ctx);
+                let zh = st.block_mut(&mut ws.z);
                 if all_native {
-                    let srcs: Vec<&[S]> = act
+                    let srcs: Vec<ArgSlice<S>> = act
                         .iter()
-                        .map(|&l| lanes[l].v.expect_native().col(j))
+                        .map(|&l| st.slice(lanes[l].v.expect_native().col(j)))
                         .collect();
-                    let mut dsts = ws.z.cols_mut(kc);
-                    ctx.lane_copy(&srcs, &mut dsts);
+                    let dsts: Vec<ArgSliceMut<S>> = (0..kc).map(|c| zh.col_mut(c)).collect();
+                    st.lane_copy(&srcs, &dsts);
                 } else {
                     for (c, &l) in act.iter().enumerate() {
-                        ctx.basis_promote_col(&lanes[l].v, j, ws.z.col_mut(c));
+                        let vh = st.basis(&lanes[l].v);
+                        st.basis_promote_col(vh, j, zh.col_mut(c));
                     }
                 }
             } else {
@@ -979,7 +992,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                         self.precond
                             .apply(ctx, self.a.plain_opt(), nv.col(j), ws.z.col_mut(c));
                     } else {
-                        ctx.basis_promote_col(&lanes[l].v, j, &mut ws.zvec);
+                        {
+                            let mut st = Stream::eager(ctx);
+                            let (vh, zh) = (st.basis(&lanes[l].v), st.slice_mut(&mut ws.zvec));
+                            st.basis_promote_col(vh, j, zh);
+                        }
                         self.precond
                             .apply(ctx, self.a.plain_opt(), &ws.zvec, ws.z.col_mut(c));
                     }
@@ -1028,12 +1045,22 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                         // is native-only (validate() rejects the combo).
                         let nv = lanes[l].v.expect_native();
                         for i in 0..ncols {
-                            let hi = ctx.dot(nv.col(i), ws.w.col(c));
-                            ctx.axpy(-hi, nv.col(i), ws.w.col_mut(c));
+                            let mut hi = S::zero();
+                            {
+                                let mut st = Stream::eager(ctx);
+                                let (vh, wh) = (st.slice(nv.col(i)), st.slice(ws.w.col(c)));
+                                let hh = st.val_mut(&mut hi);
+                                st.dot_into(vh, wh, hh);
+                            }
+                            let mut st = Stream::eager(ctx);
+                            let (vh, wh) = (st.slice(nv.col(i)), st.slice_mut(ws.w.col_mut(c)));
+                            st.axpy(-hi, vh, wh);
                             ws.h1[c * ncols + i] = hi;
                         }
                     }
-                    ctx.block_norm2(&ws.w, kc, &mut ws.norms);
+                    let mut st = Stream::eager(ctx);
+                    let (wh, nh) = (st.block(&ws.w), st.slice_mut(&mut ws.norms));
+                    st.block_norm2_into(wh, kc, nh);
                 }
             }
 
@@ -1057,10 +1084,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             // kernel the ROADMAP flagged; bit-identical per lane).
             if !store.is_empty() {
                 let alphas: Vec<S> = store.iter().map(|&(_, _, inv)| inv).collect();
-                let srcs: Vec<&[S]> = store.iter().map(|&(c, _, _)| ws.w.col(c)).collect();
                 let which: Vec<usize> = store.iter().map(|&(_, l, _)| l).collect();
-                let mut vs = lane_vs_mut(lanes, &which);
-                ctx.basis_lane_scal_copy(&alphas, &srcs, &mut vs, j + 1);
+                let mut st = Stream::eager(ctx);
+                let (ah, wh) = (st.slice(&alphas), st.block(&ws.w));
+                let srcs: Vec<ArgSlice<S>> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
+                let vs = st.bases_mut(lane_vs_mut(lanes, &which));
+                st.basis_lane_scal_copy(ah, &srcs, &vs, j + 1);
             }
         }
 
@@ -1112,10 +1141,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             }
             // Preconditioner applications run eagerly between the
             // two recorded regions.
-            for (l, _) in &upds {
+            for &(l, _) in &upds {
                 self.precond
-                    .apply(ctx, self.a.plain_opt(), ws.u.col(*l), &mut ws.zvec);
-                ctx.axpy(S::one(), &ws.zvec, x.col_mut(*l));
+                    .apply(ctx, self.a.plain_opt(), ws.u.col(l), &mut ws.zvec);
+                add_update(ctx, &ws.zvec, x.col_mut(l));
             }
             self.barrier_residual_region(ctx, b, x, &mut ws.r, &mut ws.gammas, cycle);
         }
@@ -1168,7 +1197,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         // recurrence ordered while distinct lanes overlap.
         let mut tokens = vec![S::zero(); k];
         // Extension coefficients of the drained iteration, registered
-        // as the recorded lane_scal_copy's operand.
+        // as the recorded basis_lane_scal_copy's operand.
         let mut alphas_buf = vec![S::zero(); k];
 
         let (mut lanes, mut results) = self.init_lanes(ctx, b, x, &mut r, &mut init_norms);
@@ -1251,11 +1280,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     // 2. Drained basis extension v_j = w / h.
                     if !store.is_empty() {
                         let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                        let dsts: Vec<_> = store
+                        let vs: Vec<_> = store
                             .iter()
-                            .map(|&(_, l, _)| bh_of[l].expect("stored lane registered").col_mut(j))
+                            .map(|&(_, l, _)| bh_of[l].expect("stored lane registered"))
                             .collect();
-                        st.lane_scal_copy(aph, &srcs, &dsts);
+                        st.basis_lane_scal_copy(aph, &srcs, &vs, j);
                     }
                     // 3. Direction gather Z[:, c] = v_j.
                     {
@@ -1309,8 +1338,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                         }
                         if !store.is_empty() {
                             let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                            let dsts: Vec<_> = handles.iter().map(|h| h.col_mut(j)).collect();
-                            st.lane_scal_copy(aph, &srcs, &dsts);
+                            st.basis_lane_scal_copy(aph, &srcs, &handles, j);
                         }
                         st.sync();
                     }
@@ -1424,13 +1452,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 }
                 if !store.is_empty() {
                     let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                    let dsts: Vec<_> = store
+                    let vs: Vec<_> = store
                         .iter()
-                        .map(|&(_, l, _)| {
-                            bh_of[l].expect("stored lane registered").col_mut(drained)
-                        })
+                        .map(|&(_, l, _)| bh_of[l].expect("stored lane registered"))
                         .collect();
-                    st.lane_scal_copy(aph, &srcs, &dsts);
+                    st.basis_lane_scal_copy(aph, &srcs, &vs, drained);
                 }
                 for &(l, kc) in &upds {
                     st.host_lsq(kc, th.at(l), ymh.col_mut(l));
@@ -1472,8 +1498,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                     }
                     if !store.is_empty() {
                         let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                        let dsts: Vec<_> = handles.iter().map(|h| h.col_mut(drained)).collect();
-                        st.lane_scal_copy(aph, &srcs, &dsts);
+                        st.basis_lane_scal_copy(aph, &srcs, &handles, drained);
                     }
                     st.sync();
                 }
@@ -1494,7 +1519,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 for &(l, _) in &upds {
                     self.precond
                         .apply(ctx, self.a.plain_opt(), u.col(l), &mut zvec);
-                    ctx.axpy(S::one(), &zvec, x.col_mut(l));
+                    add_update(ctx, &zvec, x.col_mut(l));
                 }
                 self.barrier_residual_region(ctx, b, x, &mut r, &mut gammas, &cycle);
             }

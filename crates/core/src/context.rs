@@ -16,12 +16,9 @@
 use std::sync::Arc;
 
 use mpgmres_backend::stream::{BoundOp, OpGraph};
-use mpgmres_backend::{contracts, Backend, BackendKind, BackendScalar};
+use mpgmres_backend::{Backend, BackendKind};
 use mpgmres_gpusim::{analytic, cost, DeviceModel, KernelClass, Profiler, TimingReport};
-use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
-use mpgmres_la::multivec::MultiVec;
-use mpgmres_la::multivector::MultiVector;
 use mpgmres_la::raw::BufferArena;
 use mpgmres_la::shard::{ShardPlan, ShardPlanCache};
 
@@ -198,9 +195,10 @@ pub(crate) struct StreamScratch {
 /// [`GpuContext::set_streaming`] turns recording off globally: every
 /// record call then submits its op alone, at the call, as a serial
 /// chain — the switch the recorded-vs-eager parity suite flips.
-/// [`GpuContext::spmv`] and [`GpuContext::residual_as`] are always such
-/// one-op streams. The remaining methods below charge and dispatch
-/// directly.
+/// Preconditioner applies and the solvers' host-decided steps (casts,
+/// MGS projections, refinement updates) run on streams that are always
+/// eager. The context itself runs no kernel: it only prices them (the
+/// cost specs) and charges the host-side bookkeeping.
 #[derive(Debug)]
 pub struct GpuContext {
     device: DeviceModel,
@@ -380,22 +378,6 @@ impl GpuContext {
     /// Finalize the recorded graph and submit it against the current
     /// scratch bindings and arena.
     pub(crate) fn submit_recorded(&mut self) {
-        self.submit_graph();
-        self.stream_stats.misses += 1;
-        self.stream_stats.nodes_allocated += self.scratch.graph.len() as u64;
-    }
-
-    /// Submit the one op an eager stream just recorded, then drop it
-    /// from the graph. The arena keeps its registrations for the
-    /// region's next op; [`StreamStats`] counts recorded regions only.
-    pub(crate) fn submit_eager_op(&mut self) {
-        self.submit_graph();
-        self.scratch.graph.clear();
-        self.scratch.bindings.clear();
-        self.scratch.finish.clear();
-    }
-
-    fn submit_graph(&mut self) {
         let scratch = &mut self.scratch;
         scratch.graph.finalize();
         mpgmres_backend::stream::submit(
@@ -404,13 +386,14 @@ impl GpuContext {
             &scratch.arena,
             &*self.backend,
         );
+        self.stream_stats.misses += 1;
+        self.stream_stats.nodes_allocated += self.scratch.graph.len() as u64;
     }
 
     // ----- cost specs -------------------------------------------------
     //
     // One function per kernel shape computing (simulated seconds, modeled
-    // bytes). Stream ops and the direct methods below price through
-    // these, so every path charges bit-identical costs by construction.
+    // bytes). Every `Stream` op prices through these.
 
     pub(crate) fn spmv_spec<S: Scalar>(&self, a: &GpuMatrix<S>) -> (f64, usize) {
         let t = cost::spmv_time(&self.device, a.n(), a.nnz(), a.bandwidth(), S::PRECISION);
@@ -445,27 +428,6 @@ impl GpuContext {
             a.bandwidth(),
             S::PRECISION,
         ) + (k - 1) * 2 * a.n() * S::BYTES;
-        (t, bytes)
-    }
-
-    pub(crate) fn store_spmv_spec<S: Scalar>(&self, a: &GpuStore<S>) -> (f64, usize) {
-        let t = cost::store_spmv_time(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            a.tag().dominant(),
-            S::PRECISION,
-        );
-        let bytes = mpgmres_gpusim::analytic::store_spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            S::PRECISION,
-        );
         (t, bytes)
     }
 
@@ -598,16 +560,6 @@ impl GpuContext {
         (t, bytes)
     }
 
-    pub(crate) fn gemv_t_spec<S: Scalar>(&self, n: usize, ncols: usize) -> (f64, usize) {
-        let t = cost::gemv_t_time(&self.device, n, ncols, S::PRECISION);
-        (t, (ncols + 1) * n * S::BYTES)
-    }
-
-    pub(crate) fn gemv_n_spec<S: Scalar>(&self, n: usize, ncols: usize) -> (f64, usize) {
-        let t = cost::gemv_n_time(&self.device, n, ncols, S::PRECISION);
-        (t, (ncols + 2) * n * S::BYTES)
-    }
-
     pub(crate) fn norm_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
         (cost::norm_time(&self.device, n, S::PRECISION), n * S::BYTES)
     }
@@ -640,11 +592,22 @@ impl GpuContext {
         )
     }
 
-    pub(crate) fn block_scal_spec<S: Scalar>(&self, n: usize, k: usize) -> (f64, usize) {
-        (
-            cost::block_scal_time(&self.device, n, k, S::PRECISION),
-            2 * k * n * S::BYTES,
-        )
+    /// Precision cast of `n` elements (read `from`, write `to`):
+    /// device-resident under [`KernelClass::CastDevice`], host-mediated
+    /// (down and back over PCIe) under [`KernelClass::CastHost`].
+    pub(crate) fn cast_spec(
+        &self,
+        class: KernelClass,
+        n: usize,
+        from: Precision,
+        to: Precision,
+    ) -> (f64, usize) {
+        let t = match class {
+            KernelClass::CastDevice => cost::cast_device_time(&self.device, n, from, to),
+            KernelClass::CastHost => cost::cast_host_time(&self.device, n, from, to),
+            other => panic!("stream cast: {other:?} is not a cast class"),
+        };
+        (t, n * (from.bytes() + to.bytes()))
     }
 
     // Basis-store specs: priced with the store's own element width `e`
@@ -715,228 +678,6 @@ impl GpuContext {
         )
     }
 
-    // ----- instrumented kernels --------------------------------------
-
-    /// `y = A x` charged as a solver SpMV: a one-op eager stream.
-    pub fn spmv<S: BackendScalar>(&mut self, a: &GpuMatrix<S>, x: &[S], y: &mut [S]) {
-        let mut st = crate::Stream::eager(self);
-        let (ah, xh, yh) = (st.matrix(a), st.slice(x), st.slice_mut(y));
-        st.spmv(ah, xh, yh);
-    }
-
-    /// Fused residual `r = b - A x`, charged to `class` (GMRES-IR's
-    /// refinement residual uses [`KernelClass::ResidualHi`] so it lands
-    /// in the paper's "Other"): a one-op eager stream.
-    pub fn residual_as<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        a: &GpuMatrix<S>,
-        b: &[S],
-        x: &[S],
-        r: &mut [S],
-    ) {
-        let mut st = crate::Stream::eager(self);
-        let (ah, bh, xh) = (st.matrix(a), st.slice(b), st.slice(x));
-        let rh = st.slice_mut(r);
-        st.residual_as(class, ah, bh, xh, rh);
-    }
-
-    // ----- storage-path (multiprecision) kernels ----------------------
-    //
-    // The matrix values live in a `MatrixStore` (fp32/fp16 shadow or
-    // magnitude split) while the vectors stay in `S`; accumulation is in
-    // `S` per the store's per-row kernels. Charged under the same
-    // classes as the uniform kernels, priced with the store's own value
-    // stream and the generalized x-reuse rule — a `Plain` store charges
-    // and computes bit-identically to the `GpuMatrix` calls.
-
-    /// Storage-path `y = A x` charged as a solver SpMV.
-    pub fn store_spmv<S: BackendScalar>(&mut self, a: &GpuStore<S>, x: &[S], y: &mut [S]) {
-        contracts::store_spmv(a.store(), x, y);
-        let (t, bytes) = self.store_spmv_spec::<S>(a);
-        self.profiler.charge(KernelClass::SpMV, t, bytes);
-        S::view(&*self.backend).store_spmv(a.store(), x, y);
-    }
-
-    /// `h = V^T w` over the first `ncols` basis columns (GEMV Trans).
-    pub fn gemv_t<S: BackendScalar>(
-        &mut self,
-        v: &MultiVector<S>,
-        ncols: usize,
-        w: &[S],
-        h: &mut [S],
-    ) {
-        contracts::gemv(v, ncols, w, h);
-        let (t, bytes) = self.gemv_t_spec::<S>(v.n(), ncols);
-        self.profiler.charge(KernelClass::GemvT, t, bytes);
-        S::view(&*self.backend).gemv_t(v, ncols, w, h, self.reduction);
-    }
-
-    /// `w -= V h` (GEMV No-Trans).
-    pub fn gemv_n_sub<S: BackendScalar>(
-        &mut self,
-        v: &MultiVector<S>,
-        ncols: usize,
-        h: &[S],
-        w: &mut [S],
-    ) {
-        contracts::gemv(v, ncols, w, h);
-        let (t, bytes) = self.gemv_n_spec::<S>(v.n(), ncols);
-        self.profiler.charge(KernelClass::GemvN, t, bytes);
-        S::view(&*self.backend).gemv_n_sub(v, ncols, h, w);
-    }
-
-    /// Euclidean norm with device-to-host result transfer.
-    pub fn norm2<S: BackendScalar>(&mut self, x: &[S]) -> S {
-        let (t, bytes) = self.norm_spec::<S>(x.len());
-        self.profiler.charge(KernelClass::Norm, t, bytes);
-        S::view(&*self.backend).norm2(x, self.reduction)
-    }
-
-    /// Inner product with device-to-host result transfer.
-    pub fn dot<S: BackendScalar>(&mut self, x: &[S], y: &[S]) -> S {
-        contracts::same_len("dot", x, y);
-        let (t, bytes) = self.dot_spec::<S>(x.len());
-        self.profiler.charge(KernelClass::Dot, t, bytes);
-        S::view(&*self.backend).dot(x, y, self.reduction)
-    }
-
-    /// `y += alpha x`.
-    pub fn axpy<S: BackendScalar>(&mut self, alpha: S, x: &[S], y: &mut [S]) {
-        contracts::same_len("axpy", x, y);
-        let (t, bytes) = self.axpy_spec::<S>(x.len());
-        self.profiler.charge(KernelClass::Axpy, t, bytes);
-        S::view(&*self.backend).axpy(alpha, x, y);
-    }
-
-    /// `x *= alpha`.
-    pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: &mut [S]) {
-        let (t, bytes) = self.scal_spec::<S>(x.len());
-        self.profiler.charge(KernelClass::Scal, t, bytes);
-        S::view(&*self.backend).scal(alpha, x);
-    }
-
-    // ----- batched multi-RHS (block) kernels --------------------------
-    //
-    // Charged with GEMM-shaped costs under the SAME kernel classes as the
-    // single-vector calls: at k = 1 every block charge is bit-identical
-    // to its single-vector counterpart, so a width-1 block solve
-    // reproduces a single-RHS solve's timing report exactly.
-
-    /// Fused column norms with one device-to-host result transfer.
-    pub fn block_norm2<S: BackendScalar>(&mut self, x: &MultiVec<S>, k: usize, out: &mut [S]) {
-        contracts::block_scalars("block_norm2", x, k, out);
-        let (t, bytes) = self.block_norm_spec::<S>(x.n(), k);
-        self.profiler.charge(KernelClass::Norm, t, bytes);
-        S::view(&*self.backend).block_norm2(x, k, out, self.reduction);
-    }
-
-    /// Fused per-lane copy `dsts[c] = srcs[c]` over a lane set (the
-    /// batched form of `BlockGmres`'s per-lane direction gathers).
-    /// Uncharged: the paper's accounting attaches no cost to copies.
-    pub fn lane_copy<S: BackendScalar>(&mut self, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        contracts::lanes("lane_copy", srcs, dsts);
-        S::view(&*self.backend).lane_copy(srcs, dsts);
-    }
-
-    // ----- basis-store kernels ----------------------------------------
-    //
-    // The Krylov basis lives in a `BasisStore` (native working-precision
-    // columns or fp32/fp16-demoted ones) while every operand vector and
-    // all accumulation stay in `S`. Charged under the same classes as
-    // the uniform GEMV/scal kernels, priced with the store's element
-    // width: a `Native` store charges and computes bit-identically to
-    // the `MultiVector` calls above.
-
-    /// Fused per-lane basis extension `vs[c][:, j] = alpha[c] * srcs[c]`
-    /// (read the source, write the stored column, demotion fused into
-    /// the store) over a lane set with one storage precision. Charged
-    /// once under [`KernelClass::Scal`]; bit-identical in charge and
-    /// result to the stream's `lane_scal_copy` when every lane is
-    /// native.
-    pub fn basis_lane_scal_copy<S: BackendScalar>(
-        &mut self,
-        alpha: &[S],
-        srcs: &[&[S]],
-        vs: &mut [&mut BasisStore<S>],
-        j: usize,
-    ) {
-        assert_eq!(
-            srcs.len(),
-            vs.len(),
-            "basis_lane_scal_copy: {} sources for {} bases",
-            srcs.len(),
-            vs.len()
-        );
-        assert_eq!(
-            alpha.len(),
-            srcs.len(),
-            "basis_lane_scal_copy: {} scalars for {} lanes",
-            alpha.len(),
-            srcs.len()
-        );
-        if vs.is_empty() {
-            return;
-        }
-        for (c, (v, s)) in vs.iter().zip(srcs).enumerate() {
-            assert_eq!(
-                s.len(),
-                v.n(),
-                "basis_lane_scal_copy: lane {c} length mismatch"
-            );
-            assert_eq!(
-                v.elem_bytes(),
-                vs[0].elem_bytes(),
-                "basis_lane_scal_copy: lane {c} storage width differs from lane 0"
-            );
-        }
-        let (t, bytes) = self.basis_scal_copy_spec::<S>(vs[0].n(), vs.len(), vs[0].elem_bytes());
-        self.profiler.charge(KernelClass::Scal, t, bytes);
-        S::view(&*self.backend).basis_lane_scal_copy(vs, j, alpha, srcs);
-    }
-
-    /// Promote stored basis column `j` into a working-precision buffer.
-    /// Native: a plain device copy, uncharged like every copy
-    /// (the pre-refactor direction gathers copied columns uncharged);
-    /// compressed: a device-resident widening cast, charged like
-    /// [`GpuContext::cast_device`] from the storage precision.
-    pub fn basis_promote_col<S: BackendScalar>(
-        &mut self,
-        v: &BasisStore<S>,
-        j: usize,
-        out: &mut [S],
-    ) {
-        assert_eq!(out.len(), v.n(), "basis_promote_col: length mismatch");
-        if !v.is_native() {
-            let p = v.storage_precision();
-            let t = cost::cast_device_time(&self.device, v.n(), p, S::PRECISION);
-            self.profiler
-                .charge(KernelClass::CastDevice, t, v.n() * (p.bytes() + S::BYTES));
-        }
-        S::view(&*self.backend).basis_promote_col(v, j, out);
-    }
-
-    /// Device-resident precision cast (fp32 preconditioner under an fp64
-    /// solve, §III-D case a).
-    pub fn cast_device<S: Scalar, T: Scalar>(&mut self, src: &[S], dst: &mut [T]) {
-        let t = cost::cast_device_time(&self.device, src.len(), S::PRECISION, T::PRECISION);
-        self.profiler.charge(
-            KernelClass::CastDevice,
-            t,
-            src.len() * (S::BYTES + T::BYTES),
-        );
-        mpgmres_scalar::cast_into(src, dst);
-    }
-
-    /// Host-mediated precision cast (GMRES-IR refinement residuals cross
-    /// the Belos interface on the host, §IV).
-    pub fn cast_host<S: Scalar, T: Scalar>(&mut self, src: &[S], dst: &mut [T]) {
-        let t = cost::cast_host_time(&self.device, src.len(), S::PRECISION, T::PRECISION);
-        self.profiler
-            .charge(KernelClass::CastHost, t, src.len() * (S::BYTES + T::BYTES));
-        mpgmres_scalar::cast_into(src, dst);
-    }
-
     /// Simulated seconds of one iteration's host bookkeeping (Givens
     /// rotations, status tests). Shared by the eager charge below and
     /// the pipelined drivers' deferred host nodes, so the two modes
@@ -976,6 +717,8 @@ impl GpuContext {
 mod tests {
     use super::*;
     use mpgmres_gpusim::PaperCategory;
+    use mpgmres_la::basis::BasisStore;
+    use mpgmres_la::multivec::MultiVec;
 
     fn small_matrix() -> GpuMatrix<f64> {
         GpuMatrix::new(Csr::from_raw(
@@ -993,7 +736,11 @@ mod tests {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
         let x = [1.0, 2.0, 3.0];
         let mut y = [0.0; 3];
-        ctx.spmv(&a, &x, &mut y);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (ah, xh, yh) = (st.matrix(&a), st.slice(&x), st.slice_mut(&mut y));
+            st.spmv(ah, xh, yh);
+        }
         assert_eq!(y, [0.0, 0.0, 4.0]);
         assert!(ctx.elapsed() > 0.0);
         assert_eq!(ctx.report().categories[&PaperCategory::SpMV].calls, 1);
@@ -1006,7 +753,12 @@ mod tests {
         let b = [1.0, 1.0, 1.0];
         let x = [0.0; 3];
         let mut r = [0.0; 3];
-        ctx.residual_as(KernelClass::ResidualHi, &a, &b, &x, &mut r);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (ah, bh, xh) = (st.matrix(&a), st.slice(&b), st.slice(&x));
+            let rh = st.slice_mut(&mut r);
+            st.residual_as(KernelClass::ResidualHi, ah, bh, xh, rh);
+        }
         assert_eq!(r, b);
         let rep = ctx.report();
         assert_eq!(rep.seconds(PaperCategory::SpMV), 0.0);
@@ -1017,7 +769,13 @@ mod tests {
     fn norm_matches_sequential_for_small_vectors() {
         let mut ctx = GpuContext::with_reduction(DeviceModel::ideal(), ReductionOrder::Sequential);
         let x = vec![3.0f64, 4.0];
-        assert_eq!(ctx.norm2(&x), 5.0);
+        let mut nrm = 0.0f64;
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (xh, nh) = (st.slice(&x), st.val_mut(&mut nrm));
+            st.norm2_into(xh, nh);
+        }
+        assert_eq!(nrm, 5.0);
     }
 
     #[test]
@@ -1025,10 +783,18 @@ mod tests {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
         let x = vec![0.1f64, -2.5, 7.0];
         let mut lo = vec![0.0f32; 3];
-        ctx.cast_host(&x, &mut lo);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (xh, loh) = (st.slice(&x), st.slice_mut(&mut lo));
+            st.cast(KernelClass::CastHost, xh, loh);
+        }
         assert_eq!(lo[1], -2.5f32);
         let mut back = vec![0.0f64; 3];
-        ctx.cast_device(&lo, &mut back);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (loh, bh) = (st.slice(&lo), st.slice_mut(&mut back));
+            st.cast(KernelClass::CastDevice, loh, bh);
+        }
         assert_eq!(back[2], 7.0);
         // Host cast must be far more expensive than device cast.
         let rep = ctx.profiler();
@@ -1050,7 +816,6 @@ mod tests {
         let a = small_matrix();
         let s = GpuStore::plain_of(&a);
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        assert_eq!(ctx.store_spmv_spec::<f64>(&s), ctx.spmv_spec::<f64>(&a));
         assert_eq!(
             ctx.store_residual_spec::<f64>(&s),
             ctx.residual_spec::<f64>(&a)
@@ -1059,29 +824,38 @@ mod tests {
             ctx.store_spmm_spec::<f64>(&s, 3),
             ctx.spmm_spec::<f64>(&a, 3)
         );
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [0.0; 3];
-        ctx.store_spmv(&s, &x, &mut y);
-        assert_eq!(y, [0.0, 0.0, 4.0]);
+        let x = MultiVec::from_columns(&[&[1.0, 2.0, 3.0][..]]);
+        let mut y = MultiVec::<f64>::zeros(3, 1);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (sh, xh, yh) = (st.store(&s), st.block(&x), st.block_mut(&mut y));
+            st.store_spmm(sh, xh, 1, yh);
+        }
+        assert_eq!(y.col(0), [0.0, 0.0, 4.0]);
         // A shadow store shrinks the value stream and changes the key tag.
         let sh = GpuStore::shadow_of(&a, Precision::Fp32);
         assert!(sh.value_bytes() < s.value_bytes());
         assert_ne!(sh.tag().code(), s.tag().code());
-        assert!(ctx.store_spmv_spec::<f64>(&sh).0 < ctx.store_spmv_spec::<f64>(&s).0);
+        assert!(ctx.store_residual_spec::<f64>(&sh).0 < ctx.store_residual_spec::<f64>(&s).0);
     }
 
     #[test]
     fn gemv_kernels_charge_the_right_categories() {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        let mut v = MultiVector::<f64>::zeros(4, 2);
-        v.col_mut(0).copy_from_slice(&[1.0, 0.0, 0.0, 0.0]);
-        v.col_mut(1).copy_from_slice(&[0.0, 1.0, 0.0, 0.0]);
+        let mut v = BasisStore::<f64>::native(4, 2);
+        v.set_col(0, &[1.0, 0.0, 0.0, 0.0]);
+        v.set_col(1, &[0.0, 1.0, 0.0, 0.0]);
         let w = [1.0, 2.0, 3.0, 4.0];
         let mut h = [0.0; 2];
-        ctx.gemv_t(&v, 2, &w, &mut h);
-        assert_eq!(h, [1.0, 2.0]);
         let mut w2 = w;
-        ctx.gemv_n_sub(&v, 2, &h, &mut w2);
+        {
+            let mut st = crate::Stream::eager(&mut ctx);
+            let (vh, wh, hh) = (st.basis(&v), st.slice(&w), st.slice_mut(&mut h));
+            let w2h = st.slice_mut(&mut w2);
+            st.gemv_t(vh, 2, wh, hh);
+            st.gemv_n_sub(vh, 2, hh.read(), w2h);
+        }
+        assert_eq!(h, [1.0, 2.0]);
         assert_eq!(w2, [0.0, 0.0, 3.0, 4.0]);
         let rep = ctx.report();
         assert!(rep.seconds(PaperCategory::GemvTrans) > 0.0);

@@ -8,6 +8,7 @@
 //! at the optimum it rarely beats untuned GMRES-IR.
 
 use mpgmres_backend::BackendScalar;
+use mpgmres_gpusim::KernelClass;
 use serde::Serialize;
 
 use crate::config::GmresConfig;
@@ -15,6 +16,7 @@ use crate::context::{GpuContext, GpuMatrix};
 use crate::gmres::Gmres;
 use crate::precond::Preconditioner;
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
+use crate::Stream;
 
 /// Configuration for GMRES-FD.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -83,7 +85,23 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
         }
     }
 
+    /// `||b - A x||` in high precision: the residual (charged as an
+    /// SpMV) and its norm on one eager stream.
+    fn residual_norm(&self, ctx: &mut GpuContext, b: &[Hi], x: &[Hi], r: &mut [Hi]) -> f64 {
+        let mut norm = Hi::zero();
+        {
+            let mut st = Stream::eager(ctx);
+            let (ah, bh, xh) = (st.matrix(self.a_hi), st.slice(b), st.slice(x));
+            let (rh, nh) = (st.slice_mut(r), st.val_mut(&mut norm));
+            st.residual_as(KernelClass::SpMV, ah, bh, xh, rh);
+            st.norm2_into(rh.read(), nh);
+        }
+        norm.to_f64()
+    }
+
     /// Solve `A x = b`; `x` carries the initial guess in and solution out.
+    /// A non-finite initial residual (NaN or Inf in `b` or `x`) returns
+    /// [`SolveStatus::Breakdown`] at once, before any cast or phase runs.
     pub fn solve(&self, ctx: &mut GpuContext, b: &[Hi], x: &mut [Hi]) -> FdResult {
         let n = self.a_hi.n();
         assert_eq!(b.len(), n);
@@ -91,28 +109,39 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
 
         // Reference norm for the global relative residual.
         let mut r = vec![Hi::zero(); n];
-        ctx.residual_as(mpgmres_gpusim::KernelClass::SpMV, self.a_hi, b, x, &mut r);
-        let r0_norm = ctx.norm2(&r).to_f64();
-        if r0_norm == 0.0 {
+        let r0_norm = self.residual_norm(ctx, b, x, &mut r);
+        // Nothing to solve (zero residual) or nothing solvable (NaN/Inf):
+        // stop before either phase runs.
+        if r0_norm == 0.0 || !r0_norm.is_finite() {
+            let (status, rel) = if r0_norm == 0.0 {
+                (SolveStatus::Converged, 0.0)
+            } else {
+                (SolveStatus::Breakdown, f64::NAN)
+            };
             return FdResult {
                 result: SolveResult {
-                    status: SolveStatus::Converged,
+                    status,
                     iterations: 0,
                     restarts: 0,
-                    final_relative_residual: 0.0,
+                    final_relative_residual: rel,
                     history: Vec::new(),
                 },
                 lo_iterations: 0,
                 hi_iterations: 0,
-                residual_at_switch: 0.0,
+                residual_at_switch: rel,
             };
         }
 
         // ---- Phase 1: low precision up to the switch point. ----
         let mut b_lo = vec![Lo::zero(); n];
         let mut x_lo = vec![Lo::zero(); n];
-        ctx.cast_host(b, &mut b_lo);
-        ctx.cast_host(x, &mut x_lo);
+        {
+            let mut st = Stream::eager(ctx);
+            let (bh, blh) = (st.slice(b), st.slice_mut(&mut b_lo));
+            st.cast(KernelClass::CastHost, bh, blh);
+            let (xh, xlh) = (st.slice(&*x), st.slice_mut(&mut x_lo));
+            st.cast(KernelClass::CastHost, xh, xlh);
+        }
         let lo_cfg = GmresConfig {
             m: self.cfg.m,
             rtol: self.cfg.rtol,
@@ -135,12 +164,14 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
                 history: Vec::new(),
             }
         };
-        ctx.cast_host(&x_lo, x);
+        {
+            let mut st = Stream::eager(ctx);
+            let (xlh, xh) = (st.slice(&x_lo), st.slice_mut(&mut *x));
+            st.cast(KernelClass::CastHost, xlh, xh);
+        }
 
         // Residual at the switch, relative to the original ||r0||.
-        ctx.residual_as(mpgmres_gpusim::KernelClass::SpMV, self.a_hi, b, x, &mut r);
-        let switch_norm = ctx.norm2(&r).to_f64();
-        let residual_at_switch = switch_norm / r0_norm;
+        let residual_at_switch = self.residual_norm(ctx, b, x, &mut r) / r0_norm;
 
         let mut history: Vec<HistoryPoint> = Vec::new();
         if self.cfg.record_history {
@@ -347,6 +378,24 @@ mod tests {
         for p in &res.result.history {
             assert!(p.iteration >= prev);
             prev = p.iteration;
+        }
+    }
+    #[test]
+    fn non_finite_rhs_breaks_down_before_any_cast() {
+        let n = 32;
+        let a = laplace1d(n);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut b = vec![1.0; n];
+            b[5] = bad;
+            let mut x = vec![0.0; n];
+            let mut c = ctx();
+            let res = GmresFd::<f32, f64>::new(&a, &Identity, &Identity, FdConfig::default())
+                .solve(&mut c, &b, &mut x);
+            assert_eq!(res.result.status, SolveStatus::Breakdown, "{bad}");
+            assert_eq!(res.result.iterations, 0);
+            assert_eq!((res.lo_iterations, res.hi_iterations), (0, 0));
+            let casts = c.profiler().class_stats(KernelClass::CastHost).calls;
+            assert_eq!(casts, 0, "{bad}: no host cast may run");
         }
     }
 }

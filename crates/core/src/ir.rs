@@ -33,6 +33,7 @@ use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
+use crate::Stream;
 
 /// GMRES-IR: inner precision `Lo`, outer (residual/solution) precision `Hi`.
 pub struct GmresIr<'a, Lo: BackendScalar, Hi: BackendScalar> {
@@ -287,8 +288,12 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
 
             // Normalize and cast the residual down through the host
             // interface (§IV: Belos-mediated conversions).
-            ctx.scal(Hi::from_f64(1.0 / rnorm), &mut r);
-            ctx.cast_host(&r, r_lo.col_mut(0));
+            {
+                let mut st = Stream::eager(ctx);
+                let (rh, rlh) = (st.slice_mut(&mut r), st.slice_mut(r_lo.col_mut(0)));
+                st.scal(Hi::from_f64(1.0 / rnorm), rh);
+                st.cast(KernelClass::CastHost, rh.read(), rlh);
+            }
 
             // Inner solve A_lo u = r_lo from a zero guess: one cycle of
             // the one-lane block driver — bit-identical to a single-RHS
@@ -324,8 +329,13 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
 
             // x += rnorm * u  (undo the normalization), then refresh the
             // true residual in high precision (Algorithm 2, lines 4-5).
-            ctx.cast_host(u_lo.col(0), &mut u_hi);
-            ctx.axpy(Hi::from_f64(rnorm), &u_hi, x);
+            {
+                let mut st = Stream::eager(ctx);
+                let (ulh, uh) = (st.slice(u_lo.col(0)), st.slice_mut(&mut u_hi));
+                let xh = st.slice_mut(&mut *x);
+                st.cast(KernelClass::CastHost, ulh, uh);
+                st.axpy(Hi::from_f64(rnorm), uh.read(), xh);
+            }
             self.outer_residual(ctx, b, x, &mut r, &mut nbuf);
             let new_norm = nbuf[0].to_f64();
             if self.cfg.record_history {

@@ -30,6 +30,7 @@ use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
+use crate::Stream;
 
 /// Configuration for the three-precision ladder.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -261,8 +262,12 @@ impl<'a> GmresIr3<'a> {
             }
 
             // Normalize, cast fp64 -> fp32, run the middle IR solver.
-            ctx.scal(1.0 / rnorm, &mut r);
-            ctx.cast_host(&r, &mut r_mid);
+            {
+                let mut st = Stream::eager(ctx);
+                let (rh, rmh) = (st.slice_mut(&mut r), st.slice_mut(&mut r_mid));
+                st.scal(1.0 / rnorm, rh);
+                st.cast(KernelClass::CastHost, rh.read(), rmh);
+            }
             for u in u_mid.iter_mut() {
                 *u = 0.0;
             }
@@ -274,8 +279,13 @@ impl<'a> GmresIr3<'a> {
             total += mid_res.iterations;
             outer += 1;
 
-            ctx.cast_host(&u_mid, &mut u_hi);
-            ctx.axpy(rnorm, &u_hi, x);
+            {
+                let mut st = Stream::eager(ctx);
+                let (umh, uh) = (st.slice(&u_mid), st.slice_mut(&mut u_hi));
+                let xh = st.slice_mut(&mut *x);
+                st.cast(KernelClass::CastHost, umh, uh);
+                st.axpy(rnorm, uh.read(), xh);
+            }
             outer_residual(ctx, x, &mut r, &mut nbuf);
             let new_norm = nbuf[0];
             if !new_norm.is_finite() {

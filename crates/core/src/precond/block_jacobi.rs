@@ -91,8 +91,7 @@ impl<S: Scalar> BlockJacobi<S> {
 }
 
 impl<S: BackendScalar> Preconditioner<S> for BlockJacobi<S> {
-    /// All block solves are one batched kernel: a one-op eager stream,
-    /// like [`GpuContext::spmv`].
+    /// All block solves are one batched kernel on a one-op eager stream.
     fn apply(&self, ctx: &mut GpuContext, _a: Option<&GpuMatrix<S>>, x: &[S], y: &mut [S]) {
         let mut st = Stream::eager(ctx);
         let (f, xh, yh) = (st.block_lu(&self.lu), st.slice(x), st.slice_mut(y));

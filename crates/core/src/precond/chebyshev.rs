@@ -17,6 +17,7 @@ use mpgmres_backend::BackendScalar;
 
 use crate::context::{GpuContext, GpuMatrix};
 use crate::precond::Preconditioner;
+use crate::Stream;
 
 /// Error from Chebyshev construction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,8 +78,15 @@ impl ChebyshevPreconditioner {
         let mut w = vec![S::zero(); n];
         let mut hi_est = 0.0f64;
         for _ in 0..12 {
-            ctx.spmv(a, &v, &mut w);
-            let norm = ctx.norm2(&w).to_f64();
+            let mut norm = S::zero();
+            {
+                let mut st = Stream::eager(ctx);
+                let (ah, vh, wh) = (st.matrix(a), st.slice(&v), st.slice_mut(&mut w));
+                let nh = st.val_mut(&mut norm);
+                st.spmv(ah, vh, wh);
+                st.norm2_into(wh.read(), nh);
+            }
+            let norm = norm.to_f64();
             if !(norm > 0.0) || !norm.is_finite() {
                 return Err(ChebyshevError::BadBounds { lo: 0.0, hi: norm });
             }
@@ -129,12 +137,19 @@ impl<S: BackendScalar> Preconditioner<S> for ChebyshevPreconditioner {
         let mut rho = 1.0 / sigma;
         for k in 0..self.degree {
             // y += d; r -= A d.
-            ctx.axpy(S::one(), &d, y);
+            {
+                let mut st = Stream::eager(ctx);
+                let (dh, yh) = (st.slice(&d), st.slice_mut(&mut *y));
+                st.axpy(S::one(), dh, yh);
+                if k + 1 < self.degree {
+                    let (ah, th, rh) = (st.matrix(a), st.slice_mut(&mut t), st.slice_mut(&mut r));
+                    st.spmv(ah, dh, th);
+                    st.axpy(-S::one(), th.read(), rh);
+                }
+            }
             if k + 1 == self.degree {
                 break;
             }
-            ctx.spmv(a, &d, &mut t);
-            ctx.axpy(-S::one(), &t, &mut r);
             let rho_next = 1.0 / (2.0 * sigma - rho);
             let beta = rho * rho_next;
             alpha = 2.0 * rho_next / delta;

@@ -9,11 +9,13 @@
 
 use core::marker::PhantomData;
 
+use mpgmres_gpusim::KernelClass;
 use mpgmres_scalar::Scalar;
 use parking_lot::Mutex;
 
 use crate::context::{GpuContext, GpuMatrix};
 use crate::precond::Preconditioner;
+use crate::Stream;
 
 /// Applies a low-precision preconditioner inside a higher-precision solve.
 pub struct CastPreconditioner<Hi: Scalar, Lo: Scalar, P: Preconditioner<Lo>> {
@@ -54,9 +56,15 @@ impl<Hi: Scalar, Lo: Scalar, P: Preconditioner<Lo>> Preconditioner<Hi>
     fn apply(&self, ctx: &mut GpuContext, _a: Option<&GpuMatrix<Hi>>, x: &[Hi], y: &mut [Hi]) {
         let mut bufs = self.bufs.lock();
         let (x_lo, y_lo) = &mut *bufs;
-        ctx.cast_device(x, x_lo);
+        {
+            let mut st = Stream::eager(ctx);
+            let (xh, xlh) = (st.slice(x), st.slice_mut(x_lo));
+            st.cast(KernelClass::CastDevice, xh, xlh);
+        }
         self.inner.apply(ctx, Some(&self.a_lo), x_lo, y_lo);
-        ctx.cast_device(y_lo, y);
+        let mut st = Stream::eager(ctx);
+        let (ylh, yh) = (st.slice(y_lo), st.slice_mut(y));
+        st.cast(KernelClass::CastDevice, ylh, yh);
     }
 
     fn describe(&self) -> String {

@@ -21,9 +21,12 @@ use crate::context::{GpuContext, GpuMatrix};
 
 /// A right preconditioner `M^{-1}`.
 ///
-/// `apply` computes `y = M^{-1} x`. The operator `A` is passed in so that
-/// matrix-polynomial preconditioners can run their SpMVs through the
-/// instrumented context without owning the matrix. It is `None` when the
+/// `apply` computes `y = M^{-1} x` with kernels recorded on streams of
+/// `ctx`. The crate's preconditioners open eager streams, so each op
+/// charges at its record call and an apply is a serial chain on the
+/// timeline. The operator `A` is passed in so that matrix-polynomial
+/// preconditioners can record their SpMVs without owning the matrix.
+/// It is `None` when the
 /// solver holds the operator only as a packed [`crate::MatrixStore`]
 /// (non-Native [`crate::StorePath`]s): preconditioners that report
 /// `needs_matrix() == false` (block Jacobi, the identity, cast wrappers

@@ -21,11 +21,12 @@
 
 use crate::context::{GpuContext, GpuMatrix};
 use crate::precond::Preconditioner;
+use crate::Stream;
 use mpgmres_backend::BackendScalar;
+use mpgmres_la::basis::BasisStore;
 use mpgmres_la::dense::{DenseMat, LuFactors};
 use mpgmres_la::eig::{hessenberg_eigenvalues, Complex};
 use mpgmres_la::givens::GivensLsq;
-use mpgmres_la::multivector::MultiVector;
 
 /// Errors from polynomial construction.
 #[derive(Clone, Debug, PartialEq)]
@@ -121,33 +122,46 @@ impl PolyPreconditioner {
         let n = a.n();
         let m = degree;
 
-        // Arnoldi with CGS2 (same kernels as the solver).
-        let mut v = MultiVector::<S>::zeros(n, m + 1);
+        // Arnoldi with CGS2 (same kernels as the solver), each step one
+        // eager stream ending in the norm the host branches on.
+        let mut v = BasisStore::<S>::native(n, m + 1);
         let mut w = vec![S::zero(); n];
         let mut h1 = vec![S::zero(); m];
         let mut h2 = vec![S::zero(); m];
         let mut hbar = DenseMat::<f64>::zeros(m + 1, m);
 
-        let beta = ctx.norm2(b);
+        let mut beta = S::zero();
+        {
+            let mut st = Stream::eager(ctx);
+            let (bh, nh) = (st.slice(b), st.val_mut(&mut beta));
+            st.norm2_into(bh, nh);
+        }
         if !(beta.to_f64() > 0.0) {
             return Err(PolyError::EarlyBreakdown { steps: 0 });
         }
-        v.col_mut(0).copy_from_slice(b);
-        ctx.scal(S::from_f64(1.0 / beta.to_f64()), v.col_mut(0));
+        scaled_col(ctx, &mut v, 0, b, S::from_f64(1.0 / beta.to_f64()));
         // The Givens recurrence is not needed for the roots, but running it
         // keeps a cheap sanity check on the LS residual.
         let mut lsq = GivensLsq::new(m, beta);
 
         let mut steps = 0usize;
         for j in 0..m {
-            let (vj, wj) = (v.col(j), &mut w);
-            ctx.spmv(a, vj, wj);
             let ncols = j + 1;
-            ctx.gemv_t(&v, ncols, &w, &mut h1);
-            ctx.gemv_n_sub(&v, ncols, &h1, &mut w);
-            ctx.gemv_t(&v, ncols, &w, &mut h2);
-            ctx.gemv_n_sub(&v, ncols, &h2, &mut w);
-            let hj1 = ctx.norm2(&w);
+            let mut hj1 = S::zero();
+            {
+                let mut st = Stream::eager(ctx);
+                let (ah, vh) = (st.matrix(a), st.basis(&v));
+                let vj = st.slice(v.expect_native().col(j));
+                let wh = st.slice_mut(&mut w);
+                let (h1h, h2h) = (st.slice_mut(&mut h1), st.slice_mut(&mut h2));
+                let nh = st.val_mut(&mut hj1);
+                st.spmv(ah, vj, wh);
+                st.gemv_t(vh, ncols, wh.read(), h1h);
+                st.gemv_n_sub(vh, ncols, h1h.read(), wh);
+                st.gemv_t(vh, ncols, wh.read(), h2h);
+                st.gemv_n_sub(vh, ncols, h2h.read(), wh);
+                st.norm2_into(wh.read(), nh);
+            }
             let mut hcol = vec![S::zero(); ncols + 1];
             for i in 0..ncols {
                 hcol[i] = h1[i] + h2[i];
@@ -160,8 +174,7 @@ impl PolyPreconditioner {
             if hj1.to_f64() <= 0.0 || !hj1.is_finite() {
                 break;
             }
-            v.col_mut(j + 1).copy_from_slice(&w);
-            ctx.scal(S::from_f64(1.0 / hj1.to_f64()), v.col_mut(j + 1));
+            scaled_col(ctx, &mut v, j + 1, &w, S::from_f64(1.0 / hj1.to_f64()));
         }
         if steps < 1 {
             return Err(PolyError::EarlyBreakdown { steps });
@@ -224,6 +237,22 @@ impl PolyPreconditioner {
     pub fn seed_residual_rel(&self) -> f64 {
         self.seed_residual_rel
     }
+}
+
+/// `v[:, j] = src`, then `v[:, j] *= alpha` on an eager stream (the
+/// copy is host-side and uncharged, the scaling a charged `scal`).
+fn scaled_col<S: BackendScalar>(
+    ctx: &mut GpuContext,
+    v: &mut BasisStore<S>,
+    j: usize,
+    src: &[S],
+    alpha: S,
+) {
+    let col = v.expect_native_mut().col_mut(j);
+    col.copy_from_slice(src);
+    let mut st = Stream::eager(ctx);
+    let ch = st.slice_mut(col);
+    st.scal(alpha, ch);
 }
 
 /// Force exact conjugate pairing (QR output can differ in the last ulp)
@@ -314,9 +343,15 @@ impl<S: BackendScalar> Preconditioner<S> for PolyPreconditioner {
         debug_assert_eq!(y.len(), n);
         let mut prod = x.to_vec();
         let mut t = vec![S::zero(); n];
+        let mut t2 = vec![S::zero(); n];
         for yi in y.iter_mut() {
             *yi = S::zero();
         }
+        // One eager stream: every op runs and charges at its record call.
+        let mut st = Stream::eager(ctx);
+        let ah = st.matrix(a);
+        let (yh, ph) = (st.slice_mut(y), st.slice_mut(&mut prod));
+        let (th, t2h) = (st.slice_mut(&mut t), st.slice_mut(&mut t2));
         let d = self.roots.len();
         let mut i = 0;
         while i < d {
@@ -326,27 +361,26 @@ impl<S: BackendScalar> Preconditioner<S> for PolyPreconditioner {
             if theta.im == 0.0 {
                 let inv = S::from_f64(1.0 / theta.re);
                 // y += prod / theta.
-                ctx.axpy(inv, &prod, y);
+                st.axpy(inv, ph.read(), yh);
                 if !last_real {
                     // prod -= (A prod) / theta.
-                    ctx.spmv(a, &prod, &mut t);
-                    ctx.axpy(S::from_f64(-1.0 / theta.re), &t, &mut prod);
+                    st.spmv(ah, ph.read(), th);
+                    st.axpy(S::from_f64(-1.0 / theta.re), th.read(), ph);
                 }
                 i += 1;
             } else {
                 // Conjugate pair: combine into real arithmetic.
                 let two_a = 2.0 * theta.re;
                 let mag2 = theta.abs2();
-                ctx.spmv(a, &prod, &mut t);
+                st.spmv(ah, ph.read(), th);
                 // y += (2a * prod - A prod) / |theta|^2.
-                ctx.axpy(S::from_f64(two_a / mag2), &prod, y);
-                ctx.axpy(S::from_f64(-1.0 / mag2), &t, y);
+                st.axpy(S::from_f64(two_a / mag2), ph.read(), yh);
+                st.axpy(S::from_f64(-1.0 / mag2), th.read(), yh);
                 if !last_pair {
                     // prod -= (2a * (A prod) - A^2 prod) / |theta|^2.
-                    let mut t2 = vec![S::zero(); n];
-                    ctx.spmv(a, &t, &mut t2);
-                    ctx.axpy(S::from_f64(-two_a / mag2), &t, &mut prod);
-                    ctx.axpy(S::from_f64(1.0 / mag2), &t2, &mut prod);
+                    st.spmv(ah, th.read(), t2h);
+                    st.axpy(S::from_f64(-two_a / mag2), th.read(), ph);
+                    st.axpy(S::from_f64(1.0 / mag2), t2h.read(), ph);
                 }
                 i += 2;
             }

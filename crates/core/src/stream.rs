@@ -2,8 +2,10 @@
 //! arena, record kernel ops against stable handles, and `sync` derives
 //! the region's dependency DAG and submits it.
 //!
-//! [`Stream`] is the one kernel execution path of [`GpuContext`]'s
-//! matrix and Krylov-basis ops. A region opens a stream, **registers**
+//! [`Stream`] is the one kernel execution path of [`GpuContext`]: every
+//! kernel a solver or preconditioner runs — matrix, Krylov-basis,
+//! level-1, reduction and precision-cast ops — is a record call on a
+//! stream. A region opens a stream, **registers**
 //! each buffer it will touch exactly once (obtaining a `Copy` handle),
 //! then records kernel calls against the handles. Each record call
 //! validates shapes, prices the op through the context's cost specs,
@@ -41,22 +43,26 @@
 //!
 //! With [`GpuContext::set_streaming`] turned off, every record call
 //! submits its op alone, at the record call: the op is charged at the
-//! profiler's current critical time and its one-node graph runs before
+//! profiler's current critical time and runs as a one-op batch before
 //! the call returns. An eager region is therefore a chain (critical ==
 //! serial), and it is the reference the parity suite compares the
-//! recorded DAG against. The context's direct matrix ops
-//! ([`GpuContext::spmv`], [`GpuContext::residual_as`]) are one-op
-//! eager streams of the same kind, and so is block Jacobi's apply
-//! ([`Stream::block_lu_solve`]). Reading a result slot (e.g. a
-//! [`Stream::norm2_into`] target) is only possible after `sync`
-//! releases the registration borrows, at which point the value is
-//! defined — the type system enforces the old "don't read before sync"
-//! rule too.
+//! recorded DAG against. Work that cannot join a recorded region runs
+//! on streams that are eager whatever the switch says, so it always
+//! charges as a serial chain exactly like `Profiler::charge`: the
+//! preconditioner applies (block Jacobi's [`Stream::block_lu_solve`],
+//! the polynomial and Chebyshev recurrences, the casts of
+//! mixed-precision wrappers), the refinement loops' casts and updates,
+//! the MGS dot/axpy sequence, and the lockstep driver's direction
+//! gathers and basis extensions. Eager ops add no recorded nodes.
+//! Reading a result slot (e.g. a [`Stream::norm2_into`] target) is only
+//! possible after `sync` releases the registration borrows, at which
+//! point the value is defined — the type system enforces the old
+//! "don't read before sync" rule too.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mpgmres_backend::stream::{BoundOp, ExecFn, OpArgs, OpKind, Span};
+use mpgmres_backend::stream::{Batch, BoundOp, ExecFn, OpArgs, OpKind, Span};
 use mpgmres_backend::{Backend, BackendScalar};
 use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
@@ -64,7 +70,7 @@ use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::raw::BufferArena;
 use mpgmres_la::shard::{self, ShardPlan};
-use mpgmres_scalar::Scalar;
+use mpgmres_scalar::{Precision, Scalar};
 
 use crate::context::{GpuContext, GpuMatrix, GpuStore, ShardedMatOp};
 
@@ -171,6 +177,16 @@ impl<S: Scalar> BasisRef<S> {
         }
     }
 
+    /// The precision the basis stores its elements in.
+    fn storage(self) -> Precision {
+        match self.ebytes {
+            2 => Precision::Fp16,
+            4 => Precision::Fp32,
+            8 => Precision::Fp64,
+            e => unreachable!("basis element width {e}"),
+        }
+    }
+
     /// Read view of basis column `j` (native-only: column views are
     /// working-precision slices, which a compressed store does not
     /// expose — the native-only pipelined drivers are the only users).
@@ -191,25 +207,25 @@ impl<S: Scalar> BasisRef<S> {
 /// `BlockGmres` regions read the basis whole (batched CGS kernels)
 /// while the recorded basis extension writes one column — the mixed
 /// access pattern that needs a single exclusive registration with
-/// column-granular spans.
+/// column-granular spans. Compressed bases register too, for
+/// [`Stream::basis_lane_scal_copy`]; their column views panic.
 #[derive(Clone, Copy, Debug)]
 pub struct BasisMut<S> {
     id: u32,
     n: u32,
     ncap: u32,
+    ebytes: u32,
     _s: PhantomData<fn() -> S>,
 }
 
 impl<S: Scalar> BasisMut<S> {
-    /// Read view of the whole basis (batched CGS kernels). Mutable
-    /// registrations are native-only (see [`Stream::basis_mut`]), so
-    /// the element width is the working precision's.
+    /// Read view of the whole basis (batched CGS kernels).
     pub fn read(self) -> BasisRef<S> {
         BasisRef {
             id: self.id,
             n: self.n,
             ncap: self.ncap,
-            ebytes: std::mem::size_of::<S>() as u32,
+            ebytes: self.ebytes,
             _s: PhantomData,
         }
     }
@@ -418,8 +434,9 @@ impl<'c> Stream<'c> {
     }
 
     /// A stream that submits each op at its record call whatever the
-    /// context's streaming switch says: the context's direct matrix ops
-    /// run through it, so their charges stay a serial chain.
+    /// context's streaming switch says, so its charges stay a serial
+    /// chain: the work between host decisions (preconditioner applies,
+    /// refinement casts and updates, MGS steps) runs through it.
     pub(crate) fn eager(ctx: &'c mut GpuContext) -> Self {
         Self::open(ctx, true)
     }
@@ -517,16 +534,13 @@ impl<'c> Stream<'c> {
     /// the recorder addresses it column-wise for writes (the recorded
     /// basis extension) and whole-value for the batched CGS reads — the
     /// RAW span overlap is exactly the edge that orders the extension
-    /// before the projections. Native-only: recorded basis *writes*
-    /// exist only in the pipelined drivers, which reject compressed
-    /// storage up front (column write views are working-precision).
+    /// before the projections. Column views are working-precision
+    /// slices, so only native bases have them; a compressed basis is
+    /// written whole-object by [`Stream::basis_lane_scal_copy`].
     pub fn basis_mut<S: Scalar>(&mut self, v: &'c mut BasisStore<S>) -> BasisMut<S> {
-        let (n, ncap) = (v.n(), v.max_cols());
+        let (n, ncap, ebytes) = (v.n(), v.max_cols(), v.elem_bytes());
+        // Compressed stores return a null data pointer (no column views).
         let (obj, data, len) = v.arena_parts();
-        assert!(
-            !data.is_null(),
-            "stream basis_mut: recorded basis writes are native-only"
-        );
         // SAFETY: `v` stays exclusively borrowed until sync/drop; the
         // data pointer is derived through the object pointer (see
         // `BasisStore::arena_parts`), keeping one provenance chain.
@@ -535,6 +549,7 @@ impl<'c> Stream<'c> {
             id,
             n: u32::try_from(n).expect("basis rows"),
             ncap: u32::try_from(ncap).expect("basis cols"),
+            ebytes: u32::try_from(ebytes).expect("basis elem bytes"),
             _s: PhantomData,
         }
     }
@@ -728,8 +743,8 @@ impl<'c> Stream<'c> {
     /// Append one op: derive its graph node, charge the profiler at the
     /// op's DAG-ready time, and bind its payload. An eager stream
     /// charges at the profiler's current critical time (exactly
-    /// `Profiler::charge`) and submits the one-node graph at once; the
-    /// arena keeps its registrations for the region's next op.
+    /// `Profiler::charge`) and runs the op at once as a one-op batch;
+    /// the arena keeps its registrations for the region's next op.
     fn record(
         &mut self,
         label: &'static str,
@@ -755,11 +770,26 @@ impl<'c> Stream<'c> {
         exec: ExecFn,
         args: OpArgs,
     ) {
-        let mut ready = if self.eager {
-            self.ctx.profiler().critical_seconds()
-        } else {
-            self.base
-        };
+        // Eager: the op runs alone at its record call, charged at the
+        // profiler's current critical time (exactly `Profiler::charge`).
+        // With nothing to order it against it needs no graph node; it
+        // runs as `submit` runs a one-op graph (a host op on this
+        // thread, a device op as a one-op batch). The arena keeps its
+        // registrations for the stream's next op.
+        if self.eager {
+            if let Some((class, t, bytes)) = charge {
+                self.ctx.profiler_mut().charge(class, t, bytes);
+            }
+            let (backend, arena) = (self.ctx.backend(), self.arena());
+            match kind {
+                OpKind::Host => exec(backend, arena, &args),
+                OpKind::Device => {
+                    backend.execute_batch(Batch::new(&[0], &[BoundOp { exec, args }], arena))
+                }
+            }
+            return;
+        }
+        let mut ready = self.base;
         {
             let scratch = self.ctx.scratch_mut();
             let idx = scratch.graph.push_kind(label, kind, reads, writes);
@@ -776,9 +806,6 @@ impl<'c> Stream<'c> {
         let scratch = self.ctx.scratch_mut();
         scratch.finish.push(fin);
         scratch.bindings.push(BoundOp { exec, args });
-        if self.eager {
-            self.ctx.submit_eager_op();
-        }
     }
 
     /// Submit the recorded graph. An empty region (every eager stream's
@@ -1175,24 +1202,11 @@ impl<'c> Stream<'c> {
         assert!(nc <= v.ncap, "stream gemv_n: ncols over basis capacity");
         assert_eq!(w.len, v.n, "stream gemv_n: vector length");
         assert!(h.len >= nc, "stream gemv_n: h too short");
-        {
-            let h_read = ArgSlice::<S> {
-                buf: h.buf,
-                off: h.off,
-                len: nc,
-                _s: PhantomData,
-            };
-            Self::assert_noalias("gemv_n", &[h_read.span()], &[w.span()]);
-        }
+        let h_read = h.sub(0, ncols);
+        Self::assert_noalias("gemv_n", &[h_read.span()], &[w.span()]);
         let (t, bytes) = self
             .ctx
             .basis_gemv_n_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
-        let h_read = ArgSlice::<S> {
-            buf: h.buf,
-            off: h.off,
-            len: nc,
-            _s: PhantomData,
-        };
         self.record(
             if add { "gemv_n_add" } else { "gemv_n_sub" },
             &[v.read_span(nc), h_read.span()],
@@ -1274,8 +1288,7 @@ impl<'c> Stream<'c> {
         );
     }
 
-    /// Record a Euclidean norm whose result lands in `out` after sync
-    /// (the recordable form of [`GpuContext::norm2`]).
+    /// Record a Euclidean norm whose result lands in `out` after sync.
     pub fn norm2_into<S: BackendScalar>(&mut self, x: ArgSlice<S>, out: ArgValMut<S>) {
         self.norm2_into_as(KernelClass::Norm, x, out);
     }
@@ -1302,6 +1315,64 @@ impl<'c> Stream<'c> {
                 offs: [x.off, out.off, 0, 0],
                 lens: [x.len, 1, 0, 0],
                 order: self.ctx.reduction(),
+                ..OpArgs::default()
+            },
+        );
+    }
+
+    /// Record an inner product whose result lands in `out` after sync
+    /// (modified Gram-Schmidt's per-column projections).
+    pub fn dot_into<S: BackendScalar>(
+        &mut self,
+        x: ArgSlice<S>,
+        y: ArgSlice<S>,
+        out: ArgValMut<S>,
+    ) {
+        assert_eq!(x.len, y.len, "stream dot: length mismatch");
+        Self::assert_noalias("dot", &[x.span(), y.span()], &[out.span()]);
+        let (t, bytes) = self.ctx.dot_spec::<S>(x.len as usize);
+        self.record(
+            "dot",
+            &[x.span(), y.span()],
+            &[out.span()],
+            Some((KernelClass::Dot, t, bytes)),
+            exec_dot::<S>,
+            OpArgs {
+                bufs: [x.buf, y.buf, out.buf, 0],
+                offs: [x.off, y.off, out.off, 0],
+                lens: [x.len, y.len, 1, 0],
+                order: self.ctx.reduction(),
+                ..OpArgs::default()
+            },
+        );
+    }
+
+    /// Record a precision cast `dst = src`, charged to `class`: either
+    /// [`KernelClass::CastDevice`] (device-resident, e.g. an fp32
+    /// preconditioner under an fp64 solve, §III-D case a) or
+    /// [`KernelClass::CastHost`] (GMRES-IR refinement residuals cross
+    /// the Belos interface on the host, §IV).
+    pub fn cast<S: Scalar, T: Scalar>(
+        &mut self,
+        class: KernelClass,
+        src: ArgSlice<S>,
+        dst: ArgSliceMut<T>,
+    ) {
+        assert_eq!(src.len, dst.len, "stream cast: length mismatch");
+        Self::assert_noalias("cast", &[src.span()], &[dst.span()]);
+        let (t, bytes) = self
+            .ctx
+            .cast_spec(class, src.len as usize, S::PRECISION, T::PRECISION);
+        self.record(
+            "cast",
+            &[src.span()],
+            &[dst.span()],
+            Some((class, t, bytes)),
+            exec_cast::<S, T>,
+            OpArgs {
+                bufs: [src.buf, dst.buf, 0, 0],
+                offs: [src.off, dst.off, 0, 0],
+                lens: [src.len, dst.len, 0, 0],
                 ..OpArgs::default()
             },
         );
@@ -1371,84 +1442,163 @@ impl<'c> Stream<'c> {
 
     // ----- fused lane-set kernels (recorded forms) -------------------
 
-    /// Record the fused per-lane normalize-and-store
-    /// `dsts[c] = alphas[c] * srcs[c]`, charged as a width-`k` block
-    /// scaling (a single scal at `k = 1`). `alphas` must be a registered view
-    /// holding one coefficient per lane; sources and destinations are
-    /// arbitrary registered column views of one shared length.
-    pub fn lane_scal_copy<S: BackendScalar>(
-        &mut self,
-        alphas: ArgSlice<S>,
-        srcs: &[ArgSlice<S>],
-        dsts: &[ArgSliceMut<S>],
-    ) {
-        let k = srcs.len();
-        assert_eq!(k, dsts.len(), "stream lane_scal_copy: lane count");
-        assert!(k >= 1, "stream lane_scal_copy: empty lane set");
-        assert!(alphas.len as usize >= k, "stream lane_scal_copy: alphas");
-        let n = srcs[0].len;
-        let (t, bytes) = self.ctx.block_scal_spec::<S>(n as usize, k);
-        self.lane_op(
-            "lane_scal_copy",
-            Some((alphas, (KernelClass::Scal, t, bytes))),
-            srcs,
-            dsts,
-            exec_lane_scal_copy::<S>,
-        );
-    }
-
-    /// Record the fused per-lane copy `dsts[c] = srcs[c]` (the recorded
-    /// twin of [`GpuContext::lane_copy`]; uncharged, like every copy).
+    /// Record the fused per-lane copy `dsts[c] = srcs[c]` (the batched
+    /// form of `BlockGmres`'s per-lane direction gathers; uncharged,
+    /// like every copy). Sources and destinations are arbitrary
+    /// registered views of one shared length.
     pub fn lane_copy<S: BackendScalar>(&mut self, srcs: &[ArgSlice<S>], dsts: &[ArgSliceMut<S>]) {
-        assert_eq!(srcs.len(), dsts.len(), "stream lane_copy: lane count");
-        assert!(!srcs.is_empty(), "stream lane_copy: empty lane set");
-        self.lane_op("lane_copy", None, srcs, dsts, exec_lane_copy::<S>);
-    }
-
-    fn lane_op<S: BackendScalar>(
-        &mut self,
-        label: &'static str,
-        alphas: Option<(ArgSlice<S>, (KernelClass, f64, usize))>,
-        srcs: &[ArgSlice<S>],
-        dsts: &[ArgSliceMut<S>],
-        exec: ExecFn,
-    ) {
         let k = srcs.len();
+        assert_eq!(k, dsts.len(), "stream lane_copy: lane count");
+        assert!(k >= 1, "stream lane_copy: empty lane set");
         let n = srcs[0].len;
-        let mut reads: Vec<Span> = Vec::with_capacity(k + 1);
-        if let Some((a, _)) = &alphas {
-            reads.push(a.sub(0, k).span());
-        }
+        let mut reads: Vec<Span> = Vec::with_capacity(k);
         let mut writes: Vec<Span> = Vec::with_capacity(k);
         for (s, d) in srcs.iter().zip(dsts) {
-            assert_eq!(s.len, n, "stream {label}: ragged source lanes");
-            assert_eq!(d.len, n, "stream {label}: ragged destination lanes");
+            assert_eq!(s.len, n, "stream lane_copy: ragged source lanes");
+            assert_eq!(d.len, n, "stream lane_copy: ragged destination lanes");
             reads.push(s.span());
             writes.push(d.span());
         }
-        Self::assert_noalias(label, &reads, &writes);
+        Self::assert_noalias("lane_copy", &reads, &writes);
         let quads: Vec<u32> = srcs
             .iter()
             .zip(dsts)
             .flat_map(|(s, d)| [s.buf, s.off, d.buf, d.off])
             .collect();
         let (start, len) = self.ctx.arena_mut().push_list(quads);
-        let (abuf, aoff, charge) = match alphas {
-            Some((a, charge)) => (a.buf, a.off, Some(charge)),
-            None => (0, 0, None),
-        };
+        let kk = u32::try_from(k).expect("lane count");
         self.record(
-            label,
+            "lane_copy",
             &reads,
             &writes,
-            charge,
-            exec,
+            None,
+            exec_lane_copy::<S>,
             OpArgs {
-                bufs: [abuf, 0, 0, 0],
-                offs: [aoff, 0, 0, 0],
-                lens: [u32::try_from(k).expect("lane count"), n, 0, 0],
-                n0: u32::try_from(k).expect("lane count"),
+                lens: [kk, n, 0, 0],
+                n0: kk,
                 list: [start, len],
+                ..OpArgs::default()
+            },
+        );
+    }
+
+    /// Record the fused per-lane basis extension (normalize-and-store)
+    /// `vs[c][:, j] = alphas[c] * srcs[c]` over a lane set with one
+    /// storage width, the demotion fused into compressed stores.
+    /// `alphas` must be a registered view holding one coefficient per
+    /// lane. Charged once under [`KernelClass::Scal`] at the store's
+    /// element width (a width-`k` block scaling on native lanes, a
+    /// single scal at `k = 1`). Native lanes write just column `j`, so
+    /// recorded regions keep column-granular edges; compressed lanes
+    /// are written whole-object.
+    pub fn basis_lane_scal_copy<S: BackendScalar>(
+        &mut self,
+        alphas: ArgSlice<S>,
+        srcs: &[ArgSlice<S>],
+        vs: &[BasisMut<S>],
+        j: usize,
+    ) {
+        let k = srcs.len();
+        assert_eq!(k, vs.len(), "stream basis_lane_scal_copy: lane count");
+        assert!(k >= 1, "stream basis_lane_scal_copy: empty lane set");
+        assert!(
+            alphas.len as usize >= k,
+            "stream basis_lane_scal_copy: alphas"
+        );
+        let jj = u32::try_from(j).expect("basis column");
+        let (n, ebytes) = (vs[0].n, vs[0].ebytes);
+        let native = vs[0].read().is_native();
+        let mut reads = vec![alphas.sub(0, k).span()];
+        let mut writes = Vec::with_capacity(k);
+        for (c, (s, v)) in srcs.iter().zip(vs).enumerate() {
+            assert!(
+                jj < v.ncap,
+                "stream basis_lane_scal_copy: column out of range"
+            );
+            assert_eq!(
+                (s.len, v.n),
+                (n, n),
+                "stream basis_lane_scal_copy: lane {c} length mismatch"
+            );
+            assert_eq!(
+                v.ebytes, ebytes,
+                "stream basis_lane_scal_copy: lane {c} storage width differs from lane 0"
+            );
+            reads.push(s.span());
+            writes.push(if native {
+                v.col_mut(j).span()
+            } else {
+                Span::whole(v.id)
+            });
+        }
+        Self::assert_noalias("basis_lane_scal_copy", &reads, &writes);
+        let (t, bytes) = self
+            .ctx
+            .basis_scal_copy_spec::<S>(n as usize, k, ebytes as usize);
+        let lanes: Vec<u32> = srcs
+            .iter()
+            .zip(vs)
+            .flat_map(|(s, v)| [s.buf, s.off, v.id])
+            .collect();
+        let (start, len) = self.ctx.arena_mut().push_list(lanes);
+        self.record(
+            "basis_lane_scal_copy",
+            &reads,
+            &writes,
+            Some((KernelClass::Scal, t, bytes)),
+            exec_basis_lane_scal_copy::<S>,
+            OpArgs {
+                bufs: [alphas.buf, 0, 0, 0],
+                offs: [alphas.off, 0, 0, 0],
+                lens: [
+                    u32::try_from(k).expect("lane count"),
+                    n,
+                    u32::from(native),
+                    0,
+                ],
+                n0: jj,
+                list: [start, len],
+                ..OpArgs::default()
+            },
+        );
+    }
+
+    /// Record the promotion of stored basis column `j` into a
+    /// working-precision buffer. Native: a plain device copy,
+    /// uncharged like every copy; compressed: a device-resident
+    /// widening cast, charged like [`Stream::cast`] from the storage
+    /// precision.
+    pub fn basis_promote_col<S: BackendScalar>(
+        &mut self,
+        v: BasisRef<S>,
+        j: usize,
+        out: ArgSliceMut<S>,
+    ) {
+        let jj = u32::try_from(j).expect("basis column");
+        assert!(jj < v.ncap, "stream basis_promote_col: column out of range");
+        assert_eq!(out.len, v.n, "stream basis_promote_col: length mismatch");
+        let col = Span::elems(v.id, jj * v.n, v.n, v.ebytes as usize);
+        Self::assert_noalias("basis_promote_col", &[col], &[out.span()]);
+        let charge = (!v.is_native()).then(|| {
+            let (t, bytes) = self.ctx.cast_spec(
+                KernelClass::CastDevice,
+                v.n as usize,
+                v.storage(),
+                S::PRECISION,
+            );
+            (KernelClass::CastDevice, t, bytes)
+        });
+        self.record(
+            "basis_promote_col",
+            &[col],
+            &[out.span()],
+            charge,
+            exec_basis_promote_col::<S>,
+            OpArgs {
+                bufs: [v.id, out.buf, 0, 0],
+                offs: [0, out.off, 0, 0],
+                lens: [0, out.len, 0, 0],
+                n0: jj,
                 ..OpArgs::default()
             },
         );
@@ -1586,24 +1736,11 @@ impl<'c> Stream<'c> {
         assert_eq!(vs.n, w.n, "stream block_gemv_n: basis/block rows");
         assert!(k <= w.k, "stream block_gemv_n: more bases than columns");
         assert!(h.len >= k * nc, "stream block_gemv_n: h too short");
-        {
-            let h_read = ArgSlice::<S> {
-                buf: h.buf,
-                off: h.off,
-                len: k * nc,
-                _s: PhantomData,
-            };
-            Self::assert_noalias("block_gemv_n", &[h_read.span()], &[Span::whole(w.id)]);
-        }
+        let h_read = h.sub(0, (k * nc) as usize);
+        Self::assert_noalias("block_gemv_n", &[h_read.span()], &[Span::whole(w.id)]);
         let (t, bytes) =
             self.ctx
                 .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
-        let h_read = ArgSlice::<S> {
-            buf: h.buf,
-            off: h.off,
-            len: k * nc,
-            _s: PhantomData,
-        };
         let mut reads: Vec<Span> = self.basis_spans(vs, nc);
         reads.push(h_read.span());
         self.record(
@@ -1800,31 +1937,68 @@ fn exec_norm2<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs
     }
 }
 
+fn exec_dot<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+    // SAFETY: arena contract.
+    unsafe {
+        let x = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
+        let y = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
+        *arena.value_mut::<S>(a.bufs[2], a.offs[2]) = S::view(b).dot(x, y, a.order);
+    }
+}
+
+/// Precision casts run on the host in every backend (no backend
+/// kernel converts between precisions).
+fn exec_cast<S: Scalar, T: Scalar>(_b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+    // SAFETY: arena contract.
+    unsafe {
+        let src = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
+        let dst = arena.slice_mut::<T>(a.bufs[1], a.offs[1], a.lens[1]);
+        mpgmres_scalar::cast_into(src, dst);
+    }
+}
+
+fn exec_basis_promote_col<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+    // SAFETY: arena contract.
+    unsafe {
+        let v: &BasisStore<S> = arena.obj(a.bufs[0]);
+        let out = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
+        S::view(b).basis_promote_col(v, a.n0 as usize, out);
+    }
+}
+
+fn exec_basis_lane_scal_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+    // SAFETY: arena contract; native lanes materialize only their
+    // declared column write spans, compressed lanes carry whole-object
+    // write spans, and the lanes are distinct registrations.
+    unsafe {
+        let (k, n, j) = (a.lens[0] as usize, a.lens[1], a.n0);
+        let alphas = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
+        let lanes = arena.list(a.list[0], a.list[1]);
+        let srcs: Vec<&[S]> = (0..k)
+            .map(|c| arena.slice::<S>(lanes[3 * c], lanes[3 * c + 1], n))
+            .collect();
+        if a.lens[2] == 1 {
+            let mut dsts: Vec<&mut [S]> = (0..k)
+                .map(|c| arena.slice_mut::<S>(lanes[3 * c + 2], j * n, n))
+                .collect();
+            S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
+        } else {
+            let mut vs: Vec<&mut BasisStore<S>> = (0..k)
+                .map(|c| arena.obj_mut::<BasisStore<S>>(lanes[3 * c + 2]))
+                .collect();
+            S::view(b).basis_lane_scal_copy(&mut vs, j as usize, alphas, &srcs);
+        }
+    }
+}
+
 /// Deferred host step: the arithmetic already ran on the host when it
 /// consumed the synced results; the node exists for its DAG edges and
 /// its ready-time charge, so its launch is a no-op.
 fn exec_host_step(_b: &dyn Backend, _arena: &BufferArena, _a: &OpArgs) {}
 
-fn exec_lane_scal_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
+fn exec_lane_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
     // SAFETY: arena contract; each destination quad names a distinct
     // declared write span.
-    unsafe {
-        let k = a.n0 as usize;
-        let n = a.lens[1];
-        let alphas = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let quads = arena.list(a.list[0], a.list[1]);
-        let srcs: Vec<&[S]> = (0..k)
-            .map(|c| arena.slice::<S>(quads[4 * c], quads[4 * c + 1], n))
-            .collect();
-        let mut dsts: Vec<&mut [S]> = (0..k)
-            .map(|c| arena.slice_mut::<S>(quads[4 * c + 2], quads[4 * c + 3], n))
-            .collect();
-        S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
-    }
-}
-
-fn exec_lane_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; as `exec_lane_scal_copy`.
     unsafe {
         let k = a.n0 as usize;
         let n = a.lens[1];
@@ -2204,7 +2378,11 @@ mod tests {
         // about non-zero totals.
         let x = vec![1.0f64; 8];
         let mut y = vec![0.0f64; 8];
-        ctx.axpy(1.0, &x, &mut y);
+        {
+            let mut st = Stream::eager(&mut ctx);
+            let (xh, yh) = (st.slice(&x), st.slice_mut(&mut y));
+            st.axpy(1.0, xh, yh);
+        }
         let (total, critical) = (ctx.elapsed(), ctx.profiler().critical_seconds());
         {
             let st = ctx.stream();
@@ -2219,7 +2397,7 @@ mod tests {
     }
 
     /// The pipelined building blocks — a deferred host node, a recorded
-    /// fused lane normalize-and-store, and a recorded lane copy — are
+    /// fused basis extension, and a recorded lane copy — are
     /// bit-identical eager vs recorded (values AND charges), and the
     /// host node's latency hides under the independent device work on
     /// the overlap timeline.
@@ -2231,27 +2409,27 @@ mod tests {
             ctx.set_streaming(streaming);
             let alphas = [2.0f64, -1.0];
             let xs = [1.0f64, 2.0, 3.0, 4.0]; // two source lanes of length 2
-            let mut ys = [0.0f64; 4];
+            let mut v0 = BasisStore::<f64>::native(2, 1);
+            let mut v1 = BasisStore::<f64>::native(2, 1);
             let mut zs = [0.0f64; 2];
             let mut token = 0.0f64;
             let mut criticals = Vec::new();
             for _ in 0..2 {
-                let (y0, y1) = ys.split_at_mut(2);
                 let mut st = ctx.stream();
                 let ah = st.slice(&alphas);
                 let xh = st.slice(&xs);
-                let y0h = st.slice_mut(y0);
-                let y1h = st.slice_mut(y1);
+                let vs = st.bases_mut(vec![&mut v0, &mut v1]);
                 let zh = st.slice_mut(&mut zs);
                 let th = st.val_mut(&mut token);
                 // Deferred host step reading a lagged span the device
                 // ops below never touch: independent, so it overlaps.
                 st.host_givens(3, &[xh.sub(0, 2)], th);
-                st.lane_scal_copy(ah, &[xh.sub(0, 2), xh.sub(2, 2)], &[y0h, y1h]);
-                st.lane_copy(&[y0h.read()], &[zh]);
+                st.basis_lane_scal_copy(ah, &[xh.sub(0, 2), xh.sub(2, 2)], &vs, 0);
+                st.lane_copy(&[vs[0].col(0)], &[zh]);
                 st.sync();
                 criticals.push(ctx.profiler().critical_seconds());
             }
+            let ys = [v0.expect_native().col(0), v1.expect_native().col(0)].concat();
             (ys, zs, ctx.elapsed(), criticals)
         };
         let (ys_r, zs_r, t_r, crit_r) = run(true);
@@ -2497,7 +2675,9 @@ mod tests {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
         let x = [1.0f64; 3];
         let mut y = [0.0f64; 3];
-        ctx.spmv(&a, &x, &mut y);
+        let mut st = Stream::eager(&mut ctx);
+        let (ah, xh, yh) = (st.matrix(&a), st.slice(&x), st.slice_mut(&mut y));
+        st.spmv(ah, xh, yh);
     }
 
     #[test]
@@ -2507,7 +2687,10 @@ mod tests {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
         let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
         let mut r = [0.0f64; 3];
-        ctx.residual_as(KernelClass::SpMV, &a, &b, &x, &mut r);
+        let mut st = Stream::eager(&mut ctx);
+        let (ah, bh, xh) = (st.matrix(&a), st.slice(&b), st.slice(&x));
+        let rh = st.slice_mut(&mut r);
+        st.residual_as(KernelClass::SpMV, ah, bh, xh, rh);
     }
 
     #[test]
@@ -2578,5 +2761,101 @@ mod tests {
         let wh = st.block(&w);
         let hh = st.slice_mut(&mut h);
         st.block_gemv_t(vs, 2, wh, hh);
+    }
+    #[test]
+    #[should_panic(expected = "stream gemv_t: ncols over basis capacity")]
+    fn gemv_t_column_overflow_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let v = BasisStore::<f64>::native(3, 2);
+        let w = [0.0f64; 3];
+        let mut h = [0.0f64; 5];
+        let mut st = ctx.stream();
+        let (vh, wh, hh) = (st.basis(&v), st.slice(&w), st.slice_mut(&mut h));
+        st.gemv_t(vh, 5, wh, hh);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream axpy: length mismatch")]
+    fn axpy_length_mismatch_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = [0.0f64; 2];
+        let mut y = [0.0f64; 3];
+        let mut st = ctx.stream();
+        let (xh, yh) = (st.slice(&x), st.slice_mut(&mut y));
+        st.axpy(1.0, xh, yh);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream dot: length mismatch")]
+    fn dot_length_mismatch_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let (x, y) = ([0.0f64; 2], [0.0f64; 3]);
+        let mut out = 0.0f64;
+        let mut st = ctx.stream();
+        let (xh, yh, oh) = (st.slice(&x), st.slice(&y), st.val_mut(&mut out));
+        st.dot_into(xh, yh, oh);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream cast: length mismatch")]
+    fn cast_length_mismatch_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = [0.0f64; 3];
+        let mut lo = [0.0f32; 2];
+        let mut st = ctx.stream();
+        let (xh, loh) = (st.slice(&x), st.slice_mut(&mut lo));
+        st.cast(KernelClass::CastDevice, xh, loh);
+    }
+
+    /// The compressed-basis column ops are priced like the kernels they
+    /// fuse: promotion as a `CastDevice` from the storage precision
+    /// (nothing on a native basis), the lane-set extension as one `Scal`
+    /// at `basis_scal_copy_spec` with the store's element width.
+    #[test]
+    fn compressed_basis_ops_charge_cast_and_scal_specs() {
+        use mpgmres_scalar::Precision;
+        let n = 8;
+        let dev = DeviceModel::v100_belos();
+        let mut ctx = GpuContext::with_reduction(dev.clone(), ReductionOrder::Sequential);
+        let src: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 - 1.0).collect();
+        let alphas = [2.0f64, 0.5];
+        let mut v32 = BasisStore::<f64>::compressed(n, 3, Precision::Fp32);
+        let mut v32b = BasisStore::<f64>::compressed(n, 3, Precision::Fp32);
+        {
+            let mut st = Stream::eager(&mut ctx);
+            let (ah, sh) = (st.slice(&alphas), st.slice(&src));
+            let vs = st.bases_mut(vec![&mut v32, &mut v32b]);
+            st.basis_lane_scal_copy(ah, &[sh, sh], &vs, 1);
+        }
+        let scal = ctx.profiler().class_stats(KernelClass::Scal);
+        let (t, bytes) = ctx.basis_scal_copy_spec::<f64>(n, 2, 4);
+        assert_eq!((scal.calls, scal.bytes), (1, bytes as u64));
+        assert_eq!(scal.seconds.to_bits(), t.to_bits());
+
+        let mut out = vec![0.0f64; n];
+        {
+            let mut st = Stream::eager(&mut ctx);
+            let (vh, oh) = (st.basis(&v32b), st.slice_mut(&mut out));
+            st.basis_promote_col(vh, 1, oh);
+        }
+        for (o, s) in out.iter().zip(&src) {
+            assert_eq!(*o, ((0.5 * s) as f32) as f64);
+        }
+        let cast = ctx.profiler().class_stats(KernelClass::CastDevice);
+        let t = mpgmres_gpusim::cost::cast_device_time(&dev, n, Precision::Fp32, Precision::Fp64);
+        assert_eq!((cast.calls, cast.bytes), (1, (n * (4 + 8)) as u64));
+        assert_eq!(cast.seconds.to_bits(), t.to_bits());
+
+        // A native basis promotes as an uncharged copy.
+        let before = ctx.elapsed();
+        let mut v64 = BasisStore::<f64>::native(n, 2);
+        v64.set_col(0, &src);
+        {
+            let mut st = Stream::eager(&mut ctx);
+            let (vh, oh) = (st.basis(&v64), st.slice_mut(&mut out));
+            st.basis_promote_col(vh, 0, oh);
+        }
+        assert_eq!(out, src);
+        assert_eq!(ctx.elapsed().to_bits(), before.to_bits());
     }
 }
