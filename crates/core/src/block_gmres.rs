@@ -37,8 +37,10 @@
 //!
 //! This module is the crate's only GMRES(m) driver: the cycle, restart,
 //! Belos loss-of-accuracy and deflation policy live here and nowhere
-//! else. The single-RHS [`Gmres`] is a one-lane front over it, and
-//! `GmresIr`, `GmresIr3` and the serving engine run its lanes directly.
+//! else. The single-RHS [`Gmres`] is a one-lane front over it, the
+//! serving engine runs its lanes directly, and `GmresIr`'s one
+//! refinement loop (which `GmresIr3` nests) runs one of its cycles per
+//! refinement step.
 //! The loss-of-accuracy restart rule that compressed-basis solves lean
 //! on (Aliaga et al., arXiv:2009.12101) therefore has one home.
 //!
@@ -72,9 +74,7 @@
 use crate::config::{GmresConfig, OrthoMethod, StorePath};
 use crate::context::{GpuContext, GpuMatrix, GpuStore};
 use crate::precond::{self, Identity, Preconditioner};
-use crate::service::{
-    Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
-};
+use crate::service::{Operator, SolveError, SolveOutcome, SolveRequest, Solver};
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 use crate::stream::{
     ArgSlice, ArgSliceMut, BasisMut, BlockMut, BlockRef, MatRef, StoreRef, Stream,
@@ -302,31 +302,27 @@ impl<'a, S: BackendScalar> Solver<'a, S> for BlockGmres<'a, S> {
         req: &SolveRequest<'a, '_, S>,
     ) -> Result<SolveOutcome<S>, SolveError> {
         req.validate()?;
-        match (req.operator, req.store) {
-            (Operator::Matrix(a), StorePath::Native) => {
-                let solver = Self::try_new(a, req.precond, req.config)?;
-                Ok(solver.serve_one(ctx, req))
-            }
-            (Operator::Matrix(a), StorePath::Shadow(p)) => {
-                let store = GpuStore::shadow_of(a, p);
-                let solver = BlockGmres::try_over_store(&store, req.precond, req.config)?;
-                Ok(solver.serve_one(ctx, req))
-            }
-            (Operator::Matrix(a), StorePath::Split(t)) => {
-                let store = GpuStore::split_of(a, t);
-                let solver = BlockGmres::try_over_store(&store, req.precond, req.config)?;
-                Ok(solver.serve_one(ctx, req))
-            }
+        let packed;
+        let solver = match (req.operator, req.store) {
+            (Operator::Matrix(a), path) => match GpuStore::for_path(a, path) {
+                None => BlockGmres::try_new(a, req.precond, req.config)?,
+                Some(store) => {
+                    packed = store;
+                    BlockGmres::try_over_store(&packed, req.precond, req.config)?
+                }
+            },
             (Operator::Store(s), StorePath::Native) => {
-                let solver = Self::try_over_store(s, req.precond, req.config)?;
-                Ok(solver.serve_one(ctx, req))
+                BlockGmres::try_over_store(s, req.precond, req.config)?
             }
-            (Operator::Store(_), _) => Err(SolveError::UnsupportedCombination(
-                "a store operand already fixes the storage path; \
-                 leave `store` at StorePath::Native"
-                    .into(),
-            )),
-        }
+            (Operator::Store(_), _) => {
+                return Err(SolveError::UnsupportedCombination(
+                    "a store operand already fixes the storage path; \
+                     leave `store` at StorePath::Native"
+                        .into(),
+                ))
+            }
+        };
+        Ok(req.run_once(ctx, |ctx, b, x| solver.solve_one(ctx, b, x)))
     }
 }
 
@@ -390,25 +386,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             precond,
             cfg,
         })
-    }
-
-    /// Run a validated single-RHS request to completion on this solver.
-    fn serve_one(&self, ctx: &mut GpuContext, req: &SolveRequest<'_, '_, S>) -> SolveOutcome<S> {
-        let mut x = req
-            .x0
-            .map(|x0| x0.to_vec())
-            .unwrap_or_else(|| vec![S::zero(); self.a.n()]);
-        let start = ctx.elapsed();
-        let result = self.solve_one(ctx, req.rhs, &mut x);
-        SolveOutcome {
-            id: RequestId(0),
-            x,
-            result: Some(result),
-            disposition: Disposition::Completed,
-            degraded: None,
-            queued_seconds: 0.0,
-            solve_seconds: ctx.elapsed() - start,
-        }
     }
 
     /// One-lane solve over plain slices: `b` and the initial guess in

@@ -35,6 +35,7 @@ use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_scalar::{Precision, PrecisionTag, Scalar};
 
+use crate::config::StorePath;
 use crate::stream::{RegionKey, StreamStats};
 
 /// A sparse matrix prepared for the simulated device: the CSR data plus
@@ -128,6 +129,17 @@ impl<S: Scalar> GpuStore<S> {
         GpuStore {
             store: MatrixStore::split_threshold(a.csr(), threshold),
             stats: a.stats,
+        }
+    }
+
+    /// The store a storage path selects over `a`: `None` for
+    /// [`StorePath::Native`] (solve on `a` itself), a shadow or split
+    /// store otherwise.
+    pub fn for_path(a: &GpuMatrix<S>, path: StorePath) -> Option<Self> {
+        match path {
+            StorePath::Native => None,
+            StorePath::Shadow(p) => Some(Self::shadow_of(a, p)),
+            StorePath::Split(t) => Some(Self::split_of(a, t)),
         }
     }
 

@@ -20,28 +20,90 @@
 //! an exact reformulation (GMRES is scale-invariant) and keeps the
 //! residual representable when `Lo` is fp16 (the paper's future-work
 //! third precision).
+//!
+//! This is the crate's only refinement loop. Its inner solve is either
+//! one GMRES(m) cycle or, for the three-precision ladder
+//! ([`crate::GmresIr3`]), another refinement rung one precision lower
+//! that takes this rung's low-precision matrix copy as its operator.
 
-use mpgmres_backend::BackendScalar;
-use mpgmres_gpusim::KernelClass;
-use mpgmres_la::multivec::MultiVec;
-
-use crate::block_gmres::BlockGmres;
-use crate::config::{GmresConfig, IrConfig, StorePath};
-use crate::context::{GpuContext, GpuMatrix, GpuStore};
-use crate::precond::{Identity, Preconditioner};
-use crate::service::{
-    Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
-};
-use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
+use crate::prelude::*;
 use crate::Stream;
 
 /// GMRES-IR: inner precision `Lo`, outer (residual/solution) precision `Hi`.
 pub struct GmresIr<'a, Lo: BackendScalar, Hi: BackendScalar> {
     a_hi: &'a GpuMatrix<Hi>,
+    rung: Refine<'a, Lo>,
+}
+
+/// The inner solve of a refinement step: `a u = r` from `u = 0`, where
+/// `a` is the rung's low-precision matrix copy.
+trait InnerSolve<S: BackendScalar>: Send + Sync {
+    fn solve(
+        &self,
+        ctx: &mut GpuContext,
+        a: &GpuMatrix<S>,
+        r: &MultiVec<S>,
+        u: &mut MultiVec<S>,
+    ) -> SolveResult;
+
+    /// The low-precision value store the solve streams, if any.
+    fn store(&self) -> Option<&GpuStore<S>> {
+        None
+    }
+}
+
+/// One GMRES(m) cycle of the one-lane block driver (bit-identical to a
+/// single-RHS GMRES) over `a` or over a storage path's store.
+struct Cycle<'a, S: BackendScalar> {
+    store: Option<GpuStore<S>>,
+    precond: &'a dyn Preconditioner<S>,
+    gmres: GmresConfig,
+}
+
+impl<S: BackendScalar> InnerSolve<S> for Cycle<'_, S> {
+    fn solve(
+        &self,
+        ctx: &mut GpuContext,
+        a: &GpuMatrix<S>,
+        r: &MultiVec<S>,
+        u: &mut MultiVec<S>,
+    ) -> SolveResult {
+        let gmres = match &self.store {
+            None => BlockGmres::new(a, self.precond, self.gmres),
+            Some(s) => BlockGmres::try_over_store(s, self.precond, self.gmres)
+                .expect("vetted by Refine::over_cycle"),
+        };
+        gmres.solve(ctx, r, u).pop().expect("one inner lane")
+    }
+
+    fn store(&self) -> Option<&GpuStore<S>> {
+        self.store.as_ref()
+    }
+}
+
+/// One refinement rung: Algorithm 2's loop around an inner solve in `Lo`,
+/// over an operator handed in per solve. It owns its `Lo` matrix copy, so
+/// a nested rung borrows nothing from its parent.
+struct Refine<'a, Lo: BackendScalar> {
     a_lo: GpuMatrix<Lo>,
-    store_lo: Option<GpuStore<Lo>>,
-    precond_lo: &'a dyn Preconditioner<Lo>,
+    inner: Box<dyn InnerSolve<Lo> + 'a>,
     cfg: IrConfig,
+    /// Stop with `MaxIters` once a step leaves the residual at or above
+    /// this fraction of the previous one (the three-precision ladder's).
+    stall_ratio: Option<f64>,
+}
+
+/// A nested rung: solves for its parent's correction over the parent's copy.
+impl<Lo: BackendScalar, S: BackendScalar> InnerSolve<S> for Refine<'_, Lo> {
+    fn solve(
+        &self,
+        ctx: &mut GpuContext,
+        a: &GpuMatrix<S>,
+        r: &MultiVec<S>,
+        u: &mut MultiVec<S>,
+    ) -> SolveResult {
+        self.solve(ctx, a, r.col(0), u.col_mut(0))
+    }
 }
 
 impl<'a, Lo: BackendScalar, Hi: BackendScalar> Solver<'a, Hi> for GmresIr<'a, Lo, Hi> {
@@ -59,10 +121,11 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> Solver<'a, Hi> for GmresIr<'a, Lo
 impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
     /// Build the solver. The low-precision matrix copy is created here
     /// (its one-time conversion cost is excluded from solve times, as in
-    /// the paper's protocol, §V). A non-[`StorePath::Native`] storage
-    /// path additionally builds the low-precision value store the inner
-    /// block solver streams. Panics on an unsupported combination; see
-    /// [`GmresIr::try_new`] for the typed-error variant.
+    /// the paper's protocol, §V). A non-[`StorePath::Native`]
+    /// storage path additionally builds the low-precision value store
+    /// the inner block solver streams. Panics on an unsupported
+    /// combination; see [`GmresIr::try_new`] for the typed-error
+    /// variant.
     pub fn new(
         a_hi: &'a GpuMatrix<Hi>,
         precond_lo: &'a dyn Preconditioner<Lo>,
@@ -84,28 +147,31 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         precond_lo: &'a dyn Preconditioner<Lo>,
         cfg: IrConfig,
     ) -> Result<Self, SolveError> {
-        let a_lo = a_hi.convert::<Lo>();
-        let store_lo = match cfg.store {
-            StorePath::Native => None,
-            StorePath::Shadow(p) => Some(GpuStore::shadow_of(&a_lo, p)),
-            StorePath::Split(t) => Some(GpuStore::split_of(&a_lo, t)),
-        };
-        if store_lo.is_some() && precond_lo.needs_matrix() {
-            return Err(SolveError::UnsupportedCombination(format!(
-                "preconditioner '{}' needs the plain matrix at apply time, \
-                 which the packed inner operand of a non-native storage path \
-                 does not carry; use a matrix-free preconditioner (identity, \
-                 block Jacobi, or a cast wrapper owning its own copy)",
-                precond_lo.describe()
-            )));
-        }
         Ok(GmresIr {
             a_hi,
-            a_lo,
-            store_lo,
-            precond_lo,
-            cfg,
+            rung: Refine::over_cycle(a_hi.convert(), precond_lo, cfg)?,
         })
+    }
+
+    /// Refinement whose inner solve is a rung in precision `L` running
+    /// `mid_cfg` over this rung's `Lo` copy; both copies are made here.
+    /// It stops once a step cuts the residual by less than 0.1%.
+    pub(crate) fn try_nested<L: BackendScalar>(
+        a_hi: &'a GpuMatrix<Hi>,
+        precond: &'a dyn Preconditioner<L>,
+        mid_cfg: IrConfig,
+        cfg: IrConfig,
+    ) -> Result<Self, SolveError> {
+        let a_lo: GpuMatrix<Lo> = a_hi.convert();
+        let inner = Box::new(Refine::over_cycle(a_lo.convert(), precond, mid_cfg)?);
+        let stall_ratio = Some(0.999);
+        let rung = Refine {
+            a_lo,
+            inner,
+            cfg,
+            stall_ratio,
+        };
+        Ok(GmresIr { a_hi, rung })
     }
 
     /// Serve one [`SolveRequest`] through GMRES-IR with an explicit
@@ -117,83 +183,106 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         req: &SolveRequest<'a, '_, Hi>,
         precond_lo: &'a dyn Preconditioner<Lo>,
     ) -> Result<SolveOutcome<Hi>, SolveError> {
-        req.validate()?;
-        if !req.precond.is_identity() {
-            return Err(SolveError::UnsupportedCombination(
-                "GMRES-IR applies its preconditioner in the inner precision; \
-                 pass it as `precond_lo` and leave the request's own \
-                 preconditioner at the identity"
-                    .into(),
-            ));
-        }
-        let a = match req.operator {
-            Operator::Matrix(a) => a,
-            Operator::Store(_) => {
-                return Err(SolveError::UnsupportedCombination(
-                    "GMRES-IR needs the plain high-precision matrix for its \
-                     outer residual; select a storage path for the *inner* \
-                     operand via the request's `store` field instead"
-                        .into(),
-                ))
-            }
-        };
-        let cfg = IrConfig::default()
-            .with_m(req.config.m)
-            .with_rtol(req.config.rtol)
-            .with_max_iters(req.config.max_iters)
-            .with_store(req.store);
-        let cfg = IrConfig {
-            record_history: req.config.record_history,
-            ..cfg
-        };
-        let ir = Self::try_new(a, precond_lo, cfg)?;
-        let n = a.n();
-        let mut x = req
-            .x0
-            .map(|x| x.to_vec())
-            .unwrap_or_else(|| vec![Hi::zero(); n]);
-        let start = ctx.elapsed();
-        let result = ir.solve(ctx, req.rhs, &mut x);
-        Ok(SolveOutcome {
-            id: RequestId(0),
-            x,
-            result: Some(result),
-            disposition: Disposition::Completed,
-            degraded: None,
-            queued_seconds: 0.0,
-            solve_seconds: ctx.elapsed() - start,
+        serve_refined(ctx, req, |a| {
+            let cfg = IrConfig {
+                record_history: req.config.record_history,
+                ..IrConfig::default()
+                    .with_m(req.config.m)
+                    .with_rtol(req.config.rtol)
+                    .with_max_iters(req.config.max_iters)
+                    .with_store(req.store)
+            };
+            Self::try_new(a, precond_lo, cfg)
         })
-    }
-
-    /// The low-precision matrix copy (GMRES-IR keeps both in memory,
-    /// §III-B).
-    pub fn matrix_lo(&self) -> &GpuMatrix<Lo> {
-        &self.a_lo
     }
 
     /// The inner low-precision value store, when a non-native
     /// [`StorePath`] is configured.
     pub fn store_lo(&self) -> Option<&GpuStore<Lo>> {
-        self.store_lo.as_ref()
+        self.rung.inner.store()
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &IrConfig {
-        &self.cfg
+        &self.rung.cfg
     }
 
-    /// The fp64 refinement step `r = b - A x`, `||r||`, recorded as one
-    /// stream region.
-    fn outer_residual(
-        &self,
+    /// Solve `A x = b` to the outer tolerance; `x` holds the initial
+    /// guess on entry and the solution on exit.
+    pub fn solve(&self, ctx: &mut GpuContext, b: &[Hi], x: &mut [Hi]) -> SolveResult {
+        self.rung.solve(ctx, self.a_hi, b, x)
+    }
+}
+
+/// The serve front of both refinement drivers: validate the request,
+/// require a plain matrix operand (for the high-precision residual) and
+/// the identity as its preconditioner (the driver's own runs in the inner
+/// precision), then time a solve by the driver `build` makes.
+pub(crate) fn serve_refined<'a, Lo: BackendScalar, Hi: BackendScalar>(
+    ctx: &mut GpuContext,
+    req: &SolveRequest<'a, '_, Hi>,
+    build: impl FnOnce(&'a GpuMatrix<Hi>) -> Result<GmresIr<'a, Lo, Hi>, SolveError>,
+) -> Result<SolveOutcome<Hi>, SolveError> {
+    req.validate()?;
+    let unsupported = |why: &str| Err(SolveError::UnsupportedCombination(why.into()));
+    if !req.precond.is_identity() {
+        return unsupported("refinement preconditions in the inner precision; pass `precond_lo`");
+    }
+    let Operator::Matrix(a) = req.operator else {
+        return unsupported("refinement needs the plain matrix; pick the inner store via `store`");
+    };
+    let ir = build(a)?;
+    Ok(req.run_once(ctx, |ctx, b, x| ir.solve(ctx, b, x)))
+}
+
+impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
+    /// A rung whose inner solve is one GMRES(m) cycle over `a_lo`, or
+    /// over the store `cfg.store` selects.
+    fn over_cycle(
+        a_lo: GpuMatrix<Lo>,
+        precond: &'a dyn Preconditioner<Lo>,
+        cfg: IrConfig,
+    ) -> Result<Self, SolveError> {
+        let gmres = match cfg.inner_early_exit {
+            None => GmresConfig::inner_cycle(cfg.m),
+            Some(tau) => GmresConfig {
+                monitor_implicit: true,
+                rtol: tau,
+                record_history: cfg.record_history,
+                ..GmresConfig::inner_cycle(cfg.m)
+            },
+        };
+        let store = GpuStore::for_path(&a_lo, cfg.store);
+        if let Some(s) = &store {
+            // A packed operand takes matrix-free preconditioners only.
+            BlockGmres::try_over_store(s, precond, gmres)?;
+        }
+        let inner = Box::new(Cycle {
+            store,
+            precond,
+            gmres,
+        });
+        let stall_ratio = None;
+        Ok(Refine {
+            a_lo,
+            inner,
+            cfg,
+            stall_ratio,
+        })
+    }
+
+    /// The high-precision refinement step `r = b - A x`, `||r||`,
+    /// recorded as one stream region.
+    fn outer_residual<Hi: BackendScalar>(
         ctx: &mut GpuContext,
+        a_hi: &GpuMatrix<Hi>,
         b: &[Hi],
         x: &[Hi],
         r: &mut [Hi],
         norm: &mut [Hi],
     ) {
         let mut st = ctx.stream();
-        let ah = st.matrix(self.a_hi);
+        let ah = st.matrix(a_hi);
         let bh = st.slice(b);
         let xh = st.slice(x);
         let rh = st.slice_mut(r);
@@ -203,13 +292,17 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         st.sync();
     }
 
-    /// Solve `A x = b` to the outer tolerance; `x` holds the initial
-    /// guess on entry and the solution on exit.
-    pub fn solve(&self, ctx: &mut GpuContext, b: &[Hi], x: &mut [Hi]) -> SolveResult {
-        let n = self.a_hi.n();
+    /// Refine `x` towards the solution of `a_hi x = b`.
+    fn solve<Hi: BackendScalar>(
+        &self,
+        ctx: &mut GpuContext,
+        a_hi: &GpuMatrix<Hi>,
+        b: &[Hi],
+        x: &mut [Hi],
+    ) -> SolveResult {
+        let n = a_hi.n();
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
-        let m = self.cfg.m;
 
         let mut history: Vec<HistoryPoint> = Vec::new();
         let mut r = vec![Hi::zero(); n];
@@ -219,46 +312,22 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         let mut nbuf = vec![Hi::zero(); 1];
 
         // High-precision initial residual (Algorithm 2, line 1).
-        self.outer_residual(ctx, b, x, &mut r, &mut nbuf);
+        Self::outer_residual(ctx, a_hi, b, x, &mut r, &mut nbuf);
         let mut rnorm = nbuf[0].to_f64();
         let r0_norm = rnorm;
-        if !r0_norm.is_finite() {
+        if r0_norm == 0.0 || !r0_norm.is_finite() {
+            let (status, rel) = match r0_norm == 0.0 {
+                true => (SolveStatus::Converged, 0.0),
+                false => (SolveStatus::Breakdown, f64::NAN),
+            };
             return SolveResult {
-                status: SolveStatus::Breakdown,
+                status,
                 iterations: 0,
                 restarts: 0,
-                final_relative_residual: f64::NAN,
+                final_relative_residual: rel,
                 history,
             };
         }
-        if r0_norm == 0.0 {
-            return SolveResult {
-                status: SolveStatus::Converged,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 0.0,
-                history,
-            };
-        }
-
-        let inner_cfg = match self.cfg.inner_early_exit {
-            None => GmresConfig::inner_cycle(m),
-            Some(tau) => GmresConfig {
-                monitor_implicit: true,
-                rtol: tau,
-                record_history: self.cfg.record_history,
-                ..GmresConfig::inner_cycle(m)
-            },
-        };
-        let inner = match &self.store_lo {
-            None => BlockGmres::new(&self.a_lo, self.precond_lo, inner_cfg),
-            // The construction boundary already vetted the
-            // preconditioner as matrix-free, so the packed path applies
-            // it in the working precision while the SpMM streams the
-            // store's narrow values.
-            Some(s) => BlockGmres::try_over_store(s, self.precond_lo, inner_cfg)
-                .expect("vetted at construction"),
-        };
 
         let mut total_iters = 0usize;
         let mut restarts = 0usize;
@@ -295,17 +364,11 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
                 st.cast(KernelClass::CastHost, rh.read(), rlh);
             }
 
-            // Inner solve A_lo u = r_lo from a zero guess: one cycle of
-            // the one-lane block driver — bit-identical to a single-RHS
-            // inner GMRES, and the lane shares the block storage-path
-            // (SpMM-over-store) kernels.
+            // Inner solve A_lo u = r_lo from a zero guess.
             for ui in u_lo.col_mut(0).iter_mut() {
                 *ui = Lo::zero();
             }
-            let inner_res = inner
-                .solve(ctx, &r_lo, &mut u_lo)
-                .pop()
-                .expect("one inner lane");
+            let inner_res = self.inner.solve(ctx, &self.a_lo, &r_lo, &mut u_lo);
             if inner_res.iterations == 0 {
                 // Inner solver could make no progress (e.g. fp16 overflow).
                 status = SolveStatus::Breakdown;
@@ -336,7 +399,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
                 st.cast(KernelClass::CastHost, ulh, uh);
                 st.axpy(Hi::from_f64(rnorm), uh.read(), xh);
             }
-            self.outer_residual(ctx, b, x, &mut r, &mut nbuf);
+            Self::outer_residual(ctx, a_hi, b, x, &mut r, &mut nbuf);
             let new_norm = nbuf[0].to_f64();
             if self.cfg.record_history {
                 history.push(HistoryPoint {
@@ -349,7 +412,14 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
                 status = SolveStatus::Breakdown;
                 break;
             }
+            let stalled = self.stall_ratio.is_some_and(|s| new_norm >= rnorm * s);
             rnorm = new_norm;
+            if stalled {
+                // The inner rungs can no longer reduce the true residual:
+                // stop rather than loop forever.
+                status = SolveStatus::MaxIters;
+                break;
+            }
         }
 
         SolveResult {

@@ -15,22 +15,16 @@
 //! Each level normalizes its residual before casting down (GMRES is scale
 //! invariant), which keeps fp16's 5-bit exponent in range — without that,
 //! residuals below 6.1e-5 underflow to zero and the ladder collapses.
-//! The middle level is this crate's [`GmresIr`] with `Lo = Half`,
-//! `Hi = f32`; the outer loop is the same Algorithm 2 shape in fp64.
+//! The ladder is one [`GmresIr`] nested in another: an fp64/fp32
+//! refinement whose inner solve is an fp32/fp16 refinement rung over the
+//! outer rung's fp32 matrix copy. The outer rung also stops once a step
+//! no longer cuts the fp64 residual, since fp16 inner cycles can stall on
+//! hard operators.
 
-use mpgmres_gpusim::KernelClass;
-use mpgmres_scalar::Half;
 use serde::Serialize;
 
-use crate::config::{IrConfig, StorePath};
-use crate::context::{GpuContext, GpuMatrix};
-use crate::ir::GmresIr;
-use crate::precond::{Identity, Preconditioner};
-use crate::service::{
-    Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
-};
-use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-use crate::Stream;
+use crate::ir::serve_refined;
+use crate::prelude::*;
 
 /// Configuration for the three-precision ladder.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -48,7 +42,7 @@ pub struct Ir3Config {
     /// Cap on total inner iterations across everything.
     pub max_iters: usize,
     /// Storage path of the innermost (fp16-working) matrix operand,
-    /// forwarded to the middle [`GmresIr`]'s configuration.
+    /// forwarded to the middle rung's configuration.
     pub store: StorePath,
 }
 
@@ -68,9 +62,7 @@ impl Default for Ir3Config {
 /// Three-precision iterative refinement: fp16 inner GMRES, fp32 middle
 /// refinement, fp64 outer refinement.
 pub struct GmresIr3<'a> {
-    a_hi: &'a GpuMatrix<f64>,
-    a_mid: GpuMatrix<f32>,
-    precond_lo: &'a dyn Preconditioner<Half>,
+    ir: GmresIr<'a, f32, f64>,
     cfg: Ir3Config,
 }
 
@@ -87,9 +79,9 @@ impl<'a> Solver<'a, f64> for GmresIr3<'a> {
 }
 
 impl<'a> GmresIr3<'a> {
-    /// Build the ladder; fp32 and fp16 matrix copies are made here (the
-    /// fp16 copy lives inside the middle solver). Panics on an
-    /// unsupported combination; see [`GmresIr3::try_new`].
+    /// Build the ladder. The fp32 and fp16 matrix copies (and any
+    /// innermost store) are made here, once. Panics on an unsupported
+    /// combination; see [`GmresIr3::try_new`].
     pub fn new(
         a_hi: &'a GpuMatrix<f64>,
         precond_lo: &'a dyn Preconditioner<Half>,
@@ -107,18 +99,21 @@ impl<'a> GmresIr3<'a> {
         precond_lo: &'a dyn Preconditioner<Half>,
         cfg: Ir3Config,
     ) -> Result<Self, SolveError> {
-        if !matches!(cfg.store, StorePath::Native) && precond_lo.needs_matrix() {
-            return Err(SolveError::UnsupportedCombination(format!(
-                "preconditioner '{}' needs the plain matrix at apply time, \
-                 which the packed innermost operand of a non-native storage \
-                 path does not carry",
-                precond_lo.describe()
-            )));
-        }
+        let mid = IrConfig {
+            m: cfg.m,
+            rtol: cfg.mid_rtol,
+            max_iters: cfg.mid_max_iters,
+            record_history: false,
+            store: cfg.store,
+            ..IrConfig::default()
+        };
+        let outer = IrConfig {
+            rtol: cfg.rtol,
+            max_iters: cfg.max_iters,
+            ..IrConfig::default()
+        };
         Ok(GmresIr3 {
-            a_hi,
-            a_mid: a_hi.convert::<f32>(),
-            precond_lo,
+            ir: GmresIr::try_nested(a_hi, precond_lo, mid, outer)?,
             cfg,
         })
     }
@@ -132,49 +127,15 @@ impl<'a> GmresIr3<'a> {
         req: &SolveRequest<'a, '_, f64>,
         precond_lo: &'a dyn Preconditioner<Half>,
     ) -> Result<SolveOutcome<f64>, SolveError> {
-        req.validate()?;
-        if !req.precond.is_identity() {
-            return Err(SolveError::UnsupportedCombination(
-                "GMRES-IR3 applies its preconditioner in fp16; pass it as \
-                 `precond_lo` and leave the request's own preconditioner at \
-                 the identity"
-                    .into(),
-            ));
-        }
-        let a = match req.operator {
-            Operator::Matrix(a) => a,
-            Operator::Store(_) => {
-                return Err(SolveError::UnsupportedCombination(
-                    "GMRES-IR3 needs the plain fp64 matrix for its outer \
-                     residual; select a storage path for the innermost \
-                     operand via the request's `store` field instead"
-                        .into(),
-                ))
-            }
-        };
-        let cfg = Ir3Config {
-            m: req.config.m,
-            rtol: req.config.rtol,
-            max_iters: req.config.max_iters,
-            store: req.store,
-            ..Ir3Config::default()
-        };
-        let ladder = Self::try_new(a, precond_lo, cfg)?;
-        let n = a.n();
-        let mut x = req
-            .x0
-            .map(|x| x.to_vec())
-            .unwrap_or_else(|| vec![0.0f64; n]);
-        let start = ctx.elapsed();
-        let result = ladder.solve(ctx, req.rhs, &mut x);
-        Ok(SolveOutcome {
-            id: RequestId(0),
-            x,
-            result: Some(result),
-            disposition: Disposition::Completed,
-            degraded: None,
-            queued_seconds: 0.0,
-            solve_seconds: ctx.elapsed() - start,
+        serve_refined(ctx, req, |a| {
+            let cfg = Ir3Config {
+                m: req.config.m,
+                rtol: req.config.rtol,
+                max_iters: req.config.max_iters,
+                store: req.store,
+                ..Ir3Config::default()
+            };
+            Ok(Self::try_new(a, precond_lo, cfg)?.ir)
         })
     }
 
@@ -185,131 +146,7 @@ impl<'a> GmresIr3<'a> {
 
     /// Solve `A x = b`; `x` carries the initial guess in, solution out.
     pub fn solve(&self, ctx: &mut GpuContext, b: &[f64], x: &mut [f64]) -> SolveResult {
-        let n = self.a_hi.n();
-        // The request surface reports these as SolveError::DimensionMismatch;
-        // callers reaching the raw driver keep the debug-build guard.
-        debug_assert_eq!(b.len(), n);
-        debug_assert_eq!(x.len(), n);
-
-        let mid_cfg = IrConfig {
-            m: self.cfg.m,
-            rtol: self.cfg.mid_rtol,
-            max_iters: self.cfg.mid_max_iters,
-            inner_early_exit: None,
-            record_history: false,
-            store: self.cfg.store,
-        };
-        let middle = GmresIr::<Half, f32>::new(&self.a_mid, self.precond_lo, mid_cfg);
-        // The fp64 refinement step records as its own region.
-        let outer_residual = |ctx: &mut GpuContext, x: &[f64], r: &mut [f64], norm: &mut [f64]| {
-            let mut st = ctx.stream();
-            let ah = st.matrix(self.a_hi);
-            let bh = st.slice(b);
-            let xh = st.slice(x);
-            let rh = st.slice_mut(r);
-            let nh = st.slice_mut(norm);
-            st.residual_as(KernelClass::ResidualHi, ah, bh, xh, rh);
-            st.norm2_into_as(KernelClass::ResidualHi, rh.read(), nh.at(0));
-            st.sync();
-        };
-
-        let mut history: Vec<HistoryPoint> = Vec::new();
-        let mut r = vec![0.0f64; n];
-        let mut r_mid = vec![0.0f32; n];
-        let mut u_mid = vec![0.0f32; n];
-        let mut u_hi = vec![0.0f64; n];
-        let mut nbuf = vec![0.0f64; 1];
-
-        outer_residual(ctx, x, &mut r, &mut nbuf);
-        let mut rnorm = nbuf[0];
-        let r0 = rnorm;
-        if r0 == 0.0 {
-            return SolveResult {
-                status: SolveStatus::Converged,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 0.0,
-                history,
-            };
-        }
-        if !r0.is_finite() {
-            return SolveResult {
-                status: SolveStatus::Breakdown,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: f64::NAN,
-                history,
-            };
-        }
-
-        let mut total = 0usize;
-        let mut outer = 0usize;
-        let status;
-        loop {
-            let rel = rnorm / r0;
-            history.push(HistoryPoint {
-                iteration: total,
-                relative_residual: rel,
-                kind: HistoryKind::Explicit,
-            });
-            if rel <= self.cfg.rtol {
-                status = SolveStatus::Converged;
-                break;
-            }
-            if total >= self.cfg.max_iters {
-                status = SolveStatus::MaxIters;
-                break;
-            }
-
-            // Normalize, cast fp64 -> fp32, run the middle IR solver.
-            {
-                let mut st = Stream::eager(ctx);
-                let (rh, rmh) = (st.slice_mut(&mut r), st.slice_mut(&mut r_mid));
-                st.scal(1.0 / rnorm, rh);
-                st.cast(KernelClass::CastHost, rh.read(), rmh);
-            }
-            for u in u_mid.iter_mut() {
-                *u = 0.0;
-            }
-            let mid_res = middle.solve(ctx, &r_mid, &mut u_mid);
-            if mid_res.iterations == 0 {
-                status = SolveStatus::Breakdown;
-                break;
-            }
-            total += mid_res.iterations;
-            outer += 1;
-
-            {
-                let mut st = Stream::eager(ctx);
-                let (umh, uh) = (st.slice(&u_mid), st.slice_mut(&mut u_hi));
-                let xh = st.slice_mut(&mut *x);
-                st.cast(KernelClass::CastHost, umh, uh);
-                st.axpy(rnorm, uh.read(), xh);
-            }
-            outer_residual(ctx, x, &mut r, &mut nbuf);
-            let new_norm = nbuf[0];
-            if !new_norm.is_finite() {
-                status = SolveStatus::Breakdown;
-                break;
-            }
-            if new_norm >= rnorm * 0.999 {
-                // The middle+inner ladder can no longer reduce the true
-                // residual (fp16 too weak for this operator): stop rather
-                // than loop forever.
-                rnorm = new_norm;
-                status = SolveStatus::MaxIters;
-                break;
-            }
-            rnorm = new_norm;
-        }
-
-        SolveResult {
-            status,
-            iterations: total,
-            restarts: outer,
-            final_relative_residual: rnorm / r0,
-            history,
-        }
+        self.ir.solve(ctx, b, x)
     }
 }
 

@@ -32,6 +32,6 @@ pub use crate::service::{
 pub use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 pub use crate::{BlockGmres, Gmres, GmresIr, GmresIr3, Ir3Config};
 pub use mpgmres_backend::{BackendKind, BackendScalar};
-pub use mpgmres_gpusim::DeviceModel;
+pub use mpgmres_gpusim::{DeviceModel, KernelClass};
 pub use mpgmres_la::multivec::MultiVec;
 pub use mpgmres_scalar::{Half, Precision};

@@ -8,7 +8,7 @@
 use mpgmres_backend::BackendScalar;
 
 use crate::config::{GmresConfig, StorePath};
-use crate::context::{GpuMatrix, GpuStore};
+use crate::context::{GpuContext, GpuMatrix, GpuStore};
 use crate::precond::{Identity, Preconditioner};
 use crate::status::SolveResult;
 
@@ -268,6 +268,30 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
     pub fn with_qos(mut self, qos: Qos) -> Self {
         self.qos = qos;
         self
+    }
+
+    /// Solve from this request's initial guess (zero when absent) and
+    /// return the completed one-shot outcome, timed on `ctx`: the tail of
+    /// every driver's [`Solver::serve`].
+    pub(crate) fn run_once(
+        &self,
+        ctx: &mut GpuContext,
+        solve: impl FnOnce(&mut GpuContext, &[S], &mut [S]) -> SolveResult,
+    ) -> SolveOutcome<S> {
+        let mut x = self
+            .x0
+            .map_or_else(|| vec![S::zero(); self.operator.n()], <[S]>::to_vec);
+        let start = ctx.elapsed();
+        let result = solve(ctx, self.rhs, &mut x);
+        SolveOutcome {
+            id: RequestId(0),
+            x,
+            result: Some(result),
+            disposition: Disposition::Completed,
+            degraded: None,
+            queued_seconds: 0.0,
+            solve_seconds: ctx.elapsed() - start,
+        }
     }
 
     /// Check everything the drivers used to `assert!` at the boundary:
