@@ -12,7 +12,7 @@
 //! # Architecture
 //!
 //! ```text
-//! Gmres / GmresIr / GmresIr3 / GmresFd / BlockGmres / preconditioners
+//! Gmres / BlockGmres / GmresIr (GmresIr3 nests it) / GmresFd / preconditioners
 //!         |            (solver layer: mpgmres)
 //!         v
 //! GpuContext ── charges ──> gpusim::Profiler (simulated V100 time,

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §8 calls out,
+//! Ablation benches for three of the paper's design choices,
 //! measured in *simulated V100 seconds* (printed) and wall time
 //! (criterion's measurement):
 //!

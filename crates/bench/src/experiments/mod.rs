@@ -1,4 +1,4 @@
-//! One module per paper artifact (the experiment index of DESIGN.md §5).
+//! One module per paper artifact; the table is the experiment index.
 //!
 //! | id          | module               | paper artifact                   |
 //! |-------------|----------------------|----------------------------------|

@@ -536,24 +536,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         let m = self.cfg.m;
         let r0_norm = norm.to_f64();
         let mut history: Vec<HistoryPoint> = Vec::new();
-        let mut result = None;
-        if !r0_norm.is_finite() {
-            result = Some(SolveResult {
-                status: SolveStatus::Breakdown,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: f64::NAN,
-                history: Vec::new(),
-            });
-        } else if r0_norm == 0.0 {
-            result = Some(SolveResult {
-                status: SolveStatus::Converged,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 0.0,
-                history: Vec::new(),
-            });
-        } else {
+        let mut result = SolveResult::trivial(r0_norm);
+        if result.is_none() {
             if self.cfg.record_history {
                 history.push(HistoryPoint {
                     iteration: 0,
@@ -562,13 +546,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 });
             }
             if rtol >= 1.0 {
-                result = Some(SolveResult {
-                    status: SolveStatus::Converged,
-                    iterations: 0,
-                    restarts: 0,
-                    final_relative_residual: 1.0,
-                    history: std::mem::take(&mut history),
-                });
+                let history = std::mem::take(&mut history);
+                result = Some(SolveResult::unstarted(SolveStatus::Converged, 1.0, history));
             }
         }
         let lane = Lane {

@@ -10,7 +10,7 @@ use serde::Serialize;
 /// Gram-Schmidt — while stable — issues `2j` skinny kernels per iteration
 /// instead of CGS's four wide ones, which is hostile to GPUs (each launch
 /// pays overhead; see the ablation bench). The alternatives are provided
-/// for the DESIGN.md §8 ablations.
+/// for the ablation benches (`crates/bench/benches/ablations.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum OrthoMethod {
     /// Two-pass classical Gram-Schmidt (the paper's choice).
@@ -352,8 +352,8 @@ pub struct IrConfig {
     pub max_iters: usize,
     /// Optional early-exit threshold for the inner solver's own implicit
     /// residual, relative to the inner cycle's starting residual. `None`
-    /// reproduces the paper (always full m). `Some(tau)` is the ablation
-    /// knob discussed in DESIGN.md §8.
+    /// reproduces the paper (always full m). `Some(tau)` is an ablation
+    /// knob, timed in `crates/bench/benches/ablations.rs`.
     pub inner_early_exit: Option<f64>,
     /// Record residual history at refinement boundaries.
     pub record_history: bool,

@@ -112,23 +112,12 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
         let r0_norm = self.residual_norm(ctx, b, x, &mut r);
         // Nothing to solve (zero residual) or nothing solvable (NaN/Inf):
         // stop before either phase runs.
-        if r0_norm == 0.0 || !r0_norm.is_finite() {
-            let (status, rel) = if r0_norm == 0.0 {
-                (SolveStatus::Converged, 0.0)
-            } else {
-                (SolveStatus::Breakdown, f64::NAN)
-            };
+        if let Some(result) = SolveResult::trivial(r0_norm) {
             return FdResult {
-                result: SolveResult {
-                    status,
-                    iterations: 0,
-                    restarts: 0,
-                    final_relative_residual: rel,
-                    history: Vec::new(),
-                },
+                residual_at_switch: result.final_relative_residual,
+                result,
                 lo_iterations: 0,
                 hi_iterations: 0,
-                residual_at_switch: rel,
             };
         }
 
@@ -156,13 +145,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
         let lo_res = if self.cfg.switch_at > 0 {
             Gmres::new(&self.a_lo, self.precond_lo, lo_cfg).solve(ctx, &b_lo, &mut x_lo)
         } else {
-            SolveResult {
-                status: SolveStatus::MaxIters,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: 1.0,
-                history: Vec::new(),
-            }
+            SolveResult::unstarted(SolveStatus::MaxIters, 1.0, Vec::new())
         };
         {
             let mut st = Stream::eager(ctx);

@@ -35,75 +35,32 @@ pub struct GmresIr<'a, Lo: BackendScalar, Hi: BackendScalar> {
     rung: Refine<'a, Lo>,
 }
 
-/// The inner solve of a refinement step: `a u = r` from `u = 0`, where
-/// `a` is the rung's low-precision matrix copy.
-trait InnerSolve<S: BackendScalar>: Send + Sync {
-    fn solve(
-        &self,
-        ctx: &mut GpuContext,
-        a: &GpuMatrix<S>,
-        r: &MultiVec<S>,
-        u: &mut MultiVec<S>,
-    ) -> SolveResult;
-
-    /// The low-precision value store the solve streams, if any.
-    fn store(&self) -> Option<&GpuStore<S>> {
-        None
-    }
-}
-
-/// One GMRES(m) cycle of the one-lane block driver (bit-identical to a
-/// single-RHS GMRES) over `a` or over a storage path's store.
-struct Cycle<'a, S: BackendScalar> {
-    store: Option<GpuStore<S>>,
-    precond: &'a dyn Preconditioner<S>,
-    gmres: GmresConfig,
-}
-
-impl<S: BackendScalar> InnerSolve<S> for Cycle<'_, S> {
-    fn solve(
-        &self,
-        ctx: &mut GpuContext,
-        a: &GpuMatrix<S>,
-        r: &MultiVec<S>,
-        u: &mut MultiVec<S>,
-    ) -> SolveResult {
-        let gmres = match &self.store {
-            None => BlockGmres::new(a, self.precond, self.gmres),
-            Some(s) => BlockGmres::try_over_store(s, self.precond, self.gmres)
-                .expect("vetted by Refine::over_cycle"),
-        };
-        gmres.solve(ctx, r, u).pop().expect("one inner lane")
-    }
-
-    fn store(&self) -> Option<&GpuStore<S>> {
-        self.store.as_ref()
-    }
+/// The inner solve of a refinement step. An enum rather than a boxed
+/// trait object: a `dyn` bound by `'a` would make dropping a `GmresIr`
+/// require its preconditioner to still be alive.
+enum Inner<'a, S: BackendScalar> {
+    /// One GMRES(m) cycle of the one-lane block driver (bit-identical to
+    /// a single-RHS GMRES).
+    Cycle {
+        precond: &'a dyn Preconditioner<S>,
+        gmres: GmresConfig,
+    },
+    /// A nested rung in fp16 (the three-precision ladder's middle level).
+    Nested(Box<Refine<'a, Half>>),
 }
 
 /// One refinement rung: Algorithm 2's loop around an inner solve in `Lo`,
-/// over an operator handed in per solve. It owns its `Lo` matrix copy, so
-/// a nested rung borrows nothing from its parent.
+/// over an operator handed in per solve. It owns its `Lo` matrix copy
+/// (and the store a storage path packs from it), so a nested rung, whose
+/// operator is its parent's copy, borrows nothing from its parent.
 struct Refine<'a, Lo: BackendScalar> {
     a_lo: GpuMatrix<Lo>,
-    inner: Box<dyn InnerSolve<Lo> + 'a>,
+    store: Option<GpuStore<Lo>>,
+    inner: Inner<'a, Lo>,
     cfg: IrConfig,
     /// Stop with `MaxIters` once a step leaves the residual at or above
     /// this fraction of the previous one (the three-precision ladder's).
     stall_ratio: Option<f64>,
-}
-
-/// A nested rung: solves for its parent's correction over the parent's copy.
-impl<Lo: BackendScalar, S: BackendScalar> InnerSolve<S> for Refine<'_, Lo> {
-    fn solve(
-        &self,
-        ctx: &mut GpuContext,
-        a: &GpuMatrix<S>,
-        r: &MultiVec<S>,
-        u: &mut MultiVec<S>,
-    ) -> SolveResult {
-        self.solve(ctx, a, r.col(0), u.col_mut(0))
-    }
 }
 
 impl<'a, Lo: BackendScalar, Hi: BackendScalar> Solver<'a, Hi> for GmresIr<'a, Lo, Hi> {
@@ -134,14 +91,14 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         Self::try_new(a_hi, precond_lo, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`GmresIr::new`] with typed errors. A non-native storage path
-    /// packs the inner operand, so it supports exactly the
-    /// preconditioners that never touch the matrix at apply time
-    /// ([`Preconditioner::needs_matrix`] is `false`: identity, block
-    /// Jacobi, cast wrappers — they apply in the working precision
-    /// while the SpMM streams narrow values). A matrix-needing
-    /// preconditioner degrades to
-    /// [`SolveError::UnsupportedCombination`].
+    /// [`GmresIr::new`] with typed errors: an invalid inner cycle
+    /// configuration or a preconditioner of another dimension is
+    /// rejected here. A non-native storage path packs the inner operand,
+    /// so it supports exactly the preconditioners that never touch the
+    /// matrix at apply time ([`Preconditioner::needs_matrix`] is `false`:
+    /// identity, block Jacobi, cast wrappers — they apply in the working
+    /// precision while the SpMM streams narrow values). A matrix-needing
+    /// preconditioner degrades to [`SolveError::UnsupportedCombination`].
     pub fn try_new(
         a_hi: &'a GpuMatrix<Hi>,
         precond_lo: &'a dyn Preconditioner<Lo>,
@@ -153,23 +110,23 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
         })
     }
 
-    /// Refinement whose inner solve is a rung in precision `L` running
-    /// `mid_cfg` over this rung's `Lo` copy; both copies are made here.
-    /// It stops once a step cuts the residual by less than 0.1%.
-    pub(crate) fn try_nested<L: BackendScalar>(
+    /// Refinement whose inner solve is an fp16 rung running `mid_cfg`
+    /// over this rung's `Lo` copy; both copies are made here. It stops
+    /// once a step cuts the residual by less than 0.1%.
+    pub(crate) fn try_nested(
         a_hi: &'a GpuMatrix<Hi>,
-        precond: &'a dyn Preconditioner<L>,
+        precond: &'a dyn Preconditioner<Half>,
         mid_cfg: IrConfig,
         cfg: IrConfig,
     ) -> Result<Self, SolveError> {
         let a_lo: GpuMatrix<Lo> = a_hi.convert();
-        let inner = Box::new(Refine::over_cycle(a_lo.convert(), precond, mid_cfg)?);
-        let stall_ratio = Some(0.999);
+        let mid = Refine::over_cycle(a_lo.convert(), precond, mid_cfg)?;
         let rung = Refine {
             a_lo,
-            inner,
+            store: None,
+            inner: Inner::Nested(Box::new(mid)),
             cfg,
-            stall_ratio,
+            stall_ratio: Some(0.999),
         };
         Ok(GmresIr { a_hi, rung })
     }
@@ -199,7 +156,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
     /// The inner low-precision value store, when a non-native
     /// [`StorePath`] is configured.
     pub fn store_lo(&self) -> Option<&GpuStore<Lo>> {
-        self.rung.inner.store()
+        self.rung.store.as_ref()
     }
 
     /// The configuration in use.
@@ -210,7 +167,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
     /// Solve `A x = b` to the outer tolerance; `x` holds the initial
     /// guess on entry and the solution on exit.
     pub fn solve(&self, ctx: &mut GpuContext, b: &[Hi], x: &mut [Hi]) -> SolveResult {
-        self.rung.solve(ctx, self.a_hi, b, x)
+        self.rung.refine(ctx, self.a_hi, b, x)
     }
 }
 
@@ -226,10 +183,16 @@ pub(crate) fn serve_refined<'a, Lo: BackendScalar, Hi: BackendScalar>(
     req.validate()?;
     let unsupported = |why: &str| Err(SolveError::UnsupportedCombination(why.into()));
     if !req.precond.is_identity() {
-        return unsupported("refinement preconditions in the inner precision; pass `precond_lo`");
+        return unsupported(
+            "refinement applies its preconditioner in the inner precision; pass it as \
+             `precond_lo` and leave the request's own preconditioner at the identity",
+        );
     }
     let Operator::Matrix(a) = req.operator else {
-        return unsupported("refinement needs the plain matrix; pick the inner store via `store`");
+        return unsupported(
+            "refinement needs the plain high-precision matrix for its outer residual; \
+             select the inner operand's storage path with the request's `store` field",
+        );
     };
     let ir = build(a)?;
     Ok(req.run_once(ctx, |ctx, b, x| ir.solve(ctx, b, x)))
@@ -252,48 +215,60 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
                 ..GmresConfig::inner_cycle(cfg.m)
             },
         };
+        // Vet the cycle's configuration, preconditioner dimension and (a
+        // packed operand takes matrix-free preconditioners only) store.
         let store = GpuStore::for_path(&a_lo, cfg.store);
-        if let Some(s) = &store {
-            // A packed operand takes matrix-free preconditioners only.
-            BlockGmres::try_over_store(s, precond, gmres)?;
+        match &store {
+            None => BlockGmres::try_new(&a_lo, precond, gmres).map(drop)?,
+            Some(s) => BlockGmres::try_over_store(s, precond, gmres).map(drop)?,
         }
-        let inner = Box::new(Cycle {
-            store,
-            precond,
-            gmres,
-        });
-        let stall_ratio = None;
         Ok(Refine {
             a_lo,
-            inner,
+            store,
+            inner: Inner::Cycle { precond, gmres },
             cfg,
-            stall_ratio,
+            stall_ratio: None,
         })
     }
 
-    /// The high-precision refinement step `r = b - A x`, `||r||`,
-    /// recorded as one stream region.
+    /// The inner solve of one step: `A_lo u = r` from `u = 0`.
+    fn inner_solve(
+        &self,
+        ctx: &mut GpuContext,
+        r: &MultiVec<Lo>,
+        u: &mut MultiVec<Lo>,
+    ) -> SolveResult {
+        let gmres = match (&self.inner, &self.store) {
+            (Inner::Nested(mid), _) => return mid.refine(ctx, &self.a_lo, r.col(0), u.col_mut(0)),
+            (&Inner::Cycle { precond, gmres }, None) => BlockGmres::new(&self.a_lo, precond, gmres),
+            (&Inner::Cycle { precond, gmres }, Some(s)) => {
+                BlockGmres::try_over_store(s, precond, gmres).expect("vetted by over_cycle")
+            }
+        };
+        gmres.solve(ctx, r, u).pop().expect("one inner lane")
+    }
+
+    /// The high-precision refinement step `r = b - A x`, recorded as one
+    /// stream region with the norm it returns.
     fn outer_residual<Hi: BackendScalar>(
         ctx: &mut GpuContext,
         a_hi: &GpuMatrix<Hi>,
         b: &[Hi],
         x: &[Hi],
         r: &mut [Hi],
-        norm: &mut [Hi],
-    ) {
+    ) -> f64 {
+        let mut norm = Hi::zero();
         let mut st = ctx.stream();
-        let ah = st.matrix(a_hi);
-        let bh = st.slice(b);
-        let xh = st.slice(x);
-        let rh = st.slice_mut(r);
-        let nh = st.slice_mut(norm);
+        let (ah, bh, xh) = (st.matrix(a_hi), st.slice(b), st.slice(x));
+        let (rh, nh) = (st.slice_mut(r), st.val_mut(&mut norm));
         st.residual_as(KernelClass::ResidualHi, ah, bh, xh, rh);
-        st.norm2_into_as(KernelClass::ResidualHi, rh.read(), nh.at(0));
+        st.norm2_into_as(KernelClass::ResidualHi, rh.read(), nh);
         st.sync();
+        norm.to_f64()
     }
 
     /// Refine `x` towards the solution of `a_hi x = b`.
-    fn solve<Hi: BackendScalar>(
+    fn refine<Hi: BackendScalar>(
         &self,
         ctx: &mut GpuContext,
         a_hi: &GpuMatrix<Hi>,
@@ -309,24 +284,12 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
         let mut r_lo = MultiVec::<Lo>::zeros(n, 1);
         let mut u_lo = MultiVec::<Lo>::zeros(n, 1);
         let mut u_hi = vec![Hi::zero(); n];
-        let mut nbuf = vec![Hi::zero(); 1];
 
         // High-precision initial residual (Algorithm 2, line 1).
-        Self::outer_residual(ctx, a_hi, b, x, &mut r, &mut nbuf);
-        let mut rnorm = nbuf[0].to_f64();
+        let mut rnorm = Self::outer_residual(ctx, a_hi, b, x, &mut r);
         let r0_norm = rnorm;
-        if r0_norm == 0.0 || !r0_norm.is_finite() {
-            let (status, rel) = match r0_norm == 0.0 {
-                true => (SolveStatus::Converged, 0.0),
-                false => (SolveStatus::Breakdown, f64::NAN),
-            };
-            return SolveResult {
-                status,
-                iterations: 0,
-                restarts: 0,
-                final_relative_residual: rel,
-                history,
-            };
+        if let Some(res) = SolveResult::trivial(r0_norm) {
+            return res;
         }
 
         let mut total_iters = 0usize;
@@ -365,10 +328,8 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
             }
 
             // Inner solve A_lo u = r_lo from a zero guess.
-            for ui in u_lo.col_mut(0).iter_mut() {
-                *ui = Lo::zero();
-            }
-            let inner_res = self.inner.solve(ctx, &self.a_lo, &r_lo, &mut u_lo);
+            u_lo.col_mut(0).fill(Lo::zero());
+            let inner_res = self.inner_solve(ctx, &r_lo, &mut u_lo);
             if inner_res.iterations == 0 {
                 // Inner solver could make no progress (e.g. fp16 overflow).
                 status = SolveStatus::Breakdown;
@@ -399,8 +360,7 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
                 st.cast(KernelClass::CastHost, ulh, uh);
                 st.axpy(Hi::from_f64(rnorm), uh.read(), xh);
             }
-            Self::outer_residual(ctx, a_hi, b, x, &mut r, &mut nbuf);
-            let new_norm = nbuf[0].to_f64();
+            let new_norm = Self::outer_residual(ctx, a_hi, b, x, &mut r);
             if self.cfg.record_history {
                 history.push(HistoryPoint {
                     iteration: total_iters,

@@ -1,6 +1,7 @@
 //! The unified request surface: one [`SolveRequest`] type accepted by
-//! every driver ([`crate::Gmres`], [`crate::BlockGmres`],
-//! [`crate::GmresIr`], [`crate::GmresIr3`]) and by the continuous
+//! every driver ([`crate::Gmres`] and [`crate::BlockGmres`] through the
+//! block driver's front, [`crate::GmresIr`] and [`crate::GmresIr3`]
+//! through the one refinement front) and by the continuous
 //! [`crate::service::SolverService`], one [`SolveOutcome`] coming back,
 //! and one typed [`SolveError`] for everything the boundary used to
 //! reject with a panic.
@@ -366,8 +367,9 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
 ///
 /// Implemented by [`crate::Gmres`] (the single-RHS front, which
 /// forwards to the block serve), [`crate::BlockGmres`] (k = 1 block
-/// serve), [`crate::GmresIr`] (two-precision iterative
-/// refinement), and [`crate::GmresIr3`] (the three-precision ladder).
+/// serve), and the two refinement drivers, which share one front:
+/// [`crate::GmresIr`] (two-precision iterative refinement) and
+/// [`crate::GmresIr3`] (a `GmresIr` nested in a `GmresIr`).
 /// Exported from `mpgmres::prelude`, so `Driver::serve(&mut ctx, &req)`
 /// resolves wherever the prelude is in scope.
 ///

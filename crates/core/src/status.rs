@@ -65,6 +65,30 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// A result reached before the first iteration.
+    pub(crate) fn unstarted(status: SolveStatus, rel: f64, history: Vec<HistoryPoint>) -> Self {
+        SolveResult {
+            status,
+            iterations: 0,
+            restarts: 0,
+            final_relative_residual: rel,
+            history,
+        }
+    }
+
+    /// The result of a solve whose initial residual norm `r0` leaves
+    /// nothing to iterate on: zero (converged) or NaN/Inf (breakdown).
+    pub(crate) fn trivial(r0: f64) -> Option<Self> {
+        let (status, rel) = if r0 == 0.0 {
+            (SolveStatus::Converged, 0.0)
+        } else if !r0.is_finite() {
+            (SolveStatus::Breakdown, f64::NAN)
+        } else {
+            return None;
+        };
+        Some(Self::unstarted(status, rel, Vec::new()))
+    }
+
     /// Explicit-residual samples only.
     pub fn explicit_history(&self) -> impl Iterator<Item = &HistoryPoint> {
         self.history

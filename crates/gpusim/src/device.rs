@@ -180,7 +180,8 @@ impl DeviceModel {
     /// Used when experiments run at reduced problem size: bandwidth terms
     /// already shrink linearly with `n`, so shrinking the latencies by
     /// the same `n_sim / n_paper` factor preserves every *time ratio*
-    /// of the paper-scale experiment exactly (see DESIGN.md §2). The
+    /// of the paper-scale experiment exactly (README, *Reproducing the
+    /// paper*). The
     /// x-reuse rule is bandedness-based and scale-free, so it needs no
     /// adjustment.
     pub fn scaled_latencies(&self, factor: f64) -> DeviceModel {

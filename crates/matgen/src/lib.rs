@@ -14,8 +14,8 @@
 //! §V-G additionally uses ten SuiteSparse matrices. Offline we cannot
 //! fetch the collection, so [`suitesparse`] provides *surrogates*: same
 //! symmetry class and structural character, scaled sizes, tuned to land in
-//! the same convergence regime (see DESIGN.md §2). Users with the real
-//! `.mtx` files can load them via `mpgmres_la::mtx` instead.
+//! the same convergence regime (each surrogate documents why). Users with
+//! the real `.mtx` files can load them via `mpgmres_la::mtx` instead.
 
 pub mod fem;
 pub mod galeri;

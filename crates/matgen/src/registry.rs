@@ -4,8 +4,8 @@
 //! Every experiment binary resolves problems through this registry so the
 //! mapping "paper problem -> generator + parameters" lives in one place.
 //! `default_nx` is sized so experiments finish in seconds-to-minutes on a
-//! CPU; `--paper-scale` runs use `paper_nx` (see DESIGN.md §2 on how the
-//! device model is scaled alongside).
+//! CPU; `--paper-scale` runs use `paper_nx` (the device model's latencies
+//! shrink alongside: `DeviceModel::scaled_latencies` in `mpgmres-gpusim`).
 
 use mpgmres_la::csr::Csr;
 

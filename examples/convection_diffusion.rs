@@ -20,7 +20,7 @@ fn main() {
     let a = GpuMatrix::new(galeri::bentpipe2d(nx, registry::BENTPIPE_PECLET));
     let n = a.n();
     // Scale the device's fixed latencies with problem size so time ratios
-    // match the paper-scale experiment (see DESIGN.md).
+    // match the paper-scale experiment (see `DeviceModel::scaled_latencies`).
     let device = DeviceModel::v100_belos().scaled_latencies(n as f64 / 2_250_000.0);
     let b = vec![1.0f64; n];
     println!(

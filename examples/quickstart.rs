@@ -22,7 +22,8 @@ fn main() {
     println!("Laplace2D {nx}x{nx}: n = {n}, nnz = {}", a.nnz());
 
     // Device model with fixed latencies scaled to this problem size, so
-    // time ratios match a paper-scale (n ~ millions) run; see DESIGN.md.
+    // time ratios match a paper-scale (n ~ millions) run; see
+    // `DeviceModel::scaled_latencies`.
     let device = DeviceModel::v100_belos().scaled_latencies(n as f64 / 2_250_000.0);
 
     // fp64 GMRES(50) — the baseline the paper measures everything
