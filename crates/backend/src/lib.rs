@@ -17,26 +17,27 @@
 //!         v
 //! GpuContext ── charges ──> gpusim::Profiler (simulated V100 time,
 //!         |                  serial + critical-path timelines)
-//!         |── Stream (record) ──> stream::OpGraph ── submit ──┐
-//!         v  ScalarBackend<S> dispatch (BackendScalar)        v
-//! Backend trait object                            Backend::execute_batch
+//!         |── Stream::record ── charge ──> stream::OpGraph (ready time)
+//!         |                 └── run at once
+//!         v  ScalarBackend<S> dispatch (BackendScalar)
+//! Backend trait object
 //!    ├── ReferenceBackend   sequential, bit-deterministic (mpgmres-la)
-//!    └── ParallelBackend    persistent pinned worker pool joined by the
-//!         calling thread, cached row/nnz partitions, fused SpMM
-//!         (future: GPU backend, ...)
+//!    ├── ParallelBackend    persistent pinned worker pool joined by the
+//!    |    calling thread, cached row/nnz partitions, fused SpMM
+//!    └── ShardedBackend     row shards; the stream expands matrix ops
+//!         into halo-exchange + per-shard pieces
 //! ```
 //!
-//! Matrix and Krylov-basis kernels run through a *recorded stream*
-//! (`GpuContext::stream`), which registers buffers into an arena
-//! (`mpgmres_la::raw::BufferArena`), pushes one [`stream::OpShape`] per
-//! kernel (handle + byte-span read/write sets), derives a dependency
-//! DAG from span overlap, and at sync hands wavefronts of independent
-//! ready ops to [`Backend::execute_batch`], which runs them in record
-//! order. With streaming off, each op is submitted alone at its record
-//! call (eager execution). Recorded execution is bit-identical to eager
-//! execution by construction (see [`stream`]); on the wall clock the DAG
-//! fixes an order, and on the simulated timeline it prices the overlap
-//! of independent ops.
+//! Every kernel runs through a *stream* (`GpuContext::stream`), which
+//! registers buffers into an arena (`mpgmres_la::raw::BufferArena`) and
+//! runs each op at its record call, in record order. A recording
+//! stream also pushes one [`stream::OpShape`] per op (handle + byte-span
+//! read/write sets) onto a dependency graph and charges the op at the
+//! latest finish time of the earlier ops its spans conflict with; an
+//! eager stream (streaming off) charges each op at the current critical
+//! time instead. Both modes run the same kernels in the same order, so
+//! they compute the same bits; the graph only prices the overlap of
+//! independent ops on the simulated timeline (see [`stream`]).
 //!
 //! # Determinism contract
 //!
@@ -464,14 +465,10 @@ pub trait Backend:
         1
     }
 
-    /// Execute one wavefront of a recorded kernel stream: a batch of
-    /// mutually independent ready ops (no read/write span conflicts —
-    /// see [`stream`]). Every workspace backend runs the batch in record
-    /// order ([`stream::Batch::run_serial`]); a parallel backend spreads
-    /// each op's kernels over its own threads instead of running ops
-    /// side by side. Results are bit-identical to eager execution either
-    /// way, because batched ops touch disjoint memory.
-    fn execute_batch(&self, batch: Batch<'_>);
+    /// Kept only for the standalone `perfbench/` benchmark, whose
+    /// tracing backend forwards it. Nothing calls it: every recorded op
+    /// runs at its record call.
+    fn execute_batch(&self, _batch: Batch<'_>) {}
 }
 
 /// Routes a generic `S: Scalar` call site to the matching
@@ -546,10 +543,6 @@ impl<S: Scalar> ScalarBackend<S> for ReferenceBackend {
 impl Backend for ReferenceBackend {
     fn name(&self) -> &'static str {
         "reference"
-    }
-
-    fn execute_batch(&self, batch: Batch<'_>) {
-        batch.run_serial(self);
     }
 }
 
@@ -661,9 +654,9 @@ fn store_strategy_parts<S: Scalar>(
 /// spawn); row partitions are computed once per matrix shape — evenly
 /// by rows or balanced by nonzeros, per [`PartitionStrategy`] — and
 /// memoized in a shared cache whose ranges are pinned to pool
-/// participants. Recorded-stream batches run their ops in record order,
-/// each with the whole pool (see [`Backend::execute_batch`]). Each
-/// kernel goes parallel only above its `mpgmres_la::par` threshold.
+/// participants. Stream ops run one at a time, in record order, each
+/// with the whole pool. Each kernel goes parallel only above its
+/// `mpgmres_la::par` threshold.
 #[derive(Clone, Debug)]
 pub struct ParallelBackend {
     threads: usize,
@@ -834,14 +827,6 @@ impl Backend for ParallelBackend {
 
     fn parallelism(&self) -> usize {
         self.threads
-    }
-
-    /// Ops run one after another in record order, each with the whole
-    /// pool: the ready batches of a recorded region are almost always
-    /// one op wide, and every op's kernels already spread over every
-    /// participant.
-    fn execute_batch(&self, batch: Batch<'_>) {
-        batch.run_serial(self);
     }
 }
 
@@ -1068,77 +1053,36 @@ mod tests {
         );
     }
 
-    /// End-to-end regression through `execute_batch`: two independent
-    /// SpMVs on a skewed matrix under `parallel-nnz` must produce
+    /// Two SpMVs on a skewed matrix under `parallel-nnz` must produce
     /// reference-identical results AND leave the nnz-balanced split (at
     /// the pool's full width) in the shared partition cache — proof the
-    /// batch ops did not silently fall back to even rows.
+    /// kernels did not silently fall back to even rows.
     #[test]
-    fn batch_ops_use_nnz_partitions_through_execute_batch() {
-        use stream::{BoundOp, OpArgs, OpGraph, Span};
-
+    fn spmv_uses_nnz_partitions_at_full_width() {
         let a = par_arrow();
         let n = a.nrows();
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
         let mut y1 = vec![0.0f64; n];
         let mut y2 = vec![0.0f64; n];
-
-        fn exec_spmv(b: &dyn Backend, arena: &mpgmres_la::raw::BufferArena, args: &OpArgs) {
-            // SAFETY: the test keeps every registered buffer alive
-            // across the submit, and the two ops write disjoint outputs.
-            unsafe {
-                let a: &Csr<f64> = arena.obj(args.bufs[0]);
-                let x = arena.slice::<f64>(args.bufs[1], 0, args.lens[1]);
-                let y = arena.slice_mut::<f64>(args.bufs[2], 0, args.lens[2]);
-                <f64 as BackendScalar>::view(b).spmv(a, x, y);
-            }
-        }
-
-        let mut arena = mpgmres_la::raw::BufferArena::new();
-        // SAFETY: a, x, y1, y2 outlive the submit below; y1/y2 are
-        // registered mutably exactly once each.
-        let (ha, hx, hy1, hy2) = unsafe {
-            (
-                arena.register_obj(&a as *const Csr<f64>),
-                arena.register_slice(x.as_ptr(), n),
-                arena.register_slice_mut(y1.as_mut_ptr(), n),
-                arena.register_slice_mut(y2.as_mut_ptr(), n),
-            )
-        };
-        let mut graph = OpGraph::new();
-        let nb = n as u32 * 8;
-        graph.push("spmv", &[Span::new(hx, 0, nb)], &[Span::new(hy1, 0, nb)]);
-        graph.push("spmv", &[Span::new(hx, 0, nb)], &[Span::new(hy2, 0, nb)]);
-        graph.finalize();
-        assert_eq!(graph.num_batches(), 1, "independent ops share a wavefront");
-        let mk = |hy: u32| BoundOp {
-            exec: exec_spmv,
-            args: OpArgs {
-                bufs: [ha, hx, hy, 0],
-                lens: [0, n as u32, n as u32, 0],
-                ..OpArgs::default()
-            },
-        };
-        let ops = vec![mk(hy1), mk(hy2)];
-
         let backend =
             ParallelBackend::with_threads(4).with_strategy(PartitionStrategy::NnzBalanced);
-        stream::submit(&graph, &ops, &arena, &backend);
+        ScalarBackend::<f64>::spmv(&backend, &a, &x, &mut y1);
+        ScalarBackend::<f64>::spmv(&backend, &a, &x, &mut y2);
 
         let mut want = vec![0.0f64; n];
         a.spmv(&x, &mut want);
         assert_eq!(y1, want);
         assert_eq!(y2, want);
-        // The batch runs its ops one after another on the whole
-        // 4-participant pool; the nnz-salted split must have been cached
-        // at that width, and no even split beside it.
+        // Each call runs on the whole 4-participant pool; the nnz-salted
+        // split must have been cached at that width, and no even split
+        // beside it.
         assert!(
             backend.partitions.contains((n, 4, a.nnz() as u64)),
-            "batch ops did not use the nnz-balanced partition"
+            "spmv did not use the nnz-balanced partition"
         );
         assert!(
             !backend.partitions.contains((n, 4, 0)),
-            "batch ops recomputed an even split"
+            "spmv recomputed an even split"
         );
     }
 }

@@ -33,8 +33,9 @@
 //! In recorded streams (`mpgmres::GpuContext::stream`) the sharded
 //! SpMV/SpMM/residual are expanded *by the stream itself* into
 //! per-shard exchange + interior + boundary ops with real byte spans,
-//! so the span-overlap DAG schedules communication/compute overlap;
-//! this backend then just executes the shard-local pieces.
+//! so the span-overlap graph prices communication/compute overlap on
+//! the simulated timeline. The stream runs those pieces itself, in
+//! record order, through the `mpgmres_la::shard` row kernels.
 
 use std::sync::Arc;
 
@@ -46,7 +47,6 @@ use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_scalar::Scalar;
 
-use crate::stream::Batch;
 use crate::{Backend, BackendScalar, ReferenceBackend, ScalarBackend};
 
 /// A composite backend of `N` row shards (see the module docs).
@@ -187,13 +187,5 @@ impl Backend for ShardedBackend {
 
     fn shard_count(&self) -> usize {
         self.inners.len()
-    }
-
-    /// Recorded wavefronts run serially in record order: the sharded
-    /// decomposition already expands each matrix op into per-shard
-    /// pieces, and the simulated timeline (not host threading) is what
-    /// models their overlap.
-    fn execute_batch(&self, batch: Batch<'_>) {
-        batch.run_serial(self);
     }
 }

@@ -73,7 +73,7 @@
 
 use crate::config::{GmresConfig, OrthoMethod, StorePath};
 use crate::context::{GpuContext, GpuMatrix, GpuStore};
-use crate::precond::{self, Identity, Preconditioner};
+use crate::precond::{self, Preconditioner};
 use crate::service::{Operator, SolveError, SolveOutcome, SolveRequest, Solver};
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 use crate::stream::{
@@ -157,8 +157,6 @@ fn rec_spmm<S: BackendScalar>(
         OpRef::Store(a) => st.store_spmm(a, x, k, y),
     }
 }
-
-static IDENT: Identity = Identity;
 
 /// Batched multi-RHS GMRES(m): `k` single-RHS solves in lockstep, with
 /// optional software-pipelined host steps (`pipeline_depth = 1`).
@@ -348,14 +346,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             precond,
             cfg,
         })
-    }
-
-    /// Build an unpreconditioned solver over a low-precision storage
-    /// path: SpMM/residual kernels read the store's values and
-    /// accumulate in `S`. For preconditioned store-path solves see
-    /// [`BlockGmres::try_over_store`].
-    pub fn over_store(a: &'a GpuStore<S>, cfg: GmresConfig) -> Self {
-        Self::try_over_store(a, &IDENT, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build a solver over a storage path with a preconditioner that
@@ -987,8 +977,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 OrthoMethod::Mgs => {
                     // 2j skinny kernels per lane, each feeding the
                     // next host decision; nothing to batch or record,
-                    // so even the SpMM is submitted alone (a serial
-                    // charge in either streaming mode).
+                    // so even the SpMM runs on an eager stream (a
+                    // serial charge in either streaming mode).
                     {
                         let mut st = Stream::eager(ctx);
                         let ah = self.a.register(&mut st);

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use mpgmres_backend::stream::{BoundOp, OpGraph};
+use mpgmres_backend::stream::OpGraph;
 use mpgmres_backend::{Backend, BackendKind};
 use mpgmres_gpusim::{analytic, cost, DeviceModel, KernelClass, Profiler, TimingReport};
 use mpgmres_la::csr::Csr;
@@ -179,34 +179,31 @@ impl<S: Scalar> GpuStore<S> {
     }
 }
 
-/// Reused per-region recording state: the buffer arena, the region's
-/// op graph, the payload bindings, and the per-op finish times of the
-/// overlap timeline. Lives on the context (not the stream) so the
-/// buffers keep their capacity across regions; everything is cleared
-/// when the next region opens.
+/// Reused per-region recording state: the buffer arena and the
+/// region's op graph (spans and finish times of the overlap timeline).
+/// Lives on the context (not the stream) so the buffers keep their
+/// capacity across regions; both are cleared when the next region
+/// opens. `stats` counts recorded regions and ops across regions.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
     pub(crate) arena: BufferArena,
     pub(crate) graph: OpGraph,
-    pub(crate) bindings: Vec<BoundOp>,
-    pub(crate) finish: Vec<f64>,
+    pub(crate) stats: StreamStats,
 }
 
 /// Instrumented kernel executor: charges the profiler, delegates
 /// computation to the configured [`Backend`].
 ///
-/// Matrix and Krylov-basis ops run through a [`Stream`](crate::Stream)
-/// opened by [`GpuContext::stream`]: it registers buffers into an
-/// arena, records ops carrying read/write handle spans, and submits
-/// the dependency DAG in ready batches at sync. Recorded execution is
-/// bit-identical to submitting each op alone (the DAG only relaxes
-/// ordering between ops that cannot observe each other) and lets the
-/// simulated timeline overlap independent ops (the critical-path
-/// figure of [`TimingReport`]).
+/// Every kernel runs through a [`Stream`](crate::Stream) opened by
+/// [`GpuContext::stream`]: it registers buffers into an arena and runs
+/// each op at its record call, in record order. A recording stream
+/// also tracks every op's read/write handle spans, so the simulated
+/// timeline overlaps independent ops (the critical-path figure of
+/// [`TimingReport`]); the computed bits are the same either way.
 ///
 /// [`GpuContext::set_streaming`] turns recording off globally: every
-/// record call then submits its op alone, at the call, as a serial
-/// chain — the switch the recorded-vs-eager parity suite flips.
+/// op is then charged at the current critical time, as a serial chain —
+/// the switch the recorded-vs-eager parity suite flips.
 /// Preconditioner applies and the solvers' host-decided steps (casts,
 /// MGS projections, refinement updates) run on streams that are always
 /// eager. The context itself runs no kernel: it only prices them (the
@@ -219,10 +216,8 @@ pub struct GpuContext {
     backend: Arc<dyn Backend>,
     streaming: bool,
     scratch: StreamScratch,
-    stream_stats: StreamStats,
     /// Shard plans of matrices run under a sharded backend (structure
-    /// keyed, never evicted — recorded ops hold raw plan pointers for a
-    /// region's lifetime).
+    /// keyed, so warm regions reuse them).
     shard_plans: ShardPlanCache,
     /// Reusable halo-exchange scratch buffers (u64-aligned so one pool
     /// serves every precision). Boxes never move once handed out, and
@@ -263,7 +258,6 @@ impl GpuContext {
             backend,
             streaming: true,
             scratch: StreamScratch::default(),
-            stream_stats: StreamStats::default(),
             shard_plans: ShardPlanCache::new(),
             halo_pool: Vec::new(),
             halo_used: 0,
@@ -304,12 +298,6 @@ impl GpuContext {
         self.profiler.total_seconds()
     }
 
-    /// Overlap-aware simulated makespan so far (`<=` [`GpuContext::elapsed`];
-    /// the clock the serving latency percentiles are quoted on).
-    pub fn critical_elapsed(&self) -> f64 {
-        self.profiler.critical_seconds()
-    }
-
     /// Mark an admission-epoch boundary on the profiler timeline (see
     /// [`mpgmres_gpusim::EpochMark`]); the serving engine calls this at
     /// every admission barrier so per-epoch cost attribution stays
@@ -324,22 +312,22 @@ impl GpuContext {
         self.profiler.reset();
     }
 
-    /// Whether streams record (default) or submit each op alone.
+    /// Whether streams record (default) or run eager.
     pub fn streaming(&self) -> bool {
         self.streaming
     }
 
     /// Enable/disable stream recording. With recording off, every
-    /// [`GpuContext::stream`] region submits each op alone at its record
-    /// call, in record order — the reference behavior the parity suite
-    /// compares against.
+    /// [`GpuContext::stream`] region charges each op at the current
+    /// critical time, as a serial chain — the reference behavior the
+    /// parity suite compares against.
     pub fn set_streaming(&mut self, on: bool) {
         self.streaming = on;
     }
 
     /// Open a command recorder on this context; the region derives its
-    /// own DAG at sync. See [`Stream`](crate::Stream) for the recording
-    /// model.
+    /// own DAG as it records. See [`Stream`](crate::Stream) for the
+    /// recording model.
     pub fn stream(&mut self) -> crate::Stream<'_> {
         crate::Stream::begin(self)
     }
@@ -353,7 +341,7 @@ impl GpuContext {
     /// Kept only for the standalone `perfbench/` benchmark: recorded
     /// region and op counts (see [`StreamStats`]).
     pub fn stream_stats(&self) -> StreamStats {
-        self.stream_stats
+        self.scratch.stats
     }
 
     pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
@@ -382,24 +370,7 @@ impl GpuContext {
     pub(crate) fn scratch_reset(&mut self) {
         self.scratch.arena.clear();
         self.scratch.graph.clear();
-        self.scratch.bindings.clear();
-        self.scratch.finish.clear();
         self.halo_used = 0;
-    }
-
-    /// Finalize the recorded graph and submit it against the current
-    /// scratch bindings and arena.
-    pub(crate) fn submit_recorded(&mut self) {
-        let scratch = &mut self.scratch;
-        scratch.graph.finalize();
-        mpgmres_backend::stream::submit(
-            &scratch.graph,
-            &scratch.bindings,
-            &scratch.arena,
-            &*self.backend,
-        );
-        self.stream_stats.misses += 1;
-        self.stream_stats.nodes_allocated += self.scratch.graph.len() as u64;
     }
 
     // ----- cost specs -------------------------------------------------
@@ -493,8 +464,8 @@ impl GpuContext {
     // rows read), an interior kernel over rows touching only owned
     // columns, and a boundary kernel gated on the exchange. The one
     // piece walk is `Stream::record_sharded_matvec`; eager streams
-    // submit its pieces one by one, so both modes charge the same
-    // sequence.
+    // charge its pieces as a serial chain, so both modes charge the
+    // same sequence.
 
     /// The shard plan for `a` under the current backend, or `None` when
     /// the backend is unsharded (every op then takes the plain path).

@@ -21,6 +21,10 @@
 //! residual representable when `Lo` is fp16 (the paper's future-work
 //! third precision).
 //!
+//! A step that leaves the true residual no lower than the step before
+//! stops the solve with `MaxIters`: the inner precision can no longer
+//! help, and looping on would only burn the iteration budget.
+//!
 //! This is the crate's only refinement loop. Its inner solve is either
 //! one GMRES(m) cycle or, for the three-precision ladder
 //! ([`crate::GmresIr3`]), another refinement rung one precision lower
@@ -58,9 +62,10 @@ struct Refine<'a, Lo: BackendScalar> {
     store: Option<GpuStore<Lo>>,
     inner: Inner<'a, Lo>,
     cfg: IrConfig,
-    /// Stop with `MaxIters` once a step leaves the residual at or above
-    /// this fraction of the previous one (the three-precision ladder's).
-    stall_ratio: Option<f64>,
+    /// Stop with `MaxIters` once a step leaves the true residual at or
+    /// above this fraction of the previous one: 1.0 (no progress) for a
+    /// cycle rung, 0.999 for the three-precision ladder.
+    stall_ratio: f64,
 }
 
 impl<'a, Lo: BackendScalar, Hi: BackendScalar> Solver<'a, Hi> for GmresIr<'a, Lo, Hi> {
@@ -126,7 +131,7 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresIr<'a, Lo, Hi> {
             store: None,
             inner: Inner::Nested(Box::new(mid)),
             cfg,
-            stall_ratio: Some(0.999),
+            stall_ratio: 0.999,
         };
         Ok(GmresIr { a_hi, rung })
     }
@@ -227,7 +232,7 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
             store,
             inner: Inner::Cycle { precond, gmres },
             cfg,
-            stall_ratio: None,
+            stall_ratio: 1.0,
         })
     }
 
@@ -372,7 +377,7 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
                 status = SolveStatus::Breakdown;
                 break;
             }
-            let stalled = self.stall_ratio.is_some_and(|s| new_norm >= rnorm * s);
+            let stalled = new_norm >= rnorm * self.stall_ratio;
             rnorm = new_norm;
             if stalled {
                 // The inner rungs can no longer reduce the true residual:

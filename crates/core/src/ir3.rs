@@ -17,9 +17,9 @@
 //! residuals below 6.1e-5 underflow to zero and the ladder collapses.
 //! The ladder is one [`GmresIr`] nested in another: an fp64/fp32
 //! refinement whose inner solve is an fp32/fp16 refinement rung over the
-//! outer rung's fp32 matrix copy. The outer rung also stops once a step
-//! no longer cuts the fp64 residual, since fp16 inner cycles can stall on
-//! hard operators.
+//! outer rung's fp32 matrix copy. The outer rung stops once a step cuts
+//! the fp64 residual by less than 0.1%, since fp16 inner cycles can stall
+//! on hard operators.
 
 use serde::Serialize;
 

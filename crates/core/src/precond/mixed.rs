@@ -43,11 +43,6 @@ impl<Hi: Scalar, Lo: Scalar, P: Preconditioner<Lo>> CastPreconditioner<Hi, Lo, P
     pub fn inner(&self) -> &P {
         &self.inner
     }
-
-    /// The low-precision matrix copy.
-    pub fn matrix_lo(&self) -> &GpuMatrix<Lo> {
-        &self.a_lo
-    }
 }
 
 impl<Hi: Scalar, Lo: Scalar, P: Preconditioner<Lo>> Preconditioner<Hi>

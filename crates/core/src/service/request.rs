@@ -265,12 +265,6 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
         self
     }
 
-    /// Builder-style whole-QoS override.
-    pub fn with_qos(mut self, qos: Qos) -> Self {
-        self.qos = qos;
-        self
-    }
-
     /// Solve from this request's initial guess (zero when absent) and
     /// return the completed one-shot outcome, timed on `ctx`: the tail of
     /// every driver's [`Solver::serve`].

@@ -1,21 +1,17 @@
 //! The command recorder: solver regions register buffers into an
-//! arena, record kernel ops against stable handles, and `sync` derives
-//! the region's dependency DAG and submits it.
+//! arena and record kernel ops against stable handles; each op runs at
+//! its record call.
 //!
 //! [`Stream`] is the one kernel execution path of [`GpuContext`]: every
 //! kernel a solver or preconditioner runs — matrix, Krylov-basis,
 //! level-1, reduction and precision-cast ops — is a record call on a
-//! stream. A region opens a stream, **registers**
-//! each buffer it will touch exactly once (obtaining a `Copy` handle),
-//! then records kernel calls against the handles. Each record call
-//! validates shapes, prices the op through the context's cost specs,
-//! and appends a [`Span`]-shaped node to a payload-free graph plus a
-//! plain-data payload binding. At [`Stream::sync`] (or drop) the
-//! graph's wavefronts of mutually independent ready ops go to
-//! [`Backend::execute_batch`](mpgmres_backend::Backend), which runs them
-//! in record order. The graph, arena and bindings live in the
-//! context's reused scratch and are cleared when the next region opens,
-//! so every region derives its own DAG.
+//! stream. A region opens a stream, **registers** each buffer it will
+//! touch exactly once (obtaining a `Copy` handle), then records kernel
+//! calls against the handles. Each record call validates shapes, prices
+//! the op through the context's cost specs, charges it, and runs its
+//! launch on the context's [`Backend`] before returning. The arena and
+//! the region's span graph live in the context's reused scratch and are
+//! cleared when the next region opens.
 //!
 //! # Safety story (why the record methods are safe functions)
 //!
@@ -30,39 +26,36 @@
 //! solvers. The borrow checker proves the stream contract: buffers
 //! outlive sync, and the host neither reads nor writes them in between.
 //!
-//! Two things distinguish a recorded region from eager execution, and
-//! bit-identical results are *not* one of them (see the determinism
-//! notes in [`mpgmres_backend::stream`]):
+//! # Recorded and eager streams
 //!
-//! - ops run in wavefront order, which may differ from record order for
-//!   independent ops;
-//! - the profiler charges each op on the overlap-aware timeline at the
-//!   finish time of its dependencies, so the report's critical path can
-//!   drop below the serial sum. For a chain-shaped region the two
-//!   timelines agree bit-for-bit.
+//! Both kinds run the same kernels in the same order (record order), so
+//! they compute the same bits. They differ only in where the profiler
+//! charges each op. A recording stream pushes the op's spans onto the
+//! region's graph and charges it at its DAG-ready time: the latest
+//! finish among earlier ops whose spans conflict with it (see
+//! [`mpgmres_backend::stream`]). Independent ops therefore overlap on
+//! the simulated timeline, and the report's critical path can drop
+//! below the serial sum. For a chain-shaped region the two timelines
+//! agree bit-for-bit.
 //!
-//! With [`GpuContext::set_streaming`] turned off, every record call
-//! submits its op alone, at the record call: the op is charged at the
-//! profiler's current critical time and runs as a one-op batch before
-//! the call returns. An eager region is therefore a chain (critical ==
-//! serial), and it is the reference the parity suite compares the
-//! recorded DAG against. Work that cannot join a recorded region runs
-//! on streams that are eager whatever the switch says, so it always
-//! charges as a serial chain exactly like `Profiler::charge`: the
-//! preconditioner applies (block Jacobi's [`Stream::block_lu_solve`],
-//! the polynomial and Chebyshev recurrences, the casts of
-//! mixed-precision wrappers), the refinement loops' casts and updates,
-//! the MGS dot/axpy sequence, and the lockstep driver's direction
-//! gathers and basis extensions. Eager ops add no recorded nodes.
-//! Reading a result slot (e.g. a [`Stream::norm2_into`] target) is only
-//! possible after `sync` releases the registration borrows, at which
-//! point the value is defined — the type system enforces the old
-//! "don't read before sync" rule too.
+//! With [`GpuContext::set_streaming`] turned off, every stream is eager:
+//! each op is charged at the profiler's current critical time, exactly
+//! like `Profiler::charge`, and adds no graph node. An eager region is
+//! therefore a chain (critical == serial), and it is the reference the
+//! parity suite compares recorded regions against. Work that cannot
+//! join a recorded region runs on streams that are eager whatever the
+//! switch says: the preconditioner applies (block Jacobi's
+//! [`Stream::block_lu_solve`], the polynomial and Chebyshev
+//! recurrences, the casts of mixed-precision wrappers), the refinement
+//! loops' casts and updates, the MGS dot/axpy sequence, and the
+//! lockstep driver's direction gathers and basis extensions. Reading a
+//! result slot (e.g. a [`Stream::norm2_into`] target) is only possible
+//! after `sync` releases the registration borrows — the type system
+//! enforces "don't read before sync".
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
-use mpgmres_backend::stream::{Batch, BoundOp, ExecFn, OpArgs, OpKind, Span};
+use mpgmres_backend::stream::Span;
 use mpgmres_backend::{Backend, BackendScalar};
 use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
@@ -108,13 +101,13 @@ impl RegionKey {
 }
 
 /// Recorded-region counters. Kept only for the standalone `perfbench/`
-/// benchmark: `hits` is always 0, `misses` counts submitted recorded
-/// regions and `nodes_allocated` counts recorded ops.
+/// benchmark: `hits` is always 0, `misses` counts recorded regions that
+/// recorded at least one op and `nodes_allocated` counts recorded ops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Always 0 (no region reuses another region's graph).
     pub hits: u64,
-    /// Recorded regions submitted (empty regions excluded).
+    /// Recorded regions with at least one op.
     pub misses: u64,
     /// Ops recorded into graphs.
     pub nodes_allocated: u64,
@@ -422,8 +415,10 @@ impl<S: Scalar> BlockMut<S> {
 /// one with [`GpuContext::stream`].
 pub struct Stream<'c> {
     ctx: &'c mut GpuContext,
-    /// Streaming disabled: every record call submits its op alone.
+    /// Charge each op at the current critical time, with no graph node.
     eager: bool,
+    /// The critical time at which the region opened: no recorded op is
+    /// ready before it.
     base: f64,
 }
 
@@ -433,10 +428,10 @@ impl<'c> Stream<'c> {
         Self::open(ctx, eager)
     }
 
-    /// A stream that submits each op at its record call whatever the
-    /// context's streaming switch says, so its charges stay a serial
-    /// chain: the work between host decisions (preconditioner applies,
-    /// refinement casts and updates, MGS steps) runs through it.
+    /// A stream that is eager whatever the context's streaming switch
+    /// says, so its charges stay a serial chain: the work between host
+    /// decisions (preconditioner applies, refinement casts and updates,
+    /// MGS steps) runs through it.
     pub(crate) fn eager(ctx: &'c mut GpuContext) -> Self {
         Self::open(ctx, true)
     }
@@ -447,9 +442,10 @@ impl<'c> Stream<'c> {
         Stream { ctx, eager, base }
     }
 
-    /// Ops recorded so far (0 in eager mode — everything already ran).
+    /// Ops recorded on the region's graph so far (always 0 in eager
+    /// mode, which adds no graph nodes).
     pub fn recorded(&self) -> usize {
-        self.ctx.scratch().bindings.len()
+        self.ctx.scratch().graph.len()
     }
 
     fn arena(&self) -> &BufferArena {
@@ -740,86 +736,50 @@ impl<'c> Stream<'c> {
         );
     }
 
-    /// Append one op: derive its graph node, charge the profiler at the
-    /// op's DAG-ready time, and bind its payload. An eager stream
-    /// charges at the profiler's current critical time (exactly
-    /// `Profiler::charge`) and runs the op at once as a one-op batch;
-    /// the arena keeps its registrations for the region's next op.
+    /// Charge one op and run it: the one place every kernel runs. A
+    /// recording stream charges the op at its DAG-ready time (the
+    /// latest finish among earlier ops whose spans conflict with it,
+    /// never before the region opened) and adds it to the region's
+    /// graph; an eager stream charges it at the profiler's current
+    /// critical time (exactly `Profiler::charge`). Either way `launch`
+    /// then runs at once, against the arena.
+    ///
+    /// A launch obeys the arena contract: it materializes a `&mut` only
+    /// for memory the op declared a write span on and a `&` only for
+    /// declared reads. Ops run one at a time, in record order, and the
+    /// stream keeps every registration borrowed until sync, so no two
+    /// live views alias.
     fn record(
         &mut self,
         label: &'static str,
         reads: &[Span],
         writes: &[Span],
         charge: Option<(KernelClass, f64, usize)>,
-        exec: ExecFn,
-        args: OpArgs,
+        launch: impl FnOnce(&dyn Backend, &BufferArena),
     ) {
-        self.record_kind(label, OpKind::Device, reads, writes, charge, exec, args);
-    }
-
-    /// As [`Stream::record`], for an explicit [`OpKind`] (deferred host
-    /// steps record as [`OpKind::Host`] nodes).
-    #[allow(clippy::too_many_arguments)]
-    fn record_kind(
-        &mut self,
-        label: &'static str,
-        kind: OpKind,
-        reads: &[Span],
-        writes: &[Span],
-        charge: Option<(KernelClass, f64, usize)>,
-        exec: ExecFn,
-        args: OpArgs,
-    ) {
-        // Eager: the op runs alone at its record call, charged at the
-        // profiler's current critical time (exactly `Profiler::charge`).
-        // With nothing to order it against it needs no graph node; it
-        // runs as `submit` runs a one-op graph (a host op on this
-        // thread, a device op as a one-op batch). The arena keeps its
-        // registrations for the stream's next op.
         if self.eager {
             if let Some((class, t, bytes)) = charge {
                 self.ctx.profiler_mut().charge(class, t, bytes);
             }
-            let (backend, arena) = (self.ctx.backend(), self.arena());
-            match kind {
-                OpKind::Host => exec(backend, arena, &args),
-                OpKind::Device => {
-                    backend.execute_batch(Batch::new(&[0], &[BoundOp { exec, args }], arena))
+        } else {
+            let ready = self.ctx.scratch().graph.ready(self.base, reads, writes);
+            let fin = match charge {
+                Some((class, t, bytes)) => {
+                    self.ctx.profiler_mut().charge_ready(class, t, bytes, ready)
                 }
-            }
-            return;
-        }
-        let mut ready = self.base;
-        {
+                None => ready,
+            };
             let scratch = self.ctx.scratch_mut();
-            let idx = scratch.graph.push_kind(label, kind, reads, writes);
-            for &p in scratch.graph.preds(idx) {
-                if scratch.finish[p] > ready {
-                    ready = scratch.finish[p];
-                }
-            }
+            scratch.stats.misses += u64::from(scratch.graph.is_empty());
+            scratch.stats.nodes_allocated += 1;
+            scratch.graph.push(label, reads, writes, fin);
         }
-        let fin = match charge {
-            Some((class, t, bytes)) => self.ctx.profiler_mut().charge_ready(class, t, bytes, ready),
-            None => ready,
-        };
-        let scratch = self.ctx.scratch_mut();
-        scratch.finish.push(fin);
-        scratch.bindings.push(BoundOp { exec, args });
+        launch(self.ctx.backend(), self.arena());
     }
 
-    /// Submit the recorded graph. An empty region (every eager stream's
-    /// graph is empty here) sets up, submits and charges nothing.
-    fn finish(&mut self) {
-        if !self.ctx.scratch().graph.is_empty() {
-            self.ctx.submit_recorded();
-        }
-    }
-
-    /// Submit everything recorded and wait for completion. Dropping the
-    /// stream does the same; `sync` just makes the barrier explicit at
-    /// the point where the registration borrows end and the host may
-    /// read results.
+    /// End the region: the registration borrows end here, and the host
+    /// may read results. Every op already ran at its record call, so
+    /// dropping the stream does the same.
     pub fn sync(self) {}
 
     // ----- recordable kernels ----------------------------------------
@@ -836,7 +796,6 @@ impl<'c> Stream<'c> {
                 ShardedMatOp::Spmv,
                 &plan,
                 am,
-                a.id,
                 None,
                 (x.buf, x.off, 0),
                 (y.buf, y.off, 0),
@@ -845,19 +804,15 @@ impl<'c> Stream<'c> {
             return;
         }
         let (t, bytes) = self.ctx.spmv_spec::<S>(am);
-        self.record(
-            "spmv",
-            &[x.span()],
-            &[y.span()],
-            Some((KernelClass::SpMV, t, bytes)),
-            exec_spmv::<S>,
-            OpArgs {
-                bufs: [a.id, x.buf, y.buf, 0],
-                offs: [0, x.off, y.off, 0],
-                lens: [0, x.len, y.len, 0],
-                ..OpArgs::default()
-            },
-        );
+        let charge = Some((KernelClass::SpMV, t, bytes));
+        self.record("spmv", &[x.span()], &[y.span()], charge, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`).
+            unsafe {
+                let x = arena.slice::<S>(x.buf, x.off, x.len);
+                let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
+                S::view(b).spmv(am.csr(), x, y);
+            }
+        });
     }
 
     /// Record `y = M^{-1} x` for packed block LU factors: every
@@ -874,17 +829,19 @@ impl<'c> Stream<'c> {
         Self::assert_matvec("block_lu_solve", (lu.n(), lu.n()), x.len, y.len);
         Self::assert_noalias("block_lu_solve", &[x.span()], &[y.span()]);
         let (t, bytes) = self.ctx.block_solve_spec::<S>(lu.n(), lu.block_size());
+        let charge = Some((KernelClass::SpMV, t, bytes));
         self.record(
             "block_lu_solve",
             &[x.span()],
             &[y.span()],
-            Some((KernelClass::SpMV, t, bytes)),
-            exec_block_lu_solve::<S>,
-            OpArgs {
-                bufs: [f.id, x.buf, y.buf, 0],
-                offs: [0, x.off, y.off, 0],
-                lens: [0, x.len, y.len, 0],
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let x = arena.slice::<S>(x.buf, x.off, x.len);
+                    let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
+                    S::view(b).block_lu_solve(lu, x, y);
+                }
             },
         );
     }
@@ -897,9 +854,8 @@ impl<'c> Stream<'c> {
     /// the exchange — it overlaps the comm on the timeline), and a
     /// boundary kernel gated on the halo buffer by a real RAW span
     /// dependency. This is the only sharded piece walk: an eager stream
-    /// submits the same pieces one by one (a serial charge chain), a
-    /// recording one lets them overlap, since every node declares
-    /// exact element spans.
+    /// charges the pieces as a serial chain, a recording one lets them
+    /// overlap, since every node declares exact element spans.
     ///
     /// `x`/`y` are `(buffer, base element offset, column stride)` —
     /// stride 0 for single vectors, the block's row count for
@@ -910,52 +866,34 @@ impl<'c> Stream<'c> {
         &mut self,
         class: KernelClass,
         op: ShardedMatOp,
-        plan: &Arc<ShardPlan>,
+        plan: &ShardPlan,
         am: &GpuMatrix<S>,
-        a_id: u32,
         b: Option<(u32, u32)>,
         x: (u32, u32, u32),
         y: (u32, u32, u32),
         k: usize,
     ) {
-        // SAFETY: the plan Arc is held alive by the context's plan
-        // cache (entries are never evicted), outliving the region.
-        let plan_id = unsafe { self.ctx.arena_mut().register_obj(Arc::as_ptr(plan)) };
         let row_ptr = am.csr().row_ptr();
         let kk = u32::try_from(k).expect("sharded: block width");
         let (xb, xo, xs) = x;
         let (yb, yo, ys) = y;
         let (bb, bo) = b.unwrap_or((0, 0));
-        let (interior_exec, boundary_exec): (ExecFn, ExecFn) = match op {
-            ShardedMatOp::Residual => (
-                exec_shard_residual_interior::<S>,
-                exec_shard_residual_boundary::<S>,
-            ),
-            _ => (exec_shard_mat_interior::<S>, exec_shard_mat_boundary::<S>),
-        };
+        let residual = op == ShardedMatOp::Residual;
         let span32 = |v: usize| u32::try_from(v).expect("sharded: span bound");
-        for (s, region) in plan.regions.iter().enumerate() {
+        for region in &plan.regions {
             if region.rows() == 0 {
                 continue;
             }
             let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-            let halo_len = region.halo_len();
-            let halo_id = if halo_len > 0 {
-                self.ctx.register_halo::<S>(halo_len * k)
+            let hl = region.halo_len();
+            let halo_id = if hl > 0 {
+                self.ctx.register_halo::<S>(hl * k)
             } else {
                 0
             };
-            let (ls, ll) = self.ctx.arena_mut().push_list([plan_id, halo_id]);
-            let args = OpArgs {
-                bufs: [a_id, xb, yb, bb],
-                offs: [0, xo, yo, bo],
-                lens: [kk, xs, ys, 0],
-                n0: u32::try_from(s).expect("sharded: shard index"),
-                list: [ls, ll],
-                ..OpArgs::default()
-            };
-            if halo_len > 0 {
-                let (t, bytes) = self.ctx.halo_spec::<S>(halo_len, k);
+            let halo_span = Span::elems(halo_id, 0, span32(hl * k), S::BYTES);
+            if hl > 0 {
+                let (t, bytes) = self.ctx.halo_spec::<S>(hl, k);
                 let mut reads = Vec::with_capacity(k * region.halo_spans.len());
                 for j in 0..kk {
                     for sp in &region.halo_spans {
@@ -967,14 +905,23 @@ impl<'c> Stream<'c> {
                         ));
                     }
                 }
-                self.record(
-                    "shard_halo",
-                    &reads,
-                    &[Span::elems(halo_id, 0, span32(halo_len * k), S::BYTES)],
-                    Some((KernelClass::Halo, t, bytes)),
-                    exec_shard_halo::<S>,
-                    args,
-                );
+                let charge = Some((KernelClass::Halo, t, bytes));
+                self.record("shard_halo", &reads, &[halo_span], charge, |_, arena| {
+                    // SAFETY: arena contract (see `Stream::record`); the
+                    // copies materialize exactly the declared per-span x
+                    // reads and the halo write span.
+                    unsafe {
+                        let halo = arena.slice_mut::<S>(halo_id, 0, (hl * k) as u32);
+                        for j in 0..k {
+                            let base = xo + (j * xs as usize) as u32;
+                            let hj = &mut halo[j * hl..(j + 1) * hl];
+                            for sp in &region.halo_spans {
+                                let src = arena.slice::<S>(xb, base + sp.col as u32, sp.len as u32);
+                                hj[sp.dst..sp.dst + sp.len].copy_from_slice(src);
+                            }
+                        }
+                    }
+                });
             }
             // Per-column owned-x read spans, shared by both kernels.
             let x_reads: Vec<Span> = (0..kk)
@@ -984,7 +931,7 @@ impl<'c> Stream<'c> {
                 let nnz = row_ptr[ihi] - row_ptr[ilo];
                 let (t, bytes) = self.ctx.sharded_piece_spec::<S>(am, ihi - ilo, nnz, k, op);
                 let mut reads = x_reads.clone();
-                if op == ShardedMatOp::Residual {
+                if residual {
                     reads.push(Span::elems(
                         bb,
                         bo + span32(ilo),
@@ -997,24 +944,51 @@ impl<'c> Stream<'c> {
                         Span::elems(yb, yo + j * ys + span32(ilo), span32(ihi - ilo), S::BYTES)
                     })
                     .collect();
-                self.record(
-                    "shard_interior",
-                    &reads,
-                    &writes,
-                    Some((class, t, bytes)),
-                    interior_exec,
-                    args,
-                );
+                let charge = Some((class, t, bytes));
+                self.record("shard_interior", &reads, &writes, charge, |_, arena| {
+                    // SAFETY: arena contract (see `Stream::record`);
+                    // per-column views match the declared owned-x (and
+                    // b) read spans and interior-row write spans.
+                    unsafe {
+                        for j in 0..k {
+                            let x_owned = arena.slice::<S>(
+                                xb,
+                                xo + (j * xs as usize + lo) as u32,
+                                (hi - lo) as u32,
+                            );
+                            let yj = arena.slice_mut::<S>(
+                                yb,
+                                yo + (j * ys as usize + ilo) as u32,
+                                (ihi - ilo) as u32,
+                            );
+                            if residual {
+                                let b_rows =
+                                    arena.slice::<S>(bb, bo + ilo as u32, (ihi - ilo) as u32);
+                                shard::residual_rows_local(
+                                    am.csr(),
+                                    ilo,
+                                    ihi,
+                                    lo,
+                                    b_rows,
+                                    x_owned,
+                                    yj,
+                                );
+                            } else {
+                                shard::spmv_rows_local(am.csr(), ilo, ihi, lo, x_owned, yj);
+                            }
+                        }
+                    }
+                });
             }
             let brows = (ilo - lo) + (hi - ihi);
             if brows > 0 {
                 let bnnz = (row_ptr[ilo] - row_ptr[lo]) + (row_ptr[hi] - row_ptr[ihi]);
                 let (t, bytes) = self.ctx.sharded_piece_spec::<S>(am, brows, bnnz, k, op);
                 let mut reads = x_reads;
-                if halo_len > 0 {
-                    reads.push(Span::elems(halo_id, 0, span32(halo_len * k), S::BYTES));
+                if hl > 0 {
+                    reads.push(halo_span);
                 }
-                if op == ShardedMatOp::Residual {
+                if residual {
                     if ilo > lo {
                         reads.push(Span::elems(bb, bo + span32(lo), span32(ilo - lo), S::BYTES));
                     }
@@ -1046,14 +1020,69 @@ impl<'c> Stream<'c> {
                         ));
                     }
                 }
-                self.record(
-                    "shard_boundary",
-                    &reads,
-                    &writes,
-                    Some((class, t, bytes)),
-                    boundary_exec,
-                    args,
-                );
+                let charge = Some((class, t, bytes));
+                self.record("shard_boundary", &reads, &writes, charge, |_, arena| {
+                    // SAFETY: arena contract (see `Stream::record`);
+                    // per-column views match the declared owned-x, halo
+                    // (and b) read spans and lead/trail write spans.
+                    unsafe {
+                        let halo_all: &[S] = if hl > 0 {
+                            arena.slice::<S>(halo_id, 0, (hl * k) as u32)
+                        } else {
+                            &[]
+                        };
+                        let pieces = [
+                            (lo, ilo, &region.ghost_lead),
+                            (ihi, hi, &region.ghost_trail),
+                        ];
+                        for j in 0..k {
+                            let x_owned = arena.slice::<S>(
+                                xb,
+                                xo + (j * xs as usize + lo) as u32,
+                                (hi - lo) as u32,
+                            );
+                            let halo = if hl > 0 {
+                                &halo_all[j * hl..(j + 1) * hl]
+                            } else {
+                                halo_all
+                            };
+                            for &(r0, r1, ghost) in &pieces {
+                                if r1 <= r0 {
+                                    continue;
+                                }
+                                let yj = arena.slice_mut::<S>(
+                                    yb,
+                                    yo + (j * ys as usize + r0) as u32,
+                                    (r1 - r0) as u32,
+                                );
+                                if residual {
+                                    let b_rows =
+                                        arena.slice::<S>(bb, bo + r0 as u32, (r1 - r0) as u32);
+                                    shard::residual_rows_ghost(
+                                        am.csr(),
+                                        r0,
+                                        r1,
+                                        ghost,
+                                        b_rows,
+                                        x_owned,
+                                        halo,
+                                        yj,
+                                    );
+                                } else {
+                                    shard::spmv_rows_ghost(
+                                        am.csr(),
+                                        r0,
+                                        r1,
+                                        ghost,
+                                        x_owned,
+                                        halo,
+                                        yj,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                });
             }
         }
     }
@@ -1078,7 +1107,6 @@ impl<'c> Stream<'c> {
                 ShardedMatOp::Residual,
                 &plan,
                 am,
-                a.id,
                 Some((b.buf, b.off)),
                 (x.buf, x.off, 0),
                 (r.buf, r.off, 0),
@@ -1087,17 +1115,20 @@ impl<'c> Stream<'c> {
             return;
         }
         let (t, bytes) = self.ctx.residual_spec::<S>(am);
+        let charge = Some((class, t, bytes));
         self.record(
             "residual",
             &[b.span(), x.span()],
             &[r.span()],
-            Some((class, t, bytes)),
-            exec_residual::<S>,
-            OpArgs {
-                bufs: [a.id, b.buf, x.buf, r.buf],
-                offs: [0, b.off, x.off, r.off],
-                lens: [0, b.len, x.len, r.len],
-                ..OpArgs::default()
+            charge,
+            |be, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let bb = arena.slice::<S>(b.buf, b.off, b.len);
+                    let x = arena.slice::<S>(x.buf, x.off, x.len);
+                    let r = arena.slice_mut::<S>(r.buf, r.off, r.len);
+                    S::view(be).residual(am.csr(), bb, x, r);
+                }
             },
         );
     }
@@ -1120,17 +1151,21 @@ impl<'c> Stream<'c> {
         assert_eq!(b.len as usize, am.n(), "stream store_residual: b length");
         Self::assert_noalias("store_residual", &[b.span(), x.span()], &[r.span()]);
         let (t, bytes) = self.ctx.store_residual_spec::<S>(am);
+        let reads = [b.span(), x.span()];
+        let charge = Some((class, t, bytes));
         self.record(
             "store_residual",
-            &[b.span(), x.span()],
+            &reads,
             &[r.span()],
-            Some((class, t, bytes)),
-            exec_store_residual::<S>,
-            OpArgs {
-                bufs: [a.id, b.buf, x.buf, r.buf],
-                offs: [0, b.off, x.off, r.off],
-                lens: [0, b.len, x.len, r.len],
-                ..OpArgs::default()
+            charge,
+            |be, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let bb = arena.slice::<S>(b.buf, b.off, b.len);
+                    let x = arena.slice::<S>(x.buf, x.off, x.len);
+                    let r = arena.slice_mut::<S>(r.buf, r.off, r.len);
+                    S::view(be).store_residual(am.store(), bb, x, r);
+                }
             },
         );
     }
@@ -1151,19 +1186,20 @@ impl<'c> Stream<'c> {
         let (t, bytes) = self
             .ctx
             .basis_gemv_t_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
+        let order = self.ctx.reduction();
         self.record(
             "gemv_t",
             &[v.read_span(nc), w.span()],
             &[h.prefix_span(nc)],
             Some((KernelClass::GemvT, t, bytes)),
-            exec_gemv_t::<S>,
-            OpArgs {
-                bufs: [v.id, w.buf, h.buf, 0],
-                offs: [0, w.off, h.off, 0],
-                lens: [0, w.len, nc, 0],
-                n0: nc,
-                order: self.ctx.reduction(),
-                ..OpArgs::default()
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let vs: &BasisStore<S> = arena.obj(v.id);
+                    let w = arena.slice::<S>(w.buf, w.off, w.len);
+                    let h = arena.slice_mut::<S>(h.buf, h.off, nc);
+                    S::view(b).basis_gemv_t(vs, ncols, w, h, order);
+                }
             },
         );
     }
@@ -1212,17 +1248,18 @@ impl<'c> Stream<'c> {
             &[v.read_span(nc), h_read.span()],
             &[w.span()],
             Some((KernelClass::GemvN, t, bytes)),
-            if add {
-                exec_gemv_n_add::<S>
-            } else {
-                exec_gemv_n_sub::<S>
-            },
-            OpArgs {
-                bufs: [v.id, h.buf, w.buf, 0],
-                offs: [0, h.off, w.off, 0],
-                lens: [0, nc, w.len, 0],
-                n0: nc,
-                ..OpArgs::default()
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let vs: &BasisStore<S> = arena.obj(v.id);
+                    let h = arena.slice::<S>(h.buf, h.off, nc);
+                    let w = arena.slice_mut::<S>(w.buf, w.off, w.len);
+                    if add {
+                        S::view(b).basis_gemv_n_add(vs, ncols, h, w);
+                    } else {
+                        S::view(b).basis_gemv_n_sub(vs, ncols, h, w);
+                    }
+                }
             },
         );
     }
@@ -1232,39 +1269,25 @@ impl<'c> Stream<'c> {
         assert_eq!(x.len, y.len, "stream axpy: length mismatch");
         Self::assert_noalias("axpy", &[x.span()], &[y.span()]);
         let (t, bytes) = self.ctx.axpy_spec::<S>(x.len as usize);
-        self.record(
-            "axpy",
-            &[x.span()],
-            &[y.span()],
-            Some((KernelClass::Axpy, t, bytes)),
-            exec_axpy::<S>,
-            OpArgs {
-                bufs: [x.buf, y.buf, 0, 0],
-                offs: [x.off, y.off, 0, 0],
-                lens: [x.len, y.len, 0, 0],
-                alpha: alpha.to_f64(),
-                ..OpArgs::default()
-            },
-        );
+        let charge = Some((KernelClass::Axpy, t, bytes));
+        self.record("axpy", &[x.span()], &[y.span()], charge, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`).
+            unsafe {
+                let x = arena.slice::<S>(x.buf, x.off, x.len);
+                let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
+                S::view(b).axpy(alpha, x, y);
+            }
+        });
     }
 
     /// Record `x *= alpha`.
     pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: ArgSliceMut<S>) {
         let (t, bytes) = self.ctx.scal_spec::<S>(x.len as usize);
-        self.record(
-            "scal",
-            &[],
-            &[x.span()],
-            Some((KernelClass::Scal, t, bytes)),
-            exec_scal::<S>,
-            OpArgs {
-                bufs: [x.buf, 0, 0, 0],
-                offs: [x.off, 0, 0, 0],
-                lens: [x.len, 0, 0, 0],
-                alpha: alpha.to_f64(),
-                ..OpArgs::default()
-            },
-        );
+        let charge = Some((KernelClass::Scal, t, bytes));
+        self.record("scal", &[], &[x.span()], charge, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`).
+            unsafe { S::view(b).scal(alpha, arena.slice_mut::<S>(x.buf, x.off, x.len)) }
+        });
     }
 
     /// Record a device-resident copy (uncharged: the paper's accounting
@@ -1273,19 +1296,14 @@ impl<'c> Stream<'c> {
     pub fn copy<S: BackendScalar>(&mut self, src: ArgSlice<S>, dst: ArgSliceMut<S>) {
         assert_eq!(src.len, dst.len, "stream copy: length mismatch");
         Self::assert_noalias("copy", &[src.span()], &[dst.span()]);
-        self.record(
-            "copy",
-            &[src.span()],
-            &[dst.span()],
-            None,
-            exec_copy::<S>,
-            OpArgs {
-                bufs: [src.buf, dst.buf, 0, 0],
-                offs: [src.off, dst.off, 0, 0],
-                lens: [src.len, dst.len, 0, 0],
-                ..OpArgs::default()
-            },
-        );
+        self.record("copy", &[src.span()], &[dst.span()], None, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`).
+            unsafe {
+                let src = arena.slice::<S>(src.buf, src.off, src.len);
+                let dst = arena.slice_mut::<S>(dst.buf, dst.off, dst.len);
+                S::view(b).copy(src, dst);
+            }
+        });
     }
 
     /// Record a Euclidean norm whose result lands in `out` after sync.
@@ -1304,18 +1322,18 @@ impl<'c> Stream<'c> {
     ) {
         Self::assert_noalias("norm2", &[x.span()], &[out.span()]);
         let (t, bytes) = self.ctx.norm_spec::<S>(x.len as usize);
+        let order = self.ctx.reduction();
         self.record(
             "norm2",
             &[x.span()],
             &[out.span()],
             Some((class, t, bytes)),
-            exec_norm2::<S>,
-            OpArgs {
-                bufs: [x.buf, out.buf, 0, 0],
-                offs: [x.off, out.off, 0, 0],
-                lens: [x.len, 1, 0, 0],
-                order: self.ctx.reduction(),
-                ..OpArgs::default()
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let x = arena.slice::<S>(x.buf, x.off, x.len);
+                    *arena.value_mut::<S>(out.buf, out.off) = S::view(b).norm2(x, order);
+                }
             },
         );
     }
@@ -1331,18 +1349,20 @@ impl<'c> Stream<'c> {
         assert_eq!(x.len, y.len, "stream dot: length mismatch");
         Self::assert_noalias("dot", &[x.span(), y.span()], &[out.span()]);
         let (t, bytes) = self.ctx.dot_spec::<S>(x.len as usize);
+        let order = self.ctx.reduction();
+        let charge = Some((KernelClass::Dot, t, bytes));
         self.record(
             "dot",
             &[x.span(), y.span()],
             &[out.span()],
-            Some((KernelClass::Dot, t, bytes)),
-            exec_dot::<S>,
-            OpArgs {
-                bufs: [x.buf, y.buf, out.buf, 0],
-                offs: [x.off, y.off, out.off, 0],
-                lens: [x.len, y.len, 1, 0],
-                order: self.ctx.reduction(),
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let x = arena.slice::<S>(x.buf, x.off, x.len);
+                    let y = arena.slice::<S>(y.buf, y.off, y.len);
+                    *arena.value_mut::<S>(out.buf, out.off) = S::view(b).dot(x, y, order);
+                }
             },
         );
     }
@@ -1363,19 +1383,17 @@ impl<'c> Stream<'c> {
         let (t, bytes) = self
             .ctx
             .cast_spec(class, src.len as usize, S::PRECISION, T::PRECISION);
-        self.record(
-            "cast",
-            &[src.span()],
-            &[dst.span()],
-            Some((class, t, bytes)),
-            exec_cast::<S, T>,
-            OpArgs {
-                bufs: [src.buf, dst.buf, 0, 0],
-                offs: [src.off, dst.off, 0, 0],
-                lens: [src.len, dst.len, 0, 0],
-                ..OpArgs::default()
-            },
-        );
+        // Casts run on the host in every backend (no backend kernel
+        // converts between precisions).
+        let charge = Some((class, t, bytes));
+        self.record("cast", &[src.span()], &[dst.span()], charge, |_, arena| {
+            // SAFETY: arena contract (see `Stream::record`).
+            unsafe {
+                let src = arena.slice::<S>(src.buf, src.off, src.len);
+                let dst = arena.slice_mut::<T>(dst.buf, dst.off, dst.len);
+                mpgmres_scalar::cast_into(src, dst);
+            }
+        });
     }
 
     // ----- deferred host steps (software pipelining) -----------------
@@ -1383,7 +1401,7 @@ impl<'c> Stream<'c> {
     /// Record one lane's deferred Givens/update bookkeeping for a PAST
     /// iteration `j` (the software-pipelined `BlockGmres` host step).
     /// The arithmetic already ran on the host when it consumed the
-    /// synced results, so the node executes nothing; it carries the
+    /// synced results, so the op has no launch; it carries the
     /// host-dense charge at its DAG-ready time instead — which is how
     /// the timeline shows the host latency hidden behind the *current*
     /// iteration's device kernels. `lagged` are the previous-parity
@@ -1429,15 +1447,8 @@ impl<'c> Stream<'c> {
     ) {
         let read_spans: Vec<Span> = reads.iter().map(|r| r.span()).collect();
         Self::assert_noalias(label, &read_spans, writes);
-        self.record_kind(
-            label,
-            OpKind::Host,
-            &read_spans,
-            writes,
-            Some((KernelClass::HostDense, seconds, 0)),
-            exec_host_step,
-            OpArgs::default(),
-        );
+        let charge = Some((KernelClass::HostDense, seconds, 0));
+        self.record(label, &read_spans, writes, charge, |_, _| {});
     }
 
     // ----- fused lane-set kernels (recorded forms) -------------------
@@ -1460,26 +1471,21 @@ impl<'c> Stream<'c> {
             writes.push(d.span());
         }
         Self::assert_noalias("lane_copy", &reads, &writes);
-        let quads: Vec<u32> = srcs
-            .iter()
-            .zip(dsts)
-            .flat_map(|(s, d)| [s.buf, s.off, d.buf, d.off])
-            .collect();
-        let (start, len) = self.ctx.arena_mut().push_list(quads);
-        let kk = u32::try_from(k).expect("lane count");
-        self.record(
-            "lane_copy",
-            &reads,
-            &writes,
-            None,
-            exec_lane_copy::<S>,
-            OpArgs {
-                lens: [kk, n, 0, 0],
-                n0: kk,
-                list: [start, len],
-                ..OpArgs::default()
-            },
-        );
+        self.record("lane_copy", &reads, &writes, None, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`); each
+            // destination is a distinct declared write span.
+            unsafe {
+                let srcs: Vec<&[S]> = srcs
+                    .iter()
+                    .map(|s| arena.slice::<S>(s.buf, s.off, n))
+                    .collect();
+                let mut dsts: Vec<&mut [S]> = dsts
+                    .iter()
+                    .map(|d| arena.slice_mut::<S>(d.buf, d.off, n))
+                    .collect();
+                S::view(b).lane_copy(&srcs, &mut dsts);
+            }
+        });
     }
 
     /// Record the fused per-lane basis extension (normalize-and-store)
@@ -1535,30 +1541,37 @@ impl<'c> Stream<'c> {
         let (t, bytes) = self
             .ctx
             .basis_scal_copy_spec::<S>(n as usize, k, ebytes as usize);
-        let lanes: Vec<u32> = srcs
-            .iter()
-            .zip(vs)
-            .flat_map(|(s, v)| [s.buf, s.off, v.id])
-            .collect();
-        let (start, len) = self.ctx.arena_mut().push_list(lanes);
+        let charge = Some((KernelClass::Scal, t, bytes));
         self.record(
             "basis_lane_scal_copy",
             &reads,
             &writes,
-            Some((KernelClass::Scal, t, bytes)),
-            exec_basis_lane_scal_copy::<S>,
-            OpArgs {
-                bufs: [alphas.buf, 0, 0, 0],
-                offs: [alphas.off, 0, 0, 0],
-                lens: [
-                    u32::try_from(k).expect("lane count"),
-                    n,
-                    u32::from(native),
-                    0,
-                ],
-                n0: jj,
-                list: [start, len],
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`); native lanes
+                // materialize only their declared column write spans,
+                // compressed lanes carry whole-object write spans, and the
+                // lanes are distinct registrations.
+                unsafe {
+                    let alphas = arena.slice::<S>(alphas.buf, alphas.off, k as u32);
+                    let srcs: Vec<&[S]> = srcs
+                        .iter()
+                        .map(|s| arena.slice::<S>(s.buf, s.off, n))
+                        .collect();
+                    if native {
+                        let mut dsts: Vec<&mut [S]> = vs
+                            .iter()
+                            .map(|v| arena.slice_mut::<S>(v.id, jj * n, n))
+                            .collect();
+                        S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
+                    } else {
+                        let mut vs: Vec<&mut BasisStore<S>> = vs
+                            .iter()
+                            .map(|v| arena.obj_mut::<BasisStore<S>>(v.id))
+                            .collect();
+                        S::view(b).basis_lane_scal_copy(&mut vs, j, alphas, &srcs);
+                    }
+                }
             },
         );
     }
@@ -1593,13 +1606,13 @@ impl<'c> Stream<'c> {
             &[col],
             &[out.span()],
             charge,
-            exec_basis_promote_col::<S>,
-            OpArgs {
-                bufs: [v.id, out.buf, 0, 0],
-                offs: [0, out.off, 0, 0],
-                lens: [0, out.len, 0, 0],
-                n0: jj,
-                ..OpArgs::default()
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let vs: &BasisStore<S> = arena.obj(v.id);
+                    let out = arena.slice_mut::<S>(out.buf, out.off, out.len);
+                    S::view(b).basis_promote_col(vs, j, out);
+                }
             },
         );
     }
@@ -1627,7 +1640,6 @@ impl<'c> Stream<'c> {
                 ShardedMatOp::Spmm,
                 &plan,
                 am,
-                a.id,
                 None,
                 (x.id, 0, x.n),
                 (y.id, 0, y.n),
@@ -1636,18 +1648,21 @@ impl<'c> Stream<'c> {
             return;
         }
         let (t, bytes) = self.ctx.spmm_spec::<S>(am, k);
-        self.record(
-            "spmm",
-            &[Span::whole(x.id)],
-            &[Span::whole(y.id)],
-            Some((KernelClass::SpMV, t, bytes)),
-            exec_spmm::<S>,
-            OpArgs {
-                bufs: [a.id, x.id, y.id, 0],
-                n0: kk,
-                ..OpArgs::default()
-            },
-        );
+        let charge = Some((KernelClass::SpMV, t, bytes));
+        let reads = [Span::whole(x.id)];
+        let writes = [Span::whole(y.id)];
+        self.record("spmm", &reads, &writes, charge, |b, arena| {
+            // SAFETY: arena contract (see `Stream::record`); the write
+            // span covers all of y, so the whole-object `&mut` aliases
+            // nothing.
+            unsafe {
+                let (x, y) = (
+                    arena.obj::<MultiVec<S>>(x.id),
+                    arena.obj_mut::<MultiVec<S>>(y.id),
+                );
+                S::view(b).spmm(am.csr(), x, k, y);
+            }
+        });
     }
 
     /// Record the storage-path batched SpMM `Y[:, ..k] = A X[:, ..k]`,
@@ -1666,18 +1681,19 @@ impl<'c> Stream<'c> {
         Self::assert_matmat("store_spmm", shape, x, kk, y);
         Self::assert_noalias("store_spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
         let (t, bytes) = self.ctx.store_spmm_spec::<S>(am, k);
-        self.record(
-            "store_spmm",
-            &[Span::whole(x.id)],
-            &[Span::whole(y.id)],
-            Some((KernelClass::SpMV, t, bytes)),
-            exec_store_spmm::<S>,
-            OpArgs {
-                bufs: [a.id, x.id, y.id, 0],
-                n0: kk,
-                ..OpArgs::default()
-            },
-        );
+        let charge = Some((KernelClass::SpMV, t, bytes));
+        let reads = [Span::whole(x.id)];
+        let writes = [Span::whole(y.id)];
+        self.record("store_spmm", &reads, &writes, charge, |b, arena| {
+            // SAFETY: as in `Stream::spmm`.
+            unsafe {
+                let (x, y) = (
+                    arena.obj::<MultiVec<S>>(x.id),
+                    arena.obj_mut::<MultiVec<S>>(y.id),
+                );
+                S::view(b).store_spmm(am.store(), x, k, y);
+            }
+        });
     }
 
     /// Record the batched GEMV-Trans over one basis per block column.
@@ -1704,20 +1720,21 @@ impl<'c> Stream<'c> {
                 .basis_gemm_t_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
         let mut reads: Vec<Span> = self.basis_spans(vs, nc);
         reads.push(Span::whole(w.id));
+        let order = self.ctx.reduction();
+        let charge = Some((KernelClass::GemvT, t, bytes));
         self.record(
             "block_gemv_t",
             &reads,
             &[h.prefix_span(k * nc)],
-            Some((KernelClass::GemvT, t, bytes)),
-            exec_block_gemv_t::<S>,
-            OpArgs {
-                bufs: [w.id, h.buf, 0, 0],
-                offs: [0, h.off, 0, 0],
-                lens: [0, k * nc, 0, 0],
-                n0: nc,
-                list: [vs.start, vs.len],
-                order: self.ctx.reduction(),
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let vs = Self::resolve_bases(arena, vs);
+                    let w: &MultiVec<S> = arena.obj(w.id);
+                    let h = arena.slice_mut::<S>(h.buf, h.off, k * nc);
+                    S::view(b).basis_block_gemv_t(&vs, ncols, w, h, order);
+                }
             },
         );
     }
@@ -1743,19 +1760,21 @@ impl<'c> Stream<'c> {
                 .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
         let mut reads: Vec<Span> = self.basis_spans(vs, nc);
         reads.push(h_read.span());
+        let charge = Some((KernelClass::GemvN, t, bytes));
         self.record(
             "block_gemv_n_sub",
             &reads,
             &[Span::whole(w.id)],
-            Some((KernelClass::GemvN, t, bytes)),
-            exec_block_gemv_n_sub::<S>,
-            OpArgs {
-                bufs: [w.id, h.buf, 0, 0],
-                offs: [0, h.off, 0, 0],
-                lens: [0, k * nc, 0, 0],
-                n0: nc,
-                list: [vs.start, vs.len],
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`); the write
+                // span covers all of w.
+                unsafe {
+                    let vs = Self::resolve_bases(arena, vs);
+                    let h = arena.slice::<S>(h.buf, h.off, k * nc);
+                    let w: &mut MultiVec<S> = arena.obj_mut(w.id);
+                    S::view(b).basis_block_gemv_n_sub(&vs, ncols, h, w);
+                }
             },
         );
     }
@@ -1773,21 +1792,36 @@ impl<'c> Stream<'c> {
         assert!(out.len >= kk, "stream block_norm2: out too short");
         Self::assert_noalias("block_norm2", &[Span::whole(x.id)], &[out.prefix_span(kk)]);
         let (t, bytes) = self.ctx.block_norm_spec::<S>(x.n as usize, k);
+        let order = self.ctx.reduction();
+        let charge = Some((KernelClass::Norm, t, bytes));
         self.record(
             "block_norm2",
             &[Span::whole(x.id)],
             &[out.prefix_span(kk)],
-            Some((KernelClass::Norm, t, bytes)),
-            exec_block_norm2::<S>,
-            OpArgs {
-                bufs: [x.id, out.buf, 0, 0],
-                offs: [0, out.off, 0, 0],
-                lens: [0, kk, 0, 0],
-                n0: kk,
-                order: self.ctx.reduction(),
-                ..OpArgs::default()
+            charge,
+            |b, arena| {
+                // SAFETY: arena contract (see `Stream::record`).
+                unsafe {
+                    let x: &MultiVec<S> = arena.obj(x.id);
+                    let out = arena.slice_mut::<S>(out.buf, out.off, kk);
+                    S::view(b).block_norm2(x, k, out, order);
+                }
             },
         );
+    }
+
+    /// The basis stores a [`BasisList`] names.
+    ///
+    /// # Safety
+    /// Arena contract (see [`Stream::record`]).
+    unsafe fn resolve_bases<'a, S: Scalar>(
+        arena: &BufferArena,
+        vs: BasisList<S>,
+    ) -> Vec<&'a BasisStore<S>> {
+        let ids = arena.list(vs.start, vs.len);
+        ids.iter()
+            .map(|&id| arena.obj::<BasisStore<S>>(id))
+            .collect()
     }
 
     /// Per-lane read spans of a basis list: whole-object for native
@@ -1806,440 +1840,6 @@ impl<'c> Stream<'c> {
                 }
             })
             .collect()
-    }
-}
-
-impl Drop for Stream<'_> {
-    fn drop(&mut self) {
-        // A record call's contract assert can fire mid-region; running
-        // the half-recorded graph while unwinding would risk a
-        // double-panic abort that masks the original message. Pending
-        // ops are simply abandoned in that case.
-        if std::thread::panicking() {
-            return;
-        }
-        self.finish();
-    }
-}
-
-// ----- monomorphized kernel launches -----------------------------------
-//
-// One function per kernel shape, resolving operands from the arena via
-// the plain-data args. Discipline (the arena contract): materialize a
-// `&mut` only for memory the op declared a write span on, a `&` only
-// for declared reads; the DAG guarantees no conflicting op runs
-// concurrently, and the recorder keeps every registration borrowed
-// until after submit.
-
-fn exec_spmv<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract (above).
-    unsafe {
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let x = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let y = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        S::view(b).spmv(m.csr(), x, y);
-    }
-}
-
-fn exec_block_lu_solve<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let f: &BlockLu<S> = arena.obj(a.bufs[0]);
-        let x = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let y = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        S::view(b).block_lu_solve(f, x, y);
-    }
-}
-
-fn exec_residual<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let bb = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let x = arena.slice::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        let r = arena.slice_mut::<S>(a.bufs[3], a.offs[3], a.lens[3]);
-        S::view(b).residual(m.csr(), bb, x, r);
-    }
-}
-
-fn exec_store_residual<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let m: &GpuStore<S> = arena.obj(a.bufs[0]);
-        let bb = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let x = arena.slice::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        let r = arena.slice_mut::<S>(a.bufs[3], a.offs[3], a.lens[3]);
-        S::view(b).store_residual(m.store(), bb, x, r);
-    }
-}
-
-fn exec_gemv_t<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let v: &BasisStore<S> = arena.obj(a.bufs[0]);
-        let w = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let h = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        S::view(b).basis_gemv_t(v, a.n0 as usize, w, h, a.order);
-    }
-}
-
-fn exec_gemv_n_sub<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let v: &BasisStore<S> = arena.obj(a.bufs[0]);
-        let h = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let w = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        S::view(b).basis_gemv_n_sub(v, a.n0 as usize, h, w);
-    }
-}
-
-fn exec_gemv_n_add<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let v: &BasisStore<S> = arena.obj(a.bufs[0]);
-        let h = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let y = arena.slice_mut::<S>(a.bufs[2], a.offs[2], a.lens[2]);
-        S::view(b).basis_gemv_n_add(v, a.n0 as usize, h, y);
-    }
-}
-
-fn exec_axpy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let x = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let y = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        S::view(b).axpy(S::from_f64(a.alpha), x, y);
-    }
-}
-
-fn exec_scal<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let x = arena.slice_mut::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        S::view(b).scal(S::from_f64(a.alpha), x);
-    }
-}
-
-fn exec_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let src = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let dst = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        S::view(b).copy(src, dst);
-    }
-}
-
-fn exec_norm2<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let x = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        *arena.value_mut::<S>(a.bufs[1], a.offs[1]) = S::view(b).norm2(x, a.order);
-    }
-}
-
-fn exec_dot<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let x = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let y = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        *arena.value_mut::<S>(a.bufs[2], a.offs[2]) = S::view(b).dot(x, y, a.order);
-    }
-}
-
-/// Precision casts run on the host in every backend (no backend
-/// kernel converts between precisions).
-fn exec_cast<S: Scalar, T: Scalar>(_b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let src = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let dst = arena.slice_mut::<T>(a.bufs[1], a.offs[1], a.lens[1]);
-        mpgmres_scalar::cast_into(src, dst);
-    }
-}
-
-fn exec_basis_promote_col<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let v: &BasisStore<S> = arena.obj(a.bufs[0]);
-        let out = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        S::view(b).basis_promote_col(v, a.n0 as usize, out);
-    }
-}
-
-fn exec_basis_lane_scal_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; native lanes materialize only their
-    // declared column write spans, compressed lanes carry whole-object
-    // write spans, and the lanes are distinct registrations.
-    unsafe {
-        let (k, n, j) = (a.lens[0] as usize, a.lens[1], a.n0);
-        let alphas = arena.slice::<S>(a.bufs[0], a.offs[0], a.lens[0]);
-        let lanes = arena.list(a.list[0], a.list[1]);
-        let srcs: Vec<&[S]> = (0..k)
-            .map(|c| arena.slice::<S>(lanes[3 * c], lanes[3 * c + 1], n))
-            .collect();
-        if a.lens[2] == 1 {
-            let mut dsts: Vec<&mut [S]> = (0..k)
-                .map(|c| arena.slice_mut::<S>(lanes[3 * c + 2], j * n, n))
-                .collect();
-            S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
-        } else {
-            let mut vs: Vec<&mut BasisStore<S>> = (0..k)
-                .map(|c| arena.obj_mut::<BasisStore<S>>(lanes[3 * c + 2]))
-                .collect();
-            S::view(b).basis_lane_scal_copy(&mut vs, j as usize, alphas, &srcs);
-        }
-    }
-}
-
-/// Deferred host step: the arithmetic already ran on the host when it
-/// consumed the synced results; the node exists for its DAG edges and
-/// its ready-time charge, so its launch is a no-op.
-fn exec_host_step(_b: &dyn Backend, _arena: &BufferArena, _a: &OpArgs) {}
-
-fn exec_lane_copy<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; each destination quad names a distinct
-    // declared write span.
-    unsafe {
-        let k = a.n0 as usize;
-        let n = a.lens[1];
-        let quads = arena.list(a.list[0], a.list[1]);
-        let srcs: Vec<&[S]> = (0..k)
-            .map(|c| arena.slice::<S>(quads[4 * c], quads[4 * c + 1], n))
-            .collect();
-        let mut dsts: Vec<&mut [S]> = (0..k)
-            .map(|c| arena.slice_mut::<S>(quads[4 * c + 2], quads[4 * c + 3], n))
-            .collect();
-        S::view(b).lane_copy(&srcs, &mut dsts);
-    }
-}
-
-fn exec_spmm<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; the write span covers all of y, so the
-    // whole-object `&mut` aliases nothing.
-    unsafe {
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let x: &MultiVec<S> = arena.obj(a.bufs[1]);
-        let y: &mut MultiVec<S> = arena.obj_mut(a.bufs[2]);
-        S::view(b).spmm(m.csr(), x, a.n0 as usize, y);
-    }
-}
-
-// Sharded matrix-op launches. Args layout (see
-// `Stream::record_sharded_matvec`): bufs = [matrix, x, y, b],
-// offs = [0, x base, y base, b base], lens = [k, x stride, y stride, 0],
-// n0 = shard index, list = [plan handle, halo handle].
-
-fn exec_shard_halo<S: BackendScalar>(_b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; the copies materialize exactly the
-    // declared per-span x reads and the halo write span.
-    unsafe {
-        let ids = arena.list(a.list[0], a.list[1]);
-        let plan: &ShardPlan = arena.obj(ids[0]);
-        let region = &plan.regions[a.n0 as usize];
-        let hl = region.halo_len();
-        let k = a.lens[0] as usize;
-        let stride = a.lens[1] as usize;
-        let halo = arena.slice_mut::<S>(ids[1], 0, (hl * k) as u32);
-        for j in 0..k {
-            let base = a.offs[1] + (j * stride) as u32;
-            let hj = &mut halo[j * hl..(j + 1) * hl];
-            for sp in &region.halo_spans {
-                let src = arena.slice::<S>(a.bufs[1], base + sp.col as u32, sp.len as u32);
-                hj[sp.dst..sp.dst + sp.len].copy_from_slice(src);
-            }
-        }
-    }
-}
-
-fn exec_shard_mat_interior<S: BackendScalar>(_b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; per-column views match the declared
-    // owned-x read spans and interior-row write spans.
-    unsafe {
-        let ids = arena.list(a.list[0], a.list[1]);
-        let plan: &ShardPlan = arena.obj(ids[0]);
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let region = &plan.regions[a.n0 as usize];
-        let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-        let k = a.lens[0] as usize;
-        let (xs, ys) = (a.lens[1] as usize, a.lens[2] as usize);
-        for j in 0..k {
-            let x_owned = arena.slice::<S>(
-                a.bufs[1],
-                a.offs[1] + (j * xs + lo) as u32,
-                (hi - lo) as u32,
-            );
-            let yj = arena.slice_mut::<S>(
-                a.bufs[2],
-                a.offs[2] + (j * ys + ilo) as u32,
-                (ihi - ilo) as u32,
-            );
-            shard::spmv_rows_local(m.csr(), ilo, ihi, lo, x_owned, yj);
-        }
-    }
-}
-
-fn exec_shard_mat_boundary<S: BackendScalar>(_b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; per-column views match the declared
-    // owned-x/halo read spans and lead/trail write spans.
-    unsafe {
-        let ids = arena.list(a.list[0], a.list[1]);
-        let plan: &ShardPlan = arena.obj(ids[0]);
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let region = &plan.regions[a.n0 as usize];
-        let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-        let hl = region.halo_len();
-        let k = a.lens[0] as usize;
-        let (xs, ys) = (a.lens[1] as usize, a.lens[2] as usize);
-        let halo_all: &[S] = if hl > 0 {
-            arena.slice::<S>(ids[1], 0, (hl * k) as u32)
-        } else {
-            &[]
-        };
-        for j in 0..k {
-            let x_owned = arena.slice::<S>(
-                a.bufs[1],
-                a.offs[1] + (j * xs + lo) as u32,
-                (hi - lo) as u32,
-            );
-            let halo = if hl > 0 {
-                &halo_all[j * hl..(j + 1) * hl]
-            } else {
-                halo_all
-            };
-            if ilo > lo {
-                let yj = arena.slice_mut::<S>(
-                    a.bufs[2],
-                    a.offs[2] + (j * ys + lo) as u32,
-                    (ilo - lo) as u32,
-                );
-                shard::spmv_rows_ghost(m.csr(), lo, ilo, &region.ghost_lead, x_owned, halo, yj);
-            }
-            if hi > ihi {
-                let yj = arena.slice_mut::<S>(
-                    a.bufs[2],
-                    a.offs[2] + (j * ys + ihi) as u32,
-                    (hi - ihi) as u32,
-                );
-                shard::spmv_rows_ghost(m.csr(), ihi, hi, &region.ghost_trail, x_owned, halo, yj);
-            }
-        }
-    }
-}
-
-fn exec_shard_residual_interior<S: BackendScalar>(
-    _b: &dyn Backend,
-    arena: &BufferArena,
-    a: &OpArgs,
-) {
-    // SAFETY: arena contract; views match the declared spans.
-    unsafe {
-        let ids = arena.list(a.list[0], a.list[1]);
-        let plan: &ShardPlan = arena.obj(ids[0]);
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let region = &plan.regions[a.n0 as usize];
-        let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-        let x_owned = arena.slice::<S>(a.bufs[1], a.offs[1] + lo as u32, (hi - lo) as u32);
-        let b_rows = arena.slice::<S>(a.bufs[3], a.offs[3] + ilo as u32, (ihi - ilo) as u32);
-        let r = arena.slice_mut::<S>(a.bufs[2], a.offs[2] + ilo as u32, (ihi - ilo) as u32);
-        shard::residual_rows_local(m.csr(), ilo, ihi, lo, b_rows, x_owned, r);
-    }
-}
-
-fn exec_shard_residual_boundary<S: BackendScalar>(
-    _b: &dyn Backend,
-    arena: &BufferArena,
-    a: &OpArgs,
-) {
-    // SAFETY: arena contract; views match the declared spans.
-    unsafe {
-        let ids = arena.list(a.list[0], a.list[1]);
-        let plan: &ShardPlan = arena.obj(ids[0]);
-        let m: &GpuMatrix<S> = arena.obj(a.bufs[0]);
-        let region = &plan.regions[a.n0 as usize];
-        let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-        let hl = region.halo_len();
-        let x_owned = arena.slice::<S>(a.bufs[1], a.offs[1] + lo as u32, (hi - lo) as u32);
-        let halo: &[S] = if hl > 0 {
-            arena.slice::<S>(ids[1], 0, hl as u32)
-        } else {
-            &[]
-        };
-        if ilo > lo {
-            let b_rows = arena.slice::<S>(a.bufs[3], a.offs[3] + lo as u32, (ilo - lo) as u32);
-            let r = arena.slice_mut::<S>(a.bufs[2], a.offs[2] + lo as u32, (ilo - lo) as u32);
-            shard::residual_rows_ghost(
-                m.csr(),
-                lo,
-                ilo,
-                &region.ghost_lead,
-                b_rows,
-                x_owned,
-                halo,
-                r,
-            );
-        }
-        if hi > ihi {
-            let b_rows = arena.slice::<S>(a.bufs[3], a.offs[3] + ihi as u32, (hi - ihi) as u32);
-            let r = arena.slice_mut::<S>(a.bufs[2], a.offs[2] + ihi as u32, (hi - ihi) as u32);
-            shard::residual_rows_ghost(
-                m.csr(),
-                ihi,
-                hi,
-                &region.ghost_trail,
-                b_rows,
-                x_owned,
-                halo,
-                r,
-            );
-        }
-    }
-}
-
-fn exec_store_spmm<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; the write span covers all of y, so the
-    // whole-object `&mut` aliases nothing.
-    unsafe {
-        let m: &GpuStore<S> = arena.obj(a.bufs[0]);
-        let x: &MultiVec<S> = arena.obj(a.bufs[1]);
-        let y: &mut MultiVec<S> = arena.obj_mut(a.bufs[2]);
-        S::view(b).store_spmm(m.store(), x, a.n0 as usize, y);
-    }
-}
-
-fn exec_block_gemv_t<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let vs: Vec<&BasisStore<S>> = arena
-            .list(a.list[0], a.list[1])
-            .iter()
-            .map(|&id| arena.obj::<BasisStore<S>>(id))
-            .collect();
-        let w: &MultiVec<S> = arena.obj(a.bufs[0]);
-        let h = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        S::view(b).basis_block_gemv_t(&vs, a.n0 as usize, w, h, a.order);
-    }
-}
-
-fn exec_block_gemv_n_sub<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract; the write span covers all of w.
-    unsafe {
-        let vs: Vec<&BasisStore<S>> = arena
-            .list(a.list[0], a.list[1])
-            .iter()
-            .map(|&id| arena.obj::<BasisStore<S>>(id))
-            .collect();
-        let h = arena.slice::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        let w: &mut MultiVec<S> = arena.obj_mut(a.bufs[0]);
-        S::view(b).basis_block_gemv_n_sub(&vs, a.n0 as usize, h, w);
-    }
-}
-
-fn exec_block_norm2<S: BackendScalar>(b: &dyn Backend, arena: &BufferArena, a: &OpArgs) {
-    // SAFETY: arena contract.
-    unsafe {
-        let x: &MultiVec<S> = arena.obj(a.bufs[0]);
-        let out = arena.slice_mut::<S>(a.bufs[1], a.offs[1], a.lens[1]);
-        S::view(b).block_norm2(x, a.n0 as usize, out, a.order);
     }
 }
 
@@ -2569,7 +2169,7 @@ mod tests {
         }
         // Eager and recorded sharded runs charge the same decomposed
         // piece sequence — serial totals agree bit-for-bit — and the
-        // eager pieces, submitted one by one, stay a chain.
+        // eager pieces, charged one after another, stay a chain.
         let (y_rec, _, t_rec, _, halo_rec) = run(BackendKind::Sharded { shards: 3 }, true);
         let (y_eag, _, t_eag, c_eag, halo_eag) = run(BackendKind::Sharded { shards: 3 }, false);
         assert_eq!(y_rec, y_eag);

@@ -3,6 +3,8 @@
 //!
 //! - the recorded history ends at the final residual, whatever the
 //!   terminal status;
+//! - a refinement step that does not lower the true residual stops the
+//!   solve;
 //! - the one-shot `serve` front rejects what refinement cannot run
 //!   (a store operand, a working-precision preconditioner, a NaN) with
 //!   a typed error, and a matrix request reproduces a direct `solve`
@@ -96,6 +98,31 @@ fn history_ends_at_the_final_residual() {
     };
     let res = GmresIr3::new(&a, &Identity, cfg).solve(&mut ctx(), &b, &mut x);
     assert_history_ends_at_final("ir3 stall", &res);
+}
+
+/// A plain GMRES-IR whose inner solve cannot lower the true residual
+/// stops at the first step that leaves it no lower, instead of running
+/// to `max_iters`: the 1e-300 diagonal entry is 0 in fp32, so no fp32
+/// inner solve can fix that component.
+#[test]
+fn ir_stops_when_a_step_does_not_lower_the_residual() {
+    let diag = [1.0, 2.0, 3.0, 1e-300, 5.0, 6.0, 7.0, 8.0];
+    let mut coo = Coo::new(8, 8);
+    for (i, &d) in diag.iter().enumerate() {
+        coo.push(i, i, d);
+    }
+    let a = GpuMatrix::new(coo.into_csr());
+    let b = vec![1.0f64; 8];
+    let mut x = vec![0.0f64; 8];
+    let cfg = IrConfig::default().with_m(4);
+    let res = GmresIr::<f32, f64>::new(&a, &Identity, cfg).solve(&mut ctx(), &b, &mut x);
+    assert_eq!(res.status, SolveStatus::MaxIters);
+    assert!(
+        res.iterations <= 100,
+        "ran {} inner iterations without lowering the residual",
+        res.iterations
+    );
+    assert_history_ends_at_final("ir no progress", &res);
 }
 
 /// The two refinement drivers behind one serve front.

@@ -41,11 +41,6 @@ impl<S: Scalar> Coo<S> {
         self.entries.push((row as u32, col as u32, value));
     }
 
-    /// Number of raw (pre-deduplication) entries.
-    pub fn raw_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows

@@ -135,12 +135,6 @@ impl<S: Scalar> Csr<S> {
         &self.vals
     }
 
-    /// Mutable value array (same sparsity pattern).
-    #[inline]
-    pub fn vals_mut(&mut self) -> &mut [S] {
-        &mut self.vals
-    }
-
     /// The `(col, val)` pairs of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, S)> + '_ {

@@ -33,11 +33,6 @@ impl Complex {
     pub fn abs2(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
-
-    /// `true` if the imaginary part is exactly zero.
-    pub fn is_real(self) -> bool {
-        self.im == 0.0
-    }
 }
 
 /// Error from the QR iteration failing to converge.

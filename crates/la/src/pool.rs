@@ -51,8 +51,8 @@
 //!   there propagates at once.
 //!
 //! There is one execution width per pool: a run always spreads over the
-//! whole pool. Recorded-stream batches run their ops one after another
-//! (`ParallelBackend::execute_batch`), each op with the full pool.
+//! whole pool. Stream ops run one after another, at their record
+//! calls, each op with the full pool.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};

@@ -34,9 +34,9 @@
 //!   the borrow checker at the safe registration surface: they all
 //!   originate from coexisting Rust borrows).
 //! - **Scheduling** — an accessor materializes a `&mut` only for memory
-//!   the executing op declared a *write* span on, and the dependency
-//!   DAG never runs two ops with conflicting spans concurrently; so no
-//!   two live references alias even across worker threads.
+//!   the executing op declared a *write* span on, and ops run one at a
+//!   time, at their record calls; so no two live references alias,
+//!   even while an op's kernel spreads over worker threads.
 //!
 //! Registration order matters once per buffer, not per op: handles are
 //! dense indices in registration order, so recorded ops name their
@@ -109,8 +109,8 @@ impl std::fmt::Debug for BufferArena {
 // happen through the unsafe accessors, whose callers uphold the
 // liveness/exclusivity/scheduling contract in the module docs; under
 // that contract no two threads ever materialize aliasing references,
-// so sharing the table itself across the pool workers of a submitted
-// batch is sound.
+// so moving or sharing the table itself across threads (a context
+// handed to another thread) is sound.
 unsafe impl Send for BufferArena {}
 unsafe impl Sync for BufferArena {}
 

@@ -21,15 +21,3 @@ pub mod fem;
 pub mod galeri;
 pub mod registry;
 pub mod suitesparse;
-
-use mpgmres_scalar::Scalar;
-
-/// The right-hand side used throughout the paper: a vector of all ones.
-pub fn rhs_ones<S: Scalar>(n: usize) -> Vec<S> {
-    vec![S::one(); n]
-}
-
-/// The starting guess used throughout the paper: all zeros.
-pub fn x0_zeros<S: Scalar>(n: usize) -> Vec<S> {
-    vec![S::zero(); n]
-}

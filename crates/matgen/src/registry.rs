@@ -92,11 +92,6 @@ impl PaperProblem {
         }
     }
 
-    /// Generate at the default CPU-budget size.
-    pub fn generate_default(self) -> Csr<f64> {
-        self.generate_at(self.default_nx())
-    }
-
     /// All problems, in the order the paper introduces them.
     pub const ALL: [PaperProblem; 5] = [
         PaperProblem::Laplace3D200,
