@@ -3,12 +3,15 @@
 //! from memory traffic on the host, the same mechanism §V-D describes for
 //! the GPU).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use mpgmres_la::coo::Coo;
 use mpgmres_la::csr::Csr;
 use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivector::MultiVector;
+use mpgmres_la::stats::MatrixStats;
 use mpgmres_la::vec_ops::{dot_ordered, norm2, norm2_ordered, ReductionOrder};
-use mpgmres_matgen::galeri;
+use mpgmres_matgen::registry::STRETCH_FACTOR;
+use mpgmres_matgen::{fem, galeri};
 use mpgmres_scalar::Scalar;
 
 fn bench_spmv(c: &mut Criterion) {
@@ -124,6 +127,62 @@ fn bench_block_lu_solve(c: &mut Criterion) {
     run(c, &a64.convert::<f32>(), 16);
 }
 
+/// The set-up path at the stretched-bj shape (`stretched2d(96)`, n =
+/// 9216, ~147k FEM triplets): assembly of the triplet stream into CSR,
+/// the structural statistics every `GpuMatrix` computes, and block
+/// Jacobi's factorization of its 576 diagonal blocks of 16 on 1 and 2
+/// threads.
+fn bench_assembly(c: &mut Criterion) {
+    let (nx, stretch, bs) = (96usize, STRETCH_FACTOR, 16usize);
+    // The generator's triplet stream: Q1 element matrices in element
+    // order, so each key's contributions arrive scattered.
+    let k = fem::q1_element_stiffness(1.0, stretch);
+    let n = nx * nx;
+    let mut coo = Coo::with_capacity(n, n, 16 * n);
+    let node =
+        |i: usize, j: usize| (i > 0 && j > 0 && i <= nx && j <= nx).then(|| (j - 1) * nx + i - 1);
+    for ej in 0..=nx {
+        for ei in 0..=nx {
+            let corners = [
+                node(ei, ej),
+                node(ei + 1, ej),
+                node(ei + 1, ej + 1),
+                node(ei, ej + 1),
+            ];
+            for (a, ra) in corners.iter().enumerate() {
+                for (b, rb) in corners.iter().enumerate() {
+                    if let (Some(ra), Some(rb)) = (ra, rb) {
+                        coo.push(*ra, *rb, k[a][b]);
+                    }
+                }
+            }
+        }
+    }
+    let a = galeri::stretched2d(nx, stretch);
+    assert_eq!(
+        coo.clone().into_csr().vals(),
+        a.vals(),
+        "the generator's stream"
+    );
+    let mut g = c.benchmark_group("assembly");
+    g.throughput(Throughput::Elements(9 * n as u64));
+    g.bench_function("into_csr/stretched2d_96", |b| {
+        b.iter_batched(|| coo.clone(), Coo::into_csr, BatchSize::LargeInput)
+    });
+    g.bench_function("matrix_stats/stretched2d_96", |b| {
+        b.iter(|| MatrixStats::of(&a))
+    });
+    let block = |s: usize, m: usize| DenseMat::from_col_major(m, m, a.diag_block(s, m));
+    for threads in [1usize, 2] {
+        g.bench_with_input(
+            BenchmarkId::new("block_lu_factor/576x16", threads),
+            &threads,
+            |b, &t| b.iter(|| BlockLu::factor(n, bs, t, block)),
+        );
+    }
+    g.finish();
+}
+
 fn bench_cache_sim(c: &mut Criterion) {
     // Throughput of the L2 simulator itself (it must stay cheap enough to
     // replay multi-million-nnz streams).
@@ -147,6 +206,7 @@ fn bench_cache_sim(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_spmv, bench_gemv, bench_reductions, bench_block_lu_solve, bench_cache_sim
+    targets = bench_spmv, bench_gemv, bench_reductions, bench_block_lu_solve, bench_assembly,
+        bench_cache_sim
 }
 criterion_main!(kernels);

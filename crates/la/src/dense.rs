@@ -197,6 +197,12 @@ impl<S: Scalar> LuFactors<S> {
     }
 
     /// [`LuFactors::factor`], overwriting `lu` instead of a copy.
+    ///
+    /// Column-oriented: step `k` scales column `k` below the pivot into
+    /// the multipliers, then updates each later column as one
+    /// contiguous slice. Every entry still gets exactly one
+    /// `(-m).mul_add(v, x)` per pivot step, in pivot order, so the bits
+    /// are those of the textbook row-by-row loop.
     fn factor_owned(mut lu: DenseMat<S>) -> Result<Self, SingularMatrix> {
         assert_eq!(lu.nrows(), lu.ncols(), "LU requires a square matrix");
         let n = lu.nrows();
@@ -204,10 +210,11 @@ impl<S: Scalar> LuFactors<S> {
         fma::run(|| {
             for k in 0..n {
                 // Partial pivoting: largest magnitude in column k at/below k.
+                let col = &lu.data[k * n..(k + 1) * n];
                 let mut p = k;
-                let mut pmax = lu[(k, k)].abs();
-                for r in k + 1..n {
-                    let v = lu[(r, k)].abs();
+                let mut pmax = col[k].abs();
+                for (r, v) in col.iter().enumerate().skip(k + 1) {
+                    let v = v.abs();
                     if v > pmax {
                         pmax = v;
                         p = r;
@@ -218,19 +225,21 @@ impl<S: Scalar> LuFactors<S> {
                 }
                 if p != k {
                     piv.swap(k, p);
-                    for c in 0..n {
-                        let tmp = lu[(k, c)];
-                        lu[(k, c)] = lu[(p, c)];
-                        lu[(p, c)] = tmp;
+                    for c in lu.data.chunks_exact_mut(n) {
+                        c.swap(k, p);
                     }
                 }
-                let pivot = lu[(k, k)];
-                for r in k + 1..n {
-                    let m = lu[(r, k)] / pivot;
-                    lu[(r, k)] = m;
-                    for c in k + 1..n {
-                        let v = lu[(k, c)];
-                        lu[(r, c)] = (-m).mul_add(v, lu[(r, c)]);
+                let (head, rest) = lu.data.split_at_mut((k + 1) * n);
+                let col = &mut head[k * n..];
+                let pivot = col[k];
+                for m in &mut col[k + 1..] {
+                    *m /= pivot;
+                }
+                let mults = &col[k + 1..];
+                for c in rest.chunks_exact_mut(n) {
+                    let v = c[k];
+                    for (x, &m) in c[k + 1..].iter_mut().zip(mults) {
+                        *x = (-m).mul_add(v, *x);
                     }
                 }
             }

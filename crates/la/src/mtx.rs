@@ -43,11 +43,35 @@ fn parse_err<T>(msg: impl Into<String>) -> Result<T, MtxError> {
     Err(MtxError::Parse(msg.into()))
 }
 
+/// Most triplets [`read_matrix_market`] reserves before reading any
+/// (16 MiB of `f64` triplets).
+const MAX_PREALLOC: usize = 1 << 20;
+
 /// Read a real coordinate MatrixMarket matrix from a reader.
 ///
 /// Supports `general`, `symmetric`, and `skew-symmetric` symmetry classes
 /// and `real`/`integer` fields (`pattern` entries get value 1.0).
 /// Symmetric inputs are expanded to full storage.
+///
+/// # Errors
+/// Fails closed, with no panic. The size line `nrows ncols nnz` gives
+/// [`MtxError::Parse`] when:
+/// - it does not hold exactly three non-negative integers;
+/// - `nrows` or `ncols` exceeds `u32::MAX` (the CSR index type);
+/// - `nnz` exceeds `nrows * ncols`;
+/// - the stream then holds fewer or more than `nnz` entries;
+/// - the `nrows + 1` CSR row pointers cannot be allocated.
+///
+/// The triplets are reserved for at most 2^20 entries up front and grow
+/// with the entries actually read. The row pointers are the one
+/// allocation the size line alone sizes (8 bytes a row, up to 32 GiB),
+/// so they are reserved fallibly before assembly: a row count the
+/// allocator refuses is a `Parse` error, not an abort. Where the system
+/// overcommits memory the reservation can succeed, and the matrix is
+/// then built with every row.
+///
+/// An entry outside the declared dimensions or a malformed line is a
+/// `Parse` error too, and a read failure is [`MtxError::Io`].
 pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<Csr<S>, MtxError> {
     let mut lines = BufReader::new(reader).lines();
 
@@ -101,12 +125,21 @@ pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<Csr<S>, MtxEr
     let nnz: usize = dims[2]
         .parse()
         .map_err(|_| MtxError::Parse(format!("bad nnz {}", dims[2])))?;
+    if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+        return parse_err(format!("dimensions exceed u32::MAX: {size_line}"));
+    }
+    if nrows.checked_mul(ncols).is_none_or(|cells| nnz > cells) {
+        return parse_err(format!("more entries than matrix cells: {size_line}"));
+    }
 
-    let mut coo = Coo::with_capacity(
-        nrows,
-        ncols,
-        if symmetry == "general" { nnz } else { 2 * nnz },
-    );
+    // The size line is only a claim: reserve no more than a modest
+    // prefix up front and let the entries that do arrive grow the rest.
+    let expected = if symmetry == "general" {
+        nnz
+    } else {
+        nnz.saturating_mul(2)
+    };
+    let mut coo = Coo::with_capacity(nrows, ncols, expected.min(MAX_PREALLOC));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -136,6 +169,9 @@ pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<Csr<S>, MtxEr
         if r == 0 || c == 0 || r > nrows || c > ncols {
             return parse_err(format!("entry out of range: {t}"));
         }
+        if seen == nnz {
+            return parse_err(format!("more than the {nnz} declared entries at: {t}"));
+        }
         let (r, c) = (r - 1, c - 1);
         coo.push(r, c, S::from_f64(v));
         if r != c {
@@ -149,6 +185,9 @@ pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<Csr<S>, MtxEr
     }
     if seen != nnz {
         return parse_err(format!("expected {nnz} entries, found {seen}"));
+    }
+    if Vec::<usize>::new().try_reserve_exact(nrows + 1).is_err() {
+        return parse_err(format!("cannot allocate row pointers for {nrows} rows"));
     }
     Ok(coo.into_csr())
 }
@@ -255,6 +294,49 @@ mod tests {
             "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n".as_bytes()
         )
         .is_err());
+    }
+
+    /// Each size-line claim fails closed as a `Parse` error, before
+    /// anything is sized by it.
+    fn size_line_error(size: &str) -> String {
+        let read = |symmetry: &str| {
+            let src =
+                format!("%%MatrixMarket matrix coordinate real {symmetry}\n{size}\n1 1 1.0\n");
+            match read_matrix_market::<f64, _>(src.as_bytes()) {
+                Err(MtxError::Parse(msg)) => msg,
+                other => panic!("{symmetry} {size}: expected a parse error, got {other:?}"),
+            }
+        };
+        let msg = read("general");
+        assert_eq!(read("symmetric"), msg);
+        msg
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32() {
+        assert!(size_line_error("5000000000 1 1").contains("u32::MAX"));
+        assert!(size_line_error("1 5000000000 1").contains("u32::MAX"));
+    }
+
+    #[test]
+    fn rejects_more_entries_than_cells() {
+        assert!(size_line_error("2 2 100000000000").contains("more entries than"));
+        assert!(size_line_error("2 2 5").contains("more entries than"));
+        // The largest legal claim still reads (and then finds the
+        // stream short), allocating nothing sized by the claim.
+        assert!(
+            size_line_error("4294967295 4294967295 18446744065119617025")
+                .contains("expected 18446744065119617025 entries, found 1")
+        );
+    }
+
+    #[test]
+    fn rejects_entries_beyond_the_declared_count() {
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n";
+        match read_matrix_market::<f64, _>(src.as_bytes()) {
+            Err(MtxError::Parse(msg)) => assert!(msg.contains("more than the 1 declared")),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

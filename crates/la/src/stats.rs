@@ -39,12 +39,21 @@ impl MatrixStats {
         let mut min_r = usize::MAX;
         let mut bw = 0usize;
         let mut spread_sum = 0.0f64;
-        for r in 0..nrows {
-            let cols: Vec<usize> = a.row(r).map(|(c, _)| c).collect();
+        for (r, cols) in a
+            .row_ptr()
+            .windows(2)
+            .map(|w| &a.col_idx()[w[0]..w[1]])
+            .enumerate()
+        {
             let cnt = cols.len();
             max_r = max_r.max(cnt);
             min_r = min_r.min(cnt);
-            if let (Some(&lo), Some(&hi)) = (cols.iter().min(), cols.iter().max()) {
+            // One pass per row: no assumption that columns are sorted.
+            let (lo, hi) = cols
+                .iter()
+                .fold((u32::MAX, 0u32), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+            if cnt > 0 {
+                let (lo, hi) = (lo as usize, hi as usize);
                 spread_sum += (hi - lo) as f64;
                 bw = bw.max(r.abs_diff(lo)).max(r.abs_diff(hi));
             }

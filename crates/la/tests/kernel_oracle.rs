@@ -3,22 +3,23 @@
 //! Each oracle below is the plainest index loop for its kernel: one
 //! `mul_add` per stored entry or element, in the documented order, and
 //! no code shared with the library. The kernels under test walk row
-//! slices, run reduction blocks and GEMV-T columns in lockstep, and tile
-//! GEMV-N by rows; none of that may move a bit. Every public entry point
-//! is covered (plain, store and shard variants, serial and
-//! row-partitioned), in f64, f32 and `Half`.
+//! slices, run reduction blocks and GEMV-T columns in lockstep, tile
+//! GEMV-N by rows, and factor LU blocks column by column; none of that
+//! may move a bit. Every public entry point is covered (plain, store and
+//! shard variants, serial and row-partitioned), in f64, f32 and `Half`.
 //!
 //! Shapes: `n` below one reduction block and not a multiple of 256;
 //! block sizes 1, 5, 37 and 256; 0 to 17 basis columns (every remainder
 //! of an 8-column GEMV-T group); a ragged last 512-row GEMV-N tile;
-//! empty matrix rows. Inputs include ±0, subnormals, ±Inf and NaN.
+//! empty matrix rows; LU blocks of 1 to 17 rows, singular ones among
+//! them. Inputs include ±0, subnormals, ±Inf and NaN.
 //! Results compare bit for bit, except that every NaN counts as one
 //! value: IEEE 754 leaves a NaN result's sign and payload to the
 //! implementation.
 
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
-use mpgmres_la::dense::{BlockLu, DenseMat};
+use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::par;
 use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
@@ -208,13 +209,12 @@ fn oracle_gemv_n<S: Scalar>(v: &BasisStore<S>, h: &[S], w: &[S], add: bool) -> V
     out
 }
 
-/// Textbook LU with partial pivoting of one `m x m` block (first
-/// largest magnitude wins, rows swapped whole, `l = a / pivot`, then
-/// `a -= l * u` as one `mul_add`), then forward and back substitution of
-/// the permuted `x`. A block whose pivot column is zero or not finite is
-/// factored as the identity (and still substituted: `-0 * Inf` is NaN).
-/// Returns the block's solution.
-fn oracle_block_solve<S: Scalar>(mut a: Vec<Vec<S>>, x: &[S]) -> Vec<S> {
+/// Textbook LU with partial pivoting, row by row: first largest
+/// magnitude wins, rows swapped whole, `l = a / pivot`, then
+/// `a -= l * u` along the row as one `mul_add` per entry. Returns the
+/// factors (`L` below the diagonal, `U` on and above it) and the row
+/// pivots, or the step whose pivot column is zero or not finite.
+fn oracle_lu<S: Scalar>(mut a: Vec<Vec<S>>) -> Result<(Vec<Vec<S>>, Vec<usize>), usize> {
     let m = a.len();
     let mut piv: Vec<usize> = (0..m).collect();
     for k in 0..m {
@@ -226,11 +226,7 @@ fn oracle_block_solve<S: Scalar>(mut a: Vec<Vec<S>>, x: &[S]) -> Vec<S> {
         }
         let pmax = a[p][k].abs();
         if !(pmax > S::zero()) || !pmax.is_finite() {
-            a = (0..m)
-                .map(|r| (0..m).map(|c| S::from_usize(usize::from(r == c))).collect())
-                .collect();
-            piv = (0..m).collect();
-            break;
+            return Err(k);
         }
         a.swap(k, p);
         piv.swap(k, p);
@@ -242,6 +238,13 @@ fn oracle_block_solve<S: Scalar>(mut a: Vec<Vec<S>>, x: &[S]) -> Vec<S> {
             }
         }
     }
+    Ok((a, piv))
+}
+
+/// Forward and back substitution of the permuted `x` with the factors
+/// of [`oracle_lu`].
+fn oracle_lu_solve<S: Scalar>(a: &[Vec<S>], piv: &[usize], x: &[S]) -> Vec<S> {
+    let m = a.len();
     let mut t: Vec<S> = piv.iter().map(|&p| x[p]).collect();
     for r in 1..m {
         for c in 0..r {
@@ -255,6 +258,22 @@ fn oracle_block_solve<S: Scalar>(mut a: Vec<Vec<S>>, x: &[S]) -> Vec<S> {
         t[r] /= a[r][r];
     }
     t
+}
+
+/// One block of a block Jacobi solve: [`oracle_lu`], or the identity
+/// when the block is singular (and still substituted: `-0 * Inf` is
+/// NaN). Returns the block's solution and whether it was singular.
+fn oracle_block_solve<S: Scalar>(a: Vec<Vec<S>>, x: &[S]) -> (Vec<S>, bool) {
+    let m = a.len();
+    match oracle_lu(a) {
+        Ok((f, piv)) => (oracle_lu_solve(&f, &piv, x), false),
+        Err(_) => {
+            let eye: Vec<Vec<S>> = (0..m)
+                .map(|r| (0..m).map(|c| S::from_usize(usize::from(r == c))).collect())
+                .collect();
+            (oracle_lu_solve(&eye, &(0..m).collect::<Vec<_>>(), x), true)
+        }
+    }
 }
 
 // ---- checks ----------------------------------------------------------
@@ -669,7 +688,7 @@ fn pooled_block_lu<S: Elem>() {
                 let a = (0..m)
                     .map(|r| (0..m).map(|c| entry(s, r, c)).collect())
                     .collect();
-                want.extend(oracle_block_solve(a, &x[s..s + m]));
+                want.extend(oracle_block_solve(a, &x[s..s + m]).0);
             }
             let tag = format!("n={n} bs={bs} specials={specials}");
             let mut y = vec![S::zero(); n];
@@ -686,6 +705,128 @@ fn pooled_block_lu<S: Elem>() {
             }
         }
     }
+}
+
+/// `LuFactors::factor` and its solve against the row-oriented oracle at
+/// sizes 1 to 17: general matrices (which pivot), diagonally dominant
+/// ones, and ones with a zero column, a NaN or an infinite entry. A
+/// factorization that fails must fail at the oracle's step; one that
+/// succeeds must solve bit for bit like the oracle's factors.
+fn lu_factors<S: Elem>() {
+    let (mut factored, mut singular) = (0, 0);
+    for m in 1..=17usize {
+        for (salt, case) in ["general", "dominant", "zero column", "nan", "inf"]
+            .into_iter()
+            .enumerate()
+        {
+            let vals = values::<S>(m * m, 31 + 7 * salt as u64 + 101 * m as u64, false);
+            let entry = |r: usize, c: usize| match case {
+                "dominant" if r == c => vals[r * m + c] + S::from_f64(4.0),
+                "zero column" if c == m / 2 => S::zero(),
+                "nan" if (r, c) == (m - 1, m / 3) => S::from_f64(f64::NAN),
+                "inf" if (r, c) == (m / 2, m - 1) => S::from_f64(f64::INFINITY),
+                _ => vals[r * m + c],
+            };
+            let rows = (0..m).map(|r| (0..m).map(|c| entry(r, c)).collect());
+            let tag = format!("LuFactors {case} m={m}");
+            match (
+                LuFactors::factor(&DenseMat::from_fn(m, m, entry)),
+                oracle_lu(rows.collect()),
+            ) {
+                (Ok(lu), Ok((f, piv))) => {
+                    factored += 1;
+                    for specials in [false, true] {
+                        let x = values::<S>(m, 41 + m as u64, specials);
+                        let mut y = x.clone();
+                        lu.solve_in_place(&mut y);
+                        same(
+                            &format!("{tag} specials={specials}"),
+                            &y,
+                            &oracle_lu_solve(&f, &piv, &x),
+                        );
+                    }
+                }
+                (Err(e), Err(step)) => {
+                    singular += 1;
+                    assert_eq!(e.step, step, "{tag} ({})", S::NAME);
+                }
+                (got, want) => panic!(
+                    "{tag} ({}): library factored {}, oracle factored {}",
+                    S::NAME,
+                    got.is_ok(),
+                    want.is_ok()
+                ),
+            }
+        }
+    }
+    assert!(
+        factored > 0 && singular > 0,
+        "both outcomes must be exercised"
+    );
+}
+
+/// Blocks per packed `BlockLu` group.
+const LU_GROUP: usize = 16;
+
+/// `BlockLu::factor` against the oracle at block sizes 1 to 17, on 1
+/// and 2 threads: two full groups, leftover blocks and a ragged last
+/// block, where every seventh block is zero and others hold a NaN or a
+/// zero column. Every block solves like the oracle's factors, a
+/// singular block like the identity, and `singular_blocks()` counts
+/// the oracle's failures.
+fn block_lu_factor<S: Elem>() {
+    for bs in 1..=17usize {
+        let n = 2 * LU_GROUP * bs + 3 * bs + bs / 2 + 1;
+        let vals = values::<S>(n * bs, 51 + bs as u64, false);
+        let entry = |s: usize, r: usize, c: usize| {
+            let (m, v) = (bs.min(n - s), vals[(s + r) * bs + c]);
+            match (s / bs) % 7 {
+                0 if r == c => v + S::from_f64(4.0),
+                1 => S::zero(),
+                3 if (r, c) == (m - 1, 0) => S::from_f64(f64::NAN),
+                5 if c == m / 2 => S::zero(),
+                _ => v,
+            }
+        };
+        let block = |s: usize, m: usize| DenseMat::from_fn(m, m, |r, c| entry(s, r, c));
+        for specials in [false, true] {
+            let x = values::<S>(n, 61 + bs as u64, specials);
+            let (mut want, mut singular) = (Vec::with_capacity(n), 0);
+            for s in (0..n).step_by(bs) {
+                let m = bs.min(n - s);
+                let a = (0..m).map(|r| (0..m).map(|c| entry(s, r, c)).collect());
+                let (y, failed) = oracle_block_solve(a.collect(), &x[s..s + m]);
+                want.extend(y);
+                singular += usize::from(failed);
+            }
+            assert!(
+                singular > 0,
+                "bs = {bs}: the identity fallback must be exercised"
+            );
+            for threads in [1, 2] {
+                let packed = BlockLu::factor(n, bs, threads, block);
+                let mut y = vec![S::zero(); n];
+                packed.solve(&x, &mut y);
+                let tag = format!("BlockLu::factor bs={bs} threads={threads} specials={specials}");
+                same(&tag, &y, &want);
+                assert_eq!(packed.singular_blocks(), singular, "{tag} ({})", S::NAME);
+            }
+        }
+    }
+}
+
+#[test]
+fn lu_factors_match_row_oriented_oracle() {
+    lu_factors::<f64>();
+    lu_factors::<f32>();
+    lu_factors::<Half>();
+}
+
+#[test]
+fn block_lu_factor_matches_oracle() {
+    block_lu_factor::<f64>();
+    block_lu_factor::<f32>();
+    block_lu_factor::<Half>();
 }
 
 #[test]

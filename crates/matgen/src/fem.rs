@@ -47,7 +47,8 @@ pub fn q1_laplacian_2d(nx: usize, ny: usize, hx: f64, stretch: f64) -> Csr<f64> 
     let hy = stretch * hx;
     let k = q1_element_stiffness(hx, hy);
     let n = nx * ny;
-    let mut coo = Coo::with_capacity(n, n, 9 * n);
+    // About one element per node, each adding up to 4 x 4 triplets.
+    let mut coo = Coo::with_capacity(n, n, 16 * n);
     // Interior grid nodes are (i, j), 0 <= i < nx, 0 <= j < ny; elements
     // span cells between grid lines; element (ei, ej) with 0 <= ei <= nx,
     // 0 <= ej <= ny touches interior nodes among its 4 corners.

@@ -471,7 +471,8 @@ pub fn patchy_coefficient_laplacian(nx: usize, seed: u64, contrast: f64) -> Csr<
         .collect();
     let k_unit = crate::fem::q1_element_stiffness(1.0, 1.0);
     let n = nx * nx;
-    let mut coo = Coo::with_capacity(n, n, 9 * n);
+    // About one element per node, each adding up to 4 x 4 triplets.
+    let mut coo = Coo::with_capacity(n, n, 16 * n);
     let node = |i: isize, j: isize| -> Option<usize> {
         if i < 0 || j < 0 || i >= nx as isize || j >= nx as isize {
             None

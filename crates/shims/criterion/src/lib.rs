@@ -2,12 +2,15 @@
 //!
 //! Provides the benchmark-definition surface the workspace's benches
 //! use (`Criterion`, benchmark groups, `criterion_group!` /
-//! `criterion_main!`, `Bencher::iter`, `BenchmarkId`, `Throughput`)
-//! with a simple wall-clock measurement loop and plain-text output.
-//! There is no statistical analysis, HTML report, or baseline store.
+//! `criterion_main!`, `Bencher::iter`, `Bencher::iter_batched`,
+//! `BatchSize`, `BenchmarkId`, `Throughput`) with a simple wall-clock
+//! measurement loop and plain-text output. There is no statistical
+//! analysis, HTML report, or baseline store.
 //!
 //! Set `MPGMRES_BENCH_FAST=1` to run each benchmark with two samples
-//! (useful to smoke-test bench binaries in CI).
+//! (useful to smoke-test bench binaries in CI). As with criterion, a
+//! positional argument (`cargo bench --bench kernels -- assembly`) runs
+//! only the benchmarks whose id contains it.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -171,6 +174,51 @@ impl Bencher {
     }
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares per batch in
+/// criterion. The shim prepares one input per routine call whatever the
+/// size; the variants exist so benches written for criterion compile.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs cheap to hold many of.
+    SmallInput,
+    /// Inputs too large to hold many of.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
+impl Bencher {
+    /// Measure `routine` on inputs made by `setup`, timing only
+    /// `routine`: neither `setup` nor dropping the routine's output is
+    /// counted.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = |iters: u64| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let t0 = Instant::now();
+                let out = black_box(routine(input));
+                total += t0.elapsed();
+                drop(out);
+            }
+            total
+        };
+        if self.iters_per_sample == 0 {
+            let once = timed(1).max(Duration::from_nanos(20));
+            let per_sample = (Duration::from_millis(1).as_nanos() / once.as_nanos()).max(1);
+            self.iters_per_sample = per_sample.min(1_000_000) as u64;
+        }
+        for _ in 0..self.target_samples {
+            let t = timed(self.iters_per_sample);
+            self.samples.push(t);
+        }
+    }
+}
+
 fn fast_mode() -> bool {
     std::env::var("MPGMRES_BENCH_FAST")
         .map(|v| v != "0")
@@ -195,6 +243,13 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     throughput: Option<Throughput>,
     mut f: F,
 ) {
+    // `cargo bench` passes flags such as `--bench`; the first argument
+    // that is not a flag filters by id.
+    if let Some(filter) = std::env::args().skip(1).find(|a| !a.starts_with('-')) {
+        if !id.contains(&filter) {
+            return;
+        }
+    }
     let target_samples = if fast_mode() { 2 } else { sample_size };
     let mut b = Bencher {
         iters_per_sample: 0,
@@ -278,8 +333,23 @@ mod tests {
         g.bench_with_input(BenchmarkId::new("with-input", 7), &7u64, |b, &v| {
             b.iter(|| v * 2)
         });
+        let (mut made, mut used) = (0u64, 0u64);
+        g.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    made += 1;
+                    vec![made; 4]
+                },
+                |v| {
+                    used += 1;
+                    v.len()
+                },
+                BatchSize::LargeInput,
+            )
+        });
         g.finish();
         assert!(count > 0);
+        assert!(used > 0 && made == used);
     }
 
     #[test]
