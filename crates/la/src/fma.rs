@@ -69,4 +69,4 @@ fn with_fma<R>(body: impl FnOnce() -> R) -> R {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -26,12 +26,15 @@ use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
 use crate::par;
 use crate::pool::ScopedSpawn;
+use crate::pool::WorkerPool;
 use crate::shard::{self, ShardPlan};
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder};
 
 /// Open [`portable`] windows, across all threads.
 static FORCED: AtomicUsize = AtomicUsize::new(0);
+/// Open [`scalar_lanes`] windows, across all threads.
+static SCALAR_LANES: AtomicUsize = AtomicUsize::new(0);
 /// Held by every test here, so no portable window overlaps another
 /// test's dispatched run.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -40,18 +43,37 @@ pub(super) fn portable_forced() -> bool {
     FORCED.load(Ordering::SeqCst) > 0
 }
 
+/// Whether `simd::block_partials` leaves every chain to the scalar
+/// body: inside a [`portable`] window (no hardware instruction at all)
+/// or a [`scalar_lanes`] one.
+#[cfg_attr(any(miri, not(target_arch = "x86_64")), allow(dead_code))]
+pub(crate) fn lanes_forced_off() -> bool {
+    portable_forced() || SCALAR_LANES.load(Ordering::SeqCst) > 0
+}
+
+/// Run `body` with `count` raised, on every thread.
+fn window<R>(count: &'static AtomicUsize, body: impl FnOnce() -> R) -> R {
+    struct Close(&'static AtomicUsize);
+    impl Drop for Close {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    count.fetch_add(1, Ordering::SeqCst);
+    let _close = Close(count);
+    body()
+}
+
 /// Run `body` with every [`super::run`], on every thread, taking the
 /// portable path.
 fn portable<R>(body: impl FnOnce() -> R) -> R {
-    struct Close;
-    impl Drop for Close {
-        fn drop(&mut self) {
-            FORCED.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    FORCED.fetch_add(1, Ordering::SeqCst);
-    let _close = Close;
-    body()
+    window(&FORCED, body)
+}
+
+/// Run `body` with every blocked-tree partial, on every thread, taking
+/// the scalar body (still on hardware FMA).
+fn scalar_lanes<R>(body: impl FnOnce() -> R) -> R {
+    window(&SCALAR_LANES, body)
 }
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -522,6 +544,112 @@ fn dense_kernels_match_portable() {
     dense::<f64>();
     dense::<f32>();
     dense::<Half>();
+}
+
+/// Sizes for the lane checks: four quads of 256, seven blocks of 256
+/// plus a ragged 100, and the stretched-bj size.
+#[cfg(not(miri))]
+const LANE_NS: [usize; 3] = [1024, 7 * 256 + 100, 9216];
+#[cfg(miri)]
+const LANE_NS: [usize; 1] = [61];
+/// Block sizes: below one lane row (1), every `block % 4` tail (5, 37),
+/// whole lane rows (8, 64, 256).
+const LANE_BLOCKS: [usize; 6] = [1, 5, 8, 37, 64, 256];
+#[cfg(not(miri))]
+const LANE_NCOLS: [usize; 20] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 50, 51,
+];
+#[cfg(miri)]
+const LANE_NCOLS: [usize; 2] = [1, 9];
+
+/// Assert `kernel` returns the same bits with the lane kernel and with
+/// the scalar body (NaN folded, as in [`check`]).
+fn check_lanes(what: &str, kernel: impl Fn() -> Vec<f64>) {
+    let _serial = serial();
+    let lanes = kernel();
+    let scalar = scalar_lanes(&kernel);
+    assert_eq!(bits(&lanes), bits(&scalar), "{what}");
+}
+
+/// Every entry point over blocked-tree partials, f64 lane kernel ==
+/// scalar body: dots, norms and shard partials, and GEMV-T (plain,
+/// native basis, serial, column- and block-split, and pooled runs that
+/// start at an odd block).
+#[test]
+fn lanes_match_scalar_body() {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        // The lane kernel must actually run where the CPU has it.
+        if is_x86_feature_detected!("avx") && is_x86_feature_detected!("fma") {
+            let (x, mut parts) = (vec![1.0f64; 1024], vec![0.0f64; 4]);
+            let _serial = serial();
+            let done = crate::simd::block_partials(&x, 1024, 1, &x, 256, &mut parts);
+            assert_eq!(done, 4);
+            assert_eq!(parts, [256.0; 4]);
+        }
+    }
+    let exec = ScopedSpawn(2);
+    let pool = WorkerPool::new(3);
+    for n in LANE_NS {
+        let x = values::<f64>(n, 40, true);
+        let y = values::<f64>(n, 41, true);
+        let maxc = LANE_NCOLS[LANE_NCOLS.len() - 1];
+        let mut mv = MultiVector::<f64>::zeros(n, maxc);
+        for j in 0..maxc {
+            mv.set_col(j, &values(n, 50 + j as u64, j % 3 == 1));
+        }
+        let native = BasisStore::<f64>::compressed(n, maxc, Precision::Fp64);
+        let native = {
+            let mut s = native;
+            for j in 0..maxc {
+                s.set_col(j, mv.col(j));
+            }
+            s
+        };
+        for block in LANE_BLOCKS {
+            let order = ReductionOrder::BlockedTree { block };
+            let tag = format!("n={n} block={block}");
+            check_lanes(&format!("dot_ordered {tag}"), || {
+                vec![vec_ops::dot_ordered(&x, &y, order)]
+            });
+            check_lanes(&format!("norm2_ordered {tag}"), || {
+                vec![vec_ops::norm2_ordered(&x, order)]
+            });
+            check_lanes(&format!("par::dot_on {tag}"), || {
+                vec![par::dot_split_on(&exec, &x, &y, order)]
+            });
+            check_lanes(&format!("shard::dot_partials {tag}"), || {
+                let mut parts = Vec::new();
+                shard::dot_partials(&x, &y, block, n / 3, n, &mut parts);
+                parts
+            });
+            for ncols in LANE_NCOLS {
+                let tag = format!("{tag} ncols={ncols}");
+                let dots = |f: &dyn Fn(&mut [f64])| {
+                    let mut o = vec![0.0; ncols];
+                    f(&mut o);
+                    o
+                };
+                check_lanes(&format!("MultiVector::gemv_t {tag}"), || {
+                    dots(&|o| mv.gemv_t(ncols, &y, o, order))
+                });
+                check_lanes(&format!("BasisStore::gemv_t {tag}"), || {
+                    dots(&|o| native.gemv_t(ncols, &y, o, order))
+                });
+                check_lanes(&format!("par::gemv_t_split_on {tag}"), || {
+                    dots(&|o| par::gemv_t_split_on(&exec, &mv, ncols, &y, o, order))
+                });
+                // Three participants over an odd block count: runs start
+                // at odd blocks.
+                check_lanes(&format!("par::gemv_t_split_on pooled {tag}"), || {
+                    dots(&|o| par::gemv_t_split_on(&pool, &mv, ncols, &y, o, order))
+                });
+                check_lanes(&format!("par::basis_gemv_t_on pooled {tag}"), || {
+                    dots(&|o| par::basis_gemv_t_on(&pool, &native, ncols, &y, o, order))
+                });
+            }
+        }
+    }
 }
 
 /// `x * x - 1` at `x = 1 + 2^-p` is `2^(1-p) + 2^-2p`, which survives one

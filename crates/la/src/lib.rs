@@ -9,6 +9,9 @@
 //! Modules:
 //! - [`fma`] — the runtime FMA dispatch every `mul_add` kernel runs
 //!   under: hardware FMA when the CPU has it, the same bits either way.
+//! - `simd` (crate-private) — blocked-tree partials four reduction
+//!   blocks to an AVX register (f64, run-time dispatch), the fast path
+//!   under GEMV-T and the blocked dot; the same bits as the scalar body.
 //! - [`vec_ops`] — axpy/dot/norm/scale over slices, with selectable
 //!   [`vec_ops::ReductionOrder`] (the paper notes GPU reductions make runs
 //!   slightly nondeterministic; we model that by offering both orders).
@@ -59,6 +62,7 @@ pub mod pool;
 pub mod raw;
 pub mod rcm;
 pub mod shard;
+pub(crate) mod simd;
 pub mod split_csr;
 pub mod stats;
 pub mod store;

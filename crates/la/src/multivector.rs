@@ -15,6 +15,7 @@
 use mpgmres_scalar::Scalar;
 
 use crate::fma;
+use crate::simd;
 use crate::vec_ops::{tree_sum, ReductionOrder};
 
 /// Columns a GEMV-T group reads `w` for at once, one accumulator each.
@@ -159,7 +160,7 @@ impl<S: Scalar> MultiVector<S> {
 /// `h[i]` is bit-identical to a per-column dot. One partials buffer
 /// serves the whole call.
 #[inline(always)]
-pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
+pub(crate) fn gemv_t_cols<L: Copy + 'static, S: Scalar>(
     data: &[L],
     first: usize,
     w: &[S],
@@ -187,12 +188,14 @@ pub(crate) fn gemv_t_cols<L: Copy, S: Scalar>(
 /// is column `k`'s left-to-right `mul_add` chain over block `b0 + b`,
 /// the chain `vec_ops::dot_seq` runs over that block.
 ///
-/// Runs [`GEMV_T_GROUP`] columns at a time, so `w` streams once per
-/// group, each column with its own accumulator. The serial GEMV-T runs
-/// it over every block; each job of the block-split parallel GEMV-T
-/// runs it over its own run of blocks.
+/// Whole quads of f64 blocks run four blocks to a register
+/// ([`simd::block_partials`]). The rest runs [`GEMV_T_GROUP`] columns
+/// at a time, so `w` streams once per group, each column with its own
+/// accumulator. The serial GEMV-T runs it over every block; each job of
+/// the block-split parallel GEMV-T runs it over its own run of blocks.
+/// `widen` must be the exact widening `cast::<L, S>`.
 #[inline(always)]
-pub(crate) fn gemv_t_block_partials<L: Copy, S: Scalar>(
+pub(crate) fn gemv_t_block_partials<L: Copy + 'static, S: Scalar>(
     data: &[L],
     ncols: usize,
     w: &[S],
@@ -207,10 +210,12 @@ pub(crate) fn gemv_t_block_partials<L: Copy, S: Scalar>(
     let n = w.len();
     let nbl = parts.len() / ncols;
     let (lo, hi) = (b0 * block, ((b0 + nbl) * block).min(n));
+    let done = simd::block_partials(&data[lo..], n, ncols, &w[lo..hi], block, parts);
+    let lo = lo + done * block;
     let w = &w[lo..hi];
     let col = |j: usize| &data[j * n + lo..j * n + hi];
     for c in (0..ncols).step_by(GEMV_T_GROUP) {
-        let out = &mut parts[c * nbl..];
+        let out = &mut parts[c * nbl + done..];
         macro_rules! group {
             ($($k:literal)+) => {
                 group_partials([$(col(c + $k)),+], w, block, out, nbl, widen)

@@ -67,6 +67,27 @@
 //! reproducing. Compare Ioannidis et al. (arXiv:1906.04051): below cache
 //! size, dispatch and synchronisation decide whether a parallel GMRES
 //! kernel pays, which is why the pool's dispatch cost sets the bar.
+//!
+//! **Threads or SIMD.** The pool already runs every kernel above its
+//! threshold on both vCPUs, so a third participant has no core to run
+//! on. How much the second one adds depends on what the host gives it.
+//! Register-only timing loops (no memory traffic), one thread against
+//! two on 2-vCPU x86-64 hosts, read:
+//!
+//! - in one period, FMA-throughput-bound loops (many independent
+//!   chains) scaled 0.7–1.0x and latency-bound ones (one chain)
+//!   1.5–2.3x: the two vCPUs shared one core's FMA ports;
+//! - in another, the same kinds of loop scaled 0.96–2.15x and
+//!   1.09–2.27x, mostly 1.5–2.0x: two cores, busy with other tenants.
+//!
+//! A second thread pays most for latency-bound work, whose chains
+//! leave FMA ports idle, and least for throughput-bound work when the
+//! ports are shared. SIMD raises each thread's rate whatever the host
+//! does: a four-lane AVX loop ran 21–23 GFMA/s on one thread, against
+//! 4.2–5.9 GFMA/s for the scalar loop. That is why the blocked-tree
+//! partials under GEMV-T and the blocked dot run four reduction blocks
+//! per AVX register (`crate::simd`) inside each pool job rather than
+//! on more threads.
 
 use mpgmres_scalar::Scalar;
 

@@ -16,6 +16,7 @@
 use mpgmres_scalar::Scalar;
 
 use crate::fma;
+use crate::simd;
 
 /// Below this length the parallel kernels in [`crate::par`] fall back to
 /// the sequential path (thread spawn would dominate). Chosen so
@@ -121,16 +122,20 @@ pub(crate) fn tree_sum<S: Scalar>(parts: &mut [S]) -> S {
 /// [`dot_seq`] chain over `x[b * block..]` and `y[b * block..]` (the last
 /// block clipped at the end), for `parts.len() == x.len().div_ceil(block)`.
 ///
-/// Four blocks run in lockstep, so their independent chains overlap in
-/// the FMA pipeline; each block still accumulates alone and
-/// left to right, so every partial is bit-identical to a `dot_seq` over
-/// its block. A plain loop on purpose: an iterator adaptor collecting
-/// the partials would compile out of line, outside the caller's
-/// [`fma::run`] frame (see [`crate::fma`]).
+/// Whole quads of f64 blocks run four blocks to a register
+/// ([`simd::block_partials`]). Elsewhere four blocks run in lockstep, so
+/// their independent chains overlap in the FMA pipeline. Either way
+/// each block accumulates alone and left to right, so every partial is
+/// bit-identical to a `dot_seq` over its block. A plain loop on
+/// purpose: an iterator adaptor collecting the partials would compile
+/// out of line, outside the caller's [`fma::run`] frame (see
+/// [`crate::fma`]).
 #[inline(always)]
 pub(crate) fn block_partials<S: Scalar>(x: &[S], y: &[S], block: usize, parts: &mut [S]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(parts.len(), x.len().div_ceil(block));
+    let done = simd::block_partials(x, x.len(), 1, y, block, parts);
+    let (x, y, parts) = (&x[done * block..], &y[done * block..], &mut parts[done..]);
     let wide = x.len() / (4 * block) * 4;
     let (parts_wide, parts_tail) = parts.split_at_mut(wide);
     let (x_wide, x_tail) = x.split_at(wide * block);

@@ -10,7 +10,8 @@
 //!
 //! Shapes: `n` below one reduction block and not a multiple of 256;
 //! block sizes 1, 5, 37 and 256; 0 to 17 basis columns (every remainder
-//! of an 8-column GEMV-T group); a ragged last 512-row GEMV-N tile;
+//! of an 8-column GEMV-T group); for the f64 lane kernel, n = 1024,
+//! 7 * 256 + 100 and 9216, blocks 8 and 64 too, and 50 and 51 columns; a ragged last 512-row GEMV-N tile;
 //! empty matrix rows; LU blocks of 1 to 17 rows, singular ones among
 //! them. Inputs include ±0, subnormals, ±Inf and NaN.
 //! Results compare bit for bit, except that every NaN counts as one
@@ -813,6 +814,142 @@ fn block_lu_factor<S: Elem>() {
             }
         }
     }
+}
+
+/// Sizes for the f64 lane kernel (four reduction blocks to an AVX
+/// register): four quads of 256, seven blocks of 256 plus a ragged 100
+/// (one full quad, then scalar blocks), and the stretched-bj size.
+const LANE_NS: [usize; 3] = [1024, 7 * 256 + 100, 9216];
+
+/// Block sizes for the lane kernel: the existing ones plus whole lane
+/// rows (8, 64).
+const LANE_BLOCKS: [usize; 6] = [1, 5, 8, 37, 64, 256];
+
+/// Basis widths: every remainder of a four-column lane pass and of an
+/// eight-column scalar group, and a full GMRES(50) basis and one past.
+const LANE_NCOLS: [usize; 20] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 50, 51,
+];
+
+/// Every blocked-tree entry point at the lane kernel's shapes, in f64
+/// (the only precision it covers), against the oracles: dot, norm,
+/// pooled and sharded partials, and GEMV-T over every basis store,
+/// serial, column- and block-split, on pools whose block runs start at
+/// odd blocks.
+fn lane_shapes() {
+    let exec = ScopedSpawn(3);
+    let pool = WorkerPool::new(3);
+    let maxc = LANE_NCOLS[LANE_NCOLS.len() - 1];
+    let mut odd_start = false;
+    for n in LANE_NS {
+        for specials in [false, true] {
+            let x = values::<f64>(n, 70, specials);
+            let y = values::<f64>(n, 71, specials);
+            let columns: Vec<Vec<f64>> = (0..maxc)
+                .map(|j| values(n, 80 + j as u64, j % 4 == 1))
+                .collect();
+            let bases = [Precision::Fp64, Precision::Fp32, Precision::Fp16].map(|p| {
+                let mut v = BasisStore::<f64>::compressed(n, maxc, p);
+                for (j, c) in columns.iter().enumerate() {
+                    v.set_col(j, c);
+                }
+                v
+            });
+            for block in LANE_BLOCKS {
+                let order = ReductionOrder::BlockedTree { block };
+                let tag = format!("n={n} block={block} specials={specials}");
+                let nblocks = n.div_ceil(block);
+                odd_start |= par::row_partition(nblocks, pool.threads())
+                    .iter()
+                    .any(|&(b0, b1)| b0 % 2 == 1 && b1 - b0 >= 4);
+                let want = oracle_dot(&x, &y, order);
+                same(
+                    &format!("dot_ordered {tag}"),
+                    &[vec_ops::dot_ordered(&x, &y, order)],
+                    &[want],
+                );
+                same(
+                    &format!("norm2_ordered {tag}"),
+                    &[vec_ops::norm2_ordered(&x, order)],
+                    &[oracle_dot(&x, &x, order).sqrt()],
+                );
+                for (what, got) in [
+                    ("par::dot_split_on", par::dot_split_on(&exec, &x, &y, order)),
+                    (
+                        "par::dot_split_on pooled",
+                        par::dot_split_on(&pool, &x, &y, order),
+                    ),
+                    (
+                        "shard::dot_sharded",
+                        shard::dot_sharded(&x, &y, order, shard::even_ranges(n, 3)),
+                    ),
+                ] {
+                    same(&format!("{what} {tag}"), &[got], &[want]);
+                }
+                // Cuts at an odd block, inside a block, and at the end.
+                let all = oracle_partials(&x, &y, block);
+                for (c0, c1) in [(block, n), (n / 3, n), (0, n / block * block)] {
+                    let mut got = Vec::new();
+                    shard::dot_partials(&x, &y, block, c0, c1, &mut got);
+                    let first = c0.div_ceil(block);
+                    let upto = c1.div_ceil(block).max(first);
+                    same(
+                        &format!("shard::dot_partials {tag} [{c0}, {c1})"),
+                        &got,
+                        &all[first..upto],
+                    );
+                }
+                for v in &bases {
+                    let p = v.storage_precision();
+                    let want: Vec<f64> = (0..maxc)
+                        .map(|j| oracle_dot(&basis_col(v, j), &y, order))
+                        .collect();
+                    for ncols in LANE_NCOLS {
+                        let tag = format!("{p:?} {tag} ncols={ncols}");
+                        let want = &want[..ncols];
+                        let dots = |f: &dyn Fn(&mut [f64])| {
+                            let mut o = vec![0.0; ncols];
+                            f(&mut o);
+                            o
+                        };
+                        same(
+                            &format!("BasisStore::gemv_t {tag}"),
+                            &dots(&|o| v.gemv_t(ncols, &y, o, order)),
+                            want,
+                        );
+                        same(
+                            &format!("par::basis_gemv_t_on pooled {tag}"),
+                            &dots(&|o| par::basis_gemv_t_on(&pool, v, ncols, &y, o, order)),
+                            want,
+                        );
+                        if let Some(mv) = v.as_native() {
+                            same(
+                                &format!("MultiVector::gemv_t {tag}"),
+                                &dots(&|o| mv.gemv_t(ncols, &y, o, order)),
+                                want,
+                            );
+                            same(
+                                &format!("par::gemv_t_split_on {tag}"),
+                                &dots(&|o| par::gemv_t_split_on(&exec, mv, ncols, &y, o, order)),
+                                want,
+                            );
+                            same(
+                                &format!("par::gemv_t_split_on pooled {tag}"),
+                                &dots(&|o| par::gemv_t_split_on(&pool, mv, ncols, &y, o, order)),
+                                want,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(odd_start, "no pooled block run starts at an odd block");
+}
+
+#[test]
+fn lane_kernel_shapes_match_oracle() {
+    lane_shapes();
 }
 
 #[test]

@@ -3,26 +3,32 @@
 
 Usage: check_fma_frames.py BINARY
 
-`mpgmres_la::fma::run` runs each kernel body inside an instance of
-`mpgmres_la::fma::with_fma`, which is compiled with the `fma` target
-feature. The body only runs on hardware FMA if it inlines into that
-frame; code the frame calls is compiled without the feature and turns
-every `mul_add` into a call to the software `fma`.
+Two kinds of frame are compiled with target features the default
+x86_64 target lacks:
+  - `mpgmres_la::fma::with_fma` (feature `fma`): `mpgmres_la::fma::run`
+    runs each kernel body inside an instance of it;
+  - `mpgmres_la::simd::lanes::kernel` (features `avx,fma`): the
+    blocked-tree partials, four reduction blocks to a register.
+Work only runs on the hardware instructions if it inlines into its
+frame; code a frame calls is compiled without the features, so a
+`mul_add` there calls the software `fma` and an intrinsic there is an
+out-of-line call per vector.
 
 This script disassembles BINARY with `objdump -d -C` and lists every
-call or tail jump from a `with_fma` instance to
+call or tail jump from a frame to
   - a closure (`{{closure}}`): the kernel body itself stayed out of line;
   - a `from_iter`: an iterator adaptor collected out of line;
-  - the software `fma` or `fmaf`, directly or through a GOT slot.
+  - the software `fma` or `fmaf`, directly or through a GOT slot;
+  - a `core::core_arch` intrinsic left out of line.
 It exits 1 if it finds any, 0 otherwise, and 2 if it cannot run
-(for example, no `with_fma` frame in BINARY).
+(for example, BINARY has no frame of one of the two kinds).
 """
 
 import re
 import subprocess
 import sys
 
-FRAME = "mpgmres_la::fma::with_fma"
+FRAMES = ("mpgmres_la::fma::with_fma", "mpgmres_la::simd::lanes::kernel")
 HEADER = re.compile(r"^([0-9a-f]+) <(.*)>:$")
 BRANCH = re.compile(r"^\s*([0-9a-f]+):\s+(call|jmp)\S*\s+(.*)$")
 DIRECT = re.compile(r"^[0-9a-f]+ <(.*)>$")
@@ -40,7 +46,12 @@ def objdump(*args):
 def escapes(target):
     """Whether a branch target is work that left the FMA frame."""
     base = target.split("@")[0]
-    return "{{closure}}" in target or "from_iter" in target or base in ("fma", "fmaf")
+    return (
+        "{{closure}}" in target
+        or "from_iter" in target
+        or "core_arch" in target
+        or base in ("fma", "fmaf")
+    )
 
 
 def main(argv):
@@ -66,13 +77,15 @@ def main(argv):
         if m:
             slots[int(m.group(1), 16)] = m.group(2)
 
-    frames, found = 0, []
-    frame = None
+    frames, found = dict.fromkeys(FRAMES, 0), []
+    frame = name = None
     for line in disasm:
         m = HEADER.match(line)
         if m:
-            frame = m.group(1) if m.group(2) == FRAME else None
-            frames += frame is not None
+            name = m.group(2)
+            frame = m.group(1) if name in frames else None
+            if frame is not None:
+                frames[name] += 1
             continue
         if frame is None:
             continue
@@ -83,7 +96,7 @@ def main(argv):
         d = DIRECT.match(operand.strip())
         if d:
             target = d.group(1)
-            if target.startswith(FRAME + "+"):
+            if target.startswith(name + "+"):
                 continue  # a jump inside the frame
         else:
             s = VIA_SLOT.search(operand)
@@ -93,12 +106,14 @@ def main(argv):
         if escapes(target):
             found.append(f"  frame {frame} at {addr}: {op} -> {target}")
 
-    if frames == 0:
-        print(f"no {FRAME} frame in {binary}", file=sys.stderr)
+    missing = [f for f, count in frames.items() if count == 0]
+    if missing:
+        print(f"no {' or '.join(missing)} frame in {binary}", file=sys.stderr)
         return 2
     for line in found:
         print(line)
-    print(f"{frames} {FRAME} frames, {len(found)} escapes")
+    counts = ", ".join(f"{count} {f} frames" for f, count in frames.items())
+    print(f"{counts}, {len(found)} escapes")
     return 1 if found else 0
 
 
