@@ -11,18 +11,20 @@
 //! - `k = 4`, including columns that converge at different iterations
 //!   (exercising deflation), lockstep and pipelined.
 //!
-//! A separate pin holds the simulated timing report of fixed
-//! single-RHS solves to fixed values (`single_rhs_report_is_pinned`).
+//! Two pins hold simulated timing reports to fixed values: fixed
+//! single-RHS solves (`single_rhs_report_is_pinned`), and a three-lane
+//! block solve at both pipeline depths, serial and critical
+//! (`block_reports_are_pinned_at_both_depths`).
 
 use std::sync::Arc;
 
 use mpgmres::precond::block_jacobi::BlockJacobi;
 use mpgmres::precond::{Identity, Preconditioner};
 use mpgmres::{
-    Backend, BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec, ParallelBackend,
-    ReferenceBackend, SolveResult, SolveStatus,
+    Backend, BackendKind, BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec,
+    ParallelBackend, ReferenceBackend, SolveResult, SolveStatus,
 };
-use mpgmres_gpusim::{DeviceModel, PaperCategory};
+use mpgmres_gpusim::{DeviceModel, KernelClass, PaperCategory};
 use mpgmres_la::coo::Coo;
 use mpgmres_la::vec_ops::ReductionOrder;
 
@@ -388,4 +390,215 @@ fn degenerate_columns_deflate_cleanly() {
     let rz = BlockGmres::new(&a, &Identity, cfg).solve(&mut ctx2, &zb, &mut xz);
     assert_eq!(rz[0].iterations, 0);
     assert!(rz[0].status.is_converged());
+}
+
+/// One pinned block-solve report: the per-lane iteration counts, the
+/// serial report (`PinnedReport`, whose `iterations`/`restarts` are the
+/// lane sums), the overlap-aware critical path and the HostDense
+/// seconds hidden under device work.
+struct PinnedBlockReport {
+    lane_iterations: [usize; 3],
+    report: PinnedReport,
+    critical_bits: u64,
+    host_hidden_bits: u64,
+}
+
+/// The simulated report of one fixed three-lane block solve
+/// (laplace2d(32), GMRES(20), rtol 1e-10, recorded streams), at
+/// pipeline depths 0 and 1, with identity and block Jacobi on the
+/// reference backend, plus the identity depth-1 solve on two row
+/// shards. The lanes stop at different iterations inside a cycle, so
+/// the active set shrinks mid-cycle and the barrier drains a partial
+/// one. Pins the serial *and* the critical timeline, and the host time
+/// the pipelined charge placement hides, so moving any charge between
+/// regions fails here.
+#[test]
+fn block_reports_are_pinned_at_both_depths() {
+    const IDENTITY_0: PinnedBlockReport = PinnedBlockReport {
+        lane_iterations: [301, 232, 287],
+        report: PinnedReport {
+            iterations: 820,
+            restarts: 43,
+            serial_bits: 0x3fd8_14d8_c540_b27c,
+            categories: [
+                (602, 152_813_568, 0x3fa2_26c9_6eca_f776),
+                (345, 7_094_272, 0x3fa3_6f58_3669_50e2),
+                (645, 173_670_400, 0x3f73_901f_be53_d504),
+                (347, 47_789_932, 0x3f64_c67e_dbb8_3476),
+                (1223, 15_196_160, 0x3fd2_ea47_13e9_69ba),
+            ],
+        },
+        critical_bits: 0x3fd7_da67_c57e_1f9b,
+        host_hidden_bits: 0,
+    };
+    const IDENTITY_1: PinnedBlockReport = PinnedBlockReport {
+        lane_iterations: [301, 232, 287],
+        report: PinnedReport {
+            iterations: 820,
+            restarts: 43,
+            serial_bits: 0x3fd8_14d8_c540_b27c,
+            categories: [
+                (602, 152_813_568, 0x3fa2_26c9_6eca_f776),
+                (345, 7_094_272, 0x3fa3_6f58_3669_50e2),
+                (645, 173_670_400, 0x3f73_901f_be53_d504),
+                (347, 47_789_932, 0x3f64_c67e_dbb8_3476),
+                (1223, 15_196_160, 0x3fd2_ea47_13e9_69ba),
+            ],
+        },
+        critical_bits: 0x3fc4_9f38_39be_0bf0,
+        host_hidden_bits: 0x3fc7_9994_4c63_ecf7,
+    };
+    const BLOCK_JACOBI_0: PinnedBlockReport = PinnedBlockReport {
+        lane_iterations: [175, 151, 190],
+        report: PinnedReport {
+            iterations: 516,
+            restarts: 27,
+            serial_bits: 0x3fce_cb08_4c04_f351,
+            categories: [
+                (380, 94_978_048, 0x3f96_e9c7_045b_f477),
+                (218, 4_472_832, 0x3f98_8fad_b85c_ea9f),
+                (407, 108_101_632, 0x3f68_aba5_38cf_57fd),
+                (763, 74_738_544, 0x3f76_9000_9755_874a),
+                (770, 9_560_064, 0x3fc7_c4ab_1acf_edbf),
+            ],
+        },
+        critical_bits: 0x3fce_852e_0dd4_1cd9,
+        host_hidden_bits: 0,
+    };
+    const BLOCK_JACOBI_1: PinnedBlockReport = PinnedBlockReport {
+        lane_iterations: [175, 151, 190],
+        report: PinnedReport {
+            iterations: 516,
+            restarts: 27,
+            serial_bits: 0x3fce_cb08_4c04_f351,
+            categories: [
+                (380, 94_978_048, 0x3f96_e9c7_045b_f477),
+                (218, 4_472_832, 0x3f98_8fad_b85c_ea9f),
+                (407, 108_101_632, 0x3f68_aba5_38cf_57fd),
+                (763, 74_738_544, 0x3f76_9000_9755_874a),
+                (770, 9_560_064, 0x3fc7_c4ab_1acf_edbf),
+            ],
+        },
+        critical_bits: 0x3fbe_ff76_8de6_ecfe,
+        host_hidden_bits: 0x3fbc_6b5a_9f91_5ded,
+    };
+    const SHARDED_IDENTITY_1: PinnedBlockReport = PinnedBlockReport {
+        lane_iterations: [301, 232, 287],
+        report: PinnedReport {
+            iterations: 820,
+            restarts: 43,
+            serial_bits: 0x3fd8_dc6f_9bc3_fdbd,
+            categories: [
+                (602, 152_813_568, 0x3fa2_26c9_6eca_f776),
+                (345, 7_094_272, 0x3fa3_6f58_3669_50e2),
+                (645, 173_670_400, 0x3f73_901f_be53_d504),
+                (1388, 47_794_096, 0x3f84_1e1d_8cec_74ff),
+                (1917, 15_639_552, 0x3fd3_3a79_fbbc_c1b1),
+            ],
+        },
+        critical_bits: 0x3fc4_e598_d978_126c,
+        host_hidden_bits: 0x3fc7_9994_4c63_ecf7,
+    };
+    let a = laplace2d_matrix(32);
+    let n = a.n();
+    let b0: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 / n as f64)).collect();
+    let b1 = rhs(n, 40);
+    let mut b2 = vec![0.0f64; n];
+    b2[0] = 1.0;
+    b2[n / 2] = -2.0;
+    let cols: Vec<&[f64]> = vec![&b0, &b1, &b2];
+    let bj = BlockJacobi::build(&a, 8);
+    let m = 20;
+    let base = GmresConfig::default().with_m(m).with_max_iters(5_000);
+    let sharded = BackendKind::Sharded { shards: 2 };
+    let cases: [(
+        &str,
+        &dyn Preconditioner<f64>,
+        BackendKind,
+        usize,
+        &PinnedBlockReport,
+    ); 5] = [
+        (
+            "identity depth 0",
+            &Identity,
+            BackendKind::Reference,
+            0,
+            &IDENTITY_0,
+        ),
+        (
+            "identity depth 1",
+            &Identity,
+            BackendKind::Reference,
+            1,
+            &IDENTITY_1,
+        ),
+        (
+            "block-jacobi depth 0",
+            &bj,
+            BackendKind::Reference,
+            0,
+            &BLOCK_JACOBI_0,
+        ),
+        (
+            "block-jacobi depth 1",
+            &bj,
+            BackendKind::Reference,
+            1,
+            &BLOCK_JACOBI_1,
+        ),
+        (
+            "sharded identity depth 1",
+            &Identity,
+            sharded,
+            1,
+            &SHARDED_IDENTITY_1,
+        ),
+    ];
+    for (what, pc, kind, depth, pin) in cases {
+        let mut ctx = GpuContext::with_backend_kind(
+            DeviceModel::v100_belos(),
+            ReductionOrder::Sequential,
+            kind,
+        );
+        let bb = MultiVec::from_columns(&cols);
+        let mut xb = MultiVec::<f64>::zeros(n, cols.len());
+        let cfg = base.with_pipeline_depth(depth);
+        let res = BlockGmres::new(&a, pc, cfg).solve(&mut ctx, &bb, &mut xb);
+        let iters: Vec<usize> = res.iter().map(|r| r.iterations).collect();
+        assert!(
+            res.iter().all(|r| r.status == SolveStatus::Converged),
+            "{what}"
+        );
+        // Lanes leave mid-cycle, at different iterations.
+        assert!(iters.iter().all(|&i| i % m != 0), "{what}: {iters:?}");
+        assert_eq!(iters, pin.lane_iterations, "{what}: lane iterations");
+        let restarts: usize = res.iter().map(|r| r.restarts).sum();
+        assert_eq!(iters.iter().sum::<usize>(), pin.report.iterations, "{what}");
+        assert_eq!(restarts, pin.report.restarts, "{what}: restarts");
+        let rep = ctx.report();
+        assert_eq!(
+            rep.total_seconds.to_bits(),
+            pin.report.serial_bits,
+            "{what}: serial seconds {}",
+            rep.total_seconds
+        );
+        assert_eq!(
+            rep.critical_path_seconds.to_bits(),
+            pin.critical_bits,
+            "{what}: critical path {}",
+            rep.critical_path_seconds
+        );
+        let hidden = ctx.profiler().class_stats(KernelClass::HostDense).hidden;
+        assert_eq!(
+            hidden.to_bits(),
+            pin.host_hidden_bits,
+            "{what}: hidden host seconds {hidden}"
+        );
+        for (cat, &(calls, bytes, secs)) in PaperCategory::ALL.iter().zip(&pin.report.categories) {
+            let got = rep.categories.get(cat).copied().unwrap_or_default();
+            assert_eq!(got.calls, calls, "{what}: {cat} calls");
+            assert_eq!(got.bytes, bytes, "{what}: {cat} bytes");
+            assert_eq!(got.seconds.to_bits(), secs, "{what}: {cat} seconds");
+        }
+    }
 }
