@@ -9,6 +9,11 @@
 //! - the software-pipelined `BlockGmres` overlap ratio must stay
 //!   strictly below the lockstep baseline (and the pipelined runs must
 //!   still be bit-identical);
+//! - both k = 4 overlap ratios of the pipeline bench (lockstep and
+//!   pipelined) must equal the committed baseline exactly: they are
+//!   V100-model seconds of bit-identical solves on the reference
+//!   backend, so they do not depend on the runner, and any drift means
+//!   a driver edit moved a charge on the simulated timeline;
 //! - the recorded `BlockGmres` overlap ratio must stay below 1.0 (the
 //!   chain baseline);
 //! - the fp32 shadow store's k = 1 SpMM must move `< 0.55x` the bytes
@@ -40,9 +45,9 @@
 //!   dispatch cost (a 1-core runner reports the figure ungated);
 //! - the deterministic precision byte ratio must not regress against
 //!   the **committed baseline** `results/BENCH_ci.json` (the per-SHA
-//!   snapshot checked into the repo); the wall-clock-dependent gate
-//!   values are diffed against the same baseline and reported, not
-//!   gated, because they vary across runners.
+//!   snapshot checked into the repo); the other listed values are
+//!   diffed against the same baseline and reported, not gated: the
+//!   wall-clock ones vary across runners.
 //!
 //! The workspace's serde_json shim is write-only, so the gate reads the
 //! (self-produced, schema-stable) artifacts with a minimal scanner
@@ -50,8 +55,9 @@
 //! contents into the combined artifact — every future PR's perf deltas
 //! become one machine-readable, diffable file.
 //!
-//! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (or `precision`, or
-//! `serving`, or `sharding`, or `basis`, or `qos`, or `pool`) to deliberately
+//! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (which trips both
+//! pipeline gates), or `precision`, or
+//! `serving`, or `sharding`, or `basis`, or `qos`, or `pool`, to deliberately
 //! corrupt the gated value before checking: CI runs this
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
@@ -151,6 +157,29 @@ fn main() {
         detail: format!(
             "pipelined {pipelined_ratio:.6} vs lockstep {lockstep_ratio:.6}, bit_identical {bit_identical}"
         ),
+    };
+
+    // --- gate 10: the pipeline timeline equals the committed model ---
+    // Exact equality: both sides are the same model output printed
+    // round-trip, so a single moved charge shows as a mismatch.
+    let pinned = |key: &str| baseline.as_deref().and_then(|b| extract_number(b, key));
+    let g10 = match (
+        pinned("lockstep_overlap_ratio"),
+        pinned("pipelined_overlap_ratio"),
+    ) {
+        (Some(bl), Some(bp)) => Gate {
+            name: "pipeline_overlap_matches_baseline",
+            ok: lockstep_ratio == bl && pipelined_ratio == bp,
+            detail: format!(
+                "lockstep {lockstep_ratio} vs {bl}, pipelined {pipelined_ratio} vs {bp} \
+                 (k = 4, committed baseline)"
+            ),
+        },
+        _ => Gate {
+            name: "pipeline_overlap_matches_baseline",
+            ok: true,
+            detail: "no committed pipeline baseline".to_string(),
+        },
     };
 
     // --- gate 2: recorded BlockGmres overlap stays below the chain ---
@@ -294,10 +323,11 @@ fn main() {
     };
 
     // --- gate 8 + report: diff against the committed baseline ---------
-    // Only the precision byte ratio is deterministic across machines
-    // (pure analytic model), so only it hard-gates; the wall-clock and
-    // overlap numbers are diffed for the log and the artifact.
+    // The precision byte ratio (gate 8) and the pipeline overlap ratios
+    // (gate 10) are deterministic model outputs and hard-gate; the
+    // other numbers are diffed for the log and the artifact.
     let diff_keys = [
+        "lockstep_overlap_ratio",
         "pipelined_overlap_ratio",
         "overlap_ratio",
         "spawn_overhead_us_per_call",
@@ -374,7 +404,7 @@ fn main() {
         },
     };
 
-    let gates = [g1, g2, g3, g4, g5, g6, g7, g8, g9];
+    let gates = [g1, g2, g3, g4, g5, g6, g7, g8, g9, g10];
     let mut ok = true;
     for g in &gates {
         println!(
@@ -399,7 +429,7 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 8,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 9,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),

@@ -12,35 +12,46 @@
 //!
 //! # Software pipelining (`GmresConfig::pipeline_depth = 1`)
 //!
-//! The lockstep driver syncs every lane at every iteration to run its
-//! host-side Givens rotations and convergence test — the host step
-//! serializes against the device stream, which is exactly the
-//! launch-latency exposure the paper's GPU runs pay. The pipelined
-//! variant defers each lane's host step one iteration: iteration `j`'s
-//! Givens/update bookkeeping is recorded into iteration `j+1`'s region
-//! as a *host node* whose read spans are the previous-parity
-//! norm/coefficient buffers (`h`/`norms` ping-pong by iteration
-//! parity), so the dependency DAG itself proves the lagged host work
-//! conflicts with nothing the in-flight SpMM + blocked-CGS2 kernels
-//! touch — and the overlap-aware timeline hides the host latency
-//! behind them. At the cycle barrier the per-lane least-squares solves
-//! become host nodes feeding each lane's own update chain, so lane
-//! `l`'s host step overlaps the other lanes' device work.
+//! Each lane's host step — its Givens rotations and convergence test
+//! after every iteration, its least-squares solve at the cycle barrier
+//! — runs on the host as soon as the device results it reads are
+//! synced, because it decides the next active set. The pipeline depth
+//! only decides where the simulated timeline *charges* that work. The
+//! charges come in groups: an iteration's per-lane Givens charges with
+//! its fused basis extension (and, under the identity preconditioner,
+//! the next direction gather), and the barrier's per-lane least-squares
+//! charges. The depth picks the stream that records each group:
 //!
-//! The pipelining changes *when the simulated timeline charges the host
-//! work*, never what executes: the arithmetic runs in the identical
-//! order as lockstep, so per-lane results are bit-identical by
-//! construction (pinned in `stream_parity.rs`) and the serial
-//! accounting is unchanged — only `overlap_ratio()` improves.
+//! - at depth 0 (lockstep, the default) an eager stream: every charge
+//!   lands at the makespan, so the host step serializes against the
+//!   device stream each iteration — the launch-latency exposure the
+//!   paper's GPU runs pay;
+//! - at depth 1 the recorded region that follows. The host nodes read
+//!   the previous iteration's coefficient/norm buffers (`h`/`norms`
+//!   ping-pong by iteration parity), so the dependency DAG itself
+//!   proves the lagged host work conflicts with nothing the in-flight
+//!   SpMM + blocked-CGS2 kernels touch, and the overlap-aware timeline
+//!   hides the host latency behind them. At the cycle barrier each
+//!   lane's least-squares node feeds its own update chain, so lane
+//!   `l`'s host step overlaps the other lanes' device work.
+//!
+//! Both placements run the same kernels in the same order and charge
+//! the same costs in the same sequence, so per-lane results and the
+//! serial accounting are bit-identical across depths — only the
+//! critical path shortens (pinned in `block_parity.rs`). MGS interleaves
+//! every kernel with a host decision, leaving no device stream to hide
+//! behind, so it always runs at depth 0.
 //!
 //! # One driver
 //!
-//! This module is the crate's only GMRES(m) driver: the cycle, restart,
-//! Belos loss-of-accuracy and deflation policy live here and nowhere
-//! else. The single-RHS [`Gmres`] is a one-lane front over it, the
-//! serving engine runs its lanes directly, and `GmresIr`'s one
-//! refinement loop (which `GmresIr3` nests) runs one of its cycles per
-//! refinement step.
+//! This module is the crate's only GMRES(m) driver, and
+//! `BlockGmres::run_cycle` its only cycle loop: the cycle, restart,
+//! Belos loss-of-accuracy and deflation policy live there and nowhere
+//! else, at every pipeline depth. [`BlockGmres::solve`] runs its cycles
+//! through it, and so does the serving engine between admission
+//! barriers. The single-RHS [`Gmres`] is a one-lane front over
+//! `solve`, and `GmresIr`'s one refinement loop (which `GmresIr3`
+//! nests) runs one of its cycles per refinement step.
 //! The loss-of-accuracy restart rule that compressed-basis solves lean
 //! on (Aliaga et al., arXiv:2009.12101) therefore has one home.
 //!
@@ -77,7 +88,7 @@ use crate::precond::{self, Preconditioner};
 use crate::service::{Operator, SolveError, SolveOutcome, SolveRequest, Solver};
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 use crate::stream::{
-    ArgSlice, ArgSliceMut, BasisMut, BlockMut, BlockRef, MatRef, StoreRef, Stream,
+    ArgSlice, ArgSliceMut, BasisMut, BasisRef, BlockMut, BlockRef, MatRef, StoreRef, Stream,
 };
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::basis::BasisStore;
@@ -159,7 +170,7 @@ fn rec_spmm<S: BackendScalar>(
 }
 
 /// Batched multi-RHS GMRES(m): `k` single-RHS solves in lockstep, with
-/// optional software-pipelined host steps (`pipeline_depth = 1`).
+/// optional software-pipelined host charges (`pipeline_depth = 1`).
 pub struct BlockGmres<'a, S: BackendScalar> {
     a: Operand<'a, S>,
     precond: &'a dyn Preconditioner<S>,
@@ -202,11 +213,11 @@ pub(crate) struct Lane<S> {
     max_iters: usize,
 }
 
-/// Shared lockstep workspaces, sized once for `(n, k, m)` and reused
-/// across cycles — and, in the serving engine, across admission epochs.
-pub(crate) struct LockstepWs<S> {
+/// The cycle workspace, sized once for `(n, k, m)` and reused across
+/// cycles — and, in the serving engine, across admission epochs.
+pub(crate) struct CycleWs<S> {
     /// Current residual block (n x k), one column per lane slot.
-    pub(crate) r: MultiVec<S>,
+    r: MultiVec<S>,
     /// Preconditioned directions Z (n x k, compacted to active lanes).
     z: MultiVec<S>,
     /// SpMM output W = A Z (n x k, compacted to active lanes).
@@ -217,56 +228,117 @@ pub(crate) struct LockstepWs<S> {
     ymat: MultiVec<S>,
     /// Scratch vector for eager preconditioner applications.
     zvec: Vec<S>,
-    /// First/second-pass projection coefficients (k * m each).
-    h1: Vec<S>,
-    h2: Vec<S>,
-    /// Per-active-lane candidate-basis norms.
-    pub(crate) norms: Vec<S>,
-    /// Per-lane explicit residual norms at the cycle barrier.
-    gammas: Vec<S>,
+    /// First/second-pass projection coefficients (k * m each) and
+    /// per-active-lane candidate-basis norms, ping-ponged by iteration
+    /// parity: iteration `j` writes parity `j % 2`, so the deferred host
+    /// step of `j` reads spans that the next iteration's kernels never
+    /// touch (the one-iteration lag the DAG verifies at depth 1).
+    h1: [Vec<S>; 2],
+    h2: [Vec<S>; 2],
+    norms: [Vec<S>; 2],
+    /// Per-lane explicit residual norms: initial, at admission and at
+    /// every cycle barrier.
+    pub(crate) gammas: Vec<S>,
+    /// Per-lane host-state tokens: consecutive host nodes of one lane
+    /// chain through a write on its token, keeping the lane's Givens
+    /// recurrence ordered while distinct lanes overlap.
+    tokens: Vec<S>,
+    /// Coefficients `1/h_{j+1,j}` of the deferred basis extension, one
+    /// per extending lane.
+    alphas: Vec<S>,
 }
 
-impl<S: BackendScalar> LockstepWs<S> {
+impl<S: BackendScalar> CycleWs<S> {
     pub(crate) fn new(n: usize, k: usize, m: usize) -> Self {
-        LockstepWs {
+        let coeffs = || [vec![S::zero(); k * m.max(1)], vec![S::zero(); k * m.max(1)]];
+        CycleWs {
             r: MultiVec::zeros(n, k),
             z: MultiVec::zeros(n, k),
             w: MultiVec::zeros(n, k),
             u: MultiVec::zeros(n, k),
             ymat: MultiVec::zeros(m, k),
             zvec: vec![S::zero(); n],
-            h1: vec![S::zero(); k * m.max(1)],
-            h2: vec![S::zero(); k * m.max(1)],
-            norms: vec![S::zero(); k],
+            h1: coeffs(),
+            h2: coeffs(),
+            norms: [vec![S::zero(); k], vec![S::zero(); k]],
             gammas: vec![S::zero(); k],
+            tokens: vec![S::zero(); k],
+            alphas: vec![S::zero(); k],
         }
     }
 }
 
+/// Host work of iteration `j` whose charges wait for a later stream:
+/// the Givens steps of its act set (`givens`, in compact-position
+/// order) and the basis extension `v_{j+1} = w_c / h_{j+1,j}` of the
+/// lanes that continue (`store`: compact position `c`, lane; the
+/// coefficients sit in [`CycleWs::alphas`], in the same order).
+#[derive(Default)]
+struct Deferred {
+    j: usize,
+    givens: Vec<usize>,
+    store: Vec<(usize, usize)>,
+}
+
+/// Handles of one region's registrations: every cycle buffer, plus the
+/// bases of the lanes in `lanes` (ascending), registered mutably.
+struct Regs<'r, S> {
+    a: OpRef<S>,
+    b: BlockRef<S>,
+    x: BlockMut<S>,
+    r: BlockMut<S>,
+    z: BlockMut<S>,
+    w: BlockMut<S>,
+    u: BlockMut<S>,
+    ymat: BlockMut<S>,
+    /// The deferred iteration's parity (`h1`, `h2`, `norms`), read by
+    /// its host nodes.
+    lag: [ArgSlice<S>; 3],
+    /// The current iteration's parity, written by its kernels.
+    h1: ArgSliceMut<S>,
+    h2: ArgSliceMut<S>,
+    norms: ArgSliceMut<S>,
+    gammas: ArgSliceMut<S>,
+    tokens: ArgSliceMut<S>,
+    alphas: ArgSlice<S>,
+    lanes: &'r [usize],
+    bases: Vec<BasisMut<S>>,
+}
+
+impl<S: BackendScalar> Regs<'_, S> {
+    /// Lane `l`'s registered basis.
+    fn basis(&self, l: usize) -> BasisMut<S> {
+        let i = self.lanes.binary_search(&l).expect("lane registered");
+        self.bases[i]
+    }
+}
+
 /// Collect `&mut lane.v` for the lane indices in `which` (ascending) —
-/// the piecewise-mutable gather behind the fused lane-set basis
-/// extensions and the pipelined regions' exclusive basis registrations.
-/// The lockstep driver always builds its lane sets in ascending lane
-/// order, and the fused lane-set kernels pair sources with destinations
-/// by position — this helper asserts that invariant instead of letting
-/// an out-of-order set silently drop a lane.
+/// the piecewise-mutable gather behind the regions' exclusive basis
+/// registrations. The fused lane-set kernels pair sources with
+/// destinations by position; this helper asserts the ascending order
+/// instead of letting an out-of-order set silently drop a lane.
 fn lane_vs_mut<'l, S: BackendScalar>(
     lanes: &'l mut [Lane<S>],
     which: &[usize],
 ) -> Vec<&'l mut BasisStore<S>> {
-    debug_assert!(
+    assert!(
         which.windows(2).all(|w| w[0] < w[1]),
         "lane sets must be ascending"
     );
-    let mut out = Vec::with_capacity(which.len());
-    let mut it = which.iter().copied().peekable();
-    for (li, lane) in lanes.iter_mut().enumerate() {
-        if it.peek() == Some(&li) {
-            it.next();
-            out.push(&mut lane.v);
-        }
-    }
-    assert_eq!(out.len(), which.len(), "lane set not found in order");
+    let out: Vec<_> = (lanes.iter_mut().enumerate())
+        .filter(|(l, _)| which.binary_search(l).is_ok())
+        .map(|(_, lane)| &mut lane.v)
+        .collect();
+    assert_eq!(out.len(), which.len(), "lane set out of range");
+    out
+}
+
+/// The distinct lanes of `lanes`, ascending.
+fn lane_set(lanes: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut out: Vec<usize> = lanes.collect();
+    out.sort_unstable();
+    out.dedup();
     out
 }
 
@@ -280,13 +352,13 @@ fn add_update<S: BackendScalar>(ctx: &mut GpuContext, z: &[S], x: &mut [S]) {
 }
 
 /// Split a parity pair into `(previous, current)` for iteration parity
-/// `cur` — the ping-pong buffers of the pipelined driver.
+/// `cur`.
 fn parity_split<T>(pair: &mut [T; 2], cur: usize) -> (&T, &mut T) {
-    let (lo, hi) = pair.split_at_mut(1);
+    let [even, odd] = pair;
     if cur == 0 {
-        (&hi[0], &mut lo[0])
+        (odd, even)
     } else {
-        (&lo[0], &mut hi[0])
+        (even, odd)
     }
 }
 
@@ -416,25 +488,29 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         debug_assert_eq!(b.n(), n, "rhs row count mismatch");
         debug_assert_eq!(x.n(), n, "solution row count mismatch");
         debug_assert_eq!(x.k(), k, "solution column count mismatch");
-        // MGS interleaves every kernel with a host decision — there is
-        // no device stream to pipeline against, so it always runs the
-        // lockstep driver.
-        if self.cfg.pipeline_depth == 0 || self.cfg.ortho == OrthoMethod::Mgs {
-            self.solve_lockstep(ctx, b, x)
-        } else {
-            self.solve_pipelined(ctx, b, x)
+        let mut ws = CycleWs::new(n, k, self.cfg.m);
+        let (mut lanes, mut results) = self.init_lanes(ctx, b, x, &mut ws);
+        loop {
+            let cycle = self.collect_cycle(&mut lanes, &mut results, |_| true);
+            if cycle.is_empty() {
+                break;
+            }
+            self.run_cycle(ctx, &mut lanes, &mut results, &mut ws, b, x, &cycle);
         }
+        results
+            .into_iter()
+            .map(|r| r.expect("every column resolved"))
+            .collect()
     }
 
-    /// Initial residuals `R = B - A X`, reference norms, and per-lane
-    /// state (shared by both drivers).
+    /// Initial residuals `R = B - A X`, reference norms (into
+    /// `ws.gammas`), and per-lane state.
     fn init_lanes(
         &self,
         ctx: &mut GpuContext,
         b: &MultiVec<S>,
         x: &MultiVec<S>,
-        r: &mut MultiVec<S>,
-        norms: &mut [S],
+        ws: &mut CycleWs<S>,
     ) -> (Vec<Lane<S>>, Vec<Option<SolveResult>>) {
         let k = b.k();
         {
@@ -442,8 +518,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             let ah = self.a.register(&mut st);
             let bh = st.block(b);
             let xh = st.block(x);
-            let rh = st.block_mut(r);
-            let nh = st.slice_mut(norms);
+            let rh = st.block_mut(&mut ws.r);
+            let nh = st.slice_mut(&mut ws.gammas);
             for l in 0..k {
                 rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
             }
@@ -455,7 +531,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         let mut results: Vec<Option<SolveResult>> = (0..k).map(|_| None).collect();
 
         for (l, result) in results.iter_mut().enumerate() {
-            let (lane, terminal) = self.lane_from_norm(norms[l], self.cfg.rtol, self.cfg.max_iters);
+            let (lane, terminal) =
+                self.lane_from_norm(ws.gammas[l], self.cfg.rtol, self.cfg.max_iters);
             *result = terminal;
             lanes.push(lane);
         }
@@ -464,14 +541,14 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
     /// Initial residuals and reference norms for a set of lanes being
     /// admitted into a running engine: `r[:, l] = b[:, l] - A x[:, l]`
-    /// and `norms[l]` for each admitted slot `l`, recorded as one
-    /// region.
+    /// and its norm into `ws.gammas[l]` for each admitted slot `l`,
+    /// recorded as one region.
     pub(crate) fn admit_lanes(
         &self,
         ctx: &mut GpuContext,
         b: &MultiVec<S>,
         x: &MultiVec<S>,
-        ws: &mut LockstepWs<S>,
+        ws: &mut CycleWs<S>,
         admit: &[usize],
     ) {
         let mut st = ctx.stream();
@@ -479,7 +556,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         let bh = st.block(b);
         let xh = st.block(x);
         let rh = st.block_mut(&mut ws.r);
-        let nh = st.slice_mut(&mut ws.norms);
+        let nh = st.slice_mut(&mut ws.gammas);
         for &l in admit {
             rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
             st.norm2_into(rh.col(l), nh.at(l));
@@ -594,20 +671,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         result
     }
 
-    /// Columns still solving, in lane order; lanes at the iteration cap
-    /// are resolved here (the cycle-top iteration-cap check).
-    fn collect_cycle(
-        &self,
-        lanes: &mut [Lane<S>],
-        results: &mut [Option<SolveResult>],
-    ) -> Vec<usize> {
-        self.collect_cycle_eligible(lanes, results, |_| true)
-    }
-
-    /// [`BlockGmres::collect_cycle`] restricted to eligible slots — the
-    /// serving engine passes its occupancy map so vacant lane slots
-    /// never enter a cycle.
-    pub(crate) fn collect_cycle_eligible(
+    /// Eligible columns still solving, in lane order; lanes at the
+    /// iteration cap are resolved here (the cycle-top iteration-cap
+    /// check). The serving engine passes its occupancy map as
+    /// `eligible`, so vacant lane slots never enter a cycle.
+    pub(crate) fn collect_cycle(
         &self,
         lanes: &mut [Lane<S>],
         results: &mut [Option<SolveResult>],
@@ -666,9 +734,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// on the host: assemble the Hessenberg column, push the Givens
     /// update, record history, decide continuation. Returns the basis
     /// extension coefficient `1/h_{j+1,j}` when the lane extends. The
-    /// HostDense charge is the *caller's* responsibility — the lockstep
-    /// driver charges eagerly before calling, the pipelined driver
-    /// defers it into the next recorded region.
+    /// HostDense charge is recorded later, with the deferred group (see
+    /// [`BlockGmres::rec_deferred`]).
     #[allow(clippy::too_many_arguments)]
     fn lane_host_step(
         &self,
@@ -731,8 +798,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Per-lane least-squares solves and restart bookkeeping at the
     /// cycle barrier. Fills the first `kc` entries of each solved lane's
     /// coefficient column of `ymat` and zeroes its update-assembly
-    /// column.
-    /// HostDense charges are the caller's responsibility.
+    /// column. The HostDense charges are recorded by
+    /// [`BlockGmres::rec_lsq`].
     fn barrier_lsq(
         &self,
         lanes: &mut [Lane<S>],
@@ -761,32 +828,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             lane.restarts += 1;
         }
         upds
-    }
-
-    /// Record the barrier's explicit-residual half (residual + fused
-    /// norm per cycle lane) — shared by the lockstep and pipelined
-    /// preconditioned barriers.
-    #[allow(clippy::too_many_arguments)]
-    fn barrier_residual_region(
-        &self,
-        ctx: &mut GpuContext,
-        b: &MultiVec<S>,
-        x: &MultiVec<S>,
-        r: &mut MultiVec<S>,
-        gammas: &mut [S],
-        cycle: &[usize],
-    ) {
-        let mut st = ctx.stream();
-        let ah = self.a.register(&mut st);
-        let bh = st.block(b);
-        let xh = st.block(x);
-        let rh = st.block_mut(r);
-        let gh = st.slice_mut(gammas);
-        for &l in cycle {
-            rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
-            st.norm2_into(rh.col(l), gh.at(l));
-        }
-        st.sync();
     }
 
     /// Per-lane status resolution at the cycle barrier — explicit
@@ -846,56 +887,44 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         }
     }
 
-    // ----- the lockstep driver (pipeline depth 0, the baseline) ------
-
-    fn solve_lockstep(
-        &self,
-        ctx: &mut GpuContext,
-        b: &MultiVec<S>,
-        x: &mut MultiVec<S>,
-    ) -> Vec<SolveResult> {
-        let n = self.a.n();
-        let k = b.k();
-        let mut ws = LockstepWs::new(n, k, self.cfg.m);
-
-        let (mut lanes, mut results) = self.init_lanes(ctx, b, x, &mut ws.r, &mut ws.norms);
-
-        loop {
-            let cycle = self.collect_cycle(&mut lanes, &mut results);
-            if cycle.is_empty() {
-                break;
-            }
-            self.run_cycle(ctx, &mut lanes, &mut results, &mut ws, b, x, &cycle);
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every column resolved"))
-            .collect()
-    }
-
-    /// One full lockstep GMRES(m) cycle over the given lane set: cycle
-    /// start (`v1 = r/gamma`), `m` lockstep Arnoldi steps, the cycle
-    /// barrier (per-lane least-squares solves, solution updates,
-    /// explicit residuals), and per-lane status resolution. Extracted
-    /// verbatim from the lockstep driver so the serving engine runs the
-    /// identical arithmetic between admission barriers — the existing
-    /// batch parity suite therefore covers the served path too.
+    /// One full GMRES(m) cycle over the given lane set: cycle start
+    /// (`v1 = r/gamma`), `m` lockstep Arnoldi steps, the cycle barrier
+    /// (per-lane least-squares solves, solution updates, explicit
+    /// residuals), and per-lane status resolution. The crate's only
+    /// cycle loop: [`BlockGmres::solve`] and the serving engine both run
+    /// it, at every pipeline depth.
+    ///
+    /// Host arithmetic runs as soon as its device results are synced
+    /// (it decides the next act set). Its charges form groups — an
+    /// iteration's Givens steps with its basis extension (and, under the
+    /// identity preconditioner, the next direction gather), and the
+    /// barrier's least-squares solves — and the depth decides only which
+    /// stream records each group: an eager stream at depth 0, so every
+    /// charge lands at the makespan exactly where a lockstep solve pays
+    /// it, or the recorded region that follows at depth 1, whose DAG
+    /// hides the host nodes behind the device work.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_cycle(
         &self,
         ctx: &mut GpuContext,
         lanes: &mut [Lane<S>],
         results: &mut [Option<SolveResult>],
-        ws: &mut LockstepWs<S>,
+        ws: &mut CycleWs<S>,
         b: &MultiVec<S>,
         x: &mut MultiVec<S>,
         cycle: &[usize],
     ) {
-        let m = self.cfg.m;
+        let identity = self.precond.is_identity();
+        let pipelined = self.pipelined();
+        // At depth 1 under the identity preconditioner the deferred group
+        // shares its region with the device work that follows; a
+        // preconditioner's eager applies need the extended basis first,
+        // so there the group records in a region of its own.
+        let fused = pipelined && identity;
         self.start_cycle(ctx, lanes, &ws.r, cycle);
+        let mut d = Deferred::default();
 
-        for j in 0..m {
+        for j in 0..self.cfg.m {
             // Lanes still iterating this cycle (lockstep: all share j).
             let act: Vec<usize> = cycle
                 .iter()
@@ -905,34 +934,28 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             if act.is_empty() {
                 break;
             }
-            let kc = act.len();
             let ncols = j + 1;
+            let cur = j % 2;
+            // Native lanes lend their columns in place; compressed lanes
+            // promote their narrow columns first (each a charged cast).
+            let native = act.iter().all(|&l| lanes[l].v.is_native());
+            let reg = lane_set(act.iter().copied().chain(d.store.iter().map(|&(_, l)| l)));
 
-            // Direction block: Z[:, c] = M^{-1} v_j^{(c)} — one
-            // fused lane gather when the preconditioner is the
-            // identity (the per-lane copies the recorded DAG was
-            // built to absorb), per-lane applications otherwise.
-            // Native lanes lend their columns in place (the exact
-            // pre-BasisStore path); compressed lanes promote their
-            // narrow columns first (each promotion a charged cast).
-            let all_native = act.iter().all(|&l| lanes[l].v.is_native());
-            if self.precond.is_identity() {
-                let mut st = Stream::eager(ctx);
-                let zh = st.block_mut(&mut ws.z);
-                if all_native {
-                    let srcs: Vec<ArgSlice<S>> = act
-                        .iter()
-                        .map(|&l| st.slice(lanes[l].v.expect_native().col(j)))
-                        .collect();
-                    let dsts: Vec<ArgSliceMut<S>> = (0..kc).map(|c| zh.col_mut(c)).collect();
-                    st.lane_copy(&srcs, &dsts);
-                } else {
-                    for (c, &l) in act.iter().enumerate() {
-                        let vh = st.basis(&lanes[l].v);
-                        st.basis_promote_col(vh, j, zh.col_mut(c));
-                    }
+            // The deferred group of iteration j - 1 (which writes v_j),
+            // then the direction block Z[:, c] = M^{-1} v_j: one fused
+            // lane gather under the identity, per-lane applies otherwise.
+            {
+                let mut st = self.host_stream(ctx);
+                let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+                self.rec_deferred(&mut st, &h, &d);
+                if identity {
+                    rec_gather(&mut st, &h, &act, j, native);
                 }
-            } else {
+                if fused {
+                    self.rec_cgs(&mut st, &h, &act, ncols);
+                }
+            }
+            if !identity {
                 for (c, &l) in act.iter().enumerate() {
                     if let Some(nv) = lanes[l].v.as_native() {
                         self.precond
@@ -949,552 +972,278 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 }
             }
 
-            // W = A Z (one matrix read for all kc columns) plus the
-            // blocked orthogonalization: one recorded region, a
-            // chain through W like the single-RHS CGS region.
-            match self.cfg.ortho {
-                OrthoMethod::Cgs2 | OrthoMethod::Cgs1 => {
-                    let two_pass = self.cfg.ortho == OrthoMethod::Cgs2;
-                    let vs: Vec<&BasisStore<S>> = act.iter().map(|&l| &lanes[l].v).collect();
-                    let mut st = ctx.stream();
-                    let ah = self.a.register(&mut st);
-                    let zh = st.block(&ws.z);
-                    let wh = st.block_mut(&mut ws.w);
-                    let vsh = st.bases(&vs);
-                    let h1h = st.slice_mut(&mut ws.h1[..kc * ncols]);
-                    let nh = st.slice_mut(&mut ws.norms);
-                    rec_spmm(&mut st, ah, zh, kc, wh);
-                    st.block_gemv_t(vsh, ncols, wh.read(), h1h);
-                    st.block_gemv_n_sub(vsh, ncols, h1h.read(), wh);
-                    if two_pass {
-                        let h2h = st.slice_mut(&mut ws.h2[..kc * ncols]);
-                        st.block_gemv_t(vsh, ncols, wh.read(), h2h);
-                        st.block_gemv_n_sub(vsh, ncols, h2h.read(), wh);
-                    }
-                    st.block_norm2_into(wh.read(), kc, nh);
-                    st.sync();
-                }
-                OrthoMethod::Mgs => {
-                    // 2j skinny kernels per lane, each feeding the
-                    // next host decision; nothing to batch or record,
-                    // so even the SpMM runs on an eager stream (a
-                    // serial charge in either streaming mode).
-                    {
-                        let mut st = Stream::eager(ctx);
-                        let ah = self.a.register(&mut st);
-                        let zh = st.block(&ws.z);
-                        let wh = st.block_mut(&mut ws.w);
-                        rec_spmm(&mut st, ah, zh, kc, wh);
-                    }
-                    for (c, &l) in act.iter().enumerate() {
-                        // MGS reads columns through S-typed views, so it
-                        // is native-only (validate() rejects the combo).
-                        let nv = lanes[l].v.expect_native();
-                        for i in 0..ncols {
-                            let mut hi = S::zero();
-                            {
-                                let mut st = Stream::eager(ctx);
-                                let (vh, wh) = (st.slice(nv.col(i)), st.slice(ws.w.col(c)));
-                                let hh = st.val_mut(&mut hi);
-                                st.dot_into(vh, wh, hh);
-                            }
-                            let mut st = Stream::eager(ctx);
-                            let (vh, wh) = (st.slice(nv.col(i)), st.slice_mut(ws.w.col_mut(c)));
-                            st.axpy(-hi, vh, wh);
-                            ws.h1[c * ncols + i] = hi;
-                        }
-                    }
-                    let mut st = Stream::eager(ctx);
-                    let (wh, nh) = (st.block(&ws.w), st.slice_mut(&mut ws.norms));
-                    st.block_norm2_into(wh, kc, nh);
-                }
-            }
-
-            // Per-lane host steps (Hessenberg column assembly,
-            // Givens update, convergence decisions); lanes that keep
-            // iterating queue their basis extension for one fused
-            // lane-set scatter below.
-            let mut store: Vec<(usize, usize, S)> = Vec::new(); // (col, lane, 1/h)
-            for (c, &l) in act.iter().enumerate() {
-                ctx.charge_iteration_host(j);
-                if let Some(inv) =
-                    self.lane_host_step(&mut lanes[l], c, ncols, &ws.h1, &ws.h2, ws.norms[c])
-                {
-                    store.push((c, l, inv));
-                }
-            }
-
-            // v_{j+1}^{(l)} = w_c / h_{j+1,j}: one fused lane-set
-            // normalize-and-store for every extending lane (the
-            // per-lane copy + scal pair this replaces is the small
-            // kernel the ROADMAP flagged; bit-identical per lane).
-            if !store.is_empty() {
-                let alphas: Vec<S> = store.iter().map(|&(_, _, inv)| inv).collect();
-                let which: Vec<usize> = store.iter().map(|&(_, l, _)| l).collect();
-                let mut st = Stream::eager(ctx);
-                let (ah, wh) = (st.slice(&alphas), st.block(&ws.w));
-                let srcs: Vec<ArgSlice<S>> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                let vs = st.bases_mut(lane_vs_mut(lanes, &which));
-                st.basis_lane_scal_copy(ah, &srcs, &vs, j + 1);
-            }
-        }
-
-        // Cycle barrier, phase 1 (host): per-lane least-squares
-        // solves and restart bookkeeping; each solved lane queues
-        // its update for the recorded device phase.
-        // The shared helper charges nothing; the eager restart
-        // charges are emitted here per update lane in the same
-        // order (nothing else charges in between), keeping the
-        // lockstep charge sequence bitwise unchanged.
-        let upds = self.barrier_lsq(lanes, cycle, &mut ws.u, &mut ws.ymat);
-        for &(_, kc) in &upds {
-            ctx.charge_restart_host(kc);
-        }
-
-        // Phase 2 (device): per-lane update chains x += M^{-1} V y
-        // and explicit residuals. Each lane's chain (GEMV-N -> axpy
-        // -> residual -> norm) is independent of every other lane's,
-        // so the recorded DAG overlaps them.
-        if self.precond.is_identity() {
-            let mut st = ctx.stream();
-            let ah = self.a.register(&mut st);
-            let bh = st.block(b);
-            let xh = st.block_mut(&mut *x);
-            let rh = st.block_mut(&mut ws.r);
-            let uh = st.block_mut(&mut ws.u);
-            let yh = st.block(&ws.ymat);
-            let gh = st.slice_mut(&mut ws.gammas);
-            for &(l, kc) in &upds {
-                let vh = st.basis(&lanes[l].v);
-                st.gemv_n_add(vh, kc, yh.col(l), uh.col_mut(l));
-                st.axpy(S::one(), uh.col(l), xh.col_mut(l));
-            }
-            for &l in cycle {
-                rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
-                st.norm2_into(rh.col(l), gh.at(l));
-            }
-            st.sync();
-        } else {
-            {
+            // W = A Z (one matrix read for all active columns) plus the
+            // orthogonalization, unless the group's region recorded it.
+            if self.cfg.ortho == OrthoMethod::Mgs {
+                self.mgs(ctx, lanes, ws, &act, ncols, cur);
+            } else if !fused {
                 let mut st = ctx.stream();
-                let uh = st.block_mut(&mut ws.u);
-                let yh = st.block(&ws.ymat);
-                for &(l, kc) in &upds {
-                    let vh = st.basis(&lanes[l].v);
-                    st.gemv_n_add(vh, kc, yh.col(l), uh.col_mut(l));
-                }
-                st.sync();
+                let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+                self.rec_cgs(&mut st, &h, &act, ncols);
             }
-            // Preconditioner applications run eagerly between the
-            // two recorded regions.
+
+            // Per-lane host steps (Hessenberg column assembly, Givens
+            // update, convergence decisions) run now; their charges and
+            // the extension of the lanes that continue wait for the next
+            // group.
+            d.store.clear();
+            for (c, &l) in act.iter().enumerate() {
+                let (h1, h2, norms) = (&ws.h1[cur], &ws.h2[cur], &ws.norms[cur]);
+                if let Some(inv) = self.lane_host_step(&mut lanes[l], c, ncols, h1, h2, norms[c]) {
+                    ws.alphas[d.store.len()] = inv;
+                    d.store.push((c, l));
+                }
+            }
+            d.givens = act;
+            d.j = j;
+        }
+
+        // Cycle barrier, host half: per-lane least-squares solves and
+        // restart bookkeeping; each solved lane queues its update.
+        let upds = self.barrier_lsq(lanes, cycle, &mut ws.u, &mut ws.ymat);
+        let stored = d.store.iter().map(|&(_, l)| l);
+        let reg = lane_set(stored.chain(upds.iter().map(|&(l, _)| l)));
+        // The lagged buffers are the last iteration's parity.
+        let cur = 1 - d.j % 2;
+
+        // Device half: per-lane update chains x += M^{-1} V y and the
+        // explicit residuals. Each lane's chain is independent of every
+        // other lane's, so the recorded DAG overlaps them. The last
+        // iteration's group records first; the least-squares group goes
+        // to the eager host stream at depth 0 and, at depth 1, to the
+        // update region that follows.
+        {
+            let mut st = self.host_stream(ctx);
+            let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+            self.rec_deferred(&mut st, &h, &d);
+            if !pipelined || fused {
+                rec_lsq(&mut st, &h, &upds);
+            }
+            if fused {
+                rec_update(&mut st, &h, &upds, true);
+                self.rec_residuals(&mut st, &h, cycle);
+            }
+        }
+        if !fused {
+            let mut st = ctx.stream();
+            let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+            if pipelined {
+                rec_lsq(&mut st, &h, &upds);
+            }
+            rec_update(&mut st, &h, &upds, identity);
+            if identity {
+                self.rec_residuals(&mut st, &h, cycle);
+            }
+        }
+        if !identity {
+            // Preconditioner applications run eagerly between the update
+            // and residual regions.
             for &(l, _) in &upds {
                 self.precond
                     .apply(ctx, self.a.plain_opt(), ws.u.col(l), &mut ws.zvec);
                 add_update(ctx, &ws.zvec, x.col_mut(l));
             }
-            self.barrier_residual_region(ctx, b, x, &mut ws.r, &mut ws.gammas, cycle);
+            let mut st = ctx.stream();
+            let h = self.register(&mut st, ws, lanes, &[], b, x, cur);
+            self.rec_residuals(&mut st, &h, cycle);
         }
 
         self.resolve_cycle(lanes, results, &ws.gammas, cycle);
     }
 
-    // ----- the software-pipelined driver (pipeline depth 1) ----------
-    //
-    // Identical arithmetic in the identical order — the difference is
-    // WHERE the host work is charged: each iteration's Givens/update
-    // bookkeeping and the barrier's least-squares solves are recorded
-    // as host nodes inside the NEXT region, reading the previous
-    // parity's norm/coefficient spans (ping-pong buffers), so the DAG
-    // proves them independent of the in-flight device kernels and the
-    // timeline hides their latency. The basis extension and direction
-    // gather migrate into the recorded region too (preserving the
-    // lockstep charge order exactly, so serial accounting is bitwise
-    // unchanged).
+    /// Depth 1 records deferred host work into the recorded region that
+    /// follows. MGS interleaves every kernel with a host decision,
+    /// leaving no device stream to hide the host step behind, so it
+    /// always runs at depth 0.
+    fn pipelined(&self) -> bool {
+        self.cfg.pipeline_depth > 0 && self.cfg.ortho != OrthoMethod::Mgs
+    }
 
-    fn solve_pipelined(
+    /// The stream that records a group of deferred host work: a recorded
+    /// region at depth 1, an eager stream at depth 0.
+    fn host_stream<'c>(&self, ctx: &'c mut GpuContext) -> Stream<'c> {
+        if self.pipelined() {
+            ctx.stream()
+        } else {
+            Stream::eager(ctx)
+        }
+    }
+
+    /// Register every cycle buffer on `st`, the parity pair split at
+    /// `cur`, and the bases of the lanes in `reg` (ascending) mutably.
+    #[allow(clippy::too_many_arguments)]
+    fn register<'c, 'r>(
+        &self,
+        st: &mut Stream<'c>,
+        ws: &'c mut CycleWs<S>,
+        lanes: &'c mut [Lane<S>],
+        reg: &'r [usize],
+        b: &'c MultiVec<S>,
+        x: &'c mut MultiVec<S>,
+        cur: usize,
+    ) -> Regs<'r, S>
+    where
+        'a: 'c,
+    {
+        let (h1_prev, h1_cur) = parity_split(&mut ws.h1, cur);
+        let (h2_prev, h2_cur) = parity_split(&mut ws.h2, cur);
+        let (nr_prev, nr_cur) = parity_split(&mut ws.norms, cur);
+        Regs {
+            a: self.a.register(st),
+            b: st.block(b),
+            x: st.block_mut(x),
+            r: st.block_mut(&mut ws.r),
+            z: st.block_mut(&mut ws.z),
+            w: st.block_mut(&mut ws.w),
+            u: st.block_mut(&mut ws.u),
+            ymat: st.block_mut(&mut ws.ymat),
+            lag: [st.slice(h1_prev), st.slice(h2_prev), st.slice(nr_prev)],
+            h1: st.slice_mut(h1_cur),
+            h2: st.slice_mut(h2_cur),
+            norms: st.slice_mut(nr_cur),
+            gammas: st.slice_mut(&mut ws.gammas),
+            tokens: st.slice_mut(&mut ws.tokens),
+            alphas: st.slice(&ws.alphas),
+            lanes: reg,
+            bases: st.bases_mut(lane_vs_mut(lanes, reg)),
+        }
+    }
+
+    /// Record the deferred group of iteration `d.j`: one HostDense charge
+    /// per lane of its act set, at the lane's lagged spans (its slices of
+    /// that iteration's coefficients and its subdiagonal norm) and on its
+    /// token, then the fused basis extension `v_{j+1} = w_c / h` of the
+    /// lanes that continue.
+    fn rec_deferred(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, d: &Deferred) {
+        let np = d.j + 1;
+        let reads = if self.cfg.ortho == OrthoMethod::Cgs2 {
+            3
+        } else {
+            2
+        };
+        let [h1, h2, norms] = h.lag;
+        for (c, &l) in d.givens.iter().enumerate() {
+            let lagged = [norms.sub(c, 1), h1.sub(c * np, np), h2.sub(c * np, np)];
+            st.host_givens(d.j, &lagged[..reads], h.tokens.at(l));
+        }
+        if !d.store.is_empty() {
+            let srcs: Vec<ArgSlice<S>> = d.store.iter().map(|&(c, _)| h.w.col(c)).collect();
+            let vs: Vec<BasisMut<S>> = d.store.iter().map(|&(_, l)| h.basis(l)).collect();
+            st.basis_lane_scal_copy(h.alphas, &srcs, &vs, np);
+        }
+    }
+
+    /// Record the SpMM and the blocked CGS projections of iteration
+    /// `ncols - 1` over the act set: a chain through W.
+    fn rec_cgs(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, act: &[usize], ncols: usize) {
+        let refs: Vec<BasisRef<S>> = act.iter().map(|&l| h.basis(l).read()).collect();
+        let vs = st.basis_list(&refs);
+        rec_spmm(st, h.a, h.z.read(), act.len(), h.w);
+        st.block_gemv_t(vs, ncols, h.w.read(), h.h1);
+        st.block_gemv_n_sub(vs, ncols, h.h1.read(), h.w);
+        if self.cfg.ortho == OrthoMethod::Cgs2 {
+            st.block_gemv_t(vs, ncols, h.w.read(), h.h2);
+            st.block_gemv_n_sub(vs, ncols, h.h2.read(), h.w);
+        }
+        st.block_norm2_into(h.w.read(), act.len(), h.norms);
+    }
+
+    /// Modified Gram-Schmidt: 2j skinny kernels per lane, each feeding
+    /// the next host decision; nothing to batch or record, so even the
+    /// SpMM runs on an eager stream (a serial charge in either streaming
+    /// mode).
+    fn mgs(
         &self,
         ctx: &mut GpuContext,
-        b: &MultiVec<S>,
-        x: &mut MultiVec<S>,
-    ) -> Vec<SolveResult> {
-        let n = self.a.n();
-        let k = b.k();
-        let m = self.cfg.m;
-        let identity = self.precond.is_identity();
-        let two_pass = self.cfg.ortho == OrthoMethod::Cgs2;
-
-        let mut r = MultiVec::<S>::zeros(n, k);
-        let mut z = MultiVec::<S>::zeros(n, k);
-        let mut w = MultiVec::<S>::zeros(n, k);
-        let mut u = MultiVec::<S>::zeros(n, k);
-        let mut ymat = MultiVec::<S>::zeros(m, k);
-        let mut zvec = vec![S::zero(); n];
-        // Ping-pong host-visible results: iteration j writes parity
-        // j % 2, so the deferred host step for j reads spans no later
-        // iteration's device kernels touch — the one-iteration lag the
-        // DAG verifies.
-        let mut h1 = [vec![S::zero(); k * m.max(1)], vec![S::zero(); k * m.max(1)]];
-        let mut h2 = [vec![S::zero(); k * m.max(1)], vec![S::zero(); k * m.max(1)]];
-        let mut norms = [vec![S::zero(); k], vec![S::zero(); k]];
-        let mut init_norms = vec![S::zero(); k];
-        let mut gammas = vec![S::zero(); k];
-        // Host-state tokens (one slot per lane): consecutive host nodes
-        // of a lane chain through WAW on its token, keeping the Givens
-        // recurrence ordered while distinct lanes overlap.
-        let mut tokens = vec![S::zero(); k];
-        // Extension coefficients of the drained iteration, registered
-        // as the recorded basis_lane_scal_copy's operand.
-        let mut alphas_buf = vec![S::zero(); k];
-
-        let (mut lanes, mut results) = self.init_lanes(ctx, b, x, &mut r, &mut init_norms);
-
-        loop {
-            let cycle = self.collect_cycle(&mut lanes, &mut results);
-            if cycle.is_empty() {
-                break;
-            }
-            self.start_cycle(ctx, &mut lanes, &r, &cycle);
-
-            // Work deferred from the previous iteration: the host steps
-            // of its act set (`pending`, with their compact positions
-            // implied by order) and the basis extensions of its
-            // continuing lanes (`store`: position, lane, 1/h).
-            let mut pending: Vec<usize> = Vec::new();
-            let mut pending_j = 0usize;
-            let mut store: Vec<(usize, usize, S)> = Vec::new();
-
-            for j in 0..m {
-                let act: Vec<usize> = cycle
-                    .iter()
-                    .copied()
-                    .filter(|&l| lanes[l].in_cycle && lanes[l].total_iters < lanes[l].max_iters)
-                    .collect();
-                if act.is_empty() {
-                    break;
-                }
-                let kc = act.len();
-                let ncols = j + 1;
-                let cur = j % 2;
-                for (i, &(_, _, inv)) in store.iter().enumerate() {
-                    alphas_buf[i] = inv;
-                }
-                // Lanes whose bases the region writes: the drained
-                // extension's. The CGS reads `act`'s bases, and act is
-                // a subset of store's lanes after the first iteration
-                // (a lane only stays in the cycle if it extended).
-                let store_lanes: Vec<usize> = store.iter().map(|&(_, l, _)| l).collect();
-                let reg: Vec<usize> = if j == 0 {
-                    act.clone()
-                } else {
-                    store_lanes.clone()
-                };
-                let ncols_prev = j;
-
-                if identity {
-                    let (h1_prev, h1_cur) = parity_split(&mut h1, cur);
-                    let (h2_prev, h2_cur) = parity_split(&mut h2, cur);
-                    let (nr_prev, nr_cur) = parity_split(&mut norms, cur);
-                    let mut st = ctx.stream();
-                    let ah = self.a.register(&mut st);
-                    let th = st.slice_mut(&mut tokens);
-                    let aph = st.slice(&alphas_buf[..]);
-                    let h1p = st.slice(&h1_prev[..]);
-                    let h2p = st.slice(&h2_prev[..]);
-                    let npv = st.slice(&nr_prev[..]);
-                    let h1c = st.slice_mut(&mut h1_cur[..kc * ncols]);
-                    let h2c = if two_pass {
-                        Some(st.slice_mut(&mut h2_cur[..kc * ncols]))
-                    } else {
-                        None
-                    };
-                    let nc = st.slice_mut(&mut nr_cur[..]);
-                    let zh = st.block_mut(&mut z);
-                    let wh = st.block_mut(&mut w);
-                    let handles = st.bases_mut(lane_vs_mut(&mut lanes, &reg));
-                    let mut bh_of: Vec<Option<BasisMut<S>>> = vec![None; k];
-                    for (i, &l) in reg.iter().enumerate() {
-                        bh_of[l] = Some(handles[i]);
-                    }
-
-                    // 1. Deferred host steps of iteration j-1 (one
-                    //    HostDense charge per lane, act order — the
-                    //    lockstep charge sequence, at lagged spans).
-                    for (c, &l) in pending.iter().enumerate() {
-                        let lagged = lagged_spans(h1p, h2p, npv, c, ncols_prev, two_pass);
-                        st.host_givens(pending_j, &lagged, th.at(l));
-                    }
-                    // 2. Drained basis extension v_j = w / h.
-                    if !store.is_empty() {
-                        let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                        let vs: Vec<_> = store
-                            .iter()
-                            .map(|&(_, l, _)| bh_of[l].expect("stored lane registered"))
-                            .collect();
-                        st.basis_lane_scal_copy(aph, &srcs, &vs, j);
-                    }
-                    // 3. Direction gather Z[:, c] = v_j.
-                    {
-                        let srcs: Vec<_> = act
-                            .iter()
-                            .map(|&l| bh_of[l].expect("active lane registered").col(j))
-                            .collect();
-                        let dsts: Vec<_> = (0..kc).map(|c| zh.col_mut(c)).collect();
-                        st.lane_copy(&srcs, &dsts);
-                    }
-                    // 4. SpMM + blocked CGS (the chain the host nodes
-                    //    overlap).
-                    let vrefs: Vec<_> = act
-                        .iter()
-                        .map(|&l| bh_of[l].expect("active lane registered").read())
-                        .collect();
-                    let vsl = st.basis_list(&vrefs);
-                    rec_spmm(&mut st, ah, zh.read(), kc, wh);
-                    st.block_gemv_t(vsl, ncols, wh.read(), h1c);
-                    st.block_gemv_n_sub(vsl, ncols, h1c.read(), wh);
-                    if let Some(h2c) = h2c {
-                        st.block_gemv_t(vsl, ncols, wh.read(), h2c);
-                        st.block_gemv_n_sub(vsl, ncols, h2c.read(), wh);
-                    }
-                    st.block_norm2_into(wh.read(), kc, nc);
-                    st.sync();
-                } else {
-                    // Preconditioned: the drained host steps + extension
-                    // record first (the eager preconditioner needs the
-                    // extended v_j), then the lockstep-shaped CGS region
-                    // over the parity buffers.
-                    if !pending.is_empty() || !store.is_empty() {
-                        let (h1_prev, _) = parity_split(&mut h1, cur);
-                        let (h2_prev, _) = parity_split(&mut h2, cur);
-                        let (nr_prev, _) = parity_split(&mut norms, cur);
-                        let mut st = ctx.stream();
-                        let th = st.slice_mut(&mut tokens);
-                        let aph = st.slice(&alphas_buf[..]);
-                        let h1p = st.slice(&h1_prev[..]);
-                        let h2p = st.slice(&h2_prev[..]);
-                        let npv = st.slice(&nr_prev[..]);
-                        let wh = st.block(&w);
-                        let handles = if store_lanes.is_empty() {
-                            Vec::new()
-                        } else {
-                            st.bases_mut(lane_vs_mut(&mut lanes, &store_lanes))
-                        };
-                        for (c, &l) in pending.iter().enumerate() {
-                            let lagged = lagged_spans(h1p, h2p, npv, c, ncols_prev, two_pass);
-                            st.host_givens(pending_j, &lagged, th.at(l));
-                        }
-                        if !store.is_empty() {
-                            let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                            st.basis_lane_scal_copy(aph, &srcs, &handles, j);
-                        }
-                        st.sync();
-                    }
-                    for (c, &l) in act.iter().enumerate() {
-                        // The pipelined driver is native-only
-                        // (validate() rejects compressed + pipelined).
-                        self.precond.apply(
-                            ctx,
-                            self.a.plain_opt(),
-                            lanes[l].v.expect_native().col(j),
-                            z.col_mut(c),
-                        );
-                    }
-                    let (_, h1_cur) = parity_split(&mut h1, cur);
-                    let (_, h2_cur) = parity_split(&mut h2, cur);
-                    let (_, nr_cur) = parity_split(&mut norms, cur);
-                    let vs: Vec<&BasisStore<S>> = act.iter().map(|&l| &lanes[l].v).collect();
-                    let mut st = ctx.stream();
-                    let ah = self.a.register(&mut st);
-                    let zh = st.block(&z);
-                    let wh = st.block_mut(&mut w);
-                    let vsh = st.bases(&vs);
-                    let h1c = st.slice_mut(&mut h1_cur[..kc * ncols]);
-                    let nc = st.slice_mut(&mut nr_cur[..]);
-                    rec_spmm(&mut st, ah, zh, kc, wh);
-                    st.block_gemv_t(vsh, ncols, wh.read(), h1c);
-                    st.block_gemv_n_sub(vsh, ncols, h1c.read(), wh);
-                    if two_pass {
-                        let h2c = st.slice_mut(&mut h2_cur[..kc * ncols]);
-                        st.block_gemv_t(vsh, ncols, wh.read(), h2c);
-                        st.block_gemv_n_sub(vsh, ncols, h2c.read(), wh);
-                    }
-                    st.block_norm2_into(wh.read(), kc, nc);
-                    st.sync();
-                }
-
-                // Host arithmetic for iteration j runs now (it decides
-                // the next act set — control flow cannot be deferred);
-                // its CHARGE is deferred into the next region as the
-                // host node recorded above on the following pass.
-                store.clear();
-                let h1c = &h1[cur];
-                let h2c = &h2[cur];
-                let nrc = &norms[cur];
-                for (c, &l) in act.iter().enumerate() {
-                    if let Some(inv) =
-                        self.lane_host_step(&mut lanes[l], c, ncols, h1c, h2c, nrc[c])
-                    {
-                        store.push((c, l, inv));
-                    }
-                }
-                pending = act;
-                pending_j = j;
-            }
-
-            // Cycle barrier. The final iteration's host steps and
-            // extension drain here, the per-lane least-squares solves
-            // become host nodes, and each lane's update chain hangs off
-            // its own host node — per-lane host->device chains that
-            // overlap across lanes (the k >= 2 win).
-            for (i, &(_, _, inv)) in store.iter().enumerate() {
-                alphas_buf[i] = inv;
-            }
-            let drained = pending_j + 1; // ncols of the drained host steps
-            let p = pending_j % 2;
-            let upds = self.barrier_lsq(&mut lanes, &cycle, &mut u, &mut ymat);
-            let store_lanes: Vec<usize> = store.iter().map(|&(_, l, _)| l).collect();
-            let reg: Vec<usize> = {
-                // Union of the drained extension's lanes and the update
-                // lanes, ascending (both already are).
-                let mut reg = store_lanes.clone();
-                for &(l, _) in &upds {
-                    if !reg.contains(&l) {
-                        reg.push(l);
-                    }
-                }
-                reg.sort_unstable();
-                reg
-            };
-
-            if identity {
-                let (h1_prev, _) = parity_split(&mut h1, 1 - p);
-                let (h2_prev, _) = parity_split(&mut h2, 1 - p);
-                let (nr_prev, _) = parity_split(&mut norms, 1 - p);
-                let mut st = ctx.stream();
-                let ah = self.a.register(&mut st);
-                let th = st.slice_mut(&mut tokens);
-                let aph = st.slice(&alphas_buf[..]);
-                let h1p = st.slice(&h1_prev[..]);
-                let h2p = st.slice(&h2_prev[..]);
-                let npv = st.slice(&nr_prev[..]);
-                let bh = st.block(b);
-                let wh = st.block(&w);
-                let xh = st.block_mut(&mut *x);
-                let rh = st.block_mut(&mut r);
-                let uh = st.block_mut(&mut u);
-                let ymh = st.block_mut(&mut ymat);
-                let gh = st.slice_mut(&mut gammas);
-                let handles = if reg.is_empty() {
-                    Vec::new()
-                } else {
-                    st.bases_mut(lane_vs_mut(&mut lanes, &reg))
-                };
-                let mut bh_of: Vec<Option<BasisMut<S>>> = vec![None; k];
-                for (i, &l) in reg.iter().enumerate() {
-                    bh_of[l] = Some(handles[i]);
-                }
-                for (c, &l) in pending.iter().enumerate() {
-                    let lagged = lagged_spans(h1p, h2p, npv, c, drained, two_pass);
-                    st.host_givens(pending_j, &lagged, th.at(l));
-                }
-                if !store.is_empty() {
-                    let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                    let vs: Vec<_> = store
-                        .iter()
-                        .map(|&(_, l, _)| bh_of[l].expect("stored lane registered"))
-                        .collect();
-                    st.basis_lane_scal_copy(aph, &srcs, &vs, drained);
-                }
-                for &(l, kc) in &upds {
-                    st.host_lsq(kc, th.at(l), ymh.col_mut(l));
-                }
-                for &(l, kc) in &upds {
-                    let vh = bh_of[l].expect("update lane registered").read();
-                    st.gemv_n_add(vh, kc, ymh.col(l), uh.col_mut(l));
-                    st.axpy(S::one(), uh.col(l), xh.col_mut(l));
-                }
-                for &l in &cycle {
-                    rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
-                    st.norm2_into(rh.col(l), gh.at(l));
-                }
-                st.sync();
-            } else {
-                // Preconditioned barrier: drained host steps + extension
-                // record first, then [per-lane lsq host node + GEMV]
-                // chains, then the eager preconditioner applies, then
-                // the shared residual region.
-                {
-                    let (h1_prev, _) = parity_split(&mut h1, 1 - p);
-                    let (h2_prev, _) = parity_split(&mut h2, 1 - p);
-                    let (nr_prev, _) = parity_split(&mut norms, 1 - p);
-                    let mut st = ctx.stream();
-                    let th = st.slice_mut(&mut tokens);
-                    let aph = st.slice(&alphas_buf[..]);
-                    let h1p = st.slice(&h1_prev[..]);
-                    let h2p = st.slice(&h2_prev[..]);
-                    let npv = st.slice(&nr_prev[..]);
-                    let wh = st.block(&w);
-                    let handles = if store_lanes.is_empty() {
-                        Vec::new()
-                    } else {
-                        st.bases_mut(lane_vs_mut(&mut lanes, &store_lanes))
-                    };
-                    for (c, &l) in pending.iter().enumerate() {
-                        let lagged = lagged_spans(h1p, h2p, npv, c, drained, two_pass);
-                        st.host_givens(pending_j, &lagged, th.at(l));
-                    }
-                    if !store.is_empty() {
-                        let srcs: Vec<_> = store.iter().map(|&(c, _, _)| wh.col(c)).collect();
-                        st.basis_lane_scal_copy(aph, &srcs, &handles, drained);
-                    }
-                    st.sync();
-                }
-                {
-                    let mut st = ctx.stream();
-                    let th = st.slice_mut(&mut tokens);
-                    let uh = st.block_mut(&mut u);
-                    let ymh = st.block_mut(&mut ymat);
-                    for &(l, kc) in &upds {
-                        st.host_lsq(kc, th.at(l), ymh.col_mut(l));
-                    }
-                    for &(l, kc) in &upds {
-                        let vh = st.basis(&lanes[l].v);
-                        st.gemv_n_add(vh, kc, ymh.col(l), uh.col_mut(l));
-                    }
-                    st.sync();
-                }
-                for &(l, _) in &upds {
-                    self.precond
-                        .apply(ctx, self.a.plain_opt(), u.col(l), &mut zvec);
-                    add_update(ctx, &zvec, x.col_mut(l));
-                }
-                self.barrier_residual_region(ctx, b, x, &mut r, &mut gammas, &cycle);
-            }
-
-            self.resolve_cycle(&mut lanes, &mut results, &gammas, &cycle);
+        lanes: &[Lane<S>],
+        ws: &mut CycleWs<S>,
+        act: &[usize],
+        ncols: usize,
+        cur: usize,
+    ) {
+        {
+            let mut st = Stream::eager(ctx);
+            let ah = self.a.register(&mut st);
+            let zh = st.block(&ws.z);
+            let wh = st.block_mut(&mut ws.w);
+            rec_spmm(&mut st, ah, zh, act.len(), wh);
         }
+        for (c, &l) in act.iter().enumerate() {
+            // MGS reads columns through S-typed views, so it is
+            // native-only (validate() rejects the combination).
+            let nv = lanes[l].v.expect_native();
+            for i in 0..ncols {
+                let mut hi = S::zero();
+                {
+                    let mut st = Stream::eager(ctx);
+                    let (vh, wh) = (st.slice(nv.col(i)), st.slice(ws.w.col(c)));
+                    let hh = st.val_mut(&mut hi);
+                    st.dot_into(vh, wh, hh);
+                }
+                let mut st = Stream::eager(ctx);
+                let (vh, wh) = (st.slice(nv.col(i)), st.slice_mut(ws.w.col_mut(c)));
+                st.axpy(-hi, vh, wh);
+                ws.h1[cur][c * ncols + i] = hi;
+            }
+        }
+        let mut st = Stream::eager(ctx);
+        let (wh, nh) = (st.block(&ws.w), st.slice_mut(&mut ws.norms[cur]));
+        st.block_norm2_into(wh, act.len(), nh);
+    }
 
-        results
-            .into_iter()
-            .map(|r| r.expect("every column resolved"))
-            .collect()
+    /// Record the explicit residual `r = b - A x` and its norm for every
+    /// cycle lane.
+    fn rec_residuals(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, cycle: &[usize]) {
+        for &l in cycle {
+            rec_residual(st, h.a, h.b.col(l), h.x.col(l), h.r.col_mut(l));
+            st.norm2_into(h.r.col(l), h.gammas.at(l));
+        }
     }
 }
 
-/// The lagged read spans of one lane's deferred host step: its slice of
-/// the previous-parity Hessenberg coefficients (both CGS passes when
-/// two-pass) and its subdiagonal norm slot.
-fn lagged_spans<S: BackendScalar>(
-    h1p: ArgSlice<S>,
-    h2p: ArgSlice<S>,
-    npv: ArgSlice<S>,
-    c: usize,
-    ncols_prev: usize,
-    two_pass: bool,
-) -> Vec<ArgSlice<S>> {
-    let mut lagged = vec![h1p.sub(c * ncols_prev, ncols_prev)];
-    if two_pass {
-        lagged.push(h2p.sub(c * ncols_prev, ncols_prev));
+/// Record the direction gather `Z[:, c] = v_j` of lane `act[c]`: one
+/// fused lane copy over native lanes, a promotion per compressed lane.
+fn rec_gather<S: BackendScalar>(
+    st: &mut Stream<'_>,
+    h: &Regs<'_, S>,
+    act: &[usize],
+    j: usize,
+    native: bool,
+) {
+    if native {
+        let srcs: Vec<ArgSlice<S>> = act.iter().map(|&l| h.basis(l).col(j)).collect();
+        let dsts: Vec<ArgSliceMut<S>> = (0..act.len()).map(|c| h.z.col_mut(c)).collect();
+        st.lane_copy(&srcs, &dsts);
+    } else {
+        for (c, &l) in act.iter().enumerate() {
+            st.basis_promote_col(h.basis(l).read(), j, h.z.col_mut(c));
+        }
     }
-    lagged.push(npv.sub(c, 1));
-    lagged
+}
+
+/// Record the barrier's deferred group: one HostDense least-squares
+/// charge per updating lane, writing its coefficient column and token
+/// (so its update chain waits for it, and it for the lane's Givens
+/// steps).
+fn rec_lsq<S: BackendScalar>(st: &mut Stream<'_>, h: &Regs<'_, S>, upds: &[(usize, usize)]) {
+    for &(l, kc) in upds {
+        st.host_lsq(kc, h.tokens.at(l), h.ymat.col_mut(l));
+    }
+}
+
+/// Record each updating lane's `u = V y`, plus `x += u` when the
+/// preconditioner is the identity (otherwise the eager apply of `u`
+/// updates `x`).
+fn rec_update<S: BackendScalar>(
+    st: &mut Stream<'_>,
+    h: &Regs<'_, S>,
+    upds: &[(usize, usize)],
+    add: bool,
+) {
+    for &(l, kc) in upds {
+        st.gemv_n_add(h.basis(l).read(), kc, h.ymat.col(l), h.u.col_mut(l));
+        if add {
+            st.axpy(S::one(), h.u.col(l), h.x.col_mut(l));
+        }
+    }
 }

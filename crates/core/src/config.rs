@@ -49,17 +49,20 @@ pub struct GmresConfig {
     pub loa_factor: f64,
     /// Record the per-iteration residual history (costs memory only).
     pub record_history: bool,
-    /// Software-pipeline depth of the `BlockGmres` driver. `0` (the
-    /// default) is the lockstep baseline: every lane's host-side
-    /// Givens/least-squares step serializes against the device stream
-    /// each iteration. `1` defers each lane's host step one iteration:
-    /// it is recorded as a host node whose lagged read spans prove it
-    /// independent of the next iteration's device kernels, so the
-    /// simulated timeline hides the host latency behind device work
-    /// (the paper's launch-latency hiding). Results are bit-identical
-    /// to depth 0 by construction — only the timeline changes. The
-    /// single-RHS [`crate::Gmres`] front honours it too (as a one-lane
-    /// pipelined solve).
+    /// Software-pipeline depth of the `BlockGmres` cycle loop: where the
+    /// simulated timeline charges each lane's host-side
+    /// Givens/least-squares step. `0` (the default) is the lockstep
+    /// baseline: the step is charged on an eager stream, serialized
+    /// against the device stream each iteration. `1` records it into
+    /// the next recorded region as a host node whose lagged read spans
+    /// prove it independent of that region's device kernels, so the
+    /// timeline hides the host latency behind device work (the paper's
+    /// launch-latency hiding). The same loop runs the same arithmetic
+    /// and charges at either depth, so results and serial seconds are
+    /// bit-identical — only the critical path changes. MGS always runs
+    /// at depth 0. The single-RHS [`crate::Gmres`] front (as a one-lane
+    /// pipelined solve) and the serving engine (per request group)
+    /// honour it too.
     pub pipeline_depth: usize,
     /// Krylov-basis storage path (see [`BasisPolicy`]). `Native` (the
     /// default) reproduces the pre-storage-path drivers bit for bit;
@@ -179,8 +182,8 @@ impl GmresConfig {
             }
             if self.pipeline_depth > 0 {
                 return Err(SolveError::InvalidConfig(
-                    "compressed basis storage requires pipeline depth 0: the \
-                     pipelined driver records in-place basis writes"
+                    "compressed basis storage requires pipeline depth 0: depth 1 \
+                     records in-place basis writes"
                         .into(),
                 ));
             }

@@ -662,31 +662,19 @@ impl GpuContext {
     }
 
     /// Simulated seconds of one iteration's host bookkeeping (Givens
-    /// rotations, status tests). Shared by the eager charge below and
-    /// the pipelined drivers' deferred host nodes, so the two modes
-    /// charge bit-identical costs.
+    /// rotations, status tests through the Belos interface), charged by
+    /// [`Stream::host_givens`](crate::Stream::host_givens) at every
+    /// pipeline depth.
     pub(crate) fn host_iter_spec(&self, j: usize) -> f64 {
         self.device.iter_overhead + cost::host_dense_time(&self.device, 12 * (j + 1))
     }
 
     /// Simulated seconds of one restart's host bookkeeping
-    /// (least-squares back-solve, allocations, manager overhead).
+    /// (least-squares back-solve, allocations, solver-manager
+    /// overhead), charged by
+    /// [`Stream::host_lsq`](crate::Stream::host_lsq).
     pub(crate) fn host_restart_spec(&self, m: usize) -> f64 {
         self.device.restart_overhead + cost::host_dense_time(&self.device, m * m / 2)
-    }
-
-    /// Host-side per-iteration bookkeeping (Givens rotations, status
-    /// tests through the Belos interface).
-    pub fn charge_iteration_host(&mut self, j: usize) {
-        let t = self.host_iter_spec(j);
-        self.profiler.charge(KernelClass::HostDense, t, 0);
-    }
-
-    /// Host-side per-restart bookkeeping (least-squares back-solve,
-    /// allocations, solver-manager overhead).
-    pub fn charge_restart_host(&mut self, m: usize) {
-        let t = self.host_restart_spec(m);
-        self.profiler.charge(KernelClass::HostDense, t, 0);
     }
 
     /// Charge arbitrary host dense flops (polynomial setup eigensolve).

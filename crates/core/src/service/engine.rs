@@ -1,20 +1,21 @@
 //! The long-running lane engine: a [`BlockGmres`] whose `k` lane slots
 //! are re-seeded mid-flight. Batch solves run init → cycle → ... →
 //! done over a fixed set of right-hand sides; the engine instead keeps
-//! the lockstep cycle machinery alive indefinitely, admitting pending
-//! requests into slots vacated by deflation at cycle barriers.
+//! the cycle machinery alive indefinitely, admitting pending requests
+//! into slots vacated by deflation at cycle barriers.
 //!
 //! Parity: an admitted lane runs exactly the arithmetic of the same
 //! column in a batch [`BlockGmres::solve`] — admission records the same
 //! residual + norm ops as batch init, re-seeding swaps in a fresh lane
 //! state, and cycles run through the very same
-//! [`BlockGmres::run_cycle`] the batch driver uses. Since every batch column is bit-identical to an independent
-//! [`crate::Gmres`] solve, so is every served request.
+//! [`BlockGmres::run_cycle`] the batch driver uses, at the group's
+//! pipeline depth. Since every batch column is bit-identical to an
+//! independent [`crate::Gmres`] solve, so is every served request.
 
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::multivec::MultiVec;
 
-use crate::block_gmres::{BlockGmres, Lane, LockstepWs};
+use crate::block_gmres::{BlockGmres, CycleWs, Lane};
 use crate::config::SchedulerPolicy;
 use crate::context::GpuContext;
 use crate::service::request::{Degradation, Disposition, RequestId, SolveOutcome};
@@ -61,7 +62,7 @@ pub(crate) struct LaneEngine<'a, S: BackendScalar> {
     solver: BlockGmres<'a, S>,
     b: MultiVec<S>,
     x: MultiVec<S>,
-    ws: LockstepWs<S>,
+    ws: CycleWs<S>,
     lanes: Vec<Lane<S>>,
     results: Vec<Option<SolveResult>>,
     slots: Vec<Option<Slot>>,
@@ -79,7 +80,7 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
         LaneEngine {
             b: MultiVec::zeros(n, k),
             x: MultiVec::zeros(n, k),
-            ws: LockstepWs::new(n, k, m),
+            ws: CycleWs::new(n, k, m),
             lanes,
             results: (0..k).map(|_| None).collect(),
             slots: (0..k).map(|_| None).collect(),
@@ -162,7 +163,7 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
         for (&slot, q) in admit.iter().zip(batch) {
             let terminal = self.solver.reseed_lane(
                 &mut self.lanes[slot],
-                self.ws.norms[slot],
+                self.ws.gammas[slot],
                 q.rtol,
                 q.max_iters,
             );
@@ -225,7 +226,7 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
         batch
     }
 
-    /// Run one lockstep cycle over the occupied slots. Cancellations
+    /// Run one cycle over the occupied slots. Cancellations
     /// and deadline expiries take effect first (the request leaves with
     /// the iterate of the last completed barrier); newly terminal lanes
     /// produce outcomes and vacate their slots.
@@ -249,7 +250,7 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
         let slots = &self.slots;
         let cycle = self
             .solver
-            .collect_cycle_eligible(&mut self.lanes, &mut self.results, |l| slots[l].is_some());
+            .collect_cycle(&mut self.lanes, &mut self.results, |l| slots[l].is_some());
         // Collection can resolve lanes terminal at the barrier (caps,
         // lucky breakdowns) without running another cycle.
         for l in 0..self.slots.len() {

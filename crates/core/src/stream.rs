@@ -47,8 +47,10 @@
 //! switch says: the preconditioner applies (block Jacobi's
 //! [`Stream::block_lu_solve`], the polynomial and Chebyshev
 //! recurrences, the casts of mixed-precision wrappers), the refinement
-//! loops' casts and updates, the MGS dot/axpy sequence, and the
-//! lockstep driver's direction gathers and basis extensions. Reading a
+//! loops' casts and updates, the MGS dot/axpy sequence, and, at
+//! pipeline depth 0, `BlockGmres`'s deferred host groups (each lane's
+//! Givens and least-squares charges, the basis extensions and the
+//! direction gathers). Reading a
 //! result slot (e.g. a [`Stream::norm2_into`] target) is only possible
 //! after `sync` releases the registration borrows — the type system
 //! enforces "don't read before sync".
@@ -182,7 +184,7 @@ impl<S: Scalar> BasisRef<S> {
 
     /// Read view of basis column `j` (native-only: column views are
     /// working-precision slices, which a compressed store does not
-    /// expose — the native-only pipelined drivers are the only users).
+    /// expose; `BlockGmres`'s fused direction gather reads them).
     pub fn col(self, j: usize) -> ArgSlice<S> {
         assert!(self.is_native(), "basis column views are native-only");
         let j = u32::try_from(j).expect("basis column");
@@ -196,10 +198,10 @@ impl<S: Scalar> BasisRef<S> {
     }
 }
 
-/// Handle of a *mutably* registered Krylov basis: the pipelined
-/// `BlockGmres` regions read the basis whole (batched CGS kernels)
-/// while the recorded basis extension writes one column — the mixed
-/// access pattern that needs a single exclusive registration with
+/// Handle of a *mutably* registered Krylov basis: one `BlockGmres`
+/// region reads the basis whole (batched CGS kernels) while the
+/// recorded basis extension writes one column — the mixed access
+/// pattern that needs a single exclusive registration with
 /// column-granular spans. Compressed bases register too, for
 /// [`Stream::basis_lane_scal_copy`]; their column views panic.
 #[derive(Clone, Copy, Debug)]
@@ -292,7 +294,7 @@ pub struct ArgValMut<S> {
 
 impl<S: Scalar> ArgSlice<S> {
     /// Read view of `len` elements starting at element `off` within
-    /// this view (the pipelined driver's lagged per-lane sub-spans).
+    /// this view (e.g. `BlockGmres`'s lagged per-lane host-step spans).
     pub fn sub(self, off: usize, len: usize) -> ArgSlice<S> {
         let off = u32::try_from(off).expect("arg offset");
         let len = u32::try_from(len).expect("arg length");
@@ -550,23 +552,22 @@ impl<'c> Stream<'c> {
         }
     }
 
-    /// Register a per-lane basis set mutably (all the same shape),
-    /// returning one [`BasisMut`] per lane in order.
+    /// Register a per-lane basis set mutably (all the same shape, possibly
+    /// empty), returning one [`BasisMut`] per lane in order.
     pub fn bases_mut<S: Scalar>(&mut self, vs: Vec<&'c mut BasisStore<S>>) -> Vec<BasisMut<S>> {
-        assert!(!vs.is_empty(), "stream bases_mut: empty lane set");
-        let (n, ncap) = (vs[0].n(), vs[0].max_cols());
+        let shape = vs.first().map(|v| (v.n(), v.max_cols()));
         vs.into_iter()
             .map(|v| {
-                assert_eq!(v.n(), n, "stream bases_mut: ragged lane set");
-                assert_eq!(v.max_cols(), ncap, "stream bases_mut: ragged lane set");
+                let got = Some((v.n(), v.max_cols()));
+                assert_eq!(got, shape, "stream bases_mut: ragged lane set");
                 self.basis_mut(v)
             })
             .collect()
     }
 
     /// Build a [`BasisList`] (the batched kernels' per-column basis
-    /// argument) from already-registered basis handles — the pipelined
-    /// regions register their lane bases mutably once, then hand a
+    /// argument) from already-registered basis handles — `BlockGmres`
+    /// registers its lane bases mutably once per region, then hands a
     /// subset to the CGS kernels by reference.
     pub fn basis_list<S: Scalar>(&mut self, refs: &[BasisRef<S>]) -> BasisList<S> {
         assert!(!refs.is_empty(), "stream basis_list: empty lane set");
@@ -585,14 +586,6 @@ impl<'c> Stream<'c> {
             ebytes,
             _s: PhantomData,
         }
-    }
-
-    /// Register a per-lane basis set (read-only, all the same shape and
-    /// storage width).
-    pub fn bases<S: Scalar>(&mut self, vs: &[&'c BasisStore<S>]) -> BasisList<S> {
-        assert!(!vs.is_empty(), "stream bases: empty lane set");
-        let refs: Vec<BasisRef<S>> = vs.iter().map(|v| self.basis(v)).collect();
-        self.basis_list(&refs)
     }
 
     /// Register a read-only vector.
@@ -1396,21 +1389,22 @@ impl<'c> Stream<'c> {
         });
     }
 
-    // ----- deferred host steps (software pipelining) -----------------
+    // ----- deferred host steps ---------------------------------------
 
-    /// Record one lane's deferred Givens/update bookkeeping for a PAST
-    /// iteration `j` (the software-pipelined `BlockGmres` host step).
-    /// The arithmetic already ran on the host when it consumed the
-    /// synced results, so the op has no launch; it carries the
-    /// host-dense charge at its DAG-ready time instead — which is how
-    /// the timeline shows the host latency hidden behind the *current*
-    /// iteration's device kernels. `lagged` are the previous-parity
-    /// norm/coefficient spans the step consumed (they conflict with
-    /// nothing the current iteration writes — the DAG proves the
-    /// one-iteration lag safe), and `token` is the lane's host-state
-    /// slot: consecutive host steps of one lane chain through it (WAW),
-    /// keeping the Givens recurrence ordered per lane while distinct
-    /// lanes overlap freely.
+    /// Record one lane's Givens/update bookkeeping for a PAST iteration
+    /// `j` (the `BlockGmres` host step). The arithmetic already ran on
+    /// the host when it consumed the synced results, so the op has no
+    /// launch; it only carries the host-dense charge. On an eager stream
+    /// (pipeline depth 0) that charge lands at the makespan, serialized
+    /// against the device work. In a recorded region (depth 1) it lands
+    /// at its DAG-ready time, which is how the timeline shows the host
+    /// latency hidden behind the *current* iteration's device kernels.
+    /// `lagged` (at most three) are the previous-parity
+    /// norm/coefficient spans the step consumed (they conflict with nothing the current iteration
+    /// writes, so the DAG proves the one-iteration lag safe), and
+    /// `token` is the lane's host-state slot: consecutive host steps of
+    /// one lane chain through it (WAW), keeping the Givens recurrence
+    /// ordered per lane while distinct lanes overlap freely.
     pub fn host_givens<S: BackendScalar>(
         &mut self,
         j: usize,
@@ -1418,11 +1412,19 @@ impl<'c> Stream<'c> {
         token: ArgValMut<S>,
     ) {
         let t = self.ctx.host_iter_spec(j);
-        self.host_node("host_givens", t, lagged, &[token.span()]);
+        // A stack array, not a Vec: every lane records one of these per
+        // iteration at every depth.
+        let mut reads = [Span::whole(0); 3];
+        assert!(lagged.len() <= reads.len(), "host_givens: too many spans");
+        for (r, s) in reads.iter_mut().zip(lagged) {
+            *r = s.span();
+        }
+        self.host_node("host_givens", t, &reads[..lagged.len()], &[token.span()]);
     }
 
-    /// Record one lane's deferred least-squares solve at the cycle
-    /// barrier: charged as the per-restart host cost for `kc` columns,
+    /// Record one lane's least-squares solve at the cycle barrier
+    /// (like [`Stream::host_givens`], a charge without a launch):
+    /// charged as the per-restart host cost for `kc` columns,
     /// writing the lane's update-coefficient column and
     /// its host-state token. The write on `y` is what orders the lane's
     /// device update chain (GEMV-N reading `y`) after this host step,
@@ -1435,20 +1437,13 @@ impl<'c> Stream<'c> {
         y: ArgSliceMut<S>,
     ) {
         let t = self.ctx.host_restart_spec(kc);
-        self.host_node::<S>("host_lsq", t, &[], &[token.span(), y.span()]);
+        self.host_node("host_lsq", t, &[], &[token.span(), y.span()]);
     }
 
-    fn host_node<S: BackendScalar>(
-        &mut self,
-        label: &'static str,
-        seconds: f64,
-        reads: &[ArgSlice<S>],
-        writes: &[Span],
-    ) {
-        let read_spans: Vec<Span> = reads.iter().map(|r| r.span()).collect();
-        Self::assert_noalias(label, &read_spans, writes);
+    fn host_node(&mut self, label: &'static str, seconds: f64, reads: &[Span], writes: &[Span]) {
+        Self::assert_noalias(label, reads, writes);
         let charge = Some((KernelClass::HostDense, seconds, 0));
-        self.record(label, &read_spans, writes, charge, |_, _| {});
+        self.record(label, reads, writes, charge, |_, _| {});
     }
 
     // ----- fused lane-set kernels (recorded forms) -------------------
@@ -1996,7 +1991,7 @@ mod tests {
         );
     }
 
-    /// The pipelined building blocks — a deferred host node, a recorded
+    /// The deferred-host building blocks — a host node, a recorded
     /// fused basis extension, and a recorded lane copy — are
     /// bit-identical eager vs recorded (values AND charges), and the
     /// host node's latency hides under the independent device work on
@@ -2357,7 +2352,8 @@ mod tests {
         let w = MultiVec::<f64>::zeros(3, 1);
         let mut h = [0.0f64; 2];
         let mut st = ctx.stream();
-        let vs = st.bases(&[&v]);
+        let vh = st.basis(&v);
+        let vs = st.basis_list(&[vh]);
         let wh = st.block(&w);
         let hh = st.slice_mut(&mut h);
         st.block_gemv_t(vs, 2, wh, hh);

@@ -760,3 +760,63 @@ fn bursty_rerun_on_a_used_context_is_bit_identical() {
     let second = run_scenario(&mut ctx, &a, &traffic, 3, None);
     assert_runs_identical(&first, &second, "bursty rerun");
 }
+
+/// The service honours `pipeline_depth`: requests served together at
+/// depth 1 produce exactly the depth-0 outcomes (solutions, statuses,
+/// histories) and the same serial seconds, while the group's deferred
+/// host steps hide behind device work, so the critical path is strictly
+/// shorter.
+#[test]
+fn pipelined_service_matches_lockstep_and_hides_host_time() {
+    let n = 40;
+    let a = laplace1d(n);
+    let traffic = arrivals(0x005e_edd1, n, 5, &[10]);
+    let serve = |depth: usize| {
+        let mut ctx = ctx_with(BackendKind::Reference, true);
+        let mut service = SolverService::new(ServiceConfig::default().with_lanes(3));
+        for arr in &traffic {
+            let cfg = GmresConfig::default()
+                .with_m(arr.m)
+                .with_rtol(arr.rtol)
+                .with_max_iters(arr.max_iters)
+                .with_pipeline_depth(depth);
+            let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs).with_config(cfg);
+            service.submit(&ctx, &req).expect("valid request");
+        }
+        while service.pending() + service.in_flight() > 0 {
+            service.step(&mut ctx);
+        }
+        let mut outcomes = service.drain_outcomes();
+        outcomes.sort_by_key(|o| o.id.0);
+        (outcomes, ctx.report())
+    };
+    let (lockstep, rep0) = serve(0);
+    let (pipelined, rep1) = serve(1);
+    assert_eq!(lockstep.len(), traffic.len());
+    assert_runs_identical(&lockstep, &pipelined, "depth 1 vs depth 0");
+    for (want, got) in lockstep.iter().zip(&pipelined) {
+        let (rw, rg) = (want.result.as_ref().unwrap(), got.result.as_ref().unwrap());
+        assert_eq!(rw.history.len(), rg.history.len(), "{}: history", want.id);
+        for (hw, hg) in rw.history.iter().zip(&rg.history) {
+            assert_eq!(hw.iteration, hg.iteration, "{}: history", want.id);
+            assert_eq!(hw.kind, hg.kind, "{}: history", want.id);
+            assert_eq!(
+                hw.relative_residual.to_bits(),
+                hg.relative_residual.to_bits(),
+                "{}: history",
+                want.id
+            );
+        }
+    }
+    assert_eq!(
+        rep0.total_seconds.to_bits(),
+        rep1.total_seconds.to_bits(),
+        "serial seconds"
+    );
+    assert!(
+        rep1.critical_path_seconds < rep0.critical_path_seconds,
+        "depth 1 critical {} must be below depth 0's {}",
+        rep1.critical_path_seconds,
+        rep0.critical_path_seconds
+    );
+}

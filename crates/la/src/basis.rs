@@ -291,7 +291,7 @@ impl<S: Scalar> BasisStore<S> {
     }
 
     /// The native multivector (panics on a compressed store — callers
-    /// on native-only paths, e.g. the pipelined drivers, assert intent).
+    /// on native-only paths, e.g. MGS, assert intent).
     #[inline]
     pub fn expect_native(&self) -> &MultiVector<S> {
         self.as_native().expect("basis: native-only path")
@@ -424,7 +424,7 @@ impl<S: Scalar> BasisStore<S> {
     /// Raw `(object, element-data, element-count)` pointers for the
     /// recorded-stream buffer arena. Only the native arm carries a data
     /// pointer (recorded ops address native bases column-wise, e.g. the
-    /// pipelined extension); compressed arms are addressed whole-object
+    /// basis extension); compressed arms are addressed whole-object
     /// only and return a null data pointer with zero length.
     pub fn arena_parts(&mut self) -> (*mut Self, *mut S, usize) {
         let obj: *mut Self = self;
