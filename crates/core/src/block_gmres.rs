@@ -271,26 +271,24 @@ impl<S: BackendScalar> CycleWs<S> {
 /// Host work of iteration `j` whose charges wait for a later stream:
 /// the Givens steps of its act set (`givens`, in compact-position
 /// order) and the basis extension `v_{j+1} = w_c / h_{j+1,j}` of the
-/// lanes that continue (`store`: compact position `c`, lane; the
-/// coefficients sit in [`CycleWs::alphas`], in the same order).
+/// lanes that continue (`lanes`, ascending, from compact positions
+/// `pos`; the coefficients sit in [`CycleWs::alphas`], in the same
+/// order).
 #[derive(Default)]
 struct Deferred {
     j: usize,
     givens: Vec<usize>,
-    store: Vec<(usize, usize)>,
+    pos: Vec<usize>,
+    lanes: Vec<usize>,
 }
 
-/// Handles of one region's registrations: every cycle buffer, plus the
-/// bases of the lanes in `lanes` (ascending), registered mutably.
+/// Handles of one region's registrations: the operand, the iteration
+/// buffers and host-state slots, the bases of the lanes in `lanes`
+/// (ascending, mutably), and the barrier blocks in barrier regions.
 struct Regs<'r, S> {
     a: OpRef<S>,
-    b: BlockRef<S>,
-    x: BlockMut<S>,
-    r: BlockMut<S>,
     z: BlockMut<S>,
     w: BlockMut<S>,
-    u: BlockMut<S>,
-    ymat: BlockMut<S>,
     /// The deferred iteration's parity (`h1`, `h2`, `norms`), read by
     /// its host nodes.
     lag: [ArgSlice<S>; 3],
@@ -298,11 +296,21 @@ struct Regs<'r, S> {
     h1: ArgSliceMut<S>,
     h2: ArgSliceMut<S>,
     norms: ArgSliceMut<S>,
-    gammas: ArgSliceMut<S>,
     tokens: ArgSliceMut<S>,
     alphas: ArgSlice<S>,
     lanes: &'r [usize],
     bases: Vec<BasisMut<S>>,
+    barrier: Option<BarrierRegs<S>>,
+}
+
+/// Handles of the blocks only the cycle barrier touches.
+struct BarrierRegs<S> {
+    b: BlockRef<S>,
+    x: BlockMut<S>,
+    r: BlockMut<S>,
+    u: BlockMut<S>,
+    ymat: BlockMut<S>,
+    gammas: ArgSliceMut<S>,
 }
 
 impl<S: BackendScalar> Regs<'_, S> {
@@ -310,6 +318,10 @@ impl<S: BackendScalar> Regs<'_, S> {
     fn basis(&self, l: usize) -> BasisMut<S> {
         let i = self.lanes.binary_search(&l).expect("lane registered");
         self.bases[i]
+    }
+
+    fn barrier(&self) -> &BarrierRegs<S> {
+        self.barrier.as_ref().expect("barrier blocks registered")
     }
 }
 
@@ -331,14 +343,6 @@ fn lane_vs_mut<'l, S: BackendScalar>(
         .map(|(_, lane)| &mut lane.v)
         .collect();
     assert_eq!(out.len(), which.len(), "lane set out of range");
-    out
-}
-
-/// The distinct lanes of `lanes`, ascending.
-fn lane_set(lanes: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out: Vec<usize> = lanes.collect();
-    out.sort_unstable();
-    out.dedup();
     out
 }
 
@@ -568,23 +572,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// state, immediately terminal if ever collected (it never is — the
     /// engine only cycles occupied slots).
     pub(crate) fn free_lane(&self) -> Lane<S> {
-        Lane {
-            v: self.cfg.basis.store::<S>(0, self.cfg.m + 1),
-            hcol: vec![S::zero(); self.cfg.m + 2],
-            lsq: None,
-            gamma: S::zero(),
-            scale: 0.0,
-            total_iters: 0,
-            restarts: 0,
-            history: Vec::new(),
-            final_rel: 1.0,
-            pending: None,
-            in_cycle: false,
-            implicit_claims_convergence: false,
-            lucky: false,
-            rtol: self.cfg.rtol,
-            max_iters: self.cfg.max_iters,
-        }
+        self.lane_from_norm(S::zero(), self.cfg.rtol, self.cfg.max_iters)
+            .0
     }
 
     /// Fresh lane state from an initial residual norm — the per-lane
@@ -939,14 +928,17 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             // Native lanes lend their columns in place; compressed lanes
             // promote their narrow columns first (each a charged cast).
             let native = act.iter().all(|&l| lanes[l].v.is_native());
-            let reg = lane_set(act.iter().copied().chain(d.store.iter().map(|&(_, l)| l)));
+            // The lanes this iteration touches: the act set at j = 0, and
+            // after that the deferred extension's lanes, which contain it
+            // (a lane only stays in the cycle if it extended).
+            let reg = if j == 0 { &act } else { &d.lanes };
 
             // The deferred group of iteration j - 1 (which writes v_j),
             // then the direction block Z[:, c] = M^{-1} v_j: one fused
             // lane gather under the identity, per-lane applies otherwise.
             {
                 let mut st = self.host_stream(ctx);
-                let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+                let h = self.register(&mut st, ws, lanes, reg, cur, None);
                 self.rec_deferred(&mut st, &h, &d);
                 if identity {
                     rec_gather(&mut st, &h, &act, j, native);
@@ -978,7 +970,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 self.mgs(ctx, lanes, ws, &act, ncols, cur);
             } else if !fused {
                 let mut st = ctx.stream();
-                let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+                let h = self.register(&mut st, ws, lanes, reg, cur, None);
                 self.rec_cgs(&mut st, &h, &act, ncols);
             }
 
@@ -986,12 +978,14 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             // update, convergence decisions) run now; their charges and
             // the extension of the lanes that continue wait for the next
             // group.
-            d.store.clear();
+            d.pos.clear();
+            d.lanes.clear();
             for (c, &l) in act.iter().enumerate() {
                 let (h1, h2, norms) = (&ws.h1[cur], &ws.h2[cur], &ws.norms[cur]);
                 if let Some(inv) = self.lane_host_step(&mut lanes[l], c, ncols, h1, h2, norms[c]) {
-                    ws.alphas[d.store.len()] = inv;
-                    d.store.push((c, l));
+                    ws.alphas[d.pos.len()] = inv;
+                    d.pos.push(c);
+                    d.lanes.push(l);
                 }
             }
             d.givens = act;
@@ -1001,8 +995,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         // Cycle barrier, host half: per-lane least-squares solves and
         // restart bookkeeping; each solved lane queues its update.
         let upds = self.barrier_lsq(lanes, cycle, &mut ws.u, &mut ws.ymat);
-        let stored = d.store.iter().map(|&(_, l)| l);
-        let reg = lane_set(stored.chain(upds.iter().map(|&(l, _)| l)));
+        let mut reg = d.lanes.clone();
+        reg.extend(upds.iter().map(|&(l, _)| l));
+        reg.sort_unstable();
+        reg.dedup();
         // The lagged buffers are the last iteration's parity.
         let cur = 1 - d.j % 2;
 
@@ -1014,7 +1010,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         // update region that follows.
         {
             let mut st = self.host_stream(ctx);
-            let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+            let h = self.register(&mut st, ws, lanes, &reg, cur, Some((b, &mut *x)));
             self.rec_deferred(&mut st, &h, &d);
             if !pipelined || fused {
                 rec_lsq(&mut st, &h, &upds);
@@ -1026,7 +1022,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         }
         if !fused {
             let mut st = ctx.stream();
-            let h = self.register(&mut st, ws, lanes, &reg, b, x, cur);
+            let h = self.register(&mut st, ws, lanes, &reg, cur, Some((b, &mut *x)));
             if pipelined {
                 rec_lsq(&mut st, &h, &upds);
             }
@@ -1044,7 +1040,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 add_update(ctx, &ws.zvec, x.col_mut(l));
             }
             let mut st = ctx.stream();
-            let h = self.register(&mut st, ws, lanes, &[], b, x, cur);
+            let h = self.register(&mut st, ws, lanes, &[], cur, Some((b, &mut *x)));
             self.rec_residuals(&mut st, &h, cycle);
         }
 
@@ -1069,18 +1065,17 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         }
     }
 
-    /// Register every cycle buffer on `st`, the parity pair split at
-    /// `cur`, and the bases of the lanes in `reg` (ascending) mutably.
-    #[allow(clippy::too_many_arguments)]
+    /// Register the cycle buffers on `st` — the barrier blocks only
+    /// when `bx` lends `b` and `x` — with the parity pair split at `cur`,
+    /// and the bases of the lanes in `reg` (ascending) mutably.
     fn register<'c, 'r>(
         &self,
         st: &mut Stream<'c>,
         ws: &'c mut CycleWs<S>,
         lanes: &'c mut [Lane<S>],
         reg: &'r [usize],
-        b: &'c MultiVec<S>,
-        x: &'c mut MultiVec<S>,
         cur: usize,
+        bx: Option<(&'c MultiVec<S>, &'c mut MultiVec<S>)>,
     ) -> Regs<'r, S>
     where
         'a: 'c,
@@ -1088,24 +1083,27 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         let (h1_prev, h1_cur) = parity_split(&mut ws.h1, cur);
         let (h2_prev, h2_cur) = parity_split(&mut ws.h2, cur);
         let (nr_prev, nr_cur) = parity_split(&mut ws.norms, cur);
-        Regs {
-            a: self.a.register(st),
+        let barrier = bx.map(|(b, x)| BarrierRegs {
             b: st.block(b),
             x: st.block_mut(x),
             r: st.block_mut(&mut ws.r),
-            z: st.block_mut(&mut ws.z),
-            w: st.block_mut(&mut ws.w),
             u: st.block_mut(&mut ws.u),
             ymat: st.block_mut(&mut ws.ymat),
+            gammas: st.slice_mut(&mut ws.gammas),
+        });
+        Regs {
+            a: self.a.register(st),
+            z: st.block_mut(&mut ws.z),
+            w: st.block_mut(&mut ws.w),
             lag: [st.slice(h1_prev), st.slice(h2_prev), st.slice(nr_prev)],
             h1: st.slice_mut(h1_cur),
             h2: st.slice_mut(h2_cur),
             norms: st.slice_mut(nr_cur),
-            gammas: st.slice_mut(&mut ws.gammas),
             tokens: st.slice_mut(&mut ws.tokens),
             alphas: st.slice(&ws.alphas),
             lanes: reg,
             bases: st.bases_mut(lane_vs_mut(lanes, reg)),
+            barrier,
         }
     }
 
@@ -1116,19 +1114,15 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// lanes that continue.
     fn rec_deferred(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, d: &Deferred) {
         let np = d.j + 1;
-        let reads = if self.cfg.ortho == OrthoMethod::Cgs2 {
-            3
-        } else {
-            2
-        };
+        let reads = 2 + usize::from(self.cfg.ortho == OrthoMethod::Cgs2);
         let [h1, h2, norms] = h.lag;
         for (c, &l) in d.givens.iter().enumerate() {
             let lagged = [norms.sub(c, 1), h1.sub(c * np, np), h2.sub(c * np, np)];
             st.host_givens(d.j, &lagged[..reads], h.tokens.at(l));
         }
-        if !d.store.is_empty() {
-            let srcs: Vec<ArgSlice<S>> = d.store.iter().map(|&(c, _)| h.w.col(c)).collect();
-            let vs: Vec<BasisMut<S>> = d.store.iter().map(|&(_, l)| h.basis(l)).collect();
+        if !d.lanes.is_empty() {
+            let srcs: Vec<ArgSlice<S>> = d.pos.iter().map(|&c| h.w.col(c)).collect();
+            let vs: Vec<BasisMut<S>> = d.lanes.iter().map(|&l| h.basis(l)).collect();
             st.basis_lane_scal_copy(h.alphas, &srcs, &vs, np);
         }
     }
@@ -1194,9 +1188,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Record the explicit residual `r = b - A x` and its norm for every
     /// cycle lane.
     fn rec_residuals(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, cycle: &[usize]) {
+        let bar = h.barrier();
         for &l in cycle {
-            rec_residual(st, h.a, h.b.col(l), h.x.col(l), h.r.col_mut(l));
-            st.norm2_into(h.r.col(l), h.gammas.at(l));
+            rec_residual(st, h.a, bar.b.col(l), bar.x.col(l), bar.r.col_mut(l));
+            st.norm2_into(bar.r.col(l), bar.gammas.at(l));
         }
     }
 }
@@ -1227,7 +1222,7 @@ fn rec_gather<S: BackendScalar>(
 /// steps).
 fn rec_lsq<S: BackendScalar>(st: &mut Stream<'_>, h: &Regs<'_, S>, upds: &[(usize, usize)]) {
     for &(l, kc) in upds {
-        st.host_lsq(kc, h.tokens.at(l), h.ymat.col_mut(l));
+        st.host_lsq(kc, h.tokens.at(l), h.barrier().ymat.col_mut(l));
     }
 }
 
@@ -1240,10 +1235,11 @@ fn rec_update<S: BackendScalar>(
     upds: &[(usize, usize)],
     add: bool,
 ) {
+    let bar = h.barrier();
     for &(l, kc) in upds {
-        st.gemv_n_add(h.basis(l).read(), kc, h.ymat.col(l), h.u.col_mut(l));
+        st.gemv_n_add(h.basis(l).read(), kc, bar.ymat.col(l), bar.u.col_mut(l));
         if add {
-            st.axpy(S::one(), h.u.col(l), h.x.col_mut(l));
+            st.axpy(S::one(), bar.u.col(l), bar.x.col_mut(l));
         }
     }
 }
