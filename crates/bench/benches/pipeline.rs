@@ -2,8 +2,8 @@
 //! simulated overlap timeline.
 //!
 //! For k ∈ {1, 2, 4} right-hand sides the same block solve runs once
-//! with the lockstep driver (`pipeline_depth = 0`) and once with the
-//! software-pipelined driver (`pipeline_depth = 1`). The two are
+//! at `pipeline_depth = 0` (lockstep) and once at `pipeline_depth = 1`
+//! (software-pipelined), through the one cycle loop. The two are
 //! bit-identical per lane (asserted here and CI-pinned in
 //! `stream_parity.rs`); the measurement is the simulated timeline:
 //! serial totals are bitwise equal, and the pipelined critical path

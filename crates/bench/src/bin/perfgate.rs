@@ -56,8 +56,8 @@
 //! become one machine-readable, diffable file.
 //!
 //! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (which trips both
-//! pipeline gates), or `precision`, or
-//! `serving`, or `sharding`, or `basis`, or `qos`, or `pool`, to deliberately
+//! pipeline gates), or `precision`, `serving`, `sharding`, `basis`,
+//! `qos` or `pool`, to deliberately
 //! corrupt the gated value before checking: CI runs this
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never

@@ -320,6 +320,7 @@ impl<S: BackendScalar> Regs<'_, S> {
         self.bases[i]
     }
 
+    /// The barrier blocks (registered in barrier regions only).
     fn barrier(&self) -> &BarrierRegs<S> {
         self.barrier.as_ref().expect("barrier blocks registered")
     }
