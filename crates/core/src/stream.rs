@@ -1412,14 +1412,14 @@ impl<'c> Stream<'c> {
         token: ArgValMut<S>,
     ) {
         let t = self.ctx.host_iter_spec(j);
+        let mut reads = [Span::whole(0); 3];
+        assert!(lagged.len() <= reads.len(), "host_givens: too many spans");
         if self.eager {
             // No launch, so nothing for the spans to guard: the charge
             // is the whole op (every lane, every iteration at depth 0).
             self.ctx.profiler_mut().charge(KernelClass::HostDense, t, 0);
             return;
         }
-        let mut reads = [Span::whole(0); 3];
-        assert!(lagged.len() <= reads.len(), "host_givens: too many spans");
         for (r, s) in reads.iter_mut().zip(lagged) {
             *r = s.span();
         }
