@@ -22,10 +22,8 @@
 //!         v  ScalarBackend<S> dispatch (BackendScalar)
 //! Backend trait object
 //!    ├── ReferenceBackend   sequential, bit-deterministic (mpgmres-la)
-//!    ├── ParallelBackend    persistent pinned worker pool joined by the
-//!    |    calling thread, cached row/nnz partitions, fused SpMM
-//!    └── ShardedBackend     row shards; the stream expands matrix ops
-//!         into halo-exchange + per-shard pieces
+//!    └── ParallelBackend    persistent pinned worker pool joined by the
+//!         calling thread, cached row/nnz partitions, fused SpMM
 //! ```
 //!
 //! Every kernel runs through a *stream* (`GpuContext::stream`), which
@@ -81,10 +79,8 @@ use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder};
 use mpgmres_scalar::{Half, Scalar};
 
-pub mod sharded;
 pub mod stream;
 
-pub use sharded::ShardedBackend;
 use stream::Batch;
 
 /// The kernel call surface for one working precision `S`.
@@ -457,10 +453,8 @@ pub trait Backend:
         1
     }
 
-    /// Number of row shards this backend decomposes matrix kernels
-    /// over: 1 for single-device backends, N for [`ShardedBackend`].
-    /// The stream layer uses this to expand SpMV/SpMM/residual into
-    /// per-shard halo-exchange + compute ops.
+    /// Kept only for the standalone `perfbench/` benchmark, whose
+    /// tracing backend forwards it. Nothing calls it.
     fn shard_count(&self) -> usize {
         1
     }
@@ -841,21 +835,14 @@ pub enum BackendKind {
     /// Std-thread parallel kernels with nnz-balanced matrix partitions
     /// (for skewed matrices).
     ParallelNnz,
-    /// Row-sharded composite backend: `shards` reference shards with
-    /// explicit halo exchange ([`ShardedBackend`]).
-    Sharded {
-        /// Number of row shards.
-        shards: usize,
-    },
 }
 
 impl BackendKind {
-    /// All selectable kinds (sharded at its default width).
-    pub const ALL: [BackendKind; 4] = [
+    /// All selectable kinds.
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Reference,
         BackendKind::Parallel,
         BackendKind::ParallelNnz,
-        BackendKind::Sharded { shards: 2 },
     ];
 
     /// Instantiate the backend.
@@ -866,18 +853,15 @@ impl BackendKind {
             BackendKind::ParallelNnz => {
                 Arc::new(ParallelBackend::new().with_strategy(PartitionStrategy::NnzBalanced))
             }
-            BackendKind::Sharded { shards } => Arc::new(ShardedBackend::new(shards)),
         }
     }
 
-    /// The selector's CLI name (without the `:N` shard suffix; see
-    /// [`fmt::Display`] for the round-trippable form).
+    /// The selector's CLI name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
             BackendKind::Parallel => "parallel",
             BackendKind::ParallelNnz => "parallel-nnz",
-            BackendKind::Sharded { .. } => "sharded",
         }
     }
 }
@@ -886,25 +870,12 @@ impl std::str::FromStr for BackendKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if let Some(n) = s
-            .strip_prefix("sharded:")
-            .or_else(|| s.strip_prefix("shard:"))
-        {
-            let shards: usize = n
-                .parse()
-                .map_err(|_| format!("bad shard count `{n}` in backend `{s}`"))?;
-            if shards == 0 {
-                return Err(format!("backend `{s}` needs >= 1 shard"));
-            }
-            return Ok(BackendKind::Sharded { shards });
-        }
         match s {
             "reference" | "ref" | "seq" | "sequential" => Ok(BackendKind::Reference),
             "parallel" | "par" | "threads" => Ok(BackendKind::Parallel),
             "parallel-nnz" | "nnz" => Ok(BackendKind::ParallelNnz),
-            "sharded" | "shard" => Ok(BackendKind::Sharded { shards: 2 }),
             other => Err(format!(
-                "unknown backend `{other}` (expected reference|parallel|parallel-nnz|sharded[:N])"
+                "unknown backend `{other}` (expected reference|parallel|parallel-nnz)"
             )),
         }
     }
@@ -912,10 +883,7 @@ impl std::str::FromStr for BackendKind {
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            BackendKind::Sharded { shards } => write!(f, "sharded:{shards}"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -952,31 +920,16 @@ mod tests {
             BackendKind::Reference
         );
         assert!("cuda".parse::<BackendKind>().is_err());
+        for retired in ["sharded", "sharded:2", "shard:4"] {
+            let err = retired.parse::<BackendKind>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown backend `{retired}` (expected reference|parallel|parallel-nnz)")
+            );
+        }
         assert_eq!(BackendKind::Reference.create().name(), "reference");
         assert_eq!(BackendKind::Parallel.create().name(), "parallel");
         assert_eq!(BackendKind::default(), BackendKind::Reference);
-        assert_eq!(
-            "sharded:3".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: 3 }
-        );
-        assert_eq!(
-            "shard:4".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: 4 }
-        );
-        assert_eq!(
-            "sharded".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: 2 }
-        );
-        assert!("sharded:0".parse::<BackendKind>().is_err());
-        assert!("sharded:x".parse::<BackendKind>().is_err());
-        let sharded = BackendKind::Sharded { shards: 3 }.create();
-        assert_eq!(sharded.name(), "sharded");
-        assert_eq!(sharded.shard_count(), 3);
-        assert_eq!(BackendKind::Sharded { shards: 3 }.to_string(), "sharded:3");
-        assert_eq!(
-            "sharded:3".parse::<BackendKind>().unwrap().to_string(),
-            "sharded:3"
-        );
     }
 
     #[test]

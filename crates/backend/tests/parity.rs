@@ -8,9 +8,7 @@
 //! asserted at zero ULPs via bit equality, with the documented bound
 //! checked as the outer tolerance).
 
-use mpgmres_backend::{
-    BackendKind, ParallelBackend, ReferenceBackend, ScalarBackend, ShardedBackend,
-};
+use mpgmres_backend::{BackendKind, ParallelBackend, ReferenceBackend, ScalarBackend};
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::coo::Coo;
 use mpgmres_la::csr::Csr;
@@ -73,29 +71,6 @@ fn banded_matrix(n: usize, salt: u64) -> Csr<f64> {
             if i + d < n {
                 coo.push(i, i + d, -0.25);
             }
-        }
-    }
-    coo.into_csr()
-}
-
-/// Arrow shape: dense first row and column plus a superdiagonal. Every
-/// shard's rows read column 0 (a halo column for all shards but the
-/// first), and the first shard's rows read columns owned by every other
-/// shard — the worst case for halo classification.
-fn arrow_matrix(n: usize, salt: u64) -> Csr<f64> {
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        coo.push(
-            i,
-            i,
-            4.0 + ((i.wrapping_add(salt as usize)) % 7) as f64 * 0.25,
-        );
-        if i > 0 {
-            coo.push(i, 0, -1.0);
-            coo.push(0, i, -0.5);
-        }
-        if i + 1 < n {
-            coo.push(i, i + 1, -0.25);
         }
     }
     coo.into_csr()
@@ -629,98 +604,6 @@ proptest! {
         ScalarBackend::<f64>::spmm(&reference, &a, &x, k, &mut y_ref);
         ScalarBackend::<f64>::spmm(&parallel, &a, &x, k, &mut y_par);
         prop_assert_eq!(y_ref.data(), y_par.data());
-    }
-
-    /// Satellite: the sharded backend is bit-identical to the
-    /// reference backend for every kernel a solver reaches, across
-    /// shard counts {1,2,3,4}, banded and arrow-shaped matrices (arrow
-    /// = dense first row/column, so every shard reads halo columns from
-    /// every other shard), both reduction orders, and every
-    /// `MatrixStore` path — sharding decides who computes which rows,
-    /// never what any row's mul-add chain looks like.
-    #[test]
-    fn random_sharded_backend_parity(
-        n in 1usize..400,
-        k in 1usize..5,
-        salt in 0u64..1_000,
-        shards in 1usize..5,
-        arrow in 0usize..2,
-        block in 1usize..300,
-    ) {
-        let a = if arrow == 1 { arrow_matrix(n, salt) } else { banded_matrix(n, salt) };
-        let x = pseudo_vec(n, salt + 1);
-        let rhs = pseudo_vec(n, salt + 2);
-        let xm = pseudo_block(n, k, salt + 3);
-        let reference = ReferenceBackend;
-        let sharded = ShardedBackend::new(shards);
-        let sb: &dyn ScalarBackend<f64> = &sharded;
-
-        let (mut ya, mut yb) = (vec![0.0; n], vec![0.0; n]);
-        ScalarBackend::<f64>::spmv(&reference, &a, &x, &mut ya);
-        sb.spmv(&a, &x, &mut yb);
-        for (p, q) in ya.iter().zip(&yb) {
-            prop_assert_eq!(p.to_bits(), q.to_bits(), "spmv @ {} shards", shards);
-        }
-
-        let (mut ra, mut rb) = (vec![0.0; n], vec![0.0; n]);
-        ScalarBackend::<f64>::residual(&reference, &a, &rhs, &x, &mut ra);
-        sb.residual(&a, &rhs, &x, &mut rb);
-        for (p, q) in ra.iter().zip(&rb) {
-            prop_assert_eq!(p.to_bits(), q.to_bits(), "residual @ {} shards", shards);
-        }
-
-        let (mut ma, mut mb) = (MultiVec::<f64>::zeros(n, k), MultiVec::<f64>::zeros(n, k));
-        ScalarBackend::<f64>::spmm(&reference, &a, &xm, k, &mut ma);
-        sb.spmm(&a, &xm, k, &mut mb);
-        prop_assert_eq!(ma.data(), mb.data(), "spmm @ {} shards", shards);
-
-        for order in [ReductionOrder::Sequential, ReductionOrder::BlockedTree { block }] {
-            let d_ref = ScalarBackend::<f64>::dot(&reference, &x, &rhs, order);
-            let d_sh = sb.dot(&x, &rhs, order);
-            prop_assert_eq!(d_ref.to_bits(), d_sh.to_bits(), "dot @ {} shards", shards);
-            let n_ref = ScalarBackend::<f64>::norm2(&reference, &x, order);
-            let n_sh = sb.norm2(&x, order);
-            prop_assert_eq!(n_ref.to_bits(), n_sh.to_bits(), "norm2 @ {} shards", shards);
-
-            let mut v = MultiVector::<f64>::zeros(n, k);
-            for j in 0..k {
-                let c = pseudo_vec(n, salt + 20 + j as u64);
-                v.col_mut(j).copy_from_slice(&c);
-            }
-            let (mut ha, mut hb) = (vec![0.0; k], vec![0.0; k]);
-            ScalarBackend::<f64>::gemv_t(&reference, &v, k, &x, &mut ha, order);
-            sb.gemv_t(&v, k, &x, &mut hb, order);
-            for (p, q) in ha.iter().zip(&hb) {
-                prop_assert_eq!(p.to_bits(), q.to_bits(), "gemv_t @ {} shards", shards);
-            }
-        }
-
-        let (mut pa, mut pb) = (rhs.clone(), rhs.clone());
-        ScalarBackend::<f64>::axpy(&reference, 1.25, &x, &mut pa);
-        sb.axpy(1.25, &x, &mut pb);
-        prop_assert_eq!(&pa, &pb);
-        ScalarBackend::<f64>::scal(&reference, 0.75, &mut pa);
-        sb.scal(0.75, &mut pb);
-        prop_assert_eq!(&pa, &pb);
-
-        for (name, store) in store_variants(&a) {
-            let (mut sa, mut sbv) = (vec![0.0; n], vec![0.0; n]);
-            ScalarBackend::<f64>::store_spmv(&reference, &store, &x, &mut sa);
-            sb.store_spmv(&store, &x, &mut sbv);
-            for (p, q) in sa.iter().zip(&sbv) {
-                prop_assert_eq!(p.to_bits(), q.to_bits(), "{} store_spmv @ {} shards", name, shards);
-            }
-            let (mut qa, mut qb) = (vec![0.0; n], vec![0.0; n]);
-            ScalarBackend::<f64>::store_residual(&reference, &store, &rhs, &x, &mut qa);
-            sb.store_residual(&store, &rhs, &x, &mut qb);
-            for (p, q) in qa.iter().zip(&qb) {
-                prop_assert_eq!(p.to_bits(), q.to_bits(), "{} store_residual @ {} shards", name, shards);
-            }
-            let (mut wa, mut wb) = (MultiVec::<f64>::zeros(n, k), MultiVec::<f64>::zeros(n, k));
-            ScalarBackend::<f64>::store_spmm(&reference, &store, &xm, k, &mut wa);
-            sb.store_spmm(&store, &xm, k, &mut wb);
-            prop_assert_eq!(wa.data(), wb.data(), "{} store_spmm @ {} shards", name, shards);
-        }
     }
 
     /// Backend kinds produced by the selector behave identically to the

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <id>... [--scale F] [--paper-scale] [--quick] [--out DIR]
-//!                     [--backend reference|parallel|parallel-nnz|sharded:N] [--rhs-block K]
+//!                     [--backend reference|parallel|parallel-nnz] [--rhs-block K]
 //!                     [--precision native|fp32|fp16|split:T] [--basis native|fp32|fp16]
 //!
 //! ids: fig1 fig2 fig3 fig4_table1 fig5 fig6 fig7 vd_model table2 fig8
@@ -48,7 +48,7 @@ const ALL_IDS: [&str; 10] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <id>... [--scale F] [--paper-scale] [--quick] [--out DIR] \
-         [--backend reference|parallel|parallel-nnz|sharded:N] [--rhs-block K] \
+         [--backend reference|parallel|parallel-nnz] [--rhs-block K] \
          [--precision native|fp32|fp16|split:T] [--basis native|fp32|fp16]\n\
          ids: {} multirhs multiprec serving compbasis all",
         ALL_IDS.join(" ")

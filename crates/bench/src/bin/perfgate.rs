@@ -1,10 +1,9 @@
 //! CI perf-trajectory gate: collect the fast-bench artifacts
 //! (`results/stream.json`, `results/multirhs.json`,
 //! `results/pipeline.json`, `results/precision.json`,
-//! `results/serving.json`, `results/sharding.json`,
-//! `results/basis.json`) into one schema-stable, git-SHA-stamped
-//! `results/BENCH_ci.json`, and FAIL the job when a load-bearing perf
-//! property regresses:
+//! `results/serving.json`, `results/basis.json`) into one
+//! schema-stable, git-SHA-stamped `results/BENCH_ci.json`, and FAIL the
+//! job when a load-bearing perf property regresses:
 //!
 //! - the software-pipelined `BlockGmres` overlap ratio must stay
 //!   strictly below the lockstep baseline (and the pipelined runs must
@@ -23,10 +22,6 @@
 //!   a one-shot solve of the same request (the single-RHS `Gmres`
 //!   front; the test suites hold that driver to an independent
 //!   textbook oracle);
-//! - the sharded backend's charged halo traffic must match the
-//!   machine-independent analytic model exactly, the per-shard pieces
-//!   must overlap (critical/serial < 1.0 at >= 2 shards), and every
-//!   sharded solution must stay bit-identical to the reference backend;
 //! - the compressed Krylov basis's charged GEMV bytes must match the
 //!   machine-independent analytic `ncols x n x elem_bytes +
 //!   streams x n x work_bytes` model exactly, the pinned fp32/fp64
@@ -56,8 +51,8 @@
 //! become one machine-readable, diffable file.
 //!
 //! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (which trips both
-//! pipeline gates), or `precision`, `serving`, `sharding`, `basis`,
-//! `qos` or `pool`, to deliberately
+//! pipeline gates), or `precision`, `serving`, `basis`, `qos` or
+//! `pool`, to deliberately
 //! corrupt the gated value before checking: CI runs this
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
@@ -133,7 +128,6 @@ fn main() {
     let pipeline = read("pipeline.json");
     let precision = read("precision.json");
     let serving = read("serving.json");
-    let sharding = read("sharding.json");
     let basis = read("basis.json");
     // The committed per-SHA baseline (this very artifact, from the last
     // PR that refreshed it). Read BEFORE the overwrite below.
@@ -218,27 +212,6 @@ fn main() {
         name: "serving_parity",
         ok: serving_parity,
         detail: format!("parity {serving_parity}"),
-    };
-
-    // --- gate 5: sharded halo model + overlap --------------------------
-    let mut halo_model_error = extract_number(&sharding, "sharding_halo_model_error")
-        .expect("sharding.json halo model error");
-    let sharding_overlap =
-        extract_number(&sharding, "sharding_overlap_ratio").expect("sharding.json overlap");
-    if inject == "sharding" {
-        println!("perfgate: INJECTING sharded halo-model regression (error = 0.5)");
-        halo_model_error = 0.5;
-    }
-    let sharding_parity = extract_bool(&sharding, "sharding_parity_ok").unwrap_or(false);
-    // The halo traffic model is pure accounting (no wall clock), so it
-    // hard-gates at zero error on any machine.
-    let g5 = Gate {
-        name: "sharded_halo_model_and_overlap",
-        ok: halo_model_error < 1e-9 && sharding_overlap < 1.0 && sharding_parity,
-        detail: format!(
-            "halo model error {halo_model_error:.2e}, overlap {sharding_overlap:.6}, \
-             parity {sharding_parity}"
-        ),
     };
 
     // --- gate 6: compressed-basis byte model + end-to-end paths ------
@@ -338,7 +311,6 @@ fn main() {
         "serving_p50_seconds",
         "serving_p99_seconds",
         "serving_occupancy",
-        "sharding_overlap_ratio",
         "basis_fp32_fp64_byte_ratio",
         "serving_qos_fifo_p99_seconds",
         "serving_qos_edf_p99_seconds",
@@ -347,9 +319,7 @@ fn main() {
     // Same artifact order as the combined file, so a key present in
     // several documents resolves identically in baseline and current.
     let current_of = |key: &str| -> Option<f64> {
-        for doc in [
-            &stream, &multirhs, &pipeline, &precision, &serving, &sharding, &basis,
-        ] {
+        for doc in [&stream, &multirhs, &pipeline, &precision, &serving, &basis] {
             if let Some(v) = extract_number(doc, key) {
                 return Some(v);
             }
@@ -404,7 +374,7 @@ fn main() {
         },
     };
 
-    let gates = [g1, g2, g3, g4, g5, g6, g7, g8, g9, g10];
+    let gates = [g1, g2, g3, g4, g6, g7, g8, g9, g10];
     let mut ok = true;
     for g in &gates {
         println!(
@@ -429,7 +399,7 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 9,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"sharding\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 10,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),
@@ -439,7 +409,6 @@ fn main() {
         pipeline.trim(),
         precision.trim(),
         serving.trim(),
-        sharding.trim(),
         basis.trim(),
     );
     let out = if inject.is_empty() {

@@ -31,9 +31,7 @@ fn main() {
     let mut backend = BackendKind::default();
     if let Some(pos) = args.iter().position(|a| a == "--backend") {
         let Some(name) = args.get(pos + 1) else {
-            eprintln!(
-                "probe: --backend requires a value (reference|parallel|parallel-nnz|sharded:N)"
-            );
+            eprintln!("probe: --backend requires a value (reference|parallel|parallel-nnz)");
             std::process::exit(2);
         };
         backend = name.parse().unwrap_or_else(|e| {

@@ -20,16 +20,6 @@ use mpgmres_backend::{Backend, BackendKind};
 use mpgmres_gpusim::{analytic, cost, DeviceModel, KernelClass, Profiler, TimingReport};
 use mpgmres_la::csr::Csr;
 use mpgmres_la::raw::BufferArena;
-use mpgmres_la::shard::{ShardPlan, ShardPlanCache};
-
-/// Which matrix-op shape a sharded compute piece prices as (see
-/// [`GpuContext::sharded_piece_spec`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ShardedMatOp {
-    Spmv,
-    Residual,
-    Spmm,
-}
 use mpgmres_la::stats::MatrixStats;
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::ReductionOrder;
@@ -216,15 +206,6 @@ pub struct GpuContext {
     backend: Arc<dyn Backend>,
     streaming: bool,
     scratch: StreamScratch,
-    /// Shard plans of matrices run under a sharded backend (structure
-    /// keyed, so warm regions reuse them).
-    shard_plans: ShardPlanCache,
-    /// Reusable halo-exchange scratch buffers (u64-aligned so one pool
-    /// serves every precision). Boxes never move once handed out, and
-    /// `halo_used` rewinds at every region start, so warm sharded
-    /// regions allocate nothing.
-    halo_pool: Vec<Box<[u64]>>,
-    halo_used: usize,
 }
 
 impl GpuContext {
@@ -258,9 +239,6 @@ impl GpuContext {
             backend,
             streaming: true,
             scratch: StreamScratch::default(),
-            shard_plans: ShardPlanCache::new(),
-            halo_pool: Vec::new(),
-            halo_used: 0,
         }
     }
 
@@ -370,7 +348,6 @@ impl GpuContext {
     pub(crate) fn scratch_reset(&mut self) {
         self.scratch.arena.clear();
         self.scratch.graph.clear();
-        self.halo_used = 0;
     }
 
     // ----- cost specs -------------------------------------------------
@@ -455,82 +432,6 @@ impl GpuContext {
             S::PRECISION,
         ) + (k - 1) * 2 * a.n() * S::BYTES;
         (t, bytes)
-    }
-
-    // ----- sharded matrix-op plumbing --------------------------------
-    //
-    // Under a sharded backend every matrix op decomposes into per-shard
-    // pieces: a halo exchange (remote x-entries the shard's boundary
-    // rows read), an interior kernel over rows touching only owned
-    // columns, and a boundary kernel gated on the exchange. The one
-    // piece walk is `Stream::record_sharded_matvec`; eager streams
-    // charge its pieces as a serial chain, so both modes charge the
-    // same sequence.
-
-    /// The shard plan for `a` under the current backend, or `None` when
-    /// the backend is unsharded (every op then takes the plain path).
-    pub(crate) fn shard_plan_for<S: Scalar>(&self, a: &GpuMatrix<S>) -> Option<Arc<ShardPlan>> {
-        let shards = self.backend.shard_count();
-        if shards <= 1 {
-            return None;
-        }
-        Some(self.shard_plans.get(a.csr(), shards))
-    }
-
-    /// Register a halo scratch buffer of `elems` elements of `S` in the
-    /// recording arena, backed by the context's reusable pool (warm
-    /// regions allocate nothing; `scratch_reset` rewinds the cursor).
-    pub(crate) fn register_halo<S: Scalar>(&mut self, elems: usize) -> u32 {
-        let words = (elems * core::mem::size_of::<S>()).div_ceil(8).max(1);
-        if self.halo_used == self.halo_pool.len() {
-            self.halo_pool.push(vec![0u64; words].into_boxed_slice());
-        } else if self.halo_pool[self.halo_used].len() < words {
-            self.halo_pool[self.halo_used] = vec![0u64; words].into_boxed_slice();
-        }
-        let ptr = self.halo_pool[self.halo_used].as_mut_ptr().cast::<S>();
-        self.halo_used += 1;
-        // SAFETY: the pool box outlives the region (boxes are only
-        // replaced when too small, before registration), is u64-aligned
-        // (covers every scalar), and holds >= `elems` elements of `S`.
-        unsafe { self.scratch.arena.register_slice_mut(ptr, elems) }
-    }
-
-    /// Halo exchange piece: `(time, bytes)` for shipping `halo_elems`
-    /// owned x-entries times `k` right-hand-side columns.
-    pub(crate) fn halo_spec<S: Scalar>(&self, halo_elems: usize, k: usize) -> (f64, usize) {
-        let bytes = mpgmres_gpusim::analytic::halo_bytes(halo_elems, k, S::BYTES);
-        (cost::halo_time(&self.device, bytes), bytes)
-    }
-
-    /// Compute piece of a sharded matrix op: a row-range of `a` with
-    /// `rows` rows and `nnz` nonzeros, priced with the same model as the
-    /// whole-matrix specs (full-matrix bandwidth; the row block inherits
-    /// the parent's banded/scattered classification per-piece).
-    pub(crate) fn sharded_piece_spec<S: Scalar>(
-        &self,
-        a: &GpuMatrix<S>,
-        rows: usize,
-        nnz: usize,
-        k: usize,
-        op: ShardedMatOp,
-    ) -> (f64, usize) {
-        let bw = a.bandwidth();
-        let base =
-            mpgmres_gpusim::analytic::spmv_traffic_bytes(&self.device, rows, nnz, bw, S::PRECISION);
-        match op {
-            ShardedMatOp::Spmv => (
-                cost::spmv_time(&self.device, rows, nnz, bw, S::PRECISION),
-                base,
-            ),
-            ShardedMatOp::Residual => (
-                cost::residual_time(&self.device, rows, nnz, bw, S::PRECISION),
-                base + rows * S::BYTES,
-            ),
-            ShardedMatOp::Spmm => (
-                cost::spmm_time(&self.device, rows, nnz, bw, k, S::PRECISION),
-                base + (k - 1) * 2 * rows * S::BYTES,
-            ),
-        }
     }
 
     /// Batched dense triangular solves of block Jacobi: `n / bs` blocks

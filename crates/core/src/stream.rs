@@ -64,10 +64,9 @@ use mpgmres_la::basis::BasisStore;
 use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::raw::BufferArena;
-use mpgmres_la::shard::{self, ShardPlan};
 use mpgmres_scalar::{Precision, Scalar};
 
-use crate::context::{GpuContext, GpuMatrix, GpuStore, ShardedMatOp};
+use crate::context::{GpuContext, GpuMatrix, GpuStore};
 
 /// Region ids. Kept only for the standalone `perfbench/` benchmark,
 /// which still names its region through [`RegionKey`].
@@ -783,19 +782,6 @@ impl<'c> Stream<'c> {
         let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
         Self::assert_matvec("spmv", (am.n(), am.csr().ncols()), x.len, y.len);
         Self::assert_noalias("spmv", &[x.span()], &[y.span()]);
-        if let Some(plan) = self.ctx.shard_plan_for(am) {
-            self.record_sharded_matvec::<S>(
-                KernelClass::SpMV,
-                ShardedMatOp::Spmv,
-                &plan,
-                am,
-                None,
-                (x.buf, x.off, 0),
-                (y.buf, y.off, 0),
-                1,
-            );
-            return;
-        }
         let (t, bytes) = self.ctx.spmv_spec::<S>(am);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("spmv", &[x.span()], &[y.span()], charge, |b, arena| {
@@ -839,247 +825,6 @@ impl<'c> Stream<'c> {
         );
     }
 
-    /// Expand one matrix op over a sharded backend into per-shard op
-    /// chains: an optional halo exchange (the remote x-entries the
-    /// shard's boundary rows read, copied into pooled scratch and
-    /// charged as [`KernelClass::Halo`] interconnect traffic), an
-    /// interior kernel over rows reading only owned columns (no edge to
-    /// the exchange — it overlaps the comm on the timeline), and a
-    /// boundary kernel gated on the halo buffer by a real RAW span
-    /// dependency. This is the only sharded piece walk: an eager stream
-    /// charges the pieces as a serial chain, a recording one lets them
-    /// overlap, since every node declares exact element spans.
-    ///
-    /// `x`/`y` are `(buffer, base element offset, column stride)` —
-    /// stride 0 for single vectors, the block's row count for
-    /// multi-RHS ops addressed column-wise. `b` is the residual
-    /// right-hand side (single-vector ops only).
-    #[allow(clippy::too_many_arguments)]
-    fn record_sharded_matvec<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        op: ShardedMatOp,
-        plan: &ShardPlan,
-        am: &GpuMatrix<S>,
-        b: Option<(u32, u32)>,
-        x: (u32, u32, u32),
-        y: (u32, u32, u32),
-        k: usize,
-    ) {
-        let row_ptr = am.csr().row_ptr();
-        let kk = u32::try_from(k).expect("sharded: block width");
-        let (xb, xo, xs) = x;
-        let (yb, yo, ys) = y;
-        let (bb, bo) = b.unwrap_or((0, 0));
-        let residual = op == ShardedMatOp::Residual;
-        let span32 = |v: usize| u32::try_from(v).expect("sharded: span bound");
-        for region in &plan.regions {
-            if region.rows() == 0 {
-                continue;
-            }
-            let (lo, hi, ilo, ihi) = (region.lo, region.hi, region.ilo, region.ihi);
-            let hl = region.halo_len();
-            let halo_id = if hl > 0 {
-                self.ctx.register_halo::<S>(hl * k)
-            } else {
-                0
-            };
-            let halo_span = Span::elems(halo_id, 0, span32(hl * k), S::BYTES);
-            if hl > 0 {
-                let (t, bytes) = self.ctx.halo_spec::<S>(hl, k);
-                let mut reads = Vec::with_capacity(k * region.halo_spans.len());
-                for j in 0..kk {
-                    for sp in &region.halo_spans {
-                        reads.push(Span::elems(
-                            xb,
-                            xo + j * xs + span32(sp.col),
-                            span32(sp.len),
-                            S::BYTES,
-                        ));
-                    }
-                }
-                let charge = Some((KernelClass::Halo, t, bytes));
-                self.record("shard_halo", &reads, &[halo_span], charge, |_, arena| {
-                    // SAFETY: arena contract (see `Stream::record`); the
-                    // copies materialize exactly the declared per-span x
-                    // reads and the halo write span.
-                    unsafe {
-                        let halo = arena.slice_mut::<S>(halo_id, 0, (hl * k) as u32);
-                        for j in 0..k {
-                            let base = xo + (j * xs as usize) as u32;
-                            let hj = &mut halo[j * hl..(j + 1) * hl];
-                            for sp in &region.halo_spans {
-                                let src = arena.slice::<S>(xb, base + sp.col as u32, sp.len as u32);
-                                hj[sp.dst..sp.dst + sp.len].copy_from_slice(src);
-                            }
-                        }
-                    }
-                });
-            }
-            // Per-column owned-x read spans, shared by both kernels.
-            let x_reads: Vec<Span> = (0..kk)
-                .map(|j| Span::elems(xb, xo + j * xs + span32(lo), span32(hi - lo), S::BYTES))
-                .collect();
-            if ihi > ilo {
-                let nnz = row_ptr[ihi] - row_ptr[ilo];
-                let (t, bytes) = self.ctx.sharded_piece_spec::<S>(am, ihi - ilo, nnz, k, op);
-                let mut reads = x_reads.clone();
-                if residual {
-                    reads.push(Span::elems(
-                        bb,
-                        bo + span32(ilo),
-                        span32(ihi - ilo),
-                        S::BYTES,
-                    ));
-                }
-                let writes: Vec<Span> = (0..kk)
-                    .map(|j| {
-                        Span::elems(yb, yo + j * ys + span32(ilo), span32(ihi - ilo), S::BYTES)
-                    })
-                    .collect();
-                let charge = Some((class, t, bytes));
-                self.record("shard_interior", &reads, &writes, charge, |_, arena| {
-                    // SAFETY: arena contract (see `Stream::record`);
-                    // per-column views match the declared owned-x (and
-                    // b) read spans and interior-row write spans.
-                    unsafe {
-                        for j in 0..k {
-                            let x_owned = arena.slice::<S>(
-                                xb,
-                                xo + (j * xs as usize + lo) as u32,
-                                (hi - lo) as u32,
-                            );
-                            let yj = arena.slice_mut::<S>(
-                                yb,
-                                yo + (j * ys as usize + ilo) as u32,
-                                (ihi - ilo) as u32,
-                            );
-                            if residual {
-                                let b_rows =
-                                    arena.slice::<S>(bb, bo + ilo as u32, (ihi - ilo) as u32);
-                                shard::residual_rows_local(
-                                    am.csr(),
-                                    ilo,
-                                    ihi,
-                                    lo,
-                                    b_rows,
-                                    x_owned,
-                                    yj,
-                                );
-                            } else {
-                                shard::spmv_rows_local(am.csr(), ilo, ihi, lo, x_owned, yj);
-                            }
-                        }
-                    }
-                });
-            }
-            let brows = (ilo - lo) + (hi - ihi);
-            if brows > 0 {
-                let bnnz = (row_ptr[ilo] - row_ptr[lo]) + (row_ptr[hi] - row_ptr[ihi]);
-                let (t, bytes) = self.ctx.sharded_piece_spec::<S>(am, brows, bnnz, k, op);
-                let mut reads = x_reads;
-                if hl > 0 {
-                    reads.push(halo_span);
-                }
-                if residual {
-                    if ilo > lo {
-                        reads.push(Span::elems(bb, bo + span32(lo), span32(ilo - lo), S::BYTES));
-                    }
-                    if hi > ihi {
-                        reads.push(Span::elems(
-                            bb,
-                            bo + span32(ihi),
-                            span32(hi - ihi),
-                            S::BYTES,
-                        ));
-                    }
-                }
-                let mut writes = Vec::with_capacity(2 * k);
-                for j in 0..kk {
-                    if ilo > lo {
-                        writes.push(Span::elems(
-                            yb,
-                            yo + j * ys + span32(lo),
-                            span32(ilo - lo),
-                            S::BYTES,
-                        ));
-                    }
-                    if hi > ihi {
-                        writes.push(Span::elems(
-                            yb,
-                            yo + j * ys + span32(ihi),
-                            span32(hi - ihi),
-                            S::BYTES,
-                        ));
-                    }
-                }
-                let charge = Some((class, t, bytes));
-                self.record("shard_boundary", &reads, &writes, charge, |_, arena| {
-                    // SAFETY: arena contract (see `Stream::record`);
-                    // per-column views match the declared owned-x, halo
-                    // (and b) read spans and lead/trail write spans.
-                    unsafe {
-                        let halo_all: &[S] = if hl > 0 {
-                            arena.slice::<S>(halo_id, 0, (hl * k) as u32)
-                        } else {
-                            &[]
-                        };
-                        let pieces = [
-                            (lo, ilo, &region.ghost_lead),
-                            (ihi, hi, &region.ghost_trail),
-                        ];
-                        for j in 0..k {
-                            let x_owned = arena.slice::<S>(
-                                xb,
-                                xo + (j * xs as usize + lo) as u32,
-                                (hi - lo) as u32,
-                            );
-                            let halo = if hl > 0 {
-                                &halo_all[j * hl..(j + 1) * hl]
-                            } else {
-                                halo_all
-                            };
-                            for &(r0, r1, ghost) in &pieces {
-                                if r1 <= r0 {
-                                    continue;
-                                }
-                                let yj = arena.slice_mut::<S>(
-                                    yb,
-                                    yo + (j * ys as usize + r0) as u32,
-                                    (r1 - r0) as u32,
-                                );
-                                if residual {
-                                    let b_rows =
-                                        arena.slice::<S>(bb, bo + r0 as u32, (r1 - r0) as u32);
-                                    shard::residual_rows_ghost(
-                                        am.csr(),
-                                        r0,
-                                        r1,
-                                        ghost,
-                                        b_rows,
-                                        x_owned,
-                                        halo,
-                                        yj,
-                                    );
-                                } else {
-                                    shard::spmv_rows_ghost(
-                                        am.csr(),
-                                        r0,
-                                        r1,
-                                        ghost,
-                                        x_owned,
-                                        halo,
-                                        yj,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        }
-    }
-
     /// Record the fused residual `r = b - A x`, charged to `class`.
     pub fn residual_as<S: BackendScalar>(
         &mut self,
@@ -1094,19 +839,6 @@ impl<'c> Stream<'c> {
         Self::assert_matvec("residual", (am.n(), am.csr().ncols()), x.len, r.len);
         assert_eq!(b.len as usize, am.n(), "stream residual: b length");
         Self::assert_noalias("residual", &[b.span(), x.span()], &[r.span()]);
-        if let Some(plan) = self.ctx.shard_plan_for(am) {
-            self.record_sharded_matvec::<S>(
-                class,
-                ShardedMatOp::Residual,
-                &plan,
-                am,
-                Some((b.buf, b.off)),
-                (x.buf, x.off, 0),
-                (r.buf, r.off, 0),
-                1,
-            );
-            return;
-        }
         let (t, bytes) = self.ctx.residual_spec::<S>(am);
         let charge = Some((class, t, bytes));
         self.record(
@@ -1631,21 +1363,6 @@ impl<'c> Stream<'c> {
         let kk = u32::try_from(k).expect("block width");
         Self::assert_matmat("spmm", (am.n(), am.csr().ncols()), x, kk, y);
         Self::assert_noalias("spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
-        if let Some(plan) = self.ctx.shard_plan_for(am) {
-            // Column stride of a MultiVec is its row count; per-column
-            // element spans keep the per-shard hazard tracking exact.
-            self.record_sharded_matvec::<S>(
-                KernelClass::SpMV,
-                ShardedMatOp::Spmm,
-                &plan,
-                am,
-                None,
-                (x.id, 0, x.n),
-                (y.id, 0, y.n),
-                k,
-            );
-            return;
-        }
         let (t, bytes) = self.ctx.spmm_spec::<S>(am, k);
         let charge = Some((KernelClass::SpMV, t, bytes));
         let reads = [Span::whole(x.id)];
@@ -2091,168 +1808,6 @@ mod tests {
         assert_eq!(t_r.to_bits(), t_e.to_bits());
         // The two residual columns overlap on the recorded timeline.
         assert!(c_r < t_r, "independent columns must overlap: {c_r} {t_r}");
-    }
-
-    // ----- sharded-backend recording ---------------------------------
-
-    fn laplacian(n: usize) -> GpuMatrix<f64> {
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0);
-            if i > 0 {
-                coo.push(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0);
-            }
-        }
-        GpuMatrix::new(coo.into_csr())
-    }
-
-    /// One spmv + residual region under every shard count must be
-    /// bit-identical to the reference backend; at >= 2 shards the
-    /// per-shard pieces (and the halo exchange behind the interior
-    /// kernels) must overlap on the timeline, and the Halo class must
-    /// carry the interconnect traffic.
-    #[test]
-    fn sharded_region_matches_reference_and_overlaps() {
-        use mpgmres_backend::BackendKind;
-        let n = 64;
-        let a = laplacian(n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-        let run = |kind: BackendKind, streaming: bool| {
-            let mut ctx = GpuContext::with_backend_kind(
-                DeviceModel::v100_belos(),
-                ReductionOrder::Sequential,
-                kind,
-            );
-            ctx.set_streaming(streaming);
-            let mut y = vec![0.0f64; n];
-            let mut r = vec![0.0f64; n];
-            {
-                let mut st = ctx.stream();
-                let ah = st.matrix(&a);
-                let xh = st.slice(&x);
-                let bh = st.slice(&b);
-                let yh = st.slice_mut(&mut y);
-                let rh = st.slice_mut(&mut r);
-                st.spmv(ah, xh, yh);
-                st.residual_as(KernelClass::ResidualHi, ah, bh, yh.read(), rh);
-                st.sync();
-            }
-            let halo = ctx.profiler().class_stats(KernelClass::Halo);
-            (y, r, ctx.elapsed(), ctx.profiler().critical_seconds(), halo)
-        };
-        let (y_ref, r_ref, _, _, halo_ref) = run(BackendKind::Reference, true);
-        assert_eq!(halo_ref.bytes, 0, "reference backend must not touch Halo");
-        for shards in [1usize, 2, 3, 4] {
-            let (y_s, r_s, serial, critical, halo) = run(BackendKind::Sharded { shards }, true);
-            for (p, q) in y_s.iter().zip(&y_ref) {
-                assert_eq!(p.to_bits(), q.to_bits(), "spmv parity at {shards} shards");
-            }
-            for (p, q) in r_s.iter().zip(&r_ref) {
-                assert_eq!(
-                    p.to_bits(),
-                    q.to_bits(),
-                    "residual parity at {shards} shards"
-                );
-            }
-            if shards >= 2 {
-                assert!(
-                    critical < serial,
-                    "{shards} shards must overlap: {critical} !< {serial}"
-                );
-                assert!(halo.bytes > 0, "halo traffic must be charged");
-            }
-        }
-        // Eager and recorded sharded runs charge the same decomposed
-        // piece sequence — serial totals agree bit-for-bit — and the
-        // eager pieces, charged one after another, stay a chain.
-        let (y_rec, _, t_rec, _, halo_rec) = run(BackendKind::Sharded { shards: 3 }, true);
-        let (y_eag, _, t_eag, c_eag, halo_eag) = run(BackendKind::Sharded { shards: 3 }, false);
-        assert_eq!(y_rec, y_eag);
-        assert_eq!(t_rec.to_bits(), t_eag.to_bits());
-        assert_eq!(c_eag.to_bits(), t_eag.to_bits());
-        assert_eq!(halo_rec.bytes, halo_eag.bytes);
-    }
-
-    /// Repeated sharded regions on one context (the halo scratch comes
-    /// from the context's pool after the first) charge and compute
-    /// bit-identically every pass.
-    #[test]
-    fn repeated_sharded_regions_are_bit_identical() {
-        use mpgmres_backend::BackendKind;
-        let n = 48;
-        let a = laplacian(n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
-        let mut ctx = GpuContext::with_backend_kind(
-            DeviceModel::v100_belos(),
-            ReductionOrder::Sequential,
-            BackendKind::Sharded { shards: 3 },
-        );
-        let mut passes = Vec::new();
-        for _ in 0..3 {
-            ctx.reset_profile();
-            let mut y = vec![0.0f64; n];
-            {
-                let mut st = ctx.stream();
-                let ah = st.matrix(&a);
-                let xh = st.slice(&x);
-                let yh = st.slice_mut(&mut y);
-                st.spmv(ah, xh, yh);
-                st.sync();
-            }
-            passes.push((y, ctx.elapsed(), ctx.profiler().critical_seconds()));
-        }
-        for (y, serial, critical) in &passes[1..] {
-            assert_eq!(y, &passes[0].0);
-            assert_eq!(serial.to_bits(), passes[0].1.to_bits());
-            assert_eq!(critical.to_bits(), passes[0].2.to_bits());
-        }
-    }
-
-    /// Sharded SpMM: per-column per-shard spans, bit-identical to the
-    /// reference whole-block op, with halo traffic scaled by the block
-    /// width.
-    #[test]
-    fn sharded_spmm_matches_reference_bitwise() {
-        use mpgmres_backend::BackendKind;
-        let n = 40;
-        let k = 3;
-        let a = laplacian(n);
-        let cols: Vec<Vec<f64>> = (0..k)
-            .map(|c| (0..n).map(|i| ((i + c) as f64 * 0.21).cos()).collect())
-            .collect();
-        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let run = |kind: BackendKind| {
-            let mut ctx = GpuContext::with_backend_kind(
-                DeviceModel::v100_belos(),
-                ReductionOrder::Sequential,
-                kind,
-            );
-            let x = MultiVec::from_columns(&col_refs);
-            let mut y = MultiVec::<f64>::zeros(n, k);
-            {
-                let mut st = ctx.stream();
-                let ah = st.matrix(&a);
-                let xh = st.block(&x);
-                let yh = st.block_mut(&mut y);
-                st.spmm(ah, xh, k, yh);
-                st.sync();
-            }
-            let halo = ctx.profiler().class_stats(KernelClass::Halo);
-            (y, halo)
-        };
-        let (y_ref, _) = run(BackendKind::Reference);
-        let (y_one, halo_one) = run(BackendKind::Sharded { shards: 2 });
-        assert_eq!(y_ref.data(), y_one.data());
-        let (y_more, halo_more) = run(BackendKind::Sharded { shards: 4 });
-        assert_eq!(y_ref.data(), y_more.data());
-        // Block width multiplies the exchanged bytes; more shards cut
-        // more boundaries.
-        assert!(halo_one.bytes > 0);
-        assert!(halo_more.bytes > halo_one.bytes);
     }
 
     // ----- shape checks ------------------------------------------------

@@ -118,15 +118,6 @@ pub fn basis_gemv_traffic_bytes(
     ncols * n * elem_bytes + vec_streams * n * work_p.bytes()
 }
 
-/// Interconnect traffic in bytes for one halo exchange of a row-sharded
-/// SpMV/SpMM: `halo_elems` remote x-entries per right-hand-side column,
-/// `k` columns, `elem_bytes` per value. Machine-independent (no device
-/// parameter): the sharding perf gate checks the simulator's charged
-/// halo bytes against this form exactly, on any host.
-pub fn halo_bytes(halo_elems: usize, k: usize, elem_bytes: usize) -> usize {
-    halo_elems * k * elem_bytes
-}
-
 /// The paper's idealized fp64 traffic: `20 w n` bytes (no x reuse, row
 /// pointers and y stores ignored).
 pub fn paper_fp64_traffic(n: usize, w: f64) -> f64 {

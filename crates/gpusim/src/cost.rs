@@ -299,15 +299,6 @@ pub fn cast_host_time(dev: &DeviceModel, n: usize, from: Precision, to: Precisio
     2.0 * dev.host_sync + bytes / dev.pcie_bw
 }
 
-/// Inter-shard halo exchange: ship `bytes` of owned x-entries to a
-/// neighboring shard's halo buffer before its boundary rows may
-/// compute. The device's PCIe link doubles as the shard interconnect
-/// (the paper's multi-GPU outlook shares data over the host bus), plus
-/// one launch overhead for the gather kernel on the sending side.
-pub fn halo_time(dev: &DeviceModel, bytes: usize) -> f64 {
-    dev.launch_overhead + bytes as f64 / dev.pcie_bw
-}
-
 /// Host-side dense flops (least-squares solve, Givens updates).
 pub fn host_dense_time(dev: &DeviceModel, flops: usize) -> f64 {
     dev.host_flop * flops as f64

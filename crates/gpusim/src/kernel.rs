@@ -34,15 +34,11 @@ pub enum KernelClass {
     /// The paper accounts this under "Other" (Fig. 4 caption), separate
     /// from the solver's own SpMV bar, so it gets its own class.
     ResidualHi,
-    /// Inter-shard halo exchange of a row-sharded SpMV/SpMM: the owned
-    /// x-entries a neighboring shard's boundary rows read, shipped over
-    /// the interconnect before the boundary kernel may start.
-    Halo,
 }
 
 impl KernelClass {
     /// All classes (reporting order).
-    pub const ALL: [KernelClass; 12] = [
+    pub const ALL: [KernelClass; 11] = [
         KernelClass::GemvT,
         KernelClass::Norm,
         KernelClass::GemvN,
@@ -54,7 +50,6 @@ impl KernelClass {
         KernelClass::CastHost,
         KernelClass::HostDense,
         KernelClass::ResidualHi,
-        KernelClass::Halo,
     ];
 
     /// Map onto the paper's five reporting categories.
@@ -83,7 +78,6 @@ impl core::fmt::Display for KernelClass {
             KernelClass::CastHost => "Cast(host)",
             KernelClass::HostDense => "HostDense",
             KernelClass::ResidualHi => "Residual(hi)",
-            KernelClass::Halo => "Halo",
         };
         f.write_str(s)
     }
@@ -168,7 +162,7 @@ mod tests {
 
     #[test]
     fn all_kernel_classes_covered() {
-        assert_eq!(KernelClass::ALL.len(), 12);
+        assert_eq!(KernelClass::ALL.len(), 11);
         for k in KernelClass::ALL {
             let _ = k.paper_category();
         }

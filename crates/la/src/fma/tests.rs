@@ -27,7 +27,6 @@ use crate::multivector::MultiVector;
 use crate::par;
 use crate::pool::ScopedSpawn;
 use crate::pool::WorkerPool;
-use crate::shard::{self, ShardPlan};
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder};
 
@@ -382,52 +381,6 @@ fn gemv_cols<S: Elem>(cols: usize) {
     }
 }
 
-fn sharded<S: Elem>() {
-    let n = 61;
-    for specials in [false, true] {
-        let a = banded::<S>(n, specials);
-        let x = values::<S>(n, 4, specials);
-        let b = values::<S>(n, 5, specials);
-        let plan = ShardPlan::build(&a, 3);
-        let out = |len: usize, f: &dyn Fn(&mut [S])| {
-            let mut y = vec![S::zero(); len];
-            f(&mut y);
-            y
-        };
-        check("ShardPlan::spmv", || {
-            out(n, &|y| plan.spmv(&a, &x, y, &mut Vec::new()))
-        });
-        check("ShardPlan::residual", || {
-            out(n, &|y| plan.residual(&a, &b, &x, y, &mut Vec::new()))
-        });
-        let store = MatrixStore::split_threshold(&a, 0.5);
-        check("shard::store_spmv_rows", || {
-            out(20, &|y| shard::store_spmv_rows(&store, 10, 30, &x, y))
-        });
-        check("shard::store_residual_rows", || {
-            out(20, &|y| {
-                shard::store_residual_rows(&store, 10, 30, &b[10..30], &x, y)
-            })
-        });
-        check("shard::store_spmm_rows", || {
-            let (mut y0, mut y1) = (vec![S::zero(); 20], vec![S::zero(); 20]);
-            let mut out = [y0.as_mut_slice(), y1.as_mut_slice()];
-            shard::store_spmm_rows(&store, &[&x, &b], 10, 30, &mut out);
-            [y0, y1].concat()
-        });
-        check("shard::dot_partials", || {
-            let mut parts = Vec::new();
-            shard::dot_partials(&x, &b, 7, 10, 40, &mut parts);
-            parts
-        });
-        for order in ORDERS {
-            check("shard::dot_sharded", || {
-                vec![shard::dot_sharded(&x, &b, order, shard::even_ranges(n, 3))]
-            });
-        }
-    }
-}
-
 fn dense<S: Elem>() {
     let n = 16;
     for specials in [false, true] {
@@ -533,13 +486,6 @@ fn gemv_kernels_match_portable() {
 }
 
 #[test]
-fn sharded_kernels_match_portable() {
-    sharded::<f64>();
-    sharded::<f32>();
-    sharded::<Half>();
-}
-
-#[test]
 fn dense_kernels_match_portable() {
     dense::<f64>();
     dense::<f32>();
@@ -572,7 +518,7 @@ fn check_lanes(what: &str, kernel: impl Fn() -> Vec<f64>) {
 }
 
 /// Every entry point over blocked-tree partials, f64 lane kernel ==
-/// scalar body: dots, norms and shard partials, and GEMV-T (plain,
+/// scalar body: dots, norms, and GEMV-T (plain,
 /// native basis, serial, column- and block-split, and pooled runs that
 /// start at an odd block).
 #[test]
@@ -617,11 +563,6 @@ fn lanes_match_scalar_body() {
             });
             check_lanes(&format!("par::dot_on {tag}"), || {
                 vec![par::dot_split_on(&exec, &x, &y, order)]
-            });
-            check_lanes(&format!("shard::dot_partials {tag}"), || {
-                let mut parts = Vec::new();
-                shard::dot_partials(&x, &y, block, n / 3, n, &mut parts);
-                parts
             });
             for ncols in LANE_NCOLS {
                 let tag = format!("{tag} ncols={ncols}");

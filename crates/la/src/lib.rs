@@ -39,10 +39,6 @@
 //! - [`eig`] — Francis double-shift QR eigenvalues of real upper Hessenberg
 //!   matrices (harmonic Ritz values for the polynomial preconditioner).
 //! - [`rcm`] — reverse Cuthill-McKee reordering (paper §V-G).
-//! - [`shard`] — row-sharded SpMV plans: nnz-balanced row blocks,
-//!   owned/halo column classification, shard-local ghost kernels, and
-//!   cut-independent blocked dot partials (the substrate behind
-//!   `mpgmres-backend`'s `ShardedBackend`).
 //! - [`mtx`] — MatrixMarket coordinate IO.
 //! - [`stats`] — structural matrix statistics (bandwidth, nnz/row).
 
@@ -61,7 +57,6 @@ pub mod par;
 pub mod pool;
 pub mod raw;
 pub mod rcm;
-pub mod shard;
 pub(crate) mod simd;
 pub mod split_csr;
 pub mod stats;

@@ -5,8 +5,8 @@
 //! no code shared with the library. The kernels under test walk row
 //! slices, run reduction blocks and GEMV-T columns in lockstep, tile
 //! GEMV-N by rows, and factor LU blocks column by column; none of that
-//! may move a bit. Every public entry point is covered (plain, store and
-//! shard variants, serial and row-partitioned), in f64, f32 and `Half`.
+//! may move a bit. Every public entry point is covered (plain and store
+//! variants, serial and row-partitioned), in f64, f32 and `Half`.
 //!
 //! Shapes: `n` below one reduction block and not a multiple of 256;
 //! block sizes 1, 5, 37 and 256; 0 to 17 basis columns (every remainder
@@ -24,7 +24,6 @@ use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::par;
 use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
-use mpgmres_la::shard::{self, ShardPlan};
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::{cast, Half, Precision, Scalar};
@@ -322,17 +321,6 @@ fn sparse<S: Elem>() {
                 &out(&|y| par::residual_parts_on(&exec, &parts, &a, &b, &x, y)),
                 &want_res,
             );
-            let plan = ShardPlan::build(&a, 3);
-            same(
-                "ShardPlan::spmv",
-                &out(&|y| plan.spmv(&a, &x, y, &mut Vec::new())),
-                &want_spmv,
-            );
-            same(
-                "ShardPlan::residual",
-                &out(&|y| plan.residual(&a, &b, &x, y, &mut Vec::new())),
-                &want_res,
-            );
             for store in &stores(&a) {
                 let tag = store.tag();
                 let want_spmv = oracle_spmv(store, &x);
@@ -356,20 +344,6 @@ fn sparse<S: Elem>() {
                     &format!("par::store_residual_parts_on {tag}"),
                     &out(&|y| par::store_residual_parts_on(&exec, &parts, store, &b, &x, y)),
                     &want_res,
-                );
-                let (r0, r1) = (n / 3, n);
-                let mut y = vec![S::zero(); r1 - r0];
-                shard::store_spmv_rows(store, r0, r1, &x, &mut y);
-                same(
-                    &format!("shard::store_spmv_rows {tag}"),
-                    &y,
-                    &want_spmv[r0..r1],
-                );
-                shard::store_residual_rows(store, r0, r1, &b[r0..r1], &x, &mut y);
-                same(
-                    &format!("shard::store_residual_rows {tag}"),
-                    &y,
-                    &want_res[r0..r1],
                 );
             }
             spmm(&a, n, specials, &exec, &parts);
@@ -428,17 +402,6 @@ fn spmm<S: Elem>(
                 &run(&|ys| par::store_spmm_parts_on(exec, parts, store, &xs, k, ys)),
                 store,
             );
-            let (r0, r1) = (n / 3, n);
-            let mut ys: Vec<Vec<S>> = vec![vec![S::zero(); r1 - r0]; k];
-            let mut outs: Vec<&mut [S]> = ys.iter_mut().map(|y| y.as_mut_slice()).collect();
-            shard::store_spmm_rows(store, &refs, r0, r1, &mut outs);
-            for (j, xj) in refs.iter().enumerate() {
-                same(
-                    &format!("shard::store_spmm_rows {tag} k={k} col {j}"),
-                    &ys[j],
-                    &oracle_spmv(store, xj)[r0..r1],
-                );
-            }
         }
     }
 }
@@ -468,26 +431,6 @@ fn reductions<S: Elem>() {
                     &[par::dot_on(&exec, &x, &y, order)],
                     &[want],
                 );
-                same(
-                    &format!("shard::dot_sharded {tag}"),
-                    &[shard::dot_sharded(&x, &y, order, shard::even_ranges(n, 3))],
-                    &[want],
-                );
-            }
-            for block in BLOCKS {
-                // A cut inside a block and one on a block boundary.
-                for (c0, c1) in [(n / 3, n), (0, n / block * block)] {
-                    let mut got = Vec::new();
-                    shard::dot_partials(&x, &y, block, c0, c1, &mut got);
-                    let first = c0.div_ceil(block);
-                    let want = oracle_partials(&x, &y, block);
-                    let upto = c1.div_ceil(block).max(first);
-                    same(
-                        &format!("shard::dot_partials n={n} block={block} [{c0}, {c1})"),
-                        &got,
-                        &want[first..upto],
-                    );
-                }
             }
         }
     }
@@ -833,7 +776,7 @@ const LANE_NCOLS: [usize; 20] = [
 
 /// Every blocked-tree entry point at the lane kernel's shapes, in f64
 /// (the only precision it covers), against the oracles: dot, norm,
-/// pooled and sharded partials, and GEMV-T over every basis store,
+/// pooled partials, and GEMV-T over every basis store,
 /// serial, column- and block-split, on pools whose block runs start at
 /// odd blocks.
 fn lane_shapes() {
@@ -879,25 +822,8 @@ fn lane_shapes() {
                         "par::dot_split_on pooled",
                         par::dot_split_on(&pool, &x, &y, order),
                     ),
-                    (
-                        "shard::dot_sharded",
-                        shard::dot_sharded(&x, &y, order, shard::even_ranges(n, 3)),
-                    ),
                 ] {
                     same(&format!("{what} {tag}"), &[got], &[want]);
-                }
-                // Cuts at an odd block, inside a block, and at the end.
-                let all = oracle_partials(&x, &y, block);
-                for (c0, c1) in [(block, n), (n / 3, n), (0, n / block * block)] {
-                    let mut got = Vec::new();
-                    shard::dot_partials(&x, &y, block, c0, c1, &mut got);
-                    let first = c0.div_ceil(block);
-                    let upto = c1.div_ceil(block).max(first);
-                    same(
-                        &format!("shard::dot_partials {tag} [{c0}, {c1})"),
-                        &got,
-                        &all[first..upto],
-                    );
                 }
                 for v in &bases {
                     let p = v.storage_precision();
