@@ -23,7 +23,8 @@
 //! Backend trait object
 //!    ├── ReferenceBackend   sequential, bit-deterministic (mpgmres-la)
 //!    └── ParallelBackend    persistent pinned worker pool joined by the
-//!         calling thread, cached row/nnz partitions, fused SpMM
+//!         calling thread, matrix rows cut at nnz quantiles per call,
+//!         fused SpMM
 //! ```
 //!
 //! Every kernel runs through a *stream* (`GpuContext::stream`), which
@@ -65,8 +66,7 @@
 //! defense in depth for direct users of that crate.)
 
 use core::fmt;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
@@ -219,6 +219,12 @@ pub trait ScalarBackend<S: Scalar> {
         }
     }
 
+    /// `y = M^{-1} x` for packed block-diagonal LU factors (block
+    /// Jacobi's batched triangular solves).
+    fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
+        f.solve(x, y);
+    }
+
     // ----- low-precision storage-path kernels -------------------------
     //
     // SpMV/SpMM/residual over a [`MatrixStore`]: matrix values stream
@@ -228,12 +234,6 @@ pub trait ScalarBackend<S: Scalar> {
     // the same shared per-row kernels, so every backend is bit-identical
     // on every storage path by construction (the same contract as the
     // plain matrix kernels).
-
-    /// `y = M^{-1} x` for packed block-diagonal LU factors (block
-    /// Jacobi's batched triangular solves).
-    fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
-        f.solve(x, y);
-    }
 
     /// `y = A x` over a low-precision matrix store.
     fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
@@ -540,122 +540,23 @@ impl Backend for ReferenceBackend {
     }
 }
 
-/// Row-partitioning policy for the matrix kernels (SpMV/SpMM/residual).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Equal row counts per worker (default; right for uniform stencils).
-    #[default]
-    EvenRows,
-    /// Equal stored-nonzero counts per worker
-    /// ([`mpgmres_la::par::nnz_partition`]) — the work-balancing split
-    /// for skewed matrices (arrow heads, SuiteSparse surrogates).
-    NnzBalanced,
-}
-
-/// Memoized row partitions, keyed by `(rows, workers, nnz-salt)`.
-///
-/// `ParallelBackend` used to recompute the contiguous row split inside
-/// every kernel call; matrix dimensions are stable across the thousands
-/// of SpMV/SpMM calls of a solve, so the split is computed once per
-/// shape here and shared by all clones of the backend. The persistent
-/// worker pool pins job `i` of a cached partition to worker
-/// `i % threads`, so the same worker sees the same rows on every call.
-/// Even splits are keyed by shape alone; nnz-balanced splits add the
-/// matrix's nnz count to the key (two different matrices with identical
-/// `(rows, nnz)` would share a split, which can only cost balance, never
-/// correctness — partitioning only decides which worker computes which
-/// rows).
-#[derive(Debug, Default)]
-struct PartitionCache {
-    map: Mutex<HashMap<(usize, usize, u64), SharedPartition>>,
-}
-
-/// A cached `(start, end)` row split, shared across kernel calls.
-type SharedPartition = Arc<Vec<(usize, usize)>>;
-
-impl PartitionCache {
-    fn get_with<F: FnOnce() -> Vec<(usize, usize)>>(
-        &self,
-        key: (usize, usize, u64),
-        compute: F,
-    ) -> SharedPartition {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(key)
-            .or_insert_with(|| Arc::new(compute()))
-            .clone()
-    }
-
-    /// Whether a split is cached under `key` (test observability for
-    /// the inner-backend strategy plumbing).
-    #[cfg(test)]
-    fn contains(&self, key: (usize, usize, u64)) -> bool {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-    }
-}
-
-/// The cached row partition for a matrix under the given strategy and
-/// participant count.
-fn strategy_parts<S: Scalar>(
-    cache: &PartitionCache,
-    strategy: PartitionStrategy,
-    workers: usize,
-    a: &Csr<S>,
-) -> SharedPartition {
-    match strategy {
-        PartitionStrategy::EvenRows => cache.get_with((a.nrows(), workers, 0), || {
-            par::row_partition(a.nrows(), workers)
-        }),
-        PartitionStrategy::NnzBalanced => cache
-            .get_with((a.nrows(), workers, a.nnz() as u64), || {
-                par::nnz_partition(a, workers)
-            }),
-    }
-}
-
-/// The cached row partition for a [`MatrixStore`]. Single-bucket stores
-/// partition their one CSR under the configured strategy (nnz-balanced
-/// included — the shadow shares the original's sparsity, so its nnz
-/// profile is the same); a split store spans two CSR structures, so it
-/// falls back to the even-rows split (keyed like any even split — a
-/// plain matrix of the same shape shares it harmlessly).
-fn store_strategy_parts<S: Scalar>(
-    cache: &PartitionCache,
-    strategy: PartitionStrategy,
-    workers: usize,
-    a: &MatrixStore<S>,
-) -> SharedPartition {
-    match a {
-        MatrixStore::Plain(c) => strategy_parts(cache, strategy, workers, c),
-        MatrixStore::ShadowF32(c) => strategy_parts(cache, strategy, workers, c),
-        MatrixStore::ShadowF16(c) => strategy_parts(cache, strategy, workers, c),
-        MatrixStore::Split(_) => cache.get_with((a.nrows(), workers, 0), || {
-            par::row_partition(a.nrows(), workers)
-        }),
-    }
-}
-
-/// The std-thread parallel backend: row-partitioned SpMV/SpMM/residual,
-/// GEMV-Trans split by reduction block (by column under a sequential
-/// order), row-partitioned GEMV-NoTrans, group-partitioned block Jacobi
-/// solves, and block-parallel tree reductions — all bit-identical to
-/// [`ReferenceBackend`] (see the crate docs for the contract).
+/// The std-thread parallel backend: SpMV/SpMM/residual with rows cut at
+/// nnz quantiles, GEMV-Trans split by reduction block (by column under a
+/// sequential order), row-partitioned GEMV-NoTrans, group-partitioned
+/// block Jacobi solves, and block-parallel tree reductions — all
+/// bit-identical to [`ReferenceBackend`] (see the crate docs for the
+/// contract).
 ///
 /// Kernels execute on a persistent pinned [`WorkerPool`] whose calling
 /// thread takes the first share of every kernel (no per-call thread
-/// spawn); row partitions are computed once per matrix shape — evenly
-/// by rows or balanced by nonzeros, per [`PartitionStrategy`] — and
-/// memoized in a shared cache whose ranges are pinned to pool
-/// participants. Stream ops run one at a time, in record order, each
-/// with the whole pool. Each kernel goes parallel only above its
-/// `mpgmres_la::par` threshold.
+/// spawn). The matrix kernels (plain and store) cut their rows where the
+/// matrix's nonzero prefix crosses each participant's equal share,
+/// recomputed on every call (a binary search over the row pointers per
+/// participant), so a skewed matrix spreads evenly. Stream ops run one
+/// at a time, in record order, each with the whole pool. Each kernel
+/// goes parallel only above its `mpgmres_la::par` threshold.
 #[derive(Clone, Debug)]
 pub struct ParallelBackend {
-    threads: usize,
-    strategy: PartitionStrategy,
-    partitions: Arc<PartitionCache>,
     pool: Arc<WorkerPool>,
 }
 
@@ -668,36 +569,20 @@ impl ParallelBackend {
     /// Backend with an explicit participant count (clamped to >= 1): the
     /// calling thread plus `threads - 1` pool workers.
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
         ParallelBackend {
-            threads,
-            strategy: PartitionStrategy::default(),
-            partitions: Arc::new(PartitionCache::default()),
             pool: Arc::new(WorkerPool::new(threads)),
         }
     }
 
-    /// Select the matrix partitioning strategy (builder style).
-    pub fn with_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Configured participant count, the calling thread included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
-    /// The partitioning strategy in use.
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// The cached row partition for the matrix kernels: even rows or
-    /// nnz-balanced per [`PartitionStrategy`], computed on first use per
-    /// matrix shape and shared across clones.
-    fn matrix_parts<S: Scalar>(&self, a: &Csr<S>) -> SharedPartition {
-        strategy_parts(&self.partitions, self.strategy, self.threads, a)
+    /// Whether a matrix kernel over `nnz` stored entries splits over the
+    /// pool.
+    fn splits(&self, nnz: usize) -> bool {
+        nnz >= par::SPMV_PAR_THRESHOLD && self.threads() > 1
     }
 }
 
@@ -709,28 +594,28 @@ impl Default for ParallelBackend {
 
 impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
     fn spmv(&self, a: &Csr<S>, x: &[S], y: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::spmv_parts_on(&self.pool, a, x, y);
+        } else {
             a.spmv(x, y);
-            return;
         }
-        par::spmv_parts_on(&*self.pool, &self.matrix_parts(a), a, x, y);
     }
     fn residual(&self, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::residual_parts_on(&self.pool, a, b, x, r);
+        } else {
             a.residual(b, x, r);
-            return;
         }
-        par::residual_parts_on(&*self.pool, &self.matrix_parts(a), a, b, x, r);
     }
     fn spmm(&self, a: &Csr<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
         // Fused: one pass over the matrix serves all k columns. Below
         // the parallel threshold the fused kernel still runs (single
         // part, no dispatch) — the matrix-read amortization is the point.
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::spmm_parts_on(&self.pool, a, x, k, y);
+        } else {
             par::spmm_parts(&[(0, a.nrows())], a, x, k, y);
-            return;
         }
-        par::spmm_parts_on(&*self.pool, &self.matrix_parts(a), a, x, k, y);
     }
     fn gemv_t(
         &self,
@@ -740,13 +625,13 @@ impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
         h: &mut [S],
         order: ReductionOrder,
     ) {
-        par::gemv_t_on(&*self.pool, v, ncols, w, h, order);
+        par::gemv_t_on(&self.pool, v, ncols, w, h, order);
     }
     fn gemv_n_sub(&self, v: &MultiVector<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::gemv_n_sub_on(&*self.pool, v, ncols, h, w);
+        par::gemv_n_sub_on(&self.pool, v, ncols, h, w);
     }
     fn gemv_n_add(&self, v: &MultiVector<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::gemv_n_add_on(&*self.pool, v, ncols, h, y);
+        par::gemv_n_add_on(&self.pool, v, ncols, h, y);
     }
     fn basis_gemv_t(
         &self,
@@ -756,61 +641,58 @@ impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
         h: &mut [S],
         order: ReductionOrder,
     ) {
-        par::basis_gemv_t_on(&*self.pool, v, ncols, w, h, order);
+        par::basis_gemv_t_on(&self.pool, v, ncols, w, h, order);
     }
     fn basis_gemv_n_sub(&self, v: &BasisStore<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::basis_gemv_n_sub_on(&*self.pool, v, ncols, h, w);
+        par::basis_gemv_n_sub_on(&self.pool, v, ncols, h, w);
     }
     fn basis_gemv_n_add(&self, v: &BasisStore<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::basis_gemv_n_add_on(&*self.pool, v, ncols, h, y);
+        par::basis_gemv_n_add_on(&self.pool, v, ncols, h, y);
     }
     fn dot(&self, x: &[S], y: &[S], order: ReductionOrder) -> S {
-        par::dot_on(&*self.pool, x, y, order)
+        par::dot_on(&self.pool, x, y, order)
     }
     fn norm2(&self, x: &[S], order: ReductionOrder) -> S {
-        par::norm2_on(&*self.pool, x, order)
+        par::norm2_on(&self.pool, x, order)
     }
     fn axpy(&self, alpha: S, x: &[S], y: &mut [S]) {
-        par::axpy_on(&*self.pool, alpha, x, y);
+        par::axpy_on(&self.pool, alpha, x, y);
     }
     fn scal(&self, alpha: S, x: &mut [S]) {
-        par::scal_on(&*self.pool, alpha, x);
+        par::scal_on(&self.pool, alpha, x);
     }
     fn copy(&self, src: &[S], dst: &mut [S]) {
-        par::copy_on(&*self.pool, src, dst);
+        par::copy_on(&self.pool, src, dst);
     }
     fn lane_copy(&self, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_copy_on(&*self.pool, srcs, dsts);
+        par::lane_copy_on(&self.pool, srcs, dsts);
     }
     fn lane_scal_copy(&self, alpha: &[S], srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_scal_copy_on(&*self.pool, alpha, srcs, dsts);
+        par::lane_scal_copy_on(&self.pool, alpha, srcs, dsts);
     }
     fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
-        par::block_lu_solve_on(&*self.pool, f, x, y);
+        par::block_lu_solve_on(&self.pool, f, x, y);
     }
     fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::store_spmv_parts_on(&self.pool, a, x, y);
+        } else {
             a.spmv(x, y);
-            return;
         }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.threads, a);
-        par::store_spmv_parts_on(&*self.pool, &parts, a, x, y);
     }
     fn store_residual(&self, a: &MatrixStore<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::store_residual_parts_on(&self.pool, a, b, x, r);
+        } else {
             a.residual(b, x, r);
-            return;
         }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.threads, a);
-        par::store_residual_parts_on(&*self.pool, &parts, a, b, x, r);
     }
     fn store_spmm(&self, a: &MatrixStore<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        if a.nnz() < par::SPMV_PAR_THRESHOLD || self.threads <= 1 {
+        if self.splits(a.nnz()) {
+            par::store_spmm_parts_on(&self.pool, a, x, k, y);
+        } else {
             a.spmm(x, k, y);
-            return;
         }
-        let parts = store_strategy_parts(&self.partitions, self.strategy, self.threads, a);
-        par::store_spmm_parts_on(&*self.pool, &parts, a, x, k, y);
     }
 }
 
@@ -820,7 +702,7 @@ impl Backend for ParallelBackend {
     }
 
     fn parallelism(&self) -> usize {
-        self.threads
+        self.threads()
     }
 }
 
@@ -830,29 +712,19 @@ pub enum BackendKind {
     /// Sequential reference kernels (default).
     #[default]
     Reference,
-    /// Std-thread parallel kernels (even row split).
+    /// Std-thread parallel kernels on a worker pool.
     Parallel,
-    /// Std-thread parallel kernels with nnz-balanced matrix partitions
-    /// (for skewed matrices).
-    ParallelNnz,
 }
 
 impl BackendKind {
     /// All selectable kinds.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Reference,
-        BackendKind::Parallel,
-        BackendKind::ParallelNnz,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Parallel];
 
     /// Instantiate the backend.
     pub fn create(self) -> Arc<dyn Backend> {
         match self {
             BackendKind::Reference => Arc::new(ReferenceBackend),
             BackendKind::Parallel => Arc::new(ParallelBackend::new()),
-            BackendKind::ParallelNnz => {
-                Arc::new(ParallelBackend::new().with_strategy(PartitionStrategy::NnzBalanced))
-            }
         }
     }
 
@@ -861,7 +733,6 @@ impl BackendKind {
         match self {
             BackendKind::Reference => "reference",
             BackendKind::Parallel => "parallel",
-            BackendKind::ParallelNnz => "parallel-nnz",
         }
     }
 }
@@ -873,9 +744,8 @@ impl std::str::FromStr for BackendKind {
         match s {
             "reference" | "ref" | "seq" | "sequential" => Ok(BackendKind::Reference),
             "parallel" | "par" | "threads" => Ok(BackendKind::Parallel),
-            "parallel-nnz" | "nnz" => Ok(BackendKind::ParallelNnz),
             other => Err(format!(
-                "unknown backend `{other}` (expected reference|parallel|parallel-nnz)"
+                "unknown backend `{other}` (expected reference|parallel)"
             )),
         }
     }
@@ -920,11 +790,11 @@ mod tests {
             BackendKind::Reference
         );
         assert!("cuda".parse::<BackendKind>().is_err());
-        for retired in ["sharded", "sharded:2", "shard:4"] {
+        for retired in ["sharded", "sharded:2", "shard:4", "nnz"] {
             let err = retired.parse::<BackendKind>().unwrap_err();
             assert_eq!(
                 err,
-                format!("unknown backend `{retired}` (expected reference|parallel|parallel-nnz)")
+                format!("unknown backend `{retired}` (expected reference|parallel)")
             );
         }
         assert_eq!(BackendKind::Reference.create().name(), "reference");
@@ -945,97 +815,5 @@ mod tests {
         }
         let b = BackendKind::Parallel.create();
         assert_eq!(norm_via(&*b, &[3.0f64, 4.0]), 5.0);
-    }
-
-    /// Arrow matrix (dense first row + column over a diagonal): the
-    /// skew that makes even row splits pathological.
-    fn arrow_matrix(n: usize) -> Csr<f64> {
-        let mut coo = mpgmres_la::coo::Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0);
-            if i > 0 {
-                coo.push(0, i, 1.0);
-                coo.push(i, 0, 1.0);
-            }
-        }
-        coo.into_csr()
-    }
-
-    /// An [`arrow_matrix`] (3 entries per row but the first) sized just
-    /// above `SPMV_PAR_THRESHOLD`, so its SpMVs take the partitioned
-    /// path.
-    fn par_arrow() -> Csr<f64> {
-        let a = arrow_matrix(par::SPMV_PAR_THRESHOLD / 3 + 1_000);
-        assert!(a.nnz() >= par::SPMV_PAR_THRESHOLD, "{} nnz", a.nnz());
-        a
-    }
-
-    fn worker_nnz(a: &Csr<f64>, parts: &[(usize, usize)]) -> Vec<usize> {
-        parts
-            .iter()
-            .map(|&(lo, hi)| a.row_ptr()[hi] - a.row_ptr()[lo])
-            .collect()
-    }
-
-    /// Under `NnzBalanced` the parallel backend's matrix kernels run on
-    /// the nnz-balanced split, cached at the pool's width, instead of
-    /// an even one.
-    #[test]
-    fn parallel_backend_uses_the_nnz_strategy() {
-        let a = par_arrow();
-        let backend =
-            ParallelBackend::with_threads(2).with_strategy(PartitionStrategy::NnzBalanced);
-        let parts = backend.matrix_parts(&a);
-        assert_eq!(&*parts, &par::nnz_partition(&a, 2));
-        assert_ne!(&*parts, &par::row_partition(a.nrows(), 2));
-        // Balanced: no participant holds more than ~1.1x the mean nnz;
-        // the even split leaves the arrow head's with ~1.33x.
-        let mean = a.nnz() as f64 / 2.0;
-        let max_nnz = *worker_nnz(&a, &parts).iter().max().unwrap() as f64;
-        assert!(
-            max_nnz < 1.1 * mean,
-            "nnz split unbalanced: {max_nnz} vs mean {mean}"
-        );
-        let even_max = *worker_nnz(&a, &par::row_partition(a.nrows(), 2))
-            .iter()
-            .max()
-            .unwrap() as f64;
-        assert!(
-            even_max > 1.25 * mean,
-            "arrow not skewed enough: {even_max}"
-        );
-    }
-
-    /// Two SpMVs on a skewed matrix under `parallel-nnz` must produce
-    /// reference-identical results AND leave the nnz-balanced split (at
-    /// the pool's full width) in the shared partition cache — proof the
-    /// kernels did not silently fall back to even rows.
-    #[test]
-    fn spmv_uses_nnz_partitions_at_full_width() {
-        let a = par_arrow();
-        let n = a.nrows();
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
-        let mut y1 = vec![0.0f64; n];
-        let mut y2 = vec![0.0f64; n];
-        let backend =
-            ParallelBackend::with_threads(4).with_strategy(PartitionStrategy::NnzBalanced);
-        ScalarBackend::<f64>::spmv(&backend, &a, &x, &mut y1);
-        ScalarBackend::<f64>::spmv(&backend, &a, &x, &mut y2);
-
-        let mut want = vec![0.0f64; n];
-        a.spmv(&x, &mut want);
-        assert_eq!(y1, want);
-        assert_eq!(y2, want);
-        // Each call runs on the whole 4-participant pool; the nnz-salted
-        // split must have been cached at that width, and no even split
-        // beside it.
-        assert!(
-            backend.partitions.contains((n, 4, a.nnz() as u64)),
-            "spmv did not use the nnz-balanced partition"
-        );
-        assert!(
-            !backend.partitions.contains((n, 4, 0)),
-            "spmv recomputed an even split"
-        );
     }
 }

@@ -407,6 +407,106 @@ fn store_kernels_bit_identical_across_backends() {
     }
 }
 
+/// Arrow matrix: a dense first row and first column over a diagonal,
+/// so the first row holds about a third of the nonzeros. Sized just
+/// above `SPMV_PAR_THRESHOLD`, so the parallel backend cuts its rows at
+/// nnz quantiles rather than running them serially.
+fn arrow_matrix(salt: u64) -> Csr<f64> {
+    let n = SPMV_PAR_THRESHOLD / 3 + 1_000;
+    let off = pseudo_vec(2 * n, salt);
+    let mut coo = Coo::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 4.0 + off[i]);
+        if i > 0 {
+            coo.push(0, i, off[i]);
+            coo.push(i, 0, off[n + i]);
+        }
+    }
+    let a = coo.into_csr();
+    assert!(a.nnz() >= SPMV_PAR_THRESHOLD, "{} nnz", a.nnz());
+    a
+}
+
+/// On a skewed matrix every matrix kernel (plain and over all four
+/// storage variants, the split store's two buckets included) runs on
+/// nnz-cut row ranges at two and four participants, and stays
+/// bit-identical to `ReferenceBackend`.
+#[test]
+fn arrow_matrix_kernels_bit_identical_on_nnz_cuts() {
+    let reference = ReferenceBackend;
+    let a = arrow_matrix(21);
+    let n = a.nrows();
+    let (x, b) = (pseudo_vec(n, 22), pseudo_vec(n, 23));
+    let k = 4;
+    let xm = pseudo_block(n, k, 24);
+    let stores = store_variants(&a);
+    let MatrixStore::Split(split) = &stores[3].1 else {
+        panic!("the fourth variant is the split store");
+    };
+    assert!(
+        split.hi().nnz() > 0 && split.lo().nnz() > 0,
+        "both buckets used"
+    );
+    let spmv = |be: &dyn ScalarBackend<f64>| {
+        let mut y = vec![0.0; n];
+        be.spmv(&a, &x, &mut y);
+        y
+    };
+    let residual = |be: &dyn ScalarBackend<f64>| {
+        let mut r = vec![0.0; n];
+        be.residual(&a, &b, &x, &mut r);
+        r
+    };
+    let spmm = |be: &dyn ScalarBackend<f64>| {
+        let mut y = MultiVec::<f64>::zeros(n, k);
+        be.spmm(&a, &xm, k, &mut y);
+        y.data().to_vec()
+    };
+    for threads in [2, 4] {
+        let parallel = ParallelBackend::with_threads(threads);
+        assert_eq!(spmv(&parallel), spmv(&reference), "spmv t={threads}");
+        assert_eq!(
+            residual(&parallel),
+            residual(&reference),
+            "residual t={threads}"
+        );
+        assert_eq!(spmm(&parallel), spmm(&reference), "spmm t={threads}");
+        for (name, store) in &stores {
+            let what = format!("{name} t={threads}");
+            let store_spmv = |be: &dyn ScalarBackend<f64>| {
+                let mut y = vec![0.0; n];
+                be.store_spmv(store, &x, &mut y);
+                y
+            };
+            let store_residual = |be: &dyn ScalarBackend<f64>| {
+                let mut r = vec![0.0; n];
+                be.store_residual(store, &b, &x, &mut r);
+                r
+            };
+            let store_spmm = |be: &dyn ScalarBackend<f64>| {
+                let mut y = MultiVec::<f64>::zeros(n, k);
+                be.store_spmm(store, &xm, k, &mut y);
+                y.data().to_vec()
+            };
+            assert_eq!(
+                store_spmv(&parallel),
+                store_spmv(&reference),
+                "{what}: store_spmv"
+            );
+            assert_eq!(
+                store_residual(&parallel),
+                store_residual(&reference),
+                "{what}: store_residual"
+            );
+            assert_eq!(
+                store_spmm(&parallel),
+                store_spmm(&reference),
+                "{what}: store_spmm"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

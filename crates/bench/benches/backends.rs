@@ -158,7 +158,6 @@ fn bench_spmv_crossover(c: &mut Criterion) {
     for nx in [16usize, 24, 32, 40, 48, 64, 80, 96, 128] {
         let a = galeri::laplace2d(nx, nx);
         let n = a.nrows();
-        let parts = par::row_partition(n, pool.threads());
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 / 7.0).collect();
         let mut y = vec![0.0f64; n];
         g.throughput(Throughput::Elements(a.nnz() as u64));
@@ -166,7 +165,7 @@ fn bench_spmv_crossover(c: &mut Criterion) {
             b.iter(|| a.spmv(&x, &mut y))
         });
         g.bench_with_input(BenchmarkId::new("parallel", a.nnz()), &nx, |b, _| {
-            b.iter(|| par::spmv_parts_on(&pool, &parts, &a, &x, &mut y))
+            b.iter(|| par::spmv_parts_on(&pool, &a, &x, &mut y))
         });
 
         let mut v = MultiVector::<f64>::zeros(n, COLS);
@@ -184,7 +183,7 @@ fn bench_spmv_crossover(c: &mut Criterion) {
         let r = [
             ratio(interleaved(
                 || a.spmv(&x, &mut y),
-                || par::spmv_parts_on(&pool, &parts, &a, &x, &mut y2),
+                || par::spmv_parts_on(&pool, &a, &x, &mut y2),
             )),
             ratio(interleaved(
                 || v.gemv_t(COLS, &x, &mut h, order),

@@ -13,13 +13,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mpgmres::precond::Identity;
 use mpgmres::{
     Backend, BackendKind, BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec,
-    ParallelBackend, ScalarBackend,
+    ScalarBackend,
 };
 use mpgmres_bench::harness::best_of;
 use mpgmres_bench::output;
 use mpgmres_gpusim::DeviceModel;
-use mpgmres_la::par;
-use mpgmres_la::pool::ScopedSpawn;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_matgen::galeri;
 use serde::Serialize;
@@ -118,20 +116,11 @@ struct WidthRecord {
     ratio_vs_spmv: f64,
 }
 
-#[derive(Serialize)]
-struct PartitionCacheRecord {
-    threads: usize,
-    cached_ms: f64,
-    recomputed_ms: f64,
-    speedup: f64,
-}
-
-/// The archived artifact: per-width SpMM ratios *and* the
-/// partition-cache comparison (both numbers the summary prints).
+/// The archived artifact: the per-width SpMM ratios the summary
+/// prints.
 #[derive(Serialize)]
 struct MultirhsArtifact {
     widths: Vec<WidthRecord>,
-    partition_cache: PartitionCacheRecord,
 }
 
 /// Direct acceptance measurement: per-RHS SpMM time vs k on a 512x512
@@ -170,37 +159,7 @@ fn per_rhs_summary(_c: &mut Criterion) {
             });
         }
     }
-    // Partition-cache effect (the hoisted row split): cached partitions
-    // via the backend (now also pool-executed) vs recomputing the split
-    // and spawning scoped threads on every call.
-    let threads = 4;
-    let cached = ParallelBackend::with_threads(threads);
-    let view: &dyn ScalarBackend<f64> = &cached;
-    let x = pseudo_block(n, 1);
-    let mut y = vec![0.0f64; n];
-    let t_cached = best_of(10, || view.spmv(&a, x.col(0), &mut y));
-    let t_fresh = best_of(10, || {
-        let parts = par::row_partition(n, threads);
-        par::spmv_parts_on(&ScopedSpawn(threads), &parts, &a, x.col(0), &mut y)
-    });
-    println!(
-        "  partition cache ({threads} threads): cached {:.3} ms vs recomputed {:.3} ms, \
-         speedup {:.3}x",
-        t_cached * 1e3,
-        t_fresh * 1e3,
-        t_fresh / t_cached
-    );
-    // Archive BOTH numbers the summary prints: the per-width ratios and
-    // the partition-cache comparison.
-    let artifact = MultirhsArtifact {
-        widths: records,
-        partition_cache: PartitionCacheRecord {
-            threads,
-            cached_ms: t_cached * 1e3,
-            recomputed_ms: t_fresh * 1e3,
-            speedup: t_fresh / t_cached,
-        },
-    };
+    let artifact = MultirhsArtifact { widths: records };
     let dir = output::results_dir(None);
     match output::write_json(&dir, "multirhs", &artifact) {
         Ok(path) => println!("  wrote {}", path.display()),

@@ -1,13 +1,12 @@
-//! Stream/pool bench: persistent-pool vs scoped-spawn kernel dispatch,
-//! and the overlap the recorded DAG buys on the simulated timeline.
+//! Stream/pool bench: the worker pool's dispatch cost, and the overlap
+//! the recorded DAG buys on the simulated timeline.
 //!
-//! Three summary measurements are printed and archived as
+//! Two summary measurements are printed and archived as
 //! `results/stream.json` so CI can track the perf trajectory:
 //!
-//! - **spawn overhead**: wall time of a mid-size partitioned kernel
-//!   dispatched through per-call `std::thread::scope` spawns vs the
-//!   backend's persistent pinned worker pool (same partition, same
-//!   arithmetic — the delta is pure dispatch cost).
+//! - **overlap ratio**: `critical_path / serial` simulated time of a
+//!   recorded `BlockGmres` solve (k independent lanes) vs the chain
+//!   baseline of the matching single-RHS solve (ratio 1.0).
 //! - **pool**: `pool_dispatch_us`, the wall time of an empty two-job run
 //!   on a two-participant pool (the caller plus one spinning worker),
 //!   and `cgs2_par_speedup`, the reference backend's time over the
@@ -15,12 +14,6 @@
 //!   GEMV-N) at n = 9216 with 25 basis columns — the stretched-bj
 //!   shape. Perfgate fails when that speedup drops below 1.0 on a
 //!   runner with two or more cores.
-//! - **overlap ratio**: `critical_path / serial` simulated time of a
-//!   recorded `BlockGmres` solve (k independent lanes) vs the chain
-//!   baseline of the matching single-RHS solve (ratio 1.0).
-//!
-//! On a single core the pool-vs-spawn delta is the headline number; on
-//! a multicore runner the overlap ratios tighten further.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -34,41 +27,11 @@ use mpgmres_bench::harness::best_of;
 use mpgmres_bench::output;
 use mpgmres_gpusim::DeviceModel;
 use mpgmres_la::multivector::MultiVector;
-use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
+use mpgmres_la::par;
+use mpgmres_la::pool::WorkerPool;
 use mpgmres_la::vec_ops::ReductionOrder;
-use mpgmres_la::{par, Csr};
 use mpgmres_matgen::galeri;
 use serde::Serialize;
-
-const THREADS: usize = 4;
-
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("stream_dispatch");
-    g.sample_size(20);
-    let n = 1 << 16;
-    let x = vec![1.0f64; n];
-    let pool = WorkerPool::new(THREADS);
-    let scoped = ScopedSpawn(THREADS);
-    let mut y = vec![0.5f64; n];
-    g.bench_function("axpy_scoped_spawn", |b| {
-        b.iter(|| par::axpy_on(&scoped, 1.0e-9, &x, &mut y))
-    });
-    g.bench_function("axpy_worker_pool", |b| {
-        b.iter(|| par::axpy_on(&pool, 1.0e-9, &x, &mut y))
-    });
-    g.finish();
-}
-
-#[derive(Serialize)]
-struct SpawnRecord {
-    threads: usize,
-    n: usize,
-    kernel_calls: usize,
-    scoped_spawn_ms: f64,
-    worker_pool_ms: f64,
-    spawn_overhead_us_per_call: f64,
-    pool_speedup: f64,
-}
 
 #[derive(Serialize)]
 struct OverlapRecord {
@@ -95,7 +58,6 @@ struct PoolRecord {
 
 #[derive(Serialize)]
 struct StreamArtifact {
-    spawn: SpawnRecord,
     overlap: OverlapRecord,
     pool: PoolRecord,
 }
@@ -156,44 +118,8 @@ fn cgs2_speedup(n: usize, ncols: usize) -> (f64, f64) {
     (serial, pooled)
 }
 
-/// Best-of-5 wall time of `calls` partitioned SpMVs dispatched through
-/// the given executor (scoped spawns vs the persistent pool).
-fn spmv_calls(
-    a: &Csr<f64>,
-    parts: &[(usize, usize)],
-    exec: &dyn mpgmres_la::pool::Executor,
-    calls: usize,
-) -> f64 {
-    let n = a.nrows();
-    let x = vec![1.0f64; n];
-    let mut y = vec![0.0f64; n];
-    best_of(5, || {
-        for _ in 0..calls {
-            par::spmv_parts_on(exec, parts, a, &x, &mut y);
-        }
-    })
-}
-
 /// Direct acceptance measurement, printed and archived.
 fn summary(_c: &mut Criterion) {
-    // --- spawn overhead: same cached partition, scoped vs pooled. ---
-    let a = galeri::laplace2d(192, 192); // mid-size: dispatch cost visible
-    let n = a.nrows();
-    let parts = par::row_partition(n, THREADS);
-    let pool = WorkerPool::new(THREADS);
-    let calls = 50;
-    let t_scoped = spmv_calls(&a, &parts, &ScopedSpawn(THREADS), calls);
-    let t_pool = spmv_calls(&a, &parts, &pool, calls);
-    let overhead_us = (t_scoped - t_pool) / calls as f64 * 1e6;
-    println!(
-        "\n[stream summary] spmv x{calls} (n={n}, {THREADS} workers): \
-         scoped {:.3} ms, pool {:.3} ms, spawn overhead {:.2} us/call, speedup {:.2}x",
-        t_scoped * 1e3,
-        t_pool * 1e3,
-        overhead_us,
-        t_scoped / t_pool
-    );
-
     // --- overlap ratio: recorded BlockGmres vs single-RHS chain. ---
     let am = GpuMatrix::new(galeri::laplace2d(48, 48));
     let nn = am.n();
@@ -221,7 +147,7 @@ fn summary(_c: &mut Criterion) {
     let rep1 = ctx1.report();
 
     println!(
-        "  overlap (k={k} recorded lanes): serial {:.4} s, critical {:.4} s, ratio {:.3} \
+        "\n[stream summary] overlap (k={k} recorded lanes): serial {:.4} s, critical {:.4} s, ratio {:.3} \
          (single-RHS chain baseline: {:.3})",
         rep.total_seconds,
         rep.critical_path_seconds,
@@ -250,15 +176,6 @@ fn summary(_c: &mut Criterion) {
     );
 
     let artifact = StreamArtifact {
-        spawn: SpawnRecord {
-            threads: THREADS,
-            n,
-            kernel_calls: calls,
-            scoped_spawn_ms: t_scoped * 1e3,
-            worker_pool_ms: t_pool * 1e3,
-            spawn_overhead_us_per_call: overhead_us,
-            pool_speedup: t_scoped / t_pool,
-        },
         overlap: OverlapRecord {
             k,
             serial_seconds: rep.total_seconds,
@@ -283,5 +200,5 @@ fn summary(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(stream_group, bench_pool_vs_spawn, summary);
+criterion_group!(stream_group, summary);
 criterion_main!(stream_group);

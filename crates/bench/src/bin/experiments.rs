@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <id>... [--scale F] [--paper-scale] [--quick] [--out DIR]
-//!                     [--backend reference|parallel|parallel-nnz] [--rhs-block K]
+//!                     [--backend reference|parallel] [--rhs-block K]
 //!                     [--precision native|fp32|fp16|split:T] [--basis native|fp32|fp16]
 //!
 //! ids: fig1 fig2 fig3 fig4_table1 fig5 fig6 fig7 vd_model table2 fig8
@@ -48,7 +48,7 @@ const ALL_IDS: [&str; 10] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <id>... [--scale F] [--paper-scale] [--quick] [--out DIR] \
-         [--backend reference|parallel|parallel-nnz] [--rhs-block K] \
+         [--backend reference|parallel] [--rhs-block K] \
          [--precision native|fp32|fp16|split:T] [--basis native|fp32|fp16]\n\
          ids: {} multirhs multiprec serving compbasis all",
         ALL_IDS.join(" ")
@@ -92,10 +92,14 @@ fn main() -> ExitCode {
             }
             "--backend" => {
                 i += 1;
-                let Some(b) = args.get(i).and_then(|s| s.parse::<BackendKind>().ok()) else {
-                    return usage();
+                let Some(b) = args.get(i) else { return usage() };
+                backend = match b.parse::<BackendKind>() {
+                    Ok(b) => b,
+                    Err(e) => {
+                        eprintln!("experiments: {e}");
+                        return usage();
+                    }
                 };
-                backend = b;
             }
             "--rhs-block" => {
                 i += 1;

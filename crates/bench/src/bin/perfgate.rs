@@ -303,7 +303,6 @@ fn main() {
         "lockstep_overlap_ratio",
         "pipelined_overlap_ratio",
         "overlap_ratio",
-        "spawn_overhead_us_per_call",
         "pool_dispatch_us",
         "cgs2_par_speedup",
         "fp32_fp64_spmm_byte_ratio",
@@ -399,7 +398,7 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 10,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 11,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),

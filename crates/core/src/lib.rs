@@ -76,8 +76,7 @@ pub use gmres::Gmres;
 pub use ir::GmresIr;
 pub use ir3::{GmresIr3, Ir3Config};
 pub use mpgmres_backend::{
-    Backend, BackendKind, BackendScalar, ParallelBackend, PartitionStrategy, ReferenceBackend,
-    ScalarBackend,
+    Backend, BackendKind, BackendScalar, ParallelBackend, ReferenceBackend, ScalarBackend,
 };
 pub use mpgmres_la::multivec::MultiVec;
 pub use mpgmres_la::store::MatrixStore;

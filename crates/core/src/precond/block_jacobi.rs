@@ -43,9 +43,9 @@ use crate::context::{GpuContext, GpuMatrix};
 use crate::precond::Preconditioner;
 use crate::Stream;
 
-/// Below this many blocks, setup stays sequential (thread spawn would
-/// dominate the tiny per-block work). Two scoped threads still pay at
-/// 576 blocks of 16: stretched-bj's `setup_s` read a 4.6 ms median on
+/// Below this many blocks, setup stays sequential (starting a pool for
+/// the call would dominate the tiny per-block work). Two threads still
+/// pay at 576 blocks of 16: stretched-bj's `setup_s` read a 4.6 ms median on
 /// 2 threads against 5.0 ms with the factorization on 1 (6 alternating
 /// pairs on a 2-vCPU x86-64 host, 5 better).
 const PAR_BLOCK_THRESHOLD: usize = 64;

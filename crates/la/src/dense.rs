@@ -358,8 +358,9 @@ impl<S: Scalar> BlockLu<S> {
     /// Factor the diagonal blocks of an `n`-row matrix, `bs` rows per
     /// block (the last block may be smaller), and pack them.
     /// `block(start, size)` returns the `size x size` diagonal block at
-    /// row `start`. Groups factor independently on `threads` scoped
-    /// threads; the result does not depend on `threads`. A singular
+    /// row `start`. Groups factor independently on a `threads`-wide
+    /// [`WorkerPool`](crate::pool::WorkerPool) built for the call; the
+    /// result does not depend on `threads`. A singular
     /// block is packed as the identity and counted in
     /// [`BlockLu::singular_blocks`].
     ///

@@ -25,7 +25,6 @@ use crate::dense::{BlockLu, DenseMat, LuFactors};
 use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
 use crate::par;
-use crate::pool::ScopedSpawn;
 use crate::pool::WorkerPool;
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder};
@@ -180,7 +179,7 @@ const SHAPES: [(usize, bool); 3] = [
 const SHAPES: [(usize, bool); 1] = [(61, true)];
 
 fn level1<S: Elem>() {
-    let exec = ScopedSpawn(2);
+    let exec = WorkerPool::new(2);
     let (alpha, beta) = (S::from_f64(0.7), S::from_f64(-1.3));
     for (n, specials) in SHAPES {
         let x = values::<S>(n, 2, specials);
@@ -203,12 +202,11 @@ fn level1<S: Elem>() {
 }
 
 fn sparse<S: Elem>() {
-    let exec = ScopedSpawn(2);
+    let exec = WorkerPool::new(2);
     for (n, specials) in SHAPES {
         let a = banded::<S>(n, specials);
         let x = values::<S>(n, 4, specials);
         let b = values::<S>(n, 5, specials);
-        let parts = par::row_partition(n, 2);
         let out = |f: &dyn Fn(&mut [S])| {
             let mut y = vec![S::zero(); n];
             f(&mut y);
@@ -217,10 +215,10 @@ fn sparse<S: Elem>() {
         check("Csr::spmv", || out(&|y| a.spmv(&x, y)));
         check("Csr::residual", || out(&|y| a.residual(&b, &x, y)));
         check("par::spmv_parts_on", || {
-            out(&|y| par::spmv_parts_on(&exec, &parts, &a, &x, y))
+            out(&|y| par::spmv_parts_on(&exec, &a, &x, y))
         });
         check("par::residual_parts_on", || {
-            out(&|y| par::residual_parts_on(&exec, &parts, &a, &b, &x, y))
+            out(&|y| par::residual_parts_on(&exec, &a, &b, &x, y))
         });
         let stores = [
             MatrixStore::plain(a.clone()),
@@ -237,10 +235,10 @@ fn sparse<S: Elem>() {
                 out(&|y| store.residual(&b, &x, y))
             });
             check(&format!("par::store_spmv_parts_on {tag}"), || {
-                out(&|y| par::store_spmv_parts_on(&exec, &parts, store, &x, y))
+                out(&|y| par::store_spmv_parts_on(&exec, store, &x, y))
             });
             check(&format!("par::store_residual_parts_on {tag}"), || {
-                out(&|y| par::store_residual_parts_on(&exec, &parts, store, &b, &x, y))
+                out(&|y| par::store_residual_parts_on(&exec, store, &b, &x, y))
             });
         }
         // Widths 3 (a const-generic body) and 9 (the dynamic one).
@@ -254,7 +252,7 @@ fn sparse<S: Elem>() {
                 ys.data().to_vec()
             };
             check(&format!("par::spmm_parts_on k={k}"), || {
-                spmm(&|ys| par::spmm_parts_on(&exec, &parts, &a, &xs, k, ys))
+                spmm(&|ys| par::spmm_parts_on(&exec, &a, &xs, k, ys))
             });
             for store in &stores {
                 let tag = store.tag();
@@ -262,7 +260,7 @@ fn sparse<S: Elem>() {
                     spmm(&|ys| store.spmm(&xs, k, ys))
                 });
                 check(&format!("par::store_spmm_parts_on {tag} k={k}"), || {
-                    spmm(&|ys| par::store_spmm_parts_on(&exec, &parts, store, &xs, k, ys))
+                    spmm(&|ys| par::store_spmm_parts_on(&exec, store, &xs, k, ys))
                 });
             }
         }
@@ -277,7 +275,7 @@ const NCOLS: std::ops::RangeInclusive<usize> = 0..=17;
 #[cfg(miri)]
 const NCOLS: std::ops::RangeInclusive<usize> = 9..=9;
 
-/// `par::spmv_parts_on`/`par::residual_parts_on` on a two-way row split
+/// `par::spmv_parts_on`/`par::residual_parts_on` on a two-participant pool
 /// of a matrix above `SPMV_PAR_THRESHOLD` nonzeros (the shape the
 /// parallel backend splits).
 #[cfg(not(miri))]
@@ -292,13 +290,12 @@ fn thresholded_sparse<S: Elem>() {
         f(&mut y);
         y
     };
-    let parts = par::row_partition(n, 2);
-    let exec = ScopedSpawn(2);
+    let exec = WorkerPool::new(2);
     check("par::spmv_parts_on", || {
-        out(&|y| par::spmv_parts_on(&exec, &parts, &a, &x, y))
+        out(&|y| par::spmv_parts_on(&exec, &a, &x, y))
     });
     check("par::residual_parts_on", || {
-        out(&|y| par::residual_parts_on(&exec, &parts, &a, &b, &x, y))
+        out(&|y| par::residual_parts_on(&exec, &a, &b, &x, y))
     });
 }
 
@@ -309,7 +306,7 @@ fn gemv<S: Elem>() {
 }
 
 fn gemv_cols<S: Elem>(cols: usize) {
-    let exec = ScopedSpawn(2);
+    let exec = WorkerPool::new(2);
     for (n, specials) in SHAPES {
         let w = values::<S>(n, 8, specials);
         let h = values::<S>(cols, 9, false);
@@ -534,7 +531,7 @@ fn lanes_match_scalar_body() {
             assert_eq!(parts, [256.0; 4]);
         }
     }
-    let exec = ScopedSpawn(2);
+    let exec = WorkerPool::new(2);
     let pool = WorkerPool::new(3);
     for n in LANE_NS {
         let x = values::<f64>(n, 40, true);

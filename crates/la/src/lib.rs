@@ -18,9 +18,8 @@
 //! - [`par`] — std-thread parallel counterparts of every kernel, bit
 //!   identical to the reference (see the module docs for the contract);
 //!   the engine behind `mpgmres-backend`'s `ParallelBackend`.
-//! - [`pool`] — persistent pinned worker pool (and the [`pool::Executor`]
-//!   abstraction over scoped-spawn vs pooled execution) that lets the
-//!   parallel kernels skip the per-call thread spawn.
+//! - [`pool`] — the persistent pinned worker pool every [`par`] kernel
+//!   runs on, so a kernel call pays a job dispatch, not a thread spawn.
 //! - [`multivector`] — column-major tall-skinny matrix `V` of Krylov basis
 //!   vectors plus the two GEMV kernels CGS2 needs.
 //! - [`basis`] — [`basis::BasisStore`], the basis *storage* policy: native

@@ -27,13 +27,18 @@
 //!   sequentially here as well — bit-determinism is the contract, and a
 //!   parallel sum would break it.
 //!
-//! The `_on` kernels take any [`Executor`]: the persistent pinned
-//! [`WorkerPool`](crate::pool::WorkerPool) the parallel backend runs
-//! on, or per-call scoped spawns ([`ScopedSpawn`]). Execution style
-//! never affects results. Below each kernel's threshold (next paragraph
-//! but one) the kernels run the sequential path so small problems
-//! never pay dispatch overhead; the `_parts_on` and `_split_on` entry
-//! points skip the threshold.
+//! The `_on` kernels run on the persistent pinned [`WorkerPool`] the
+//! parallel backend owns, one job per participant. Below each kernel's
+//! threshold (next paragraph but one) they run the sequential body on
+//! the calling thread, so small problems never pay dispatch overhead;
+//! the `_parts_on` and `_split_on` entry points skip the threshold.
+//! The matrix kernels (`*_parts_on`) cut their rows where the matrix's
+//! stored-nonzero prefix crosses each participant's equal share, so a
+//! skewed matrix (an arrow head, a few dense rows) does not leave one
+//! participant with most of the work; the cut is a binary search over
+//! the row pointers per participant, done at every call. Each job takes
+//! its `split_at_mut` chunk of the output out of its own uncontended
+//! `Mutex`, so the handoff is safe code.
 //!
 //! Every chunk closure that runs a `mul_add` chain wraps its body in
 //! [`fma::run`], so it executes on hardware FMA when the CPU has it.
@@ -89,6 +94,8 @@
 //! per AVX register (`crate::simd`) inside each pool job rather than
 //! on more threads.
 
+use std::sync::Mutex;
+
 use mpgmres_scalar::Scalar;
 
 use crate::basis::BasisStore;
@@ -97,8 +104,7 @@ use crate::dense::BlockLu;
 use crate::fma;
 use crate::multivec::MultiVec;
 use crate::multivector::MultiVector;
-use crate::pool::{Executor, ScopedSpawn};
-use crate::raw::RawSliceMut;
+use crate::pool::WorkerPool;
 use crate::store::MatrixStore;
 use crate::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
 
@@ -118,10 +124,9 @@ pub const GEMV_PAR_THRESHOLD: usize = 1 << 11;
 pub const BLOCK_LU_PAR_THRESHOLD: usize = 1 << 11;
 
 /// Split `[0, len)` into at most `threads` contiguous `(start, end)`
-/// ranges — the row partition every row-parallel kernel uses. Exposed so
-/// backends can compute it once per `(len, threads)` pair and reuse it
-/// across kernel calls (the partition never affects results, only which
-/// worker computes which rows).
+/// ranges of equal length (the last may be shorter): the split of the
+/// block-run and block-group kernels. The partition never affects
+/// results, only which participant computes which outputs.
 pub fn row_partition(len: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.clamp(1, len.max(1));
     let chunk = len.div_ceil(threads.max(1)).max(1);
@@ -138,43 +143,68 @@ pub fn row_partition(len: usize, threads: usize) -> Vec<(usize, usize)> {
     parts
 }
 
-/// Split `[0, a.nrows())` into at most `threads` contiguous row ranges
-/// of approximately equal *stored-nonzero* counts (the work-stealing
-/// alternative to [`row_partition`]'s equal-row split). On strongly
-/// non-uniform matrices — arrow heads, SuiteSparse surrogates with a few
-/// dense rows — an equal-row split can leave one worker with most of
-/// the nonzeros; cutting at nnz quantiles balances per-worker SpMV work
-/// instead. Like every partition, this only decides which worker
-/// computes which rows; results are unaffected.
-pub fn nnz_partition<S: Scalar>(a: &Csr<S>, threads: usize) -> Vec<(usize, usize)> {
-    let n = a.nrows();
-    let nnz = a.nnz();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 || nnz == 0 {
-        return vec![(0, n)];
-    }
-    let row_ptr = a.row_ptr();
-    let mut parts = Vec::with_capacity(threads);
+/// Cut rows `0..n`, which hold `nnz` stored entries, into at most
+/// `parts` contiguous ranges of about equal nonzero counts. Range `p`
+/// ends at the first row whose prefix `nnz_before(row)` (the entries in
+/// the rows before it) reaches `nnz * (p + 1) / parts`, and holds at
+/// least one row; the last range ends at `n`. Like every partition,
+/// this only decides which participant computes which rows.
+fn nnz_cut(
+    n: usize,
+    nnz: usize,
+    parts: usize,
+    nnz_before: impl Fn(usize) -> usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let parts = if nnz == 0 {
+        1
+    } else {
+        parts.clamp(1, n.max(1))
+    };
     let mut start = 0usize;
-    for p in 0..threads {
-        if start >= n {
-            break;
+    (0..parts).map_while(move |p| {
+        if p > 0 && start >= n {
+            return None;
         }
-        let end = if p + 1 == threads {
+        let end = if p + 1 == parts {
             n
         } else {
-            // First row boundary whose nnz prefix reaches the (p+1)-th
-            // share, but always at least one row per part.
-            let target = nnz * (p + 1) / threads;
-            row_ptr.partition_point(|&x| x < target).clamp(start + 1, n)
+            // Binary search for the first row in `start + 1..n` whose
+            // prefix reaches the share (`n` if none does).
+            let target = nnz * (p + 1) / parts;
+            let (mut lo, mut hi) = (start + 1, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if nnz_before(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
         };
-        parts.push((start, end));
+        let range = (start, end);
         start = end;
-    }
-    if let Some(last) = parts.last_mut() {
-        last.1 = n;
-    }
-    parts
+        Some(range)
+    })
+}
+
+/// The nnz cut of a CSR matrix over `parts` participants.
+fn csr_cut<S: Scalar>(a: &Csr<S>, parts: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    nnz_cut(a.nrows(), a.nnz(), parts, |r| a.row_ptr()[r])
+}
+
+/// The nnz cut of a [`MatrixStore`] over `parts` participants. A split
+/// store's two buckets share its rows, so their row prefixes add.
+fn store_cut<S: Scalar>(
+    a: &MatrixStore<S>,
+    parts: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    nnz_cut(a.nrows(), a.nnz(), parts, move |r| match a {
+        MatrixStore::Plain(c) => c.row_ptr()[r],
+        MatrixStore::ShadowF32(c) => c.row_ptr()[r],
+        MatrixStore::ShadowF16(c) => c.row_ptr()[r],
+        MatrixStore::Split(s) => s.hi().row_ptr()[r] + s.lo().row_ptr()[r],
+    })
 }
 
 /// Number of worker threads to use: `MPGMRES_THREADS` if set, else the
@@ -190,162 +220,166 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The executor a kernel over `len` rows runs on: `exec` from
-/// `threshold` rows up, the calling thread alone below it.
-fn above(exec: &dyn Executor, len: usize, threshold: usize) -> &dyn Executor {
-    if len < threshold {
-        &ScopedSpawn(1)
-    } else {
-        exec
-    }
-}
-
-/// Split `[0, len)` into at most `exec.width()` contiguous chunks and
-/// run `f(start, chunk)` for each chunk of `data` as one executor job.
-pub(crate) fn for_each_chunk_mut_on<S: Send, F>(exec: &dyn Executor, data: &mut [S], f: F)
-where
-    F: Fn(usize, &mut [S]) + Sync,
-{
-    let len = data.len();
-    let width = exec.width().clamp(1, len.max(1));
-    let chunk = len.div_ceil(width);
-    if width <= 1 || chunk == 0 {
-        f(0, data);
-        return;
-    }
-    let mut jobs: Vec<(usize, RawSliceMut<S>)> = Vec::with_capacity(width);
-    let mut rest = data;
-    let mut start = 0usize;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        jobs.push((start, RawSliceMut::new(head)));
-        start += take;
-        rest = tail;
-    }
-    exec.run_jobs(jobs.len(), &|i| {
-        let (s, p) = &jobs[i];
-        // SAFETY: the chunks are disjoint and each job index runs
-        // exactly once; `run_jobs` blocks until every job finishes, so
-        // the borrow of `data` outlives every dereference.
-        f(*s, unsafe { p.get() })
-    });
-}
-
-/// Run `f(i, &mut data[i])` for every element, elements partitioned in
-/// contiguous runs across scoped threads. For batches of independent
-/// work items (e.g. factoring block Jacobi's groups of diagonal blocks);
-/// results are position-deterministic, so parallelism never changes an
-/// outcome.
-pub fn for_each_slot_mut<T: Send, F>(threads: usize, data: &mut [T], f: F)
-where
-    F: Fn(usize, &mut T) + Sync,
-{
-    if threads <= 1 || data.len() <= 1 {
-        for (i, slot) in data.iter_mut().enumerate() {
-            f(i, slot);
-        }
-        return;
-    }
-    for_each_chunk_mut_on(&ScopedSpawn(threads), data, |start, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            f(start + i, slot);
-        }
-    });
-}
-
-/// Run `f(start, chunk)` for each precomputed contiguous `(start, end)`
-/// range of `data`, one executor job per range. The ranges must tile
-/// `0..data.len()` in order (as produced by [`row_partition`] or
-/// [`nnz_partition`]); callers that cache partitions (see
-/// `mpgmres-backend`'s `ParallelBackend`) use this instead of
-/// recomputing the split on every kernel call.
-fn for_each_part_mut_on<S: Send, F>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
+/// Run `f(start, chunk)` for each `(start, end)` range of `ranges` as
+/// one pool job (job `i` on participant `i % threads`); the ranges must
+/// tile `data` in order. Each job takes its `split_at_mut` chunk out of
+/// its own `Mutex`, which only that job ever locks.
+fn for_each_range_mut_on<S: Send, F>(
+    pool: &WorkerPool,
+    ranges: impl IntoIterator<Item = (usize, usize)>,
     data: &mut [S],
     f: F,
 ) where
     F: Fn(usize, &mut [S]) + Sync,
 {
-    if parts.len() <= 1 {
-        f(0, data);
-        return;
-    }
-    let len = data.len();
-    let mut jobs: Vec<(usize, RawSliceMut<S>)> = Vec::with_capacity(parts.len());
     let mut rest = data;
     let mut prev = 0usize;
-    for &(lo, hi) in parts {
-        assert_eq!(lo, prev, "parts must be contiguous");
-        let (head, tail) = rest.split_at_mut(hi - lo);
-        jobs.push((lo, RawSliceMut::new(head)));
-        rest = tail;
-        prev = hi;
-    }
-    assert_eq!(prev, len, "parts must cover the data");
-    exec.run_jobs(jobs.len(), &|i| {
-        let (s, p) = &jobs[i];
-        // SAFETY: disjoint ranges, one job per index, barrier in
-        // `run_jobs` (see for_each_chunk_mut_on).
-        f(*s, unsafe { p.get() })
+    // Every caller cuts at most one range per participant, plus block
+    // Jacobi's tail: one allocation per call.
+    let mut jobs: Vec<(usize, Mutex<&mut [S]>)> = Vec::with_capacity(pool.threads() + 1);
+    jobs.extend(ranges.into_iter().map(|(lo, hi)| {
+        assert_eq!(lo, prev, "ranges must be contiguous");
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        (rest, prev) = (tail, hi);
+        (lo, Mutex::new(head))
+    }));
+    assert!(rest.is_empty(), "ranges must cover the data");
+    pool.run(jobs.len(), |i| {
+        let (start, chunk) = &jobs[i];
+        f(
+            *start,
+            &mut chunk.lock().expect("only this job locks its chunk"),
+        )
     });
 }
 
-/// `y = A x` over a precomputed row partition, one executor job per
-/// range (no threshold check; the caller decides when going parallel
-/// pays). Bit-identical to [`Csr::spmv`].
-pub fn spmv_parts_on<S: Scalar>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
-    a: &Csr<S>,
-    x: &[S],
-    y: &mut [S],
-) {
+/// Split `data` into at most `pool.threads()` equal contiguous chunks
+/// and run `f(start, chunk)` for each chunk as one pool job; with one
+/// participant, `f(0, data)` on the calling thread.
+pub(crate) fn for_each_chunk_mut_on<S: Send, F>(pool: &WorkerPool, data: &mut [S], f: F)
+where
+    F: Fn(usize, &mut [S]) + Sync,
+{
+    let len = data.len();
+    let width = pool.threads().clamp(1, len.max(1));
+    if width <= 1 {
+        return f(0, data);
+    }
+    let chunk = len.div_ceil(width);
+    let ranges = (0..len)
+        .step_by(chunk)
+        .map(|lo| (lo, (lo + chunk).min(len)));
+    for_each_range_mut_on(pool, ranges, data, f);
+}
+
+/// [`for_each_chunk_mut_on`] when `len` (the kernel's row or element
+/// count) reaches `threshold`, `f(0, data)` on the calling thread below
+/// it.
+fn for_each_chunk_mut_above<S: Send, F>(
+    pool: &WorkerPool,
+    len: usize,
+    threshold: usize,
+    data: &mut [S],
+    f: F,
+) where
+    F: Fn(usize, &mut [S]) + Sync,
+{
+    if len < threshold {
+        f(0, data);
+    } else {
+        for_each_chunk_mut_on(pool, data, f);
+    }
+}
+
+/// Run `f(i, &mut data[i])` for every element, elements partitioned in
+/// contiguous runs over a [`WorkerPool`] of `threads` participants built
+/// for the call. For batches of independent work items (e.g. factoring
+/// block Jacobi's groups of diagonal blocks); results are
+/// position-deterministic, so parallelism never changes an outcome.
+pub fn for_each_slot_mut<T: Send, F>(threads: usize, data: &mut [T], f: F)
+where
+    F: Fn(usize, &mut T) + Sync,
+{
+    let each = |start: usize, chunk: &mut [T]| {
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            f(start + i, slot);
+        }
+    };
+    if threads <= 1 || data.len() <= 1 {
+        return each(0, data);
+    }
+    for_each_chunk_mut_on(&WorkerPool::new(threads), data, each);
+}
+
+/// Run `f(lo, hi, cols)` for each `(lo, hi)` row range of `ranges` as
+/// one pool job, `cols` holding rows `lo..hi` of each of the leading `k`
+/// columns of `y`; the ranges must tile `0..y.n()` in order. The
+/// handoff is [`for_each_range_mut_on`]'s, one `Mutex` per job.
+fn for_each_row_block_on<S: Scalar, F>(
+    pool: &WorkerPool,
+    ranges: impl IntoIterator<Item = (usize, usize)>,
+    y: &mut MultiVec<S>,
+    k: usize,
+    f: F,
+) where
+    F: Fn(usize, usize, &mut [&mut [S]]) + Sync,
+{
+    let mut rest = y.cols_mut(k);
+    let mut jobs = Vec::with_capacity(pool.threads());
+    jobs.extend(ranges.into_iter().map(|(lo, hi)| {
+        let cols: Vec<&mut [S]> = rest
+            .iter_mut()
+            .map(|c| {
+                let (head, tail) = std::mem::take(c).split_at_mut(hi - lo);
+                *c = tail;
+                head
+            })
+            .collect();
+        (lo, hi, Mutex::new(cols))
+    }));
+    assert!(
+        rest.iter().all(|c| c.is_empty()),
+        "ranges must cover the rows"
+    );
+    pool.run(jobs.len(), |i| {
+        let (lo, hi, cols) = &jobs[i];
+        f(
+            *lo,
+            *hi,
+            &mut cols.lock().expect("only this job locks its chunk"),
+        )
+    });
+}
+
+/// `y = A x` over the pool, rows cut at nnz quantiles of `a`, one range
+/// per participant (no threshold check; the caller decides when going
+/// parallel pays). Bit-identical to [`Csr::spmv`].
+pub fn spmv_parts_on<S: Scalar>(pool: &WorkerPool, a: &Csr<S>, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), a.ncols(), "spmv: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "spmv: y length mismatch");
-    for_each_part_mut_on(exec, parts, y, |start, chunk| {
+    for_each_range_mut_on(pool, csr_cut(a, pool.threads()), y, |start, chunk| {
         fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
-/// `r = b - A x` over a precomputed row partition (no threshold check).
-/// Bit-identical to [`Csr::residual`].
-pub fn residual_parts_on<S: Scalar>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
-    a: &Csr<S>,
-    b: &[S],
-    x: &[S],
-    r: &mut [S],
-) {
+/// `r = b - A x` over the pool, rows cut at nnz quantiles of `a` (no
+/// threshold check). Bit-identical to [`Csr::residual`].
+pub fn residual_parts_on<S: Scalar>(pool: &WorkerPool, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
     assert_eq!(b.len(), a.nrows(), "residual: b length mismatch");
     assert_eq!(x.len(), a.ncols(), "residual: x length mismatch");
     assert_eq!(r.len(), a.nrows(), "residual: r length mismatch");
-    for_each_part_mut_on(exec, parts, r, |start, chunk| {
+    for_each_range_mut_on(pool, csr_cut(a, pool.threads()), r, |start, chunk| {
         fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
-/// Fused SpMM `Y = A X` over the leading `k` columns and a precomputed
-/// row partition, one scoped thread per range: one pass over the CSR
-/// rows serves all `k` right-hand sides. Per output column this
-/// accumulates in exactly the order of [`Csr::spmv`]'s per-row kernel,
-/// so the result is bit-identical to `k` independent SpMV calls — the
-/// multi-RHS determinism contract.
+/// Fused SpMM `Y = A X` over the leading `k` columns, one range of the
+/// precomputed row partition `parts` after another on the calling
+/// thread: one pass over the CSR rows serves all `k` right-hand sides.
+/// Per output column this accumulates in exactly the order of
+/// [`Csr::spmv`]'s per-row kernel, so the result is bit-identical to `k`
+/// independent SpMV calls — the multi-RHS determinism contract.
 pub fn spmm_parts<S: Scalar>(
-    parts: &[(usize, usize)],
-    a: &Csr<S>,
-    x: &MultiVec<S>,
-    k: usize,
-    y: &mut MultiVec<S>,
-) {
-    spmm_parts_on(&ScopedSpawn(parts.len()), parts, a, x, k, y);
-}
-
-/// [`spmm_parts`] on an explicit executor.
-pub fn spmm_parts_on<S: Scalar>(
-    exec: &dyn Executor,
     parts: &[(usize, usize)],
     a: &Csr<S>,
     x: &MultiVec<S>,
@@ -357,10 +391,26 @@ pub fn spmm_parts_on<S: Scalar>(
     assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
     let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
     let mut slots = y.partition_rows_mut(k, parts);
-    for_each_chunk_mut_on(exec, &mut slots, |first, chunk| {
-        for (cols, &(lo, hi)) in chunk.iter_mut().zip(&parts[first..]) {
-            spmm_rows(a, &xcols, lo, hi, cols);
-        }
+    for (cols, &(lo, hi)) in slots.iter_mut().zip(parts) {
+        spmm_rows(a, &xcols, lo, hi, cols);
+    }
+}
+
+/// [`spmm_parts`] over the pool, rows cut at nnz quantiles of `a`, one
+/// range per participant (no threshold check).
+pub fn spmm_parts_on<S: Scalar>(
+    pool: &WorkerPool,
+    a: &Csr<S>,
+    x: &MultiVec<S>,
+    k: usize,
+    y: &mut MultiVec<S>,
+) {
+    assert_eq!(x.n(), a.ncols(), "spmm: x row count mismatch");
+    assert_eq!(y.n(), a.nrows(), "spmm: y row count mismatch");
+    assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
+    let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
+    for_each_row_block_on(pool, csr_cut(a, pool.threads()), y, k, |lo, hi, cols| {
+        spmm_rows(a, &xcols, lo, hi, cols)
     });
 }
 
@@ -440,29 +490,24 @@ fn spmm_rows_dyn<S: Scalar>(
     }
 }
 
-/// `y = A x` for a [`MatrixStore`] over a precomputed row partition.
+/// `y = A x` for a [`MatrixStore`] over the pool, rows cut at nnz
+/// quantiles of the store (both buckets of a split store), one range per
+/// participant (no threshold check).
 ///
 /// Bit-identical to [`MatrixStore::spmv`]: both paths evaluate each
 /// output row with the store's shared per-row kernel.
-pub fn store_spmv_parts_on<S: Scalar>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
-    a: &MatrixStore<S>,
-    x: &[S],
-    y: &mut [S],
-) {
+pub fn store_spmv_parts_on<S: Scalar>(pool: &WorkerPool, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), a.ncols(), "store spmv: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "store spmv: y length mismatch");
-    for_each_part_mut_on(exec, parts, y, |start, chunk| {
+    for_each_range_mut_on(pool, store_cut(a, pool.threads()), y, |start, chunk| {
         fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
-/// `r = b - A x` for a [`MatrixStore`] over a precomputed row
-/// partition. Bit-identical to [`MatrixStore::residual`].
+/// `r = b - A x` for a [`MatrixStore`] over the pool, cut as
+/// [`store_spmv_parts_on`]. Bit-identical to [`MatrixStore::residual`].
 pub fn store_residual_parts_on<S: Scalar>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
+    pool: &WorkerPool,
     a: &MatrixStore<S>,
     b: &[S],
     x: &[S],
@@ -471,18 +516,17 @@ pub fn store_residual_parts_on<S: Scalar>(
     assert_eq!(b.len(), a.nrows(), "store residual: b length mismatch");
     assert_eq!(x.len(), a.ncols(), "store residual: x length mismatch");
     assert_eq!(r.len(), a.nrows(), "store residual: r length mismatch");
-    for_each_part_mut_on(exec, parts, r, |start, chunk| {
+    for_each_range_mut_on(pool, store_cut(a, pool.threads()), r, |start, chunk| {
         fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
-/// Fused SpMM `Y = A X` for a [`MatrixStore`] over a precomputed row
-/// partition. Per output column the accumulation order is exactly the
-/// store's per-row kernel, so the result is bit-identical to
+/// Fused SpMM `Y = A X` for a [`MatrixStore`] over the pool, cut as
+/// [`store_spmv_parts_on`]. Per output column the accumulation order is
+/// exactly the store's per-row kernel, so the result is bit-identical to
 /// [`MatrixStore::spmm`] and to `k` independent store SpMVs.
 pub fn store_spmm_parts_on<S: Scalar>(
-    exec: &dyn Executor,
-    parts: &[(usize, usize)],
+    pool: &WorkerPool,
     a: &MatrixStore<S>,
     x: &MultiVec<S>,
     k: usize,
@@ -492,44 +536,38 @@ pub fn store_spmm_parts_on<S: Scalar>(
     assert_eq!(y.n(), a.nrows(), "store spmm: y row count mismatch");
     assert!(k <= x.k() && k <= y.k(), "store spmm: too many columns");
     let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
-    let mut slots = y.partition_rows_mut(k, parts);
-    for_each_chunk_mut_on(exec, &mut slots, |first, chunk| {
-        for (cols, &(lo, hi)) in chunk.iter_mut().zip(&parts[first..]) {
-            a.spmm_rows(&xcols, lo, hi, cols);
-        }
+    for_each_row_block_on(pool, store_cut(a, pool.threads()), y, k, |lo, hi, cols| {
+        a.spmm_rows(&xcols, lo, hi, cols)
     });
 }
 
 /// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans), split over the
-/// executor from [`GEMV_PAR_THRESHOLD`] rows: by reduction block under
+/// pool from [`GEMV_PAR_THRESHOLD`] rows: by reduction block under
 /// [`ReductionOrder::BlockedTree`], by column under
 /// [`ReductionOrder::Sequential`].
 ///
 /// Every column's partials and combine tree are those of the reference,
 /// so per-column results are bit-identical to [`MultiVector::gemv_t`].
 pub fn gemv_t_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &MultiVector<S>,
     ncols: usize,
     w: &[S],
     h: &mut [S],
     order: ReductionOrder,
 ) {
-    gemv_t_split_on(
-        above(exec, v.n(), GEMV_PAR_THRESHOLD),
-        v,
-        ncols,
-        w,
-        h,
-        order,
-    );
+    if v.n() < GEMV_PAR_THRESHOLD {
+        v.gemv_t(ncols, w, h, order);
+    } else {
+        gemv_t_split_on(pool, v, ncols, w, h, order);
+    }
 }
 
-/// [`gemv_t_on`] without the size threshold: splits whenever the
-/// executor has two or more participants (the pooled side of the
-/// crossover sweep).
+/// [`gemv_t_on`] without the size threshold: splits whenever the pool
+/// has two or more participants (the pooled side of the crossover
+/// sweep).
 pub fn gemv_t_split_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &MultiVector<S>,
     ncols: usize,
     w: &[S],
@@ -539,12 +577,12 @@ pub fn gemv_t_split_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "gemv_t: too many columns");
     assert_eq!(w.len(), v.n(), "gemv_t: vector length mismatch");
     assert!(h.len() >= ncols, "gemv_t: output too short");
-    if ncols == 0 || exec.width() <= 1 {
+    if ncols == 0 || pool.threads() <= 1 {
         v.gemv_t(ncols, w, h, order);
         return;
     }
     if let Some(block) = split_blocks(v.n(), order) {
-        gemv_t_blocks_on(exec, v.n(), block, &mut h[..ncols], |b0, parts| {
+        gemv_t_blocks_on(pool, v.n(), block, &mut h[..ncols], |b0, parts| {
             fma::run(
                 #[inline(always)]
                 || v.gemv_t_blocks(ncols, w, block, b0, parts),
@@ -556,7 +594,7 @@ pub fn gemv_t_split_on<S: Scalar>(
         v.gemv_t(ncols, w, h, order);
         return;
     }
-    for_each_chunk_mut_on(exec, &mut h[..ncols], |start, chunk| {
+    for_each_chunk_mut_on(pool, &mut h[..ncols], |start, chunk| {
         fma::run(|| v.gemv_t_range(start, w, chunk, order))
     });
 }
@@ -578,7 +616,7 @@ fn split_blocks(n: usize, order: ReductionOrder) -> Option<usize> {
 /// `multivector::gemv_t_block_partials`). The caller then sums each
 /// column's partials in block order with the reference tree into `h`.
 fn gemv_t_blocks_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     n: usize,
     block: usize,
     h: &mut [S],
@@ -586,13 +624,10 @@ fn gemv_t_blocks_on<S: Scalar>(
 ) {
     let ncols = h.len();
     let nblocks = n.div_ceil(block);
-    let runs = row_partition(nblocks, exec.width());
-    let slices: Vec<(usize, usize)> = runs
-        .iter()
-        .map(|&(b0, b1)| (b0 * ncols, b1 * ncols))
-        .collect();
+    let runs = row_partition(nblocks, pool.threads());
+    let slices = runs.iter().map(|&(b0, b1)| (b0 * ncols, b1 * ncols));
     let mut parts = vec![S::zero(); nblocks * ncols];
-    for_each_part_mut_on(exec, &slices, &mut parts, |start, chunk| {
+    for_each_range_mut_on(pool, slices, &mut parts, |start, chunk| {
         partials(start / ncols, chunk)
     });
     let mut col = vec![S::zero(); nblocks];
@@ -607,32 +642,29 @@ fn gemv_t_blocks_on<S: Scalar>(
 }
 
 /// `w -= V[:, ..ncols] h` (GEMV No-Trans, alpha = -1), rows split over
-/// the executor from [`GEMV_PAR_THRESHOLD`] rows. Within each row,
-/// columns accumulate in the order of [`MultiVector::gemv_n_sub`], so
-/// results are bit-identical.
+/// the pool from [`GEMV_PAR_THRESHOLD`] rows. Within each row, columns
+/// accumulate in the order of [`MultiVector::gemv_n_sub`], so results
+/// are bit-identical.
 pub fn gemv_n_sub_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &MultiVector<S>,
     ncols: usize,
     h: &[S],
     w: &mut [S],
 ) {
-    gemv_n_split_on(
-        above(exec, v.n(), GEMV_PAR_THRESHOLD),
-        v,
-        ncols,
-        h,
-        w,
-        false,
-    );
+    if v.n() < GEMV_PAR_THRESHOLD {
+        v.gemv_n_sub(ncols, h, w);
+    } else {
+        gemv_n_split_on(pool, v, ncols, h, w, false);
+    }
 }
 
 /// `w ±= V[:, ..ncols] h` (`+` when `add`) without the size threshold:
-/// rows split whenever the executor has two or more participants (the
+/// rows split whenever the pool has two or more participants (the
 /// pooled side of the crossover sweep). Bit-identical to
 /// [`MultiVector::gemv_n_sub`] / [`MultiVector::gemv_n_add`].
 pub fn gemv_n_split_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &MultiVector<S>,
     ncols: usize,
     h: &[S],
@@ -642,22 +674,26 @@ pub fn gemv_n_split_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "gemv_n: too many columns");
     assert_eq!(w.len(), v.n(), "gemv_n: vector length mismatch");
     assert!(h.len() >= ncols, "gemv_n: coefficient vector too short");
-    for_each_chunk_mut_on(exec, w, |start, chunk| {
+    for_each_chunk_mut_on(pool, w, |start, chunk| {
         fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, add))
     });
 }
 
 /// `y += V[:, ..ncols] h` (GEMV No-Trans, alpha = +1), rows split over
-/// the executor from [`GEMV_PAR_THRESHOLD`] rows. Bit-identical to
+/// the pool from [`GEMV_PAR_THRESHOLD`] rows. Bit-identical to
 /// [`MultiVector::gemv_n_add`].
 pub fn gemv_n_add_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &MultiVector<S>,
     ncols: usize,
     h: &[S],
     y: &mut [S],
 ) {
-    gemv_n_split_on(above(exec, v.n(), GEMV_PAR_THRESHOLD), v, ncols, h, y, true);
+    if v.n() < GEMV_PAR_THRESHOLD {
+        v.gemv_n_add(ncols, h, y);
+    } else {
+        gemv_n_split_on(pool, v, ncols, h, y, true);
+    }
 }
 
 /// `h[i] = widen(col_i) . w` over the first `ncols` columns of a
@@ -669,7 +705,7 @@ pub fn gemv_n_add_on<S: Scalar>(
 /// reference on every storage path (on [`BasisStore::Native`] this *is*
 /// [`gemv_t_on`]'s computation).
 pub fn basis_gemv_t_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &BasisStore<S>,
     ncols: usize,
     w: &[S],
@@ -679,12 +715,12 @@ pub fn basis_gemv_t_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_t: too many columns");
     assert_eq!(w.len(), v.n(), "basis_gemv_t: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_t: output too short");
-    if v.n() < GEMV_PAR_THRESHOLD || ncols == 0 || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || ncols == 0 || pool.threads() <= 1 {
         v.gemv_t(ncols, w, h, order);
         return;
     }
     if let Some(block) = split_blocks(v.n(), order) {
-        gemv_t_blocks_on(exec, v.n(), block, &mut h[..ncols], |b0, parts| {
+        gemv_t_blocks_on(pool, v.n(), block, &mut h[..ncols], |b0, parts| {
             v.gemv_t_blocks(ncols, w, block, b0, parts)
         });
         return;
@@ -693,17 +729,17 @@ pub fn basis_gemv_t_on<S: Scalar>(
         v.gemv_t(ncols, w, h, order);
         return;
     }
-    for_each_chunk_mut_on(exec, &mut h[..ncols], |start, chunk| {
+    for_each_chunk_mut_on(pool, &mut h[..ncols], |start, chunk| {
         v.gemv_t_range(start, w, chunk, order);
     });
 }
 
 /// `w -= widen(V[:, ..ncols]) h` over a [`BasisStore`], rows partitioned
-/// across threads. Each row range accumulates columns in the reference
+/// across the pool. Each row range accumulates columns in the reference
 /// order via the shared row-range kernel, so results are bit-identical
 /// to [`BasisStore::gemv_n_sub`] on every storage path.
 pub fn basis_gemv_n_sub_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &BasisStore<S>,
     ncols: usize,
     h: &[S],
@@ -712,20 +748,20 @@ pub fn basis_gemv_n_sub_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_n_sub: too many columns");
     assert_eq!(w.len(), v.n(), "basis_gemv_n_sub: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_n_sub: coefficients too short");
-    if v.n() < GEMV_PAR_THRESHOLD || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || pool.threads() <= 1 {
         v.gemv_n_sub(ncols, h, w);
         return;
     }
-    for_each_chunk_mut_on(exec, w, |start, chunk| {
+    for_each_chunk_mut_on(pool, w, |start, chunk| {
         v.gemv_n_rows(ncols, h, start, chunk, false);
     });
 }
 
 /// `y += widen(V[:, ..ncols]) h` over a [`BasisStore`], rows partitioned
-/// across threads. Bit-identical to [`BasisStore::gemv_n_add`] on every
+/// across the pool. Bit-identical to [`BasisStore::gemv_n_add`] on every
 /// storage path.
 pub fn basis_gemv_n_add_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     v: &BasisStore<S>,
     ncols: usize,
     h: &[S],
@@ -734,52 +770,48 @@ pub fn basis_gemv_n_add_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "basis_gemv_n_add: too many columns");
     assert_eq!(y.len(), v.n(), "basis_gemv_n_add: vector length mismatch");
     assert!(h.len() >= ncols, "basis_gemv_n_add: coefficients too short");
-    if v.n() < GEMV_PAR_THRESHOLD || exec.width() <= 1 {
+    if v.n() < GEMV_PAR_THRESHOLD || pool.threads() <= 1 {
         v.gemv_n_add(ncols, h, y);
         return;
     }
-    for_each_chunk_mut_on(exec, y, |start, chunk| {
+    for_each_chunk_mut_on(pool, y, |start, chunk| {
         v.gemv_n_rows(ncols, h, start, chunk, true);
     });
 }
 
 /// `y = M^{-1} x` for packed block-diagonal LU factors (block Jacobi's
-/// apply), the 16-block groups split over the executor.
+/// apply), the 16-block groups split over the pool.
 ///
 /// Jobs take contiguous runs of groups, one run per participant; the
 /// tail blocks after the last full group are one more job, which lands
 /// on the caller when every participant has a run. Every block is
 /// solved by the body [`BlockLu::solve`] runs, so the result is
 /// bit-identical to it.
-pub fn block_lu_solve_on<S: Scalar>(exec: &dyn Executor, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
-    block_lu_solve_split_on(above(exec, f.n(), BLOCK_LU_PAR_THRESHOLD), f, x, y);
+pub fn block_lu_solve_on<S: Scalar>(pool: &WorkerPool, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
+    if f.n() < BLOCK_LU_PAR_THRESHOLD {
+        f.solve(x, y);
+    } else {
+        block_lu_solve_split_on(pool, f, x, y);
+    }
 }
 
 /// [`block_lu_solve_on`] without the size threshold: splits whenever
-/// the executor has two or more participants and there are two or more
+/// the pool has two or more participants and there are two or more
 /// groups (the pooled side of the crossover sweep).
-pub fn block_lu_solve_split_on<S: Scalar>(
-    exec: &dyn Executor,
-    f: &BlockLu<S>,
-    x: &[S],
-    y: &mut [S],
-) {
+pub fn block_lu_solve_split_on<S: Scalar>(pool: &WorkerPool, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), f.n(), "block_lu_solve: x length");
     assert_eq!(y.len(), f.n(), "block_lu_solve: y length");
     let (gr, wide) = (f.group_rows(), f.wide_rows());
     let ngroups = wide / gr;
-    if exec.width() <= 1 || ngroups < 2 {
+    if pool.threads() <= 1 || ngroups < 2 {
         f.solve(x, y);
         return;
     }
-    let mut parts: Vec<(usize, usize)> = row_partition(ngroups, exec.width())
+    let runs = row_partition(ngroups, pool.threads())
         .into_iter()
-        .map(|(g0, g1)| (g0 * gr, g1 * gr))
-        .collect();
-    if wide < f.n() {
-        parts.push((wide, f.n()));
-    }
-    for_each_part_mut_on(exec, &parts, y, |start, chunk| {
+        .map(|(g0, g1)| (g0 * gr, g1 * gr));
+    let tail = (wide < f.n()).then_some((wide, f.n()));
+    for_each_range_mut_on(pool, runs.chain(tail), y, |start, chunk| {
         f.solve_rows(start, x, chunk)
     });
 }
@@ -788,29 +820,32 @@ pub fn block_lu_solve_split_on<S: Scalar>(
 ///
 /// [`ReductionOrder::Sequential`] runs serially (a single dependency
 /// chain — see module docs); [`ReductionOrder::BlockedTree`] computes
-/// block partials on the executor from
-/// [`PAR_THRESHOLD`] elements and
+/// block partials on the pool from [`PAR_THRESHOLD`] elements and
 /// combines them with the shared pairwise tree, bit-identical to the
 /// reference.
-pub fn dot_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: ReductionOrder) -> S {
-    dot_split_on(above(exec, x.len(), PAR_THRESHOLD), x, y, order)
+pub fn dot_on<S: Scalar>(pool: &WorkerPool, x: &[S], y: &[S], order: ReductionOrder) -> S {
+    if x.len() < PAR_THRESHOLD {
+        vec_ops::dot_ordered(x, y, order)
+    } else {
+        dot_split_on(pool, x, y, order)
+    }
 }
 
 /// [`dot_on`] without the size threshold: the blocked tree's partials
-/// split whenever the executor has two or more participants (the pooled
+/// split whenever the pool has two or more participants (the pooled
 /// side of the crossover sweep).
-pub fn dot_split_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: ReductionOrder) -> S {
+pub fn dot_split_on<S: Scalar>(pool: &WorkerPool, x: &[S], y: &[S], order: ReductionOrder) -> S {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     match order {
         ReductionOrder::Sequential => vec_ops::dot_ordered(x, y, order),
         ReductionOrder::BlockedTree { block } => {
             let block = block.max(1);
             let nblocks = x.len().div_ceil(block);
-            if exec.width() <= 1 || nblocks <= 1 {
+            if pool.threads() <= 1 || nblocks <= 1 {
                 return vec_ops::dot_ordered(x, y, order);
             }
             let mut parts = vec![S::zero(); nblocks];
-            for_each_chunk_mut_on(exec, &mut parts, |start, chunk| {
+            for_each_chunk_mut_on(pool, &mut parts, |start, chunk| {
                 let lo = start * block;
                 let hi = ((start + chunk.len()) * block).min(x.len());
                 fma::run(
@@ -824,27 +859,29 @@ pub fn dot_split_on<S: Scalar>(exec: &dyn Executor, x: &[S], y: &[S], order: Red
 }
 
 /// Euclidean norm under the given reduction order (see [`dot_on`]).
-pub fn norm2_on<S: Scalar>(exec: &dyn Executor, x: &[S], order: ReductionOrder) -> S {
-    dot_on(exec, x, x, order).sqrt()
+pub fn norm2_on<S: Scalar>(pool: &WorkerPool, x: &[S], order: ReductionOrder) -> S {
+    dot_on(pool, x, x, order).sqrt()
 }
 
-/// `y += alpha x`, elementwise split from
-/// [`PAR_THRESHOLD`] elements.
+/// `y += alpha x`, elementwise split from [`PAR_THRESHOLD`] elements.
 /// Bit-identical to [`vec_ops::axpy`].
-pub fn axpy_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
-    axpy_split_on(above(exec, x.len(), PAR_THRESHOLD), alpha, x, y);
+pub fn axpy_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &[S], y: &mut [S]) {
+    if x.len() < PAR_THRESHOLD {
+        vec_ops::axpy(alpha, x, y);
+    } else {
+        axpy_split_on(pool, alpha, x, y);
+    }
 }
 
-/// [`axpy_on`] without the size threshold: splits whenever the executor
-/// has two or more participants (the pooled side of the crossover
-/// sweep).
-pub fn axpy_split_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut [S]) {
+/// [`axpy_on`] without the size threshold: splits whenever the pool has
+/// two or more participants (the pooled side of the crossover sweep).
+pub fn axpy_split_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if exec.width() <= 1 {
+    if pool.threads() <= 1 {
         vec_ops::axpy(alpha, x, y);
         return;
     }
-    for_each_chunk_mut_on(exec, y, |start, chunk| {
+    for_each_chunk_mut_on(pool, y, |start, chunk| {
         fma::run(|| {
             for (i, yi) in chunk.iter_mut().enumerate() {
                 *yi = alpha.mul_add(x[start + i], *yi);
@@ -855,20 +892,18 @@ pub fn axpy_split_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &[S], y: &mut 
 
 /// `x *= alpha`, elementwise split from [`PAR_THRESHOLD`] elements.
 /// Bit-identical to [`vec_ops::scale`].
-pub fn scal_on<S: Scalar>(exec: &dyn Executor, alpha: S, x: &mut [S]) {
-    for_each_chunk_mut_on(above(exec, x.len(), PAR_THRESHOLD), x, |_, chunk| {
+pub fn scal_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &mut [S]) {
+    for_each_chunk_mut_above(pool, x.len(), PAR_THRESHOLD, x, |_, chunk| {
         vec_ops::scale(alpha, chunk)
     });
 }
 
 /// Copy `src` into `dst`, split from [`PAR_THRESHOLD`] elements.
-pub fn copy_on<S: Scalar>(exec: &dyn Executor, src: &[S], dst: &mut [S]) {
+pub fn copy_on<S: Scalar>(pool: &WorkerPool, src: &[S], dst: &mut [S]) {
     assert_eq!(src.len(), dst.len(), "copy: length mismatch");
-    for_each_chunk_mut_on(
-        above(exec, src.len(), PAR_THRESHOLD),
-        dst,
-        |start, chunk| chunk.copy_from_slice(&src[start..start + chunk.len()]),
-    );
+    for_each_chunk_mut_above(pool, src.len(), PAR_THRESHOLD, dst, |start, chunk| {
+        chunk.copy_from_slice(&src[start..start + chunk.len()])
+    });
 }
 
 // ----- batched lane-set kernels ---------------------------------------
@@ -889,10 +924,10 @@ fn lane_shapes<S>(op: &str, srcs: &[&[S]], dsts: &[&mut [S]]) {
 
 /// Batched per-lane copy: `dsts[c] = srcs[c]` for every lane.
 /// Bit-identical to `k` independent copies by construction.
-pub fn lane_copy_on<S: Scalar>(exec: &dyn Executor, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
+pub fn lane_copy_on<S: Scalar>(pool: &WorkerPool, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
     lane_shapes("lane_copy", srcs, dsts);
     let n = srcs.first().map_or(0, |s| s.len());
-    for_each_chunk_mut_on(above(exec, n, PAR_THRESHOLD), dsts, |first, chunk| {
+    for_each_chunk_mut_above(pool, n, PAR_THRESHOLD, dsts, |first, chunk| {
         for (d, s) in chunk.iter_mut().zip(&srcs[first..]) {
             d.copy_from_slice(s);
         }
@@ -905,7 +940,7 @@ pub fn lane_copy_on<S: Scalar>(exec: &dyn Executor, srcs: &[&[S]], dsts: &mut [&
 /// multiply `vec_ops::scale` performs after a copy, so the fusion is
 /// bit-identical to the two-kernel sequence.
 pub fn lane_scal_copy_on<S: Scalar>(
-    exec: &dyn Executor,
+    pool: &WorkerPool,
     alpha: &[S],
     srcs: &[&[S]],
     dsts: &mut [&mut [S]],
@@ -913,7 +948,7 @@ pub fn lane_scal_copy_on<S: Scalar>(
     lane_shapes("lane_scal_copy", srcs, dsts);
     assert_eq!(alpha.len(), srcs.len(), "lane_scal_copy: alpha count");
     let n = srcs.first().map_or(0, |s| s.len());
-    for_each_chunk_mut_on(above(exec, n, PAR_THRESHOLD), dsts, |first, chunk| {
+    for_each_chunk_mut_above(pool, n, PAR_THRESHOLD, dsts, |first, chunk| {
         for ((d, s), &a) in chunk.iter_mut().zip(&srcs[first..]).zip(&alpha[first..]) {
             for (di, &si) in d.iter_mut().zip(s.iter()) {
                 *di = si * a;
@@ -926,7 +961,7 @@ pub fn lane_scal_copy_on<S: Scalar>(
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use crate::pool::WorkerPool;
+    use mpgmres_scalar::Precision;
 
     fn big_laplace(n: usize) -> Csr<f64> {
         let mut coo = Coo::new(n, n);
@@ -982,6 +1017,23 @@ mod tests {
         a
     }
 
+    /// Stored entries per range of a cut.
+    fn range_nnz(a: &Csr<f64>, parts: &[(usize, usize)]) -> Vec<usize> {
+        parts
+            .iter()
+            .map(|&(lo, hi)| a.row_ptr()[hi] - a.row_ptr()[lo])
+            .collect()
+    }
+
+    /// Checks that `parts` tiles `0..n` in order.
+    fn assert_tiles(parts: &[(usize, usize)], n: usize) {
+        assert_eq!(parts[0].0, 0);
+        assert_eq!(parts.last().unwrap().1, n);
+        for w in parts.windows(2) {
+            assert_eq!(w[0].1, w[1].0);
+        }
+    }
+
     #[test]
     fn spmv_bit_identical_to_reference() {
         let n = PAR_N;
@@ -990,44 +1042,8 @@ mod tests {
         let mut y_seq = vec![0.0; n];
         let mut y_par = vec![0.0; n];
         a.spmv(&x, &mut y_seq);
-        spmv_parts_on(&ScopedSpawn(8), &row_partition(n, 8), &a, &x, &mut y_par);
+        spmv_parts_on(&WorkerPool::new(8), &a, &x, &mut y_par);
         assert_eq!(y_seq, y_par);
-    }
-
-    #[test]
-    fn pooled_kernels_bit_identical_to_scoped() {
-        let n = PAR_N;
-        let a = par_laplace();
-        let x = pseudo(n, 11);
-        let pool = WorkerPool::new(4);
-        let parts = row_partition(n, 4);
-        let (mut y_scoped, mut y_pool) = (vec![0.0; n], vec![0.0; n]);
-        spmv_parts_on(&ScopedSpawn(4), &parts, &a, &x, &mut y_scoped);
-        spmv_parts_on(&pool, &parts, &a, &x, &mut y_pool);
-        assert_eq!(y_scoped, y_pool);
-
-        let b = pseudo(n, 12);
-        let (mut r_scoped, mut r_pool) = (vec![0.0; n], vec![0.0; n]);
-        residual_parts_on(&ScopedSpawn(4), &parts, &a, &b, &x, &mut r_scoped);
-        residual_parts_on(&pool, &parts, &a, &b, &x, &mut r_pool);
-        assert_eq!(r_scoped, r_pool);
-
-        let order = ReductionOrder::GPU_LIKE;
-        let d_scoped = dot_on(&ScopedSpawn(4), &x, &b, order);
-        let d_pool = dot_on(&pool, &x, &b, order);
-        assert_eq!(d_scoped.to_bits(), d_pool.to_bits());
-
-        let (mut ys, mut yp) = (b.clone(), b.clone());
-        axpy_on(&ScopedSpawn(4), 1.5, &x, &mut ys);
-        axpy_on(&pool, 1.5, &x, &mut yp);
-        assert_eq!(ys, yp);
-        scal_on(&ScopedSpawn(4), 0.75, &mut ys);
-        scal_on(&pool, 0.75, &mut yp);
-        assert_eq!(ys, yp);
-        let (mut cs, mut cp) = (vec![0.0; n], vec![0.0; n]);
-        copy_on(&ScopedSpawn(4), &ys, &mut cs);
-        copy_on(&pool, &yp, &mut cp);
-        assert_eq!(cs, cp);
     }
 
     #[test]
@@ -1039,14 +1055,7 @@ mod tests {
         let mut r_seq = vec![0.0; n];
         let mut r_par = vec![0.0; n];
         a.residual(&b, &x, &mut r_seq);
-        residual_parts_on(
-            &ScopedSpawn(8),
-            &row_partition(n, 8),
-            &a,
-            &b,
-            &x,
-            &mut r_par,
-        );
+        residual_parts_on(&WorkerPool::new(8), &a, &b, &x, &mut r_par);
         assert_eq!(r_seq, r_par);
     }
 
@@ -1055,10 +1064,11 @@ mod tests {
         let n = PAR_THRESHOLD * 3 + 41;
         let x = pseudo(n, 4);
         let y = pseudo(n, 5);
+        let pool = WorkerPool::new(8);
         for block in [1usize, 7, 256, 1024] {
             let order = ReductionOrder::BlockedTree { block };
             let seq = vec_ops::dot_ordered(&x, &y, order);
-            let par = dot_on(&ScopedSpawn(8), &x, &y, order);
+            let par = dot_on(&pool, &x, &y, order);
             assert_eq!(seq.to_bits(), par.to_bits(), "block {block}");
         }
     }
@@ -1074,23 +1084,24 @@ mod tests {
             v.col_mut(j).copy_from_slice(&c);
         }
         let w = pseudo(n, 99);
+        let pool = WorkerPool::new(8);
         let mut h_seq = vec![0.0; cols];
         let mut h_par = vec![0.0; cols];
         // The column split, then the block split.
         for order in [ReductionOrder::Sequential, ReductionOrder::GPU_LIKE] {
             v.gemv_t(cols, &w, &mut h_seq, order);
-            gemv_t_on(&ScopedSpawn(8), &v, cols, &w, &mut h_par, order);
+            gemv_t_on(&pool, &v, cols, &w, &mut h_par, order);
             assert_eq!(h_seq, h_par, "{order:?}");
         }
 
         let mut w_seq = w.clone();
         let mut w_par = w.clone();
         v.gemv_n_sub(cols, &h_seq, &mut w_seq);
-        gemv_n_sub_on(&ScopedSpawn(8), &v, cols, &h_par, &mut w_par);
+        gemv_n_sub_on(&pool, &v, cols, &h_par, &mut w_par);
         assert_eq!(w_seq, w_par);
 
         v.gemv_n_add(cols, &h_seq, &mut w_seq);
-        gemv_n_add_on(&ScopedSpawn(8), &v, cols, &h_par, &mut w_par);
+        gemv_n_add_on(&pool, &v, cols, &h_par, &mut w_par);
         assert_eq!(w_seq, w_par);
     }
 
@@ -1100,19 +1111,21 @@ mod tests {
         let x = pseudo(n, 6);
         let mut y_seq = pseudo(n, 7);
         let mut y_par = y_seq.clone();
+        let pool = WorkerPool::new(8);
         vec_ops::axpy(1.25, &x, &mut y_seq);
-        axpy_on(&ScopedSpawn(8), 1.25, &x, &mut y_par);
+        axpy_on(&pool, 1.25, &x, &mut y_par);
         assert_eq!(y_seq, y_par);
         vec_ops::scale(0.75, &mut y_seq);
-        scal_on(&ScopedSpawn(8), 0.75, &mut y_par);
+        scal_on(&pool, 0.75, &mut y_par);
         assert_eq!(y_seq, y_par);
         let mut dst = vec![0.0; n];
-        copy_on(&ScopedSpawn(8), &y_par, &mut dst);
+        copy_on(&pool, &y_par, &mut dst);
         assert_eq!(dst, y_par);
     }
 
     #[test]
     fn spmm_bit_identical_to_column_spmvs() {
+        let pool = WorkerPool::new(4);
         for n in [64usize, PAR_N] {
             let a = big_laplace(n);
             let k = 5;
@@ -1123,46 +1136,14 @@ mod tests {
             }
             let mut y = MultiVec::<f64>::zeros(n, k);
             spmm_parts(&row_partition(n, 8), &a, &x, k, &mut y);
+            let mut y_pool = MultiVec::<f64>::zeros(n, k);
+            spmm_parts_on(&pool, &a, &x, k, &mut y_pool);
             for j in 0..k {
                 let mut y_ref = vec![0.0; n];
                 a.spmv(x.col(j), &mut y_ref);
                 assert_eq!(y.col(j), &y_ref[..], "n={n} col {j}");
+                assert_eq!(y_pool.col(j), &y_ref[..], "pooled n={n} col {j}");
             }
-        }
-    }
-
-    #[test]
-    fn spmm_parts_with_cached_partition_matches() {
-        let n = 10_000;
-        let a = big_laplace(n);
-        let k = 3;
-        let mut x = MultiVec::<f64>::zeros(n, k);
-        for j in 0..k {
-            let c = pseudo(n, 7 + j as u64);
-            x.col_mut(j).copy_from_slice(&c);
-        }
-        let parts = row_partition(n, 4);
-        assert!(parts.len() > 1 && parts.last().unwrap().1 == n);
-        let mut y = MultiVec::<f64>::zeros(n, k);
-        spmm_parts(&parts, &a, &x, k, &mut y);
-        let mut y1 = vec![0.0; n];
-        spmv_parts_on(&ScopedSpawn(4), &parts, &a, x.col(1), &mut y1);
-        assert_eq!(y.col(1), &y1[..]);
-        let mut y_ref = vec![0.0; n];
-        a.spmv(x.col(1), &mut y_ref);
-        assert_eq!(y1, y_ref);
-        // residual over the same cached partition.
-        let b = pseudo(n, 21);
-        let (mut r_seq, mut r_par) = (vec![0.0; n], vec![0.0; n]);
-        a.residual(&b, x.col(0), &mut r_seq);
-        residual_parts_on(&ScopedSpawn(4), &parts, &a, &b, x.col(0), &mut r_par);
-        assert_eq!(r_seq, r_par);
-        // and the pooled SpMM path.
-        let pool = WorkerPool::new(4);
-        let mut y_pool = MultiVec::<f64>::zeros(n, k);
-        spmm_parts_on(&pool, &parts, &a, &x, k, &mut y_pool);
-        for j in 0..k {
-            assert_eq!(y_pool.col(j), y.col(j), "pooled spmm col {j}");
         }
     }
 
@@ -1170,67 +1151,77 @@ mod tests {
     fn row_partition_tiles_and_matches_chunking() {
         for (len, threads) in [(10usize, 3usize), (16, 4), (7, 16), (1, 1), (100, 7)] {
             let parts = row_partition(len, threads);
-            assert_eq!(parts[0].0, 0);
-            assert_eq!(parts.last().unwrap().1, len);
-            for w in parts.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-            }
+            assert_tiles(&parts, len);
             assert!(parts.len() <= threads.max(1));
         }
     }
 
     #[test]
-    fn nnz_partition_balances_skewed_matrices() {
+    fn nnz_cut_balances_skewed_matrices() {
         let n = 4_000;
         let a = arrow(n);
         let threads = 4;
-        let per_part_nnz = |parts: &[(usize, usize)]| -> Vec<usize> {
-            parts
-                .iter()
-                .map(|&(lo, hi)| a.row_ptr()[hi] - a.row_ptr()[lo])
-                .collect()
-        };
-        let even = per_part_nnz(&row_partition(n, threads));
-        let balanced_parts = nnz_partition(&a, threads);
-        // Valid tiling.
-        assert_eq!(balanced_parts[0].0, 0);
-        assert_eq!(balanced_parts.last().unwrap().1, n);
-        for w in balanced_parts.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
-        let balanced = per_part_nnz(&balanced_parts);
+        let even = range_nnz(&a, &row_partition(n, threads));
+        let balanced_parts: Vec<_> = csr_cut(&a, threads).collect();
+        assert_tiles(&balanced_parts, n);
+        let balanced = range_nnz(&a, &balanced_parts);
         let mean = a.nnz() as f64 / threads as f64;
-        let spread = |v: &[usize]| {
-            let max = *v.iter().max().unwrap() as f64;
-            max / mean
-        };
+        let spread = |v: &[usize]| *v.iter().max().unwrap() as f64 / mean;
         // Row 0 holds ~25% of the nonzeros: the even split's first part
-        // is far above the mean, the nnz split stays close to it.
+        // is far above the mean, the nnz cut stays close to it.
         assert!(
             spread(&even) > 1.6,
             "arrow matrix should skew the even split: {even:?}"
         );
         assert!(
             spread(&balanced) < 1.35,
-            "nnz split should balance within 35%: {balanced:?}"
+            "nnz cut should balance within 35%: {balanced:?}"
         );
-        // And the partition is still just a partition: results identical.
-        let x = pseudo(n, 9);
-        let (mut y_ref, mut y_bal) = (vec![0.0; n], vec![0.0; n]);
-        a.spmv(&x, &mut y_ref);
-        spmv_parts_on(&ScopedSpawn(4), &balanced_parts, &a, &x, &mut y_bal);
-        assert_eq!(y_ref, y_bal);
+    }
+
+    /// At the two participants the gated workloads run on, the busiest
+    /// participant of the cut the matrix kernels take holds under 1.1x
+    /// the mean nnz, for a plain CSR and for a split store (whose two
+    /// buckets' prefixes add), where an even row split gives the
+    /// arrow's head 1.25x.
+    #[test]
+    fn nnz_cut_keeps_the_busiest_participant_near_the_mean() {
+        let a = arrow(SPMV_PAR_THRESHOLD / 3 + 1_000);
+        let split = MatrixStore::split_threshold(&a, 0.5);
+        let MatrixStore::Split(s) = &split else {
+            panic!("split_threshold builds a split store");
+        };
+        assert!(s.hi().nnz() > 0 && s.lo().nnz() > 0, "both buckets used");
+        let mean = a.nnz() as f64 / 2.0;
+        let busiest = |parts: &[(usize, usize)]| {
+            assert_tiles(parts, a.nrows());
+            *range_nnz(&a, parts).iter().max().unwrap() as f64
+        };
+        let plain: Vec<_> = csr_cut(&a, 2).collect();
+        let stored: Vec<_> = store_cut(&split, 2).collect();
+        assert_eq!(plain.len(), 2);
+        assert!(busiest(&plain) < 1.1 * mean, "plain cut {plain:?}");
+        assert!(busiest(&stored) < 1.1 * mean, "split cut {stored:?}");
+        let even = busiest(&row_partition(a.nrows(), 2));
+        assert!(even > 1.2 * mean, "arrow not skewed enough: {even}");
     }
 
     #[test]
-    fn nnz_partition_handles_degenerate_shapes() {
+    fn nnz_cut_handles_degenerate_shapes() {
         let a = big_laplace(5);
-        assert_eq!(nnz_partition(&a, 1), vec![(0, 5)]);
-        let parts = nnz_partition(&a, 16);
-        assert_eq!(parts.last().unwrap().1, 5);
+        assert_eq!(csr_cut(&a, 1).collect::<Vec<_>>(), vec![(0, 5)]);
+        let parts: Vec<_> = csr_cut(&a, 16).collect();
+        assert_tiles(&parts, 5);
         assert!(parts.len() <= 5);
         let empty = Coo::<f64>::new(0, 0).into_csr();
-        assert_eq!(nnz_partition(&empty, 4), vec![(0, 0)]);
+        assert_eq!(csr_cut(&empty, 4).collect::<Vec<_>>(), vec![(0, 0)]);
+        let hollow = Coo::<f64>::new(3, 3).into_csr();
+        assert_eq!(csr_cut(&hollow, 4).collect::<Vec<_>>(), vec![(0, 3)]);
+        let shadow = MatrixStore::shadow(&a, Precision::Fp32);
+        assert_eq!(
+            store_cut(&shadow, 3).collect::<Vec<_>>(),
+            csr_cut(&a, 3).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1286,15 +1277,15 @@ mod tests {
     fn small_inputs_take_sequential_path() {
         // Below every threshold the `_on` kernels run the reference body
         // on the calling thread; results must match it.
-        let exec = ScopedSpawn(8);
+        let pool = WorkerPool::new(8);
         let x = pseudo(16, 8);
         let mut y = pseudo(16, 9);
         let mut y_ref = y.clone();
-        axpy_on(&exec, 0.5, &x, &mut y);
+        axpy_on(&pool, 0.5, &x, &mut y);
         vec_ops::axpy(0.5, &x, &mut y_ref);
         assert_eq!(y, y_ref);
         let order = ReductionOrder::GPU_LIKE;
-        let d = dot_on(&exec, &x, &y, order);
+        let d = dot_on(&pool, &x, &y, order);
         assert_eq!(d.to_bits(), vec_ops::dot_ordered(&x, &y, order).to_bits());
         assert!(default_threads() >= 1);
     }

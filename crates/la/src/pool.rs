@@ -1,14 +1,14 @@
-//! Persistent pinned worker pool: the execution engine behind
-//! `mpgmres-backend`'s `ParallelBackend`.
+//! Persistent pinned worker pool: the one executor behind
+//! `mpgmres-backend`'s `ParallelBackend` and every kernel in
+//! [`crate::par`].
 //!
-//! The scoped-spawn kernels in [`crate::par`] pay a thread spawn + join
-//! per kernel call, which is fine for large kernels and wasteful for the
-//! mid-size ones a GMRES iteration is made of. [`WorkerPool`] keeps a
-//! fixed set of workers alive for the lifetime of the backend and hands
-//! them *indexed jobs*: job `i` of a call always runs on participant
-//! `i % threads`, so the cached row partitions of a matrix kernel (see
-//! `ParallelBackend`'s partition cache) are pinned to the same thread on
-//! every call. Pinning is a locality policy only — job assignment can
+//! A GMRES iteration is made of mid-size kernels a few microseconds
+//! apart, too short to pay a thread spawn and join each.
+//! [`WorkerPool`] keeps a fixed set of workers alive for the lifetime of
+//! the backend and hands them *indexed jobs*: job `i` of a call always
+//! runs on participant `i % threads`, so a matrix kernel's row ranges
+//! (cut at the same nnz quantiles on every call) land on the same thread
+//! every time. Pinning is a locality policy only — job assignment can
 //! never affect results, because every job writes outputs that are
 //! disjoint from every other job's (the same independent-output rule as
 //! [`crate::par`]).
@@ -16,8 +16,8 @@
 //! Determinism: the pool runs exactly the closures it is given; it adds
 //! no reductions, no reordering of any dependent computation, and no
 //! shared mutable state. A kernel executed through the pool is therefore
-//! bit-identical to the same kernel executed through scoped spawns (or
-//! sequentially) by construction.
+//! bit-identical to the same kernel executed sequentially by
+//! construction.
 //!
 //! # How a run works
 //!
@@ -71,69 +71,6 @@ pub const SPIN: Duration = Duration::from_micros(100);
 
 /// Polls between two reads of the clock (and two yields) while spinning.
 const POLLS_PER_CLOCK_READ: u32 = 32;
-
-/// Something that can run `njobs` independent indexed jobs and wait for
-/// them: either per-call scoped spawns ([`ScopedSpawn`]) or a persistent
-/// [`WorkerPool`]. The kernels in [`crate::par`] are generic over this,
-/// so the same partitioned loops serve both execution styles.
-///
-/// # Safety
-///
-/// Implementations are load-bearing for memory safety: the `_on`
-/// kernels hand jobs lifetime-erased views of disjoint buffer chunks
-/// ([`crate::raw`]), relying on `run_jobs` to (a) invoke each job index
-/// **at most once**, and (b) **not return until every job has
-/// finished**. An implementation that runs an index twice (aliasing two
-/// live `&mut` views) or returns early (letting a borrow expire under a
-/// running job) causes undefined behavior without any `unsafe` at the
-/// call site — hence the `unsafe trait`.
-pub unsafe trait Executor: Sync {
-    /// Number of jobs worth creating for a data-parallel kernel (the
-    /// participant count).
-    fn width(&self) -> usize;
-
-    /// Run `f(0), f(1), .., f(njobs - 1)` concurrently and return when
-    /// all have finished. Jobs must write disjoint outputs.
-    fn run_jobs(&self, njobs: usize, f: &(dyn Fn(usize) + Sync));
-}
-
-/// The per-call scoped-spawn executor: at most `width` scoped threads,
-/// jobs distributed round-robin (job `i` on thread `i % width`, the
-/// same pinning rule as the pool) — the execution style the
-/// [`crate::par`] kernels used before the pool existed, kept as the
-/// baseline the pool is benchmarked against.
-#[derive(Clone, Copy, Debug)]
-pub struct ScopedSpawn(pub usize);
-
-// SAFETY: scoped threads each iterate a disjoint residue class of job
-// indices exactly once, and `thread::scope` joins them all before
-// returning.
-unsafe impl Executor for ScopedSpawn {
-    fn width(&self) -> usize {
-        self.0.max(1)
-    }
-
-    fn run_jobs(&self, njobs: usize, f: &(dyn Fn(usize) + Sync)) {
-        let width = self.width().min(njobs);
-        if width <= 1 {
-            for i in 0..njobs {
-                f(i);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for w in 0..width {
-                scope.spawn(move || {
-                    let mut i = w;
-                    while i < njobs {
-                        f(i);
-                        i += width;
-                    }
-                });
-            }
-        });
-    }
-}
 
 type Payload = Box<dyn Any + Send>;
 
@@ -408,19 +345,6 @@ impl WorkerPool {
     }
 }
 
-// SAFETY: `run` executes each job index exactly once — inline, or on
-// the one participant `i % threads` — and returns only after the
-// `pending` barrier has seen every worker share finish.
-unsafe impl Executor for WorkerPool {
-    fn width(&self) -> usize {
-        self.threads()
-    }
-
-    fn run_jobs(&self, njobs: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.run(njobs, f);
-    }
-}
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // No run is in flight (`&mut self`): wake every worker into the
@@ -650,16 +574,5 @@ mod tests {
         pool.run(3, |_| {});
         // Dropped right away: the workers are still inside their spin.
         drop(pool);
-    }
-
-    #[test]
-    fn scoped_spawn_executor_matches() {
-        let exec = ScopedSpawn(3);
-        assert_eq!(exec.width(), 3);
-        let h = hits(7);
-        exec.run_jobs(7, &|i| {
-            h[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(all_once(&h));
     }
 }

@@ -1,23 +1,15 @@
-//! Lifetime-erased buffer views and the recorded-stream buffer arena.
+//! The recorded-stream buffer arena, Miri-clean by construction.
 //!
-//! Two related facilities live here, both Miri-clean by construction:
-//!
-//! 1. [`RawSliceMut`] — the `Send`-able chunk view the
-//!    parallel kernel dispatchers in [`crate::par`] hand to pool jobs.
-//!    Each view is derived from a *disjoint* `split_at_mut` chunk and
-//!    the dispatcher blocks until every job finishes, so the erased
-//!    borrow outlives all uses and no two live views alias.
-//!
-//! 2. [`BufferArena`] — the buffer-handle table behind
-//!    `mpgmres-backend`'s recorded streams. A recording region
-//!    registers each buffer **once**, deriving its raw pointer a single
-//!    time from the registration borrow; every recorded op then refers
-//!    to the buffer by a stable handle (`u32` index) plus a byte span.
-//!    No op ever holds a pointer *derived from* a `&mut` that a later
-//!    record call would reborrow — which is exactly the Stacked-Borrows
-//!    soundness hole the arena replaced (ops used to capture fresh raw
-//!    views per call, and the next record call's safe reborrow of the
-//!    same buffer invalidated them).
+//! [`BufferArena`] is the buffer-handle table behind
+//! `mpgmres-backend`'s recorded streams. A recording region registers
+//! each buffer **once**, deriving its raw pointer a single time from the
+//! registration borrow; every recorded op then refers to the buffer by a
+//! stable handle (`u32` index) plus a byte span. No op ever holds a
+//! pointer *derived from* a `&mut` that a later record call would
+//! reborrow — which is exactly the Stacked-Borrows soundness hole the
+//! arena replaced (ops used to capture fresh raw views per call, and the
+//! next record call's safe reborrow of the same buffer invalidated
+//! them).
 //!
 //! # Arena contract
 //!
@@ -43,37 +35,6 @@
 //! buffers by small integers instead of pointers.
 
 use mpgmres_scalar::Scalar;
-
-/// Raw view of a mutable slice.
-pub struct RawSliceMut<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-impl<T> RawSliceMut<T> {
-    /// Capture a mutable slice.
-    pub fn new(s: &mut [T]) -> Self {
-        RawSliceMut {
-            ptr: s.as_mut_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// Rematerialize the slice.
-    ///
-    /// # Safety
-    /// The captured buffer must still be alive and this must be the only
-    /// live view of it during the borrow (the kernel dispatchers
-    /// guarantee it by handing each job a distinct `split_at_mut`
-    /// chunk and joining every job before returning).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get<'a>(&self) -> &'a mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
-unsafe impl<T: Send> Send for RawSliceMut<T> {}
-unsafe impl<T: Send> Sync for RawSliceMut<T> {}
 
 /// One registered buffer: an optional object pointer (whole-value
 /// kernel arguments like `&Csr` / `&MultiVec`), an optional element
@@ -318,14 +279,6 @@ impl BufferArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raw_views_round_trip() {
-        let mut ys = [0.0f64; 2];
-        let w = RawSliceMut::new(&mut ys);
-        unsafe { w.get()[1] = 7.0 };
-        assert_eq!(ys, [0.0, 7.0]);
-    }
 
     #[test]
     fn arena_round_trips_slices_and_objects() {

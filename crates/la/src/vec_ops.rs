@@ -18,8 +18,8 @@ use mpgmres_scalar::Scalar;
 use crate::fma;
 use crate::simd;
 
-/// Below this length the parallel kernels in [`crate::par`] fall back to
-/// the sequential path (thread spawn would dominate). Chosen so
+/// Below this length the level-1 and lane kernels in [`crate::par`] run
+/// the sequential path (pool dispatch would dominate). Chosen so
 /// unit-test-sized problems never pay thread overhead.
 pub const PAR_THRESHOLD: usize = 1 << 14;
 

@@ -23,7 +23,7 @@ use mpgmres_la::csr::Csr;
 use mpgmres_la::dense::{BlockLu, DenseMat, LuFactors};
 use mpgmres_la::multivec::MultiVec;
 use mpgmres_la::par;
-use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
+use mpgmres_la::pool::WorkerPool;
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
 use mpgmres_scalar::{cast, Half, Precision, Scalar};
@@ -295,13 +295,12 @@ fn stores<S: Elem>(a: &Csr<S>) -> [MatrixStore<S>; 4] {
 }
 
 fn sparse<S: Elem>() {
-    let exec = ScopedSpawn(3);
+    let exec = WorkerPool::new(3);
     for n in [1usize, 6, 37, 300] {
         for specials in [false, true] {
             let a = matrix::<S>(n, specials);
             let x = values::<S>(n, 2, specials);
             let b = values::<S>(n, 3, specials);
-            let parts = par::row_partition(n, 3);
             let out = |f: &dyn Fn(&mut [S])| {
                 let mut y = vec![S::zero(); n];
                 f(&mut y);
@@ -313,12 +312,12 @@ fn sparse<S: Elem>() {
             same("Csr::residual", &out(&|y| a.residual(&b, &x, y)), &want_res);
             same(
                 "par::spmv_parts_on",
-                &out(&|y| par::spmv_parts_on(&exec, &parts, &a, &x, y)),
+                &out(&|y| par::spmv_parts_on(&exec, &a, &x, y)),
                 &want_spmv,
             );
             same(
                 "par::residual_parts_on",
-                &out(&|y| par::residual_parts_on(&exec, &parts, &a, &b, &x, y)),
+                &out(&|y| par::residual_parts_on(&exec, &a, &b, &x, y)),
                 &want_res,
             );
             for store in &stores(&a) {
@@ -337,29 +336,23 @@ fn sparse<S: Elem>() {
                 );
                 same(
                     &format!("par::store_spmv_parts_on {tag}"),
-                    &out(&|y| par::store_spmv_parts_on(&exec, &parts, store, &x, y)),
+                    &out(&|y| par::store_spmv_parts_on(&exec, store, &x, y)),
                     &want_spmv,
                 );
                 same(
                     &format!("par::store_residual_parts_on {tag}"),
-                    &out(&|y| par::store_residual_parts_on(&exec, &parts, store, &b, &x, y)),
+                    &out(&|y| par::store_residual_parts_on(&exec, store, &b, &x, y)),
                     &want_res,
                 );
             }
-            spmm(&a, n, specials, &exec, &parts);
+            spmm(&a, n, specials, &exec);
         }
     }
 }
 
 /// SpMM at every width through 9 (the const-generic bodies and the
 /// dynamic one): each column equals the oracle SpMV of that column.
-fn spmm<S: Elem>(
-    a: &Csr<S>,
-    n: usize,
-    specials: bool,
-    exec: &ScopedSpawn,
-    parts: &[(usize, usize)],
-) {
+fn spmm<S: Elem>(a: &Csr<S>, n: usize, specials: bool, exec: &WorkerPool) {
     let all = [(0, n)];
     for k in 1..=9 {
         let cols: Vec<Vec<S>> = (0..k).map(|j| values(n, 20 + j as u64, specials)).collect();
@@ -387,7 +380,7 @@ fn spmm<S: Elem>(
         );
         check(
             "par::spmm_parts_on",
-            &run(&|ys| par::spmm_parts_on(exec, parts, a, &xs, k, ys)),
+            &run(&|ys| par::spmm_parts_on(exec, a, &xs, k, ys)),
             &plain,
         );
         for store in &stores(a) {
@@ -399,7 +392,7 @@ fn spmm<S: Elem>(
             );
             check(
                 &format!("par::store_spmm_parts_on {tag}"),
-                &run(&|ys| par::store_spmm_parts_on(exec, parts, store, &xs, k, ys)),
+                &run(&|ys| par::store_spmm_parts_on(exec, store, &xs, k, ys)),
                 store,
             );
         }
@@ -407,7 +400,7 @@ fn spmm<S: Elem>(
 }
 
 fn reductions<S: Elem>() {
-    let exec = ScopedSpawn(3);
+    let exec = WorkerPool::new(3);
     let big = PAR_THRESHOLD + 37;
     for n in [0usize, 1, 5, 36, 37, 255, 256, 257, 1100, big] {
         for specials in [false, true] {
@@ -437,7 +430,7 @@ fn reductions<S: Elem>() {
 }
 
 fn gemv<S: Elem>() {
-    let exec = ScopedSpawn(3);
+    let exec = WorkerPool::new(3);
     // Below one block, 300 rows, a ragged third 512-row tile, and one
     // size the row- and column-partitioned kernels split.
     for n in [5usize, 300, 1100, PAR_THRESHOLD + 37] {
@@ -497,7 +490,7 @@ fn gemv<S: Elem>() {
 }
 
 /// Every GEMV No-Trans entry point on one basis and coefficient set.
-fn gemv_n<S: Elem>(v: &BasisStore<S>, h: &[S], w: &[S], exec: &ScopedSpawn, tag: &str) {
+fn gemv_n<S: Elem>(v: &BasisStore<S>, h: &[S], w: &[S], exec: &WorkerPool, tag: &str) {
     let ncols = h.len();
     let update = |f: &dyn Fn(&mut [S])| {
         let mut o = w.to_vec();
@@ -780,7 +773,7 @@ const LANE_NCOLS: [usize; 20] = [
 /// serial, column- and block-split, on pools whose block runs start at
 /// odd blocks.
 fn lane_shapes() {
-    let exec = ScopedSpawn(3);
+    let exec = WorkerPool::new(2);
     let pool = WorkerPool::new(3);
     let maxc = LANE_NCOLS[LANE_NCOLS.len() - 1];
     let mut odd_start = false;
