@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Every kernel runs through a *stream* (`GpuContext::stream`), which
-//! registers buffers into an arena (`mpgmres_la::raw::BufferArena`) and
-//! runs each op at its record call, in record order. A recording
+//! registers buffers as handles that carry their own pointers and runs
+//! each op at its record call, in record order. A recording
 //! stream also pushes one [`stream::OpShape`] per op (handle + byte-span
 //! read/write sets) onto a dependency graph and charges the op at the
 //! latest finish time of the earlier ops its spans conflict with; an

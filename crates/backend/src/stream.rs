@@ -22,13 +22,12 @@
 //!
 //! # Safety model
 //!
-//! Recorded ops hold **no pointers**, only handles and spans. The
-//! pointers live in the arena (`mpgmres_la::raw::BufferArena`), derived
-//! once per buffer at registration time from borrows the recorder keeps
-//! alive until sync. There is no per-op raw view for a later safe
-//! reborrow to invalidate, which is what keeps the pipeline clean under
-//! Miri. See `mpgmres_la::raw` for the arena contract and
-//! `mpgmres::Stream` for the safe recording surface.
+//! The graph holds **no pointers**, only per-region buffer ids and byte
+//! spans. The pointers live in `mpgmres::Stream`'s handles, taken once
+//! per buffer at registration from borrows the recorder keeps alive
+//! until sync, and only an op's launch, at its record call, turns them
+//! into references. See the `mpgmres::stream` module docs for that
+//! contract and the safe recording surface.
 
 use std::marker::PhantomData;
 
@@ -36,10 +35,10 @@ use std::marker::PhantomData;
 /// dependency token for one operand of a recorded kernel. Spans of
 /// different buffers never conflict (the safe registration surface
 /// guarantees distinct mutable registrations are disjoint), so overlap
-/// is handle equality plus byte-range intersection.
+/// is id equality plus byte-range intersection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// Arena handle of the buffer.
+    /// Id of the buffer in its region (registration order).
     pub buf: u32,
     /// First byte (inclusive) within the buffer.
     pub lo: u32,

@@ -105,9 +105,9 @@ enum Operand<'a, S> {
 
 /// A registered operand handle inside one recording region.
 #[derive(Clone, Copy)]
-enum OpRef<S> {
-    Mat(MatRef<S>),
-    Store(StoreRef<S>),
+enum OpRef<'c, S> {
+    Mat(MatRef<'c, S>),
+    Store(StoreRef<'c, S>),
 }
 
 impl<'a, S: BackendScalar> Operand<'a, S> {
@@ -129,7 +129,7 @@ impl<'a, S: BackendScalar> Operand<'a, S> {
         }
     }
 
-    fn register<'c>(&self, st: &mut Stream<'c>) -> OpRef<S>
+    fn register<'c>(&self, st: &mut Stream<'c>) -> OpRef<'c, S>
     where
         'a: 'c,
     {
@@ -142,12 +142,12 @@ impl<'a, S: BackendScalar> Operand<'a, S> {
 
 /// Record the fused residual `r = b - A x` against either operand kind
 /// (both charge as a solver SpMV).
-fn rec_residual<S: BackendScalar>(
-    st: &mut Stream<'_>,
-    op: OpRef<S>,
-    b: ArgSlice<S>,
-    x: ArgSlice<S>,
-    r: ArgSliceMut<S>,
+fn rec_residual<'c, S: BackendScalar>(
+    st: &mut Stream<'c>,
+    op: OpRef<'c, S>,
+    b: ArgSlice<'c, S>,
+    x: ArgSlice<'c, S>,
+    r: ArgSliceMut<'c, S>,
 ) {
     match op {
         OpRef::Mat(a) => st.residual_as(mpgmres_gpusim::KernelClass::SpMV, a, b, x, r),
@@ -156,12 +156,12 @@ fn rec_residual<S: BackendScalar>(
 }
 
 /// Record the batched SpMM against either operand kind.
-fn rec_spmm<S: BackendScalar>(
-    st: &mut Stream<'_>,
-    op: OpRef<S>,
-    x: BlockRef<S>,
+fn rec_spmm<'c, S: BackendScalar>(
+    st: &mut Stream<'c>,
+    op: OpRef<'c, S>,
+    x: BlockRef<'c, S>,
     k: usize,
-    y: BlockMut<S>,
+    y: BlockMut<'c, S>,
 ) {
     match op {
         OpRef::Mat(a) => st.spmm(a, x, k, y),
@@ -285,66 +285,71 @@ struct Deferred {
 /// Handles of one region's registrations: the operand, the iteration
 /// buffers and host-state slots, the bases of the lanes in `lanes`
 /// (ascending, mutably), and the barrier blocks in barrier regions.
-struct Regs<'r, S> {
-    a: OpRef<S>,
-    z: BlockMut<S>,
-    w: BlockMut<S>,
+struct Regs<'r, 'c, S> {
+    a: OpRef<'c, S>,
+    z: BlockMut<'c, S>,
+    w: BlockMut<'c, S>,
     /// The deferred iteration's parity (`h1`, `h2`, `norms`), read by
     /// its host nodes.
-    lag: [ArgSlice<S>; 3],
+    lag: [ArgSlice<'c, S>; 3],
     /// The current iteration's parity, written by its kernels.
-    h1: ArgSliceMut<S>,
-    h2: ArgSliceMut<S>,
-    norms: ArgSliceMut<S>,
-    tokens: ArgSliceMut<S>,
-    alphas: ArgSlice<S>,
+    h1: ArgSliceMut<'c, S>,
+    h2: ArgSliceMut<'c, S>,
+    norms: ArgSliceMut<'c, S>,
+    tokens: ArgSliceMut<'c, S>,
+    alphas: ArgSlice<'c, S>,
     lanes: &'r [usize],
-    bases: Vec<BasisMut<S>>,
-    barrier: Option<BarrierRegs<S>>,
+    bases: Vec<BasisMut<'c, S>>,
+    barrier: Option<BarrierRegs<'c, S>>,
 }
 
 /// Handles of the blocks only the cycle barrier touches.
-struct BarrierRegs<S> {
-    b: BlockRef<S>,
-    x: BlockMut<S>,
-    r: BlockMut<S>,
-    u: BlockMut<S>,
-    ymat: BlockMut<S>,
-    gammas: ArgSliceMut<S>,
+struct BarrierRegs<'c, S> {
+    b: BlockRef<'c, S>,
+    x: BlockMut<'c, S>,
+    r: BlockMut<'c, S>,
+    u: BlockMut<'c, S>,
+    ymat: BlockMut<'c, S>,
+    gammas: ArgSliceMut<'c, S>,
 }
 
-impl<S: BackendScalar> Regs<'_, S> {
+impl<'c, S: BackendScalar> Regs<'_, 'c, S> {
     /// Lane `l`'s registered basis.
-    fn basis(&self, l: usize) -> BasisMut<S> {
+    fn basis(&self, l: usize) -> BasisMut<'c, S> {
         let i = self.lanes.binary_search(&l).expect("lane registered");
         self.bases[i]
     }
 
     /// The barrier blocks (registered in barrier regions only).
-    fn barrier(&self) -> &BarrierRegs<S> {
+    fn barrier(&self) -> &BarrierRegs<'c, S> {
         self.barrier.as_ref().expect("barrier blocks registered")
     }
 }
 
-/// Collect `&mut lane.v` for the lane indices in `which` (ascending) —
+/// `&mut lane.v` for the lane indices in `which` (ascending), in order —
 /// the piecewise-mutable gather behind the regions' exclusive basis
 /// registrations. The fused lane-set kernels pair sources with
 /// destinations by position; this helper asserts the ascending order
-/// instead of letting an out-of-order set silently drop a lane.
-fn lane_vs_mut<'l, S: BackendScalar>(
+/// instead of letting an out-of-order set silently drop a lane, and
+/// that every index names a lane.
+fn lane_vs_mut<'l, 'w, S: BackendScalar>(
     lanes: &'l mut [Lane<S>],
-    which: &[usize],
-) -> Vec<&'l mut BasisStore<S>> {
+    which: &'w [usize],
+) -> impl Iterator<Item = &'l mut BasisStore<S>> + 'w
+where
+    'l: 'w,
+{
     assert!(
         which.windows(2).all(|w| w[0] < w[1]),
         "lane sets must be ascending"
     );
-    let out: Vec<_> = (lanes.iter_mut().enumerate())
+    assert!(
+        which.last().is_none_or(|&l| l < lanes.len()),
+        "lane set out of range"
+    );
+    (lanes.iter_mut().enumerate())
         .filter(|(l, _)| which.binary_search(l).is_ok())
         .map(|(_, lane)| &mut lane.v)
-        .collect();
-    assert_eq!(out.len(), which.len(), "lane set out of range");
-    out
 }
 
 /// `x += z` on an eager stream: a preconditioned lane's solution
@@ -479,7 +484,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Solve `A X = B` starting from the initial guesses in `x`; the
     /// solutions are written back into `x`. Returns one [`SolveResult`]
     /// per column, each bit-identical to an independent single-RHS
-    /// solve of that column (at every pipeline depth).
+    /// solve of that column (at every pipeline depth). A column whose
+    /// initial residual is 0, such as every column of an empty (n = 0)
+    /// system, returns the trivial converged result with 0 iterations.
     pub fn solve(
         &self,
         ctx: &mut GpuContext,
@@ -1077,7 +1084,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         reg: &'r [usize],
         cur: usize,
         bx: Option<(&'c MultiVec<S>, &'c mut MultiVec<S>)>,
-    ) -> Regs<'r, S>
+    ) -> Regs<'r, 'c, S>
     where
         'a: 'c,
     {
@@ -1113,7 +1120,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// that iteration's coefficients and its subdiagonal norm) and on its
     /// token, then the fused basis extension `v_{j+1} = w_c / h` of the
     /// lanes that continue.
-    fn rec_deferred(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, d: &Deferred) {
+    fn rec_deferred<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, d: &Deferred) {
         let np = d.j + 1;
         let reads = 2 + usize::from(self.cfg.ortho == OrthoMethod::Cgs2);
         let [h1, h2, norms] = h.lag;
@@ -1130,15 +1137,14 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
     /// Record the SpMM and the blocked CGS projections of iteration
     /// `ncols - 1` over the act set: a chain through W.
-    fn rec_cgs(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, act: &[usize], ncols: usize) {
-        let refs: Vec<BasisRef<S>> = act.iter().map(|&l| h.basis(l).read()).collect();
-        let vs = st.basis_list(&refs);
+    fn rec_cgs<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, act: &[usize], ncols: usize) {
+        let vs: Vec<BasisRef<S>> = act.iter().map(|&l| h.basis(l).read()).collect();
         rec_spmm(st, h.a, h.z.read(), act.len(), h.w);
-        st.block_gemv_t(vs, ncols, h.w.read(), h.h1);
-        st.block_gemv_n_sub(vs, ncols, h.h1.read(), h.w);
+        st.block_gemv_t(&vs, ncols, h.w.read(), h.h1);
+        st.block_gemv_n_sub(&vs, ncols, h.h1.read(), h.w);
         if self.cfg.ortho == OrthoMethod::Cgs2 {
-            st.block_gemv_t(vs, ncols, h.w.read(), h.h2);
-            st.block_gemv_n_sub(vs, ncols, h.h2.read(), h.w);
+            st.block_gemv_t(&vs, ncols, h.w.read(), h.h2);
+            st.block_gemv_n_sub(&vs, ncols, h.h2.read(), h.w);
         }
         st.block_norm2_into(h.w.read(), act.len(), h.norms);
     }
@@ -1188,7 +1194,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
     /// Record the explicit residual `r = b - A x` and its norm for every
     /// cycle lane.
-    fn rec_residuals(&self, st: &mut Stream<'_>, h: &Regs<'_, S>, cycle: &[usize]) {
+    fn rec_residuals<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, cycle: &[usize]) {
         let bar = h.barrier();
         for &l in cycle {
             rec_residual(st, h.a, bar.b.col(l), bar.x.col(l), bar.r.col_mut(l));
@@ -1199,9 +1205,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
 
 /// Record the direction gather `Z[:, c] = v_j` of lane `act[c]`: one
 /// fused lane copy over native lanes, a promotion per compressed lane.
-fn rec_gather<S: BackendScalar>(
-    st: &mut Stream<'_>,
-    h: &Regs<'_, S>,
+fn rec_gather<'c, S: BackendScalar>(
+    st: &mut Stream<'c>,
+    h: &Regs<'_, 'c, S>,
     act: &[usize],
     j: usize,
     native: bool,
@@ -1221,7 +1227,11 @@ fn rec_gather<S: BackendScalar>(
 /// charge per updating lane, writing its coefficient column and token
 /// (so its update chain waits for it, and it for the lane's Givens
 /// steps).
-fn rec_lsq<S: BackendScalar>(st: &mut Stream<'_>, h: &Regs<'_, S>, upds: &[(usize, usize)]) {
+fn rec_lsq<'c, S: BackendScalar>(
+    st: &mut Stream<'c>,
+    h: &Regs<'_, 'c, S>,
+    upds: &[(usize, usize)],
+) {
     for &(l, kc) in upds {
         st.host_lsq(kc, h.tokens.at(l), h.barrier().ymat.col_mut(l));
     }
@@ -1230,9 +1240,9 @@ fn rec_lsq<S: BackendScalar>(st: &mut Stream<'_>, h: &Regs<'_, S>, upds: &[(usiz
 /// Record each updating lane's `u = V y`, plus `x += u` when the
 /// preconditioner is the identity (otherwise the eager apply of `u`
 /// updates `x`).
-fn rec_update<S: BackendScalar>(
-    st: &mut Stream<'_>,
-    h: &Regs<'_, S>,
+fn rec_update<'c, S: BackendScalar>(
+    st: &mut Stream<'c>,
+    h: &Regs<'_, 'c, S>,
     upds: &[(usize, usize)],
     add: bool,
 ) {

@@ -19,7 +19,6 @@ use mpgmres_backend::stream::OpGraph;
 use mpgmres_backend::{Backend, BackendKind};
 use mpgmres_gpusim::{analytic, cost, DeviceModel, KernelClass, Profiler, TimingReport};
 use mpgmres_la::csr::Csr;
-use mpgmres_la::raw::BufferArena;
 use mpgmres_la::stats::MatrixStats;
 use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::ReductionOrder;
@@ -169,14 +168,13 @@ impl<S: Scalar> GpuStore<S> {
     }
 }
 
-/// Reused per-region recording state: the buffer arena and the
-/// region's op graph (spans and finish times of the overlap timeline).
-/// Lives on the context (not the stream) so the buffers keep their
-/// capacity across regions; both are cleared when the next region
-/// opens. `stats` counts recorded regions and ops across regions.
+/// Reused per-region recording state: the region's op graph (spans
+/// and finish times of the overlap timeline). Lives on the context (not
+/// the stream) so it keeps its capacity across regions; it is cleared
+/// when the next region opens. `stats` counts recorded regions and ops
+/// across regions.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
-    pub(crate) arena: BufferArena,
     pub(crate) graph: OpGraph,
     pub(crate) stats: StreamStats,
 }
@@ -185,8 +183,9 @@ pub(crate) struct StreamScratch {
 /// computation to the configured [`Backend`].
 ///
 /// Every kernel runs through a [`Stream`](crate::Stream) opened by
-/// [`GpuContext::stream`]: it registers buffers into an arena and runs
-/// each op at its record call, in record order. A recording stream
+/// [`GpuContext::stream`]: it registers buffers as handles that carry
+/// their own pointers and runs each op at its record call, in record
+/// order. A recording stream
 /// also tracks every op's read/write handle spans, so the simulated
 /// timeline overlaps independent ops (the critical-path figure of
 /// [`TimingReport`]); the computed bits are the same either way.
@@ -207,6 +206,14 @@ pub struct GpuContext {
     streaming: bool,
     scratch: StreamScratch,
 }
+
+// A context may move to, or be shared with, another thread (a serving
+// group driven from a worker). Every field is `Send + Sync` on its own:
+// the context keeps no pointers between regions.
+const _: () = {
+    fn send_sync<T: Send + Sync>() {}
+    let _ = send_sync::<GpuContext>;
+};
 
 impl GpuContext {
     /// New context on the given device, GPU-like reduction order, and
@@ -340,13 +347,8 @@ impl GpuContext {
         &mut self.scratch
     }
 
-    pub(crate) fn arena_mut(&mut self) -> &mut BufferArena {
-        &mut self.scratch.arena
-    }
-
     /// Reset the per-region recording state (keeps allocations).
     pub(crate) fn scratch_reset(&mut self) {
-        self.scratch.arena.clear();
         self.scratch.graph.clear();
     }
 

@@ -291,7 +291,10 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
 
     /// Check everything the drivers used to `assert!` at the boundary:
     /// dimensions, finite inputs, configuration, and
-    /// operand/preconditioner compatibility.
+    /// operand/preconditioner compatibility. An empty system (a 0 x 0
+    /// operator with an empty right-hand side) is valid: it is solved
+    /// like a zero right-hand side, with the trivial converged result
+    /// (0 iterations, relative residual 0).
     pub fn validate(&self) -> Result<(), SolveError> {
         self.config.validate()?;
         let n = self.operator.n();

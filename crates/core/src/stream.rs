@@ -1,6 +1,6 @@
-//! The command recorder: solver regions register buffers into an
-//! arena and record kernel ops against stable handles; each op runs at
-//! its record call.
+//! The command recorder: solver regions register buffers as typed
+//! handles and record kernel ops against them; each op runs at its
+//! record call.
 //!
 //! [`Stream`] is the one kernel execution path of [`GpuContext`]: every
 //! kernel a solver or preconditioner runs — matrix, Krylov-basis,
@@ -9,22 +9,48 @@
 //! touch exactly once (obtaining a `Copy` handle), then records kernel
 //! calls against the handles. Each record call validates shapes, prices
 //! the op through the context's cost specs, charges it, and runs its
-//! launch on the context's [`Backend`] before returning. The arena and
-//! the region's span graph live in the context's reused scratch and are
-//! cleared when the next region opens.
+//! launch on the context's [`Backend`] before returning. The region's
+//! span graph lives in the context's reused scratch and is cleared when
+//! the next region opens.
 //!
-//! # Safety story (why the record methods are safe functions)
+//! # Handles and the stream contract
 //!
-//! Every registration method ties the buffer's borrow to the stream's
-//! lifetime: `slice_mut(&'c mut [S])` keeps the buffer exclusively
-//! borrowed until the stream syncs, so the host *cannot* touch it
-//! mid-region, and the arena pointer derived once at registration stays
-//! valid under Stacked Borrows (nothing ever reborrows the owner while
-//! the stream lives). Ops hold handles, not pointers, so there are no
-//! per-op raw views for a later reborrow to invalidate, no `unsafe fn`
-//! record surface, and no per-region `// SAFETY` comments in the
-//! solvers. The borrow checker proves the stream contract: buffers
-//! outlive sync, and the host neither reads nor writes them in between.
+//! A handle is its registration: the buffer's id in the region plus
+//! the pointer(s) and length its registration took. Ids count
+//! registrations from 0 when the region opens; they name buffers in the
+//! op spans of [`mpgmres_backend::stream`] and nothing else. The system
+//! matrix, a storage-path matrix and block LU factors are read-only for
+//! the whole region, so their handles hold a plain `&'c` reference. Every
+//! other handle holds raw pointers, taken once at registration from a
+//! borrow the stream keeps for its lifetime `'c`, and only the launch
+//! closures of the record methods turn them into references. The
+//! launches rely on three rules:
+//!
+//! - **Liveness** — every referent outlives its handles: a handle
+//!   carries the registration borrow's lifetime `'c`, which lasts until
+//!   the stream syncs or drops.
+//! - **Exclusivity** — mutable registrations are pairwise disjoint and
+//!   disjoint from every shared registration, since they are coexisting
+//!   Rust borrows. Views of one registration (a block column, a slot of
+//!   a slice) keep its id, and every record call checks that no operand
+//!   is both read and written and that no two write operands overlap.
+//! - **One op at a time** — a launch makes a `&mut` only for memory its
+//!   op declared a write span on and a `&` only for declared reads. Ops
+//!   run one at a time, at their record calls, so no two live references
+//!   alias, even while an op's kernel spreads over worker threads.
+//!
+//! A pointer is taken once per registration and never from a later
+//! reborrow of the owner, so no registration invalidates another
+//! handle's pointer under Stacked Borrows. A block's (or native
+//! basis's) data pointer is derived through its object pointer, so its
+//! whole-object and per-column views share one provenance chain; a
+//! region addresses such a buffer either whole or column-wise in any one
+//! op, never both at once. Registration is safe code (taking a raw
+//! pointer is), so the record surface has no `unsafe fn` and the solvers
+//! no `// SAFETY` comments. Reading a result slot (e.g. a
+//! [`Stream::norm2_into`] target) is only possible after `sync` releases
+//! the registration borrows — the type system enforces "don't read
+//! before sync".
 //!
 //! # Recorded and eager streams
 //!
@@ -50,10 +76,7 @@
 //! loops' casts and updates, the MGS dot/axpy sequence, and, at
 //! pipeline depth 0, `BlockGmres`'s deferred host groups (each lane's
 //! Givens and least-squares charges, the basis extensions and the
-//! direction gathers). Reading a
-//! result slot (e.g. a [`Stream::norm2_into`] target) is only possible
-//! after `sync` releases the registration borrows — the type system
-//! enforces "don't read before sync".
+//! direction gathers).
 
 use std::marker::PhantomData;
 
@@ -63,7 +86,6 @@ use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
-use mpgmres_la::raw::BufferArena;
 use mpgmres_scalar::{Precision, Scalar};
 
 use crate::context::{GpuContext, GpuMatrix, GpuStore};
@@ -115,28 +137,30 @@ pub struct StreamStats {
 }
 
 // ----- typed buffer handles -------------------------------------------
+//
+// Raw-pointer handles hold the pointer of the whole registered buffer
+// and address their view by element offset, so every view of one
+// registration shares its provenance. Their `unsafe` accessors are
+// called only from launch closures (see the module docs).
 
 /// Handle of a registered [`GpuMatrix`].
 #[derive(Clone, Copy, Debug)]
-pub struct MatRef<S> {
-    id: u32,
-    _s: PhantomData<fn() -> S>,
+pub struct MatRef<'c, S> {
+    a: &'c GpuMatrix<S>,
 }
 
 /// Handle of registered block-diagonal LU factors ([`BlockLu`], block
 /// Jacobi's packed factors).
 #[derive(Clone, Copy, Debug)]
-pub struct LuRef<S> {
-    id: u32,
-    _s: PhantomData<fn() -> S>,
+pub struct LuRef<'c, S> {
+    f: &'c BlockLu<S>,
 }
 
 /// Handle of a registered [`GpuStore`] (a matrix in a possibly
 /// low-precision storage path).
 #[derive(Clone, Copy, Debug)]
-pub struct StoreRef<S> {
-    id: u32,
-    _s: PhantomData<fn() -> S>,
+pub struct StoreRef<'c, S> {
+    a: &'c GpuStore<S>,
 }
 
 /// Handle of a registered Krylov basis ([`BasisStore`]): native
@@ -145,15 +169,16 @@ pub struct StoreRef<S> {
 /// declare the exact narrow byte span a kernel streams, and charges are
 /// priced with the store's own traffic.
 #[derive(Clone, Copy, Debug)]
-pub struct BasisRef<S> {
+pub struct BasisRef<'c, S> {
     id: u32,
     n: u32,
     ncap: u32,
     ebytes: u32,
-    _s: PhantomData<fn() -> S>,
+    obj: *const BasisStore<S>,
+    _c: PhantomData<&'c ()>,
 }
 
-impl<S: Scalar> BasisRef<S> {
+impl<'c, S: Scalar> BasisRef<'c, S> {
     fn is_native(self) -> bool {
         self.ebytes as usize == std::mem::size_of::<S>()
     }
@@ -181,19 +206,12 @@ impl<S: Scalar> BasisRef<S> {
         }
     }
 
-    /// Read view of basis column `j` (native-only: column views are
-    /// working-precision slices, which a compressed store does not
-    /// expose; `BlockGmres`'s fused direction gather reads them).
-    pub fn col(self, j: usize) -> ArgSlice<S> {
-        assert!(self.is_native(), "basis column views are native-only");
-        let j = u32::try_from(j).expect("basis column");
-        assert!(j < self.ncap, "basis column out of range");
-        ArgSlice {
-            buf: self.id,
-            off: j * self.n,
-            len: self.n,
-            _s: PhantomData,
-        }
+    /// The store.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a read of it.
+    unsafe fn get(self) -> &'c BasisStore<S> {
+        &*self.obj
     }
 }
 
@@ -204,210 +222,280 @@ impl<S: Scalar> BasisRef<S> {
 /// column-granular spans. Compressed bases register too, for
 /// [`Stream::basis_lane_scal_copy`]; their column views panic.
 #[derive(Clone, Copy, Debug)]
-pub struct BasisMut<S> {
+pub struct BasisMut<'c, S> {
     id: u32,
     n: u32,
     ncap: u32,
     ebytes: u32,
-    _s: PhantomData<fn() -> S>,
+    obj: *mut BasisStore<S>,
+    /// Native element data, derived through `obj` (null when
+    /// compressed).
+    data: *mut S,
+    _c: PhantomData<&'c ()>,
 }
 
-impl<S: Scalar> BasisMut<S> {
+impl<'c, S: Scalar> BasisMut<'c, S> {
     /// Read view of the whole basis (batched CGS kernels).
-    pub fn read(self) -> BasisRef<S> {
+    pub fn read(self) -> BasisRef<'c, S> {
         BasisRef {
             id: self.id,
             n: self.n,
             ncap: self.ncap,
             ebytes: self.ebytes,
-            _s: PhantomData,
+            obj: self.obj,
+            _c: PhantomData,
         }
     }
 
-    /// Read view of basis column `j`.
-    pub fn col(self, j: usize) -> ArgSlice<S> {
-        self.read().col(j)
+    /// Read view of basis column `j` (native-only: column views are
+    /// working-precision slices, which a compressed store does not
+    /// expose; `BlockGmres`'s fused direction gather reads them).
+    pub fn col(self, j: usize) -> ArgSlice<'c, S> {
+        self.col_mut(j).read()
     }
 
     /// Write view of basis column `j` (the recorded basis extension).
-    pub fn col_mut(self, j: usize) -> ArgSliceMut<S> {
-        let c = self.col(j);
+    pub fn col_mut(self, j: usize) -> ArgSliceMut<'c, S> {
+        assert!(
+            self.read().is_native(),
+            "basis column views are native-only"
+        );
+        let j = u32::try_from(j).expect("basis column");
+        assert!(j < self.ncap, "basis column out of range");
         ArgSliceMut {
-            buf: c.buf,
-            off: c.off,
-            len: c.len,
-            _s: PhantomData,
+            buf: self.id,
+            off: j * self.n,
+            len: self.n,
+            ptr: self.data,
+            _c: PhantomData,
         }
     }
-}
 
-/// Handle list of a per-lane basis set (the batched kernels' `vs`),
-/// uniform in shape and storage width across the lanes.
-#[derive(Clone, Copy, Debug)]
-pub struct BasisList<S> {
-    start: u32,
-    len: u32,
-    n: u32,
-    ncap: u32,
-    ebytes: u32,
-    _s: PhantomData<fn() -> S>,
-}
-
-impl<S> BasisList<S> {
-    /// Number of bases in the list.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The store, exclusively.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a whole-object
+    /// write of it.
+    unsafe fn get_mut(self) -> &'c mut BasisStore<S> {
+        &mut *self.obj
     }
 }
 
 /// Read view of (part of) a registered slice or block column.
 #[derive(Clone, Copy, Debug)]
-pub struct ArgSlice<S> {
+pub struct ArgSlice<'c, S> {
     buf: u32,
     off: u32,
     len: u32,
-    _s: PhantomData<fn() -> S>,
+    /// Start of the registered buffer (not of this view).
+    ptr: *const S,
+    _c: PhantomData<&'c ()>,
 }
 
 /// Write view of (part of) a mutably registered slice or block column.
 #[derive(Clone, Copy, Debug)]
-pub struct ArgSliceMut<S> {
+pub struct ArgSliceMut<'c, S> {
     buf: u32,
     off: u32,
     len: u32,
-    _s: PhantomData<fn() -> S>,
+    /// Start of the registered buffer (not of this view).
+    ptr: *mut S,
+    _c: PhantomData<&'c ()>,
 }
 
 /// Write view of a single scalar result slot.
 #[derive(Clone, Copy, Debug)]
-pub struct ArgValMut<S> {
+pub struct ArgValMut<'c, S> {
     buf: u32,
     off: u32,
-    _s: PhantomData<fn() -> S>,
+    /// Start of the registered buffer (not of this slot).
+    ptr: *mut S,
+    _c: PhantomData<&'c ()>,
 }
 
-impl<S: Scalar> ArgSlice<S> {
+impl<'c, S: Scalar> ArgSlice<'c, S> {
     /// Read view of `len` elements starting at element `off` within
     /// this view (e.g. `BlockGmres`'s lagged per-lane host-step spans).
-    pub fn sub(self, off: usize, len: usize) -> ArgSlice<S> {
+    pub fn sub(self, off: usize, len: usize) -> ArgSlice<'c, S> {
         let off = u32::try_from(off).expect("arg offset");
         let len = u32::try_from(len).expect("arg length");
         assert!(off + len <= self.len, "arg sub-view out of range");
         ArgSlice {
-            buf: self.buf,
             off: self.off + off,
             len,
-            _s: PhantomData,
+            ..self
         }
     }
 
     fn span(&self) -> Span {
         Span::elems(self.buf, self.off, self.len, std::mem::size_of::<S>())
     }
+
+    /// The viewed elements.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a read of them.
+    unsafe fn get(self) -> &'c [S] {
+        std::slice::from_raw_parts(self.ptr.add(self.off as usize), self.len as usize)
+    }
 }
 
-impl<S: Scalar> ArgSliceMut<S> {
+impl<'c, S: Scalar> ArgSliceMut<'c, S> {
     /// Read view of the same elements.
-    pub fn read(self) -> ArgSlice<S> {
+    pub fn read(self) -> ArgSlice<'c, S> {
         ArgSlice {
             buf: self.buf,
             off: self.off,
             len: self.len,
-            _s: PhantomData,
+            ptr: self.ptr,
+            _c: PhantomData,
         }
     }
 
     /// Write view of the single element at `i` (per-lane result slots).
-    pub fn at(self, i: usize) -> ArgValMut<S> {
+    pub fn at(self, i: usize) -> ArgValMut<'c, S> {
         let i = u32::try_from(i).expect("arg index");
         assert!(i < self.len, "arg slot out of range");
         ArgValMut {
             buf: self.buf,
             off: self.off + i,
-            _s: PhantomData,
+            ptr: self.ptr,
+            _c: PhantomData,
         }
+    }
+
+    /// The first `len` elements of this view.
+    fn prefix(self, len: u32) -> Self {
+        assert!(len <= self.len, "arg prefix out of range");
+        ArgSliceMut { len, ..self }
     }
 
     fn span(&self) -> Span {
         Span::elems(self.buf, self.off, self.len, std::mem::size_of::<S>())
     }
 
-    fn prefix_span(&self, len: u32) -> Span {
-        debug_assert!(len <= self.len);
-        Span::elems(self.buf, self.off, len, std::mem::size_of::<S>())
+    /// The viewed elements, exclusively.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a write of them.
+    unsafe fn get_mut(self) -> &'c mut [S] {
+        std::slice::from_raw_parts_mut(self.ptr.add(self.off as usize), self.len as usize)
     }
 }
 
-impl<S: Scalar> ArgValMut<S> {
+impl<'c, S: Scalar> ArgValMut<'c, S> {
     fn span(&self) -> Span {
         Span::elems(self.buf, self.off, 1, std::mem::size_of::<S>())
+    }
+
+    /// The slot, exclusively.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a write of it.
+    unsafe fn get_mut(self) -> &'c mut S {
+        &mut *self.ptr.add(self.off as usize)
     }
 }
 
 /// Handle of a read-registered right-hand-side block ([`MultiVec`]):
 /// addressable as a whole (batched kernels) or per column.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockRef<S> {
+pub struct BlockRef<'c, S> {
     id: u32,
     n: u32,
     k: u32,
-    _s: PhantomData<fn() -> S>,
+    obj: *const MultiVec<S>,
+    /// Element data, derived from the same borrow as `obj`.
+    data: *const S,
+    _c: PhantomData<&'c ()>,
 }
 
 /// Handle of a mutably registered block.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockMut<S> {
+pub struct BlockMut<'c, S> {
     id: u32,
     n: u32,
     k: u32,
-    _s: PhantomData<fn() -> S>,
+    obj: *mut MultiVec<S>,
+    /// Element data, derived through `obj`.
+    data: *mut S,
+    _c: PhantomData<&'c ()>,
 }
 
-impl<S: Scalar> BlockRef<S> {
+impl<'c, S: Scalar> BlockRef<'c, S> {
     /// Read view of column `j`.
-    pub fn col(self, j: usize) -> ArgSlice<S> {
+    pub fn col(self, j: usize) -> ArgSlice<'c, S> {
         let j = u32::try_from(j).expect("block column");
         assert!(j < self.k, "block column out of range");
         ArgSlice {
             buf: self.id,
             off: j * self.n,
             len: self.n,
-            _s: PhantomData,
+            ptr: self.data,
+            _c: PhantomData,
         }
+    }
+
+    /// The block.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a whole-block read.
+    unsafe fn get(self) -> &'c MultiVec<S> {
+        &*self.obj
     }
 }
 
-impl<S: Scalar> BlockMut<S> {
+impl<'c, S: Scalar> BlockMut<'c, S> {
     /// Read view of the whole block (batched kernels).
-    pub fn read(self) -> BlockRef<S> {
+    pub fn read(self) -> BlockRef<'c, S> {
         BlockRef {
             id: self.id,
             n: self.n,
             k: self.k,
-            _s: PhantomData,
+            obj: self.obj,
+            data: self.data,
+            _c: PhantomData,
         }
     }
 
     /// Read view of column `j`.
-    pub fn col(self, j: usize) -> ArgSlice<S> {
+    pub fn col(self, j: usize) -> ArgSlice<'c, S> {
         self.read().col(j)
     }
 
     /// Write view of column `j`.
-    pub fn col_mut(self, j: usize) -> ArgSliceMut<S> {
+    pub fn col_mut(self, j: usize) -> ArgSliceMut<'c, S> {
         let c = self.col(j);
         ArgSliceMut {
             buf: c.buf,
             off: c.off,
             len: c.len,
-            _s: PhantomData,
+            ptr: self.data,
+            _c: PhantomData,
         }
     }
+
+    /// The block, exclusively.
+    ///
+    /// # Safety
+    /// Stream contract (module docs): the op declared a whole-block
+    /// write.
+    unsafe fn get_mut(self) -> &'c mut MultiVec<S> {
+        &mut *self.obj
+    }
+}
+
+/// Shape of a batched kernel's per-lane basis set: the bases must agree
+/// in rows, capacity and storage width. Returns `(n, ncap, ebytes)`.
+fn lane_set_shape<S>(label: &str, vs: &[BasisRef<'_, S>]) -> (u32, u32, u32) {
+    assert!(!vs.is_empty(), "stream {label}: empty lane set");
+    let (n, ncap, ebytes) = (vs[0].n, vs[0].ncap, vs[0].ebytes);
+    for v in vs {
+        assert_eq!(v.n, n, "stream {label}: ragged lane set");
+        assert_eq!(v.ncap, ncap, "stream {label}: ragged lane set");
+        assert_eq!(v.ebytes, ebytes, "stream {label}: mixed storage widths");
+    }
+    (n, ncap, ebytes)
 }
 
 // ----- the recorder ----------------------------------------------------
@@ -421,6 +509,8 @@ pub struct Stream<'c> {
     /// The critical time at which the region opened: no recorded op is
     /// ready before it.
     base: f64,
+    /// Registrations so far: the id the next one gets.
+    next_id: u32,
 }
 
 impl<'c> Stream<'c> {
@@ -440,7 +530,12 @@ impl<'c> Stream<'c> {
     fn open(ctx: &'c mut GpuContext, eager: bool) -> Self {
         let base = ctx.profiler().critical_seconds();
         ctx.scratch_reset();
-        Stream { ctx, eager, base }
+        Stream {
+            ctx,
+            eager,
+            base,
+            next_id: 0,
+        }
     }
 
     /// Ops recorded on the region's graph so far (always 0 in eager
@@ -449,81 +544,49 @@ impl<'c> Stream<'c> {
         self.ctx.scratch().graph.len()
     }
 
-    fn arena(&self) -> &BufferArena {
-        &self.ctx.scratch().arena
-    }
-
     // ----- buffer registration ---------------------------------------
     //
-    // Each method derives the buffer's arena pointer exactly once from
-    // a borrow held for the stream's whole lifetime — the Miri-clean
-    // discipline the arena documents. The borrow checker guarantees
-    // mutable registrations are disjoint from every other registration.
+    // Each method takes the buffer's pointers exactly once, from a
+    // borrow held for the stream's whole lifetime, and numbers the
+    // registration. The borrow checker guarantees mutable registrations
+    // are disjoint from every other registration.
+
+    fn next_id(&mut self) -> u32 {
+        let id = self.next_id;
+        self.next_id = id.checked_add(1).expect("stream: too many buffers");
+        id
+    }
 
     /// Register the system matrix (read-only).
-    pub fn matrix<S: Scalar>(&mut self, a: &'c GpuMatrix<S>) -> MatRef<S> {
-        // SAFETY: `a` stays borrowed until the stream's sync/drop.
-        let id = unsafe { self.ctx.arena_mut().register_obj(a as *const GpuMatrix<S>) };
-        MatRef {
-            id,
-            _s: PhantomData,
-        }
+    pub fn matrix<S: Scalar>(&mut self, a: &'c GpuMatrix<S>) -> MatRef<'c, S> {
+        self.next_id();
+        MatRef { a }
     }
 
     /// Register packed block LU factors (read-only).
-    pub fn block_lu<S: Scalar>(&mut self, f: &'c BlockLu<S>) -> LuRef<S> {
-        // SAFETY: `f` stays borrowed until the stream's sync/drop.
-        let id = unsafe { self.ctx.arena_mut().register_obj(f as *const BlockLu<S>) };
-        LuRef {
-            id,
-            _s: PhantomData,
-        }
+    pub fn block_lu<S: Scalar>(&mut self, f: &'c BlockLu<S>) -> LuRef<'c, S> {
+        self.next_id();
+        LuRef { f }
     }
 
     /// Register a storage-path system matrix (read-only).
-    pub fn store<S: Scalar>(&mut self, a: &'c GpuStore<S>) -> StoreRef<S> {
-        // SAFETY: `a` stays borrowed until the stream's sync/drop.
-        let id = unsafe { self.ctx.arena_mut().register_obj(a as *const GpuStore<S>) };
-        StoreRef {
-            id,
-            _s: PhantomData,
-        }
+    pub fn store<S: Scalar>(&mut self, a: &'c GpuStore<S>) -> StoreRef<'c, S> {
+        self.next_id();
+        StoreRef { a }
     }
 
-    /// Register a Krylov basis store (read-only). Native stores are
-    /// registered whole-object (recorded reads keep the pre-refactor
-    /// whole-buffer spans); compressed stores also register their
-    /// narrow element array so reads can declare the exact byte span a
+    /// Register a Krylov basis store (read-only). Native stores are read
+    /// whole-object (recorded reads keep the whole-buffer spans);
+    /// compressed stores' reads declare the exact narrow byte span a
     /// kernel streams.
-    pub fn basis<S: Scalar>(&mut self, v: &'c BasisStore<S>) -> BasisRef<S> {
-        let (n, ncap) = (v.n(), v.max_cols());
-        // SAFETY: `v` stays borrowed until the stream's sync/drop; the
-        // compressed data pointer is derived from the same shared
-        // borrow, keeping one provenance chain.
-        let id = unsafe {
-            let obj = v as *const BasisStore<S>;
-            match v {
-                BasisStore::Native(_) => self.ctx.arena_mut().register_obj(obj),
-                BasisStore::F32(cb) => {
-                    let d = cb.data();
-                    self.ctx
-                        .arena_mut()
-                        .register_obj_with_data(obj, d.as_ptr(), d.len())
-                }
-                BasisStore::F16(cb) => {
-                    let d = cb.data();
-                    self.ctx
-                        .arena_mut()
-                        .register_obj_with_data(obj, d.as_ptr(), d.len())
-                }
-            }
-        };
+    pub fn basis<S: Scalar>(&mut self, v: &'c BasisStore<S>) -> BasisRef<'c, S> {
         BasisRef {
-            id,
-            n: u32::try_from(n).expect("basis rows"),
-            ncap: u32::try_from(ncap).expect("basis cols"),
+            id: self.next_id(),
+            n: u32::try_from(v.n()).expect("basis rows"),
+            ncap: u32::try_from(v.max_cols()).expect("basis cols"),
             ebytes: u32::try_from(v.elem_bytes()).expect("basis elem bytes"),
-            _s: PhantomData,
+            obj: v,
+            _c: PhantomData,
         }
     }
 
@@ -534,152 +597,118 @@ impl<'c> Stream<'c> {
     /// before the projections. Column views are working-precision
     /// slices, so only native bases have them; a compressed basis is
     /// written whole-object by [`Stream::basis_lane_scal_copy`].
-    pub fn basis_mut<S: Scalar>(&mut self, v: &'c mut BasisStore<S>) -> BasisMut<S> {
+    pub fn basis_mut<S: Scalar>(&mut self, v: &'c mut BasisStore<S>) -> BasisMut<'c, S> {
         let (n, ncap, ebytes) = (v.n(), v.max_cols(), v.elem_bytes());
         // Compressed stores return a null data pointer (no column views).
-        let (obj, data, len) = v.arena_parts();
-        // SAFETY: `v` stays exclusively borrowed until sync/drop; the
-        // data pointer is derived through the object pointer (see
-        // `BasisStore::arena_parts`), keeping one provenance chain.
-        let id = unsafe { self.ctx.arena_mut().register_obj_mut(obj, data, len) };
+        let (obj, data) = v.raw_parts_mut();
         BasisMut {
-            id,
+            id: self.next_id(),
             n: u32::try_from(n).expect("basis rows"),
             ncap: u32::try_from(ncap).expect("basis cols"),
             ebytes: u32::try_from(ebytes).expect("basis elem bytes"),
-            _s: PhantomData,
+            obj,
+            data,
+            _c: PhantomData,
         }
     }
 
     /// Register a per-lane basis set mutably (all the same shape, possibly
     /// empty), returning one [`BasisMut`] per lane in order.
-    pub fn bases_mut<S: Scalar>(&mut self, vs: Vec<&'c mut BasisStore<S>>) -> Vec<BasisMut<S>> {
-        let shape = vs.first().map(|v| (v.n(), v.max_cols()));
+    pub fn bases_mut<S: Scalar>(
+        &mut self,
+        vs: impl IntoIterator<Item = &'c mut BasisStore<S>>,
+    ) -> Vec<BasisMut<'c, S>> {
+        let mut shape = None;
         vs.into_iter()
             .map(|v| {
-                let got = Some((v.n(), v.max_cols()));
-                assert_eq!(got, shape, "stream bases_mut: ragged lane set");
+                let got = (v.n(), v.max_cols());
+                assert_eq!(
+                    *shape.get_or_insert(got),
+                    got,
+                    "stream bases_mut: ragged lane set"
+                );
                 self.basis_mut(v)
             })
             .collect()
     }
 
-    /// Build a [`BasisList`] (the batched kernels' per-column basis
-    /// argument) from already-registered basis handles — `BlockGmres`
-    /// registers its lane bases mutably once per region, then hands a
-    /// subset to the CGS kernels by reference.
-    pub fn basis_list<S: Scalar>(&mut self, refs: &[BasisRef<S>]) -> BasisList<S> {
-        assert!(!refs.is_empty(), "stream basis_list: empty lane set");
-        let (n, ncap, ebytes) = (refs[0].n, refs[0].ncap, refs[0].ebytes);
-        for r in refs {
-            assert_eq!(r.n, n, "stream basis_list: ragged lane set");
-            assert_eq!(r.ncap, ncap, "stream basis_list: ragged lane set");
-            assert_eq!(r.ebytes, ebytes, "stream basis_list: mixed storage widths");
-        }
-        let (start, len) = self.ctx.arena_mut().push_list(refs.iter().map(|r| r.id));
-        BasisList {
-            start,
-            len,
-            n,
-            ncap,
-            ebytes,
-            _s: PhantomData,
-        }
-    }
-
     /// Register a read-only vector.
-    pub fn slice<S: Scalar>(&mut self, x: &'c [S]) -> ArgSlice<S> {
-        // SAFETY: `x` stays borrowed until the stream's sync/drop.
-        let buf = unsafe { self.ctx.arena_mut().register_slice(x.as_ptr(), x.len()) };
+    pub fn slice<S: Scalar>(&mut self, x: &'c [S]) -> ArgSlice<'c, S> {
         ArgSlice {
-            buf,
+            buf: self.next_id(),
             off: 0,
             len: u32::try_from(x.len()).expect("slice length"),
-            _s: PhantomData,
+            ptr: x.as_ptr(),
+            _c: PhantomData,
         }
     }
 
     /// Register an exclusively borrowed vector.
-    pub fn slice_mut<S: Scalar>(&mut self, x: &'c mut [S]) -> ArgSliceMut<S> {
-        let (ptr, len) = (x.as_mut_ptr(), x.len());
-        // SAFETY: `x` stays exclusively borrowed until sync/drop, and
-        // the pointer is derived exactly once here.
-        let buf = unsafe { self.ctx.arena_mut().register_slice_mut(ptr, len) };
+    pub fn slice_mut<S: Scalar>(&mut self, x: &'c mut [S]) -> ArgSliceMut<'c, S> {
         ArgSliceMut {
-            buf,
+            buf: self.next_id(),
             off: 0,
-            len: u32::try_from(len).expect("slice length"),
-            _s: PhantomData,
+            len: u32::try_from(x.len()).expect("slice length"),
+            ptr: x.as_mut_ptr(),
+            _c: PhantomData,
         }
     }
 
     /// Register an exclusively borrowed scalar result slot.
-    pub fn val_mut<S: Scalar>(&mut self, x: &'c mut S) -> ArgValMut<S> {
-        let ptr: *mut S = x;
-        // SAFETY: as [`Stream::slice_mut`], for one element.
-        let buf = unsafe { self.ctx.arena_mut().register_slice_mut(ptr, 1) };
+    pub fn val_mut<S: Scalar>(&mut self, x: &'c mut S) -> ArgValMut<'c, S> {
         ArgValMut {
-            buf,
+            buf: self.next_id(),
             off: 0,
-            _s: PhantomData,
+            ptr: x,
+            _c: PhantomData,
         }
     }
 
     /// Register a read-only right-hand-side block.
-    pub fn block<S: Scalar>(&mut self, x: &'c MultiVec<S>) -> BlockRef<S> {
-        let (n, k) = (x.n(), x.k());
-        let data = x.data();
-        // SAFETY: `x` stays borrowed until sync/drop; both pointers are
-        // derived from the same shared borrow.
-        let id = unsafe {
-            self.ctx.arena_mut().register_obj_with_data(
-                x as *const MultiVec<S>,
-                data.as_ptr(),
-                data.len(),
-            )
-        };
+    pub fn block<S: Scalar>(&mut self, x: &'c MultiVec<S>) -> BlockRef<'c, S> {
         BlockRef {
-            id,
-            n: u32::try_from(n).expect("block rows"),
-            k: u32::try_from(k).expect("block cols"),
-            _s: PhantomData,
+            id: self.next_id(),
+            n: u32::try_from(x.n()).expect("block rows"),
+            k: u32::try_from(x.k()).expect("block cols"),
+            obj: x,
+            data: x.data().as_ptr(),
+            _c: PhantomData,
         }
     }
 
-    /// Register an exclusively borrowed block. Within one region the
-    /// recorder addresses it either as a whole value (chained batched
-    /// kernels) or column-wise (independent per-lane ops) — the
-    /// discipline the arena contract requires.
-    pub fn block_mut<S: Scalar>(&mut self, x: &'c mut MultiVec<S>) -> BlockMut<S> {
+    /// Register an exclusively borrowed block. Within one op the
+    /// recorder addresses it either as a whole value (batched kernels)
+    /// or column-wise (per-lane ops), never both.
+    pub fn block_mut<S: Scalar>(&mut self, x: &'c mut MultiVec<S>) -> BlockMut<'c, S> {
         let (n, k) = (x.n(), x.k());
-        let (obj, data, len) = x.arena_parts();
-        // SAFETY: `x` stays exclusively borrowed until sync/drop; the
-        // data pointer is derived through the object pointer (see
-        // `MultiVec::arena_parts`), keeping one provenance chain.
-        let id = unsafe { self.ctx.arena_mut().register_obj_mut(obj, data, len) };
+        let (obj, data) = x.raw_parts_mut();
         BlockMut {
-            id,
+            id: self.next_id(),
             n: u32::try_from(n).expect("block rows"),
             k: u32::try_from(k).expect("block cols"),
-            _s: PhantomData,
+            obj,
+            data,
+            _c: PhantomData,
         }
     }
 
     // ----- recording core --------------------------------------------
 
     /// One kernel call must not read and write overlapping memory (its
-    /// launch would materialize aliasing `&`/`&mut` views). The borrow
-    /// checker proved this for the old reference-taking API; with
-    /// `Copy` handles it is checked here, in both eager and recorded
-    /// mode, before anything executes.
+    /// launch would make aliasing `&`/`&mut` views), and no two of its
+    /// write operands may overlap. The borrow checker proved this for
+    /// the old reference-taking API; with `Copy` handles it is checked
+    /// here, in both eager and recorded mode, before anything executes.
+    /// A write operand conflicts only with *other* operands, so an empty
+    /// span (which overlaps nothing) passes.
     fn assert_noalias(label: &str, reads: &[Span], writes: &[Span]) {
-        for w in writes {
+        for (i, w) in writes.iter().enumerate() {
             assert!(
                 !reads.iter().any(|r| r.overlaps(w)),
                 "stream {label}: an operand is both read and written"
             );
             assert!(
-                writes.iter().filter(|x| x.overlaps(w)).count() == 1,
+                !writes[i + 1..].iter().any(|x| x.overlaps(w)),
                 "stream {label}: overlapping write operands"
             );
         }
@@ -705,9 +734,9 @@ impl<'c> Stream<'c> {
     fn assert_matmat<S>(
         label: &str,
         (rows, cols): (usize, usize),
-        x: BlockRef<S>,
+        x: BlockRef<'_, S>,
         k: u32,
-        y: BlockMut<S>,
+        y: BlockMut<'_, S>,
     ) {
         assert!(k >= 1, "stream {label}: empty block (k = 0)");
         assert!(
@@ -734,20 +763,20 @@ impl<'c> Stream<'c> {
     /// never before the region opened) and adds it to the region's
     /// graph; an eager stream charges it at the profiler's current
     /// critical time (exactly `Profiler::charge`). Either way `launch`
-    /// then runs at once, against the arena.
+    /// then runs at once.
     ///
-    /// A launch obeys the arena contract: it materializes a `&mut` only
-    /// for memory the op declared a write span on and a `&` only for
-    /// declared reads. Ops run one at a time, in record order, and the
-    /// stream keeps every registration borrowed until sync, so no two
-    /// live views alias.
+    /// A launch obeys the stream contract (module docs): it makes a
+    /// `&mut` only for memory the op declared a write span on and a `&`
+    /// only for declared reads. Ops run one at a time, in record order,
+    /// and the stream keeps every registration borrowed until sync, so
+    /// no two live views alias.
     fn record(
         &mut self,
         label: &'static str,
         reads: &[Span],
         writes: &[Span],
         charge: Option<(KernelClass, f64, usize)>,
-        launch: impl FnOnce(&dyn Backend, &BufferArena),
+        launch: impl FnOnce(&dyn Backend),
     ) {
         if self.eager {
             if let Some((class, t, bytes)) = charge {
@@ -766,7 +795,7 @@ impl<'c> Stream<'c> {
             scratch.stats.nodes_allocated += 1;
             scratch.graph.push(label, reads, writes, fin);
         }
-        launch(self.ctx.backend(), self.arena());
+        launch(self.ctx.backend());
     }
 
     /// End the region: the registration borrows end here, and the host
@@ -775,22 +804,25 @@ impl<'c> Stream<'c> {
     pub fn sync(self) {}
 
     // ----- recordable kernels ----------------------------------------
+    //
+    // Every launch below dereferences only handles whose spans the op
+    // declared: reads through `get`, writes through `get_mut`.
 
     /// Record `y = A x` (charged as a solver SpMV).
-    pub fn spmv<S: BackendScalar>(&mut self, a: MatRef<S>, x: ArgSlice<S>, y: ArgSliceMut<S>) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
+    pub fn spmv<S: BackendScalar>(
+        &mut self,
+        a: MatRef<'c, S>,
+        x: ArgSlice<'c, S>,
+        y: ArgSliceMut<'c, S>,
+    ) {
+        let am = a.a;
         Self::assert_matvec("spmv", (am.n(), am.csr().ncols()), x.len, y.len);
         Self::assert_noalias("spmv", &[x.span()], &[y.span()]);
         let (t, bytes) = self.ctx.spmv_spec::<S>(am);
         let charge = Some((KernelClass::SpMV, t, bytes));
-        self.record("spmv", &[x.span()], &[y.span()], charge, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`).
-            unsafe {
-                let x = arena.slice::<S>(x.buf, x.off, x.len);
-                let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
-                S::view(b).spmv(am.csr(), x, y);
-            }
+        self.record("spmv", &[x.span()], &[y.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).spmv(am.csr(), x.get(), y.get_mut()) }
         });
     }
 
@@ -799,63 +831,41 @@ impl<'c> Stream<'c> {
     /// Jacobi's apply, charged as a solver SpMV).
     pub fn block_lu_solve<S: BackendScalar>(
         &mut self,
-        f: LuRef<S>,
-        x: ArgSlice<S>,
-        y: ArgSliceMut<S>,
+        f: LuRef<'c, S>,
+        x: ArgSlice<'c, S>,
+        y: ArgSliceMut<'c, S>,
     ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let lu: &BlockLu<S> = unsafe { self.arena().obj(f.id) };
+        let lu = f.f;
         Self::assert_matvec("block_lu_solve", (lu.n(), lu.n()), x.len, y.len);
         Self::assert_noalias("block_lu_solve", &[x.span()], &[y.span()]);
         let (t, bytes) = self.ctx.block_solve_spec::<S>(lu.n(), lu.block_size());
         let charge = Some((KernelClass::SpMV, t, bytes));
-        self.record(
-            "block_lu_solve",
-            &[x.span()],
-            &[y.span()],
-            charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let x = arena.slice::<S>(x.buf, x.off, x.len);
-                    let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
-                    S::view(b).block_lu_solve(lu, x, y);
-                }
-            },
-        );
+        self.record("block_lu_solve", &[x.span()], &[y.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).block_lu_solve(lu, x.get(), y.get_mut()) }
+        });
     }
 
     /// Record the fused residual `r = b - A x`, charged to `class`.
     pub fn residual_as<S: BackendScalar>(
         &mut self,
         class: KernelClass,
-        a: MatRef<S>,
-        b: ArgSlice<S>,
-        x: ArgSlice<S>,
-        r: ArgSliceMut<S>,
+        a: MatRef<'c, S>,
+        b: ArgSlice<'c, S>,
+        x: ArgSlice<'c, S>,
+        r: ArgSliceMut<'c, S>,
     ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
+        let am = a.a;
         Self::assert_matvec("residual", (am.n(), am.csr().ncols()), x.len, r.len);
         assert_eq!(b.len as usize, am.n(), "stream residual: b length");
-        Self::assert_noalias("residual", &[b.span(), x.span()], &[r.span()]);
+        let reads = [b.span(), x.span()];
+        Self::assert_noalias("residual", &reads, &[r.span()]);
         let (t, bytes) = self.ctx.residual_spec::<S>(am);
         let charge = Some((class, t, bytes));
-        self.record(
-            "residual",
-            &[b.span(), x.span()],
-            &[r.span()],
-            charge,
-            |be, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let bb = arena.slice::<S>(b.buf, b.off, b.len);
-                    let x = arena.slice::<S>(x.buf, x.off, x.len);
-                    let r = arena.slice_mut::<S>(r.buf, r.off, r.len);
-                    S::view(be).residual(am.csr(), bb, x, r);
-                }
-            },
-        );
+        self.record("residual", &reads, &[r.span()], charge, |be| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(be).residual(am.csr(), b.get(), x.get(), r.get_mut()) }
+        });
     }
 
     /// Record the storage-path fused residual `r = b - A x`, charged to
@@ -864,50 +874,39 @@ impl<'c> Stream<'c> {
     pub fn store_residual_as<S: BackendScalar>(
         &mut self,
         class: KernelClass,
-        a: StoreRef<S>,
-        b: ArgSlice<S>,
-        x: ArgSlice<S>,
-        r: ArgSliceMut<S>,
+        a: StoreRef<'c, S>,
+        b: ArgSlice<'c, S>,
+        x: ArgSlice<'c, S>,
+        r: ArgSliceMut<'c, S>,
     ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let am: &GpuStore<S> = unsafe { self.arena().obj(a.id) };
+        let am = a.a;
         let shape = (am.n(), am.store().ncols());
         Self::assert_matvec("store_residual", shape, x.len, r.len);
         assert_eq!(b.len as usize, am.n(), "stream store_residual: b length");
-        Self::assert_noalias("store_residual", &[b.span(), x.span()], &[r.span()]);
-        let (t, bytes) = self.ctx.store_residual_spec::<S>(am);
         let reads = [b.span(), x.span()];
+        Self::assert_noalias("store_residual", &reads, &[r.span()]);
+        let (t, bytes) = self.ctx.store_residual_spec::<S>(am);
         let charge = Some((class, t, bytes));
-        self.record(
-            "store_residual",
-            &reads,
-            &[r.span()],
-            charge,
-            |be, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let bb = arena.slice::<S>(b.buf, b.off, b.len);
-                    let x = arena.slice::<S>(x.buf, x.off, x.len);
-                    let r = arena.slice_mut::<S>(r.buf, r.off, r.len);
-                    S::view(be).store_residual(am.store(), bb, x, r);
-                }
-            },
-        );
+        self.record("store_residual", &reads, &[r.span()], charge, |be| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(be).store_residual(am.store(), b.get(), x.get(), r.get_mut()) }
+        });
     }
 
     /// Record `h = V^T w` over the first `ncols` basis columns.
     pub fn gemv_t<S: BackendScalar>(
         &mut self,
-        v: BasisRef<S>,
+        v: BasisRef<'c, S>,
         ncols: usize,
-        w: ArgSlice<S>,
-        h: ArgSliceMut<S>,
+        w: ArgSlice<'c, S>,
+        h: ArgSliceMut<'c, S>,
     ) {
         let nc = u32::try_from(ncols).expect("ncols");
         assert!(nc <= v.ncap, "stream gemv_t: ncols over basis capacity");
         assert_eq!(w.len, v.n, "stream gemv_t: w length");
         assert!(h.len >= nc, "stream gemv_t: h too short");
-        Self::assert_noalias("gemv_t", &[w.span()], &[h.prefix_span(nc)]);
+        let h = h.prefix(nc);
+        Self::assert_noalias("gemv_t", &[w.span()], &[h.span()]);
         let (t, bytes) = self
             .ctx
             .basis_gemv_t_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
@@ -915,16 +914,11 @@ impl<'c> Stream<'c> {
         self.record(
             "gemv_t",
             &[v.read_span(nc), w.span()],
-            &[h.prefix_span(nc)],
+            &[h.span()],
             Some((KernelClass::GemvT, t, bytes)),
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let vs: &BasisStore<S> = arena.obj(v.id);
-                    let w = arena.slice::<S>(w.buf, w.off, w.len);
-                    let h = arena.slice_mut::<S>(h.buf, h.off, nc);
-                    S::view(b).basis_gemv_t(vs, ncols, w, h, order);
-                }
+            |b| {
+                // SAFETY: stream contract (module docs).
+                unsafe { S::view(b).basis_gemv_t(v.get(), ncols, w.get(), h.get_mut(), order) }
             },
         );
     }
@@ -932,10 +926,10 @@ impl<'c> Stream<'c> {
     /// Record `w -= V h` (GEMV No-Trans).
     pub fn gemv_n_sub<S: BackendScalar>(
         &mut self,
-        v: BasisRef<S>,
+        v: BasisRef<'c, S>,
         ncols: usize,
-        h: ArgSlice<S>,
-        w: ArgSliceMut<S>,
+        h: ArgSlice<'c, S>,
+        w: ArgSliceMut<'c, S>,
     ) {
         self.gemv_n(v, ncols, h, w, false);
     }
@@ -943,96 +937,84 @@ impl<'c> Stream<'c> {
     /// Record `y += V h` (GEMV No-Trans; the solution update).
     pub fn gemv_n_add<S: BackendScalar>(
         &mut self,
-        v: BasisRef<S>,
+        v: BasisRef<'c, S>,
         ncols: usize,
-        h: ArgSlice<S>,
-        y: ArgSliceMut<S>,
+        h: ArgSlice<'c, S>,
+        y: ArgSliceMut<'c, S>,
     ) {
         self.gemv_n(v, ncols, h, y, true);
     }
 
     fn gemv_n<S: BackendScalar>(
         &mut self,
-        v: BasisRef<S>,
+        v: BasisRef<'c, S>,
         ncols: usize,
-        h: ArgSlice<S>,
-        w: ArgSliceMut<S>,
+        h: ArgSlice<'c, S>,
+        w: ArgSliceMut<'c, S>,
         add: bool,
     ) {
         let nc = u32::try_from(ncols).expect("ncols");
         assert!(nc <= v.ncap, "stream gemv_n: ncols over basis capacity");
         assert_eq!(w.len, v.n, "stream gemv_n: vector length");
         assert!(h.len >= nc, "stream gemv_n: h too short");
-        let h_read = h.sub(0, ncols);
-        Self::assert_noalias("gemv_n", &[h_read.span()], &[w.span()]);
+        let h = h.sub(0, ncols);
+        Self::assert_noalias("gemv_n", &[h.span()], &[w.span()]);
         let (t, bytes) = self
             .ctx
             .basis_gemv_n_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
         self.record(
             if add { "gemv_n_add" } else { "gemv_n_sub" },
-            &[v.read_span(nc), h_read.span()],
+            &[v.read_span(nc), h.span()],
             &[w.span()],
             Some((KernelClass::GemvN, t, bytes)),
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let vs: &BasisStore<S> = arena.obj(v.id);
-                    let h = arena.slice::<S>(h.buf, h.off, nc);
-                    let w = arena.slice_mut::<S>(w.buf, w.off, w.len);
-                    if add {
-                        S::view(b).basis_gemv_n_add(vs, ncols, h, w);
-                    } else {
-                        S::view(b).basis_gemv_n_sub(vs, ncols, h, w);
-                    }
+            |b| {
+                // SAFETY: stream contract (module docs).
+                let (vs, h, w) = unsafe { (v.get(), h.get(), w.get_mut()) };
+                if add {
+                    S::view(b).basis_gemv_n_add(vs, ncols, h, w);
+                } else {
+                    S::view(b).basis_gemv_n_sub(vs, ncols, h, w);
                 }
             },
         );
     }
 
     /// Record `y += alpha x`.
-    pub fn axpy<S: BackendScalar>(&mut self, alpha: S, x: ArgSlice<S>, y: ArgSliceMut<S>) {
+    pub fn axpy<S: BackendScalar>(&mut self, alpha: S, x: ArgSlice<'c, S>, y: ArgSliceMut<'c, S>) {
         assert_eq!(x.len, y.len, "stream axpy: length mismatch");
         Self::assert_noalias("axpy", &[x.span()], &[y.span()]);
         let (t, bytes) = self.ctx.axpy_spec::<S>(x.len as usize);
         let charge = Some((KernelClass::Axpy, t, bytes));
-        self.record("axpy", &[x.span()], &[y.span()], charge, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`).
-            unsafe {
-                let x = arena.slice::<S>(x.buf, x.off, x.len);
-                let y = arena.slice_mut::<S>(y.buf, y.off, y.len);
-                S::view(b).axpy(alpha, x, y);
-            }
+        self.record("axpy", &[x.span()], &[y.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).axpy(alpha, x.get(), y.get_mut()) }
         });
     }
 
     /// Record `x *= alpha`.
-    pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: ArgSliceMut<S>) {
+    pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: ArgSliceMut<'c, S>) {
         let (t, bytes) = self.ctx.scal_spec::<S>(x.len as usize);
         let charge = Some((KernelClass::Scal, t, bytes));
-        self.record("scal", &[], &[x.span()], charge, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`).
-            unsafe { S::view(b).scal(alpha, arena.slice_mut::<S>(x.buf, x.off, x.len)) }
+        self.record("scal", &[], &[x.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).scal(alpha, x.get_mut()) }
         });
     }
 
     /// Record a device-resident copy (uncharged: the paper's accounting
     /// attaches no cost to plain copies; still a DAG node so dependent
     /// ops order).
-    pub fn copy<S: BackendScalar>(&mut self, src: ArgSlice<S>, dst: ArgSliceMut<S>) {
+    pub fn copy<S: BackendScalar>(&mut self, src: ArgSlice<'c, S>, dst: ArgSliceMut<'c, S>) {
         assert_eq!(src.len, dst.len, "stream copy: length mismatch");
         Self::assert_noalias("copy", &[src.span()], &[dst.span()]);
-        self.record("copy", &[src.span()], &[dst.span()], None, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`).
-            unsafe {
-                let src = arena.slice::<S>(src.buf, src.off, src.len);
-                let dst = arena.slice_mut::<S>(dst.buf, dst.off, dst.len);
-                S::view(b).copy(src, dst);
-            }
+        self.record("copy", &[src.span()], &[dst.span()], None, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).copy(src.get(), dst.get_mut()) }
         });
     }
 
     /// Record a Euclidean norm whose result lands in `out` after sync.
-    pub fn norm2_into<S: BackendScalar>(&mut self, x: ArgSlice<S>, out: ArgValMut<S>) {
+    pub fn norm2_into<S: BackendScalar>(&mut self, x: ArgSlice<'c, S>, out: ArgValMut<'c, S>) {
         self.norm2_into_as(KernelClass::Norm, x, out);
     }
 
@@ -1042,54 +1024,37 @@ impl<'c> Stream<'c> {
     pub fn norm2_into_as<S: BackendScalar>(
         &mut self,
         class: KernelClass,
-        x: ArgSlice<S>,
-        out: ArgValMut<S>,
+        x: ArgSlice<'c, S>,
+        out: ArgValMut<'c, S>,
     ) {
         Self::assert_noalias("norm2", &[x.span()], &[out.span()]);
         let (t, bytes) = self.ctx.norm_spec::<S>(x.len as usize);
         let order = self.ctx.reduction();
-        self.record(
-            "norm2",
-            &[x.span()],
-            &[out.span()],
-            Some((class, t, bytes)),
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let x = arena.slice::<S>(x.buf, x.off, x.len);
-                    *arena.value_mut::<S>(out.buf, out.off) = S::view(b).norm2(x, order);
-                }
-            },
-        );
+        let charge = Some((class, t, bytes));
+        self.record("norm2", &[x.span()], &[out.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { *out.get_mut() = S::view(b).norm2(x.get(), order) }
+        });
     }
 
     /// Record an inner product whose result lands in `out` after sync
     /// (modified Gram-Schmidt's per-column projections).
     pub fn dot_into<S: BackendScalar>(
         &mut self,
-        x: ArgSlice<S>,
-        y: ArgSlice<S>,
-        out: ArgValMut<S>,
+        x: ArgSlice<'c, S>,
+        y: ArgSlice<'c, S>,
+        out: ArgValMut<'c, S>,
     ) {
         assert_eq!(x.len, y.len, "stream dot: length mismatch");
-        Self::assert_noalias("dot", &[x.span(), y.span()], &[out.span()]);
+        let reads = [x.span(), y.span()];
+        Self::assert_noalias("dot", &reads, &[out.span()]);
         let (t, bytes) = self.ctx.dot_spec::<S>(x.len as usize);
         let order = self.ctx.reduction();
         let charge = Some((KernelClass::Dot, t, bytes));
-        self.record(
-            "dot",
-            &[x.span(), y.span()],
-            &[out.span()],
-            charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let x = arena.slice::<S>(x.buf, x.off, x.len);
-                    let y = arena.slice::<S>(y.buf, y.off, y.len);
-                    *arena.value_mut::<S>(out.buf, out.off) = S::view(b).dot(x, y, order);
-                }
-            },
-        );
+        self.record("dot", &reads, &[out.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { *out.get_mut() = S::view(b).dot(x.get(), y.get(), order) }
+        });
     }
 
     /// Record a precision cast `dst = src`, charged to `class`: either
@@ -1100,8 +1065,8 @@ impl<'c> Stream<'c> {
     pub fn cast<S: Scalar, T: Scalar>(
         &mut self,
         class: KernelClass,
-        src: ArgSlice<S>,
-        dst: ArgSliceMut<T>,
+        src: ArgSlice<'c, S>,
+        dst: ArgSliceMut<'c, T>,
     ) {
         assert_eq!(src.len, dst.len, "stream cast: length mismatch");
         Self::assert_noalias("cast", &[src.span()], &[dst.span()]);
@@ -1111,13 +1076,9 @@ impl<'c> Stream<'c> {
         // Casts run on the host in every backend (no backend kernel
         // converts between precisions).
         let charge = Some((class, t, bytes));
-        self.record("cast", &[src.span()], &[dst.span()], charge, |_, arena| {
-            // SAFETY: arena contract (see `Stream::record`).
-            unsafe {
-                let src = arena.slice::<S>(src.buf, src.off, src.len);
-                let dst = arena.slice_mut::<T>(dst.buf, dst.off, dst.len);
-                mpgmres_scalar::cast_into(src, dst);
-            }
+        self.record("cast", &[src.span()], &[dst.span()], charge, |_| {
+            // SAFETY: stream contract (module docs).
+            unsafe { mpgmres_scalar::cast_into(src.get(), dst.get_mut()) }
         });
     }
 
@@ -1140,8 +1101,8 @@ impl<'c> Stream<'c> {
     pub fn host_givens<S: BackendScalar>(
         &mut self,
         j: usize,
-        lagged: &[ArgSlice<S>],
-        token: ArgValMut<S>,
+        lagged: &[ArgSlice<'c, S>],
+        token: ArgValMut<'c, S>,
     ) {
         let t = self.ctx.host_iter_spec(j);
         let mut reads = [Span::whole(0); 3];
@@ -1169,8 +1130,8 @@ impl<'c> Stream<'c> {
     pub fn host_lsq<S: BackendScalar>(
         &mut self,
         kc: usize,
-        token: ArgValMut<S>,
-        y: ArgSliceMut<S>,
+        token: ArgValMut<'c, S>,
+        y: ArgSliceMut<'c, S>,
     ) {
         let t = self.ctx.host_restart_spec(kc);
         self.host_node("host_lsq", t, &[], &[token.span(), y.span()]);
@@ -1179,7 +1140,7 @@ impl<'c> Stream<'c> {
     fn host_node(&mut self, label: &'static str, seconds: f64, reads: &[Span], writes: &[Span]) {
         Self::assert_noalias(label, reads, writes);
         let charge = Some((KernelClass::HostDense, seconds, 0));
-        self.record(label, reads, writes, charge, |_, _| {});
+        self.record(label, reads, writes, charge, |_| {});
     }
 
     // ----- fused lane-set kernels (recorded forms) -------------------
@@ -1188,7 +1149,11 @@ impl<'c> Stream<'c> {
     /// form of `BlockGmres`'s per-lane direction gathers; uncharged,
     /// like every copy). Sources and destinations are arbitrary
     /// registered views of one shared length.
-    pub fn lane_copy<S: BackendScalar>(&mut self, srcs: &[ArgSlice<S>], dsts: &[ArgSliceMut<S>]) {
+    pub fn lane_copy<S: BackendScalar>(
+        &mut self,
+        srcs: &[ArgSlice<'c, S>],
+        dsts: &[ArgSliceMut<'c, S>],
+    ) {
         let k = srcs.len();
         assert_eq!(k, dsts.len(), "stream lane_copy: lane count");
         assert!(k >= 1, "stream lane_copy: empty lane set");
@@ -1202,20 +1167,16 @@ impl<'c> Stream<'c> {
             writes.push(d.span());
         }
         Self::assert_noalias("lane_copy", &reads, &writes);
-        self.record("lane_copy", &reads, &writes, None, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`); each
-            // destination is a distinct declared write span.
-            unsafe {
-                let srcs: Vec<&[S]> = srcs
-                    .iter()
-                    .map(|s| arena.slice::<S>(s.buf, s.off, n))
-                    .collect();
-                let mut dsts: Vec<&mut [S]> = dsts
-                    .iter()
-                    .map(|d| arena.slice_mut::<S>(d.buf, d.off, n))
-                    .collect();
-                S::view(b).lane_copy(&srcs, &mut dsts);
-            }
+        self.record("lane_copy", &reads, &writes, None, |b| {
+            // SAFETY: stream contract (module docs); each destination
+            // is a distinct declared write span.
+            let (srcs, mut dsts): (Vec<&[S]>, Vec<&mut [S]>) = unsafe {
+                (
+                    srcs.iter().map(|s| s.get()).collect(),
+                    dsts.iter().map(|d| d.get_mut()).collect(),
+                )
+            };
+            S::view(b).lane_copy(&srcs, &mut dsts);
         });
     }
 
@@ -1230,9 +1191,9 @@ impl<'c> Stream<'c> {
     /// are written whole-object.
     pub fn basis_lane_scal_copy<S: BackendScalar>(
         &mut self,
-        alphas: ArgSlice<S>,
-        srcs: &[ArgSlice<S>],
-        vs: &[BasisMut<S>],
+        alphas: ArgSlice<'c, S>,
+        srcs: &[ArgSlice<'c, S>],
+        vs: &[BasisMut<'c, S>],
         j: usize,
     ) {
         let k = srcs.len();
@@ -1242,10 +1203,11 @@ impl<'c> Stream<'c> {
             alphas.len as usize >= k,
             "stream basis_lane_scal_copy: alphas"
         );
+        let alphas = alphas.sub(0, k);
         let jj = u32::try_from(j).expect("basis column");
         let (n, ebytes) = (vs[0].n, vs[0].ebytes);
         let native = vs[0].read().is_native();
-        let mut reads = vec![alphas.sub(0, k).span()];
+        let mut reads = vec![alphas.span()];
         let mut writes = Vec::with_capacity(k);
         for (c, (s, v)) in srcs.iter().zip(vs).enumerate() {
             assert!(
@@ -1273,38 +1235,24 @@ impl<'c> Stream<'c> {
             .ctx
             .basis_scal_copy_spec::<S>(n as usize, k, ebytes as usize);
         let charge = Some((KernelClass::Scal, t, bytes));
-        self.record(
-            "basis_lane_scal_copy",
-            &reads,
-            &writes,
-            charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`); native lanes
-                // materialize only their declared column write spans,
-                // compressed lanes carry whole-object write spans, and the
-                // lanes are distinct registrations.
-                unsafe {
-                    let alphas = arena.slice::<S>(alphas.buf, alphas.off, k as u32);
-                    let srcs: Vec<&[S]> = srcs
-                        .iter()
-                        .map(|s| arena.slice::<S>(s.buf, s.off, n))
-                        .collect();
-                    if native {
-                        let mut dsts: Vec<&mut [S]> = vs
-                            .iter()
-                            .map(|v| arena.slice_mut::<S>(v.id, jj * n, n))
-                            .collect();
-                        S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
-                    } else {
-                        let mut vs: Vec<&mut BasisStore<S>> = vs
-                            .iter()
-                            .map(|v| arena.obj_mut::<BasisStore<S>>(v.id))
-                            .collect();
-                        S::view(b).basis_lane_scal_copy(&mut vs, j, alphas, &srcs);
-                    }
+        self.record("basis_lane_scal_copy", &reads, &writes, charge, |b| {
+            // SAFETY: stream contract (module docs); native lanes make
+            // only their declared column write spans, compressed lanes
+            // carry whole-object write spans, and the lanes are
+            // distinct registrations.
+            unsafe {
+                let alphas = alphas.get();
+                let srcs: Vec<&[S]> = srcs.iter().map(|s| s.get()).collect();
+                if native {
+                    let mut dsts: Vec<&mut [S]> =
+                        vs.iter().map(|v| v.col_mut(j).get_mut()).collect();
+                    S::view(b).lane_scal_copy(alphas, &srcs, &mut dsts);
+                } else {
+                    let mut vs: Vec<&mut BasisStore<S>> = vs.iter().map(|v| v.get_mut()).collect();
+                    S::view(b).basis_lane_scal_copy(&mut vs, j, alphas, &srcs);
                 }
-            },
-        );
+            }
+        });
     }
 
     /// Record the promotion of stored basis column `j` into a
@@ -1314,9 +1262,9 @@ impl<'c> Stream<'c> {
     /// precision.
     pub fn basis_promote_col<S: BackendScalar>(
         &mut self,
-        v: BasisRef<S>,
+        v: BasisRef<'c, S>,
         j: usize,
-        out: ArgSliceMut<S>,
+        out: ArgSliceMut<'c, S>,
     ) {
         let jj = u32::try_from(j).expect("basis column");
         assert!(jj < v.ncap, "stream basis_promote_col: column out of range");
@@ -1332,20 +1280,10 @@ impl<'c> Stream<'c> {
             );
             (KernelClass::CastDevice, t, bytes)
         });
-        self.record(
-            "basis_promote_col",
-            &[col],
-            &[out.span()],
-            charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let vs: &BasisStore<S> = arena.obj(v.id);
-                    let out = arena.slice_mut::<S>(out.buf, out.off, out.len);
-                    S::view(b).basis_promote_col(vs, j, out);
-                }
-            },
-        );
+        self.record("basis_promote_col", &[col], &[out.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe { S::view(b).basis_promote_col(v.get(), j, out.get_mut()) }
+        });
     }
 
     // ----- batched multi-RHS kernels ---------------------------------
@@ -1353,31 +1291,22 @@ impl<'c> Stream<'c> {
     /// Record the batched SpMM `Y[:, ..k] = A X[:, ..k]`.
     pub fn spmm<S: BackendScalar>(
         &mut self,
-        a: MatRef<S>,
-        x: BlockRef<S>,
+        a: MatRef<'c, S>,
+        x: BlockRef<'c, S>,
         k: usize,
-        y: BlockMut<S>,
+        y: BlockMut<'c, S>,
     ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let am: &GpuMatrix<S> = unsafe { self.arena().obj(a.id) };
+        let am = a.a;
         let kk = u32::try_from(k).expect("block width");
         Self::assert_matmat("spmm", (am.n(), am.csr().ncols()), x, kk, y);
-        Self::assert_noalias("spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
+        let (reads, writes) = ([Span::whole(x.id)], [Span::whole(y.id)]);
+        Self::assert_noalias("spmm", &reads, &writes);
         let (t, bytes) = self.ctx.spmm_spec::<S>(am, k);
         let charge = Some((KernelClass::SpMV, t, bytes));
-        let reads = [Span::whole(x.id)];
-        let writes = [Span::whole(y.id)];
-        self.record("spmm", &reads, &writes, charge, |b, arena| {
-            // SAFETY: arena contract (see `Stream::record`); the write
-            // span covers all of y, so the whole-object `&mut` aliases
-            // nothing.
-            unsafe {
-                let (x, y) = (
-                    arena.obj::<MultiVec<S>>(x.id),
-                    arena.obj_mut::<MultiVec<S>>(y.id),
-                );
-                S::view(b).spmm(am.csr(), x, k, y);
-            }
+        self.record("spmm", &reads, &writes, charge, |b| {
+            // SAFETY: stream contract (module docs); the write span
+            // covers all of y.
+            unsafe { S::view(b).spmm(am.csr(), x.get(), k, y.get_mut()) }
         });
     }
 
@@ -1385,111 +1314,92 @@ impl<'c> Stream<'c> {
     /// charged with the store's traffic model.
     pub fn store_spmm<S: BackendScalar>(
         &mut self,
-        a: StoreRef<S>,
-        x: BlockRef<S>,
+        a: StoreRef<'c, S>,
+        x: BlockRef<'c, S>,
         k: usize,
-        y: BlockMut<S>,
+        y: BlockMut<'c, S>,
     ) {
-        // SAFETY: registered borrows are live for the stream's lifetime.
-        let am: &GpuStore<S> = unsafe { self.arena().obj(a.id) };
+        let am = a.a;
         let kk = u32::try_from(k).expect("block width");
         let shape = (am.n(), am.store().ncols());
         Self::assert_matmat("store_spmm", shape, x, kk, y);
-        Self::assert_noalias("store_spmm", &[Span::whole(x.id)], &[Span::whole(y.id)]);
+        let (reads, writes) = ([Span::whole(x.id)], [Span::whole(y.id)]);
+        Self::assert_noalias("store_spmm", &reads, &writes);
         let (t, bytes) = self.ctx.store_spmm_spec::<S>(am, k);
         let charge = Some((KernelClass::SpMV, t, bytes));
-        let reads = [Span::whole(x.id)];
-        let writes = [Span::whole(y.id)];
-        self.record("store_spmm", &reads, &writes, charge, |b, arena| {
+        self.record("store_spmm", &reads, &writes, charge, |b| {
             // SAFETY: as in `Stream::spmm`.
-            unsafe {
-                let (x, y) = (
-                    arena.obj::<MultiVec<S>>(x.id),
-                    arena.obj_mut::<MultiVec<S>>(y.id),
-                );
-                S::view(b).store_spmm(am.store(), x, k, y);
-            }
+            unsafe { S::view(b).store_spmm(am.store(), x.get(), k, y.get_mut()) }
         });
     }
 
     /// Record the batched GEMV-Trans over one basis per block column.
     pub fn block_gemv_t<S: BackendScalar>(
         &mut self,
-        vs: BasisList<S>,
+        vs: &[BasisRef<'c, S>],
         ncols: usize,
-        w: BlockRef<S>,
-        h: ArgSliceMut<S>,
+        w: BlockRef<'c, S>,
+        h: ArgSliceMut<'c, S>,
     ) {
+        let (n, ncap, ebytes) = lane_set_shape("block_gemv_t", vs);
         let nc = u32::try_from(ncols).expect("ncols");
-        let k = vs.len;
-        assert!(nc <= vs.ncap, "stream block_gemv_t: ncols over capacity");
-        assert_eq!(vs.n, w.n, "stream block_gemv_t: basis/block rows");
+        let k = u32::try_from(vs.len()).expect("lane count");
+        assert!(nc <= ncap, "stream block_gemv_t: ncols over capacity");
+        assert_eq!(n, w.n, "stream block_gemv_t: basis/block rows");
         assert!(k <= w.k, "stream block_gemv_t: more bases than columns");
         assert!(h.len >= k * nc, "stream block_gemv_t: h too short");
-        Self::assert_noalias(
-            "block_gemv_t",
-            &[Span::whole(w.id)],
-            &[h.prefix_span(k * nc)],
-        );
+        let h = h.prefix(k * nc);
+        Self::assert_noalias("block_gemv_t", &[Span::whole(w.id)], &[h.span()]);
         let (t, bytes) =
             self.ctx
-                .basis_gemm_t_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
-        let mut reads: Vec<Span> = self.basis_spans(vs, nc);
+                .basis_gemm_t_spec::<S>(w.n as usize, ncols, k as usize, ebytes as usize);
+        let mut reads: Vec<Span> = vs.iter().map(|v| v.read_span(nc)).collect();
         reads.push(Span::whole(w.id));
         let order = self.ctx.reduction();
         let charge = Some((KernelClass::GemvT, t, bytes));
-        self.record(
-            "block_gemv_t",
-            &reads,
-            &[h.prefix_span(k * nc)],
-            charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let vs = Self::resolve_bases(arena, vs);
-                    let w: &MultiVec<S> = arena.obj(w.id);
-                    let h = arena.slice_mut::<S>(h.buf, h.off, k * nc);
-                    S::view(b).basis_block_gemv_t(&vs, ncols, w, h, order);
-                }
-            },
-        );
+        self.record("block_gemv_t", &reads, &[h.span()], charge, |b| {
+            // SAFETY: stream contract (module docs).
+            unsafe {
+                let vs: Vec<&BasisStore<S>> = vs.iter().map(|v| v.get()).collect();
+                S::view(b).basis_block_gemv_t(&vs, ncols, w.get(), h.get_mut(), order);
+            }
+        });
     }
 
     /// Record the batched GEMV-NoTrans `w_c -= V_c h_c`.
     pub fn block_gemv_n_sub<S: BackendScalar>(
         &mut self,
-        vs: BasisList<S>,
+        vs: &[BasisRef<'c, S>],
         ncols: usize,
-        h: ArgSlice<S>,
-        w: BlockMut<S>,
+        h: ArgSlice<'c, S>,
+        w: BlockMut<'c, S>,
     ) {
+        let (n, ncap, ebytes) = lane_set_shape("block_gemv_n", vs);
         let nc = u32::try_from(ncols).expect("ncols");
-        let k = vs.len;
-        assert!(nc <= vs.ncap, "stream block_gemv_n: ncols over capacity");
-        assert_eq!(vs.n, w.n, "stream block_gemv_n: basis/block rows");
+        let k = u32::try_from(vs.len()).expect("lane count");
+        assert!(nc <= ncap, "stream block_gemv_n: ncols over capacity");
+        assert_eq!(n, w.n, "stream block_gemv_n: basis/block rows");
         assert!(k <= w.k, "stream block_gemv_n: more bases than columns");
         assert!(h.len >= k * nc, "stream block_gemv_n: h too short");
-        let h_read = h.sub(0, (k * nc) as usize);
-        Self::assert_noalias("block_gemv_n", &[h_read.span()], &[Span::whole(w.id)]);
+        let h = h.sub(0, (k * nc) as usize);
+        Self::assert_noalias("block_gemv_n", &[h.span()], &[Span::whole(w.id)]);
         let (t, bytes) =
             self.ctx
-                .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, vs.ebytes as usize);
-        let mut reads: Vec<Span> = self.basis_spans(vs, nc);
-        reads.push(h_read.span());
+                .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, ebytes as usize);
+        let mut reads: Vec<Span> = vs.iter().map(|v| v.read_span(nc)).collect();
+        reads.push(h.span());
         let charge = Some((KernelClass::GemvN, t, bytes));
         self.record(
             "block_gemv_n_sub",
             &reads,
             &[Span::whole(w.id)],
             charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`); the write
-                // span covers all of w.
+            |b| {
+                // SAFETY: stream contract (module docs); the write span
+                // covers all of w.
                 unsafe {
-                    let vs = Self::resolve_bases(arena, vs);
-                    let h = arena.slice::<S>(h.buf, h.off, k * nc);
-                    let w: &mut MultiVec<S> = arena.obj_mut(w.id);
-                    S::view(b).basis_block_gemv_n_sub(&vs, ncols, h, w);
+                    let vs: Vec<&BasisStore<S>> = vs.iter().map(|v| v.get()).collect();
+                    S::view(b).basis_block_gemv_n_sub(&vs, ncols, h.get(), w.get_mut());
                 }
             },
         );
@@ -1499,63 +1409,28 @@ impl<'c> Stream<'c> {
     /// sync.
     pub fn block_norm2_into<S: BackendScalar>(
         &mut self,
-        x: BlockRef<S>,
+        x: BlockRef<'c, S>,
         k: usize,
-        out: ArgSliceMut<S>,
+        out: ArgSliceMut<'c, S>,
     ) {
         let kk = u32::try_from(k).expect("block width");
         assert!(kk >= 1 && kk <= x.k, "stream block_norm2: width");
         assert!(out.len >= kk, "stream block_norm2: out too short");
-        Self::assert_noalias("block_norm2", &[Span::whole(x.id)], &[out.prefix_span(kk)]);
+        let out = out.prefix(kk);
+        Self::assert_noalias("block_norm2", &[Span::whole(x.id)], &[out.span()]);
         let (t, bytes) = self.ctx.block_norm_spec::<S>(x.n as usize, k);
         let order = self.ctx.reduction();
         let charge = Some((KernelClass::Norm, t, bytes));
         self.record(
             "block_norm2",
             &[Span::whole(x.id)],
-            &[out.prefix_span(kk)],
+            &[out.span()],
             charge,
-            |b, arena| {
-                // SAFETY: arena contract (see `Stream::record`).
-                unsafe {
-                    let x: &MultiVec<S> = arena.obj(x.id);
-                    let out = arena.slice_mut::<S>(out.buf, out.off, kk);
-                    S::view(b).block_norm2(x, k, out, order);
-                }
+            |b| {
+                // SAFETY: stream contract (module docs).
+                unsafe { S::view(b).block_norm2(x.get(), k, out.get_mut(), order) }
             },
         );
-    }
-
-    /// The basis stores a [`BasisList`] names.
-    ///
-    /// # Safety
-    /// Arena contract (see [`Stream::record`]).
-    unsafe fn resolve_bases<'a, S: Scalar>(
-        arena: &BufferArena,
-        vs: BasisList<S>,
-    ) -> Vec<&'a BasisStore<S>> {
-        let ids = arena.list(vs.start, vs.len);
-        ids.iter()
-            .map(|&id| arena.obj::<BasisStore<S>>(id))
-            .collect()
-    }
-
-    /// Per-lane read spans of a basis list: whole-object for native
-    /// lanes (pre-refactor DAG shape), exact narrow element prefixes
-    /// for compressed ones (see [`BasisRef::read_span`]).
-    fn basis_spans<S: Scalar>(&self, vs: BasisList<S>, nc: u32) -> Vec<Span> {
-        let native = vs.ebytes as usize == std::mem::size_of::<S>();
-        self.arena()
-            .list(vs.start, vs.len)
-            .iter()
-            .map(|&id| {
-                if native {
-                    Span::whole(id)
-                } else {
-                    Span::elems(id, 0, nc * vs.n, vs.ebytes as usize)
-                }
-            })
-            .collect()
     }
 }
 
@@ -1770,7 +1645,7 @@ mod tests {
     /// The initial-residual shape of `BlockGmres`: independent
     /// per-column writes through a block's data pointer followed by a
     /// whole-block fused norm through its object pointer — the mixed
-    /// access pattern the arena's dual-pointer registration exists for.
+    /// access pattern a block handle's two pointers exist for.
     #[test]
     fn block_columns_and_fused_norm_share_one_registration() {
         let a = small_matrix();
@@ -1808,6 +1683,50 @@ mod tests {
         assert_eq!(t_r.to_bits(), t_e.to_bits());
         // The two residual columns overlap on the recorded timeline.
         assert!(c_r < t_r, "independent columns must overlap: {c_r} {t_r}");
+    }
+
+    // ----- alias checks ------------------------------------------------
+
+    /// An empty write span overlaps nothing, itself included, so a
+    /// zero-length copy passes the alias check in both modes (a
+    /// recorded one still adds its graph node).
+    #[test]
+    fn empty_copy_passes_the_alias_check() {
+        for streaming in [false, true] {
+            let mut ctx =
+                GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::Sequential);
+            ctx.set_streaming(streaming);
+            let x: [f64; 0] = [];
+            let mut y: [f64; 0] = [];
+            let mut st = ctx.stream();
+            let (xh, yh) = (st.slice(&x), st.slice_mut(&mut y));
+            st.copy(xh, yh);
+            assert_eq!(st.recorded(), usize::from(streaming));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stream lane_copy: overlapping write operands")]
+    fn lane_copy_into_one_column_twice_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = [1.0f64; 4];
+        let mut y = MultiVec::<f64>::zeros(2, 2);
+        let mut st = ctx.stream();
+        let (xh, yh) = (st.slice(&x), st.block_mut(&mut y));
+        st.lane_copy(
+            &[xh.sub(0, 2), xh.sub(2, 2)],
+            &[yh.col_mut(1), yh.col_mut(1)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream axpy: an operand is both read and written")]
+    fn axpy_in_place_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let mut y = [1.0f64; 3];
+        let mut st = ctx.stream();
+        let yh = st.slice_mut(&mut y);
+        st.axpy(2.0, yh.read(), yh);
     }
 
     // ----- shape checks ------------------------------------------------
@@ -1912,10 +1831,9 @@ mod tests {
         let mut h = [0.0f64; 2];
         let mut st = ctx.stream();
         let vh = st.basis(&v);
-        let vs = st.basis_list(&[vh]);
         let wh = st.block(&w);
         let hh = st.slice_mut(&mut h);
-        st.block_gemv_t(vs, 2, wh, hh);
+        st.block_gemv_t(&[vh], 2, wh, hh);
     }
     #[test]
     #[should_panic(expected = "stream gemv_t: ncols over basis capacity")]

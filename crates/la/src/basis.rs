@@ -64,14 +64,6 @@ impl<L: Scalar> CompressedBasis<L> {
         self.max_cols
     }
 
-    /// The backing column-major element array (length `n * max_cols`) —
-    /// what the recorded-stream arena registers so recorded reads can
-    /// address the exact narrow byte span a kernel streams.
-    #[inline]
-    pub fn data(&self) -> &[L] {
-        &self.data
-    }
-
     crate::colmajor::colmajor_views!(L, max_cols);
 
     /// `h[i] = widen(col_i) . w` for `i in 0..ncols` (GEMV Trans): the
@@ -421,23 +413,20 @@ impl<S: Scalar> BasisStore<S> {
         }
     }
 
-    /// Raw `(object, element-data, element-count)` pointers for the
-    /// recorded-stream buffer arena. Only the native arm carries a data
+    /// Raw `(object, element-data)` pointers, as a recorded stream's
+    /// basis handle carries them. Only the native arm carries a data
     /// pointer (recorded ops address native bases column-wise, e.g. the
     /// basis extension); compressed arms are addressed whole-object
-    /// only and return a null data pointer with zero length.
-    pub fn arena_parts(&mut self) -> (*mut Self, *mut S, usize) {
+    /// only and return a null data pointer.
+    pub fn raw_parts_mut(&mut self) -> (*mut Self, *mut S) {
         let obj: *mut Self = self;
         // SAFETY: `obj` was just derived from a live `&mut self`; the
         // inner data pointer is materialized through it, keeping the
         // derivation chain obj -> variant -> data intact.
         unsafe {
             match &mut *obj {
-                BasisStore::Native(mv) => {
-                    let (_, data, len) = mv.arena_parts();
-                    (obj, data, len)
-                }
-                _ => (obj, std::ptr::null_mut(), 0),
+                BasisStore::Native(mv) => (obj, mv.raw_parts_mut().1),
+                _ => (obj, std::ptr::null_mut()),
             }
         }
     }

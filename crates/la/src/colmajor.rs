@@ -15,13 +15,14 @@
 //!   again, but with the element type decoupled from the working
 //!   precision (the compressed-basis storage path).
 //!
-//! The distinction is semantic, not structural — the column view and
-//! arena-registration plumbing is identical — so the accessors live in
+//! The distinction is semantic, not structural — the column views and
+//! the raw pointers a recorded stream registers are identical — so the
+//! accessors live in
 //! one macro here instead of three drifting copies. Each container
 //! invokes [`colmajor_views!`] inside its `impl` block with its element
 //! type and column-count field name.
 
-/// Implements `col`, `col_mut`, and `arena_parts` for a column-major
+/// Implements `col`, `col_mut`, and `raw_parts_mut` for a column-major
 /// container with fields `n` (rows), `$cols` (allocated columns), and
 /// `data` (the `n * $cols` element array).
 macro_rules! colmajor_views {
@@ -40,19 +41,19 @@ macro_rules! colmajor_views {
             &mut self.data[j * self.n..(j + 1) * self.n]
         }
 
-        /// Raw `(object, element-data, element-count)` pointers for the
-        /// recorded-stream buffer arena. The data pointer is derived
-        /// *through* the object pointer — not by a second reborrow of
-        /// `self` — so both share one provenance chain and registering
-        /// the container never invalidates either pointer (the arena
-        /// stores them for the lifetime of the recording region's
+        /// Raw `(object, element-data)` pointers, as a recorded
+        /// stream's block handle carries them. The data pointer is
+        /// derived *through* the object pointer — not by a second
+        /// reborrow of `self` — so both share one provenance chain and
+        /// taking them never invalidates either pointer (the handle
+        /// keeps them for the lifetime of the recording region's
         /// borrow).
-        pub fn arena_parts(&mut self) -> (*mut Self, *mut $elem, usize) {
+        pub fn raw_parts_mut(&mut self) -> (*mut Self, *mut $elem) {
             let obj: *mut Self = self;
             // SAFETY: `obj` was just derived from a live `&mut self`;
-            // materializing the interior data pointer and length through
-            // it keeps the derivation chain obj -> data intact.
-            unsafe { (obj, (*obj).data.as_mut_ptr(), (*obj).data.len()) }
+            // materializing the interior data pointer through it keeps
+            // the derivation chain obj -> data intact.
+            unsafe { (obj, (*obj).data.as_mut_ptr()) }
         }
     };
 }

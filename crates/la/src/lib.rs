@@ -26,9 +26,8 @@
 //!   working-precision columns, or columns demoted to fp32/fp16 and
 //!   promoted on read with all arithmetic in `S` (Aliaga et al.'s
 //!   compressed-basis GMRES), mirroring [`store`] for matrix values.
-//! - `colmajor` (crate-private) — the column-view/arena-registration
-//!   helpers shared by
-//!   [`multivector`], [`multivec`], and [`basis`].
+//! - `colmajor` (crate-private) — the column views and raw-pointer
+//!   helpers shared by [`multivector`], [`multivec`], and [`basis`].
 //! - [`csr`] — compressed sparse row matrices and SpMV.
 //! - [`coo`] — coordinate-format builder that deduplicates and sorts.
 //! - [`dense`] — small column-major dense matrices, LU with partial
@@ -54,7 +53,6 @@ pub mod multivec;
 pub mod multivector;
 pub mod par;
 pub mod pool;
-pub mod raw;
 pub mod rcm;
 pub(crate) mod simd;
 pub mod split_csr;
