@@ -22,10 +22,17 @@
 //!         v  ScalarBackend<S> dispatch (BackendScalar)
 //! Backend trait object
 //!    ├── ReferenceBackend   sequential, bit-deterministic (mpgmres-la)
-//!    └── ParallelBackend    persistent pinned worker pool joined by the
-//!         calling thread, matrix rows cut at nnz quantiles per call,
-//!         fused SpMM
+//!    └── ParallelBackend    size threshold per kernel shape: below it the
+//!         sequential kernel, from it on the pooled one
+//!         (mpgmres_la::par) on a persistent pinned worker pool joined
+//!         by the calling thread; matrix rows cut at nnz quantiles per
+//!         call, fused SpMM
 //! ```
+//!
+//! [`ParallelBackend`] holds every size threshold (see its docs for
+//! where they sit): `mpgmres_la::par` has one pooled kernel per shape,
+//! generic over how the operand is stored, and none of them checks a
+//! size.
 //!
 //! Every kernel runs through a *stream* (`GpuContext::stream`), which
 //! registers buffers as handles that carry their own pointers and runs
@@ -549,15 +556,82 @@ impl Backend for ReferenceBackend {
 ///
 /// Kernels execute on a persistent pinned [`WorkerPool`] whose calling
 /// thread takes the first share of every kernel (no per-call thread
-/// spawn). The matrix kernels (plain and store) cut their rows where the
-/// matrix's nonzero prefix crosses each participant's equal share,
-/// recomputed on every call (a binary search over the row pointers per
-/// participant), so a skewed matrix spreads evenly. Stream ops run one
-/// at a time, in record order, each with the whole pool. Each kernel
-/// goes parallel only above its `mpgmres_la::par` threshold.
+/// spawn), through the pooled kernels of `mpgmres_la::par`, one per
+/// shape whatever the operand's storage. The matrix kernels (plain and
+/// store) cut their rows where the matrix's nonzero prefix crosses each
+/// participant's equal share, recomputed on every call (a binary search
+/// over the row pointers per participant), so a skewed matrix spreads
+/// evenly. Stream ops run one at a time, in record order, each with the
+/// whole pool.
+///
+/// # Where the thresholds sit
+///
+/// This backend alone decides when a kernel goes to the pool: from its
+/// shape's size threshold on, with two or more participants. Below it,
+/// or with one participant, it runs the sequential kernel on the
+/// calling thread (for SpMM the fused serial kernel, for the lane
+/// kernels the fused serial lane loops), so small problems never pay
+/// dispatch overhead.
+///
+/// An empty two-job run on the pool costs about a microsecond while the
+/// worker is still spinning from the previous kernel (see
+/// `mpgmres_la::pool`), so a kernel goes parallel once half of it is
+/// worth more than that. The `spmv_crossover` group of
+/// `crates/bench/benches/backends.rs` times each kernel serially and on
+/// the pool (the `mpgmres_la::par` kernels, which never check a size)
+/// on laplace2d grids from 16² to 128², and prints serial over pooled
+/// time per size. Three runs on a 2-vCPU x86-64 host (4 MiB L2 per
+/// core, noisy shared host) read:
+///
+/// - SpMV paid from about 7.8k nonzeros (1.2–1.6x there; mixed from
+///   2.8k to 5k), so `SPMV_PAR_THRESHOLD` sits at 2^13 nonzeros, for
+///   the plain and store SpMV, SpMM and residual alike;
+/// - a 10-column GEMV-T paid from about 1.6k rows (1.03–1.14x there,
+///   1.1–1.7x from 6k) and the block Jacobi apply from about 1.6k rows
+///   (1.2x, up to 2.1x at 16k), so `GEMV_PAR_THRESHOLD` and
+///   `BLOCK_LU_PAR_THRESHOLD` sit at 2^11 rows. GEMV-N shares the GEMV
+///   constant although it paid only from about 4k rows (0.6–0.8x at
+///   2.3k): neither gated workload has n between 2^11 and 2^12;
+/// - the norm paid only from about 9k–16k rows (at most 1.35x) and axpy
+///   never did (at most 0.45x), so the level-1 kernels (dot, norm, axpy,
+///   scal, copy) and the lane kernels keep `vec_ops::PAR_THRESHOLD`
+///   (2^14 elements per vector).
+///
+/// These are constants, not tuned knobs: which path runs must not
+/// depend on the machine's load, or traced counts would stop
+/// reproducing. Compare Ioannidis et al. (arXiv:1906.04051): below cache
+/// size, dispatch and synchronisation decide whether a parallel GMRES
+/// kernel pays, which is why the pool's dispatch cost sets the bar.
 #[derive(Clone, Debug)]
 pub struct ParallelBackend {
     pool: Arc<WorkerPool>,
+}
+
+/// The kernel shapes [`ParallelBackend`] decides on, each with the size
+/// it measures and the threshold it compares that size against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// SpMV, residual and SpMM, plain and store: stored nonzeros.
+    Matrix,
+    /// GEMV-T and GEMV-N, plain and basis: rows.
+    Gemv,
+    /// The block Jacobi apply: rows.
+    BlockLu,
+    /// dot, norm, axpy, scal, copy and the lane kernels: elements per
+    /// vector.
+    Level1,
+}
+
+impl Shape {
+    /// The size from which a kernel of this shape goes to the pool.
+    fn threshold(self) -> usize {
+        match self {
+            Shape::Matrix => par::SPMV_PAR_THRESHOLD,
+            Shape::Gemv => par::GEMV_PAR_THRESHOLD,
+            Shape::BlockLu => par::BLOCK_LU_PAR_THRESHOLD,
+            Shape::Level1 => vec_ops::PAR_THRESHOLD,
+        }
+    }
 }
 
 impl ParallelBackend {
@@ -579,10 +653,11 @@ impl ParallelBackend {
         self.pool.threads()
     }
 
-    /// Whether a matrix kernel over `nnz` stored entries splits over the
-    /// pool.
-    fn splits(&self, nnz: usize) -> bool {
-        nnz >= par::SPMV_PAR_THRESHOLD && self.threads() > 1
+    /// The pool, when a `shape` kernel of `size` goes parallel: from the
+    /// shape's threshold on, with two or more participants. `None` means
+    /// the sequential kernel runs on the calling thread.
+    fn pool_for(&self, shape: Shape, size: usize) -> Option<&WorkerPool> {
+        (size >= shape.threshold() && self.threads() > 1).then_some(&*self.pool)
     }
 }
 
@@ -594,27 +669,24 @@ impl Default for ParallelBackend {
 
 impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
     fn spmv(&self, a: &Csr<S>, x: &[S], y: &mut [S]) {
-        if self.splits(a.nnz()) {
-            par::spmv_parts_on(&self.pool, a, x, y);
-        } else {
-            a.spmv(x, y);
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::spmv_parts_on(pool, a, x, y),
+            None => a.spmv(x, y),
         }
     }
     fn residual(&self, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if self.splits(a.nnz()) {
-            par::residual_parts_on(&self.pool, a, b, x, r);
-        } else {
-            a.residual(b, x, r);
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::residual_parts_on(pool, a, b, x, r),
+            None => a.residual(b, x, r),
         }
     }
     fn spmm(&self, a: &Csr<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        // Fused: one pass over the matrix serves all k columns. Below
-        // the parallel threshold the fused kernel still runs (single
-        // part, no dispatch) — the matrix-read amortization is the point.
-        if self.splits(a.nnz()) {
-            par::spmm_parts_on(&self.pool, a, x, k, y);
-        } else {
-            par::spmm_parts(&[(0, a.nrows())], a, x, k, y);
+        // Fused: one pass over the matrix serves all k columns, on the
+        // calling thread below the threshold too — the matrix-read
+        // amortization is the point.
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::spmm_parts_on(pool, a, x, k, y),
+            None => par::spmm_parts(&[(0, a.nrows())], a, x, k, y),
         }
     }
     fn gemv_t(
@@ -625,13 +697,22 @@ impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
         h: &mut [S],
         order: ReductionOrder,
     ) {
-        par::gemv_t_on(&self.pool, v, ncols, w, h, order);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_t_on(pool, v, ncols, w, h, order),
+            None => v.gemv_t(ncols, w, h, order),
+        }
     }
     fn gemv_n_sub(&self, v: &MultiVector<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::gemv_n_sub_on(&self.pool, v, ncols, h, w);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_n_on(pool, v, ncols, h, w, false),
+            None => v.gemv_n_sub(ncols, h, w),
+        }
     }
     fn gemv_n_add(&self, v: &MultiVector<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::gemv_n_add_on(&self.pool, v, ncols, h, y);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_n_on(pool, v, ncols, h, y, true),
+            None => v.gemv_n_add(ncols, h, y),
+        }
     }
     fn basis_gemv_t(
         &self,
@@ -641,57 +722,87 @@ impl<S: Scalar> ScalarBackend<S> for ParallelBackend {
         h: &mut [S],
         order: ReductionOrder,
     ) {
-        par::basis_gemv_t_on(&self.pool, v, ncols, w, h, order);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_t_on(pool, v, ncols, w, h, order),
+            None => v.gemv_t(ncols, w, h, order),
+        }
     }
     fn basis_gemv_n_sub(&self, v: &BasisStore<S>, ncols: usize, h: &[S], w: &mut [S]) {
-        par::basis_gemv_n_sub_on(&self.pool, v, ncols, h, w);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_n_on(pool, v, ncols, h, w, false),
+            None => v.gemv_n_sub(ncols, h, w),
+        }
     }
     fn basis_gemv_n_add(&self, v: &BasisStore<S>, ncols: usize, h: &[S], y: &mut [S]) {
-        par::basis_gemv_n_add_on(&self.pool, v, ncols, h, y);
+        match self.pool_for(Shape::Gemv, v.n()) {
+            Some(pool) => par::gemv_n_on(pool, v, ncols, h, y, true),
+            None => v.gemv_n_add(ncols, h, y),
+        }
     }
     fn dot(&self, x: &[S], y: &[S], order: ReductionOrder) -> S {
-        par::dot_on(&self.pool, x, y, order)
+        match self.pool_for(Shape::Level1, x.len()) {
+            Some(pool) => par::dot_on(pool, x, y, order),
+            None => vec_ops::dot_ordered(x, y, order),
+        }
     }
     fn norm2(&self, x: &[S], order: ReductionOrder) -> S {
-        par::norm2_on(&self.pool, x, order)
+        match self.pool_for(Shape::Level1, x.len()) {
+            Some(pool) => par::dot_on(pool, x, x, order).sqrt(),
+            None => vec_ops::norm2_ordered(x, order),
+        }
     }
     fn axpy(&self, alpha: S, x: &[S], y: &mut [S]) {
-        par::axpy_on(&self.pool, alpha, x, y);
+        match self.pool_for(Shape::Level1, x.len()) {
+            Some(pool) => par::axpy_on(pool, alpha, x, y),
+            None => vec_ops::axpy(alpha, x, y),
+        }
     }
     fn scal(&self, alpha: S, x: &mut [S]) {
-        par::scal_on(&self.pool, alpha, x);
+        match self.pool_for(Shape::Level1, x.len()) {
+            Some(pool) => par::scal_on(pool, alpha, x),
+            None => vec_ops::scale(alpha, x),
+        }
     }
     fn copy(&self, src: &[S], dst: &mut [S]) {
-        par::copy_on(&self.pool, src, dst);
+        match self.pool_for(Shape::Level1, src.len()) {
+            Some(pool) => par::copy_on(pool, src, dst),
+            None => vec_ops::copy(src, dst),
+        }
     }
     fn lane_copy(&self, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_copy_on(&self.pool, srcs, dsts);
+        match self.pool_for(Shape::Level1, srcs.first().map_or(0, |s| s.len())) {
+            Some(pool) => par::lane_copy_on(pool, srcs, dsts),
+            None => vec_ops::lane_copy(srcs, dsts),
+        }
     }
     fn lane_scal_copy(&self, alpha: &[S], srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-        par::lane_scal_copy_on(&self.pool, alpha, srcs, dsts);
+        match self.pool_for(Shape::Level1, srcs.first().map_or(0, |s| s.len())) {
+            Some(pool) => par::lane_scal_copy_on(pool, alpha, srcs, dsts),
+            None => vec_ops::lane_scal_copy(alpha, srcs, dsts),
+        }
     }
     fn block_lu_solve(&self, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
-        par::block_lu_solve_on(&self.pool, f, x, y);
+        match self.pool_for(Shape::BlockLu, f.n()) {
+            Some(pool) => par::block_lu_solve_on(pool, f, x, y),
+            None => f.solve(x, y),
+        }
     }
     fn store_spmv(&self, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
-        if self.splits(a.nnz()) {
-            par::store_spmv_parts_on(&self.pool, a, x, y);
-        } else {
-            a.spmv(x, y);
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::spmv_parts_on(pool, a, x, y),
+            None => a.spmv(x, y),
         }
     }
     fn store_residual(&self, a: &MatrixStore<S>, b: &[S], x: &[S], r: &mut [S]) {
-        if self.splits(a.nnz()) {
-            par::store_residual_parts_on(&self.pool, a, b, x, r);
-        } else {
-            a.residual(b, x, r);
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::residual_parts_on(pool, a, b, x, r),
+            None => a.residual(b, x, r),
         }
     }
     fn store_spmm(&self, a: &MatrixStore<S>, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        if self.splits(a.nnz()) {
-            par::store_spmm_parts_on(&self.pool, a, x, k, y);
-        } else {
-            a.spmm(x, k, y);
+        match self.pool_for(Shape::Matrix, a.nnz()) {
+            Some(pool) => par::spmm_parts_on(pool, a, x, k, y),
+            None => a.spmm(x, k, y),
         }
     }
 }
@@ -806,6 +917,160 @@ mod tests {
     fn parallel_backend_thread_config() {
         assert_eq!(ParallelBackend::with_threads(0).threads(), 1);
         assert!(ParallelBackend::new().threads() >= 1);
+    }
+
+    /// Every shape pools from its own constant on, with two
+    /// participants, and never with one.
+    #[test]
+    fn each_shape_pools_from_its_threshold() {
+        let (one, two) = (
+            ParallelBackend::with_threads(1),
+            ParallelBackend::with_threads(2),
+        );
+        for (shape, t) in [
+            (Shape::Matrix, par::SPMV_PAR_THRESHOLD),
+            (Shape::Gemv, par::GEMV_PAR_THRESHOLD),
+            (Shape::BlockLu, par::BLOCK_LU_PAR_THRESHOLD),
+            (Shape::Level1, vec_ops::PAR_THRESHOLD),
+        ] {
+            assert!(two.pool_for(shape, t - 1).is_none(), "{shape:?} at T-1");
+            assert!(two.pool_for(shape, t).is_some(), "{shape:?} at T");
+            for size in [0, 1, t - 1, t, 4 * t] {
+                assert!(
+                    one.pool_for(shape, size).is_none(),
+                    "{shape:?} {size} on one"
+                );
+            }
+        }
+    }
+
+    fn pseudo(n: usize, salt: u64) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let z = (i as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(salt);
+                (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// The bit patterns of `v`, so a mismatch reports the element.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A matrix with exactly `nnz` stored entries over `nnz / 2` rows:
+    /// row `r` holds columns `r`, `r + 1` and `r + 2` (mod the size),
+    /// row after row until `nnz` entries are placed.
+    fn matrix_with_nnz(nnz: usize) -> Csr<f64> {
+        let n = nnz / 2;
+        let mut coo = mpgmres_la::coo::Coo::new(n, n);
+        for i in 0..nnz {
+            let (r, d) = (i / 3, i % 3);
+            coo.push(r, (r + d) % n, 1.0 + pseudo(1, i as u64)[0]);
+        }
+        let a = coo.into_csr();
+        assert_eq!(a.nnz(), nnz);
+        a
+    }
+
+    /// On both sides of each threshold (T - 1 and T) the parallel
+    /// backend, serial below and pooled from T on, matches the
+    /// reference bit for bit in every kernel of that shape.
+    #[test]
+    fn kernels_match_reference_on_both_sides_of_each_threshold() {
+        let (r, p) = (ReferenceBackend, ParallelBackend::with_threads(2));
+        let order = ReductionOrder::GPU_LIKE;
+        for nnz in [par::SPMV_PAR_THRESHOLD - 1, par::SPMV_PAR_THRESHOLD] {
+            let a = matrix_with_nnz(nnz);
+            let n = a.nrows();
+            let (x, b) = (pseudo(n, 1), pseudo(n, 2));
+            let run = |be: &dyn ScalarBackend<f64>, store: Option<&MatrixStore<f64>>| {
+                let (mut y, mut res) = (vec![0.0; n], vec![0.0; n]);
+                let xs = MultiVec::from_columns(&[&x, &b, &x]);
+                let mut ys = MultiVec::zeros(n, 3);
+                match store {
+                    None => {
+                        be.spmv(&a, &x, &mut y);
+                        be.residual(&a, &b, &x, &mut res);
+                        be.spmm(&a, &xs, 3, &mut ys);
+                    }
+                    Some(s) => {
+                        be.store_spmv(s, &x, &mut y);
+                        be.store_residual(s, &b, &x, &mut res);
+                        be.store_spmm(s, &xs, 3, &mut ys);
+                    }
+                }
+                [y, res, ys.data().to_vec()].map(|v| bits(&v))
+            };
+            assert_eq!(run(&r, None), run(&p, None), "csr nnz {nnz}");
+            let store = MatrixStore::shadow(&a, mpgmres_scalar::Precision::Fp32);
+            let got = (run(&r, Some(&store)), run(&p, Some(&store)));
+            assert_eq!(got.0, got.1, "fp32 store nnz {nnz}");
+        }
+        for n in [par::GEMV_PAR_THRESHOLD - 1, par::GEMV_PAR_THRESHOLD] {
+            let cols = 5;
+            let mut v = MultiVector::<f64>::zeros(n, cols);
+            for j in 0..cols {
+                v.col_mut(j).copy_from_slice(&pseudo(n, 10 + j as u64));
+            }
+            let mut half = BasisStore::compressed(n, cols, mpgmres_scalar::Precision::Fp16);
+            for j in 0..cols {
+                half.set_col(j, v.col(j));
+            }
+            let (w, h) = (pseudo(n, 3), pseudo(cols, 4));
+            let run = |be: &dyn ScalarBackend<f64>, order: ReductionOrder| {
+                let (mut ht, mut wn) = (vec![0.0; cols], w.clone());
+                be.gemv_t(&v, cols, &w, &mut ht, order);
+                be.gemv_n_sub(&v, cols, &h, &mut wn);
+                be.gemv_n_add(&v, cols, &ht, &mut wn);
+                let (mut bt, mut bn) = (vec![0.0; cols], w.clone());
+                be.basis_gemv_t(&half, cols, &w, &mut bt, order);
+                be.basis_gemv_n_sub(&half, cols, &h, &mut bn);
+                be.basis_gemv_n_add(&half, cols, &bt, &mut bn);
+                [ht, wn, bt, bn].map(|v| bits(&v))
+            };
+            for order in [ReductionOrder::Sequential, order] {
+                assert_eq!(run(&r, order), run(&p, order), "gemv n {n} {order:?}");
+            }
+        }
+        for n in [par::BLOCK_LU_PAR_THRESHOLD - 1, par::BLOCK_LU_PAR_THRESHOLD] {
+            let a = matrix_with_nnz(2 * n);
+            let lu = BlockLu::factor(n, 16, 1, |s, m| {
+                let mut d = mpgmres_la::dense::DenseMat::from_col_major(m, m, a.diag_block(s, m));
+                for i in 0..m {
+                    d[(i, i)] += 4.0;
+                }
+                d
+            });
+            let x = pseudo(n, 5);
+            let run = |be: &dyn ScalarBackend<f64>| {
+                let mut y = vec![0.0; n];
+                be.block_lu_solve(&lu, &x, &mut y);
+                bits(&y)
+            };
+            assert_eq!(run(&r), run(&p), "block_lu_solve n {n}");
+        }
+        for n in [vec_ops::PAR_THRESHOLD - 1, vec_ops::PAR_THRESHOLD] {
+            let (x, y0) = (pseudo(n, 6), pseudo(n, 7));
+            let run = |be: &dyn ScalarBackend<f64>| {
+                let d = be.dot(&x, &y0, order);
+                let nrm = be.norm2(&x, order);
+                let mut y = y0.clone();
+                be.axpy(0.5, &x, &mut y);
+                be.scal(-1.25, &mut y);
+                let mut c = vec![0.0; n];
+                be.copy(&y, &mut c);
+                let (mut c0, mut c1) = (vec![0.0; n], vec![0.0; n]);
+                be.lane_copy(&[&x, &y0], &mut [&mut c0[..], &mut c1[..]]);
+                let (mut s0, mut s1) = (vec![0.0; n], vec![0.0; n]);
+                let alpha = [0.75, -2.0];
+                be.lane_scal_copy(&alpha, &[&y, &c], &mut [&mut s0[..], &mut s1[..]]);
+                [vec![d, nrm], y, c, c0, c1, s0, s1].map(|v| bits(&v))
+            };
+            assert_eq!(run(&r), run(&p), "level-1 n {n}");
+        }
     }
 
     #[test]

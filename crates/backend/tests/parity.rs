@@ -91,7 +91,7 @@ const GPU_LIKE_ULP_BOUND: u64 = 4;
 #[test]
 fn spmv_and_residual_bit_identical_at_all_sizes() {
     let reference = ReferenceBackend;
-    let parallel = ParallelBackend::new();
+    let parallel = ParallelBackend::with_threads(2);
     for &n in &SIZES {
         let a = banded_matrix(n, 1);
         let x = pseudo_vec(n, 2);
@@ -138,7 +138,7 @@ fn reductions_sequential_bit_identical_gpu_like_ulp_bounded() {
 #[test]
 fn gemv_and_level1_bit_identical_at_all_sizes() {
     let reference = ReferenceBackend;
-    let parallel = ParallelBackend::new();
+    let parallel = ParallelBackend::with_threads(2);
     for &n in &SIZES {
         let cols = 6;
         let mut v = MultiVector::<f64>::zeros(n, cols);
@@ -162,6 +162,30 @@ fn gemv_and_level1_bit_identical_at_all_sizes() {
             ScalarBackend::<f64>::gemv_n_add(&parallel, &v, cols, &h_par, &mut w_par);
             assert_eq!(w_ref, w_par, "gemv_n_add n={n}");
         }
+        // The same columns stored in fp32 and fp16: the compressed
+        // GEMVs run serially below `GEMV_PAR_THRESHOLD` and on the pool
+        // from it on.
+        for p in [Precision::Fp32, Precision::Fp16] {
+            let mut s = BasisStore::<f64>::compressed(n, cols, p);
+            for j in 0..cols {
+                s.set_col(j, v.col(j));
+            }
+            for order in orders() {
+                let (mut h_ref, mut h_par) = (vec![0.0; cols], vec![0.0; cols]);
+                ScalarBackend::<f64>::basis_gemv_t(&reference, &s, cols, &w, &mut h_ref, order);
+                ScalarBackend::<f64>::basis_gemv_t(&parallel, &s, cols, &w, &mut h_par, order);
+                assert_eq!(h_ref, h_par, "basis_gemv_t {p:?} n={n} {order:?}");
+
+                let (mut w_ref, mut w_par) = (w.clone(), w.clone());
+                ScalarBackend::<f64>::basis_gemv_n_sub(&reference, &s, cols, &h_ref, &mut w_ref);
+                ScalarBackend::<f64>::basis_gemv_n_sub(&parallel, &s, cols, &h_par, &mut w_par);
+                assert_eq!(w_ref, w_par, "basis_gemv_n_sub {p:?} n={n}");
+
+                ScalarBackend::<f64>::basis_gemv_n_add(&reference, &s, cols, &h_ref, &mut w_ref);
+                ScalarBackend::<f64>::basis_gemv_n_add(&parallel, &s, cols, &h_par, &mut w_par);
+                assert_eq!(w_ref, w_par, "basis_gemv_n_add {p:?} n={n}");
+            }
+        }
         let x = pseudo_vec(n, 40);
         let (mut y_ref, mut y_par) = (pseudo_vec(n, 41), pseudo_vec(n, 41));
         ScalarBackend::<f64>::axpy(&reference, 1.37, &x, &mut y_ref);
@@ -180,7 +204,7 @@ fn gemv_and_level1_bit_identical_at_all_sizes() {
 #[test]
 fn fp32_and_half_kernels_agree_across_backends() {
     let reference = ReferenceBackend;
-    let parallel = ParallelBackend::new();
+    let parallel = ParallelBackend::with_threads(2);
     let n = LARGE_N + 7;
     let a64 = banded_matrix(n, 9);
     let a32 = a64.convert::<f32>();
@@ -752,7 +776,7 @@ proptest! {
         alpha in 0.25f64..4.0,
     ) {
         let reference = ReferenceBackend;
-        let parallel = ParallelBackend::new();
+        let parallel = ParallelBackend::with_threads(2);
         let src = pseudo_vec(n, salt);
         for p in [Precision::Fp64, Precision::Fp32, Precision::Fp16] {
             let mut store = if p == Precision::Fp64 {

@@ -10,7 +10,7 @@
 //! with the parallel side forced onto the worker pool at every size,
 //! and prints the serial/pooled ratio of SpMV, GEMV-T, GEMV-N, the
 //! block Jacobi apply, the norm and axpy per size: the sweep the
-//! thresholds in `mpgmres_la::par` are set from.
+//! `ParallelBackend` thresholds are set from.
 
 use std::time::Instant;
 
@@ -144,10 +144,10 @@ const CROSSOVER_KERNELS: [&str; 6] = ["spmv", "gemv_t", "gemv_n", "bj", "norm", 
 /// Serial against pooled time of every kernel the parallel backend
 /// splits, on laplace2d grids from 16² to 128²: SpMV, 10-column GEMV-T
 /// and GEMV-N, the block Jacobi apply (16-row blocks), and the GPU-like
-/// norm and axpy. The pooled side calls the `par` split entry points
-/// (`spmv_parts_on`, `*_split_on`), which skip the size thresholds, so
-/// it runs on the pool at every size; the summary table is the
-/// crossover sweep the thresholds in `mpgmres_la::par` are set from.
+/// norm and axpy. The pooled side calls the `mpgmres_la::par` kernels,
+/// which never check a size (the thresholds live in `ParallelBackend`),
+/// so it runs on the pool at every size; the summary table is the
+/// crossover sweep those thresholds are set from.
 fn bench_spmv_crossover(c: &mut Criterion) {
     const COLS: usize = 10;
     let order = ReductionOrder::GPU_LIKE;
@@ -187,27 +187,27 @@ fn bench_spmv_crossover(c: &mut Criterion) {
             )),
             ratio(interleaved(
                 || v.gemv_t(COLS, &x, &mut h, order),
-                || par::gemv_t_split_on(&pool, &v, COLS, &x, &mut h2, order),
+                || par::gemv_t_on(&pool, &v, COLS, &x, &mut h2, order),
             )),
             ratio(interleaved(
                 || v.gemv_n_sub(COLS, &hv, &mut y),
-                || par::gemv_n_split_on(&pool, &v, COLS, &hv, &mut y2, false),
+                || par::gemv_n_on(&pool, &v, COLS, &hv, &mut y2, false),
             )),
             ratio(interleaved(
                 || lu.solve(&x, &mut y),
-                || par::block_lu_solve_split_on(&pool, &lu, &x, &mut y2),
+                || par::block_lu_solve_on(&pool, &lu, &x, &mut y2),
             )),
             ratio(interleaved(
                 || {
                     std::hint::black_box(vec_ops::norm2_ordered(&x, order));
                 },
                 || {
-                    std::hint::black_box(par::dot_split_on(&pool, &x, &x, order).sqrt());
+                    std::hint::black_box(par::dot_on(&pool, &x, &x, order).sqrt());
                 },
             )),
             ratio(interleaved(
                 || vec_ops::axpy(1e-9, &x, &mut y),
-                || par::axpy_split_on(&pool, 1e-9, &x, &mut y2),
+                || par::axpy_on(&pool, 1e-9, &x, &mut y2),
             )),
         ];
         rows.push((nx, n, a.nnz(), r));

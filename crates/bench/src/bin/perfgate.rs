@@ -42,7 +42,10 @@
 //!   the **committed baseline** `results/BENCH_ci.json` (the per-SHA
 //!   snapshot checked into the repo); the other listed values are
 //!   diffed against the same baseline and reported, not gated: the
-//!   wall-clock ones vary across runners.
+//!   wall-clock ones vary across runners. The `serving_*` values are
+//!   diffed only when both runs served the same number of requests per
+//!   load point (fast mode serves fewer); otherwise they are reported
+//!   as not comparable and left out of `baseline_deltas`.
 //!
 //! The workspace's serde_json shim is write-only, so the gate reads the
 //! (self-produced, schema-stable) artifacts with a minimal scanner
@@ -338,7 +341,23 @@ fn main() {
             })
             .unwrap_or_else(|| "unknown".to_string());
         println!("perfgate: diffing against committed baseline ({baseline_sha})");
+        // The serving numbers depend on how many requests each load
+        // point serves (fast mode serves fewer), so they are compared
+        // only between runs of the same size.
+        let requests = [
+            base.find("\"serving\":")
+                .and_then(|at| extract_number(&base[at..], "requests")),
+            extract_number(&serving, "requests"),
+        ];
+        let [base_requests, requests_now] =
+            requests.map(|r| r.map_or("?".into(), |r| format!("{r:.0}")));
         for key in diff_keys {
+            if key.starts_with("serving_") && requests[0] != requests[1] {
+                println!(
+                    "perfgate:   {key}: not comparable ({base_requests} vs {requests_now} requests)"
+                );
+                continue;
+            }
             match (extract_number(base, key), current_of(key)) {
                 (Some(b), Some(c)) => {
                     let pct = if b != 0.0 { (c - b) / b * 100.0 } else { 0.0 };

@@ -31,6 +31,7 @@ use mpgmres_scalar::{cast, Half, Precision, Scalar};
 
 use crate::fma;
 use crate::multivector::{gemv_n_cols, gemv_t_block_partials, gemv_t_cols, MultiVector};
+use crate::par::ColOperand;
 use crate::vec_ops::{self, ReductionOrder};
 
 /// Column-major `n x max_cols` basis storage at element precision `L`,
@@ -174,10 +175,10 @@ impl<L: Scalar> CompressedBasis<L> {
 /// Krylov basis stored for a solver working in precision `S`, with the
 /// storage precision chosen independently of `S`.
 ///
-/// [`BasisStore::code`] reports the storage choice as a dense `u8` for
-/// region-key salting (0 = native, so native keys are unchanged from
-/// the pre-`BasisStore` layout), and [`BasisStore::elem_bytes`] is the
-/// per-element traffic the bandwidth model charges for basis reads.
+/// [`BasisStore::code`] reports the storage choice as a dense `u8`
+/// (`BlockGmres` compares it before it reuses a lane slot's basis for
+/// a new request), and [`BasisStore::elem_bytes`] is the per-element
+/// traffic the bandwidth model charges for basis reads.
 #[derive(Clone, Debug)]
 pub enum BasisStore<S> {
     /// Columns in the working precision (baseline; bit-identical layout
@@ -254,7 +255,9 @@ impl<S: Scalar> BasisStore<S> {
     }
 
     /// Dense `u8` storage code: 0 = native, 1 = fp16, 2 = fp32 —
-    /// disjoint per storage precision.
+    /// disjoint per storage precision. Its one caller is the lane-slot
+    /// reuse check of `BlockGmres`: an admitted request takes over the
+    /// previous occupant's basis only when the codes match.
     #[inline]
     pub fn code(&self) -> u8 {
         match self {
@@ -324,61 +327,6 @@ impl<S: Scalar> BasisStore<S> {
         }
     }
 
-    /// GEMV-T over the column range `first..first + h.len()`; the unit
-    /// the column-partitioned parallel dispatcher distributes. Each arm
-    /// runs under [`fma::run`].
-    pub(crate) fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
-        match self {
-            BasisStore::Native(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
-            BasisStore::F32(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
-            BasisStore::F16(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
-        }
-    }
-
-    /// Block partials of columns `0..ncols` over reduction blocks
-    /// starting at block `b0`; the unit the block-split parallel GEMV-T
-    /// distributes. Each arm runs under [`fma::run`].
-    pub(crate) fn gemv_t_blocks(
-        &self,
-        ncols: usize,
-        w: &[S],
-        block: usize,
-        b0: usize,
-        parts: &mut [S],
-    ) {
-        macro_rules! arm {
-            ($v:expr) => {
-                fma::run(
-                    #[inline(always)]
-                    || $v.gemv_t_blocks(ncols, w, block, b0, parts),
-                )
-            };
-        }
-        match self {
-            BasisStore::Native(v) => arm!(v),
-            BasisStore::F32(v) => arm!(v),
-            BasisStore::F16(v) => arm!(v),
-        }
-    }
-
-    /// Row-range GEMV No-Trans (see [`CompressedBasis::gemv_n_rows`]);
-    /// the unit the row-partitioned parallel dispatcher distributes.
-    /// Each arm runs under [`fma::run`].
-    pub(crate) fn gemv_n_rows(
-        &self,
-        ncols: usize,
-        h: &[S],
-        start: usize,
-        out: &mut [S],
-        add: bool,
-    ) {
-        match self {
-            BasisStore::Native(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
-            BasisStore::F32(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
-            BasisStore::F16(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
-        }
-    }
-
     /// Overwrite column `j` (demoting once per element on compressed
     /// paths).
     pub fn set_col(&mut self, j: usize, v: &[S]) {
@@ -428,6 +376,53 @@ impl<S: Scalar> BasisStore<S> {
                 BasisStore::Native(mv) => (obj, mv.raw_parts_mut().1),
                 _ => (obj, std::ptr::null_mut()),
             }
+        }
+    }
+}
+
+/// The bodies of the store's own GEMVs, which the column-, block- and
+/// row-partitioned parallel kernels distribute. Each arm runs under
+/// [`fma::run`].
+impl<S: Scalar> ColOperand<S> for BasisStore<S> {
+    #[inline]
+    fn n(&self) -> usize {
+        BasisStore::n(self)
+    }
+
+    #[inline]
+    fn max_cols(&self) -> usize {
+        BasisStore::max_cols(self)
+    }
+
+    fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
+        match self {
+            BasisStore::Native(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+            BasisStore::F32(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+            BasisStore::F16(v) => fma::run(|| v.gemv_t_range(first, w, h, order)),
+        }
+    }
+
+    fn gemv_t_blocks(&self, ncols: usize, w: &[S], block: usize, b0: usize, parts: &mut [S]) {
+        macro_rules! arm {
+            ($v:expr) => {
+                fma::run(
+                    #[inline(always)]
+                    || $v.gemv_t_blocks(ncols, w, block, b0, parts),
+                )
+            };
+        }
+        match self {
+            BasisStore::Native(v) => arm!(v),
+            BasisStore::F32(v) => arm!(v),
+            BasisStore::F16(v) => arm!(v),
+        }
+    }
+
+    fn gemv_n_rows(&self, ncols: usize, h: &[S], start: usize, out: &mut [S], add: bool) {
+        match self {
+            BasisStore::Native(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
+            BasisStore::F32(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
+            BasisStore::F16(v) => fma::run(|| v.gemv_n_rows(ncols, h, start, out, add)),
         }
     }
 }

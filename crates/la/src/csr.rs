@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mpgmres_scalar::{cast, Scalar};
 
 use crate::fma;
+use crate::par::RowOperand;
 
 static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -155,9 +156,10 @@ impl<S: Scalar> Csr<S> {
     /// One row of `y = A x`: strict left-to-right fused multiply-add.
     ///
     /// This is THE per-row SpMV kernel — the sequential [`Csr::spmv`]
-    /// and the row-partitioned parallel kernel (`crate::par::spmv`)
-    /// both call it, which is what makes their results bit-identical by
-    /// construction rather than merely by test.
+    /// and the row-partitioned parallel kernel
+    /// ([`crate::par::spmv_parts_on`]) both call it, which is what
+    /// makes their results bit-identical by construction rather than
+    /// merely by test.
     #[inline(always)]
     pub(crate) fn spmv_row(&self, r: usize, x: &[S]) -> S {
         let (vals, cols) = self.row_slices(r);
@@ -178,26 +180,6 @@ impl<S: Scalar> Csr<S> {
             acc = (-v).mul_add(x[c as usize], acc);
         }
         acc
-    }
-
-    /// Rows `[start, start + y.len())` of `y = A x`: the row loop of
-    /// [`Csr::spmv`] and of each worker of the row-partitioned parallel
-    /// kernels.
-    #[inline(always)]
-    pub(crate) fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
-        for (i, yr) in y.iter_mut().enumerate() {
-            *yr = self.spmv_row(start + i, x);
-        }
-    }
-
-    /// Rows `[start, start + y.len())` of `y = b - A x` (`b` is the
-    /// whole right-hand side).
-    #[inline(always)]
-    pub(crate) fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
-        for (i, yr) in y.iter_mut().enumerate() {
-            let r = start + i;
-            *yr = self.residual_row(r, b[r], x);
-        }
     }
 
     /// `y = A x`.
@@ -329,6 +311,109 @@ impl<S: Scalar> Csr<S> {
             .map(|v| v.to_f64() * v.to_f64())
             .sum::<f64>()
             .sqrt()
+    }
+}
+
+/// The row bodies of [`Csr::spmv`] and [`Csr::residual`], which each
+/// worker of the row-partitioned parallel kernels runs over its rows.
+impl<S: Scalar> RowOperand<S> for Csr<S> {
+    #[inline]
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    #[inline]
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    #[inline]
+    fn nnz_before(&self, r: usize) -> usize {
+        self.row_ptr[r]
+    }
+
+    #[inline(always)]
+    fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            *yr = self.spmv_row(start + i, x);
+        }
+    }
+
+    #[inline(always)]
+    fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            let r = start + i;
+            *yr = self.residual_row(r, b[r], x);
+        }
+    }
+
+    /// Stream rows `[lo, hi)` once, updating all `k` accumulators per
+    /// stored entry; each accumulator follows the exact left-to-right
+    /// `mul_add` order of [`Csr::spmv`]. Common small widths dispatch to
+    /// a const-generic body so the accumulators live in registers
+    /// instead of a heap buffer; each body runs under [`fma::run`].
+    fn spmm_rows(&self, xcols: &[&[S]], lo: usize, hi: usize, out: &mut [&mut [S]]) {
+        match xcols.len() {
+            // One column is an SpMV: the same chain, row for row.
+            1 => fma::run(|| self.spmv_rows(lo, xcols[0], &mut out[0][..hi - lo])),
+            2 => fma::run(|| spmm_rows_fixed::<S, 2>(self, xcols, lo, hi, out)),
+            3 => fma::run(|| spmm_rows_fixed::<S, 3>(self, xcols, lo, hi, out)),
+            4 => fma::run(|| spmm_rows_fixed::<S, 4>(self, xcols, lo, hi, out)),
+            5 => fma::run(|| spmm_rows_fixed::<S, 5>(self, xcols, lo, hi, out)),
+            6 => fma::run(|| spmm_rows_fixed::<S, 6>(self, xcols, lo, hi, out)),
+            7 => fma::run(|| spmm_rows_fixed::<S, 7>(self, xcols, lo, hi, out)),
+            8 => fma::run(|| spmm_rows_fixed::<S, 8>(self, xcols, lo, hi, out)),
+            _ => fma::run(|| spmm_rows_dyn(self, xcols, lo, hi, out)),
+        }
+    }
+}
+
+#[inline(always)]
+fn spmm_rows_fixed<S: Scalar, const K: usize>(
+    a: &Csr<S>,
+    xcols: &[&[S]],
+    lo: usize,
+    hi: usize,
+    out: &mut [&mut [S]],
+) {
+    debug_assert_eq!(xcols.len(), K);
+    let xc: [&[S]; K] = xcols.try_into().expect("width checked by dispatch");
+    for r in lo..hi {
+        let (vals, cols) = a.row_slices(r);
+        let mut acc = [S::zero(); K];
+        for (&v, &c) in vals.iter().zip(cols) {
+            let c = c as usize;
+            for j in 0..K {
+                acc[j] = v.mul_add(xc[j][c], acc[j]);
+            }
+        }
+        for j in 0..K {
+            out[j][r - lo] = acc[j];
+        }
+    }
+}
+
+#[inline(always)]
+fn spmm_rows_dyn<S: Scalar>(
+    a: &Csr<S>,
+    xcols: &[&[S]],
+    lo: usize,
+    hi: usize,
+    out: &mut [&mut [S]],
+) {
+    let mut acc = vec![S::zero(); xcols.len()];
+    for r in lo..hi {
+        acc.fill(S::zero());
+        let (vals, cols) = a.row_slices(r);
+        for (&v, &c) in vals.iter().zip(cols) {
+            let c = c as usize;
+            for (a_j, xc) in acc.iter_mut().zip(xcols) {
+                *a_j = v.mul_add(xc[c], *a_j);
+            }
+        }
+        for (j, a_j) in acc.iter().enumerate() {
+            out[j][r - lo] = *a_j;
+        }
     }
 }
 

@@ -234,11 +234,11 @@ fn sparse<S: Elem>() {
             check(&format!("MatrixStore::residual {tag}"), || {
                 out(&|y| store.residual(&b, &x, y))
             });
-            check(&format!("par::store_spmv_parts_on {tag}"), || {
-                out(&|y| par::store_spmv_parts_on(&exec, store, &x, y))
+            check(&format!("par::spmv_parts_on {tag}"), || {
+                out(&|y| par::spmv_parts_on(&exec, store, &x, y))
             });
-            check(&format!("par::store_residual_parts_on {tag}"), || {
-                out(&|y| par::store_residual_parts_on(&exec, store, &b, &x, y))
+            check(&format!("par::residual_parts_on {tag}"), || {
+                out(&|y| par::residual_parts_on(&exec, store, &b, &x, y))
             });
         }
         // Widths 3 (a const-generic body) and 9 (the dynamic one).
@@ -259,8 +259,8 @@ fn sparse<S: Elem>() {
                 check(&format!("MatrixStore::spmm {tag} k={k}"), || {
                     spmm(&|ys| store.spmm(&xs, k, ys))
                 });
-                check(&format!("par::store_spmm_parts_on {tag} k={k}"), || {
-                    spmm(&|ys| par::store_spmm_parts_on(&exec, store, &xs, k, ys))
+                check(&format!("par::spmm_parts_on {tag} k={k}"), || {
+                    spmm(&|ys| par::spmm_parts_on(&exec, store, &xs, k, ys))
                 });
             }
         }
@@ -343,8 +343,8 @@ fn gemv_cols<S: Elem>(cols: usize) {
                 check(&format!("BasisStore::gemv_t {p:?}"), || {
                     dots(&|o| s.gemv_t(cols, &w, o, order))
                 });
-                check(&format!("par::basis_gemv_t_on {p:?}"), || {
-                    dots(&|o| par::basis_gemv_t_on(&exec, s, cols, &w, o, order))
+                check(&format!("par::gemv_t_on basis {p:?}"), || {
+                    dots(&|o| par::gemv_t_on(&exec, s, cols, &w, o, order))
                 });
             }
         }
@@ -354,11 +354,11 @@ fn gemv_cols<S: Elem>(cols: usize) {
         check("MultiVector::gemv_n_add", || {
             update(&|o| mv.gemv_n_add(cols, &h, o))
         });
-        check("par::gemv_n_sub_on", || {
-            update(&|o| par::gemv_n_sub_on(&exec, &mv, cols, &h, o))
+        check("par::gemv_n_on sub", || {
+            update(&|o| par::gemv_n_on(&exec, &mv, cols, &h, o, false))
         });
-        check("par::gemv_n_add_on", || {
-            update(&|o| par::gemv_n_add_on(&exec, &mv, cols, &h, o))
+        check("par::gemv_n_on add", || {
+            update(&|o| par::gemv_n_on(&exec, &mv, cols, &h, o, true))
         });
         for s in &stores {
             let p = s.storage_precision();
@@ -368,11 +368,11 @@ fn gemv_cols<S: Elem>(cols: usize) {
             check(&format!("BasisStore::gemv_n_add {p:?}"), || {
                 update(&|o| s.gemv_n_add(cols, &h, o))
             });
-            check(&format!("par::basis_gemv_n_sub_on {p:?}"), || {
-                update(&|o| par::basis_gemv_n_sub_on(&exec, s, cols, &h, o))
+            check(&format!("par::gemv_n_on basis sub {p:?}"), || {
+                update(&|o| par::gemv_n_on(&exec, s, cols, &h, o, false))
             });
-            check(&format!("par::basis_gemv_n_add_on {p:?}"), || {
-                update(&|o| par::basis_gemv_n_add_on(&exec, s, cols, &h, o))
+            check(&format!("par::gemv_n_on basis add {p:?}"), || {
+                update(&|o| par::gemv_n_on(&exec, s, cols, &h, o, true))
             });
         }
     }
@@ -559,7 +559,7 @@ fn lanes_match_scalar_body() {
                 vec![vec_ops::norm2_ordered(&x, order)]
             });
             check_lanes(&format!("par::dot_on {tag}"), || {
-                vec![par::dot_split_on(&exec, &x, &y, order)]
+                vec![par::dot_on(&exec, &x, &y, order)]
             });
             for ncols in LANE_NCOLS {
                 let tag = format!("{tag} ncols={ncols}");
@@ -574,16 +574,16 @@ fn lanes_match_scalar_body() {
                 check_lanes(&format!("BasisStore::gemv_t {tag}"), || {
                     dots(&|o| native.gemv_t(ncols, &y, o, order))
                 });
-                check_lanes(&format!("par::gemv_t_split_on {tag}"), || {
-                    dots(&|o| par::gemv_t_split_on(&exec, &mv, ncols, &y, o, order))
+                check_lanes(&format!("par::gemv_t_on {tag}"), || {
+                    dots(&|o| par::gemv_t_on(&exec, &mv, ncols, &y, o, order))
                 });
                 // Three participants over an odd block count: runs start
                 // at odd blocks.
-                check_lanes(&format!("par::gemv_t_split_on pooled {tag}"), || {
-                    dots(&|o| par::gemv_t_split_on(&pool, &mv, ncols, &y, o, order))
+                check_lanes(&format!("par::gemv_t_on pooled {tag}"), || {
+                    dots(&|o| par::gemv_t_on(&pool, &mv, ncols, &y, o, order))
                 });
-                check_lanes(&format!("par::basis_gemv_t_on pooled {tag}"), || {
-                    dots(&|o| par::basis_gemv_t_on(&pool, &native, ncols, &y, o, order))
+                check_lanes(&format!("par::gemv_t_on basis pooled {tag}"), || {
+                    dots(&|o| par::gemv_t_on(&pool, &native, ncols, &y, o, order))
                 });
             }
         }

@@ -15,6 +15,7 @@
 use mpgmres_scalar::Scalar;
 
 use crate::fma;
+use crate::par::ColOperand;
 use crate::simd;
 use crate::vec_ops::{tree_sum, ReductionOrder};
 
@@ -148,6 +149,35 @@ impl<S: Scalar> MultiVector<S> {
     pub fn set_col(&mut self, j: usize, v: &[S]) {
         assert_eq!(v.len(), self.n);
         self.col_mut(j).copy_from_slice(v);
+    }
+}
+
+/// The GEMV bodies of [`MultiVector::gemv_t`] and the GEMV-Ns, each
+/// under its own [`fma::run`] frame, as the native basis runs them.
+impl<S: Scalar> ColOperand<S> for MultiVector<S> {
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn max_cols(&self) -> usize {
+        self.max_cols
+    }
+
+    fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder) {
+        fma::run(|| MultiVector::gemv_t_range(self, first, w, h, order))
+    }
+
+    fn gemv_t_blocks(&self, ncols: usize, w: &[S], block: usize, b0: usize, parts: &mut [S]) {
+        fma::run(
+            #[inline(always)]
+            || MultiVector::gemv_t_blocks(self, ncols, w, block, b0, parts),
+        )
+    }
+
+    fn gemv_n_rows(&self, ncols: usize, h: &[S], start: usize, out: &mut [S], add: bool) {
+        fma::run(|| MultiVector::gemv_n_rows(self, ncols, h, start, out, add))
     }
 }
 

@@ -18,64 +18,36 @@
 //!   shared tree — so a job reads the same rows of the basis as in
 //!   GEMV-N and SpMV. Under [`ReductionOrder::Sequential`] each column
 //!   is one chain and GEMV-T splits by column instead.
-//! - `dot`/`norm2` under [`ReductionOrder::BlockedTree`] are
-//!   bit-identical too: block partial sums are independent and the
-//!   pairwise combine tree is shared with the reference
-//!   (`vec_ops::tree_sum`).
-//! - `dot`/`norm2` under [`ReductionOrder::Sequential`] are inherently
-//!   serial (a single left-to-right chain) and therefore run
-//!   sequentially here as well — bit-determinism is the contract, and a
-//!   parallel sum would break it.
+//! - `dot` under [`ReductionOrder::BlockedTree`] is bit-identical too:
+//!   block partial sums are independent and the pairwise combine tree
+//!   is shared with the reference (`vec_ops::tree_sum`).
+//! - `dot` under [`ReductionOrder::Sequential`] is inherently serial (a
+//!   single left-to-right chain) and therefore runs sequentially here as
+//!   well — bit-determinism is the contract, and a parallel sum would
+//!   break it.
 //!
-//! The `_on` kernels run on the persistent pinned [`WorkerPool`] the
-//! parallel backend owns, one job per participant. Below each kernel's
-//! threshold (next paragraph but one) they run the sequential body on
-//! the calling thread, so small problems never pay dispatch overhead;
-//! the `_parts_on` and `_split_on` entry points skip the threshold.
-//! The matrix kernels (`*_parts_on`) cut their rows where the matrix's
-//! stored-nonzero prefix crosses each participant's equal share, so a
-//! skewed matrix (an arrow head, a few dense rows) does not leave one
-//! participant with most of the work; the cut is a binary search over
-//! the row pointers per participant, done at every call. Each job takes
-//! its `split_at_mut` chunk of the output out of its own uncontended
-//! `Mutex`, so the handoff is safe code.
+//! Every `_on` kernel runs on the persistent pinned [`WorkerPool`] the
+//! parallel backend owns, one job per participant, at any size: whether
+//! a kernel is worth the pool is the backend's decision (the size
+//! thresholds below are its constants), and below them it calls the
+//! sequential kernels itself. There is one pooled kernel per shape,
+//! generic over how its operand is stored: the matrix kernels take a
+//! [`RowOperand`] (a [`Csr`] or a [`MatrixStore`]), the GEMVs a
+//! [`ColOperand`] (a [`MultiVector`] or a [`BasisStore`]). The matrix
+//! kernels cut their rows where the operand's stored-nonzero prefix
+//! crosses each participant's equal share, so a skewed matrix (an arrow
+//! head, a few dense rows) does not leave one participant with most of
+//! the work; the cut is a binary search over the row pointers per
+//! participant, done at every call. Each job takes its `split_at_mut`
+//! chunk of the output out of its own uncontended `Mutex`, so the
+//! handoff is safe code.
 //!
 //! Every chunk closure that runs a `mul_add` chain wraps its body in
 //! [`fma::run`], so it executes on hardware FMA when the CPU has it.
 //!
-//! **Where the thresholds sit.** An empty two-job run on the pool costs
-//! about a microsecond while the worker is still spinning from the
-//! previous kernel (see [`crate::pool`]), so a kernel goes parallel once
-//! half of it is worth more than that. The `spmv_crossover` group of
-//! `crates/bench/benches/backends.rs` times each kernel serially and
-//! forced onto the pool (the `_parts_on`/`_split_on` entry points) on
-//! laplace2d grids from 16² to 128², and prints serial over pooled time
-//! per size. Three runs on a 2-vCPU x86-64 host (4 MiB L2 per core,
-//! noisy shared host) read:
-//!
-//! - SpMV paid from about 7.8k nonzeros (1.2–1.6x there; mixed from
-//!   2.8k to 5k), so [`SPMV_PAR_THRESHOLD`] sits at 2^13 nonzeros, for
-//!   the plain and store SpMV, SpMM and residual alike;
-//! - a 10-column GEMV-T paid from about 1.6k rows (1.03–1.14x there,
-//!   1.1–1.7x from 6k) and the block Jacobi apply from about 1.6k rows
-//!   (1.2x, up to 2.1x at 16k), so [`GEMV_PAR_THRESHOLD`] and
-//!   [`BLOCK_LU_PAR_THRESHOLD`] sit at 2^11 rows. GEMV-N shares the GEMV
-//!   constant although it paid only from about 4k rows (0.6–0.8x at
-//!   2.3k): neither gated workload has n between 2^11 and 2^12;
-//! - the norm paid only from about 9k–16k rows (at most 1.35x) and axpy
-//!   never did (at most 0.45x), so the level-1 kernels (dot, norm, axpy,
-//!   scal, copy) and the lane kernels keep [`vec_ops::PAR_THRESHOLD`]
-//!   (2^14).
-//!
-//! These are constants, not tuned knobs: which path runs must not
-//! depend on the machine's load, or traced counts would stop
-//! reproducing. Compare Ioannidis et al. (arXiv:1906.04051): below cache
-//! size, dispatch and synchronisation decide whether a parallel GMRES
-//! kernel pays, which is why the pool's dispatch cost sets the bar.
-//!
-//! **Threads or SIMD.** The pool already runs every kernel above its
-//! threshold on both vCPUs, so a third participant has no core to run
-//! on. How much the second one adds depends on what the host gives it.
+//! **Threads or SIMD.** The pool runs every kernel the backend hands it
+//! on both vCPUs, so a third participant has no core to run on. How
+//! much the second one adds depends on what the host gives it.
 //! Register-only timing loops (no memory traffic), one thread against
 //! two on 2-vCPU x86-64 hosts, read:
 //!
@@ -98,30 +70,70 @@ use std::sync::Mutex;
 
 use mpgmres_scalar::Scalar;
 
-use crate::basis::BasisStore;
-use crate::csr::Csr;
 use crate::dense::BlockLu;
 use crate::fma;
 use crate::multivec::MultiVec;
-use crate::multivector::MultiVector;
 use crate::pool::WorkerPool;
-use crate::store::MatrixStore;
-use crate::vec_ops::{self, ReductionOrder, PAR_THRESHOLD};
+use crate::vec_ops::{self, ReductionOrder};
+#[cfg(doc)]
+use crate::{basis::BasisStore, csr::Csr, multivector::MultiVector, store::MatrixStore};
 
-/// Minimum stored nonzeros before SpMV/residual/SpMM (plain and store)
-/// go parallel: the serial/pooled crossover of the `spmv_crossover`
-/// sweep (see the module docs).
+/// Minimum stored nonzeros before the parallel backend runs SpMV,
+/// residual and SpMM (plain and store) on the pool; the backend's docs
+/// say where the thresholds sit.
 pub const SPMV_PAR_THRESHOLD: usize = 1 << 13;
 
-/// Minimum rows before GEMV-T and GEMV-N (plain and basis) go parallel:
-/// the crossover of the 10-column GEMV rows of the `spmv_crossover`
-/// sweep (see the module docs).
+/// Minimum rows before the parallel backend runs GEMV-T and GEMV-N
+/// (plain and basis) on the pool.
 pub const GEMV_PAR_THRESHOLD: usize = 1 << 11;
 
-/// Minimum rows before the block Jacobi apply ([`block_lu_solve_on`])
-/// splits its groups over the pool: the crossover of the BJ rows of the
-/// `spmv_crossover` sweep (see the module docs).
+/// Minimum rows before the parallel backend splits the block Jacobi
+/// apply ([`block_lu_solve_on`]) over the pool.
 pub const BLOCK_LU_PAR_THRESHOLD: usize = 1 << 11;
+
+/// A sparse matrix operand of the pooled row kernels, however its
+/// values are stored: a plain [`Csr`] or a [`MatrixStore`] (fp32/fp16
+/// shadow or split). The row bodies are the ones the type's own
+/// sequential kernels run, so a pooled kernel over either operand is
+/// bit-identical to them.
+pub trait RowOperand<S: Scalar>: Sync {
+    /// Row count.
+    fn nrows(&self) -> usize;
+    /// Column count.
+    fn ncols(&self) -> usize;
+    /// Stored entries in the rows before row `r` (`r <= nrows()`).
+    fn nnz_before(&self, r: usize) -> usize;
+    /// Rows `[start, start + y.len())` of `y = A x`.
+    fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]);
+    /// Rows `[start, start + r.len())` of `r = b - A x` (`b` is the
+    /// whole right-hand side).
+    fn residual_rows(&self, start: usize, b: &[S], x: &[S], r: &mut [S]);
+    /// Rows `[lo, hi)` of the fused SpMM `out = A X` over the columns
+    /// `xcols`, each column in the order of [`Self::spmv_rows`], under
+    /// the body's own [`fma::run`] frame.
+    fn spmm_rows(&self, xcols: &[&[S]], lo: usize, hi: usize, out: &mut [&mut [S]]);
+}
+
+/// A dense column operand of the pooled GEMV kernels, however its
+/// columns are stored: a [`MultiVector`] or a [`BasisStore`] (native,
+/// fp32 or fp16 columns). The bodies are the ones the type's own
+/// sequential GEMVs run, each under its [`fma::run`] frame, so a pooled
+/// GEMV over either operand is bit-identical to them.
+pub trait ColOperand<S: Scalar>: Sync {
+    /// Vector length (rows).
+    fn n(&self) -> usize;
+    /// Number of allocated columns.
+    fn max_cols(&self) -> usize;
+    /// GEMV-T over the columns `first..first + h.len()`.
+    fn gemv_t_range(&self, first: usize, w: &[S], h: &mut [S], order: ReductionOrder);
+    /// Block partials of columns `0..ncols` over the reduction blocks
+    /// starting at block `b0` (`parts[k * nbl + b]`, the layout of
+    /// `multivector::gemv_t_block_partials`).
+    fn gemv_t_blocks(&self, ncols: usize, w: &[S], block: usize, b0: usize, parts: &mut [S]);
+    /// GEMV-N over rows `[start, start + out.len())`: `out -= V h`, or
+    /// `out += V h` when `add`.
+    fn gemv_n_rows(&self, ncols: usize, h: &[S], start: usize, out: &mut [S], add: bool);
+}
 
 /// Split `[0, len)` into at most `threads` contiguous `(start, end)`
 /// ranges of equal length (the last may be shorter): the split of the
@@ -143,18 +155,17 @@ pub fn row_partition(len: usize, threads: usize) -> Vec<(usize, usize)> {
     parts
 }
 
-/// Cut rows `0..n`, which hold `nnz` stored entries, into at most
-/// `parts` contiguous ranges of about equal nonzero counts. Range `p`
-/// ends at the first row whose prefix `nnz_before(row)` (the entries in
-/// the rows before it) reaches `nnz * (p + 1) / parts`, and holds at
-/// least one row; the last range ends at `n`. Like every partition,
-/// this only decides which participant computes which rows.
-fn nnz_cut(
-    n: usize,
-    nnz: usize,
+/// Cut the rows of `a` into at most `parts` contiguous ranges of about
+/// equal nonzero counts. Range `p` ends at the first row whose prefix
+/// [`RowOperand::nnz_before`] reaches `nnz * (p + 1) / parts`, and
+/// holds at least one row; the last range ends at `nrows`. Like every
+/// partition, this only decides which participant computes which rows.
+fn nnz_cut<S: Scalar, A: RowOperand<S>>(
+    a: &A,
     parts: usize,
-    nnz_before: impl Fn(usize) -> usize,
-) -> impl Iterator<Item = (usize, usize)> {
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let n = a.nrows();
+    let nnz = a.nnz_before(n);
     let parts = if nnz == 0 {
         1
     } else {
@@ -174,7 +185,7 @@ fn nnz_cut(
             let (mut lo, mut hi) = (start + 1, n);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if nnz_before(mid) < target {
+                if a.nnz_before(mid) < target {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -185,25 +196,6 @@ fn nnz_cut(
         let range = (start, end);
         start = end;
         Some(range)
-    })
-}
-
-/// The nnz cut of a CSR matrix over `parts` participants.
-fn csr_cut<S: Scalar>(a: &Csr<S>, parts: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-    nnz_cut(a.nrows(), a.nnz(), parts, |r| a.row_ptr()[r])
-}
-
-/// The nnz cut of a [`MatrixStore`] over `parts` participants. A split
-/// store's two buckets share its rows, so their row prefixes add.
-fn store_cut<S: Scalar>(
-    a: &MatrixStore<S>,
-    parts: usize,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    nnz_cut(a.nrows(), a.nnz(), parts, move |r| match a {
-        MatrixStore::Plain(c) => c.row_ptr()[r],
-        MatrixStore::ShadowF32(c) => c.row_ptr()[r],
-        MatrixStore::ShadowF16(c) => c.row_ptr()[r],
-        MatrixStore::Split(s) => s.hi().row_ptr()[r] + s.lo().row_ptr()[r],
     })
 }
 
@@ -255,7 +247,7 @@ fn for_each_range_mut_on<S: Send, F>(
 
 /// Split `data` into at most `pool.threads()` equal contiguous chunks
 /// and run `f(start, chunk)` for each chunk as one pool job; with one
-/// participant, `f(0, data)` on the calling thread.
+/// participant or one element, `f(0, data)` on the calling thread.
 pub(crate) fn for_each_chunk_mut_on<S: Send, F>(pool: &WorkerPool, data: &mut [S], f: F)
 where
     F: Fn(usize, &mut [S]) + Sync,
@@ -270,25 +262,6 @@ where
         .step_by(chunk)
         .map(|lo| (lo, (lo + chunk).min(len)));
     for_each_range_mut_on(pool, ranges, data, f);
-}
-
-/// [`for_each_chunk_mut_on`] when `len` (the kernel's row or element
-/// count) reaches `threshold`, `f(0, data)` on the calling thread below
-/// it.
-fn for_each_chunk_mut_above<S: Send, F>(
-    pool: &WorkerPool,
-    len: usize,
-    threshold: usize,
-    data: &mut [S],
-    f: F,
-) where
-    F: Fn(usize, &mut [S]) + Sync,
-{
-    if len < threshold {
-        f(0, data);
-    } else {
-        for_each_chunk_mut_on(pool, data, f);
-    }
 }
 
 /// Run `f(i, &mut data[i])` for every element, elements partitioned in
@@ -352,223 +325,92 @@ fn for_each_row_block_on<S: Scalar, F>(
 }
 
 /// `y = A x` over the pool, rows cut at nnz quantiles of `a`, one range
-/// per participant (no threshold check; the caller decides when going
-/// parallel pays). Bit-identical to [`Csr::spmv`].
-pub fn spmv_parts_on<S: Scalar>(pool: &WorkerPool, a: &Csr<S>, x: &[S], y: &mut [S]) {
+/// per participant. Bit-identical to [`Csr::spmv`] and
+/// [`MatrixStore::spmv`].
+pub fn spmv_parts_on<S: Scalar, A: RowOperand<S>>(pool: &WorkerPool, a: &A, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), a.ncols(), "spmv: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "spmv: y length mismatch");
-    for_each_range_mut_on(pool, csr_cut(a, pool.threads()), y, |start, chunk| {
+    for_each_range_mut_on(pool, nnz_cut(a, pool.threads()), y, |start, chunk| {
         fma::run(|| a.spmv_rows(start, x, chunk))
     });
 }
 
-/// `r = b - A x` over the pool, rows cut at nnz quantiles of `a` (no
-/// threshold check). Bit-identical to [`Csr::residual`].
-pub fn residual_parts_on<S: Scalar>(pool: &WorkerPool, a: &Csr<S>, b: &[S], x: &[S], r: &mut [S]) {
-    assert_eq!(b.len(), a.nrows(), "residual: b length mismatch");
-    assert_eq!(x.len(), a.ncols(), "residual: x length mismatch");
-    assert_eq!(r.len(), a.nrows(), "residual: r length mismatch");
-    for_each_range_mut_on(pool, csr_cut(a, pool.threads()), r, |start, chunk| {
-        fma::run(|| a.residual_rows(start, b, x, chunk))
-    });
-}
-
-/// Fused SpMM `Y = A X` over the leading `k` columns, one range of the
-/// precomputed row partition `parts` after another on the calling
-/// thread: one pass over the CSR rows serves all `k` right-hand sides.
-/// Per output column this accumulates in exactly the order of
-/// [`Csr::spmv`]'s per-row kernel, so the result is bit-identical to `k`
-/// independent SpMV calls — the multi-RHS determinism contract.
-pub fn spmm_parts<S: Scalar>(
-    parts: &[(usize, usize)],
-    a: &Csr<S>,
-    x: &MultiVec<S>,
-    k: usize,
-    y: &mut MultiVec<S>,
-) {
-    assert_eq!(x.n(), a.ncols(), "spmm: x row count mismatch");
-    assert_eq!(y.n(), a.nrows(), "spmm: y row count mismatch");
-    assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
-    let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
-    let mut slots = y.partition_rows_mut(k, parts);
-    for (cols, &(lo, hi)) in slots.iter_mut().zip(parts) {
-        spmm_rows(a, &xcols, lo, hi, cols);
-    }
-}
-
-/// [`spmm_parts`] over the pool, rows cut at nnz quantiles of `a`, one
-/// range per participant (no threshold check).
-pub fn spmm_parts_on<S: Scalar>(
+/// `r = b - A x` over the pool, rows cut as [`spmv_parts_on`].
+/// Bit-identical to [`Csr::residual`] and [`MatrixStore::residual`].
+pub fn residual_parts_on<S: Scalar, A: RowOperand<S>>(
     pool: &WorkerPool,
-    a: &Csr<S>,
-    x: &MultiVec<S>,
-    k: usize,
-    y: &mut MultiVec<S>,
-) {
-    assert_eq!(x.n(), a.ncols(), "spmm: x row count mismatch");
-    assert_eq!(y.n(), a.nrows(), "spmm: y row count mismatch");
-    assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
-    let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
-    for_each_row_block_on(pool, csr_cut(a, pool.threads()), y, k, |lo, hi, cols| {
-        spmm_rows(a, &xcols, lo, hi, cols)
-    });
-}
-
-/// The per-worker SpMM loop: stream rows `[lo, hi)` once, updating all
-/// `k` accumulators per stored entry; each accumulator follows the exact
-/// left-to-right `mul_add` order of [`Csr::spmv`]. Common small widths
-/// dispatch to a const-generic body so the accumulators live in
-/// registers instead of a heap buffer; each body runs under
-/// [`fma::run`].
-pub(crate) fn spmm_rows<S: Scalar>(
-    a: &Csr<S>,
-    xcols: &[&[S]],
-    lo: usize,
-    hi: usize,
-    out: &mut [&mut [S]],
-) {
-    match xcols.len() {
-        // One column is an SpMV: the same chain, row for row.
-        1 => fma::run(|| a.spmv_rows(lo, xcols[0], &mut out[0][..hi - lo])),
-        2 => fma::run(|| spmm_rows_fixed::<S, 2>(a, xcols, lo, hi, out)),
-        3 => fma::run(|| spmm_rows_fixed::<S, 3>(a, xcols, lo, hi, out)),
-        4 => fma::run(|| spmm_rows_fixed::<S, 4>(a, xcols, lo, hi, out)),
-        5 => fma::run(|| spmm_rows_fixed::<S, 5>(a, xcols, lo, hi, out)),
-        6 => fma::run(|| spmm_rows_fixed::<S, 6>(a, xcols, lo, hi, out)),
-        7 => fma::run(|| spmm_rows_fixed::<S, 7>(a, xcols, lo, hi, out)),
-        8 => fma::run(|| spmm_rows_fixed::<S, 8>(a, xcols, lo, hi, out)),
-        _ => fma::run(|| spmm_rows_dyn(a, xcols, lo, hi, out)),
-    }
-}
-
-#[inline(always)]
-fn spmm_rows_fixed<S: Scalar, const K: usize>(
-    a: &Csr<S>,
-    xcols: &[&[S]],
-    lo: usize,
-    hi: usize,
-    out: &mut [&mut [S]],
-) {
-    debug_assert_eq!(xcols.len(), K);
-    let xc: [&[S]; K] = xcols.try_into().expect("width checked by dispatch");
-    for r in lo..hi {
-        let (vals, cols) = a.row_slices(r);
-        let mut acc = [S::zero(); K];
-        for (&v, &c) in vals.iter().zip(cols) {
-            let c = c as usize;
-            for j in 0..K {
-                acc[j] = v.mul_add(xc[j][c], acc[j]);
-            }
-        }
-        for j in 0..K {
-            out[j][r - lo] = acc[j];
-        }
-    }
-}
-
-#[inline(always)]
-fn spmm_rows_dyn<S: Scalar>(
-    a: &Csr<S>,
-    xcols: &[&[S]],
-    lo: usize,
-    hi: usize,
-    out: &mut [&mut [S]],
-) {
-    let mut acc = vec![S::zero(); xcols.len()];
-    for r in lo..hi {
-        acc.fill(S::zero());
-        let (vals, cols) = a.row_slices(r);
-        for (&v, &c) in vals.iter().zip(cols) {
-            let c = c as usize;
-            for (a_j, xc) in acc.iter_mut().zip(xcols) {
-                *a_j = v.mul_add(xc[c], *a_j);
-            }
-        }
-        for (j, a_j) in acc.iter().enumerate() {
-            out[j][r - lo] = *a_j;
-        }
-    }
-}
-
-/// `y = A x` for a [`MatrixStore`] over the pool, rows cut at nnz
-/// quantiles of the store (both buckets of a split store), one range per
-/// participant (no threshold check).
-///
-/// Bit-identical to [`MatrixStore::spmv`]: both paths evaluate each
-/// output row with the store's shared per-row kernel.
-pub fn store_spmv_parts_on<S: Scalar>(pool: &WorkerPool, a: &MatrixStore<S>, x: &[S], y: &mut [S]) {
-    assert_eq!(x.len(), a.ncols(), "store spmv: x length mismatch");
-    assert_eq!(y.len(), a.nrows(), "store spmv: y length mismatch");
-    for_each_range_mut_on(pool, store_cut(a, pool.threads()), y, |start, chunk| {
-        fma::run(|| a.spmv_rows(start, x, chunk))
-    });
-}
-
-/// `r = b - A x` for a [`MatrixStore`] over the pool, cut as
-/// [`store_spmv_parts_on`]. Bit-identical to [`MatrixStore::residual`].
-pub fn store_residual_parts_on<S: Scalar>(
-    pool: &WorkerPool,
-    a: &MatrixStore<S>,
+    a: &A,
     b: &[S],
     x: &[S],
     r: &mut [S],
 ) {
-    assert_eq!(b.len(), a.nrows(), "store residual: b length mismatch");
-    assert_eq!(x.len(), a.ncols(), "store residual: x length mismatch");
-    assert_eq!(r.len(), a.nrows(), "store residual: r length mismatch");
-    for_each_range_mut_on(pool, store_cut(a, pool.threads()), r, |start, chunk| {
+    assert_eq!(b.len(), a.nrows(), "residual: b length mismatch");
+    assert_eq!(x.len(), a.ncols(), "residual: x length mismatch");
+    assert_eq!(r.len(), a.nrows(), "residual: r length mismatch");
+    for_each_range_mut_on(pool, nnz_cut(a, pool.threads()), r, |start, chunk| {
         fma::run(|| a.residual_rows(start, b, x, chunk))
     });
 }
 
-/// Fused SpMM `Y = A X` for a [`MatrixStore`] over the pool, cut as
-/// [`store_spmv_parts_on`]. Per output column the accumulation order is
-/// exactly the store's per-row kernel, so the result is bit-identical to
-/// [`MatrixStore::spmm`] and to `k` independent store SpMVs.
-pub fn store_spmm_parts_on<S: Scalar>(
-    pool: &WorkerPool,
-    a: &MatrixStore<S>,
+/// The leading `k` columns of `x`, after checking the shapes of the
+/// SpMM `Y = A X`.
+fn spmm_cols<'x, S: Scalar>(
+    a: &impl RowOperand<S>,
+    x: &'x MultiVec<S>,
+    k: usize,
+    y: &MultiVec<S>,
+) -> Vec<&'x [S]> {
+    assert_eq!(x.n(), a.ncols(), "spmm: x row count mismatch");
+    assert_eq!(y.n(), a.nrows(), "spmm: y row count mismatch");
+    assert!(k <= x.k() && k <= y.k(), "spmm: too many columns");
+    (0..k).map(|j| x.col(j)).collect()
+}
+
+/// Fused SpMM `Y = A X` over the leading `k` columns, one range of the
+/// precomputed row partition `parts` after another on the calling
+/// thread: one pass over the stored rows serves all `k` right-hand
+/// sides. Per output column this accumulates in exactly the order of
+/// the operand's SpMV, so the result is bit-identical to `k`
+/// independent SpMV calls — the multi-RHS determinism contract.
+pub fn spmm_parts<S: Scalar, A: RowOperand<S>>(
+    parts: &[(usize, usize)],
+    a: &A,
     x: &MultiVec<S>,
     k: usize,
     y: &mut MultiVec<S>,
 ) {
-    assert_eq!(x.n(), a.ncols(), "store spmm: x row count mismatch");
-    assert_eq!(y.n(), a.nrows(), "store spmm: y row count mismatch");
-    assert!(k <= x.k() && k <= y.k(), "store spmm: too many columns");
-    let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
-    for_each_row_block_on(pool, store_cut(a, pool.threads()), y, k, |lo, hi, cols| {
+    let xcols = spmm_cols(a, x, k, y);
+    let mut slots = y.partition_rows_mut(k, parts);
+    for (cols, &(lo, hi)) in slots.iter_mut().zip(parts) {
+        a.spmm_rows(&xcols, lo, hi, cols);
+    }
+}
+
+/// [`spmm_parts`] over the pool, rows cut as [`spmv_parts_on`], one
+/// range per participant.
+pub fn spmm_parts_on<S: Scalar, A: RowOperand<S>>(
+    pool: &WorkerPool,
+    a: &A,
+    x: &MultiVec<S>,
+    k: usize,
+    y: &mut MultiVec<S>,
+) {
+    let xcols = spmm_cols(a, x, k, y);
+    for_each_row_block_on(pool, nnz_cut(a, pool.threads()), y, k, |lo, hi, cols| {
         a.spmm_rows(&xcols, lo, hi, cols)
     });
 }
 
-/// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans), split over the
-/// pool from [`GEMV_PAR_THRESHOLD`] rows: by reduction block under
-/// [`ReductionOrder::BlockedTree`], by column under
-/// [`ReductionOrder::Sequential`].
+/// `h[i] = col_i . w` for `i in 0..ncols` (GEMV Trans) over the pool:
+/// split by reduction block under [`ReductionOrder::BlockedTree`], by
+/// column under [`ReductionOrder::Sequential`].
 ///
-/// Every column's partials and combine tree are those of the reference,
-/// so per-column results are bit-identical to [`MultiVector::gemv_t`].
-pub fn gemv_t_on<S: Scalar>(
+/// Every column's partials and combine tree are those of the operand's
+/// own GEMV-T, so per-column results are bit-identical to
+/// [`MultiVector::gemv_t`] and [`BasisStore::gemv_t`].
+pub fn gemv_t_on<S: Scalar, V: ColOperand<S>>(
     pool: &WorkerPool,
-    v: &MultiVector<S>,
-    ncols: usize,
-    w: &[S],
-    h: &mut [S],
-    order: ReductionOrder,
-) {
-    if v.n() < GEMV_PAR_THRESHOLD {
-        v.gemv_t(ncols, w, h, order);
-    } else {
-        gemv_t_split_on(pool, v, ncols, w, h, order);
-    }
-}
-
-/// [`gemv_t_on`] without the size threshold: splits whenever the pool
-/// has two or more participants (the pooled side of the crossover
-/// sweep).
-pub fn gemv_t_split_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &MultiVector<S>,
+    v: &V,
     ncols: usize,
     w: &[S],
     h: &mut [S],
@@ -577,26 +419,15 @@ pub fn gemv_t_split_on<S: Scalar>(
     assert!(ncols <= v.max_cols(), "gemv_t: too many columns");
     assert_eq!(w.len(), v.n(), "gemv_t: vector length mismatch");
     assert!(h.len() >= ncols, "gemv_t: output too short");
-    if ncols == 0 || pool.threads() <= 1 {
-        v.gemv_t(ncols, w, h, order);
-        return;
+    let h = &mut h[..ncols];
+    match split_blocks(v.n(), order) {
+        Some(block) if ncols > 0 => gemv_t_blocks_on(pool, v.n(), block, h, |b0, parts| {
+            v.gemv_t_blocks(ncols, w, block, b0, parts)
+        }),
+        _ => for_each_chunk_mut_on(pool, h, |start, chunk| {
+            v.gemv_t_range(start, w, chunk, order)
+        }),
     }
-    if let Some(block) = split_blocks(v.n(), order) {
-        gemv_t_blocks_on(pool, v.n(), block, &mut h[..ncols], |b0, parts| {
-            fma::run(
-                #[inline(always)]
-                || v.gemv_t_blocks(ncols, w, block, b0, parts),
-            )
-        });
-        return;
-    }
-    if ncols == 1 {
-        v.gemv_t(ncols, w, h, order);
-        return;
-    }
-    for_each_chunk_mut_on(pool, &mut h[..ncols], |start, chunk| {
-        fma::run(|| v.gemv_t_range(start, w, chunk, order))
-    });
 }
 
 /// The reduction block a GEMV-T of `n` rows splits by: `Some` under a
@@ -641,31 +472,14 @@ fn gemv_t_blocks_on<S: Scalar>(
     }
 }
 
-/// `w -= V[:, ..ncols] h` (GEMV No-Trans, alpha = -1), rows split over
-/// the pool from [`GEMV_PAR_THRESHOLD`] rows. Within each row, columns
-/// accumulate in the order of [`MultiVector::gemv_n_sub`], so results
-/// are bit-identical.
-pub fn gemv_n_sub_on<S: Scalar>(
+/// `w -= V[:, ..ncols] h` (GEMV No-Trans, alpha = -1), or `w += V[:,
+/// ..ncols] h` when `add`, rows split over the pool. Within each row,
+/// columns accumulate in the order of the operand's own GEMV-N, so
+/// results are bit-identical to [`MultiVector::gemv_n_sub`] /
+/// [`MultiVector::gemv_n_add`] and their [`BasisStore`] twins.
+pub fn gemv_n_on<S: Scalar, V: ColOperand<S>>(
     pool: &WorkerPool,
-    v: &MultiVector<S>,
-    ncols: usize,
-    h: &[S],
-    w: &mut [S],
-) {
-    if v.n() < GEMV_PAR_THRESHOLD {
-        v.gemv_n_sub(ncols, h, w);
-    } else {
-        gemv_n_split_on(pool, v, ncols, h, w, false);
-    }
-}
-
-/// `w ±= V[:, ..ncols] h` (`+` when `add`) without the size threshold:
-/// rows split whenever the pool has two or more participants (the
-/// pooled side of the crossover sweep). Bit-identical to
-/// [`MultiVector::gemv_n_sub`] / [`MultiVector::gemv_n_add`].
-pub fn gemv_n_split_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &MultiVector<S>,
+    v: &V,
     ncols: usize,
     h: &[S],
     w: &mut [S],
@@ -675,107 +489,7 @@ pub fn gemv_n_split_on<S: Scalar>(
     assert_eq!(w.len(), v.n(), "gemv_n: vector length mismatch");
     assert!(h.len() >= ncols, "gemv_n: coefficient vector too short");
     for_each_chunk_mut_on(pool, w, |start, chunk| {
-        fma::run(|| v.gemv_n_rows(ncols, h, start, chunk, add))
-    });
-}
-
-/// `y += V[:, ..ncols] h` (GEMV No-Trans, alpha = +1), rows split over
-/// the pool from [`GEMV_PAR_THRESHOLD`] rows. Bit-identical to
-/// [`MultiVector::gemv_n_add`].
-pub fn gemv_n_add_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &MultiVector<S>,
-    ncols: usize,
-    h: &[S],
-    y: &mut [S],
-) {
-    if v.n() < GEMV_PAR_THRESHOLD {
-        v.gemv_n_add(ncols, h, y);
-    } else {
-        gemv_n_split_on(pool, v, ncols, h, y, true);
-    }
-}
-
-/// `h[i] = widen(col_i) . w` over the first `ncols` columns of a
-/// [`BasisStore`] — [`gemv_t_on`] generalized to the basis storage
-/// policy, with the same block and column splits.
-///
-/// Each job runs the body the sequential [`BasisStore::gemv_t`] runs
-/// over its blocks or columns, so results are bit-identical to the
-/// reference on every storage path (on [`BasisStore::Native`] this *is*
-/// [`gemv_t_on`]'s computation).
-pub fn basis_gemv_t_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &BasisStore<S>,
-    ncols: usize,
-    w: &[S],
-    h: &mut [S],
-    order: ReductionOrder,
-) {
-    assert!(ncols <= v.max_cols(), "basis_gemv_t: too many columns");
-    assert_eq!(w.len(), v.n(), "basis_gemv_t: vector length mismatch");
-    assert!(h.len() >= ncols, "basis_gemv_t: output too short");
-    if v.n() < GEMV_PAR_THRESHOLD || ncols == 0 || pool.threads() <= 1 {
-        v.gemv_t(ncols, w, h, order);
-        return;
-    }
-    if let Some(block) = split_blocks(v.n(), order) {
-        gemv_t_blocks_on(pool, v.n(), block, &mut h[..ncols], |b0, parts| {
-            v.gemv_t_blocks(ncols, w, block, b0, parts)
-        });
-        return;
-    }
-    if ncols == 1 {
-        v.gemv_t(ncols, w, h, order);
-        return;
-    }
-    for_each_chunk_mut_on(pool, &mut h[..ncols], |start, chunk| {
-        v.gemv_t_range(start, w, chunk, order);
-    });
-}
-
-/// `w -= widen(V[:, ..ncols]) h` over a [`BasisStore`], rows partitioned
-/// across the pool. Each row range accumulates columns in the reference
-/// order via the shared row-range kernel, so results are bit-identical
-/// to [`BasisStore::gemv_n_sub`] on every storage path.
-pub fn basis_gemv_n_sub_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &BasisStore<S>,
-    ncols: usize,
-    h: &[S],
-    w: &mut [S],
-) {
-    assert!(ncols <= v.max_cols(), "basis_gemv_n_sub: too many columns");
-    assert_eq!(w.len(), v.n(), "basis_gemv_n_sub: vector length mismatch");
-    assert!(h.len() >= ncols, "basis_gemv_n_sub: coefficients too short");
-    if v.n() < GEMV_PAR_THRESHOLD || pool.threads() <= 1 {
-        v.gemv_n_sub(ncols, h, w);
-        return;
-    }
-    for_each_chunk_mut_on(pool, w, |start, chunk| {
-        v.gemv_n_rows(ncols, h, start, chunk, false);
-    });
-}
-
-/// `y += widen(V[:, ..ncols]) h` over a [`BasisStore`], rows partitioned
-/// across the pool. Bit-identical to [`BasisStore::gemv_n_add`] on every
-/// storage path.
-pub fn basis_gemv_n_add_on<S: Scalar>(
-    pool: &WorkerPool,
-    v: &BasisStore<S>,
-    ncols: usize,
-    h: &[S],
-    y: &mut [S],
-) {
-    assert!(ncols <= v.max_cols(), "basis_gemv_n_add: too many columns");
-    assert_eq!(y.len(), v.n(), "basis_gemv_n_add: vector length mismatch");
-    assert!(h.len() >= ncols, "basis_gemv_n_add: coefficients too short");
-    if v.n() < GEMV_PAR_THRESHOLD || pool.threads() <= 1 {
-        v.gemv_n_add(ncols, h, y);
-        return;
-    }
-    for_each_chunk_mut_on(pool, y, |start, chunk| {
-        v.gemv_n_rows(ncols, h, start, chunk, true);
+        v.gemv_n_rows(ncols, h, start, chunk, add)
     });
 }
 
@@ -784,26 +498,16 @@ pub fn basis_gemv_n_add_on<S: Scalar>(
 ///
 /// Jobs take contiguous runs of groups, one run per participant; the
 /// tail blocks after the last full group are one more job, which lands
-/// on the caller when every participant has a run. Every block is
-/// solved by the body [`BlockLu::solve`] runs, so the result is
-/// bit-identical to it.
+/// on the caller when every participant has a run. Fewer than two
+/// groups leave nothing to split, and the solve runs on the calling
+/// thread. Every block is solved by the body [`BlockLu::solve`] runs,
+/// so the result is bit-identical to it.
 pub fn block_lu_solve_on<S: Scalar>(pool: &WorkerPool, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
-    if f.n() < BLOCK_LU_PAR_THRESHOLD {
-        f.solve(x, y);
-    } else {
-        block_lu_solve_split_on(pool, f, x, y);
-    }
-}
-
-/// [`block_lu_solve_on`] without the size threshold: splits whenever
-/// the pool has two or more participants and there are two or more
-/// groups (the pooled side of the crossover sweep).
-pub fn block_lu_solve_split_on<S: Scalar>(pool: &WorkerPool, f: &BlockLu<S>, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), f.n(), "block_lu_solve: x length");
     assert_eq!(y.len(), f.n(), "block_lu_solve: y length");
     let (gr, wide) = (f.group_rows(), f.wide_rows());
     let ngroups = wide / gr;
-    if pool.threads() <= 1 || ngroups < 2 {
+    if ngroups < 2 {
         f.solve(x, y);
         return;
     }
@@ -820,140 +524,73 @@ pub fn block_lu_solve_split_on<S: Scalar>(pool: &WorkerPool, f: &BlockLu<S>, x: 
 ///
 /// [`ReductionOrder::Sequential`] runs serially (a single dependency
 /// chain — see module docs); [`ReductionOrder::BlockedTree`] computes
-/// block partials on the pool from [`PAR_THRESHOLD`] elements and
-/// combines them with the shared pairwise tree, bit-identical to the
-/// reference.
+/// block partials on the pool and combines them with the shared
+/// pairwise tree, bit-identical to [`vec_ops::dot_ordered`].
 pub fn dot_on<S: Scalar>(pool: &WorkerPool, x: &[S], y: &[S], order: ReductionOrder) -> S {
-    if x.len() < PAR_THRESHOLD {
-        vec_ops::dot_ordered(x, y, order)
-    } else {
-        dot_split_on(pool, x, y, order)
-    }
-}
-
-/// [`dot_on`] without the size threshold: the blocked tree's partials
-/// split whenever the pool has two or more participants (the pooled
-/// side of the crossover sweep).
-pub fn dot_split_on<S: Scalar>(pool: &WorkerPool, x: &[S], y: &[S], order: ReductionOrder) -> S {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    match order {
-        ReductionOrder::Sequential => vec_ops::dot_ordered(x, y, order),
-        ReductionOrder::BlockedTree { block } => {
-            let block = block.max(1);
-            let nblocks = x.len().div_ceil(block);
-            if pool.threads() <= 1 || nblocks <= 1 {
-                return vec_ops::dot_ordered(x, y, order);
-            }
-            let mut parts = vec![S::zero(); nblocks];
-            for_each_chunk_mut_on(pool, &mut parts, |start, chunk| {
-                let lo = start * block;
-                let hi = ((start + chunk.len()) * block).min(x.len());
-                fma::run(
-                    #[inline(always)]
-                    || vec_ops::block_partials(&x[lo..hi], &y[lo..hi], block, chunk),
-                )
-            });
-            vec_ops::tree_sum(&mut parts)
-        }
-    }
+    let ReductionOrder::BlockedTree { block } = order else {
+        return vec_ops::dot_ordered(x, y, order);
+    };
+    let block = block.max(1);
+    let mut parts = vec![S::zero(); x.len().div_ceil(block)];
+    for_each_chunk_mut_on(pool, &mut parts, |start, chunk| {
+        let lo = start * block;
+        let hi = ((start + chunk.len()) * block).min(x.len());
+        fma::run(
+            #[inline(always)]
+            || vec_ops::block_partials(&x[lo..hi], &y[lo..hi], block, chunk),
+        )
+    });
+    vec_ops::tree_sum(&mut parts)
 }
 
-/// Euclidean norm under the given reduction order (see [`dot_on`]).
-pub fn norm2_on<S: Scalar>(pool: &WorkerPool, x: &[S], order: ReductionOrder) -> S {
-    dot_on(pool, x, x, order).sqrt()
-}
-
-/// `y += alpha x`, elementwise split from [`PAR_THRESHOLD`] elements.
-/// Bit-identical to [`vec_ops::axpy`].
+/// `y += alpha x`, elementwise split over the pool. Bit-identical to
+/// [`vec_ops::axpy`], which each chunk runs.
 pub fn axpy_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &[S], y: &mut [S]) {
-    if x.len() < PAR_THRESHOLD {
-        vec_ops::axpy(alpha, x, y);
-    } else {
-        axpy_split_on(pool, alpha, x, y);
-    }
-}
-
-/// [`axpy_on`] without the size threshold: splits whenever the pool has
-/// two or more participants (the pooled side of the crossover sweep).
-pub fn axpy_split_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if pool.threads() <= 1 {
-        vec_ops::axpy(alpha, x, y);
-        return;
-    }
     for_each_chunk_mut_on(pool, y, |start, chunk| {
-        fma::run(|| {
-            for (i, yi) in chunk.iter_mut().enumerate() {
-                *yi = alpha.mul_add(x[start + i], *yi);
-            }
-        })
+        vec_ops::axpy(alpha, &x[start..start + chunk.len()], chunk)
     });
 }
 
-/// `x *= alpha`, elementwise split from [`PAR_THRESHOLD`] elements.
-/// Bit-identical to [`vec_ops::scale`].
+/// `x *= alpha`, elementwise split over the pool. Bit-identical to
+/// [`vec_ops::scale`], which each chunk runs.
 pub fn scal_on<S: Scalar>(pool: &WorkerPool, alpha: S, x: &mut [S]) {
-    for_each_chunk_mut_above(pool, x.len(), PAR_THRESHOLD, x, |_, chunk| {
-        vec_ops::scale(alpha, chunk)
-    });
+    for_each_chunk_mut_on(pool, x, |_, chunk| vec_ops::scale(alpha, chunk));
 }
 
-/// Copy `src` into `dst`, split from [`PAR_THRESHOLD`] elements.
+/// Copy `src` into `dst`, split over the pool.
 pub fn copy_on<S: Scalar>(pool: &WorkerPool, src: &[S], dst: &mut [S]) {
     assert_eq!(src.len(), dst.len(), "copy: length mismatch");
-    for_each_chunk_mut_above(pool, src.len(), PAR_THRESHOLD, dst, |start, chunk| {
+    for_each_chunk_mut_on(pool, dst, |start, chunk| {
         chunk.copy_from_slice(&src[start..start + chunk.len()])
     });
 }
 
-// ----- batched lane-set kernels ---------------------------------------
-//
-// `BlockGmres` runs k independent GMRES state machines in lockstep, and
-// its per-lane normalize/copy steps touch one vector *per lane* (each
-// lane's own Krylov basis column). These kernels fuse that lane set into
-// one launch; lanes are independent outputs, so they parallelize across
-// workers without affecting any result.
-
-/// Shape checks shared by the lane-set kernels.
-fn lane_shapes<S>(op: &str, srcs: &[&[S]], dsts: &[&mut [S]]) {
-    assert_eq!(srcs.len(), dsts.len(), "{op}: lane count mismatch");
-    for (c, (s, d)) in srcs.iter().zip(dsts.iter()).enumerate() {
-        assert_eq!(s.len(), d.len(), "{op}: lane {c} length mismatch");
-    }
-}
-
-/// Batched per-lane copy: `dsts[c] = srcs[c]` for every lane.
-/// Bit-identical to `k` independent copies by construction.
+/// [`vec_ops::lane_copy`] with the lanes split over the pool.
 pub fn lane_copy_on<S: Scalar>(pool: &WorkerPool, srcs: &[&[S]], dsts: &mut [&mut [S]]) {
-    lane_shapes("lane_copy", srcs, dsts);
-    let n = srcs.first().map_or(0, |s| s.len());
-    for_each_chunk_mut_above(pool, n, PAR_THRESHOLD, dsts, |first, chunk| {
-        for (d, s) in chunk.iter_mut().zip(&srcs[first..]) {
-            d.copy_from_slice(s);
-        }
+    assert_eq!(srcs.len(), dsts.len(), "lane_copy: lane count mismatch");
+    for_each_chunk_mut_on(pool, dsts, |first, chunk| {
+        vec_ops::lane_copy(&srcs[first..first + chunk.len()], chunk)
     });
 }
 
-/// Batched per-lane normalize-and-store: `dsts[c][i] = srcs[c][i] *
-/// alpha[c]`. This is the fused form of the copy-then-scal pair the
-/// lockstep driver used to issue per lane; `s * alpha` is the exact
-/// multiply `vec_ops::scale` performs after a copy, so the fusion is
-/// bit-identical to the two-kernel sequence.
+/// [`vec_ops::lane_scal_copy`] with the lanes split over the pool.
 pub fn lane_scal_copy_on<S: Scalar>(
     pool: &WorkerPool,
     alpha: &[S],
     srcs: &[&[S]],
     dsts: &mut [&mut [S]],
 ) {
-    lane_shapes("lane_scal_copy", srcs, dsts);
+    assert_eq!(
+        srcs.len(),
+        dsts.len(),
+        "lane_scal_copy: lane count mismatch"
+    );
     assert_eq!(alpha.len(), srcs.len(), "lane_scal_copy: alpha count");
-    let n = srcs.first().map_or(0, |s| s.len());
-    for_each_chunk_mut_above(pool, n, PAR_THRESHOLD, dsts, |first, chunk| {
-        for ((d, s), &a) in chunk.iter_mut().zip(&srcs[first..]).zip(&alpha[first..]) {
-            for (di, &si) in d.iter_mut().zip(s.iter()) {
-                *di = si * a;
-            }
-        }
+    for_each_chunk_mut_on(pool, dsts, |first, chunk| {
+        let lanes = first..first + chunk.len();
+        vec_ops::lane_scal_copy(&alpha[lanes.clone()], &srcs[lanes], chunk)
     });
 }
 
@@ -961,6 +598,10 @@ pub fn lane_scal_copy_on<S: Scalar>(
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::csr::Csr;
+    use crate::multivector::MultiVector;
+    use crate::store::MatrixStore;
+    use crate::vec_ops::PAR_THRESHOLD;
     use mpgmres_scalar::Precision;
 
     fn big_laplace(n: usize) -> Csr<f64> {
@@ -1006,8 +647,9 @@ mod tests {
     }
 
     /// Rows of a [`big_laplace`] (3 entries per interior row) whose
-    /// nonzeros clear [`SPMV_PAR_THRESHOLD`], so the thresholded matrix
-    /// kernels split the rows (asserted in [`par_laplace`]).
+    /// nonzeros clear [`SPMV_PAR_THRESHOLD`], the size from which the
+    /// parallel backend splits the matrix kernels (asserted in
+    /// [`par_laplace`]).
     const PAR_N: usize = SPMV_PAR_THRESHOLD / 3 + 1_000;
 
     /// [`big_laplace`] at [`PAR_N`] rows, checked to clear the threshold.
@@ -1097,11 +739,11 @@ mod tests {
         let mut w_seq = w.clone();
         let mut w_par = w.clone();
         v.gemv_n_sub(cols, &h_seq, &mut w_seq);
-        gemv_n_sub_on(&pool, &v, cols, &h_par, &mut w_par);
+        gemv_n_on(&pool, &v, cols, &h_par, &mut w_par, false);
         assert_eq!(w_seq, w_par);
 
         v.gemv_n_add(cols, &h_seq, &mut w_seq);
-        gemv_n_add_on(&pool, &v, cols, &h_par, &mut w_par);
+        gemv_n_on(&pool, &v, cols, &h_par, &mut w_par, true);
         assert_eq!(w_seq, w_par);
     }
 
@@ -1162,7 +804,7 @@ mod tests {
         let a = arrow(n);
         let threads = 4;
         let even = range_nnz(&a, &row_partition(n, threads));
-        let balanced_parts: Vec<_> = csr_cut(&a, threads).collect();
+        let balanced_parts: Vec<_> = nnz_cut(&a, threads).collect();
         assert_tiles(&balanced_parts, n);
         let balanced = range_nnz(&a, &balanced_parts);
         let mean = a.nnz() as f64 / threads as f64;
@@ -1197,8 +839,8 @@ mod tests {
             assert_tiles(parts, a.nrows());
             *range_nnz(&a, parts).iter().max().unwrap() as f64
         };
-        let plain: Vec<_> = csr_cut(&a, 2).collect();
-        let stored: Vec<_> = store_cut(&split, 2).collect();
+        let plain: Vec<_> = nnz_cut(&a, 2).collect();
+        let stored: Vec<_> = nnz_cut(&split, 2).collect();
         assert_eq!(plain.len(), 2);
         assert!(busiest(&plain) < 1.1 * mean, "plain cut {plain:?}");
         assert!(busiest(&stored) < 1.1 * mean, "split cut {stored:?}");
@@ -1209,18 +851,18 @@ mod tests {
     #[test]
     fn nnz_cut_handles_degenerate_shapes() {
         let a = big_laplace(5);
-        assert_eq!(csr_cut(&a, 1).collect::<Vec<_>>(), vec![(0, 5)]);
-        let parts: Vec<_> = csr_cut(&a, 16).collect();
+        assert_eq!(nnz_cut(&a, 1).collect::<Vec<_>>(), vec![(0, 5)]);
+        let parts: Vec<_> = nnz_cut(&a, 16).collect();
         assert_tiles(&parts, 5);
         assert!(parts.len() <= 5);
         let empty = Coo::<f64>::new(0, 0).into_csr();
-        assert_eq!(csr_cut(&empty, 4).collect::<Vec<_>>(), vec![(0, 0)]);
+        assert_eq!(nnz_cut(&empty, 4).collect::<Vec<_>>(), vec![(0, 0)]);
         let hollow = Coo::<f64>::new(3, 3).into_csr();
-        assert_eq!(csr_cut(&hollow, 4).collect::<Vec<_>>(), vec![(0, 3)]);
+        assert_eq!(nnz_cut(&hollow, 4).collect::<Vec<_>>(), vec![(0, 3)]);
         let shadow = MatrixStore::shadow(&a, Precision::Fp32);
         assert_eq!(
-            store_cut(&shadow, 3).collect::<Vec<_>>(),
-            csr_cut(&a, 3).collect::<Vec<_>>()
+            nnz_cut(&shadow, 3).collect::<Vec<_>>(),
+            nnz_cut(&a, 3).collect::<Vec<_>>()
         );
     }
 
@@ -1257,7 +899,7 @@ mod tests {
             assert_eq!(s, c, "lane_copy lane {j}");
         }
 
-        // Sequential path (below threshold) agrees too.
+        // A short vector (far below the lane threshold) agrees too.
         let small: Vec<Vec<f64>> = (0..k).map(|j| pseudo(8, 70 + j as u64)).collect();
         let small_refs: Vec<&[f64]> = small.iter().map(|s| s.as_slice()).collect();
         let mut small_out: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; 8]).collect();
@@ -1274,9 +916,10 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_take_sequential_path() {
-        // Below every threshold the `_on` kernels run the reference body
-        // on the calling thread; results must match it.
+    fn small_inputs_match_the_reference() {
+        // Inputs far below every threshold split over the pool too (the
+        // backend, not the kernel, decides); results must match the
+        // reference body.
         let pool = WorkerPool::new(8);
         let x = pseudo(16, 8);
         let mut y = pseudo(16, 9);

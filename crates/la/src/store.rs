@@ -29,6 +29,7 @@ use mpgmres_scalar::{cast, Half, Precision, PrecisionTag, Scalar};
 use crate::csr::Csr;
 use crate::fma;
 use crate::multivec::MultiVec;
+use crate::par::{self, RowOperand};
 use crate::split_csr::SplitCsr;
 
 /// A sparse matrix stored for a solver working in precision `S`, with
@@ -182,25 +183,6 @@ impl<S: Scalar> MatrixStore<S> {
         }
     }
 
-    /// Rows `[start, start + y.len())` of `y = A x` (the row loop shared
-    /// with the row-partitioned parallel kernels).
-    #[inline(always)]
-    pub(crate) fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
-        for (i, yr) in y.iter_mut().enumerate() {
-            *yr = self.spmv_row(start + i, x);
-        }
-    }
-
-    /// Rows `[start, start + y.len())` of `y = b - A x` (`b` is the
-    /// whole right-hand side).
-    #[inline(always)]
-    pub(crate) fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
-        for (i, yr) in y.iter_mut().enumerate() {
-            let r = start + i;
-            *yr = self.residual_row(r, b[r], x);
-        }
-    }
-
     /// `y = A x`, computed in `S` over the stored values.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols(), "store spmv: x length mismatch");
@@ -222,25 +204,55 @@ impl<S: Scalar> MatrixStore<S> {
     /// `spmv_row` order, so the result is bit-identical to `k`
     /// independent store SpMVs (the multi-RHS determinism contract).
     pub fn spmm(&self, x: &MultiVec<S>, k: usize, y: &mut MultiVec<S>) {
-        assert_eq!(x.n(), self.ncols(), "store spmm: x row count mismatch");
-        assert_eq!(y.n(), self.nrows(), "store spmm: y row count mismatch");
-        assert!(k <= x.k() && k <= y.k(), "store spmm: too many columns");
-        let xcols: Vec<&[S]> = (0..k).map(|j| x.col(j)).collect();
-        let n = self.nrows();
-        let mut slots = y.partition_rows_mut(k, &[(0, n)]);
-        if let Some(cols) = slots.first_mut() {
-            self.spmm_rows(&xcols, 0, n, cols);
+        par::spmm_parts(&[(0, self.nrows())], self, x, k, y);
+    }
+}
+
+/// The row bodies of the store's sequential kernels, which each worker
+/// of the row-partitioned parallel kernels runs over its rows. A split
+/// store's two buckets share its rows, so their row prefixes add.
+impl<S: Scalar> RowOperand<S> for MatrixStore<S> {
+    #[inline]
+    fn nrows(&self) -> usize {
+        MatrixStore::nrows(self)
+    }
+
+    #[inline]
+    fn ncols(&self) -> usize {
+        MatrixStore::ncols(self)
+    }
+
+    #[inline]
+    fn nnz_before(&self, r: usize) -> usize {
+        match self {
+            MatrixStore::Plain(c) => c.row_ptr()[r],
+            MatrixStore::ShadowF32(c) => c.row_ptr()[r],
+            MatrixStore::ShadowF16(c) => c.row_ptr()[r],
+            MatrixStore::Split(s) => s.hi().row_ptr()[r] + s.lo().row_ptr()[r],
         }
     }
 
-    /// The per-worker SpMM loop over rows `[lo, hi)` — shared by the
-    /// sequential [`MatrixStore::spmm`] and the row-partitioned
-    /// parallel kernel (`crate::par::store_spmm_parts_on`). Each arm
-    /// runs under [`fma::run`].
-    pub(crate) fn spmm_rows(&self, xcols: &[&[S]], lo: usize, hi: usize, out: &mut [&mut [S]]) {
+    #[inline(always)]
+    fn spmv_rows(&self, start: usize, x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            *yr = self.spmv_row(start + i, x);
+        }
+    }
+
+    #[inline(always)]
+    fn residual_rows(&self, start: usize, b: &[S], x: &[S], y: &mut [S]) {
+        for (i, yr) in y.iter_mut().enumerate() {
+            let r = start + i;
+            *yr = self.residual_row(r, b[r], x);
+        }
+    }
+
+    /// Each arm runs under [`fma::run`]; the plain arm is the CSR SpMM
+    /// row loop itself, so a plain store's SpMM is bit-identical to the
+    /// CSR one.
+    fn spmm_rows(&self, xcols: &[&[S]], lo: usize, hi: usize, out: &mut [&mut [S]]) {
         match self {
-            // Shares the plain SpMM row loop: bit-identical to par::spmm.
-            MatrixStore::Plain(a) => crate::par::spmm_rows(a, xcols, lo, hi, out),
+            MatrixStore::Plain(a) => a.spmm_rows(xcols, lo, hi, out),
             MatrixStore::ShadowF32(a) => fma::run(|| spmm_rows_cast(a, xcols, lo, hi, out)),
             MatrixStore::ShadowF16(a) => fma::run(|| spmm_rows_cast(a, xcols, lo, hi, out)),
             MatrixStore::Split(s) => fma::run(|| spmm_rows_split(s, xcols, lo, hi, out)),

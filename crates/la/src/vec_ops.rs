@@ -18,9 +18,9 @@ use mpgmres_scalar::Scalar;
 use crate::fma;
 use crate::simd;
 
-/// Below this length the level-1 and lane kernels in [`crate::par`] run
-/// the sequential path (pool dispatch would dominate). Chosen so
-/// unit-test-sized problems never pay thread overhead.
+/// Minimum vector length before the parallel backend runs the level-1
+/// and lane kernels on the pool ([`crate::par`]); below it, pool
+/// dispatch would dominate.
 pub const PAR_THRESHOLD: usize = 1 << 14;
 
 /// Summation order for dot products and norms.
@@ -220,6 +220,46 @@ pub fn norm_inf<S: Scalar>(x: &[S]) -> S {
         }
     }
     m
+}
+
+// ----- batched lane-set kernels ---------------------------------------
+//
+// `BlockGmres` runs k independent GMRES state machines in lockstep, and
+// its per-lane normalize/copy steps touch one vector *per lane* (each
+// lane's own Krylov basis column). These kernels fuse that lane set into
+// one call; lanes are independent outputs, so `crate::par` splits them
+// across workers without affecting any result.
+
+/// Shape checks shared by the lane-set kernels.
+fn lane_shapes<S>(op: &str, srcs: &[&[S]], dsts: &[&mut [S]]) {
+    assert_eq!(srcs.len(), dsts.len(), "{op}: lane count mismatch");
+    for (c, (s, d)) in srcs.iter().zip(dsts.iter()).enumerate() {
+        assert_eq!(s.len(), d.len(), "{op}: lane {c} length mismatch");
+    }
+}
+
+/// Batched per-lane copy: `dsts[c] = srcs[c]` for every lane.
+/// Bit-identical to `k` independent copies by construction.
+pub fn lane_copy<S: Scalar>(srcs: &[&[S]], dsts: &mut [&mut [S]]) {
+    lane_shapes("lane_copy", srcs, dsts);
+    for (d, s) in dsts.iter_mut().zip(srcs) {
+        d.copy_from_slice(s);
+    }
+}
+
+/// Batched per-lane normalize-and-store: `dsts[c][i] = srcs[c][i] *
+/// alpha[c]`. This is the fused form of the copy-then-scal pair the
+/// lockstep driver used to issue per lane; `s * alpha` is the exact
+/// multiply [`scale`] performs after a copy, so the fusion is
+/// bit-identical to the two-kernel sequence.
+pub fn lane_scal_copy<S: Scalar>(alpha: &[S], srcs: &[&[S]], dsts: &mut [&mut [S]]) {
+    lane_shapes("lane_scal_copy", srcs, dsts);
+    assert_eq!(alpha.len(), srcs.len(), "lane_scal_copy: alpha count");
+    for ((d, s), &a) in dsts.iter_mut().zip(srcs).zip(alpha) {
+        for (di, &si) in d.iter_mut().zip(s.iter()) {
+            *di = si * a;
+        }
+    }
 }
 
 #[cfg(test)]

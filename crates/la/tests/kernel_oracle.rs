@@ -335,13 +335,13 @@ fn sparse<S: Elem>() {
                     &want_res,
                 );
                 same(
-                    &format!("par::store_spmv_parts_on {tag}"),
-                    &out(&|y| par::store_spmv_parts_on(&exec, store, &x, y)),
+                    &format!("par::spmv_parts_on {tag}"),
+                    &out(&|y| par::spmv_parts_on(&exec, store, &x, y)),
                     &want_spmv,
                 );
                 same(
-                    &format!("par::store_residual_parts_on {tag}"),
-                    &out(&|y| par::store_residual_parts_on(&exec, store, &b, &x, y)),
+                    &format!("par::residual_parts_on {tag}"),
+                    &out(&|y| par::residual_parts_on(&exec, store, &b, &x, y)),
                     &want_res,
                 );
             }
@@ -391,8 +391,8 @@ fn spmm<S: Elem>(a: &Csr<S>, n: usize, specials: bool, exec: &WorkerPool) {
                 store,
             );
             check(
-                &format!("par::store_spmm_parts_on {tag}"),
-                &run(&|ys| par::store_spmm_parts_on(exec, store, &xs, k, ys)),
+                &format!("par::spmm_parts_on {tag}"),
+                &run(&|ys| par::spmm_parts_on(exec, store, &xs, k, ys)),
                 store,
             );
         }
@@ -466,8 +466,8 @@ fn gemv<S: Elem>() {
                         &want,
                     );
                     same(
-                        &format!("par::basis_gemv_t_on {tag} {order:?}"),
-                        &dots(&|o| par::basis_gemv_t_on(&exec, v, ncols, &w, o, order)),
+                        &format!("par::gemv_t_on basis {tag} {order:?}"),
+                        &dots(&|o| par::gemv_t_on(&exec, v, ncols, &w, o, order)),
                         &want,
                     );
                     if let Some(mv) = v.as_native() {
@@ -509,13 +509,13 @@ fn gemv_n<S: Elem>(v: &BasisStore<S>, h: &[S], w: &[S], exec: &WorkerPool, tag: 
         &add,
     );
     same(
-        &format!("par::basis_gemv_n_sub_on {tag}"),
-        &update(&|o| par::basis_gemv_n_sub_on(exec, v, ncols, h, o)),
+        &format!("par::gemv_n_on basis sub {tag}"),
+        &update(&|o| par::gemv_n_on(exec, v, ncols, h, o, false)),
         &sub,
     );
     same(
-        &format!("par::basis_gemv_n_add_on {tag}"),
-        &update(&|o| par::basis_gemv_n_add_on(exec, v, ncols, h, o)),
+        &format!("par::gemv_n_on basis add {tag}"),
+        &update(&|o| par::gemv_n_on(exec, v, ncols, h, o, true)),
         &add,
     );
     if let Some(mv) = v.as_native() {
@@ -530,13 +530,13 @@ fn gemv_n<S: Elem>(v: &BasisStore<S>, h: &[S], w: &[S], exec: &WorkerPool, tag: 
             &add,
         );
         same(
-            &format!("par::gemv_n_sub_on {tag}"),
-            &update(&|o| par::gemv_n_sub_on(exec, mv, ncols, h, o)),
+            &format!("par::gemv_n_on sub {tag}"),
+            &update(&|o| par::gemv_n_on(exec, mv, ncols, h, o, false)),
             &sub,
         );
         same(
-            &format!("par::gemv_n_add_on {tag}"),
-            &update(&|o| par::gemv_n_add_on(exec, mv, ncols, h, o)),
+            &format!("par::gemv_n_on add {tag}"),
+            &update(&|o| par::gemv_n_on(exec, mv, ncols, h, o, true)),
             &add,
         );
     }
@@ -579,8 +579,8 @@ fn pooled_gemv_t<S: Elem>() {
                             pool.threads()
                         );
                         let mut h = vec![S::zero(); ncols];
-                        par::basis_gemv_t_on(pool, v, ncols, &w, &mut h, order);
-                        same(&format!("par::basis_gemv_t_on {tag}"), &h, &want[..ncols]);
+                        par::gemv_t_on(pool, v, ncols, &w, &mut h, order);
+                        same(&format!("par::gemv_t_on basis {tag}"), &h, &want[..ncols]);
                         if let Some(mv) = v.as_native() {
                             par::gemv_t_on(pool, mv, ncols, &w, &mut h, order);
                             same(&format!("par::gemv_t_on {tag}"), &h, &want[..ncols]);
@@ -810,11 +810,8 @@ fn lane_shapes() {
                     &[oracle_dot(&x, &x, order).sqrt()],
                 );
                 for (what, got) in [
-                    ("par::dot_split_on", par::dot_split_on(&exec, &x, &y, order)),
-                    (
-                        "par::dot_split_on pooled",
-                        par::dot_split_on(&pool, &x, &y, order),
-                    ),
+                    ("par::dot_on", par::dot_on(&exec, &x, &y, order)),
+                    ("par::dot_on pooled", par::dot_on(&pool, &x, &y, order)),
                 ] {
                     same(&format!("{what} {tag}"), &[got], &[want]);
                 }
@@ -837,8 +834,8 @@ fn lane_shapes() {
                             want,
                         );
                         same(
-                            &format!("par::basis_gemv_t_on pooled {tag}"),
-                            &dots(&|o| par::basis_gemv_t_on(&pool, v, ncols, &y, o, order)),
+                            &format!("par::gemv_t_on basis pooled {tag}"),
+                            &dots(&|o| par::gemv_t_on(&pool, v, ncols, &y, o, order)),
                             want,
                         );
                         if let Some(mv) = v.as_native() {
@@ -848,13 +845,13 @@ fn lane_shapes() {
                                 want,
                             );
                             same(
-                                &format!("par::gemv_t_split_on {tag}"),
-                                &dots(&|o| par::gemv_t_split_on(&exec, mv, ncols, &y, o, order)),
+                                &format!("par::gemv_t_on {tag}"),
+                                &dots(&|o| par::gemv_t_on(&exec, mv, ncols, &y, o, order)),
                                 want,
                             );
                             same(
-                                &format!("par::gemv_t_split_on pooled {tag}"),
-                                &dots(&|o| par::gemv_t_split_on(&pool, mv, ncols, &y, o, order)),
+                                &format!("par::gemv_t_on pooled {tag}"),
+                                &dots(&|o| par::gemv_t_on(&pool, mv, ncols, &y, o, order)),
                                 want,
                             );
                         }
