@@ -2,7 +2,7 @@
 //! (`results/stream.json`, `results/multirhs.json`,
 //! `results/pipeline.json`, `results/precision.json`,
 //! `results/serving.json`, `results/basis.json`) into one
-//! schema-stable, git-SHA-stamped `results/BENCH_ci.json`, and FAIL the
+//! schema-stable, git-SHA-stamped `results/BENCH_ci.run.json`, and FAIL the
 //! job when a load-bearing perf property regresses:
 //!
 //! - the software-pipelined `BlockGmres` overlap ratio must stay
@@ -60,6 +60,10 @@
 //! as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
 //! masquerade as the real artifact.
+//!
+//! No run writes the committed baseline: a second run still diffs
+//! against it, not against the first run. To regenerate the baseline,
+//! copy `results/BENCH_ci.run.json` over `results/BENCH_ci.json`.
 
 use std::fs;
 use std::process::Command;
@@ -132,8 +136,8 @@ fn main() {
     let precision = read("precision.json");
     let serving = read("serving.json");
     let basis = read("basis.json");
-    // The committed per-SHA baseline (this very artifact, from the last
-    // PR that refreshed it). Read BEFORE the overwrite below.
+    // The committed per-SHA baseline (a copy of this artifact, from the
+    // last change that refreshed it).
     let baseline = fs::read_to_string(dir.join("BENCH_ci.json")).ok();
 
     let inject = std::env::var("MPGMRES_PERF_INJECT_REGRESSION").unwrap_or_default();
@@ -430,11 +434,11 @@ fn main() {
         basis.trim(),
     );
     let out = if inject.is_empty() {
-        dir.join("BENCH_ci.json")
+        dir.join("BENCH_ci.run.json")
     } else {
         dir.join("BENCH_ci_injected.json")
     };
-    fs::write(&out, combined).expect("write BENCH_ci.json");
+    fs::write(&out, combined).expect("write the perfgate artifact");
     println!("perfgate: wrote {}", out.display());
 
     if !ok {

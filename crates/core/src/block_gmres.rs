@@ -83,96 +83,23 @@
 //! [`Gmres`]: crate::gmres::Gmres
 
 use crate::config::{GmresConfig, OrthoMethod, StorePath};
-use crate::context::{GpuContext, GpuMatrix, GpuStore};
+use crate::context::{GpuContext, GpuMatrix, GpuStore, Operator};
 use crate::precond::{self, Preconditioner};
-use crate::service::{Operator, SolveError, SolveOutcome, SolveRequest, Solver};
+use crate::service::{SolveError, SolveOutcome, SolveRequest, Solver};
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
 use crate::stream::{
-    ArgSlice, ArgSliceMut, BasisMut, BasisRef, BlockMut, BlockRef, MatRef, StoreRef, Stream,
+    ArgSlice, ArgSliceMut, BasisMut, BasisRef, BlockMut, BlockRef, MatRef, Stream,
 };
 use mpgmres_backend::BackendScalar;
+use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::givens::GivensLsq;
 use mpgmres_la::multivec::MultiVec;
 
-/// The solver's system operator: either a plain working-precision
-/// [`GpuMatrix`] (the baseline) or a [`GpuStore`] whose values ride a
-/// low-precision storage path while the vectors stay in `S`.
-enum Operand<'a, S> {
-    Plain(&'a GpuMatrix<S>),
-    Store(&'a GpuStore<S>),
-}
-
-/// A registered operand handle inside one recording region.
-#[derive(Clone, Copy)]
-enum OpRef<'c, S> {
-    Mat(MatRef<'c, S>),
-    Store(StoreRef<'c, S>),
-}
-
-impl<'a, S: BackendScalar> Operand<'a, S> {
-    fn n(&self) -> usize {
-        match self {
-            Operand::Plain(a) => a.n(),
-            Operand::Store(a) => a.n(),
-        }
-    }
-
-    /// The plain matrix, for the preconditioner interface. `None` on
-    /// store paths — the boundary rejects preconditioners that need the
-    /// matrix there (`needs_matrix()`), so applies receiving `None` are
-    /// ones that work without it (block Jacobi, cast wrappers).
-    fn plain_opt(&self) -> Option<&'a GpuMatrix<S>> {
-        match self {
-            Operand::Plain(a) => Some(a),
-            Operand::Store(_) => None,
-        }
-    }
-
-    fn register<'c>(&self, st: &mut Stream<'c>) -> OpRef<'c, S>
-    where
-        'a: 'c,
-    {
-        match *self {
-            Operand::Plain(a) => OpRef::Mat(st.matrix(a)),
-            Operand::Store(a) => OpRef::Store(st.store(a)),
-        }
-    }
-}
-
-/// Record the fused residual `r = b - A x` against either operand kind
-/// (both charge as a solver SpMV).
-fn rec_residual<'c, S: BackendScalar>(
-    st: &mut Stream<'c>,
-    op: OpRef<'c, S>,
-    b: ArgSlice<'c, S>,
-    x: ArgSlice<'c, S>,
-    r: ArgSliceMut<'c, S>,
-) {
-    match op {
-        OpRef::Mat(a) => st.residual_as(mpgmres_gpusim::KernelClass::SpMV, a, b, x, r),
-        OpRef::Store(a) => st.store_residual_as(mpgmres_gpusim::KernelClass::SpMV, a, b, x, r),
-    }
-}
-
-/// Record the batched SpMM against either operand kind.
-fn rec_spmm<'c, S: BackendScalar>(
-    st: &mut Stream<'c>,
-    op: OpRef<'c, S>,
-    x: BlockRef<'c, S>,
-    k: usize,
-    y: BlockMut<'c, S>,
-) {
-    match op {
-        OpRef::Mat(a) => st.spmm(a, x, k, y),
-        OpRef::Store(a) => st.store_spmm(a, x, k, y),
-    }
-}
-
 /// Batched multi-RHS GMRES(m): `k` single-RHS solves in lockstep, with
 /// optional software-pipelined host charges (`pipeline_depth = 1`).
 pub struct BlockGmres<'a, S: BackendScalar> {
-    a: Operand<'a, S>,
+    a: Operator<'a, S>,
     precond: &'a dyn Preconditioner<S>,
     cfg: GmresConfig,
 }
@@ -286,7 +213,7 @@ struct Deferred {
 /// buffers and host-state slots, the bases of the lanes in `lanes`
 /// (ascending, mutably), and the barrier blocks in barrier regions.
 struct Regs<'r, 'c, S> {
-    a: OpRef<'c, S>,
+    a: MatRef<'c, S>,
     z: BlockMut<'c, S>,
     w: BlockMut<'c, S>,
     /// The deferred iteration's parity (`h1`, `h2`, `norms`), read by
@@ -382,18 +309,9 @@ impl<'a, S: BackendScalar> Solver<'a, S> for BlockGmres<'a, S> {
         req: &SolveRequest<'a, '_, S>,
     ) -> Result<SolveOutcome<S>, SolveError> {
         req.validate()?;
-        let packed;
-        let solver = match (req.operator, req.store) {
-            (Operator::Matrix(a), path) => match GpuStore::for_path(a, path) {
-                None => BlockGmres::try_new(a, req.precond, req.config)?,
-                Some(store) => {
-                    packed = store;
-                    BlockGmres::try_over_store(&packed, req.precond, req.config)?
-                }
-            },
-            (Operator::Store(s), StorePath::Native) => {
-                BlockGmres::try_over_store(s, req.precond, req.config)?
-            }
+        let packed = match (req.operator, req.store) {
+            (Operator::Matrix(a), path) => GpuStore::for_path(a, path),
+            (Operator::Store(_), StorePath::Native) => None,
             (Operator::Store(_), _) => {
                 return Err(SolveError::UnsupportedCombination(
                     "a store operand already fixes the storage path; \
@@ -402,6 +320,8 @@ impl<'a, S: BackendScalar> Solver<'a, S> for BlockGmres<'a, S> {
                 ))
             }
         };
+        let op = packed.as_ref().map_or(req.operator, Operator::Store);
+        let solver = BlockGmres::try_on(op, req.precond, req.config)?;
         Ok(req.run_once(ctx, |ctx, b, x| solver.solve_one(ctx, b, x)))
     }
 }
@@ -421,31 +341,25 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         precond: &'a dyn Preconditioner<S>,
         cfg: GmresConfig,
     ) -> Result<Self, SolveError> {
-        cfg.validate()?;
-        precond::check_dim(precond, a.n())?;
-        Ok(BlockGmres {
-            a: Operand::Plain(a),
-            precond,
-            cfg,
-        })
+        Self::try_on(Operator::Matrix(a), precond, cfg)
     }
 
-    /// Build a solver over a storage path with a preconditioner that
-    /// does not need the plain matrix at application time
+    /// Build a solver over either operator kind. Over a storage path the
+    /// preconditioner must not need the plain matrix at application time
     /// ([`Preconditioner::needs_matrix`] is `false`: identity, block
-    /// Jacobi, cast wrappers). The SpMM streams the store's narrow
-    /// values while the preconditioner applies in the working
-    /// precision. A matrix-needing preconditioner degrades to
+    /// Jacobi, cast wrappers): the SpMM streams the store's narrow values
+    /// while the preconditioner applies in the working precision. A
+    /// matrix-needing preconditioner there degrades to
     /// [`SolveError::UnsupportedCombination`] — a packed store cannot
     /// feed its SpMVs.
-    pub fn try_over_store(
-        a: &'a GpuStore<S>,
+    pub fn try_on(
+        a: Operator<'a, S>,
         precond: &'a dyn Preconditioner<S>,
         cfg: GmresConfig,
     ) -> Result<Self, SolveError> {
         cfg.validate()?;
         precond::check_dim(precond, a.n())?;
-        if precond.needs_matrix() {
+        if a.matrix().is_none() && precond.needs_matrix() {
             return Err(SolveError::UnsupportedCombination(format!(
                 "preconditioner '{}' needs the plain matrix, which a packed \
                  storage path ({} values) does not carry",
@@ -453,11 +367,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 a.tag(),
             )));
         }
-        Ok(BlockGmres {
-            a: Operand::Store(a),
-            precond,
-            cfg,
-        })
+        Ok(BlockGmres { a, precond, cfg })
     }
 
     /// One-lane solve over plain slices: `b` and the initial guess in
@@ -527,13 +437,13 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         let k = b.k();
         {
             let mut st = ctx.stream();
-            let ah = self.a.register(&mut st);
+            let ah = st.operator(self.a);
             let bh = st.block(b);
             let xh = st.block(x);
             let rh = st.block_mut(&mut ws.r);
             let nh = st.slice_mut(&mut ws.gammas);
             for l in 0..k {
-                rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
+                st.residual_as(KernelClass::SpMV, ah, bh.col(l), xh.col(l), rh.col_mut(l));
             }
             st.block_norm2_into(rh.read(), k, nh);
             st.sync();
@@ -564,13 +474,13 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         admit: &[usize],
     ) {
         let mut st = ctx.stream();
-        let ah = self.a.register(&mut st);
+        let ah = st.operator(self.a);
         let bh = st.block(b);
         let xh = st.block(x);
         let rh = st.block_mut(&mut ws.r);
         let nh = st.slice_mut(&mut ws.gammas);
         for &l in admit {
-            rec_residual(&mut st, ah, bh.col(l), xh.col(l), rh.col_mut(l));
+            st.residual_as(KernelClass::SpMV, ah, bh.col(l), xh.col(l), rh.col_mut(l));
             st.norm2_into(rh.col(l), nh.at(l));
         }
         st.sync();
@@ -959,7 +869,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 for (c, &l) in act.iter().enumerate() {
                     if let Some(nv) = lanes[l].v.as_native() {
                         self.precond
-                            .apply(ctx, self.a.plain_opt(), nv.col(j), ws.z.col_mut(c));
+                            .apply(ctx, self.a.matrix(), nv.col(j), ws.z.col_mut(c));
                     } else {
                         {
                             let mut st = Stream::eager(ctx);
@@ -967,7 +877,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                             st.basis_promote_col(vh, j, zh);
                         }
                         self.precond
-                            .apply(ctx, self.a.plain_opt(), &ws.zvec, ws.z.col_mut(c));
+                            .apply(ctx, self.a.matrix(), &ws.zvec, ws.z.col_mut(c));
                     }
                 }
             }
@@ -1044,7 +954,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             // and residual regions.
             for &(l, _) in &upds {
                 self.precond
-                    .apply(ctx, self.a.plain_opt(), ws.u.col(l), &mut ws.zvec);
+                    .apply(ctx, self.a.matrix(), ws.u.col(l), &mut ws.zvec);
                 add_update(ctx, &ws.zvec, x.col_mut(l));
             }
             let mut st = ctx.stream();
@@ -1100,7 +1010,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             gammas: st.slice_mut(&mut ws.gammas),
         });
         Regs {
-            a: self.a.register(st),
+            a: st.operator(self.a),
             z: st.block_mut(&mut ws.z),
             w: st.block_mut(&mut ws.w),
             lag: [st.slice(h1_prev), st.slice(h2_prev), st.slice(nr_prev)],
@@ -1139,7 +1049,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// `ncols - 1` over the act set: a chain through W.
     fn rec_cgs<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, act: &[usize], ncols: usize) {
         let vs: Vec<BasisRef<S>> = act.iter().map(|&l| h.basis(l).read()).collect();
-        rec_spmm(st, h.a, h.z.read(), act.len(), h.w);
+        st.spmm(h.a, h.z.read(), act.len(), h.w);
         st.block_gemv_t(&vs, ncols, h.w.read(), h.h1);
         st.block_gemv_n_sub(&vs, ncols, h.h1.read(), h.w);
         if self.cfg.ortho == OrthoMethod::Cgs2 {
@@ -1164,10 +1074,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     ) {
         {
             let mut st = Stream::eager(ctx);
-            let ah = self.a.register(&mut st);
+            let ah = st.operator(self.a);
             let zh = st.block(&ws.z);
             let wh = st.block_mut(&mut ws.w);
-            rec_spmm(&mut st, ah, zh, act.len(), wh);
+            st.spmm(ah, zh, act.len(), wh);
         }
         for (c, &l) in act.iter().enumerate() {
             // MGS reads columns through S-typed views, so it is
@@ -1197,7 +1107,8 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     fn rec_residuals<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, cycle: &[usize]) {
         let bar = h.barrier();
         for &l in cycle {
-            rec_residual(st, h.a, bar.b.col(l), bar.x.col(l), bar.r.col_mut(l));
+            let (b, x, r) = (bar.b.col(l), bar.x.col(l), bar.r.col_mut(l));
+            st.residual_as(KernelClass::SpMV, h.a, b, x, r);
             st.norm2_into(bar.r.col(l), bar.gammas.at(l));
         }
     }

@@ -168,6 +168,88 @@ impl<S: Scalar> GpuStore<S> {
     }
 }
 
+/// The system operator of a solve: the plain matrix in the working
+/// precision, or a (possibly low-precision) storage path prepared with
+/// [`GpuStore`]. Copy-cheap — both variants borrow. The solvers, the
+/// stream's matrix ops and the cost specs all take this one type; a
+/// plain matrix prices as a uniform store at `S`.
+#[derive(Clone, Copy, Debug)]
+pub enum Operator<'a, S> {
+    /// Plain CSR matrix in the working precision.
+    Matrix(&'a GpuMatrix<S>),
+    /// A (possibly low-precision) packed storage path.
+    Store(&'a GpuStore<S>),
+}
+
+impl<'a, S: Scalar> Operator<'a, S> {
+    /// Dimension (square systems).
+    pub fn n(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.n(),
+            Operator::Store(a) => a.n(),
+        }
+    }
+
+    /// Column count (equals [`Operator::n`] for square systems).
+    pub(crate) fn ncols(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.csr().ncols(),
+            Operator::Store(a) => a.store().ncols(),
+        }
+    }
+
+    /// Stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.nnz(),
+            Operator::Store(a) => a.nnz(),
+        }
+    }
+
+    /// Structural bandwidth in rows.
+    pub fn bandwidth(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.bandwidth(),
+            Operator::Store(a) => a.bandwidth(),
+        }
+    }
+
+    /// Bytes of the value stream as stored (`nnz * S::BYTES` for the
+    /// plain matrix).
+    pub fn value_bytes(&self) -> usize {
+        match self {
+            Operator::Matrix(a) => a.nnz() * S::BYTES,
+            Operator::Store(a) => a.value_bytes(),
+        }
+    }
+
+    /// The storage-precision tag (uniform at `S` for the plain matrix).
+    pub fn tag(&self) -> PrecisionTag {
+        match self {
+            Operator::Matrix(_) => PrecisionTag::Uniform(S::PRECISION),
+            Operator::Store(a) => a.tag(),
+        }
+    }
+
+    /// The plain matrix, for the preconditioner interface: `None` on a
+    /// storage path, which does not carry it.
+    pub fn matrix(&self) -> Option<&'a GpuMatrix<S>> {
+        match *self {
+            Operator::Matrix(a) => Some(a),
+            Operator::Store(_) => None,
+        }
+    }
+
+    /// Stable identity of the borrowed operand (groups service requests
+    /// that share a matrix).
+    pub(crate) fn addr(&self) -> usize {
+        match *self {
+            Operator::Matrix(a) => a as *const GpuMatrix<S> as usize,
+            Operator::Store(a) => a as *const GpuStore<S> as usize,
+        }
+    }
+}
+
 /// Reused per-region recording state: the region's op graph (spans
 /// and finish times of the overlap timeline). Lives on the context (not
 /// the stream) so it keeps its capacity across regions; it is cleared
@@ -283,14 +365,6 @@ impl GpuContext {
         self.profiler.total_seconds()
     }
 
-    /// Mark an admission-epoch boundary on the profiler timeline (see
-    /// [`mpgmres_gpusim::EpochMark`]); the serving engine calls this at
-    /// every admission barrier so per-epoch cost attribution stays
-    /// exact across epochs that share cycles.
-    pub fn mark_epoch(&mut self) {
-        self.profiler.mark_epoch();
-    }
-
     /// Reset the profile (e.g. to exclude preconditioner setup, as the
     /// paper's solve times do).
     pub fn reset_profile(&mut self) {
@@ -355,45 +429,37 @@ impl GpuContext {
     // ----- cost specs -------------------------------------------------
     //
     // One function per kernel shape computing (simulated seconds, modeled
-    // bytes). Every `Stream` op prices through these.
+    // bytes). Every `Stream` op prices through these. The matrix shapes
+    // price every operator through the store traffic model; a plain
+    // matrix is a uniform store at `S`, for which that model reduces
+    // bit-for-bit to the uniform one whenever nnz > 0.
 
-    pub(crate) fn spmv_spec<S: Scalar>(&self, a: &GpuMatrix<S>) -> (f64, usize) {
-        let t = cost::spmv_time(&self.device, a.n(), a.nnz(), a.bandwidth(), S::PRECISION);
-        let bytes = mpgmres_gpusim::analytic::spmv_traffic_bytes(
+    /// Modeled bytes of one `y = A x` over `a` (the store traffic rule).
+    fn op_traffic<S: Scalar>(&self, a: Operator<'_, S>) -> usize {
+        analytic::store_spmv_traffic_bytes(
             &self.device,
             a.n(),
             a.nnz(),
+            a.value_bytes(),
             a.bandwidth(),
+            S::PRECISION,
+        )
+    }
+
+    pub(crate) fn spmv_spec<S: Scalar>(&self, a: Operator<'_, S>) -> (f64, usize) {
+        let t = cost::store_spmv_time(
+            &self.device,
+            a.n(),
+            a.nnz(),
+            a.value_bytes(),
+            a.bandwidth(),
+            a.tag().dominant(),
             S::PRECISION,
         );
-        (t, bytes)
+        (t, self.op_traffic(a))
     }
 
-    pub(crate) fn residual_spec<S: Scalar>(&self, a: &GpuMatrix<S>) -> (f64, usize) {
-        let t = cost::residual_time(&self.device, a.n(), a.nnz(), a.bandwidth(), S::PRECISION);
-        let bytes = mpgmres_gpusim::analytic::spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.bandwidth(),
-            S::PRECISION,
-        ) + a.n() * S::BYTES;
-        (t, bytes)
-    }
-
-    pub(crate) fn spmm_spec<S: Scalar>(&self, a: &GpuMatrix<S>, k: usize) -> (f64, usize) {
-        let t = cost::spmm_time(&self.device, a.n(), a.nnz(), a.bandwidth(), k, S::PRECISION);
-        let bytes = mpgmres_gpusim::analytic::spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.bandwidth(),
-            S::PRECISION,
-        ) + (k - 1) * 2 * a.n() * S::BYTES;
-        (t, bytes)
-    }
-
-    pub(crate) fn store_residual_spec<S: Scalar>(&self, a: &GpuStore<S>) -> (f64, usize) {
+    pub(crate) fn residual_spec<S: Scalar>(&self, a: Operator<'_, S>) -> (f64, usize) {
         let t = cost::store_residual_time(
             &self.device,
             a.n(),
@@ -403,18 +469,10 @@ impl GpuContext {
             a.tag().dominant(),
             S::PRECISION,
         );
-        let bytes = mpgmres_gpusim::analytic::store_spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            S::PRECISION,
-        ) + a.n() * S::BYTES;
-        (t, bytes)
+        (t, self.op_traffic(a) + a.n() * S::BYTES)
     }
 
-    pub(crate) fn store_spmm_spec<S: Scalar>(&self, a: &GpuStore<S>, k: usize) -> (f64, usize) {
+    pub(crate) fn spmm_spec<S: Scalar>(&self, a: Operator<'_, S>, k: usize) -> (f64, usize) {
         let t = cost::store_spmm_time(
             &self.device,
             a.n(),
@@ -425,15 +483,7 @@ impl GpuContext {
             a.tag().dominant(),
             S::PRECISION,
         );
-        let bytes = mpgmres_gpusim::analytic::store_spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            S::PRECISION,
-        ) + (k - 1) * 2 * a.n() * S::BYTES;
-        (t, bytes)
+        (t, self.op_traffic(a) + (k - 1) * 2 * a.n() * S::BYTES)
     }
 
     /// Batched dense triangular solves of block Jacobi: `n / bs` blocks
@@ -685,32 +735,115 @@ mod tests {
         assert_eq!(a32.nnz(), a.nnz());
     }
 
-    #[test]
-    fn plain_store_prices_and_computes_like_the_matrix() {
-        let a = small_matrix();
-        let s = GpuStore::plain_of(&a);
-        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        assert_eq!(
-            ctx.store_residual_spec::<f64>(&s),
-            ctx.residual_spec::<f64>(&a)
-        );
-        assert_eq!(
-            ctx.store_spmm_spec::<f64>(&s, 3),
-            ctx.spmm_spec::<f64>(&a, 3)
-        );
-        let x = MultiVec::from_columns(&[&[1.0, 2.0, 3.0][..]]);
-        let mut y = MultiVec::<f64>::zeros(3, 1);
-        {
-            let mut st = crate::Stream::eager(&mut ctx);
-            let (sh, xh, yh) = (st.store(&s), st.block(&x), st.block_mut(&mut y));
-            st.store_spmm(sh, xh, 1, yh);
+    /// A 5x5 operator whose values no narrower precision holds exactly,
+    /// spanning the split threshold used below.
+    fn inexact_matrix() -> GpuMatrix<f64> {
+        let mut coo = mpgmres_la::coo::Coo::new(5, 5);
+        for i in 0..5 {
+            coo.push(i, i, 4.0 + 1.0 / (3.0 + i as f64));
+            if i > 0 {
+                coo.push(i, i - 1, -0.1 * (i as f64) - 1e-3 / 7.0);
+            }
+            if i + 2 < 5 {
+                coo.push(i, i + 2, 0.7 / 9.0);
+            }
         }
-        assert_eq!(y.col(0), [0.0, 0.0, 4.0]);
-        // A shadow store shrinks the value stream and changes the key tag.
-        let sh = GpuStore::shadow_of(&a, Precision::Fp32);
-        assert!(sh.value_bytes() < s.value_bytes());
-        assert_ne!(sh.tag().code(), s.tag().code());
-        assert!(ctx.store_residual_spec::<f64>(&sh).0 < ctx.store_residual_spec::<f64>(&s).0);
+        GpuMatrix::new(coo.into_csr())
+    }
+
+    /// The matrix ops a stream records over an operator.
+    #[derive(Clone, Copy, Debug)]
+    enum MatOp {
+        Spmv,
+        Residual,
+        Spmm(usize),
+    }
+
+    const MAT_OPS: [MatOp; 4] = [MatOp::Spmv, MatOp::Residual, MatOp::Spmm(1), MatOp::Spmm(3)];
+
+    /// Three input columns of length `n`: `x` is column 0 (the SpMM
+    /// reads its leading `k`), `b` is column 2.
+    fn op_inputs(n: usize) -> MultiVec<f64> {
+        let cols: Vec<Vec<f64>> = (0..3)
+            .map(|c| (0..n).map(|i| 0.3 + (i * (c + 2)) as f64 / 11.0).collect())
+            .collect();
+        MultiVec::from_columns(&[&cols[0][..], &cols[1][..], &cols[2][..]])
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|e| e.to_bits()).collect()
+    }
+
+    /// Record `op` over `a` in one region of a fresh context: the
+    /// output bits (column-major for SpMM) and the op's charge as
+    /// (seconds bits, bytes, calls).
+    fn record_op(a: Operator<'_, f64>, op: MatOp) -> (Vec<u64>, (u64, u64, u64)) {
+        let n = a.n();
+        let x = op_inputs(n);
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let mut y = MultiVec::<f64>::zeros(n, 3);
+        {
+            let mut st = ctx.stream();
+            let (ah, xh, yh) = (st.operator(a), st.block(&x), st.block_mut(&mut y));
+            match op {
+                MatOp::Spmv => st.spmv(ah, xh.col(0), yh.col_mut(0)),
+                MatOp::Residual => {
+                    st.residual_as(KernelClass::SpMV, ah, xh.col(2), xh.col(0), yh.col_mut(0))
+                }
+                MatOp::Spmm(k) => st.spmm(ah, xh, k, yh),
+            }
+            st.sync();
+        }
+        let c = ctx.profiler().class_stats(KernelClass::SpMV);
+        (bits(y.data()), (c.seconds.to_bits(), c.bytes, c.calls))
+    }
+
+    /// `op` called directly on the store's own kernel, laid out like
+    /// [`record_op`]'s output.
+    fn direct_op(m: &MatrixStore<f64>, op: MatOp) -> Vec<u64> {
+        let x = op_inputs(m.nrows());
+        let mut y = MultiVec::<f64>::zeros(m.nrows(), 3);
+        match op {
+            MatOp::Spmv => m.spmv(x.col(0), y.col_mut(0)),
+            MatOp::Residual => m.residual(x.col(2), x.col(0), y.col_mut(0)),
+            MatOp::Spmm(k) => m.spmm(&x, k, &mut y),
+        }
+        bits(y.data())
+    }
+
+    /// Both operator kinds run through the same recorded stream ops: a
+    /// plain matrix and its plain store charge the same seconds, bytes
+    /// and calls and compute the same bits, and every narrow storage
+    /// path computes exactly what its `MatrixStore` kernel does.
+    #[test]
+    fn both_operator_kinds_record_through_the_same_ops() {
+        let a = inexact_matrix();
+        let plain = GpuStore::plain_of(&a);
+        for op in MAT_OPS {
+            let (ya, ca) = record_op(Operator::Matrix(&a), op);
+            let (ys, cs) = record_op(Operator::Store(&plain), op);
+            assert_eq!(ya, ys, "{op:?}: plain store computes like the matrix");
+            assert_eq!(ca, cs, "{op:?}: plain store charges like the matrix");
+            assert_eq!(ca.2, 1, "{op:?}: one call");
+        }
+        let paths = [
+            GpuStore::shadow_of(&a, Precision::Fp32),
+            GpuStore::shadow_of(&a, Precision::Fp16),
+            GpuStore::split_of(&a, 0.5),
+        ];
+        assert!(matches!(paths[2].store(), MatrixStore::Split(_)));
+        for s in &paths {
+            for op in MAT_OPS {
+                let (y, c) = record_op(Operator::Store(s), op);
+                assert_eq!(y, direct_op(s.store(), op), "{} {op:?}: bits", s.tag());
+                // A narrow value stream is cheaper than the plain one.
+                let (_, cp) = record_op(Operator::Store(&plain), op);
+                assert!(c.1 < cp.1, "{} {op:?}: bytes {} !< {}", s.tag(), c.1, cp.1);
+                assert!(f64::from_bits(c.0) < f64::from_bits(cp.0));
+            }
+            assert!(s.value_bytes() < plain.value_bytes());
+            assert_ne!(s.tag().code(), plain.tag().code());
+        }
     }
 
     #[test]

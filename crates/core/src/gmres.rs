@@ -129,7 +129,8 @@ mod tests {
         assert_eq!(Gmres::try_new(&a, &bj, cfg).err(), want);
         assert_eq!(BlockGmres::try_new(&a, &bj, cfg).err(), want);
         let store = crate::GpuStore::shadow_of(&a, mpgmres_scalar::Precision::Fp32);
-        assert_eq!(BlockGmres::try_over_store(&store, &bj, cfg).err(), want);
+        let op = crate::Operator::Store(&store);
+        assert_eq!(BlockGmres::try_on(op, &bj, cfg).err(), want);
     }
 
     #[test]

@@ -220,20 +220,25 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
                 ..GmresConfig::inner_cycle(cfg.m)
             },
         };
-        // Vet the cycle's configuration, preconditioner dimension and (a
-        // packed operand takes matrix-free preconditioners only) store.
-        let store = GpuStore::for_path(&a_lo, cfg.store);
-        match &store {
-            None => BlockGmres::try_new(&a_lo, precond, gmres).map(drop)?,
-            Some(s) => BlockGmres::try_over_store(s, precond, gmres).map(drop)?,
-        }
-        Ok(Refine {
+        let rung = Refine {
+            store: GpuStore::for_path(&a_lo, cfg.store),
             a_lo,
-            store,
             inner: Inner::Cycle { precond, gmres },
             cfg,
             stall_ratio: 1.0,
-        })
+        };
+        // Vet the cycle's configuration, preconditioner dimension and (a
+        // packed operand takes matrix-free preconditioners only) store.
+        BlockGmres::try_on(rung.operator(), precond, gmres)?;
+        Ok(rung)
+    }
+
+    /// The inner cycle's operator: the store a storage path packed, or
+    /// the `Lo` matrix copy itself.
+    fn operator(&self) -> Operator<'_, Lo> {
+        self.store
+            .as_ref()
+            .map_or(Operator::Matrix(&self.a_lo), Operator::Store)
     }
 
     /// The inner solve of one step: `A_lo u = r` from `u = 0`.
@@ -243,11 +248,10 @@ impl<'a, Lo: BackendScalar> Refine<'a, Lo> {
         r: &MultiVec<Lo>,
         u: &mut MultiVec<Lo>,
     ) -> SolveResult {
-        let gmres = match (&self.inner, &self.store) {
-            (Inner::Nested(mid), _) => return mid.refine(ctx, &self.a_lo, r.col(0), u.col_mut(0)),
-            (&Inner::Cycle { precond, gmres }, None) => BlockGmres::new(&self.a_lo, precond, gmres),
-            (&Inner::Cycle { precond, gmres }, Some(s)) => {
-                BlockGmres::try_over_store(s, precond, gmres).expect("vetted by over_cycle")
+        let gmres = match self.inner {
+            Inner::Nested(ref mid) => return mid.refine(ctx, &self.a_lo, r.col(0), u.col_mut(0)),
+            Inner::Cycle { precond, gmres } => {
+                BlockGmres::try_on(self.operator(), precond, gmres).expect("vetted by over_cycle")
             }
         };
         gmres.solve(ctx, r, u).pop().expect("one inner lane")

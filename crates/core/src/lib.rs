@@ -70,7 +70,7 @@ pub mod stream;
 
 pub use block_gmres::BlockGmres;
 pub use config::{BasisPolicy, GmresConfig, IrConfig, OrthoMethod, SchedulerPolicy, StorePath};
-pub use context::{GpuContext, GpuMatrix, GpuStore};
+pub use context::{GpuContext, GpuMatrix, GpuStore, Operator};
 pub use fd::{FdConfig, FdResult, GmresFd};
 pub use gmres::Gmres;
 pub use ir::GmresIr;
@@ -82,7 +82,7 @@ pub use mpgmres_la::multivec::MultiVec;
 pub use mpgmres_la::store::MatrixStore;
 pub use mpgmres_scalar::{Precision, PrecisionTag};
 pub use service::{
-    Degradation, Disposition, Operator, Qos, RequestId, ServiceConfig, ServiceStats, SolveError,
+    Degradation, Disposition, Qos, RequestId, ServiceConfig, ServiceStats, SolveError,
     SolveOutcome, SolveRequest, Solver, SolverService,
 };
 pub use status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};

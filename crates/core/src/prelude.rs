@@ -22,11 +22,11 @@
 pub use crate::config::{
     BasisPolicy, GmresConfig, IrConfig, OrthoMethod, SchedulerPolicy, StorePath,
 };
-pub use crate::context::{GpuContext, GpuMatrix, GpuStore};
+pub use crate::context::{GpuContext, GpuMatrix, GpuStore, Operator};
 pub use crate::fd::{FdConfig, FdResult, GmresFd};
 pub use crate::precond::{Identity, Preconditioner};
 pub use crate::service::{
-    Degradation, Disposition, Operator, Qos, RequestId, ServiceConfig, ServiceStats, SolveError,
+    Degradation, Disposition, Qos, RequestId, ServiceConfig, ServiceStats, SolveError,
     SolveOutcome, SolveRequest, Solver, SolverService,
 };
 pub use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};

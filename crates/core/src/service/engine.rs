@@ -154,9 +154,6 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
             self.b.col_mut(slot).copy_from_slice(&q.rhs);
             self.x.col_mut(slot).copy_from_slice(&q.x0);
         }
-        // Epoch boundary: everything charged before this mark belongs
-        // to earlier admissions.
-        ctx.mark_epoch();
         self.solver
             .admit_lanes(ctx, &self.b, &self.x, &mut self.ws, admit);
         let now = ctx.elapsed();

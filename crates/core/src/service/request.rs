@@ -9,56 +9,9 @@
 use mpgmres_backend::BackendScalar;
 
 use crate::config::{GmresConfig, StorePath};
-use crate::context::{GpuContext, GpuMatrix, GpuStore};
+use crate::context::{GpuContext, Operator};
 use crate::precond::{Identity, Preconditioner};
 use crate::status::SolveResult;
-
-/// The operand of a solve: either the plain matrix in the working
-/// precision, or a packed low-precision storage path prepared with
-/// [`GpuStore`]. Copy-cheap — both variants borrow.
-#[derive(Clone, Copy)]
-pub enum Operator<'a, S> {
-    /// Plain CSR matrix in the working precision.
-    Matrix(&'a GpuMatrix<S>),
-    /// A (possibly low-precision) packed storage path.
-    Store(&'a GpuStore<S>),
-}
-
-impl<'a, S: BackendScalar> Operator<'a, S> {
-    /// Dimension (square systems).
-    pub fn n(&self) -> usize {
-        match self {
-            Operator::Matrix(a) => a.n(),
-            Operator::Store(a) => a.n(),
-        }
-    }
-
-    /// Column count (equals [`Operator::n`] for the square systems
-    /// `validate` admits).
-    fn ncols(&self) -> usize {
-        match self {
-            Operator::Matrix(a) => a.csr().ncols(),
-            Operator::Store(a) => a.store().ncols(),
-        }
-    }
-
-    /// Storage-precision tag code (0 for the plain matrix).
-    pub(crate) fn tag_code(&self) -> u8 {
-        match self {
-            Operator::Matrix(_) => 0,
-            Operator::Store(a) => a.tag().code(),
-        }
-    }
-
-    /// Stable identity of the borrowed operand (groups service requests
-    /// that share a matrix).
-    pub(crate) fn addr(&self) -> usize {
-        match self {
-            Operator::Matrix(a) => *a as *const GpuMatrix<S> as usize,
-            Operator::Store(a) => *a as *const GpuStore<S> as usize,
-        }
-    }
-}
 
 /// Per-request quality-of-service contract, carried on
 /// [`SolveRequest`] and interpreted by the service scheduler only —
@@ -96,8 +49,8 @@ pub struct Qos {
 /// tests) can reconstruct the *final* configuration the solve ran at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Degradation {
-    /// Matrix values re-routed to a registered fp32 [`GpuStore`]
-    /// operand (same basis, same config).
+    /// Matrix values re-routed to a registered fp32
+    /// [`GpuStore`](crate::GpuStore) operand (same basis, same config).
     Fp32Store,
     /// Krylov basis re-routed to fp32 compressed storage (config's
     /// basis policy swapped, loss-of-accuracy factor raised).
@@ -191,7 +144,7 @@ pub struct SolveRequest<'a, 'r, S> {
     /// Right preconditioner (identity by default).
     pub precond: &'a dyn Preconditioner<S>,
     /// Tenant tag: requests from different tenants never share lane
-    /// groups or cached op graphs in the service.
+    /// groups in the service.
     pub tenant: u32,
     /// Quality-of-service contract (priority, deadline, degradability)
     /// — scheduling only, never arithmetic.
@@ -553,6 +506,7 @@ impl std::error::Error for SolveError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{GpuMatrix, GpuStore};
     use crate::precond::block_jacobi::BlockJacobi;
     use mpgmres_la::coo::Coo;
     use mpgmres_scalar::Precision;

@@ -19,8 +19,12 @@
 //! the pointer(s) and length its registration took. Ids count
 //! registrations from 0 when the region opens; they name buffers in the
 //! op spans of [`mpgmres_backend::stream`] and nothing else. The system
-//! matrix, a storage-path matrix and block LU factors are read-only for
-//! the whole region, so their handles hold a plain `&'c` reference. Every
+//! operator and block LU factors are read-only for the whole region, so
+//! their handles hold plain `&'c` references. The operator is one
+//! [`Operator`]: a plain matrix or a storage-path matrix register
+//! through [`Stream::operator`] into the same [`MatRef`], and each
+//! matrix op ([`Stream::spmv`], [`Stream::residual_as`],
+//! [`Stream::spmm`]) prices either kind through one cost spec. Every
 //! other handle holds raw pointers, taken once at registration from a
 //! borrow the stream keeps for its lifetime `'c`, and only the launch
 //! closures of the record methods turn them into references. The
@@ -84,11 +88,13 @@ use mpgmres_backend::stream::Span;
 use mpgmres_backend::{Backend, BackendScalar};
 use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
+use mpgmres_la::csr::Csr;
 use mpgmres_la::dense::BlockLu;
 use mpgmres_la::multivec::MultiVec;
+use mpgmres_la::store::MatrixStore;
 use mpgmres_scalar::{Precision, Scalar};
 
-use crate::context::{GpuContext, GpuMatrix, GpuStore};
+use crate::context::{GpuContext, GpuMatrix, Operator};
 
 /// Region ids. Kept only for the standalone `perfbench/` benchmark,
 /// which still names its region through [`RegionKey`].
@@ -143,10 +149,30 @@ pub struct StreamStats {
 // registration shares its provenance. Their `unsafe` accessors are
 // called only from launch closures (see the module docs).
 
-/// Handle of a registered [`GpuMatrix`].
+/// Handle of a registered system [`Operator`]: a plain [`GpuMatrix`]
+/// or a [`GpuStore`](crate::GpuStore) (a matrix in a possibly
+/// low-precision storage path). The matrix ops price either kind through
+/// one cost spec; the launch runs the plain matrix's CSR kernel or the
+/// store's kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct MatRef<'c, S> {
-    a: &'c GpuMatrix<S>,
+    a: Operator<'c, S>,
+}
+
+impl<'c, S: BackendScalar> MatRef<'c, S> {
+    /// `(rows, cols)` of the operator, for the shape checks.
+    fn shape(self) -> (usize, usize) {
+        (self.a.n(), self.a.ncols())
+    }
+
+    /// Run the backend call of this operator's kind: `plain` on the
+    /// matrix's CSR, `store` on the store's values.
+    fn launch(self, plain: impl FnOnce(&Csr<S>), store: impl FnOnce(&MatrixStore<S>)) {
+        match self.a {
+            Operator::Matrix(a) => plain(a.csr()),
+            Operator::Store(a) => store(a.store()),
+        }
+    }
 }
 
 /// Handle of registered block-diagonal LU factors ([`BlockLu`], block
@@ -154,13 +180,6 @@ pub struct MatRef<'c, S> {
 #[derive(Clone, Copy, Debug)]
 pub struct LuRef<'c, S> {
     f: &'c BlockLu<S>,
-}
-
-/// Handle of a registered [`GpuStore`] (a matrix in a possibly
-/// low-precision storage path).
-#[derive(Clone, Copy, Debug)]
-pub struct StoreRef<'c, S> {
-    a: &'c GpuStore<S>,
 }
 
 /// Handle of a registered Krylov basis ([`BasisStore`]): native
@@ -559,6 +578,11 @@ impl<'c> Stream<'c> {
 
     /// Register the system matrix (read-only).
     pub fn matrix<S: Scalar>(&mut self, a: &'c GpuMatrix<S>) -> MatRef<'c, S> {
+        self.operator(Operator::Matrix(a))
+    }
+
+    /// Register a system operator of either kind (read-only).
+    pub fn operator<S: Scalar>(&mut self, a: Operator<'c, S>) -> MatRef<'c, S> {
         self.next_id();
         MatRef { a }
     }
@@ -567,12 +591,6 @@ impl<'c> Stream<'c> {
     pub fn block_lu<S: Scalar>(&mut self, f: &'c BlockLu<S>) -> LuRef<'c, S> {
         self.next_id();
         LuRef { f }
-    }
-
-    /// Register a storage-path system matrix (read-only).
-    pub fn store<S: Scalar>(&mut self, a: &'c GpuStore<S>) -> StoreRef<'c, S> {
-        self.next_id();
-        StoreRef { a }
     }
 
     /// Register a Krylov basis store (read-only). Native stores are read
@@ -815,14 +833,19 @@ impl<'c> Stream<'c> {
         x: ArgSlice<'c, S>,
         y: ArgSliceMut<'c, S>,
     ) {
-        let am = a.a;
-        Self::assert_matvec("spmv", (am.n(), am.csr().ncols()), x.len, y.len);
+        Self::assert_matvec("spmv", a.shape(), x.len, y.len);
         Self::assert_noalias("spmv", &[x.span()], &[y.span()]);
-        let (t, bytes) = self.ctx.spmv_spec::<S>(am);
+        let (t, bytes) = self.ctx.spmv_spec::<S>(a.a);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("spmv", &[x.span()], &[y.span()], charge, |b| {
+            let be = S::view(b);
             // SAFETY: stream contract (module docs).
-            unsafe { S::view(b).spmv(am.csr(), x.get(), y.get_mut()) }
+            unsafe {
+                a.launch(
+                    |m| be.spmv(m, x.get(), y.get_mut()),
+                    |m| be.store_spmv(m, x.get(), y.get_mut()),
+                )
+            }
         });
     }
 
@@ -855,41 +878,22 @@ impl<'c> Stream<'c> {
         x: ArgSlice<'c, S>,
         r: ArgSliceMut<'c, S>,
     ) {
-        let am = a.a;
-        Self::assert_matvec("residual", (am.n(), am.csr().ncols()), x.len, r.len);
-        assert_eq!(b.len as usize, am.n(), "stream residual: b length");
+        let shape = a.shape();
+        Self::assert_matvec("residual", shape, x.len, r.len);
+        assert_eq!(b.len as usize, shape.0, "stream residual: b length");
         let reads = [b.span(), x.span()];
         Self::assert_noalias("residual", &reads, &[r.span()]);
-        let (t, bytes) = self.ctx.residual_spec::<S>(am);
+        let (t, bytes) = self.ctx.residual_spec::<S>(a.a);
         let charge = Some((class, t, bytes));
         self.record("residual", &reads, &[r.span()], charge, |be| {
+            let be = S::view(be);
             // SAFETY: stream contract (module docs).
-            unsafe { S::view(be).residual(am.csr(), b.get(), x.get(), r.get_mut()) }
-        });
-    }
-
-    /// Record the storage-path fused residual `r = b - A x`, charged to
-    /// `class` with the store's own traffic model (low-precision value
-    /// stream, working-precision vectors).
-    pub fn store_residual_as<S: BackendScalar>(
-        &mut self,
-        class: KernelClass,
-        a: StoreRef<'c, S>,
-        b: ArgSlice<'c, S>,
-        x: ArgSlice<'c, S>,
-        r: ArgSliceMut<'c, S>,
-    ) {
-        let am = a.a;
-        let shape = (am.n(), am.store().ncols());
-        Self::assert_matvec("store_residual", shape, x.len, r.len);
-        assert_eq!(b.len as usize, am.n(), "stream store_residual: b length");
-        let reads = [b.span(), x.span()];
-        Self::assert_noalias("store_residual", &reads, &[r.span()]);
-        let (t, bytes) = self.ctx.store_residual_spec::<S>(am);
-        let charge = Some((class, t, bytes));
-        self.record("store_residual", &reads, &[r.span()], charge, |be| {
-            // SAFETY: stream contract (module docs).
-            unsafe { S::view(be).store_residual(am.store(), b.get(), x.get(), r.get_mut()) }
+            unsafe {
+                a.launch(
+                    |m| be.residual(m, b.get(), x.get(), r.get_mut()),
+                    |m| be.store_residual(m, b.get(), x.get(), r.get_mut()),
+                )
+            }
         });
     }
 
@@ -1296,40 +1300,22 @@ impl<'c> Stream<'c> {
         k: usize,
         y: BlockMut<'c, S>,
     ) {
-        let am = a.a;
         let kk = u32::try_from(k).expect("block width");
-        Self::assert_matmat("spmm", (am.n(), am.csr().ncols()), x, kk, y);
+        Self::assert_matmat("spmm", a.shape(), x, kk, y);
         let (reads, writes) = ([Span::whole(x.id)], [Span::whole(y.id)]);
         Self::assert_noalias("spmm", &reads, &writes);
-        let (t, bytes) = self.ctx.spmm_spec::<S>(am, k);
+        let (t, bytes) = self.ctx.spmm_spec::<S>(a.a, k);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("spmm", &reads, &writes, charge, |b| {
+            let be = S::view(b);
             // SAFETY: stream contract (module docs); the write span
             // covers all of y.
-            unsafe { S::view(b).spmm(am.csr(), x.get(), k, y.get_mut()) }
-        });
-    }
-
-    /// Record the storage-path batched SpMM `Y[:, ..k] = A X[:, ..k]`,
-    /// charged with the store's traffic model.
-    pub fn store_spmm<S: BackendScalar>(
-        &mut self,
-        a: StoreRef<'c, S>,
-        x: BlockRef<'c, S>,
-        k: usize,
-        y: BlockMut<'c, S>,
-    ) {
-        let am = a.a;
-        let kk = u32::try_from(k).expect("block width");
-        let shape = (am.n(), am.store().ncols());
-        Self::assert_matmat("store_spmm", shape, x, kk, y);
-        let (reads, writes) = ([Span::whole(x.id)], [Span::whole(y.id)]);
-        Self::assert_noalias("store_spmm", &reads, &writes);
-        let (t, bytes) = self.ctx.store_spmm_spec::<S>(am, k);
-        let charge = Some((KernelClass::SpMV, t, bytes));
-        self.record("store_spmm", &reads, &writes, charge, |b| {
-            // SAFETY: as in `Stream::spmm`.
-            unsafe { S::view(b).store_spmm(am.store(), x.get(), k, y.get_mut()) }
+            unsafe {
+                a.launch(
+                    |m| be.spmm(m, x.get(), k, y.get_mut()),
+                    |m| be.store_spmm(m, x.get(), k, y.get_mut()),
+                )
+            }
         });
     }
 
@@ -1753,38 +1739,47 @@ mod tests {
         st.spmv(ah, xh, yh);
     }
 
+    /// The message `f` panics with (it must panic).
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the op must panic");
+        (err.downcast_ref::<String>().cloned())
+            .or_else(|| err.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Both operator kinds over `a`: the plain matrix and its plain store.
+    fn both_kinds(a: &GpuMatrix<f64>, check: impl Fn(Operator<'_, f64>)) {
+        let s = crate::GpuStore::plain_of(a);
+        check(Operator::Matrix(a));
+        check(Operator::Store(&s));
+    }
+
     #[test]
-    #[should_panic(expected = "stream residual: x has length 3 but A has 2 columns")]
     fn residual_shape_mismatch_panics() {
-        let a = tall_matrix();
-        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
-        let mut r = [0.0f64; 3];
-        let mut st = Stream::eager(&mut ctx);
-        let (ah, bh, xh) = (st.matrix(&a), st.slice(&b), st.slice(&x));
-        let rh = st.slice_mut(&mut r);
-        st.residual_as(KernelClass::SpMV, ah, bh, xh, rh);
+        both_kinds(&tall_matrix(), |op| {
+            let msg = panic_message(|| {
+                let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+                let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
+                let mut r = [0.0f64; 3];
+                let mut st = Stream::eager(&mut ctx);
+                let (ah, bh, xh) = (st.operator(op), st.slice(&b), st.slice(&x));
+                let rh = st.slice_mut(&mut r);
+                st.residual_as(KernelClass::SpMV, ah, bh, xh, rh);
+            });
+            assert!(
+                msg.contains("stream residual: x has length 3 but A has 2 columns"),
+                "{msg}"
+            );
+        });
     }
 
-    #[test]
-    #[should_panic(expected = "stream store_residual: x has length 3 but A has 2 columns")]
-    fn store_residual_shape_mismatch_panics() {
-        let a = GpuStore::plain_of(&tall_matrix());
-        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        let (b, x) = ([1.0f64; 3], [1.0f64; 3]);
-        let mut r = [0.0f64; 3];
-        let mut st = ctx.stream();
-        let (ah, bh, xh) = (st.store(&a), st.slice(&b), st.slice(&x));
-        let rh = st.slice_mut(&mut r);
-        st.store_residual_as(KernelClass::SpMV, ah, bh, xh, rh);
-    }
-
-    fn spmm_with_width(a: &GpuMatrix<f64>, xn: usize, k: usize) {
+    fn spmm_with_width(a: Operator<'_, f64>, xn: usize, k: usize) {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
         let x = MultiVec::<f64>::zeros(xn, 2);
         let mut y = MultiVec::<f64>::zeros(a.n(), 2);
         let mut st = ctx.stream();
-        let ah = st.matrix(a);
+        let ah = st.operator(a);
         let xh = st.block(&x);
         let yh = st.block_mut(&mut y);
         st.spmm(ah, xh, k, yh);
@@ -1793,33 +1788,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream spmm: empty block (k = 0)")]
     fn spmm_zero_width_panics() {
-        spmm_with_width(&small_matrix(), 3, 0);
+        spmm_with_width(Operator::Matrix(&small_matrix()), 3, 0);
     }
 
     #[test]
     #[should_panic(expected = "stream spmm: 3 columns requested but X has 2 and Y has 2")]
     fn spmm_column_overflow_panics() {
-        spmm_with_width(&small_matrix(), 3, 3);
+        spmm_with_width(Operator::Matrix(&small_matrix()), 3, 3);
     }
 
     #[test]
-    #[should_panic(expected = "stream spmm: X has 3 rows but A has 2 columns")]
     fn spmm_row_mismatch_panics() {
-        spmm_with_width(&tall_matrix(), 3, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "stream store_spmm: X has 3 rows but A has 2 columns")]
-    fn store_spmm_row_mismatch_panics() {
-        let a = GpuStore::plain_of(&tall_matrix());
-        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
-        let x = MultiVec::<f64>::zeros(3, 1);
-        let mut y = MultiVec::<f64>::zeros(3, 1);
-        let mut st = ctx.stream();
-        let ah = st.store(&a);
-        let xh = st.block(&x);
-        let yh = st.block_mut(&mut y);
-        st.store_spmm(ah, xh, 1, yh);
+        both_kinds(&tall_matrix(), |op| {
+            let msg = panic_message(|| spmm_with_width(op, 3, 1));
+            assert!(
+                msg.contains("stream spmm: X has 3 rows but A has 2 columns"),
+                "{msg}"
+            );
+        });
     }
 
     #[test]

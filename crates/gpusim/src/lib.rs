@@ -30,4 +30,4 @@ pub mod profiler;
 
 pub use device::DeviceModel;
 pub use kernel::{KernelClass, PaperCategory};
-pub use profiler::{EpochMark, KernelStats, Profiler, TimingReport};
+pub use profiler::{KernelStats, Profiler, TimingReport};

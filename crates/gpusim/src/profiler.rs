@@ -42,27 +42,12 @@ pub struct KernelStats {
     pub hidden: f64,
 }
 
-/// Timeline position of one admission-epoch boundary: where the serial
-/// and overlap-aware clocks stood when the serving engine admitted a
-/// new batch of lanes. The gap between consecutive marks is the cost of
-/// one epoch — charged work is never attributed across a mark, so
-/// per-epoch accounting stays exact even though lanes from different
-/// epochs share cycles.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
-pub struct EpochMark {
-    /// Serial total at the mark ([`Profiler::total_seconds`]).
-    pub serial_seconds: f64,
-    /// Overlap-aware makespan at the mark ([`Profiler::critical_seconds`]).
-    pub critical_seconds: f64,
-}
-
 /// Accumulates simulated kernel time for one solver run.
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     by_class: Vec<(KernelClass, KernelStats)>,
     total: f64,
     critical: f64,
-    epochs: Vec<EpochMark>,
 }
 
 impl Profiler {
@@ -72,25 +57,7 @@ impl Profiler {
             by_class: Vec::new(),
             total: 0.0,
             critical: 0.0,
-            epochs: Vec::new(),
         }
-    }
-
-    /// Record an admission-epoch boundary at the current timeline
-    /// position (both clocks).
-    pub fn mark_epoch(&mut self) {
-        self.epochs.push(EpochMark {
-            serial_seconds: self.total,
-            critical_seconds: self.critical,
-        });
-    }
-
-    /// Epoch boundaries marked so far, in timeline order. Marks made by
-    /// [`Profiler::mark_epoch`] are monotone in both fields; `absorb`
-    /// keeps only the absorbing profiler's marks (inner solvers do not
-    /// mark epochs).
-    pub fn epochs(&self) -> &[EpochMark] {
-        &self.epochs
     }
 
     /// Charge one kernel call executed eagerly: it starts at the current
@@ -217,12 +184,11 @@ impl Profiler {
         }
     }
 
-    /// Reset all counters (including epoch marks).
+    /// Reset all counters.
     pub fn reset(&mut self) {
         self.by_class.clear();
         self.total = 0.0;
         self.critical = 0.0;
-        self.epochs.clear();
     }
 }
 

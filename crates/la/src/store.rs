@@ -36,8 +36,8 @@ use crate::split_csr::SplitCsr;
 /// the value storage precision chosen independently of `S`.
 ///
 /// See the module docs for the variant semantics; [`MatrixStore::tag`]
-/// reports the storage precision as a [`PrecisionTag`] (the stream
-/// layer keys cached op graphs on it), and
+/// reports the storage precision as a [`PrecisionTag`] (the cost model
+/// prices the value stream at its dominant precision), and
 /// [`MatrixStore::value_bytes`] is the matrix-value traffic the
 /// bandwidth model charges per SpMV.
 #[derive(Clone, Debug)]
