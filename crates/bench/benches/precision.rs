@@ -28,7 +28,8 @@ use mpgmres::{
     BackendScalar, GmresIr, GpuContext, GpuMatrix, GpuStore, IrConfig, Precision, StorePath,
 };
 use mpgmres_bench::output;
-use mpgmres_gpusim::{analytic, cost, DeviceModel};
+use mpgmres_gpusim::cost::{self, MatrixOperand};
+use mpgmres_gpusim::DeviceModel;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_matgen::galeri;
 use serde::Serialize;
@@ -105,34 +106,25 @@ fn ir_run(a: &GpuMatrix<f64>, b: &[f64], m: usize, store: StorePath) -> (f64, us
 /// Direct acceptance measurement, printed and archived.
 fn summary(_c: &mut Criterion) {
     // --- pinned-shape traffic: the gate's numbers come from the same
-    // analytic model the solver charges, at the shape `gpusim` pins. ---
+    // cost function the solver charges, at the shape `gpusim` pins. ---
     let dev = DeviceModel::v100_belos();
     let (n, bw) = (250_000usize, 500usize);
     let nnz = 5 * n;
-    let full = analytic::store_spmv_traffic_bytes(&dev, n, nnz, nnz * 8, bw, Precision::Fp64);
-    let shadow = analytic::store_spmv_traffic_bytes(&dev, n, nnz, nnz * 4, bw, Precision::Fp64);
-    let half = analytic::store_spmv_traffic_bytes(&dev, n, nnz, nnz * 2, bw, Precision::Fp64);
+    let store = |value_bytes: usize, value_p: Precision| MatrixOperand {
+        value_bytes,
+        value_p,
+        ..MatrixOperand::uniform(n, nnz, bw, Precision::Fp64)
+    };
+    let (full_op, shadow_op) = (
+        store(nnz * 8, Precision::Fp64),
+        store(nnz * 4, Precision::Fp32),
+    );
+    let bytes = |a: &MatrixOperand| cost::matrix_op(&dev, a, 1, false).1;
+    let (full, shadow) = (bytes(&full_op), bytes(&shadow_op));
+    let half = bytes(&store(nnz * 2, Precision::Fp16));
     let byte_ratio = shadow as f64 / full as f64;
     let time_ratio_at = |k: usize| {
-        cost::store_spmm_time(
-            &dev,
-            n,
-            nnz,
-            nnz * 4,
-            bw,
-            k,
-            Precision::Fp32,
-            Precision::Fp64,
-        ) / cost::store_spmm_time(
-            &dev,
-            n,
-            nnz,
-            nnz * 8,
-            bw,
-            k,
-            Precision::Fp64,
-            Precision::Fp64,
-        )
+        cost::matrix_op(&dev, &shadow_op, k, false).0 / cost::matrix_op(&dev, &full_op, k, false).0
     };
     println!(
         "\n[precision summary] pinned shape n={n} nnz={nnz} bw={bw}: \

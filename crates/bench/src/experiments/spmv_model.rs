@@ -10,7 +10,7 @@
 
 use mpgmres_gpusim::analytic;
 use mpgmres_gpusim::cache::simulate_spmv_cache;
-use mpgmres_gpusim::cost::spmv_time;
+use mpgmres_gpusim::cost::{matrix_op, MatrixOperand};
 use mpgmres_gpusim::DeviceModel;
 use mpgmres_la::stats::MatrixStats;
 use mpgmres_matgen::registry::PaperProblem;
@@ -56,6 +56,11 @@ pub struct SpmvModelResult {
     pub cache: Vec<CacheRow>,
 }
 
+/// Priced time of one uniform SpMV.
+fn spmv_seconds(dev: &DeviceModel, n: usize, nnz: usize, bandwidth: usize, p: Precision) -> f64 {
+    matrix_op(dev, &MatrixOperand::uniform(n, nnz, bandwidth, p), 1, false).0
+}
+
 /// Run the §V-D model study.
 pub fn run(opts: &ExpOpts) -> SpmvModelResult {
     let dev = DeviceModel::v100_belos();
@@ -67,8 +72,8 @@ pub fn run(opts: &ExpOpts) -> SpmvModelResult {
     let mut t1 = output::TextTable::new(&["w", "paper 5w/(2w+1)", "priced model"]);
     for w in [2usize, 3, 5, 7, 9, 15, 27] {
         let nnz = n * w;
-        let s64 = spmv_time(&dev, n, nnz, 2000, Precision::Fp64);
-        let s32 = spmv_time(&dev, n, nnz, 2000, Precision::Fp32);
+        let s64 = spmv_seconds(&dev, n, nnz, 2000, Precision::Fp64);
+        let s32 = spmv_seconds(&dev, n, nnz, 2000, Precision::Fp32);
         let row = ModelRow {
             w,
             paper_bound: analytic::paper_speedup_bound(w as f64),
@@ -105,8 +110,8 @@ pub fn run(opts: &ExpOpts) -> SpmvModelResult {
         // Latency-scaled device so the ratio matches the paper-scale run
         // (fixed launch overheads would otherwise swamp small instances).
         let dev = dev.scaled_latencies((st.nrows as f64 / problem.paper_n() as f64).min(1.0));
-        let s64 = spmv_time(&dev, st.nrows, st.nnz, st.bandwidth, Precision::Fp64);
-        let s32 = spmv_time(&dev, st.nrows, st.nnz, st.bandwidth, Precision::Fp32);
+        let s64 = spmv_seconds(&dev, st.nrows, st.nnz, st.bandwidth, Precision::Fp64);
+        let s32 = spmv_seconds(&dev, st.nrows, st.nnz, st.bandwidth, Precision::Fp32);
         let bound = analytic::paper_speedup_bound(st.avg_nnz_per_row);
         t2.row(vec![
             problem.name().to_string(),

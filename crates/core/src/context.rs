@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use mpgmres_backend::stream::OpGraph;
 use mpgmres_backend::{Backend, BackendKind};
-use mpgmres_gpusim::{analytic, cost, DeviceModel, KernelClass, Profiler, TimingReport};
+use mpgmres_gpusim::cost::{self, HostWork, MatrixOperand};
+use mpgmres_gpusim::{DeviceModel, KernelClass, Profiler, TimingReport};
 use mpgmres_la::csr::Csr;
 use mpgmres_la::stats::MatrixStats;
 use mpgmres_la::store::MatrixStore;
@@ -170,9 +171,9 @@ impl<S: Scalar> GpuStore<S> {
 
 /// The system operator of a solve: the plain matrix in the working
 /// precision, or a (possibly low-precision) storage path prepared with
-/// [`GpuStore`]. Copy-cheap — both variants borrow. The solvers, the
-/// stream's matrix ops and the cost specs all take this one type; a
-/// plain matrix prices as a uniform store at `S`.
+/// [`GpuStore`]. Copy-cheap — both variants borrow. The solvers and
+/// the stream's matrix ops all take this one type, and
+/// [`Operator::operand`] describes either kind to the cost model.
 #[derive(Clone, Copy, Debug)]
 pub enum Operator<'a, S> {
     /// Plain CSR matrix in the working precision.
@@ -206,20 +207,20 @@ impl<'a, S: Scalar> Operator<'a, S> {
         }
     }
 
-    /// Structural bandwidth in rows.
-    pub fn bandwidth(&self) -> usize {
-        match self {
-            Operator::Matrix(a) => a.bandwidth(),
-            Operator::Store(a) => a.bandwidth(),
-        }
-    }
-
-    /// Bytes of the value stream as stored (`nnz * S::BYTES` for the
-    /// plain matrix).
-    pub fn value_bytes(&self) -> usize {
-        match self {
-            Operator::Matrix(a) => a.nnz() * S::BYTES,
-            Operator::Store(a) => a.value_bytes(),
+    /// The operator as the cost model prices it: a plain matrix is a
+    /// uniform store at `S`.
+    pub fn operand(&self) -> MatrixOperand {
+        let (value_bytes, bandwidth) = match self {
+            Operator::Matrix(a) => (a.nnz() * S::BYTES, a.bandwidth()),
+            Operator::Store(a) => (a.value_bytes(), a.bandwidth()),
+        };
+        MatrixOperand {
+            n: self.n(),
+            nnz: self.nnz(),
+            value_bytes,
+            bandwidth,
+            value_p: self.tag().dominant(),
+            work_p: S::PRECISION,
         }
     }
 
@@ -277,8 +278,9 @@ pub(crate) struct StreamScratch {
 /// the switch the recorded-vs-eager parity suite flips.
 /// Preconditioner applies and the solvers' host-decided steps (casts,
 /// MGS projections, refinement updates) run on streams that are always
-/// eager. The context itself runs no kernel: it only prices them (the
-/// cost specs) and charges the host-side bookkeeping.
+/// eager. The context itself runs no kernel and prices none: each
+/// stream op prices itself with `mpgmres_gpusim::cost` on the context's
+/// device and charges the context's profiler.
 #[derive(Debug)]
 pub struct GpuContext {
     device: DeviceModel,
@@ -426,213 +428,9 @@ impl GpuContext {
         self.scratch.graph.clear();
     }
 
-    // ----- cost specs -------------------------------------------------
-    //
-    // One function per kernel shape computing (simulated seconds, modeled
-    // bytes). Every `Stream` op prices through these. The matrix shapes
-    // price every operator through the store traffic model; a plain
-    // matrix is a uniform store at `S`, for which that model reduces
-    // bit-for-bit to the uniform one whenever nnz > 0.
-
-    /// Modeled bytes of one `y = A x` over `a` (the store traffic rule).
-    fn op_traffic<S: Scalar>(&self, a: Operator<'_, S>) -> usize {
-        analytic::store_spmv_traffic_bytes(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            S::PRECISION,
-        )
-    }
-
-    pub(crate) fn spmv_spec<S: Scalar>(&self, a: Operator<'_, S>) -> (f64, usize) {
-        let t = cost::store_spmv_time(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            a.tag().dominant(),
-            S::PRECISION,
-        );
-        (t, self.op_traffic(a))
-    }
-
-    pub(crate) fn residual_spec<S: Scalar>(&self, a: Operator<'_, S>) -> (f64, usize) {
-        let t = cost::store_residual_time(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            a.tag().dominant(),
-            S::PRECISION,
-        );
-        (t, self.op_traffic(a) + a.n() * S::BYTES)
-    }
-
-    pub(crate) fn spmm_spec<S: Scalar>(&self, a: Operator<'_, S>, k: usize) -> (f64, usize) {
-        let t = cost::store_spmm_time(
-            &self.device,
-            a.n(),
-            a.nnz(),
-            a.value_bytes(),
-            a.bandwidth(),
-            k,
-            a.tag().dominant(),
-            S::PRECISION,
-        );
-        (t, self.op_traffic(a) + (k - 1) * 2 * a.n() * S::BYTES)
-    }
-
-    /// Batched dense triangular solves of block Jacobi: `n / bs` blocks
-    /// of size `bs`, streaming the factors and the vector.
-    pub(crate) fn block_solve_spec<S: Scalar>(&self, n: usize, bs: usize) -> (f64, usize) {
-        let factor_bytes = n * bs * S::BYTES; // ~ n/bs blocks x bs^2 entries
-        let bytes = factor_bytes + 2 * n * S::BYTES;
-        let t = self.device.launch_overhead
-            + bytes as f64 / (self.device.dram_bw * self.device.eff_spmv.get(S::PRECISION));
-        (t, bytes)
-    }
-
-    pub(crate) fn norm_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
-        (cost::norm_time(&self.device, n, S::PRECISION), n * S::BYTES)
-    }
-
-    pub(crate) fn dot_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
-        (
-            cost::dot_time(&self.device, n, S::PRECISION),
-            2 * n * S::BYTES,
-        )
-    }
-
-    pub(crate) fn axpy_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
-        (
-            cost::axpy_time(&self.device, n, S::PRECISION),
-            3 * n * S::BYTES,
-        )
-    }
-
-    pub(crate) fn scal_spec<S: Scalar>(&self, n: usize) -> (f64, usize) {
-        (
-            cost::scal_time(&self.device, n, S::PRECISION),
-            2 * n * S::BYTES,
-        )
-    }
-
-    pub(crate) fn block_norm_spec<S: Scalar>(&self, n: usize, k: usize) -> (f64, usize) {
-        (
-            cost::block_norm_time(&self.device, n, k, S::PRECISION),
-            k * n * S::BYTES,
-        )
-    }
-
-    /// Precision cast of `n` elements (read `from`, write `to`):
-    /// device-resident under [`KernelClass::CastDevice`], host-mediated
-    /// (down and back over PCIe) under [`KernelClass::CastHost`].
-    pub(crate) fn cast_spec(
-        &self,
-        class: KernelClass,
-        n: usize,
-        from: Precision,
-        to: Precision,
-    ) -> (f64, usize) {
-        let t = match class {
-            KernelClass::CastDevice => cost::cast_device_time(&self.device, n, from, to),
-            KernelClass::CastHost => cost::cast_host_time(&self.device, n, from, to),
-            other => panic!("stream cast: {other:?} is not a cast class"),
-        };
-        (t, n * (from.bytes() + to.bytes()))
-    }
-
-    // Basis-store specs: priced with the store's own element width `e`
-    // (bytes per stored basis element). Every one reduces bit-for-bit
-    // to its uniform counterpart at `e == S::BYTES`, so the native
-    // `BasisStore` path charges exactly what the pre-refactor
-    // `MultiVector` path did.
-
-    pub(crate) fn basis_gemv_t_spec<S: Scalar>(
-        &self,
-        n: usize,
-        ncols: usize,
-        e: usize,
-    ) -> (f64, usize) {
-        (
-            cost::basis_gemv_t_time(&self.device, n, ncols, e, S::PRECISION),
-            analytic::basis_gemv_traffic_bytes(n, ncols, e, 1, S::PRECISION),
-        )
-    }
-
-    pub(crate) fn basis_gemv_n_spec<S: Scalar>(
-        &self,
-        n: usize,
-        ncols: usize,
-        e: usize,
-    ) -> (f64, usize) {
-        (
-            cost::basis_gemv_n_time(&self.device, n, ncols, e, S::PRECISION),
-            analytic::basis_gemv_traffic_bytes(n, ncols, e, 2, S::PRECISION),
-        )
-    }
-
-    pub(crate) fn basis_gemm_t_spec<S: Scalar>(
-        &self,
-        n: usize,
-        ncols: usize,
-        k: usize,
-        e: usize,
-    ) -> (f64, usize) {
-        (
-            cost::basis_gemm_t_time(&self.device, n, ncols, k, e, S::PRECISION),
-            k * analytic::basis_gemv_traffic_bytes(n, ncols, e, 1, S::PRECISION),
-        )
-    }
-
-    pub(crate) fn basis_gemm_n_spec<S: Scalar>(
-        &self,
-        n: usize,
-        ncols: usize,
-        k: usize,
-        e: usize,
-    ) -> (f64, usize) {
-        (
-            cost::basis_gemm_n_time(&self.device, n, ncols, k, e, S::PRECISION),
-            k * analytic::basis_gemv_traffic_bytes(n, ncols, e, 2, S::PRECISION),
-        )
-    }
-
-    pub(crate) fn basis_scal_copy_spec<S: Scalar>(
-        &self,
-        n: usize,
-        k: usize,
-        e: usize,
-    ) -> (f64, usize) {
-        (
-            cost::basis_scal_copy_time(&self.device, n, k, e, S::PRECISION),
-            k * n * (S::BYTES + e),
-        )
-    }
-
-    /// Simulated seconds of one iteration's host bookkeeping (Givens
-    /// rotations, status tests through the Belos interface), charged by
-    /// [`Stream::host_givens`](crate::Stream::host_givens) at every
-    /// pipeline depth.
-    pub(crate) fn host_iter_spec(&self, j: usize) -> f64 {
-        self.device.iter_overhead + cost::host_dense_time(&self.device, 12 * (j + 1))
-    }
-
-    /// Simulated seconds of one restart's host bookkeeping
-    /// (least-squares back-solve, allocations, solver-manager
-    /// overhead), charged by
-    /// [`Stream::host_lsq`](crate::Stream::host_lsq).
-    pub(crate) fn host_restart_spec(&self, m: usize) -> f64 {
-        self.device.restart_overhead + cost::host_dense_time(&self.device, m * m / 2)
-    }
-
     /// Charge arbitrary host dense flops (polynomial setup eigensolve).
     pub fn charge_host_flops(&mut self, flops: usize) {
-        let t = cost::host_dense_time(&self.device, flops);
+        let t = cost::host(&self.device, HostWork::Flops(flops));
         self.profiler.charge(KernelClass::HostDense, t, 0);
     }
 }

@@ -8,10 +8,10 @@
 //! stream. A region opens a stream, **registers** each buffer it will
 //! touch exactly once (obtaining a `Copy` handle), then records kernel
 //! calls against the handles. Each record call validates shapes, prices
-//! the op through the context's cost specs, charges it, and runs its
-//! launch on the context's [`Backend`] before returning. The region's
-//! span graph lives in the context's reused scratch and is cleared when
-//! the next region opens.
+//! the op with `mpgmres_gpusim::cost` on the context's device, charges
+//! it, and runs its launch on the context's [`Backend`] before
+//! returning. The region's span graph lives in the context's reused
+//! scratch and is cleared when the next region opens.
 //!
 //! # Handles and the stream contract
 //!
@@ -24,10 +24,10 @@
 //! [`Operator`]: a plain matrix or a storage-path matrix register
 //! through [`Stream::operator`] into the same [`MatRef`], and each
 //! matrix op ([`Stream::spmv`], [`Stream::residual_as`],
-//! [`Stream::spmm`]) prices either kind through one cost spec. Every
-//! other handle holds raw pointers, taken once at registration from a
-//! borrow the stream keeps for its lifetime `'c`, and only the launch
-//! closures of the record methods turn them into references. The
+//! [`Stream::spmm`]) prices either kind from its [`Operator::operand`].
+//! Every other handle holds raw pointers, taken once at registration
+//! from a borrow the stream keeps for its lifetime `'c`, and only the
+//! launch closures of the record methods turn them into references. The
 //! launches rely on three rules:
 //!
 //! - **Liveness** — every referent outlives its handles: a handle
@@ -86,7 +86,8 @@ use std::marker::PhantomData;
 
 use mpgmres_backend::stream::Span;
 use mpgmres_backend::{Backend, BackendScalar};
-use mpgmres_gpusim::KernelClass;
+use mpgmres_gpusim::cost::{self, Gemv, HostWork};
+use mpgmres_gpusim::{DeviceModel, KernelClass};
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
 use mpgmres_la::dense::BlockLu;
@@ -151,9 +152,9 @@ pub struct StreamStats {
 
 /// Handle of a registered system [`Operator`]: a plain [`GpuMatrix`]
 /// or a [`GpuStore`](crate::GpuStore) (a matrix in a possibly
-/// low-precision storage path). The matrix ops price either kind through
-/// one cost spec; the launch runs the plain matrix's CSR kernel or the
-/// store's kernel.
+/// low-precision storage path). The matrix ops price either kind from
+/// its [`Operator::operand`]; the launch runs the plain matrix's CSR
+/// kernel or the store's kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct MatRef<'c, S> {
     a: Operator<'c, S>,
@@ -213,6 +214,13 @@ impl<'c, S: Scalar> BasisRef<'c, S> {
         } else {
             Span::elems(self.id, 0, ncols * self.n, self.ebytes as usize)
         }
+    }
+
+    /// Cost of `k` fused GEMVs over the first `ncols` columns of `k`
+    /// bases shaped like this one, at the store's element width.
+    fn gemv_cost(self, dev: &DeviceModel, ncols: usize, k: usize, dir: Gemv) -> (f64, usize) {
+        let (n, e) = (self.n as usize, self.ebytes as usize);
+        cost::basis_gemv(dev, n, ncols, k, e, S::PRECISION, dir)
     }
 
     /// The precision the basis stores its elements in.
@@ -505,8 +513,8 @@ impl<'c, S: Scalar> BlockMut<'c, S> {
 }
 
 /// Shape of a batched kernel's per-lane basis set: the bases must agree
-/// in rows, capacity and storage width. Returns `(n, ncap, ebytes)`.
-fn lane_set_shape<S>(label: &str, vs: &[BasisRef<'_, S>]) -> (u32, u32, u32) {
+/// in rows, capacity and storage width. Returns `(n, ncap)`.
+fn lane_set_shape<S>(label: &str, vs: &[BasisRef<'_, S>]) -> (u32, u32) {
     assert!(!vs.is_empty(), "stream {label}: empty lane set");
     let (n, ncap, ebytes) = (vs[0].n, vs[0].ncap, vs[0].ebytes);
     for v in vs {
@@ -514,7 +522,7 @@ fn lane_set_shape<S>(label: &str, vs: &[BasisRef<'_, S>]) -> (u32, u32, u32) {
         assert_eq!(v.ncap, ncap, "stream {label}: ragged lane set");
         assert_eq!(v.ebytes, ebytes, "stream {label}: mixed storage widths");
     }
-    (n, ncap, ebytes)
+    (n, ncap)
 }
 
 // ----- the recorder ----------------------------------------------------
@@ -835,7 +843,7 @@ impl<'c> Stream<'c> {
     ) {
         Self::assert_matvec("spmv", a.shape(), x.len, y.len);
         Self::assert_noalias("spmv", &[x.span()], &[y.span()]);
-        let (t, bytes) = self.ctx.spmv_spec::<S>(a.a);
+        let (t, bytes) = cost::matrix_op(self.ctx.device(), &a.a.operand(), 1, false);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("spmv", &[x.span()], &[y.span()], charge, |b| {
             let be = S::view(b);
@@ -861,7 +869,8 @@ impl<'c> Stream<'c> {
         let lu = f.f;
         Self::assert_matvec("block_lu_solve", (lu.n(), lu.n()), x.len, y.len);
         Self::assert_noalias("block_lu_solve", &[x.span()], &[y.span()]);
-        let (t, bytes) = self.ctx.block_solve_spec::<S>(lu.n(), lu.block_size());
+        let (t, bytes) =
+            cost::block_lu_solve(self.ctx.device(), lu.n(), lu.block_size(), S::PRECISION);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("block_lu_solve", &[x.span()], &[y.span()], charge, |b| {
             // SAFETY: stream contract (module docs).
@@ -883,7 +892,7 @@ impl<'c> Stream<'c> {
         assert_eq!(b.len as usize, shape.0, "stream residual: b length");
         let reads = [b.span(), x.span()];
         Self::assert_noalias("residual", &reads, &[r.span()]);
-        let (t, bytes) = self.ctx.residual_spec::<S>(a.a);
+        let (t, bytes) = cost::matrix_op(self.ctx.device(), &a.a.operand(), 1, true);
         let charge = Some((class, t, bytes));
         self.record("residual", &reads, &[r.span()], charge, |be| {
             let be = S::view(be);
@@ -911,9 +920,7 @@ impl<'c> Stream<'c> {
         assert!(h.len >= nc, "stream gemv_t: h too short");
         let h = h.prefix(nc);
         Self::assert_noalias("gemv_t", &[w.span()], &[h.span()]);
-        let (t, bytes) = self
-            .ctx
-            .basis_gemv_t_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
+        let (t, bytes) = v.gemv_cost(self.ctx.device(), ncols, 1, Gemv::T);
         let order = self.ctx.reduction();
         self.record(
             "gemv_t",
@@ -963,9 +970,7 @@ impl<'c> Stream<'c> {
         assert!(h.len >= nc, "stream gemv_n: h too short");
         let h = h.sub(0, ncols);
         Self::assert_noalias("gemv_n", &[h.span()], &[w.span()]);
-        let (t, bytes) = self
-            .ctx
-            .basis_gemv_n_spec::<S>(v.n as usize, ncols, v.ebytes as usize);
+        let (t, bytes) = v.gemv_cost(self.ctx.device(), ncols, 1, Gemv::N);
         self.record(
             if add { "gemv_n_add" } else { "gemv_n_sub" },
             &[v.read_span(nc), h.span()],
@@ -987,7 +992,7 @@ impl<'c> Stream<'c> {
     pub fn axpy<S: BackendScalar>(&mut self, alpha: S, x: ArgSlice<'c, S>, y: ArgSliceMut<'c, S>) {
         assert_eq!(x.len, y.len, "stream axpy: length mismatch");
         Self::assert_noalias("axpy", &[x.span()], &[y.span()]);
-        let (t, bytes) = self.ctx.axpy_spec::<S>(x.len as usize);
+        let (t, bytes) = cost::axpy(self.ctx.device(), x.len as usize, 1, S::PRECISION);
         let charge = Some((KernelClass::Axpy, t, bytes));
         self.record("axpy", &[x.span()], &[y.span()], charge, |b| {
             // SAFETY: stream contract (module docs).
@@ -997,7 +1002,7 @@ impl<'c> Stream<'c> {
 
     /// Record `x *= alpha`.
     pub fn scal<S: BackendScalar>(&mut self, alpha: S, x: ArgSliceMut<'c, S>) {
-        let (t, bytes) = self.ctx.scal_spec::<S>(x.len as usize);
+        let (t, bytes) = cost::scal(self.ctx.device(), x.len as usize, 1, S::BYTES, S::PRECISION);
         let charge = Some((KernelClass::Scal, t, bytes));
         self.record("scal", &[], &[x.span()], charge, |b| {
             // SAFETY: stream contract (module docs).
@@ -1032,7 +1037,7 @@ impl<'c> Stream<'c> {
         out: ArgValMut<'c, S>,
     ) {
         Self::assert_noalias("norm2", &[x.span()], &[out.span()]);
-        let (t, bytes) = self.ctx.norm_spec::<S>(x.len as usize);
+        let (t, bytes) = cost::norm(self.ctx.device(), x.len as usize, 1, S::PRECISION);
         let order = self.ctx.reduction();
         let charge = Some((class, t, bytes));
         self.record("norm2", &[x.span()], &[out.span()], charge, |b| {
@@ -1052,7 +1057,7 @@ impl<'c> Stream<'c> {
         assert_eq!(x.len, y.len, "stream dot: length mismatch");
         let reads = [x.span(), y.span()];
         Self::assert_noalias("dot", &reads, &[out.span()]);
-        let (t, bytes) = self.ctx.dot_spec::<S>(x.len as usize);
+        let (t, bytes) = cost::dot(self.ctx.device(), x.len as usize, 1, S::PRECISION);
         let order = self.ctx.reduction();
         let charge = Some((KernelClass::Dot, t, bytes));
         self.record("dot", &reads, &[out.span()], charge, |b| {
@@ -1074,9 +1079,8 @@ impl<'c> Stream<'c> {
     ) {
         assert_eq!(src.len, dst.len, "stream cast: length mismatch");
         Self::assert_noalias("cast", &[src.span()], &[dst.span()]);
-        let (t, bytes) = self
-            .ctx
-            .cast_spec(class, src.len as usize, S::PRECISION, T::PRECISION);
+        let n = src.len as usize;
+        let (t, bytes) = cost::cast(self.ctx.device(), class, n, S::PRECISION, T::PRECISION);
         // Casts run on the host in every backend (no backend kernel
         // converts between precisions).
         let charge = Some((class, t, bytes));
@@ -1108,7 +1112,7 @@ impl<'c> Stream<'c> {
         lagged: &[ArgSlice<'c, S>],
         token: ArgValMut<'c, S>,
     ) {
-        let t = self.ctx.host_iter_spec(j);
+        let t = cost::host(self.ctx.device(), HostWork::Iteration(j));
         let mut reads = [Span::whole(0); 3];
         assert!(lagged.len() <= reads.len(), "host_givens: too many spans");
         if self.eager {
@@ -1137,7 +1141,7 @@ impl<'c> Stream<'c> {
         token: ArgValMut<'c, S>,
         y: ArgSliceMut<'c, S>,
     ) {
-        let t = self.ctx.host_restart_spec(kc);
+        let t = cost::host(self.ctx.device(), HostWork::Restart(kc));
         self.host_node("host_lsq", t, &[], &[token.span(), y.span()]);
     }
 
@@ -1235,9 +1239,13 @@ impl<'c> Stream<'c> {
             });
         }
         Self::assert_noalias("basis_lane_scal_copy", &reads, &writes);
-        let (t, bytes) = self
-            .ctx
-            .basis_scal_copy_spec::<S>(n as usize, k, ebytes as usize);
+        let (t, bytes) = cost::scal(
+            self.ctx.device(),
+            n as usize,
+            k,
+            ebytes as usize,
+            S::PRECISION,
+        );
         let charge = Some((KernelClass::Scal, t, bytes));
         self.record("basis_lane_scal_copy", &reads, &writes, charge, |b| {
             // SAFETY: stream contract (module docs); native lanes make
@@ -1276,7 +1284,8 @@ impl<'c> Stream<'c> {
         let col = Span::elems(v.id, jj * v.n, v.n, v.ebytes as usize);
         Self::assert_noalias("basis_promote_col", &[col], &[out.span()]);
         let charge = (!v.is_native()).then(|| {
-            let (t, bytes) = self.ctx.cast_spec(
+            let (t, bytes) = cost::cast(
+                self.ctx.device(),
                 KernelClass::CastDevice,
                 v.n as usize,
                 v.storage(),
@@ -1304,7 +1313,7 @@ impl<'c> Stream<'c> {
         Self::assert_matmat("spmm", a.shape(), x, kk, y);
         let (reads, writes) = ([Span::whole(x.id)], [Span::whole(y.id)]);
         Self::assert_noalias("spmm", &reads, &writes);
-        let (t, bytes) = self.ctx.spmm_spec::<S>(a.a, k);
+        let (t, bytes) = cost::matrix_op(self.ctx.device(), &a.a.operand(), k, false);
         let charge = Some((KernelClass::SpMV, t, bytes));
         self.record("spmm", &reads, &writes, charge, |b| {
             let be = S::view(b);
@@ -1327,7 +1336,7 @@ impl<'c> Stream<'c> {
         w: BlockRef<'c, S>,
         h: ArgSliceMut<'c, S>,
     ) {
-        let (n, ncap, ebytes) = lane_set_shape("block_gemv_t", vs);
+        let (n, ncap) = lane_set_shape("block_gemv_t", vs);
         let nc = u32::try_from(ncols).expect("ncols");
         let k = u32::try_from(vs.len()).expect("lane count");
         assert!(nc <= ncap, "stream block_gemv_t: ncols over capacity");
@@ -1336,9 +1345,7 @@ impl<'c> Stream<'c> {
         assert!(h.len >= k * nc, "stream block_gemv_t: h too short");
         let h = h.prefix(k * nc);
         Self::assert_noalias("block_gemv_t", &[Span::whole(w.id)], &[h.span()]);
-        let (t, bytes) =
-            self.ctx
-                .basis_gemm_t_spec::<S>(w.n as usize, ncols, k as usize, ebytes as usize);
+        let (t, bytes) = vs[0].gemv_cost(self.ctx.device(), ncols, k as usize, Gemv::T);
         let mut reads: Vec<Span> = vs.iter().map(|v| v.read_span(nc)).collect();
         reads.push(Span::whole(w.id));
         let order = self.ctx.reduction();
@@ -1360,7 +1367,7 @@ impl<'c> Stream<'c> {
         h: ArgSlice<'c, S>,
         w: BlockMut<'c, S>,
     ) {
-        let (n, ncap, ebytes) = lane_set_shape("block_gemv_n", vs);
+        let (n, ncap) = lane_set_shape("block_gemv_n", vs);
         let nc = u32::try_from(ncols).expect("ncols");
         let k = u32::try_from(vs.len()).expect("lane count");
         assert!(nc <= ncap, "stream block_gemv_n: ncols over capacity");
@@ -1369,9 +1376,7 @@ impl<'c> Stream<'c> {
         assert!(h.len >= k * nc, "stream block_gemv_n: h too short");
         let h = h.sub(0, (k * nc) as usize);
         Self::assert_noalias("block_gemv_n", &[h.span()], &[Span::whole(w.id)]);
-        let (t, bytes) =
-            self.ctx
-                .basis_gemm_n_spec::<S>(w.n as usize, ncols, k as usize, ebytes as usize);
+        let (t, bytes) = vs[0].gemv_cost(self.ctx.device(), ncols, k as usize, Gemv::N);
         let mut reads: Vec<Span> = vs.iter().map(|v| v.read_span(nc)).collect();
         reads.push(h.span());
         let charge = Some((KernelClass::GemvN, t, bytes));
@@ -1404,7 +1409,7 @@ impl<'c> Stream<'c> {
         assert!(out.len >= kk, "stream block_norm2: out too short");
         let out = out.prefix(kk);
         Self::assert_noalias("block_norm2", &[Span::whole(x.id)], &[out.span()]);
-        let (t, bytes) = self.ctx.block_norm_spec::<S>(x.n as usize, k);
+        let (t, bytes) = cost::norm(self.ctx.device(), x.n as usize, k, S::PRECISION);
         let order = self.ctx.reduction();
         let charge = Some((KernelClass::Norm, t, bytes));
         self.record(
@@ -1423,7 +1428,6 @@ impl<'c> Stream<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpgmres_gpusim::DeviceModel;
     use mpgmres_la::coo::Coo;
     use mpgmres_la::vec_ops::ReductionOrder;
 
@@ -1856,6 +1860,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Axpy is not a cast class")]
+    fn cast_with_a_non_cast_class_panics() {
+        let mut ctx = GpuContext::new(DeviceModel::v100_belos());
+        let x = [0.0f64; 3];
+        let mut lo = [0.0f32; 3];
+        let mut st = ctx.stream();
+        let (xh, loh) = (st.slice(&x), st.slice_mut(&mut lo));
+        st.cast(KernelClass::Axpy, xh, loh);
+    }
+
+    #[test]
     #[should_panic(expected = "stream cast: length mismatch")]
     fn cast_length_mismatch_panics() {
         let mut ctx = GpuContext::new(DeviceModel::v100_belos());
@@ -1868,10 +1883,10 @@ mod tests {
 
     /// The compressed-basis column ops are priced like the kernels they
     /// fuse: promotion as a `CastDevice` from the storage precision
-    /// (nothing on a native basis), the lane-set extension as one `Scal`
-    /// at `basis_scal_copy_spec` with the store's element width.
+    /// (nothing on a native basis), the lane-set extension as one
+    /// width-2 `Scal` writing the store's element width.
     #[test]
-    fn compressed_basis_ops_charge_cast_and_scal_specs() {
+    fn compressed_basis_ops_charge_cast_and_scal() {
         use mpgmres_scalar::Precision;
         let n = 8;
         let dev = DeviceModel::v100_belos();
@@ -1887,7 +1902,8 @@ mod tests {
             st.basis_lane_scal_copy(ah, &[sh, sh], &vs, 1);
         }
         let scal = ctx.profiler().class_stats(KernelClass::Scal);
-        let (t, bytes) = ctx.basis_scal_copy_spec::<f64>(n, 2, 4);
+        let (t, bytes) = cost::scal(&dev, n, 2, 4, Precision::Fp64);
+        assert_eq!(bytes, 2 * n * (8 + 4));
         assert_eq!((scal.calls, scal.bytes), (1, bytes as u64));
         assert_eq!(scal.seconds.to_bits(), t.to_bits());
 
@@ -1901,7 +1917,13 @@ mod tests {
             assert_eq!(*o, ((0.5 * s) as f32) as f64);
         }
         let cast = ctx.profiler().class_stats(KernelClass::CastDevice);
-        let t = mpgmres_gpusim::cost::cast_device_time(&dev, n, Precision::Fp32, Precision::Fp64);
+        let (t, _) = cost::cast(
+            &dev,
+            KernelClass::CastDevice,
+            n,
+            Precision::Fp32,
+            Precision::Fp64,
+        );
         assert_eq!((cast.calls, cast.bytes), (1, (n * (4 + 8)) as u64));
         assert_eq!(cast.seconds.to_bits(), t.to_bits());
 

@@ -1,20 +1,18 @@
 //! Set-associative LRU cache simulator and SpMV access-stream replay.
 //!
-//! The analytic model in [`crate::analytic`] *postulates* the x-vector
-//! reuse asymmetry the paper measured. This module lets the `vd_model`
-//! experiment *probe the mechanism*: it replays the exact CSR access
-//! stream of `y = A x` through an LRU cache with a configurable number of
-//! concurrently sweeping lanes (a stand-in for the V100's thousands of
-//! in-flight warps sharing one L2) and reports per-stream hit rates.
+//! The cost model's x-reuse rule ([`crate::cost::matrix_op`])
+//! *postulates* the reuse asymmetry the paper measured. This module lets
+//! the `vd_model` experiment *probe the mechanism*: it replays the exact
+//! CSR access stream of `y = A x` through an LRU cache with a
+//! configurable number of concurrently sweeping lanes (a stand-in for
+//! the V100's thousands of in-flight warps sharing one L2) and reports
+//! per-stream hit rates.
 //! Streaming pressure from concurrent lanes is what evicts `x` lines
 //! between reuses — and halving the element size halves that pressure,
 //! which is the fp32 advantage.
 
-use std::collections::HashMap;
-
 use mpgmres_la::csr::Csr;
 use mpgmres_scalar::{Precision, Scalar};
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::device::DeviceModel;
@@ -199,36 +197,6 @@ pub fn simulate_spmv_cache<S: Scalar>(
     }
 }
 
-/// Memo table for per-(matrix, precision) cache statistics, keyed by the
-/// matrix's unique id so repeated solves do not re-simulate.
-#[derive(Default)]
-pub struct CacheStatsMemo {
-    map: Mutex<HashMap<(u64, Precision), SpmvCacheStats>>,
-}
-
-impl CacheStatsMemo {
-    /// Empty memo table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fetch or compute the stats for this matrix/precision.
-    pub fn get_or_compute<S: Scalar>(
-        &self,
-        a: &Csr<S>,
-        dev: &DeviceModel,
-        lanes: usize,
-    ) -> SpmvCacheStats {
-        let key = (a.id(), S::PRECISION);
-        if let Some(hit) = self.map.lock().get(&key) {
-            return *hit;
-        }
-        let stats = simulate_spmv_cache(a, dev, S::PRECISION, lanes);
-        self.map.lock().insert(key, stats);
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,16 +296,5 @@ mod tests {
             crowded32.x_hit_rate,
             crowded.x_hit_rate
         );
-    }
-
-    #[test]
-    fn memo_caches_by_matrix_id() {
-        let a = mpgmres_la::csr::Csr::<f32>::identity(50);
-        let dev = DeviceModel::v100_belos();
-        let memo = CacheStatsMemo::new();
-        let s1 = memo.get_or_compute(&a, &dev, 4);
-        let s2 = memo.get_or_compute(&a, &dev, 4);
-        assert_eq!(s1.accesses, s2.accesses);
-        assert_eq!(memo.map.lock().len(), 1);
     }
 }

@@ -10,8 +10,8 @@ use serde::Serialize;
 /// reduction-latency limited, so it achieves a *lower* fraction of peak
 /// than its fp64 counterpart — that is why the paper's Table I reports
 /// only 1.28x for GEMV(Trans) but 2.48x for SpMV). These factors are
-/// calibrated against Table I's per-call times; see
-/// `tests in crate::cost` for the regression bands.
+/// calibrated against Table I's per-call times; the calibration tests of
+/// [`crate::cost`] hold the regression bands.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct Efficiency {
     /// Efficiency for fp64 operands.
@@ -247,16 +247,18 @@ mod tests {
     fn scaled_latencies_preserve_time_ratios() {
         // The per-call fp64/fp32 ratio of a latency+bandwidth kernel must
         // be identical at (paper n, full latencies) and (n/f, latencies/f).
-        use crate::cost::gemv_t_time;
+        use crate::cost::{basis_gemv, Gemv};
+        let gemv_t = |d: &DeviceModel, n: usize, p: Precision| {
+            basis_gemv(d, n, 26, 1, p.bytes(), p, Gemv::T).0
+        };
         let d = DeviceModel::v100_belos();
         let n_paper = 2_250_000usize;
         let f = 1.0 / 137.0;
         let n_sim = (n_paper as f64 * f) as usize;
         let ds = d.scaled_latencies(f);
-        let ratio_paper = gemv_t_time(&d, n_paper, 26, Precision::Fp64)
-            / gemv_t_time(&d, n_paper, 26, Precision::Fp32);
-        let ratio_sim = gemv_t_time(&ds, n_sim, 26, Precision::Fp64)
-            / gemv_t_time(&ds, n_sim, 26, Precision::Fp32);
+        let ratio_paper =
+            gemv_t(&d, n_paper, Precision::Fp64) / gemv_t(&d, n_paper, Precision::Fp32);
+        let ratio_sim = gemv_t(&ds, n_sim, Precision::Fp64) / gemv_t(&ds, n_sim, Precision::Fp32);
         assert!(
             (ratio_paper - ratio_sim).abs() < 1e-3,
             "ratios drifted: {ratio_paper} vs {ratio_sim}"

@@ -9,10 +9,16 @@
 //! our priced traffic model, and an LRU cache simulation of the actual
 //! CSR access stream under concurrent streaming pressure.
 
+use multiprec_gmres::gpusim::analytic;
 use multiprec_gmres::gpusim::cache::simulate_spmv_cache;
-use multiprec_gmres::gpusim::{analytic, cost};
+use multiprec_gmres::gpusim::cost::{matrix_op, MatrixOperand};
 use multiprec_gmres::matgen::galeri;
 use multiprec_gmres::prelude::*;
+
+/// Priced time of one uniform SpMV.
+fn spmv_seconds(dev: &DeviceModel, n: usize, nnz: usize, bw: usize, p: Precision) -> f64 {
+    matrix_op(dev, &MatrixOperand::uniform(n, nnz, bw, p), 1, false).0
+}
 
 fn main() {
     let dev = DeviceModel::v100_belos();
@@ -31,8 +37,8 @@ fn main() {
         ("Laplace3D150", 3_375_000, 23_490_000, 22_500),
         ("UniFlow2D2500", 6_250_000, 31_240_000, 2_500),
     ] {
-        let t64 = cost::spmv_time(&dev, n, nnz, bw, Precision::Fp64);
-        let t32 = cost::spmv_time(&dev, n, nnz, bw, Precision::Fp32);
+        let t64 = spmv_seconds(&dev, n, nnz, bw, Precision::Fp64);
+        let t32 = spmv_seconds(&dev, n, nnz, bw, Precision::Fp32);
         println!(
             "  {name:<16} fp64 {:>7.1} us  fp32 {:>7.1} us  speedup {:.2}x",
             t64 * 1e6,
@@ -43,8 +49,8 @@ fn main() {
 
     // A scattered matrix loses the reuse and the advantage shrinks.
     let (n, nnz) = (2_250_000usize, 11_244_000usize);
-    let t64 = cost::spmv_time(&dev, n, nnz, n - 1, Precision::Fp64);
-    let t32 = cost::spmv_time(&dev, n, nnz, n - 1, Precision::Fp32);
+    let t64 = spmv_seconds(&dev, n, nnz, n - 1, Precision::Fp64);
+    let t32 = spmv_seconds(&dev, n, nnz, n - 1, Precision::Fp32);
     println!(
         "  {:<16} fp64 {:>7.1} us  fp32 {:>7.1} us  speedup {:.2}x  <- paper's caveat",
         "scattered",
