@@ -82,9 +82,7 @@ impl Span {
 
 /// The shape of one recorded op: a label for diagnostics plus the
 /// buffer spans it reads and writes. The spans are the *entire*
-/// dependency interface: the graph never looks inside the op. Deferred
-/// host steps (a pipelined `BlockGmres`'s Givens and least-squares
-/// bookkeeping) are ops like any other, with spans and no launch.
+/// dependency interface: the graph never looks inside the op.
 #[derive(Clone, Debug)]
 pub struct OpShape {
     /// Kernel name for diagnostics (`"spmv"`, `"gemv_t"`, ...).

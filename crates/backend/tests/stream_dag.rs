@@ -82,13 +82,12 @@ proptest! {
     }
 }
 
-/// The software-pipelined op shape over whole-buffer spans: per
-/// (lane, parity) result buffers (the `h`/`norms` ping-pong) plus a
-/// per-lane host-state token buffer. Mirrors `BlockGmres`'s pipelined
-/// regions: each iteration records one device op per lane (reading the
-/// lane's previous result, writing the current parity), then one
-/// deferred host op per lane reading the result of iteration
-/// `iter - depth` and advancing the lane's token.
+/// A lagged-consumer op shape over whole-buffer spans: per (lane,
+/// parity) result buffers (a ping-pong) plus a per-lane token buffer.
+/// Each iteration records one producer op per lane (reading the lane's
+/// previous result, writing the current parity), then one consumer op
+/// per lane reading the result of iteration `iter - depth` and
+/// advancing the lane's token.
 fn result_buf(lane: usize, iter: usize) -> usize {
     lane * 2 + iter % 2
 }
@@ -135,11 +134,10 @@ fn pipelined_ops(nlanes: usize, iters: usize, depth: usize) -> Pipelined {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A deferred host op is never charged before the device op
-    /// producing its lagged read span, for random lane counts and
-    /// pipeline depths in {0, 1}; and at depth 1 the same iteration's
-    /// device op for its lane does NOT bound it (the independence that
-    /// lets the host latency hide under the device work).
+    /// A lagged consumer op is never charged before the producer of
+    /// its read span, for random lane counts and lags in {0, 1}; and at
+    /// lag 1 the same iteration's producer for its lane does NOT bound
+    /// it (ops on disjoint spans overlap).
     #[test]
     fn deferred_host_ops_wait_for_their_lagged_producers(
         nlanes in 1usize..6,

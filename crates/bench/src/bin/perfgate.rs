@@ -1,20 +1,17 @@
 //! CI perf-trajectory gate: collect the fast-bench artifacts
 //! (`results/stream.json`, `results/multirhs.json`,
-//! `results/pipeline.json`, `results/precision.json`,
-//! `results/serving.json`, `results/basis.json`) into one
-//! schema-stable, git-SHA-stamped `results/BENCH_ci.run.json`, and FAIL the
-//! job when a load-bearing perf property regresses:
+//! `results/precision.json`, `results/serving.json`,
+//! `results/basis.json`) into one schema-stable, git-SHA-stamped
+//! `results/BENCH_ci.run.json`, and FAIL the job when a load-bearing
+//! perf property regresses:
 //!
-//! - the software-pipelined `BlockGmres` overlap ratio must stay
-//!   strictly below the lockstep baseline (and the pipelined runs must
-//!   still be bit-identical);
-//! - both k = 4 overlap ratios of the pipeline bench (lockstep and
-//!   pipelined) must equal the committed baseline exactly: they are
-//!   V100-model seconds of bit-identical solves on the reference
-//!   backend, so they do not depend on the runner, and any drift means
-//!   a driver edit moved a charge on the simulated timeline;
-//! - the recorded `BlockGmres` overlap ratio must stay below 1.0 (the
-//!   chain baseline);
+//! - the recorded `BlockGmres` overlap ratio of the stream bench (the
+//!   k = 4 block solve of laplace2d(48), GMRES(30)) must equal the
+//!   committed baseline exactly: it is a ratio of V100-model seconds of
+//!   a bit-identical solve on the reference backend, so it does not
+//!   depend on the runner, and any drift means a driver edit moved a
+//!   charge on the simulated timeline;
+//! - the same overlap ratio must stay below 1.0 (the chain baseline);
 //! - the fp32 shadow store's k = 1 SpMM must move `< 0.55x` the bytes
 //!   (and simulated time) of the fp64 store at the pinned shape, with
 //!   both end-to-end IR storage paths converged;
@@ -54,10 +51,9 @@
 //! become one machine-readable, diffable file.
 //!
 //! Set `MPGMRES_PERF_INJECT_REGRESSION=overlap` (which trips both
-//! pipeline gates), or `precision`, `serving`, `basis`, `qos` or
-//! `pool`, to deliberately
-//! corrupt the gated value before checking: CI runs this
-//! as an expected-failure step, proving the gate actually fires. The
+//! overlap gates), or `precision`, `serving`, `basis`, `qos` or `pool`,
+//! to deliberately corrupt the gated value before checking: CI runs
+//! this as an expected-failure step, proving the gate actually fires. The
 //! injected run writes `BENCH_ci_injected.json` so it can never
 //! masquerade as the real artifact.
 //!
@@ -132,7 +128,6 @@ fn main() {
     };
     let stream = read("stream.json");
     let multirhs = read("multirhs.json");
-    let pipeline = read("pipeline.json");
     let precision = read("precision.json");
     let serving = read("serving.json");
     let basis = read("basis.json");
@@ -142,49 +137,29 @@ fn main() {
 
     let inject = std::env::var("MPGMRES_PERF_INJECT_REGRESSION").unwrap_or_default();
 
-    // --- gate 1: pipelined overlap must beat the lockstep baseline ---
-    let lockstep_ratio =
-        extract_number(&pipeline, "lockstep_overlap_ratio").expect("pipeline.json gate fields");
-    let mut pipelined_ratio =
-        extract_number(&pipeline, "pipelined_overlap_ratio").expect("pipeline.json gate fields");
+    // --- gates 1 and 2: the block overlap ratio -----------------------
+    let mut overlap = extract_number(&stream, "overlap_ratio").expect("stream.json overlap");
     if inject == "overlap" {
         println!("perfgate: INJECTING overlap-ratio regression (+1.0)");
-        pipelined_ratio += 1.0;
+        overlap += 1.0;
     }
-    let bit_identical = extract_bool(&pipeline, "gate_bit_identical").unwrap_or(false);
-    let g1 = Gate {
-        name: "pipeline_overlap_beats_lockstep",
-        ok: pipelined_ratio < lockstep_ratio && bit_identical,
-        detail: format!(
-            "pipelined {pipelined_ratio:.6} vs lockstep {lockstep_ratio:.6}, bit_identical {bit_identical}"
-        ),
-    };
-
-    // --- gate 10: the pipeline timeline equals the committed model ---
-    // Exact equality: both sides are the same model output printed
-    // round-trip, so a single moved charge shows as a mismatch.
-    let pinned = |key: &str| baseline.as_deref().and_then(|b| extract_number(b, key));
-    let g10 = match (
-        pinned("lockstep_overlap_ratio"),
-        pinned("pipelined_overlap_ratio"),
-    ) {
-        (Some(bl), Some(bp)) => Gate {
-            name: "pipeline_overlap_matches_baseline",
-            ok: lockstep_ratio == bl && pipelined_ratio == bp,
-            detail: format!(
-                "lockstep {lockstep_ratio} vs {bl}, pipelined {pipelined_ratio} vs {bp} \
-                 (k = 4, committed baseline)"
-            ),
+    // Gate 1 is exact equality: both sides are the same model output
+    // printed round-trip, so a single moved charge shows as a mismatch.
+    let g1 = match baseline
+        .as_deref()
+        .and_then(|b| extract_number(b, "overlap_ratio"))
+    {
+        Some(pinned) => Gate {
+            name: "overlap_ratio_matches_baseline",
+            ok: overlap == pinned,
+            detail: format!("overlap ratio {overlap} vs {pinned} (k = 4, committed baseline)"),
         },
-        _ => Gate {
-            name: "pipeline_overlap_matches_baseline",
+        None => Gate {
+            name: "overlap_ratio_matches_baseline",
             ok: true,
-            detail: "no committed pipeline baseline".to_string(),
+            detail: "no committed overlap baseline".to_string(),
         },
     };
-
-    // --- gate 2: recorded BlockGmres overlap stays below the chain ---
-    let overlap = extract_number(&stream, "overlap_ratio").expect("stream.json overlap");
     let g2 = Gate {
         name: "block_overlap_below_chain",
         ok: overlap < 1.0,
@@ -303,12 +278,10 @@ fn main() {
     };
 
     // --- gate 8 + report: diff against the committed baseline ---------
-    // The precision byte ratio (gate 8) and the pipeline overlap ratios
-    // (gate 10) are deterministic model outputs and hard-gate; the
-    // other numbers are diffed for the log and the artifact.
+    // The precision byte ratio (gate 8) and the overlap ratio (gate 1)
+    // are deterministic model outputs and hard-gate; the other numbers
+    // are diffed for the log and the artifact.
     let diff_keys = [
-        "lockstep_overlap_ratio",
-        "pipelined_overlap_ratio",
         "overlap_ratio",
         "pool_dispatch_us",
         "cgs2_par_speedup",
@@ -325,7 +298,7 @@ fn main() {
     // Same artifact order as the combined file, so a key present in
     // several documents resolves identically in baseline and current.
     let current_of = |key: &str| -> Option<f64> {
-        for doc in [&stream, &multirhs, &pipeline, &precision, &serving, &basis] {
+        for doc in [&stream, &multirhs, &precision, &serving, &basis] {
             if let Some(v) = extract_number(doc, key) {
                 return Some(v);
             }
@@ -396,7 +369,7 @@ fn main() {
         },
     };
 
-    let gates = [g1, g2, g3, g4, g6, g7, g8, g9, g10];
+    let gates = [g1, g2, g3, g4, g6, g7, g8, g9];
     let mut ok = true;
     for g in &gates {
         println!(
@@ -421,14 +394,13 @@ fn main() {
         })
         .collect();
     let combined = format!(
-        "{{\n  \"schema\": 11,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"pipeline\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"basis\": {}\n}}\n",
+        "{{\n  \"schema\": 12,\n  \"git_sha\": \"{}\",\n  \"baseline_git_sha\": \"{}\",\n  \"gates\": [\n{}\n  ],\n  \"baseline_deltas\": [\n{}\n  ],\n  \"stream\": {},\n  \"multirhs\": {},\n  \"precision\": {},\n  \"serving\": {},\n  \"basis\": {}\n}}\n",
         git_sha(),
         baseline_sha,
         gates_json.join(",\n"),
         delta_lines.join(",\n"),
         stream.trim(),
         multirhs.trim(),
-        pipeline.trim(),
         precision.trim(),
         serving.trim(),
         basis.trim(),

@@ -1,5 +1,5 @@
 //! Batched multi-RHS restarted GMRES(m): `k` independent solves in
-//! lockstep, sharing kernel launches — optionally software-pipelined.
+//! lockstep, sharing kernel launches.
 //!
 //! [`BlockGmres`] solves `A X = B` for a block of `k` right-hand sides.
 //! It is **not** a block-Krylov method: each column keeps its own Krylov
@@ -10,49 +10,29 @@
 //! Aliaga et al.'s multi-RHS work targets on GPUs) and the CGS2
 //! projections become batched GEMM-shaped calls.
 //!
-//! # Software pipelining (`GmresConfig::pipeline_depth = 1`)
+//! # Host steps
 //!
 //! Each lane's host step — its Givens rotations and convergence test
 //! after every iteration, its least-squares solve at the cycle barrier
 //! — runs on the host as soon as the device results it reads are
-//! synced, because it decides the next active set. The pipeline depth
-//! only decides where the simulated timeline *charges* that work. The
-//! charges come in groups: an iteration's per-lane Givens charges with
-//! its fused basis extension (and, under the identity preconditioner,
-//! the next direction gather), and the barrier's per-lane least-squares
-//! charges. The depth picks the stream that records each group:
-//!
-//! - at depth 0 (lockstep, the default) an eager stream: every charge
-//!   lands at the makespan, so the host step serializes against the
-//!   device stream each iteration — the launch-latency exposure the
-//!   paper's GPU runs pay;
-//! - at depth 1 the recorded region that follows. The host nodes read
-//!   the previous iteration's coefficient/norm buffers (`h`/`norms`
-//!   ping-pong by iteration parity), so the dependency DAG itself
-//!   proves the lagged host work conflicts with nothing the in-flight
-//!   SpMM + blocked-CGS2 kernels touch, and the overlap-aware timeline
-//!   hides the host latency behind them. At the cycle barrier each
-//!   lane's least-squares node feeds its own update chain, so lane
-//!   `l`'s host step overlaps the other lanes' device work.
-//!
-//! Both placements run the same kernels in the same order and charge
-//! the same costs in the same sequence, so per-lane results and the
-//! serial accounting are bit-identical across depths — only the
-//! critical path shortens (pinned in `block_parity.rs`). MGS interleaves
-//! every kernel with a host decision, leaving no device stream to hide
-//! behind, so it always runs at depth 0.
+//! synced, because it decides the next active set. Its HostDense charge
+//! lands on the simulated timeline right there, at the makespan, so the
+//! host step serializes against the device stream each iteration: the
+//! lockstep launch-latency exposure the paper's Belos runs pay. The
+//! recorded regions between host steps (the SpMM and blocked CGS2 of an
+//! iteration, the barrier's per-lane update chains and explicit
+//! residuals) still overlap their independent lanes on the timeline.
 //!
 //! # One driver
 //!
 //! This module is the crate's only GMRES(m) driver, and
 //! `BlockGmres::run_cycle` its only cycle loop: the cycle, restart,
 //! Belos loss-of-accuracy and deflation policy live there and nowhere
-//! else, at every pipeline depth. [`BlockGmres::solve`] runs its cycles
-//! through it, and so does the serving engine between admission
-//! barriers. The single-RHS [`Gmres`] is a one-lane front over
-//! `solve`, and `GmresIr`'s one refinement loop (which `GmresIr3`
-//! nests) runs one of its cycles per refinement step.
-//! The loss-of-accuracy restart rule that compressed-basis solves lean
+//! else. [`BlockGmres::solve`] runs its cycles through it, and so does
+//! the serving engine between admission barriers. The single-RHS
+//! [`Gmres`] is a one-lane front over `solve`, and `GmresIr`'s one
+//! refinement loop (which `GmresIr3` nests) runs one of its cycles per
+//! refinement step. The loss-of-accuracy restart rule that compressed-basis solves lean
 //! on (Aliaga et al., arXiv:2009.12101) therefore has one home.
 //!
 //! # Determinism contract
@@ -61,10 +41,9 @@
 //! of its single-vector counterpart (see `mpgmres-backend`'s multi-RHS
 //! contract), each column's solution, iteration history, and terminal
 //! status are **bit-for-bit identical** to an independent single-RHS
-//! solve of that column, on every backend and at every pipeline depth.
-//! The test suites hold this contract against a textbook GMRES(m)
-//! oracle written on plain slices (`tests/common/oracle.rs`), not
-//! against a second driver. At width 1 every block cost collapses to the
+//! solve of that column, on every backend. The test suites hold this
+//! contract against a textbook GMRES(m) oracle written on plain slices
+//! (`tests/common/oracle.rs`), not against a second driver. At width 1 every block cost collapses to the
 //! single-vector cost; `block_parity.rs` pins the simulated timing
 //! report of fixed one-lane solves (serial seconds and per-category
 //! calls, bytes and seconds) so driver edits cannot move it silently.
@@ -91,13 +70,13 @@ use crate::stream::{
     ArgSlice, ArgSliceMut, BasisMut, BasisRef, BlockMut, BlockRef, MatRef, Stream,
 };
 use mpgmres_backend::BackendScalar;
+use mpgmres_gpusim::cost::HostWork;
 use mpgmres_gpusim::KernelClass;
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::givens::GivensLsq;
 use mpgmres_la::multivec::MultiVec;
 
-/// Batched multi-RHS GMRES(m): `k` single-RHS solves in lockstep, with
-/// optional software-pipelined host charges (`pipeline_depth = 1`).
+/// Batched multi-RHS GMRES(m): `k` single-RHS solves in lockstep.
 pub struct BlockGmres<'a, S: BackendScalar> {
     a: Operator<'a, S>,
     precond: &'a dyn Preconditioner<S>,
@@ -156,28 +135,20 @@ pub(crate) struct CycleWs<S> {
     /// Scratch vector for eager preconditioner applications.
     zvec: Vec<S>,
     /// First/second-pass projection coefficients (k * m each) and
-    /// per-active-lane candidate-basis norms, ping-ponged by iteration
-    /// parity: iteration `j` writes parity `j % 2`, so the deferred host
-    /// step of `j` reads spans that the next iteration's kernels never
-    /// touch (the one-iteration lag the DAG verifies at depth 1).
-    h1: [Vec<S>; 2],
-    h2: [Vec<S>; 2],
-    norms: [Vec<S>; 2],
+    /// per-active-lane candidate-basis norms of the current iteration.
+    h1: Vec<S>,
+    h2: Vec<S>,
+    norms: Vec<S>,
     /// Per-lane explicit residual norms: initial, at admission and at
     /// every cycle barrier.
     pub(crate) gammas: Vec<S>,
-    /// Per-lane host-state tokens: consecutive host nodes of one lane
-    /// chain through a write on its token, keeping the lane's Givens
-    /// recurrence ordered while distinct lanes overlap.
-    tokens: Vec<S>,
-    /// Coefficients `1/h_{j+1,j}` of the deferred basis extension, one
-    /// per extending lane.
+    /// Coefficients `1/h_{j+1,j}` of the basis extension, one per
+    /// extending lane.
     alphas: Vec<S>,
 }
 
 impl<S: BackendScalar> CycleWs<S> {
     pub(crate) fn new(n: usize, k: usize, m: usize) -> Self {
-        let coeffs = || [vec![S::zero(); k * m.max(1)], vec![S::zero(); k * m.max(1)]];
         CycleWs {
             r: MultiVec::zeros(n, k),
             z: MultiVec::zeros(n, k),
@@ -185,46 +156,25 @@ impl<S: BackendScalar> CycleWs<S> {
             u: MultiVec::zeros(n, k),
             ymat: MultiVec::zeros(m, k),
             zvec: vec![S::zero(); n],
-            h1: coeffs(),
-            h2: coeffs(),
-            norms: [vec![S::zero(); k], vec![S::zero(); k]],
+            h1: vec![S::zero(); k * m.max(1)],
+            h2: vec![S::zero(); k * m.max(1)],
+            norms: vec![S::zero(); k],
             gammas: vec![S::zero(); k],
-            tokens: vec![S::zero(); k],
             alphas: vec![S::zero(); k],
         }
     }
 }
 
-/// Host work of iteration `j` whose charges wait for a later stream:
-/// the Givens steps of its act set (`givens`, in compact-position
-/// order) and the basis extension `v_{j+1} = w_c / h_{j+1,j}` of the
-/// lanes that continue (`lanes`, ascending, from compact positions
-/// `pos`; the coefficients sit in [`CycleWs::alphas`], in the same
-/// order).
-#[derive(Default)]
-struct Deferred {
-    j: usize,
-    givens: Vec<usize>,
-    pos: Vec<usize>,
-    lanes: Vec<usize>,
-}
-
 /// Handles of one region's registrations: the operand, the iteration
-/// buffers and host-state slots, the bases of the lanes in `lanes`
-/// (ascending, mutably), and the barrier blocks in barrier regions.
+/// buffers, the bases of the lanes in `lanes` (ascending, mutably), and
+/// the barrier blocks in barrier regions.
 struct Regs<'r, 'c, S> {
     a: MatRef<'c, S>,
     z: BlockMut<'c, S>,
     w: BlockMut<'c, S>,
-    /// The deferred iteration's parity (`h1`, `h2`, `norms`), read by
-    /// its host nodes.
-    lag: [ArgSlice<'c, S>; 3],
-    /// The current iteration's parity, written by its kernels.
     h1: ArgSliceMut<'c, S>,
     h2: ArgSliceMut<'c, S>,
     norms: ArgSliceMut<'c, S>,
-    tokens: ArgSliceMut<'c, S>,
-    alphas: ArgSlice<'c, S>,
     lanes: &'r [usize],
     bases: Vec<BasisMut<'c, S>>,
     barrier: Option<BarrierRegs<'c, S>>,
@@ -286,17 +236,6 @@ fn add_update<S: BackendScalar>(ctx: &mut GpuContext, z: &[S], x: &mut [S]) {
     let mut st = Stream::eager(ctx);
     let (zh, xh) = (st.slice(z), st.slice_mut(x));
     st.axpy(S::one(), zh, xh);
-}
-
-/// Split a parity pair into `(previous, current)` for iteration parity
-/// `cur`.
-fn parity_split<T>(pair: &mut [T; 2], cur: usize) -> (&T, &mut T) {
-    let [even, odd] = pair;
-    if cur == 0 {
-        (odd, even)
-    } else {
-        (even, odd)
-    }
 }
 
 impl<'a, S: BackendScalar> Solver<'a, S> for BlockGmres<'a, S> {
@@ -394,9 +333,9 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Solve `A X = B` starting from the initial guesses in `x`; the
     /// solutions are written back into `x`. Returns one [`SolveResult`]
     /// per column, each bit-identical to an independent single-RHS
-    /// solve of that column (at every pipeline depth). A column whose
-    /// initial residual is 0, such as every column of an empty (n = 0)
-    /// system, returns the trivial converged result with 0 iterations.
+    /// solve of that column. A column whose initial residual is 0, such
+    /// as every column of an empty (n = 0) system, returns the trivial
+    /// converged result with 0 iterations.
     pub fn solve(
         &self,
         ctx: &mut GpuContext,
@@ -641,8 +580,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// on the host: assemble the Hessenberg column, push the Givens
     /// update, record history, decide continuation. Returns the basis
     /// extension coefficient `1/h_{j+1,j}` when the lane extends. The
-    /// HostDense charge is recorded later, with the deferred group (see
-    /// [`BlockGmres::rec_deferred`]).
+    /// caller charges the step.
     #[allow(clippy::too_many_arguments)]
     fn lane_host_step(
         &self,
@@ -705,8 +643,7 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// Per-lane least-squares solves and restart bookkeeping at the
     /// cycle barrier. Fills the first `kc` entries of each solved lane's
     /// coefficient column of `ymat` and zeroes its update-assembly
-    /// column. The HostDense charges are recorded by
-    /// [`BlockGmres::rec_lsq`].
+    /// column. The caller charges the solves.
     fn barrier_lsq(
         &self,
         lanes: &mut [Lane<S>],
@@ -799,17 +736,13 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
     /// (per-lane least-squares solves, solution updates, explicit
     /// residuals), and per-lane status resolution. The crate's only
     /// cycle loop: [`BlockGmres::solve`] and the serving engine both run
-    /// it, at every pipeline depth.
+    /// it.
     ///
-    /// Host arithmetic runs as soon as its device results are synced
-    /// (it decides the next act set). Its charges form groups — an
-    /// iteration's Givens steps with its basis extension (and, under the
-    /// identity preconditioner, the next direction gather), and the
-    /// barrier's least-squares solves — and the depth decides only which
-    /// stream records each group: an eager stream at depth 0, so every
-    /// charge lands at the makespan exactly where a lockstep solve pays
-    /// it, or the recorded region that follows at depth 1, whose DAG
-    /// hides the host nodes behind the device work.
+    /// Host arithmetic runs as soon as its device results are synced (it
+    /// decides the next act set), and its HostDense charge lands right
+    /// after it, at the makespan: each iteration's Givens steps before
+    /// its basis extension, the barrier's least-squares solves before
+    /// the update region.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_cycle(
         &self,
@@ -822,14 +755,10 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         cycle: &[usize],
     ) {
         let identity = self.precond.is_identity();
-        let pipelined = self.pipelined();
-        // At depth 1 under the identity preconditioner the deferred group
-        // shares its region with the device work that follows; a
-        // preconditioner's eager applies need the extended basis first,
-        // so there the group records in a region of its own.
-        let fused = pipelined && identity;
         self.start_cycle(ctx, lanes, &ws.r, cycle);
-        let mut d = Deferred::default();
+        // The lanes that extend their basis after an iteration
+        // (ascending) and their compact positions in its act set.
+        let (mut ext, mut pos) = (Vec::new(), Vec::new());
 
         for j in 0..self.cfg.m {
             // Lanes still iterating this cycle (lockstep: all share j).
@@ -842,30 +771,17 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 break;
             }
             let ncols = j + 1;
-            let cur = j % 2;
+
+            // The direction block Z[:, c] = M^{-1} v_j: one fused lane
+            // gather under the identity, per-lane applies otherwise.
             // Native lanes lend their columns in place; compressed lanes
             // promote their narrow columns first (each a charged cast).
-            let native = act.iter().all(|&l| lanes[l].v.is_native());
-            // The lanes this iteration touches: the act set at j = 0, and
-            // after that the deferred extension's lanes, which contain it
-            // (a lane only stays in the cycle if it extended).
-            let reg = if j == 0 { &act } else { &d.lanes };
-
-            // The deferred group of iteration j - 1 (which writes v_j),
-            // then the direction block Z[:, c] = M^{-1} v_j: one fused
-            // lane gather under the identity, per-lane applies otherwise.
-            {
-                let mut st = self.host_stream(ctx);
-                let h = self.register(&mut st, ws, lanes, reg, cur, None);
-                self.rec_deferred(&mut st, &h, &d);
-                if identity {
-                    rec_gather(&mut st, &h, &act, j, native);
-                }
-                if fused {
-                    self.rec_cgs(&mut st, &h, &act, ncols);
-                }
-            }
-            if !identity {
+            if identity {
+                let native = act.iter().all(|&l| lanes[l].v.is_native());
+                let mut st = Stream::eager(ctx);
+                let h = self.register(&mut st, ws, lanes, &act, None);
+                rec_gather(&mut st, &h, &act, j, native);
+            } else {
                 for (c, &l) in act.iter().enumerate() {
                     if let Some(nv) = lanes[l].v.as_native() {
                         self.precond
@@ -883,67 +799,56 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             }
 
             // W = A Z (one matrix read for all active columns) plus the
-            // orthogonalization, unless the group's region recorded it.
+            // orthogonalization.
             if self.cfg.ortho == OrthoMethod::Mgs {
-                self.mgs(ctx, lanes, ws, &act, ncols, cur);
-            } else if !fused {
+                self.mgs(ctx, lanes, ws, &act, ncols);
+            } else {
                 let mut st = ctx.stream();
-                let h = self.register(&mut st, ws, lanes, reg, cur, None);
+                let h = self.register(&mut st, ws, lanes, &act, None);
                 self.rec_cgs(&mut st, &h, &act, ncols);
             }
 
             // Per-lane host steps (Hessenberg column assembly, Givens
-            // update, convergence decisions) run now; their charges and
-            // the extension of the lanes that continue wait for the next
-            // group.
-            d.pos.clear();
-            d.lanes.clear();
+            // update, convergence decisions), their charges, and the
+            // extension v_{j+1} = w_c / h_{j+1,j} of the lanes that
+            // continue.
+            ext.clear();
+            pos.clear();
             for (c, &l) in act.iter().enumerate() {
-                let (h1, h2, norms) = (&ws.h1[cur], &ws.h2[cur], &ws.norms[cur]);
-                if let Some(inv) = self.lane_host_step(&mut lanes[l], c, ncols, h1, h2, norms[c]) {
-                    ws.alphas[d.pos.len()] = inv;
-                    d.pos.push(c);
-                    d.lanes.push(l);
+                let hj1 = ws.norms[c];
+                if let Some(inv) = self.lane_host_step(&mut lanes[l], c, ncols, &ws.h1, &ws.h2, hj1)
+                {
+                    ws.alphas[ext.len()] = inv;
+                    ext.push(l);
+                    pos.push(c);
                 }
             }
-            d.givens = act;
-            d.j = j;
+            for _ in &act {
+                ctx.charge_host(HostWork::Iteration(j));
+            }
+            if !ext.is_empty() {
+                let mut st = Stream::eager(ctx);
+                let (wh, ah) = (st.block(&ws.w), st.slice(&ws.alphas));
+                let srcs: Vec<ArgSlice<S>> = pos.iter().map(|&c| wh.col(c)).collect();
+                let vs = st.bases_mut(lane_vs_mut(lanes, &ext));
+                st.basis_lane_scal_copy(ah, &srcs, &vs, ncols);
+            }
         }
 
         // Cycle barrier, host half: per-lane least-squares solves and
         // restart bookkeeping; each solved lane queues its update.
         let upds = self.barrier_lsq(lanes, cycle, &mut ws.u, &mut ws.ymat);
-        let mut reg = d.lanes.clone();
-        reg.extend(upds.iter().map(|&(l, _)| l));
-        reg.sort_unstable();
-        reg.dedup();
-        // The lagged buffers are the last iteration's parity.
-        let cur = 1 - d.j % 2;
+        for &(_, kc) in &upds {
+            ctx.charge_host(HostWork::Restart(kc));
+        }
+        let upd_lanes: Vec<usize> = upds.iter().map(|&(l, _)| l).collect();
 
         // Device half: per-lane update chains x += M^{-1} V y and the
         // explicit residuals. Each lane's chain is independent of every
-        // other lane's, so the recorded DAG overlaps them. The last
-        // iteration's group records first; the least-squares group goes
-        // to the eager host stream at depth 0 and, at depth 1, to the
-        // update region that follows.
+        // other lane's, so the recorded DAG overlaps them.
         {
-            let mut st = self.host_stream(ctx);
-            let h = self.register(&mut st, ws, lanes, &reg, cur, Some((b, &mut *x)));
-            self.rec_deferred(&mut st, &h, &d);
-            if !pipelined || fused {
-                rec_lsq(&mut st, &h, &upds);
-            }
-            if fused {
-                rec_update(&mut st, &h, &upds, true);
-                self.rec_residuals(&mut st, &h, cycle);
-            }
-        }
-        if !fused {
             let mut st = ctx.stream();
-            let h = self.register(&mut st, ws, lanes, &reg, cur, Some((b, &mut *x)));
-            if pipelined {
-                rec_lsq(&mut st, &h, &upds);
-            }
+            let h = self.register(&mut st, ws, lanes, &upd_lanes, Some((b, &mut *x)));
             rec_update(&mut st, &h, &upds, identity);
             if identity {
                 self.rec_residuals(&mut st, &h, cycle);
@@ -958,49 +863,27 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 add_update(ctx, &ws.zvec, x.col_mut(l));
             }
             let mut st = ctx.stream();
-            let h = self.register(&mut st, ws, lanes, &[], cur, Some((b, &mut *x)));
+            let h = self.register(&mut st, ws, lanes, &[], Some((b, &mut *x)));
             self.rec_residuals(&mut st, &h, cycle);
         }
 
         self.resolve_cycle(lanes, results, &ws.gammas, cycle);
     }
 
-    /// Depth 1 records deferred host work into the recorded region that
-    /// follows. MGS interleaves every kernel with a host decision,
-    /// leaving no device stream to hide the host step behind, so it
-    /// always runs at depth 0.
-    fn pipelined(&self) -> bool {
-        self.cfg.pipeline_depth > 0 && self.cfg.ortho != OrthoMethod::Mgs
-    }
-
-    /// The stream that records a group of deferred host work: a recorded
-    /// region at depth 1, an eager stream at depth 0.
-    fn host_stream<'c>(&self, ctx: &'c mut GpuContext) -> Stream<'c> {
-        if self.pipelined() {
-            ctx.stream()
-        } else {
-            Stream::eager(ctx)
-        }
-    }
-
     /// Register the cycle buffers on `st` — the barrier blocks only
-    /// when `bx` lends `b` and `x` — with the parity pair split at `cur`,
-    /// and the bases of the lanes in `reg` (ascending) mutably.
+    /// when `bx` lends `b` and `x` — and the bases of the lanes in `reg`
+    /// (ascending) mutably.
     fn register<'c, 'r>(
         &self,
         st: &mut Stream<'c>,
         ws: &'c mut CycleWs<S>,
         lanes: &'c mut [Lane<S>],
         reg: &'r [usize],
-        cur: usize,
         bx: Option<(&'c MultiVec<S>, &'c mut MultiVec<S>)>,
     ) -> Regs<'r, 'c, S>
     where
         'a: 'c,
     {
-        let (h1_prev, h1_cur) = parity_split(&mut ws.h1, cur);
-        let (h2_prev, h2_cur) = parity_split(&mut ws.h2, cur);
-        let (nr_prev, nr_cur) = parity_split(&mut ws.norms, cur);
         let barrier = bx.map(|(b, x)| BarrierRegs {
             b: st.block(b),
             x: st.block_mut(x),
@@ -1013,35 +896,12 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
             a: st.operator(self.a),
             z: st.block_mut(&mut ws.z),
             w: st.block_mut(&mut ws.w),
-            lag: [st.slice(h1_prev), st.slice(h2_prev), st.slice(nr_prev)],
-            h1: st.slice_mut(h1_cur),
-            h2: st.slice_mut(h2_cur),
-            norms: st.slice_mut(nr_cur),
-            tokens: st.slice_mut(&mut ws.tokens),
-            alphas: st.slice(&ws.alphas),
+            h1: st.slice_mut(&mut ws.h1),
+            h2: st.slice_mut(&mut ws.h2),
+            norms: st.slice_mut(&mut ws.norms),
             lanes: reg,
             bases: st.bases_mut(lane_vs_mut(lanes, reg)),
             barrier,
-        }
-    }
-
-    /// Record the deferred group of iteration `d.j`: one HostDense charge
-    /// per lane of its act set, at the lane's lagged spans (its slices of
-    /// that iteration's coefficients and its subdiagonal norm) and on its
-    /// token, then the fused basis extension `v_{j+1} = w_c / h` of the
-    /// lanes that continue.
-    fn rec_deferred<'c>(&self, st: &mut Stream<'c>, h: &Regs<'_, 'c, S>, d: &Deferred) {
-        let np = d.j + 1;
-        let reads = 2 + usize::from(self.cfg.ortho == OrthoMethod::Cgs2);
-        let [h1, h2, norms] = h.lag;
-        for (c, &l) in d.givens.iter().enumerate() {
-            let lagged = [norms.sub(c, 1), h1.sub(c * np, np), h2.sub(c * np, np)];
-            st.host_givens(d.j, &lagged[..reads], h.tokens.at(l));
-        }
-        if !d.lanes.is_empty() {
-            let srcs: Vec<ArgSlice<S>> = d.pos.iter().map(|&c| h.w.col(c)).collect();
-            let vs: Vec<BasisMut<S>> = d.lanes.iter().map(|&l| h.basis(l)).collect();
-            st.basis_lane_scal_copy(h.alphas, &srcs, &vs, np);
         }
     }
 
@@ -1070,7 +930,6 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
         ws: &mut CycleWs<S>,
         act: &[usize],
         ncols: usize,
-        cur: usize,
     ) {
         {
             let mut st = Stream::eager(ctx);
@@ -1094,11 +953,11 @@ impl<'a, S: BackendScalar> BlockGmres<'a, S> {
                 let mut st = Stream::eager(ctx);
                 let (vh, wh) = (st.slice(nv.col(i)), st.slice_mut(ws.w.col_mut(c)));
                 st.axpy(-hi, vh, wh);
-                ws.h1[cur][c * ncols + i] = hi;
+                ws.h1[c * ncols + i] = hi;
             }
         }
         let mut st = Stream::eager(ctx);
-        let (wh, nh) = (st.block(&ws.w), st.slice_mut(&mut ws.norms[cur]));
+        let (wh, nh) = (st.block(&ws.w), st.slice_mut(&mut ws.norms));
         st.block_norm2_into(wh, act.len(), nh);
     }
 
@@ -1131,20 +990,6 @@ fn rec_gather<'c, S: BackendScalar>(
         for (c, &l) in act.iter().enumerate() {
             st.basis_promote_col(h.basis(l).read(), j, h.z.col_mut(c));
         }
-    }
-}
-
-/// Record the barrier's deferred group: one HostDense least-squares
-/// charge per updating lane, writing its coefficient column and token
-/// (so its update chain waits for it, and it for the lane's Givens
-/// steps).
-fn rec_lsq<'c, S: BackendScalar>(
-    st: &mut Stream<'c>,
-    h: &Regs<'_, 'c, S>,
-    upds: &[(usize, usize)],
-) {
-    for &(l, kc) in upds {
-        st.host_lsq(kc, h.tokens.at(l), h.barrier().ymat.col_mut(l));
     }
 }
 

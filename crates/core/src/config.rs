@@ -24,6 +24,10 @@ pub enum OrthoMethod {
 }
 
 /// Configuration for one GMRES(m) solver (Algorithm 1 of the paper).
+///
+/// The cycle loop has one shape, lockstep like the paper's Belos GMRES:
+/// each lane's host step (Givens rotations, least-squares solve)
+/// serializes against the device stream.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct GmresConfig {
     /// Restart length / maximum Krylov subspace size `m`. The paper uses
@@ -49,21 +53,6 @@ pub struct GmresConfig {
     pub loa_factor: f64,
     /// Record the per-iteration residual history (costs memory only).
     pub record_history: bool,
-    /// Software-pipeline depth of the `BlockGmres` cycle loop: where the
-    /// simulated timeline charges each lane's host-side
-    /// Givens/least-squares step. `0` (the default) is the lockstep
-    /// baseline: the step is charged on an eager stream, serialized
-    /// against the device stream each iteration. `1` records it into
-    /// the next recorded region as a host node whose lagged read spans
-    /// prove it independent of that region's device kernels, so the
-    /// timeline hides the host latency behind device work (the paper's
-    /// launch-latency hiding). The same loop runs the same arithmetic
-    /// and charges at either depth, so results and serial seconds are
-    /// bit-identical — only the critical path changes. MGS always runs
-    /// at depth 0. The single-RHS [`crate::Gmres`] front (as a one-lane
-    /// pipelined solve) and the serving engine (per request group)
-    /// honour it too.
-    pub pipeline_depth: usize,
     /// Krylov-basis storage path (see [`BasisPolicy`]). `Native` (the
     /// default) reproduces the pre-storage-path drivers bit for bit;
     /// `Compressed` stores basis columns narrow and promotes on read.
@@ -80,7 +69,6 @@ impl Default for GmresConfig {
             monitor_implicit: true,
             loa_factor: 10.0,
             record_history: true,
-            pipeline_depth: 0,
             basis: BasisPolicy::Native,
         }
     }
@@ -111,15 +99,6 @@ impl GmresConfig {
         self
     }
 
-    /// Builder-style `BlockGmres` software-pipeline depth (0 or 1).
-    /// Out-of-range depths are reported by [`GmresConfig::validate`] at
-    /// the request surface (and still trip a `debug_assert!` here).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        debug_assert!(depth <= 1, "pipeline depth must be 0 or 1");
-        self.pipeline_depth = depth;
-        self
-    }
-
     /// Builder-style Krylov-basis storage path.
     pub fn with_basis(mut self, basis: BasisPolicy) -> Self {
         self.basis = basis;
@@ -146,12 +125,6 @@ impl GmresConfig {
             return Err(SolveError::InvalidConfig(
                 "restart length must be at least 1".into(),
             ));
-        }
-        if self.pipeline_depth > 1 {
-            return Err(SolveError::InvalidConfig(format!(
-                "pipeline depth must be 0 or 1, got {}",
-                self.pipeline_depth
-            )));
         }
         if !(self.rtol >= 0.0) {
             return Err(SolveError::InvalidConfig(format!(
@@ -180,13 +153,6 @@ impl GmresConfig {
                         .into(),
                 ));
             }
-            if self.pipeline_depth > 0 {
-                return Err(SolveError::InvalidConfig(
-                    "compressed basis storage requires pipeline depth 0: depth 1 \
-                     records in-place basis writes"
-                        .into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -202,7 +168,6 @@ impl GmresConfig {
             monitor_implicit: false,
             loa_factor: f64::INFINITY,
             record_history: false,
-            pipeline_depth: 0,
             basis: BasisPolicy::Native,
         }
     }
@@ -218,8 +183,7 @@ impl GmresConfig {
 /// demoted to `p` (fp32 or fp16) and promotes on read, so the GEMV-T /
 /// GEMV-N kernels stream `p.bytes()` per basis element while still
 /// accumulating in the working precision. Compressed storage requires
-/// CGS1/CGS2 (MGS reads columns through full-width views) and pipeline
-/// depth 0.
+/// CGS1/CGS2 (MGS reads columns through full-width views).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BasisPolicy {
     /// Full-width storage in the working precision (the legacy path).

@@ -430,7 +430,13 @@ impl GpuContext {
 
     /// Charge arbitrary host dense flops (polynomial setup eigensolve).
     pub fn charge_host_flops(&mut self, flops: usize) {
-        let t = cost::host(&self.device, HostWork::Flops(flops));
+        self.charge_host(HostWork::Flops(flops));
+    }
+
+    /// Charge one piece of host work as HostDense at the makespan: it
+    /// serializes against the device stream.
+    pub(crate) fn charge_host(&mut self, work: HostWork) {
+        let t = cost::host(&self.device, work);
         self.profiler.charge(KernelClass::HostDense, t, 0);
     }
 }

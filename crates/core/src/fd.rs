@@ -139,7 +139,6 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
             monitor_implicit: true,
             loa_factor: f64::INFINITY, // fp32 phase is best-effort
             record_history: self.cfg.record_history,
-            pipeline_depth: 0,
             basis: crate::config::BasisPolicy::Native,
         };
         let lo_res = if self.cfg.switch_at > 0 {
@@ -196,7 +195,6 @@ impl<'a, Lo: BackendScalar, Hi: BackendScalar> GmresFd<'a, Lo, Hi> {
             monitor_implicit: true,
             loa_factor: 10.0,
             record_history: self.cfg.record_history,
-            pipeline_depth: 0,
             basis: crate::config::BasisPolicy::Native,
         };
         let hi_res = Gmres::new(self.a_hi, self.precond_hi, hi_cfg).solve(ctx, b, x);

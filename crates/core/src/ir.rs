@@ -411,6 +411,19 @@ mod tests {
     use mpgmres_la::vec_ops::ReductionOrder;
     use mpgmres_scalar::Half;
 
+    /// A preconditioner that keeps the default `needs_matrix() == true`.
+    struct NeedsMatrix;
+
+    impl Preconditioner<f64> for NeedsMatrix {
+        fn apply(&self, _: &mut GpuContext, _: Option<&GpuMatrix<f64>>, x: &[f64], y: &mut [f64]) {
+            y.copy_from_slice(x);
+        }
+
+        fn describe(&self) -> String {
+            "needs-matrix".into()
+        }
+    }
+
     fn ctx() -> GpuContext {
         GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::Sequential)
     }
@@ -622,12 +635,10 @@ mod tests {
         // touches A at apply time: allowed over packed storage.
         let jacobi = crate::precond::block_jacobi::BlockJacobi::build(&a, 1);
         assert!(GmresIr::<f64, f64>::try_new(&a, &jacobi, cfg).is_ok());
-        // Chebyshev streams SpMVs against the plain matrix: degrades to
-        // a typed error instead of the old panic.
-        let cheb =
-            crate::precond::chebyshev::ChebyshevPreconditioner::with_bounds(4, 0.1, 4.0).unwrap();
-        let err = match GmresIr::<f64, f64>::try_new(&a, &cheb, cfg) {
-            Ok(_) => panic!("chebyshev must be rejected over packed storage"),
+        // A preconditioner that needs the plain matrix degrades to a
+        // typed error instead of the old panic.
+        let err = match GmresIr::<f64, f64>::try_new(&a, &NeedsMatrix, cfg) {
+            Ok(_) => panic!("a matrix-needing preconditioner must be rejected over packed storage"),
             Err(e) => e,
         };
         assert!(matches!(err, SolveError::UnsupportedCombination(_)));

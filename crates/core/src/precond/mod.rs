@@ -11,7 +11,6 @@
 //! inside an fp64 solve, casting on every application.
 
 pub mod block_jacobi;
-pub mod chebyshev;
 pub mod mixed;
 pub mod poly;
 

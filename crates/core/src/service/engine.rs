@@ -8,9 +8,9 @@
 //! column in a batch [`BlockGmres::solve`] — admission records the same
 //! residual + norm ops as batch init, re-seeding swaps in a fresh lane
 //! state, and cycles run through the very same
-//! [`BlockGmres::run_cycle`] the batch driver uses, at the group's
-//! pipeline depth. Since every batch column is bit-identical to an
-//! independent [`crate::Gmres`] solve, so is every served request.
+//! [`BlockGmres::run_cycle`] the batch driver uses. Since every batch
+//! column is bit-identical to an independent [`crate::Gmres`] solve, so
+//! is every served request.
 
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::multivec::MultiVec;

@@ -14,7 +14,7 @@
 //! A [`SolverService`] keeps one lane engine per *group* of
 //! compatible requests — same operand, preconditioner, tenant, and
 //! cycle-shaping configuration (restart length, orthogonalization,
-//! pipeline depth, monitoring flags). Within a group, per-request
+//! monitoring flags). Within a group, per-request
 //! tolerances and iteration caps ride the individual lanes: stopping
 //! parameters steer decisions, never arithmetic, so mixed-tolerance
 //! lanes keep the bit-parity contract. Requests from different tenants
@@ -176,7 +176,6 @@ struct GroupKey {
     monitor_implicit: bool,
     loa_bits: u64,
     record_history: bool,
-    pipeline_depth: usize,
     /// Basis storage policy: lanes of one engine share their cycle's
     /// recorded regions (and reseeded slots inherit the previous
     /// occupant's basis allocation), so requests over different basis
@@ -415,7 +414,6 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
             monitor_implicit: cfg.monitor_implicit,
             loa_bits: cfg.loa_factor.to_bits(),
             record_history: cfg.record_history,
-            pipeline_depth: cfg.pipeline_depth,
             basis: cfg.basis,
         };
         if let Some(i) = self.groups.iter().position(|g| g.key == key) {
@@ -603,10 +601,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
                 return Some((Operator::Store(store), g.cfg, Degradation::Fp32Store));
             }
         }
-        if g.cfg.basis == BasisPolicy::Native
-            && g.cfg.ortho != OrthoMethod::Mgs
-            && g.cfg.pipeline_depth == 0
-        {
+        if g.cfg.basis == BasisPolicy::Native && g.cfg.ortho != OrthoMethod::Mgs {
             let rung = Degradation::Fp32Basis;
             return Some((g.op, rung.apply(g.cfg), rung));
         }

@@ -75,18 +75,19 @@
 //! parity suite compares recorded regions against. Work that cannot
 //! join a recorded region runs on streams that are eager whatever the
 //! switch says: the preconditioner applies (block Jacobi's
-//! [`Stream::block_lu_solve`], the polynomial and Chebyshev
-//! recurrences, the casts of mixed-precision wrappers), the refinement
-//! loops' casts and updates, the MGS dot/axpy sequence, and, at
-//! pipeline depth 0, `BlockGmres`'s deferred host groups (each lane's
-//! Givens and least-squares charges, the basis extensions and the
-//! direction gathers).
+//! [`Stream::block_lu_solve`], the polynomial recurrence, the casts of
+//! mixed-precision wrappers), the refinement loops' casts and updates,
+//! the MGS dot/axpy sequence, and `BlockGmres`'s basis extensions and
+//! direction gathers, which sit between its host steps. The host steps
+//! themselves (each lane's Givens and least-squares work) are no stream
+//! op: they are HostDense charges at the makespan, so they serialize
+//! against the device stream.
 
 use std::marker::PhantomData;
 
 use mpgmres_backend::stream::Span;
 use mpgmres_backend::{Backend, BackendScalar};
-use mpgmres_gpusim::cost::{self, Gemv, HostWork};
+use mpgmres_gpusim::cost::{self, Gemv};
 use mpgmres_gpusim::{DeviceModel, KernelClass};
 use mpgmres_la::basis::BasisStore;
 use mpgmres_la::csr::Csr;
@@ -342,7 +343,7 @@ pub struct ArgValMut<'c, S> {
 
 impl<'c, S: Scalar> ArgSlice<'c, S> {
     /// Read view of `len` elements starting at element `off` within
-    /// this view (e.g. `BlockGmres`'s lagged per-lane host-step spans).
+    /// this view (e.g. the leading `k` coefficients of a lane-set op).
     pub fn sub(self, off: usize, len: usize) -> ArgSlice<'c, S> {
         let off = u32::try_from(off).expect("arg offset");
         let len = u32::try_from(len).expect("arg length");
@@ -617,8 +618,8 @@ impl<'c> Stream<'c> {
     }
 
     /// Register an exclusively borrowed Krylov basis. Within one region
-    /// the recorder addresses it column-wise for writes (the recorded
-    /// basis extension) and whole-value for the batched CGS reads — the
+    /// the recorder addresses it column-wise for writes (a basis
+    /// extension) and whole-value for the batched CGS reads — the
     /// RAW span overlap is exactly the edge that orders the extension
     /// before the projections. Column views are working-precision
     /// slices, so only native bases have them; a compressed basis is
@@ -1090,67 +1091,6 @@ impl<'c> Stream<'c> {
         });
     }
 
-    // ----- deferred host steps ---------------------------------------
-
-    /// Record one lane's Givens/update bookkeeping for a PAST iteration
-    /// `j` (the `BlockGmres` host step). The arithmetic already ran on
-    /// the host when it consumed the synced results, so the op has no
-    /// launch; it only carries the host-dense charge. On an eager stream
-    /// (pipeline depth 0) that charge lands at the makespan, serialized
-    /// against the device work. In a recorded region (depth 1) it lands
-    /// at its DAG-ready time, which is how the timeline shows the host
-    /// latency hidden behind the *current* iteration's device kernels.
-    /// `lagged` (at most three) are the previous-parity
-    /// norm/coefficient spans the step consumed (they conflict with nothing the current iteration
-    /// writes, so the DAG proves the one-iteration lag safe), and
-    /// `token` is the lane's host-state slot: consecutive host steps of
-    /// one lane chain through it (WAW), keeping the Givens recurrence
-    /// ordered per lane while distinct lanes overlap freely.
-    pub fn host_givens<S: BackendScalar>(
-        &mut self,
-        j: usize,
-        lagged: &[ArgSlice<'c, S>],
-        token: ArgValMut<'c, S>,
-    ) {
-        let t = cost::host(self.ctx.device(), HostWork::Iteration(j));
-        let mut reads = [Span::whole(0); 3];
-        assert!(lagged.len() <= reads.len(), "host_givens: too many spans");
-        if self.eager {
-            // No launch, so nothing for the spans to guard: the charge
-            // is the whole op (every lane, every iteration at depth 0).
-            self.ctx.profiler_mut().charge(KernelClass::HostDense, t, 0);
-            return;
-        }
-        for (r, s) in reads.iter_mut().zip(lagged) {
-            *r = s.span();
-        }
-        self.host_node("host_givens", t, &reads[..lagged.len()], &[token.span()]);
-    }
-
-    /// Record one lane's least-squares solve at the cycle barrier
-    /// (like [`Stream::host_givens`], a charge without a launch):
-    /// charged as the per-restart host cost for `kc` columns,
-    /// writing the lane's update-coefficient column and
-    /// its host-state token. The write on `y` is what orders the lane's
-    /// device update chain (GEMV-N reading `y`) after this host step,
-    /// and the token WAW orders it after the lane's drained Givens
-    /// steps — per-lane host→device chains that overlap across lanes.
-    pub fn host_lsq<S: BackendScalar>(
-        &mut self,
-        kc: usize,
-        token: ArgValMut<'c, S>,
-        y: ArgSliceMut<'c, S>,
-    ) {
-        let t = cost::host(self.ctx.device(), HostWork::Restart(kc));
-        self.host_node("host_lsq", t, &[], &[token.span(), y.span()]);
-    }
-
-    fn host_node(&mut self, label: &'static str, seconds: f64, reads: &[Span], writes: &[Span]) {
-        Self::assert_noalias(label, reads, writes);
-        let charge = Some((KernelClass::HostDense, seconds, 0));
-        self.record(label, reads, writes, charge, |_| {});
-    }
-
     // ----- fused lane-set kernels (recorded forms) -------------------
 
     /// Record the fused per-lane copy `dsts[c] = srcs[c]` (the batched
@@ -1577,13 +1517,11 @@ mod tests {
         );
     }
 
-    /// The deferred-host building blocks — a host node, a recorded
-    /// fused basis extension, and a recorded lane copy — are
-    /// bit-identical eager vs recorded (values AND charges), and the
-    /// host node's latency hides under the independent device work on
-    /// the overlap timeline.
+    /// The fused lane-set kernels of `BlockGmres` — a basis extension
+    /// and a lane copy — are bit-identical eager vs recorded (values
+    /// AND charges).
     #[test]
-    fn host_nodes_and_lane_ops_record_and_overlap() {
+    fn lane_ops_record_like_eager() {
         let run = |streaming: bool| {
             let mut ctx =
                 GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::Sequential);
@@ -1593,43 +1531,26 @@ mod tests {
             let mut v0 = BasisStore::<f64>::native(2, 1);
             let mut v1 = BasisStore::<f64>::native(2, 1);
             let mut zs = [0.0f64; 2];
-            let mut token = 0.0f64;
-            let mut criticals = Vec::new();
             for _ in 0..2 {
                 let mut st = ctx.stream();
                 let ah = st.slice(&alphas);
                 let xh = st.slice(&xs);
                 let vs = st.bases_mut(vec![&mut v0, &mut v1]);
                 let zh = st.slice_mut(&mut zs);
-                let th = st.val_mut(&mut token);
-                // Deferred host step reading a lagged span the device
-                // ops below never touch: independent, so it overlaps.
-                st.host_givens(3, &[xh.sub(0, 2)], th);
                 st.basis_lane_scal_copy(ah, &[xh.sub(0, 2), xh.sub(2, 2)], &vs, 0);
                 st.lane_copy(&[vs[0].col(0)], &[zh]);
                 st.sync();
-                criticals.push(ctx.profiler().critical_seconds());
             }
             let ys = [v0.expect_native().col(0), v1.expect_native().col(0)].concat();
-            (ys, zs, ctx.elapsed(), criticals)
+            (ys, zs, ctx.elapsed())
         };
-        let (ys_r, zs_r, t_r, crit_r) = run(true);
-        let (ys_e, zs_e, t_e, _) = run(false);
+        let (ys_r, zs_r, t_r) = run(true);
+        let (ys_e, zs_e, t_e) = run(false);
         assert_eq!(ys_r, [2.0, 4.0, -3.0, -4.0]);
         assert_eq!(zs_r, [2.0, 4.0]);
         assert_eq!(ys_r, ys_e);
         assert_eq!(zs_r, zs_e);
         assert_eq!(t_r.to_bits(), t_e.to_bits(), "charges identical");
-        // The host node overlapped the lane kernels on the recorded
-        // timeline: critical < serial after the first region (the two
-        // regions charge identical sums, so serial-after-first is
-        // exactly half the final total).
-        assert!(
-            crit_r[0] < t_r / 2.0,
-            "host node must hide: {} !< {}",
-            crit_r[0],
-            t_r / 2.0
-        );
     }
 
     /// The initial-residual shape of `BlockGmres`: independent

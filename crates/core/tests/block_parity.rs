@@ -8,13 +8,12 @@
 //!
 //! - `k = 1`, through both the block driver and the single-RHS `Gmres`
 //!   front;
-//! - `k = 4`, including columns that converge at different iterations
-//!   (exercising deflation), lockstep and pipelined.
+//! - `k = 3` and `k = 4`, including columns that converge at different
+//!   iterations (exercising deflation).
 //!
 //! Two pins hold simulated timing reports to fixed values: fixed
 //! single-RHS solves (`single_rhs_report_is_pinned`), and a three-lane
-//! block solve at both pipeline depths, serial and critical
-//! (`block_reports_are_pinned_at_both_depths`).
+//! block solve, serial and critical (`block_reports_are_pinned`).
 
 use std::sync::Arc;
 
@@ -224,20 +223,15 @@ fn width_four_columns_match_independent_solves() {
     assert_block_matches_oracle(&a, None, &cols, cfg, SolveStatus::Converged);
 }
 
-/// The software-pipelined driver keeps the same contract: every column
-/// of a `pipeline_depth = 1` block solve is bit-identical to its oracle
-/// solve (the pipelining only moves host charges on the timeline, never
-/// the arithmetic).
+/// k = 3 and k = 1 on another shape: every column bit-identical to its
+/// oracle solve.
 #[test]
-fn pipelined_columns_match_independent_solves() {
+fn three_lane_block_matches_independent_solves() {
     let a = laplace2d_matrix(32);
     let n = a.n();
     let cols_data: Vec<Vec<f64>> = (0..3).map(|l| rhs(n, 40 + l)).collect();
     let cols: Vec<&[f64]> = cols_data.iter().map(|c| c.as_slice()).collect();
-    let cfg = GmresConfig::default()
-        .with_m(25)
-        .with_max_iters(5_000)
-        .with_pipeline_depth(1);
+    let cfg = GmresConfig::default().with_m(25).with_max_iters(5_000);
     assert_block_matches_oracle(&a, None, &cols, cfg, SolveStatus::Converged);
     assert_block_matches_oracle(&a, None, &cols[..1], cfg, SolveStatus::Converged);
 }
@@ -424,15 +418,14 @@ struct PinnedBlockReport {
 }
 
 /// The simulated report of one fixed three-lane block solve
-/// (laplace2d(32), GMRES(20), rtol 1e-10, recorded streams), at
-/// pipeline depths 0 and 1, with identity and block Jacobi on the
-/// reference backend. The lanes stop at different iterations inside a
-/// cycle, so the active set shrinks mid-cycle and the barrier drains a
-/// partial one. Pins the serial *and* the critical timeline, and the
-/// host time the pipelined charge placement hides, so moving any charge
-/// between regions fails here.
+/// (laplace2d(32), GMRES(20), rtol 1e-10, recorded streams), with
+/// identity and block Jacobi on the reference backend. The lanes stop
+/// at different iterations inside a cycle, so the active set shrinks
+/// mid-cycle and the barrier drains a partial one. Pins the serial
+/// *and* the critical timeline, and that no host time hides under
+/// device work, so moving any charge between regions fails here.
 #[test]
-fn block_reports_are_pinned_at_both_depths() {
+fn block_reports_are_pinned() {
     const IDENTITY_0: PinnedBlockReport = PinnedBlockReport {
         lane_iterations: [301, 232, 287],
         report: PinnedReport {
@@ -449,23 +442,6 @@ fn block_reports_are_pinned_at_both_depths() {
         },
         critical_bits: 0x3fd7_da67_c57e_1f9b,
         host_hidden_bits: 0,
-    };
-    const IDENTITY_1: PinnedBlockReport = PinnedBlockReport {
-        lane_iterations: [301, 232, 287],
-        report: PinnedReport {
-            iterations: 820,
-            restarts: 43,
-            serial_bits: 0x3fd8_14d8_c540_b27c,
-            categories: [
-                (602, 152_813_568, 0x3fa2_26c9_6eca_f776),
-                (345, 7_094_272, 0x3fa3_6f58_3669_50e2),
-                (645, 173_670_400, 0x3f73_901f_be53_d504),
-                (347, 47_789_932, 0x3f64_c67e_dbb8_3476),
-                (1223, 15_196_160, 0x3fd2_ea47_13e9_69ba),
-            ],
-        },
-        critical_bits: 0x3fc4_9f38_39be_0bf0,
-        host_hidden_bits: 0x3fc7_9994_4c63_ecf7,
     };
     const BLOCK_JACOBI_0: PinnedBlockReport = PinnedBlockReport {
         lane_iterations: [175, 151, 190],
@@ -484,23 +460,6 @@ fn block_reports_are_pinned_at_both_depths() {
         critical_bits: 0x3fce_852e_0dd4_1cd9,
         host_hidden_bits: 0,
     };
-    const BLOCK_JACOBI_1: PinnedBlockReport = PinnedBlockReport {
-        lane_iterations: [175, 151, 190],
-        report: PinnedReport {
-            iterations: 516,
-            restarts: 27,
-            serial_bits: 0x3fce_cb08_4c04_f351,
-            categories: [
-                (380, 94_978_048, 0x3f96_e9c7_045b_f477),
-                (218, 4_472_832, 0x3f98_8fad_b85c_ea9f),
-                (407, 108_101_632, 0x3f68_aba5_38cf_57fd),
-                (763, 74_738_544, 0x3f76_9000_9755_874a),
-                (770, 9_560_064, 0x3fc7_c4ab_1acf_edbf),
-            ],
-        },
-        critical_bits: 0x3fbe_ff76_8de6_ecfe,
-        host_hidden_bits: 0x3fbc_6b5a_9f91_5ded,
-    };
     let a = laplace2d_matrix(32);
     let n = a.n();
     let b0: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 / n as f64)).collect();
@@ -516,39 +475,12 @@ fn block_reports_are_pinned_at_both_depths() {
         &str,
         &dyn Preconditioner<f64>,
         BackendKind,
-        usize,
         &PinnedBlockReport,
-    ); 4] = [
-        (
-            "identity depth 0",
-            &Identity,
-            BackendKind::Reference,
-            0,
-            &IDENTITY_0,
-        ),
-        (
-            "identity depth 1",
-            &Identity,
-            BackendKind::Reference,
-            1,
-            &IDENTITY_1,
-        ),
-        (
-            "block-jacobi depth 0",
-            &bj,
-            BackendKind::Reference,
-            0,
-            &BLOCK_JACOBI_0,
-        ),
-        (
-            "block-jacobi depth 1",
-            &bj,
-            BackendKind::Reference,
-            1,
-            &BLOCK_JACOBI_1,
-        ),
+    ); 2] = [
+        ("identity", &Identity, BackendKind::Reference, &IDENTITY_0),
+        ("block-jacobi", &bj, BackendKind::Reference, &BLOCK_JACOBI_0),
     ];
-    for (what, pc, kind, depth, pin) in cases {
+    for (what, pc, kind, pin) in cases {
         let mut ctx = GpuContext::with_backend_kind(
             DeviceModel::v100_belos(),
             ReductionOrder::Sequential,
@@ -556,8 +488,7 @@ fn block_reports_are_pinned_at_both_depths() {
         );
         let bb = MultiVec::from_columns(&cols);
         let mut xb = MultiVec::<f64>::zeros(n, cols.len());
-        let cfg = base.with_pipeline_depth(depth);
-        let res = BlockGmres::new(&a, pc, cfg).solve(&mut ctx, &bb, &mut xb);
+        let res = BlockGmres::new(&a, pc, base).solve(&mut ctx, &bb, &mut xb);
         let iters: Vec<usize> = res.iter().map(|r| r.iterations).collect();
         assert!(
             res.iter().all(|r| r.status == SolveStatus::Converged),

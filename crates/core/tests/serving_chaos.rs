@@ -10,6 +10,8 @@
 //! which requests around it were cancelled. Cancelled requests leave
 //! with the iterate of the last completed cycle barrier.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use mpgmres::prelude::*;
 use mpgmres_la::coo::Coo;
 use mpgmres_la::vec_ops::ReductionOrder;
@@ -761,62 +763,155 @@ fn bursty_rerun_on_a_used_context_is_bit_identical() {
     assert_runs_identical(&first, &second, "bursty rerun");
 }
 
-/// The service honours `pipeline_depth`: requests served together at
-/// depth 1 produce exactly the depth-0 outcomes (solutions, statuses,
-/// histories) and the same serial seconds, while the group's deferred
-/// host steps hide behind device work, so the critical path is strictly
-/// shorter.
+/// Requests served together in one lane group produce exactly the
+/// outcomes of independent solves: solutions, statuses and histories,
+/// bit for bit.
 #[test]
-fn pipelined_service_matches_lockstep_and_hides_host_time() {
+fn batched_service_matches_independent_solves_with_histories() {
     let n = 40;
     let a = laplace1d(n);
     let traffic = arrivals(0x005e_edd1, n, 5, &[10]);
-    let serve = |depth: usize| {
-        let mut ctx = ctx_with(BackendKind::Reference, true);
-        let mut service = SolverService::new(ServiceConfig::default().with_lanes(3));
-        for arr in &traffic {
-            let cfg = GmresConfig::default()
-                .with_m(arr.m)
-                .with_rtol(arr.rtol)
-                .with_max_iters(arr.max_iters)
-                .with_pipeline_depth(depth);
-            let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs).with_config(cfg);
-            service.submit(&ctx, &req).expect("valid request");
-        }
-        while service.pending() + service.in_flight() > 0 {
-            service.step(&mut ctx);
-        }
-        let mut outcomes = service.drain_outcomes();
-        outcomes.sort_by_key(|o| o.id.0);
-        (outcomes, ctx.report())
-    };
-    let (lockstep, rep0) = serve(0);
-    let (pipelined, rep1) = serve(1);
-    assert_eq!(lockstep.len(), traffic.len());
-    assert_runs_identical(&lockstep, &pipelined, "depth 1 vs depth 0");
-    for (want, got) in lockstep.iter().zip(&pipelined) {
-        let (rw, rg) = (want.result.as_ref().unwrap(), got.result.as_ref().unwrap());
-        assert_eq!(rw.history.len(), rg.history.len(), "{}: history", want.id);
-        for (hw, hg) in rw.history.iter().zip(&rg.history) {
-            assert_eq!(hw.iteration, hg.iteration, "{}: history", want.id);
-            assert_eq!(hw.kind, hg.kind, "{}: history", want.id);
-            assert_eq!(
-                hw.relative_residual.to_bits(),
-                hg.relative_residual.to_bits(),
-                "{}: history",
-                want.id
-            );
+    let mut ctx = ctx_with(BackendKind::Reference, true);
+    let mut service = SolverService::new(ServiceConfig::default().with_lanes(3));
+    for arr in &traffic {
+        let cfg = GmresConfig::default()
+            .with_m(arr.m)
+            .with_rtol(arr.rtol)
+            .with_max_iters(arr.max_iters);
+        let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs).with_config(cfg);
+        service.submit(&ctx, &req).expect("valid request");
+    }
+    while service.pending() + service.in_flight() > 0 {
+        service.step(&mut ctx);
+    }
+    let mut outcomes = service.drain_outcomes();
+    outcomes.sort_by_key(|o| o.id.0);
+    assert_eq!(outcomes.len(), traffic.len());
+    for (arr, got) in traffic.iter().zip(&outcomes) {
+        assert_matches_independent(&a, arr, got);
+        let cfg = GmresConfig::default()
+            .with_m(arr.m)
+            .with_rtol(arr.rtol)
+            .with_max_iters(arr.max_iters);
+        let (want, _) = oracle_solve(&a, &arr.rhs, &cfg);
+        let got = got.result.as_ref().unwrap();
+        assert_histories_identical(&want.history, &got.history, "served");
+    }
+}
+
+fn assert_histories_identical(want: &[HistoryPoint], got: &[HistoryPoint], what: &str) {
+    assert_eq!(want.len(), got.len(), "{what}: history length");
+    for (hw, hg) in want.iter().zip(got) {
+        assert_eq!(hw.iteration, hg.iteration, "{what}: history");
+        assert_eq!(hw.kind, hg.kind, "{what}: history");
+        assert_eq!(
+            hw.relative_residual.to_bits(),
+            hg.relative_residual.to_bits(),
+            "{what}: history"
+        );
+    }
+}
+
+/// The identity, except that apply number `poison` (0-based, counted
+/// over every lane) returns NaN.
+struct PoisonAt {
+    poison: usize,
+    applies: AtomicUsize,
+}
+
+impl PoisonAt {
+    fn new(poison: usize) -> Self {
+        PoisonAt {
+            poison,
+            applies: AtomicUsize::new(0),
         }
     }
-    assert_eq!(
-        rep0.total_seconds.to_bits(),
-        rep1.total_seconds.to_bits(),
-        "serial seconds"
-    );
-    assert!(
-        rep1.critical_path_seconds < rep0.critical_path_seconds,
-        "depth 1 critical {} must be below depth 0's {}",
-        rep1.critical_path_seconds,
-        rep0.critical_path_seconds
-    );
+}
+
+impl Preconditioner<f64> for PoisonAt {
+    fn apply(&self, _: &mut GpuContext, _: Option<&GpuMatrix<f64>>, x: &[f64], y: &mut [f64]) {
+        y.copy_from_slice(x);
+        if self.applies.fetch_add(1, Ordering::Relaxed) == self.poison {
+            y.fill(f64::NAN);
+        }
+    }
+
+    fn describe(&self) -> String {
+        format!("poison-at({})", self.poison)
+    }
+
+    fn needs_matrix(&self) -> bool {
+        false
+    }
+}
+
+/// Fault isolation inside a block: a lane whose preconditioner apply
+/// goes NaN mid-solve breaks down alone, and the other lanes of its
+/// block come back bitwise unchanged — solution, status, iterations
+/// and history — on both backends, through `BlockGmres::solve` and
+/// through `SolverService`. Three lanes iterate in lockstep and apply
+/// the preconditioner in lane order, so apply 7 is lane 1's third.
+#[test]
+fn poisoned_lane_leaves_its_block_mates_bitwise_unchanged() {
+    const LANES: usize = 3;
+    const LANE_1_THIRD_APPLY: usize = 2 * LANES + 1;
+    let n = 40;
+    let a = laplace1d(n);
+    let traffic = arrivals(0x0b5e_55ed, n, LANES, &[10]);
+    let cfg = GmresConfig::default().with_m(10).with_max_iters(2_000);
+    for kind in BackendKind::ALL {
+        let block = |poison: usize| {
+            let pc = PoisonAt::new(poison);
+            let mut ctx = ctx_with(kind, true);
+            let cols: Vec<&[f64]> = traffic.iter().map(|t| t.rhs.as_slice()).collect();
+            let b = MultiVec::from_columns(&cols);
+            let mut x = MultiVec::<f64>::zeros(n, LANES);
+            let res = BlockGmres::new(&a, &pc, cfg).solve(&mut ctx, &b, &mut x);
+            let xs: Vec<Vec<f64>> = (0..LANES).map(|l| x.col(l).to_vec()).collect();
+            res.into_iter().zip(xs).collect::<Vec<_>>()
+        };
+        let served = |poison: usize| {
+            let pc = PoisonAt::new(poison);
+            let mut ctx = ctx_with(kind, true);
+            let mut service = SolverService::new(ServiceConfig::default().with_lanes(LANES));
+            for arr in &traffic {
+                let req = SolveRequest::new(Operator::Matrix(&a), &arr.rhs)
+                    .with_config(cfg)
+                    .with_precond(&pc);
+                service.submit(&ctx, &req).expect("valid request");
+            }
+            while service.pending() + service.in_flight() > 0 {
+                service.step(&mut ctx);
+            }
+            let mut outcomes = service.drain_outcomes();
+            outcomes.sort_by_key(|o| o.id.0);
+            outcomes
+                .into_iter()
+                .map(|o| (o.result.expect("completed"), o.x))
+                .collect::<Vec<_>>()
+        };
+        for (front, run) in [
+            ("block", &block as &dyn Fn(usize) -> _),
+            ("service", &served),
+        ] {
+            let what = format!("{kind}/{front}");
+            let clean = run(usize::MAX);
+            let poisoned = run(LANE_1_THIRD_APPLY);
+            assert!(clean.iter().all(|(r, _)| r.status.is_converged()), "{what}");
+            let (r1, _) = &poisoned[1];
+            assert_eq!(r1.status, SolveStatus::Breakdown, "{what}: poisoned lane");
+            assert_eq!(r1.iterations, 3, "{what}: poisoned on its third iteration");
+            for l in [0, 2] {
+                let ((want, xw), (got, xg)) = (&clean[l], &poisoned[l]);
+                let what = format!("{what}: lane {l}");
+                assert_eq!(want.status, got.status, "{what}: status");
+                assert_eq!(want.iterations, got.iterations, "{what}: iterations");
+                assert_eq!(want.restarts, got.restarts, "{what}: restarts");
+                assert_histories_identical(&want.history, &got.history, &what);
+                for (i, (w, g)) in xw.iter().zip(xg).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{what}: x[{i}]");
+                }
+            }
+        }
+    }
 }

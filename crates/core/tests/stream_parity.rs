@@ -246,10 +246,11 @@ fn preconditioned_gmres_recorded_matches_eager() {
     }
 }
 
-/// BlockGmres with several heterogeneous lanes: recorded == eager
-/// bit-for-bit per column, serial accounting identical, and the
-/// recorded critical path drops strictly below the serial total (the
-/// per-lane barrier chains and initial residuals overlap).
+/// BlockGmres with several heterogeneous lanes, some leaving mid-cycle:
+/// recorded == eager bit-for-bit per column, serial accounting
+/// identical, and the recorded critical path drops strictly below the
+/// serial total (the per-lane barrier chains and initial residuals
+/// overlap).
 #[test]
 fn block_gmres_recorded_matches_eager_and_overlaps() {
     let a = laplace2d_matrix(40);
@@ -273,6 +274,7 @@ fn block_gmres_recorded_matches_eager_and_overlaps() {
         };
         let (ctx_r, x_r, res_r) = run(true);
         let (ctx_e, x_e, res_e) = run(false);
+        let mut mid_cycle_exit = false;
         for l in 0..k {
             let what = format!("{name}: col {l}");
             assert!(res_e[l].status.is_converged(), "{what}: converged");
@@ -280,7 +282,12 @@ fn block_gmres_recorded_matches_eager_and_overlaps() {
             for (xr, xe) in x_r.col(l).iter().zip(x_e.col(l)) {
                 assert_eq!(xr.to_bits(), xe.to_bits(), "{what}: solution");
             }
+            mid_cycle_exit |= res_r[l].iterations % cfg.m != 0;
         }
+        assert!(
+            mid_cycle_exit,
+            "{name}: the case must exercise mid-cycle deflation"
+        );
         assert_serial_reports_identical(&ctx_r, &ctx_e, name);
         let rep_r = ctx_r.report();
         let rep_e = ctx_e.report();
@@ -459,152 +466,16 @@ fn second_block_solve_is_bit_identical() {
     }
 }
 
-/// ISSUE 5 acceptance: the software-pipelined `BlockGmres` driver
-/// (`pipeline_depth = 1`) is bit-identical to the lockstep baseline —
-/// per-lane solutions, histories, statuses AND the full serial
-/// accounting — in both streaming and eager mode, on both backends,
-/// with deflation happening mid-run (the heterogeneous columns
-/// converge at different points). On the recorded timeline the
-/// pipelined critical path drops strictly below lockstep's at k >= 2:
-/// the deferred Givens/least-squares host steps hide behind device
-/// work instead of serializing against it.
+/// A second block solve on the same context, after a profile reset,
+/// stays bit-identical to the first, serial and critical timing
+/// included.
 #[test]
-fn pipelined_block_gmres_matches_lockstep_bitwise_and_overlaps_more() {
-    let a = laplace2d_matrix(40);
-    let n = a.n();
-    let b0: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 / n as f64)).collect();
-    let b1 = rhs(n, 2);
-    let b2 = rhs(n, 3);
-    let mut b3 = vec![0.0f64; n];
-    b3[0] = 1.0;
-    b3[n / 2] = -2.0;
-    let cols: Vec<&[f64]> = vec![&b0, &b1, &b2, &b3];
-    let k = cols.len();
-    let base_cfg = GmresConfig::default().with_m(30).with_max_iters(5_000);
-    for (name, backend) in backends() {
-        let run = |depth: usize, streaming: bool| {
-            let mut ctx = ctx_on(backend.clone(), streaming);
-            let bb = MultiVec::from_columns(&cols);
-            let mut x = MultiVec::<f64>::zeros(n, k);
-            let cfg = base_cfg.with_pipeline_depth(depth);
-            let res = BlockGmres::new(&a, &Identity, cfg).solve(&mut ctx, &bb, &mut x);
-            (ctx, x, res)
-        };
-        let (ctx_l, x_l, res_l) = run(0, true); // lockstep, recorded
-        let (ctx_p, x_p, res_p) = run(1, true); // pipelined, recorded
-        let (ctx_le, x_le, _) = run(0, false); // lockstep, eager
-        let (ctx_pe, x_pe, res_pe) = run(1, false); // pipelined, eager
-
-        let mut mid_cycle_exit = false;
-        for l in 0..k {
-            let what = format!("{name}: pipelined col {l}");
-            assert!(res_l[l].status.is_converged(), "{what}: converged");
-            assert_results_identical(&res_p[l], &res_l[l], &what);
-            assert_results_identical(&res_pe[l], &res_l[l], &format!("{what} (eager)"));
-            for (xp, xl) in x_p.col(l).iter().zip(x_l.col(l)) {
-                assert_eq!(xp.to_bits(), xl.to_bits(), "{what}: solution");
-            }
-            for (xp, xl) in x_pe.col(l).iter().zip(x_le.col(l)) {
-                assert_eq!(xp.to_bits(), xl.to_bits(), "{what}: eager solution");
-            }
-            mid_cycle_exit |= res_l[l].iterations % base_cfg.m != 0;
-        }
-        assert!(
-            mid_cycle_exit,
-            "{name}: the case must exercise mid-cycle deflation"
-        );
-        // Identical charges in identical order: serial accounting is
-        // bitwise equal across drivers and modes.
-        assert_serial_reports_identical(&ctx_p, &ctx_l, &format!("{name}: pipelined/lockstep"));
-        assert_serial_reports_identical(&ctx_pe, &ctx_le, &format!("{name}: eager pair"));
-        assert_serial_reports_identical(&ctx_p, &ctx_pe, &format!("{name}: rec/eager"));
-        // Eager mode serializes regardless of depth.
-        let rep_pe = ctx_pe.report();
-        assert_eq!(
-            rep_pe.critical_path_seconds.to_bits(),
-            rep_pe.total_seconds.to_bits(),
-            "{name}: eager pipelined serializes"
-        );
-        // The pipelined timeline strictly beats lockstep at k >= 2.
-        let rep_l = ctx_l.report();
-        let rep_p = ctx_p.report();
-        assert!(
-            rep_p.critical_path_seconds < rep_l.critical_path_seconds,
-            "{name}: pipelining must shorten the critical path ({} !< {})",
-            rep_p.critical_path_seconds,
-            rep_l.critical_path_seconds
-        );
-        assert!(
-            rep_p.overlap_ratio() < rep_l.overlap_ratio(),
-            "{name}: pipelined overlap ratio must beat lockstep ({} !< {})",
-            rep_p.overlap_ratio(),
-            rep_l.overlap_ratio()
-        );
-        // The hidden-latency accounting shows host time off the
-        // critical path.
-        let hidden = ctx_p
-            .profiler()
-            .class_stats(mpgmres_gpusim::KernelClass::HostDense)
-            .hidden;
-        assert!(
-            hidden > 0.0,
-            "{name}: deferred host steps must report hidden latency"
-        );
-    }
-}
-
-/// The pipelined contract holds under preconditioning too: bit-exact
-/// per lane versus the lockstep baseline (split barrier, eager
-/// preconditioner applies between recorded regions), with an overlap
-/// ratio no worse than lockstep's.
-#[test]
-fn pipelined_preconditioned_block_gmres_matches_lockstep() {
-    let a = laplace2d_matrix(32);
-    let n = a.n();
-    let precond = BlockJacobi::build(&a, 8);
-    let cols_data: Vec<Vec<f64>> = (0..3).map(|l| rhs(n, 10 + l)).collect();
-    let cols: Vec<&[f64]> = cols_data.iter().map(|c| c.as_slice()).collect();
-    let base_cfg = GmresConfig::default().with_m(20).with_max_iters(3_000);
-    for (name, backend) in backends() {
-        let run = |depth: usize| {
-            let mut ctx = ctx_on(backend.clone(), true);
-            let bb = MultiVec::from_columns(&cols);
-            let mut x = MultiVec::<f64>::zeros(n, 3);
-            let cfg = base_cfg.with_pipeline_depth(depth);
-            let res = BlockGmres::new(&a, &precond, cfg).solve(&mut ctx, &bb, &mut x);
-            (ctx, x, res)
-        };
-        let (ctx_l, x_l, res_l) = run(0);
-        let (ctx_p, x_p, res_p) = run(1);
-        for l in 0..3 {
-            let what = format!("{name}: precond pipelined col {l}");
-            assert!(res_l[l].status.is_converged(), "{what}: converged");
-            assert_results_identical(&res_p[l], &res_l[l], &what);
-            for (xp, xl) in x_p.col(l).iter().zip(x_l.col(l)) {
-                assert_eq!(xp.to_bits(), xl.to_bits(), "{what}: solution");
-            }
-        }
-        assert_serial_reports_identical(&ctx_p, &ctx_l, name);
-        let (rep_l, rep_p) = (ctx_l.report(), ctx_p.report());
-        assert!(
-            rep_p.critical_path_seconds < rep_l.critical_path_seconds,
-            "{name}: preconditioned pipelining still shortens the critical path"
-        );
-    }
-}
-
-/// A second pipelined solve on the same context stays bit-identical to
-/// the first, serial and critical timing included.
-#[test]
-fn second_pipelined_solve_is_bit_identical() {
+fn second_block_solve_after_a_profile_reset_is_bit_identical() {
     let a = laplace2d_matrix(28);
     let n = a.n();
     let cols_data: Vec<Vec<f64>> = (0..3).map(|l| rhs(n, 30 + l)).collect();
     let cols: Vec<&[f64]> = cols_data.iter().map(|c| c.as_slice()).collect();
-    let cfg = GmresConfig::default()
-        .with_m(15)
-        .with_max_iters(3_000)
-        .with_pipeline_depth(1);
+    let cfg = GmresConfig::default().with_m(15).with_max_iters(3_000);
     let mut ctx = ctx_on(Arc::new(ReferenceBackend), true);
     let solve = |ctx: &mut GpuContext| {
         ctx.reset_profile();
@@ -618,9 +489,9 @@ fn second_pipelined_solve_is_bit_identical() {
     let (x_w, res_w) = solve(&mut ctx);
     let rep_w = ctx.report();
     for l in 0..3 {
-        assert_results_identical(&res_w[l], &res_f[l], &format!("pipelined second col {l}"));
+        assert_results_identical(&res_w[l], &res_f[l], &format!("second col {l}"));
         for (xw, xf) in x_w.col(l).iter().zip(x_f.col(l)) {
-            assert_eq!(xw.to_bits(), xf.to_bits(), "pipelined second col {l} x");
+            assert_eq!(xw.to_bits(), xf.to_bits(), "second col {l} x");
         }
     }
     assert_eq!(rep_w.total_seconds.to_bits(), rep_f.total_seconds.to_bits());
@@ -751,7 +622,7 @@ fn ir_recorded_matches_eager_for_all_storage_paths() {
 /// Compressed-basis acceptance: an explicit `BasisPolicy::Native` must
 /// be indistinguishable from the default config — bit-identical
 /// solutions, histories, and serial accounting on both backends, with
-/// streaming on and off, for both `Gmres` and a pipelined `BlockGmres`.
+/// streaming on and off, for both `Gmres` and a three-lane `BlockGmres`.
 /// This pins the `BasisStore` refactor as a no-op at native width.
 #[test]
 fn native_basis_policy_matches_default_bitwise() {
@@ -779,8 +650,7 @@ fn native_basis_policy_matches_default_bitwise() {
             assert_serial_reports_identical(&ctx_n, &ctx_d, &what);
         }
     }
-    // Pipelined block path: native basis must stay a no-op there too.
-    let bcfg = base.with_pipeline_depth(1);
+    // Block path: native basis must stay a no-op there too.
     let nrhs = 3;
     let mut bb = MultiVec::<f64>::zeros(n, nrhs);
     for l in 0..nrhs {
@@ -792,12 +662,12 @@ fn native_basis_policy_matches_default_bitwise() {
         let res = BlockGmres::new(&a, &Identity, cfg).solve(&mut ctx, &bb, &mut x);
         (x, res)
     };
-    let (x_d, res_d) = run_block(bcfg);
-    let (x_n, res_n) = run_block(bcfg.with_basis(BasisPolicy::Native));
+    let (x_d, res_d) = run_block(base);
+    let (x_n, res_n) = run_block(base.with_basis(BasisPolicy::Native));
     for l in 0..nrhs {
-        assert_results_identical(&res_n[l], &res_d[l], &format!("pipelined lane {l}"));
+        assert_results_identical(&res_n[l], &res_d[l], &format!("block lane {l}"));
         for (xn, xd) in x_n.col(l).iter().zip(x_d.col(l)) {
-            assert_eq!(xn.to_bits(), xd.to_bits(), "pipelined lane {l} x");
+            assert_eq!(xn.to_bits(), xd.to_bits(), "block lane {l} x");
         }
     }
 }

@@ -37,8 +37,8 @@ pub struct KernelStats {
     /// Seconds of this class's work whose finish time never advanced
     /// the makespan — latency fully *hidden* under other in-flight work
     /// on the overlap timeline. Always 0 for eagerly charged kernels
-    /// (they start at the makespan); the host steps a software-pipelined
-    /// `BlockGmres` defers into recorded regions show up here.
+    /// (they start at the makespan); a recorded op that finishes inside
+    /// other in-flight work shows up here.
     pub hidden: f64,
 }
 
@@ -223,10 +223,9 @@ impl TimingReport {
     }
 
     /// Seconds of one category's work that were fully hidden under
-    /// other in-flight work on the overlap timeline (0 if absent). The
-    /// host steps a pipelined `BlockGmres` defers land here, which is how
-    /// the report *shows* the hidden host latency rather than just a
-    /// smaller total.
+    /// other in-flight work on the overlap timeline (0 if absent): how
+    /// the report *shows* hidden latency rather than just a smaller
+    /// total.
     pub fn hidden_seconds(&self, cat: PaperCategory) -> f64 {
         self.categories.get(&cat).map(|s| s.hidden).unwrap_or(0.0)
     }

@@ -3,9 +3,9 @@
 //! Matrix Vector Multiplication for GPUs" — ref. \[21\] — for this idea).
 //!
 //! Entries whose magnitude is below a threshold are stored in a lower
-//! precision; the SpMV computes `y = A_hi x + A_lo x` with each part in
-//! its own precision and a single accumulation in the high precision.
-//! For matrices whose values span many orders of magnitude, most entries
+//! precision; the SpMV ([`crate::store::MatrixStore::Split`]) widens
+//! every stored value into the working precision and accumulates each
+//! row once, hi bucket first. For matrices whose values span many orders of magnitude, most entries
 //! can ride in fp32 while the few large ones keep fp64, cutting memory
 //! traffic (the only thing that matters for SpMV) without iterative
 //! refinement.
@@ -16,43 +16,24 @@ use crate::coo::Coo;
 use crate::csr::Csr;
 
 /// A matrix split into a high-precision part (large entries) and a
-/// low-precision part (small entries) over the same row space.
+/// low-precision part (small entries) over the same row space. The
+/// kernels that run it are [`crate::store::MatrixStore::Split`]'s: one
+/// accumulation per row in the working precision, hi bucket first.
 #[derive(Clone, Debug)]
 pub struct SplitCsr<Hi, Lo> {
     hi: Csr<Hi>,
     lo: Csr<Lo>,
-    threshold: f64,
 }
 
 impl<Hi: Scalar, Lo: Scalar> SplitCsr<Hi, Lo> {
     /// Split `a`: entries with `|v| >= threshold` stay in `Hi`, the rest
-    /// are rounded once into `Lo`.
-    ///
-    /// When the threshold sends *every* entry to one side the `Coo`
-    /// rebuild is skipped entirely: the full side is a direct
-    /// clone/convert of `a` (identical sparsity structure, no sort or
-    /// dedup pass) and the other side is an empty matrix.
+    /// are rounded once into `Lo`. A threshold that sends every entry
+    /// to one side leaves the other side an empty matrix;
+    /// [`crate::store::MatrixStore::split_threshold`] never builds such
+    /// a split (it collapses to a one-bucket store instead).
     pub fn split(a: &Csr<Hi>, threshold: f64) -> Self {
         assert!(threshold >= 0.0);
         let (nr, nc) = (a.nrows(), a.ncols());
-        fn empty<S: Scalar>(nr: usize, nc: usize) -> Csr<S> {
-            Csr::from_raw(nr, nc, vec![0; nr + 1], Vec::new(), Vec::new())
-        }
-        let is_hi = |v: &Hi| v.to_f64().abs() >= threshold;
-        if a.vals().iter().all(is_hi) {
-            return SplitCsr {
-                hi: a.clone(),
-                lo: empty(nr, nc),
-                threshold,
-            };
-        }
-        if !a.vals().iter().any(is_hi) {
-            return SplitCsr {
-                hi: empty(nr, nc),
-                lo: a.convert(),
-                threshold,
-            };
-        }
         let mut hi = Coo::with_capacity(nr, nc, a.nnz());
         let mut lo = Coo::new(nr, nc);
         for r in 0..nr {
@@ -67,7 +48,6 @@ impl<Hi: Scalar, Lo: Scalar> SplitCsr<Hi, Lo> {
         SplitCsr {
             hi: hi.into_csr(),
             lo: lo.into_csr(),
-            threshold,
         }
     }
 
@@ -81,194 +61,46 @@ impl<Hi: Scalar, Lo: Scalar> SplitCsr<Hi, Lo> {
         &self.lo
     }
 
-    /// The split threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Consume the split into `(hi, lo, threshold)`.
-    pub fn into_parts(self) -> (Csr<Hi>, Csr<Lo>, f64) {
-        (self.hi, self.lo, self.threshold)
-    }
-
-    /// Fraction of entries demoted to the low precision.
-    pub fn lo_fraction(&self) -> f64 {
-        let total = self.hi.nnz() + self.lo.nnz();
-        if total == 0 {
-            0.0
-        } else {
-            self.lo.nnz() as f64 / total as f64
-        }
-    }
-
     /// Value bytes of the split storage (what the §V-D traffic model
     /// charges for the matrix stream).
     pub fn value_bytes(&self) -> usize {
         self.hi.nnz() * Hi::BYTES + self.lo.nnz() * Lo::BYTES
-    }
-
-    /// `y = A x` with the low part computed in `Lo` on a low-precision
-    /// copy of `x`, accumulated into the high-precision result.
-    pub fn spmv(&self, x: &[Hi], x_lo: &[Lo], y: &mut [Hi]) {
-        assert_eq!(x.len(), self.hi.ncols());
-        assert_eq!(x_lo.len(), x.len());
-        self.hi.spmv(x, y);
-        let mut y_lo = vec![Lo::zero(); y.len()];
-        self.lo.spmv(x_lo, &mut y_lo);
-        for (yi, &li) in y.iter_mut().zip(&y_lo) {
-            *yi += cast::<Lo, Hi>(li);
-        }
-    }
-
-    /// Convenience: derive the low-precision `x` copy internally.
-    pub fn spmv_simple(&self, x: &[Hi], y: &mut [Hi]) {
-        let x_lo: Vec<Lo> = x.iter().map(|&v| cast::<Hi, Lo>(v)).collect();
-        self.spmv(x, &x_lo, y);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vec_ops::norm2;
+    use mpgmres_scalar::Half;
 
-    /// Matrix with values spanning 6 orders of magnitude.
-    fn wide_range(n: usize) -> Csr<f64> {
+    /// The low part holds each small entry rounded once into `Lo`, here
+    /// fp16 (the store's split fixes fp32, so this width is checked on
+    /// the split itself): every entry lands in exactly one bucket, in
+    /// its own row and column, and the value bytes count 2 per demoted
+    /// entry.
+    #[test]
+    fn half_low_part_rounds_each_small_entry_once() {
+        let n = 32;
         let mut coo = Coo::new(n, n);
         for i in 0..n {
             coo.push(i, i, 10.0);
             if i + 1 < n {
-                coo.push(i, i + 1, 1e-5 * (1.0 + i as f64 / n as f64));
-                coo.push(i + 1, i, -2e-5);
+                coo.push(i, i + 1, 1e-3 * (1.0 + i as f64 / n as f64));
             }
         }
-        coo.into_csr()
-    }
-
-    #[test]
-    fn threshold_zero_keeps_everything_hi() {
-        let a = wide_range(10);
-        let s: SplitCsr<f64, f32> = SplitCsr::split(&a, 0.0);
-        assert_eq!(s.hi().nnz(), a.nnz());
-        assert_eq!(s.lo().nnz(), 0);
-        assert_eq!(s.lo_fraction(), 0.0);
-    }
-
-    #[test]
-    fn huge_threshold_demotes_everything() {
-        let a = wide_range(10);
-        let s: SplitCsr<f64, f32> = SplitCsr::split(&a, 1e9);
-        assert_eq!(s.hi().nnz(), 0);
-        assert_eq!(s.lo_fraction(), 1.0);
-        assert!(s.value_bytes() < a.nnz() * 8);
-    }
-
-    #[test]
-    fn one_sided_split_fast_path_matches_coo_rebuild() {
-        let a = wide_range(24);
-        // All-hi side: structure must be exactly a's (the fast path is a
-        // clone, not a Coo round-trip), and the empty side is well formed.
-        let all_hi: SplitCsr<f64, f32> = SplitCsr::split(&a, 0.0);
-        assert_eq!(all_hi.hi().row_ptr(), a.row_ptr());
-        assert_eq!(all_hi.hi().col_idx(), a.col_idx());
-        assert_eq!(all_hi.hi().vals(), a.vals());
-        assert_eq!(all_hi.lo().nnz(), 0);
-        assert_eq!(all_hi.lo().nrows(), a.nrows());
-        // All-lo side: a straight convert of a.
-        let all_lo: SplitCsr<f64, f32> = SplitCsr::split(&a, 1e9);
-        assert_eq!(all_lo.lo().row_ptr(), a.row_ptr());
-        assert_eq!(all_lo.lo().col_idx(), a.col_idx());
-        assert_eq!(all_lo.hi().nnz(), 0);
-        for (got, want) in all_lo.lo().vals().iter().zip(a.vals()) {
-            assert_eq!(*got, *want as f32);
-        }
-        // Both one-sided SpMVs still agree with the full matrix.
-        let n = a.nrows();
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.03).collect();
-        let mut y_full = vec![0.0f64; n];
-        a.spmv(&x, &mut y_full);
-        let mut y_hi = vec![0.0f64; n];
-        all_hi.spmv_simple(&x, &mut y_hi);
-        assert_eq!(y_full, y_hi, "all-hi split is exact");
-        let (h, l, t) = all_lo.into_parts();
-        assert_eq!((h.nnz(), l.nnz(), t), (0, a.nnz(), 1e9));
-    }
-
-    #[test]
-    fn split_spmv_matches_full_within_lo_epsilon() {
-        let n = 64;
-        let a = wide_range(n);
-        let s: SplitCsr<f64, f32> = SplitCsr::split(&a, 1e-3);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin() + 1.5).collect();
-        let mut y_full = vec![0.0f64; n];
-        a.spmv(&x, &mut y_full);
-        let mut y_split = vec![0.0f64; n];
-        s.spmv_simple(&x, &mut y_split);
-        let err: f64 = y_full
-            .iter()
-            .zip(&y_split)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        // Error bounded by fp32 epsilon on the demoted (tiny) entries.
-        let demoted_scale = 2e-5 * 2.0 * (n as f64).sqrt() * 2.5;
-        assert!(
-            err <= demoted_scale * f32::EPSILON as f64 * 100.0 + 1e-12,
-            "split error {err:e}"
-        );
-        assert!(err > 0.0, "split of tiny values must round somewhere");
-    }
-
-    #[test]
-    fn traffic_savings_reported() {
-        let n = 128;
-        let a = wide_range(n);
-        let s: SplitCsr<f64, f32> = SplitCsr::split(&a, 1e-3);
-        // Off-diagonals (2/3 of entries) demote: bytes drop accordingly.
-        assert!(s.lo_fraction() > 0.6);
-        let full = a.nnz() * 8;
-        assert!(
-            (s.value_bytes() as f64) < 0.72 * full as f64,
-            "bytes {} vs full {full}",
-            s.value_bytes()
-        );
-    }
-
-    #[test]
-    fn rows_preserved_exactly() {
-        let a = wide_range(32);
-        let s: SplitCsr<f64, f32> = SplitCsr::split(&a, 1e-3);
-        assert_eq!(s.hi().nnz() + s.lo().nnz(), a.nnz());
-        // Every large entry is bit-identical in the hi part.
-        for r in 0..a.nrows() {
+        let a = coo.into_csr();
+        let s: SplitCsr<f64, Half> = SplitCsr::split(&a, 1e-2);
+        assert_eq!((s.hi().nnz(), s.lo().nnz()), (n, n - 1));
+        assert_eq!(s.value_bytes(), n * 8 + (n - 1) * 2);
+        for r in 0..n {
             for (c, v) in a.row(r) {
-                if v.abs() >= 1e-3 {
-                    let found = s.hi().row(r).any(|(c2, v2)| c2 == c && v2 == v);
-                    assert!(found, "large entry ({r},{c}) missing from hi part");
+                if v.abs() >= 1e-2 {
+                    assert!(s.hi().row(r).any(|e| e == (c, v)), "({r},{c}) in hi");
+                } else {
+                    let want = Half::from_f64(v);
+                    assert!(s.lo().row(r).any(|e| e == (c, want)), "({r},{c}) in lo");
                 }
             }
         }
-    }
-
-    #[test]
-    fn works_with_half_low_part() {
-        let n = 32;
-        let a = wide_range(n);
-        let s: SplitCsr<f64, mpgmres_scalar::Half> = SplitCsr::split(&a, 1e-3);
-        let x = vec![1.0f64; n];
-        let mut y = vec![0.0f64; n];
-        s.spmv_simple(&x, &mut y);
-        let mut y_full = vec![0.0f64; n];
-        a.spmv(&x, &mut y_full);
-        let err = y
-            .iter()
-            .zip(&y_full)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(
-            err < 1e-6,
-            "fp16 low part too lossy for these tiny values: {err}"
-        );
-        assert!(norm2(&y) > 0.0);
     }
 }

@@ -82,15 +82,14 @@ impl<S: Scalar> MatrixStore<S> {
     /// see the storage that actually exists, not the split that was
     /// asked for.
     pub fn split_threshold(a: &Csr<S>, threshold: f64) -> Self {
-        let s = SplitCsr::split(a, threshold);
-        if s.lo().nnz() == 0 {
-            let (hi, _, _) = s.into_parts();
-            MatrixStore::Plain(hi)
-        } else if s.hi().nnz() == 0 {
-            let (_, lo, _) = s.into_parts();
-            MatrixStore::ShadowF32(lo)
+        assert!(threshold >= 0.0);
+        let is_hi = |v: &S| v.to_f64().abs() >= threshold;
+        if a.vals().iter().all(is_hi) {
+            MatrixStore::Plain(a.clone())
+        } else if !a.vals().iter().any(is_hi) {
+            MatrixStore::ShadowF32(a.convert())
         } else {
-            MatrixStore::Split(s)
+            MatrixStore::Split(SplitCsr::split(a, threshold))
         }
     }
 
@@ -446,6 +445,95 @@ mod tests {
             }
         );
         assert_eq!(two_sided.nnz(), a.nnz());
+    }
+
+    /// The one-bucket collapses keep `a`'s structure exactly (a clone
+    /// and a straight convert, no `Coo` rebuild).
+    #[test]
+    fn one_sided_split_keeps_the_structure() {
+        let a = laplace(24);
+        let MatrixStore::Plain(hi) = MatrixStore::split_threshold(&a, 0.0) else {
+            panic!("all-hi split must be plain");
+        };
+        assert_eq!(hi.row_ptr(), a.row_ptr());
+        assert_eq!(hi.col_idx(), a.col_idx());
+        assert_eq!(hi.vals(), a.vals());
+        let MatrixStore::ShadowF32(lo) = MatrixStore::split_threshold(&a, 1e9) else {
+            panic!("all-lo split must be an fp32 shadow");
+        };
+        assert_eq!(lo.row_ptr(), a.row_ptr());
+        assert_eq!(lo.col_idx(), a.col_idx());
+        for (got, want) in lo.vals().iter().zip(a.vals()) {
+            assert_eq!(*got, *want as f32);
+        }
+    }
+
+    /// Matrix with values spanning 6 orders of magnitude.
+    fn wide_range(n: usize) -> Csr<f64> {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 10.0);
+            if i + 1 < n {
+                coo.push(i, i + 1, 1e-5 * (1.0 + i as f64 / n as f64));
+                coo.push(i + 1, i, -2e-5);
+            }
+        }
+        coo.into_csr()
+    }
+
+    /// Every entry lands in exactly one bucket of its row; the large
+    /// ones keep their bits in the hi part, and the demoted two thirds
+    /// cut the value bytes accordingly.
+    #[test]
+    fn split_store_preserves_rows_and_cuts_value_bytes() {
+        let a = wide_range(128);
+        let store = MatrixStore::split_threshold(&a, 1e-3);
+        let MatrixStore::Split(s) = &store else {
+            panic!("two-sided threshold must split");
+        };
+        assert_eq!(s.hi().nnz() + s.lo().nnz(), a.nnz());
+        assert!(s.lo().nnz() as f64 > 0.6 * a.nnz() as f64);
+        for r in 0..a.nrows() {
+            for (c, v) in a.row(r) {
+                let bucket = if v.abs() >= 1e-3 {
+                    s.hi().row(r).any(|e| e == (c, v))
+                } else {
+                    s.lo().row(r).any(|e| e == (c, v as f32))
+                };
+                assert!(bucket, "entry ({r},{c}) missing from its bucket");
+            }
+        }
+        let full = a.nnz() * 8;
+        assert!(
+            (store.value_bytes() as f64) < 0.72 * full as f64,
+            "bytes {} vs full {full}",
+            store.value_bytes()
+        );
+    }
+
+    /// The split SpMV rounds only the demoted (tiny) entries, so it
+    /// stays within fp32 epsilon of the full-precision SpMV on them.
+    #[test]
+    fn split_spmv_matches_full_within_fp32_epsilon() {
+        let n = 64;
+        let a = wide_range(n);
+        let store = MatrixStore::split_threshold(&a, 1e-3);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin() + 1.5).collect();
+        let (mut y_full, mut y_split) = (vec![0.0; n], vec![0.0; n]);
+        a.spmv(&x, &mut y_full);
+        store.spmv(&x, &mut y_split);
+        let err = y_full
+            .iter()
+            .zip(&y_split)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        let demoted_scale = 2e-5 * 2.0 * (n as f64).sqrt() * 2.5;
+        assert!(
+            err <= demoted_scale * f32::EPSILON as f64 * 100.0 + 1e-12,
+            "split error {err:e}"
+        );
+        assert!(err > 0.0, "split of tiny values must round somewhere");
     }
 
     #[test]
